@@ -124,7 +124,7 @@ def build_program(params: GemmParams, config: ArrayConfig) -> list[Instruction]:
             flags |= FLAG_EARLY_TERMINATED
         if op.tile_index == last_index:
             flags |= FLAG_LAST_TILE
-        tile = schedule.tiling.tiles[op.tile_index]
+        tile = schedule.tiling.tile(op.tile_index)
         count = {
             OpKind.LOAD_WEIGHTS: tile.rows * tile.cols,
             OpKind.STREAM_IFM: tile.vectors,

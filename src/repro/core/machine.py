@@ -4,10 +4,11 @@ instruction.
 The machine interprets the instruction stream :func:`repro.core.isa.
 build_program` emits, advancing a cycle counter per the semantics of
 Section III-D (preload at one row per cycle, streaming at the instruction's
-MAC-cycle indicator, drains overlapping the next preload).  Its cycle
-count is cross-validated against the analytic schedule — the same
-architecture described twice, closing the loop between the ISA view and
-the performance model.
+MAC-cycle indicator, drains overlapping the next preload; fold budgets from
+``schedule_tile`` under the scheme's geometry).  Its cycle count is
+cross-validated against the analytic schedule — the same architecture
+described twice, closing the loop between the ISA view and the performance
+model.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from ..gemm.params import GemmParams
 from ..gemm.tiling import Tiling, tile_gemm
 from .config import ArrayConfig
 from .isa import Instruction, Opcode
+from .scheduler import schedule_tile
 
 __all__ = ["MachineState", "UsystolicMachine"]
 
@@ -62,7 +64,8 @@ class UsystolicMachine:
             return state
         if not 0 <= instr.tile < self.tiling.num_tiles:
             raise ValueError(f"tile index {instr.tile} outside the fold plan")
-        tile = self.tiling.tiles[instr.tile]
+        tile = self.tiling.tile(instr.tile)
+        budget = schedule_tile(tile, instr.mac_cycles, self.config.geometry)
         if instr.opcode is Opcode.LOAD_WEIGHTS:
             if instr.count != tile.rows * tile.cols:
                 raise ValueError(
@@ -71,7 +74,7 @@ class UsystolicMachine:
                 )
             # Drain of the previous fold overlaps this preload.
             self._pending_drain = 0
-            state.cycle += tile.rows + tile.cols - 1
+            state.cycle += budget.preload_cycles
             state.weights_loaded += instr.count
             state.current_tile = instr.tile
         elif instr.opcode is Opcode.STREAM_IFM:
@@ -85,7 +88,7 @@ class UsystolicMachine:
         else:  # DRAIN_OFM
             # Drains ripple out concurrently with the next preload; only
             # the final one adds cycles (applied at HALT).
-            self._pending_drain = tile.rows + tile.cols - 2
+            self._pending_drain = budget.drain_cycles
             state.ofms_drained += instr.count
         return state
 

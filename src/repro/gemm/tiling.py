@@ -8,6 +8,10 @@ larger than the array are *folded*: ``ceil(K/R)`` reduction folds times
 (SCALE-Sim's scheduling, which uSystolic inherits unchanged — its
 generalizability claim).
 
+A :class:`Tiling` is closed-form: it stores the two fold counts, and edge
+sizes and utilisation are arithmetic on them.  :class:`Tile` objects are
+built lazily, only for the consumers that step fold by fold.
+
 Partial sums across reduction folds are accumulated through the OFM buffer,
 which is why folded convolutions re-touch OFM memory and why Figure 13's
 total energy is DRAM-dominated for convolution layers.
@@ -42,70 +46,81 @@ class Tile:
 
 @dataclasses.dataclass(frozen=True)
 class Tiling:
-    """Complete fold schedule of one GEMM on an R x C array."""
+    """Fold plan of one GEMM on an R x C array, folds reduction-major.
+
+    Only the last reduction and last column fold can be partial (edges).
+    """
 
     params: GemmParams
     array_rows: int
     array_cols: int
     k_folds: int
     c_folds: int
-    tiles: tuple[Tile, ...]
 
     @property
     def num_tiles(self) -> int:
-        return len(self.tiles)
+        return self.k_folds * self.c_folds
+
+    @property
+    def vectors(self) -> int:
+        """Input vectors streamed through every fold (OH*OW)."""
+        return self.params.oh * self.params.ow
+
+    @property
+    def total_vectors(self) -> int:
+        return self.num_tiles * self.vectors
+
+    @property
+    def edge_rows(self) -> int:
+        """Rows of the last reduction fold (``array_rows`` on an exact fit)."""
+        return self.params.window - (self.k_folds - 1) * self.array_rows
+
+    @property
+    def edge_cols(self) -> int:
+        """Columns of the last column fold (``array_cols`` on an exact fit)."""
+        return self.params.oc - (self.c_folds - 1) * self.array_cols
 
     @property
     def utilization(self) -> float:
         """MAC-weighted fraction of the array kept busy across all folds.
 
-        The quantity whose drop from AlexNet (~97% edge) to MLPerf's diverse
-        shapes (~70% edge) drives the Figure 14c/d efficiency dilution.
+        ``K*OC*V / (kf*cf*V*R*C)``: the quantity whose drop from AlexNet
+        (~97% edge) to MLPerf's diverse shapes (~70% edge) drives the
+        Figure 14c/d efficiency dilution.
         """
-        capacity = self.array_rows * self.array_cols
-        total_slots = sum(t.vectors for t in self.tiles) * capacity
-        if total_slots == 0:
+        slots = self.total_vectors * self.array_rows * self.array_cols
+        if slots == 0:
             return 0.0
-        return sum(t.macs for t in self.tiles) / total_slots
+        return self.params.macs / slots
 
-    @property
-    def total_vectors(self) -> int:
-        return sum(t.vectors for t in self.tiles)
+    def tile(self, index: int) -> Tile:
+        """Fold ``index`` of the plan, built in O(1)."""
+        if not 0 <= index < self.num_tiles:
+            raise IndexError(f"tile index {index} outside [0, {self.num_tiles})")
+        k_fold, c_fold = divmod(index, self.c_folds)
+        k_start = k_fold * self.array_rows
+        c_start = c_fold * self.array_cols
+        return Tile(
+            k_start=k_start,
+            rows=min(self.array_rows, self.params.window - k_start),
+            c_start=c_start,
+            cols=min(self.array_cols, self.params.oc - c_start),
+            vectors=self.vectors,
+        )
 
     def __iter__(self) -> Iterator[Tile]:
-        return iter(self.tiles)
+        """Every fold in schedule order, built lazily."""
+        return map(self.tile, range(self.num_tiles))
 
 
 def tile_gemm(params: GemmParams, array_rows: int, array_cols: int) -> Tiling:
     """Fold ``params`` onto an ``array_rows x array_cols`` array."""
     if array_rows < 1 or array_cols < 1:
         raise ValueError("array dimensions must be positive")
-    k = params.window
-    oc = params.oc
-    vectors = params.oh * params.ow
-    k_folds = math.ceil(k / array_rows)
-    c_folds = math.ceil(oc / array_cols)
-    tiles = []
-    for kf in range(k_folds):
-        k_start = kf * array_rows
-        rows = min(array_rows, k - k_start)
-        for cf in range(c_folds):
-            c_start = cf * array_cols
-            cols = min(array_cols, oc - c_start)
-            tiles.append(
-                Tile(
-                    k_start=k_start,
-                    rows=rows,
-                    c_start=c_start,
-                    cols=cols,
-                    vectors=vectors,
-                )
-            )
     return Tiling(
         params=params,
         array_rows=array_rows,
         array_cols=array_cols,
-        k_folds=k_folds,
-        c_folds=c_folds,
-        tiles=tuple(tiles),
+        k_folds=math.ceil(params.window / array_rows),
+        c_folds=math.ceil(params.oc / array_cols),
     )

@@ -1,4 +1,4 @@
-"""Batched-N fast path: closed-form schedules for request batching.
+"""Batched-N schedules for request batching.
 
 Inference serving folds concurrent requests into the GEMM ``N`` dimension:
 a batch of B requests streams ``B * OH * OW`` input vectors through the
@@ -6,33 +6,21 @@ same preloaded weights, so only the streaming phase scales with B — the
 per-fold weight preloads and the final drain are paid once per layer
 execution regardless of batch size.
 
-:func:`batched_schedule` computes that schedule in closed form (the same
-fold algebra ``repro.verify.oracles.compute_cycles_oracle`` derives
-independently) instead of iterating the ``k_folds * c_folds`` tile list B
-times::
-
-    preloads = cf*K + col_lag*(kf*OC - kf*cf)   (edge tiles sum to K/OC)
-    streams  = kf*cf * (B*V) * mac_cycles       (the only B-dependent term)
-    drain    = row_lag*(K - (kf-1)*rows - 1) + col_lag*(OC - (cf-1)*cols - 1)
-
-with the skew lags taken from the scheme's dataflow geometry (both 1 for
-the paper's skewed weight-stationary schedule, both 0 for DiP).
-
-At ``batch=1`` the result is pinned equal to
-:func:`repro.sim.dataflow.schedule_layer` by a differential test, and for
-matrix-multiplication layers a batch-B schedule is pinned equal to the
-per-tile path on an explicitly batched ``GemmParams`` — the fast path can
-never drift from the reference without a test failing.
+:func:`batched_schedule` is that schedule for a bare ``(params, rows,
+cols)`` triple — the one closed-form fold algebra of
+:func:`repro.sim.dataflow.schedule_layer`.  Tests pin a batch-B schedule
+to the per-tile oracle on an explicitly batched ``GemmParams``
+(:func:`batched_matmul_params`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 from ..gemm.params import GemmParams
+from ..gemm.tiling import tile_gemm
 from ..schemes import WEIGHT_STATIONARY_SKEWED, DataflowGeometry
-from .dataflow import LayerSchedule
+from .dataflow import LayerSchedule, schedule_layer
 
 __all__ = ["batched_schedule", "batched_matmul_params"]
 
@@ -45,33 +33,9 @@ def batched_schedule(
     batch: int = 1,
     geometry: DataflowGeometry = WEIGHT_STATIONARY_SKEWED,
 ) -> LayerSchedule:
-    """Closed-form weight-stationary schedule of ``batch`` folded requests.
-
-    Equivalent to :func:`repro.sim.dataflow.schedule_layer` over a tiling
-    whose per-tile vector count is ``batch * OH * OW``, computed without
-    materialising or iterating the tile list.
-    """
-    if rows < 1 or cols < 1:
-        raise ValueError("array dimensions must be positive")
-    if mac_cycles < 1:
-        raise ValueError(f"mac_cycles must be >= 1, got {mac_cycles}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    k = params.window
-    oc = params.oc
-    vectors = batch * params.oh * params.ow
-    kf = math.ceil(k / rows)
-    cf = math.ceil(oc / cols)
-    preload_cycles = cf * k + geometry.col_lag * (kf * oc - kf * cf)
-    stream_cycles = kf * cf * vectors * mac_cycles
-    drain_cycles = geometry.drain_cycles(
-        k - (kf - 1) * rows, oc - (cf - 1) * cols
-    )
-    return LayerSchedule(
-        compute_cycles=preload_cycles + stream_cycles + drain_cycles,
-        active_pe_mac_cycles=k * oc * vectors * mac_cycles,
-        num_tiles=kf * cf,
-        mac_cycles=mac_cycles,
+    """Closed-form weight-stationary schedule of ``batch`` folded requests."""
+    return schedule_layer(
+        tile_gemm(params, rows, cols), mac_cycles, geometry, batch=batch
     )
 
 
@@ -81,8 +45,8 @@ def batched_matmul_params(params: GemmParams, batch: int) -> GemmParams:
     Folds ``batch`` request rows into the output-row dimension (``IH``),
     exactly as ``GemmParams.matmul`` folds its ``rows`` argument.  Only
     valid for multiplication-shaped layers (``IC = WH = 1``, stride 1);
-    used by the differential tests to compare the closed-form batched
-    path against the per-tile reference on a real ``GemmParams``.
+    used by the differential tests to compare a batch-B schedule against
+    the per-tile oracle on a real ``GemmParams``.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")

@@ -1,7 +1,7 @@
 """Weight-stationary schedule timing (contention-free compute cycles).
 
-Closed-form cycle counts for one fold on the array, following the TPU/
-SCALE-Sim schedule the paper inherits (Section II-A, III-D):
+Closed-form cycle counts for a folded GEMM on the array, following the
+TPU/SCALE-Sim schedule the paper inherits (Section II-A, III-D):
 
 1. weight preload — weights enter from the top, one row per cycle,
    pipelined down ``rows`` rows (``rows + cols - 1`` cycles to fill);
@@ -18,32 +18,19 @@ The skew terms come from a :class:`~repro.schemes.DataflowGeometry`: the
 default (``row_lag = col_lag = 1``) reproduces the paper's skewed
 weight-stationary numbers above, while DiP's diagonal-input geometry
 (both lags zero) drops the ``cols - 1`` preload stagger and the whole
-drain.
+drain.  :func:`schedule_layer` sums the per-fold :func:`schedule_tile`
+budgets in closed form, without visiting a fold.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from ..gemm.tiling import Tile, Tiling
+from ..core.scheduler import TileSchedule, schedule_tile
+from ..gemm.tiling import Tiling
 from ..schemes import WEIGHT_STATIONARY_SKEWED, DataflowGeometry
 
 __all__ = ["TileSchedule", "LayerSchedule", "schedule_tile", "schedule_layer"]
-
-
-@dataclasses.dataclass(frozen=True)
-class TileSchedule:
-    """Cycle budget of one weight-stationary fold."""
-
-    preload_cycles: int
-    stream_cycles: int
-    drain_cycles: int
-    active_pe_mac_cycles: int
-    """PE-cycles of actual MAC work (drives dynamic energy)."""
-
-    @property
-    def total_cycles(self) -> int:
-        return self.preload_cycles + self.stream_cycles + self.drain_cycles
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,49 +43,41 @@ class LayerSchedule:
     mac_cycles: int
 
 
-def schedule_tile(
-    tile: Tile,
-    mac_cycles: int,
-    geometry: DataflowGeometry = WEIGHT_STATIONARY_SKEWED,
-) -> TileSchedule:
-    """Contention-free cycle count of one fold with ``mac_cycles`` MACs.
-
-    The drain of a fold overlaps the next fold's weight preload (new
-    weights push the last partial sums out as they pipeline down), so the
-    per-fold cost is preload + streaming; ``drain_cycles`` is only paid by
-    the last fold of a layer.  ``geometry`` supplies the skew lags.
-    """
-    if mac_cycles < 1:
-        raise ValueError(f"mac_cycles must be >= 1, got {mac_cycles}")
-    preload = geometry.preload_cycles(tile.rows, tile.cols)
-    stream = tile.vectors * mac_cycles
-    drain = geometry.drain_cycles(tile.rows, tile.cols)
-    active = tile.rows * tile.cols * tile.vectors * mac_cycles
-    return TileSchedule(
-        preload_cycles=preload,
-        stream_cycles=stream,
-        drain_cycles=drain,
-        active_pe_mac_cycles=active,
-    )
-
-
 def schedule_layer(
     tiling: Tiling,
     mac_cycles: int,
     geometry: DataflowGeometry = WEIGHT_STATIONARY_SKEWED,
+    batch: int = 1,
 ) -> LayerSchedule:
-    """Sum the fold schedules of a whole GEMM (drains overlap preloads)."""
-    compute = 0
-    active = 0
-    last_drain = 0
-    for tile in tiling:
-        ts = schedule_tile(tile, mac_cycles, geometry)
-        compute += ts.preload_cycles + ts.stream_cycles
-        last_drain = ts.drain_cycles
-        active += ts.active_pe_mac_cycles
+    """Closed-form schedule of a whole GEMM (drains overlap preloads).
+
+    With ``kf x cf`` folds, edge-tile rows sum to exactly K across the
+    reduction folds and edge-tile columns to OC across the column folds,
+    so the per-fold budgets of :func:`schedule_tile` sum to::
+
+        preloads = cf*K + col_lag*(kf*OC - kf*cf)
+        streams  = kf*cf * (B*V) * mac_cycles
+        drain    = row_lag*(edge_rows - 1) + col_lag*(edge_cols - 1)
+
+    where only the last fold's drain is paid.  ``batch`` folds B requests
+    into the GEMM ``N`` dimension: only the streams scale with it, the
+    preloads and the drain are paid once per layer execution.
+    """
+    if mac_cycles < 1:
+        raise ValueError(f"mac_cycles must be >= 1, got {mac_cycles}")
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    k = tiling.params.window
+    oc = tiling.params.oc
+    kf = tiling.k_folds
+    cf = tiling.c_folds
+    vectors = batch * tiling.vectors
+    preloads = cf * k + geometry.col_lag * (kf * oc - kf * cf)
+    streams = kf * cf * vectors * mac_cycles
+    drain = geometry.drain_cycles(tiling.edge_rows, tiling.edge_cols)
     return LayerSchedule(
-        compute_cycles=compute + last_drain,
-        active_pe_mac_cycles=active,
+        compute_cycles=preloads + streams + drain,
+        active_pe_mac_cycles=k * oc * vectors * mac_cycles,
         num_tiles=tiling.num_tiles,
         mac_cycles=mac_cycles,
     )

@@ -25,10 +25,9 @@ from ..gemm.tiling import tile_gemm
 from ..hw.array_cost import array_cost
 from ..hw.gates import TECH_32NM, TechNode
 from ..memory.hierarchy import VARIABLES, MemoryConfig
-from .batch import batched_schedule
-from .dataflow import LayerSchedule, schedule_layer
+from .dataflow import schedule_layer
 from .results import EnergyLedger, LayerResult
-from .traffic import TrafficProfile, profile_traffic, profile_traffic_batched
+from .traffic import profile_traffic_batched
 
 __all__ = [
     "simulate_layer",
@@ -49,21 +48,8 @@ def simulate_layer(
     memory: MemoryConfig,
     tech: TechNode = TECH_32NM,
 ) -> LayerResult:
-    """Simulate one GEMM layer; see module docstring for the model."""
-    # Entry contract (repro.analysis): reject impossible configs loudly even
-    # when they were built via dataclasses.replace or deserialization paths.
-    params.validate()
-    array.validate()
-    memory.validate()
-    tiling = tile_gemm(params, array.rows, array.cols)
-    sched = schedule_layer(tiling, array.mac_cycles, array.geometry)
-    traffic = profile_traffic(
-        params, tiling, array.scheme.spec.stream_bits(array.bits), memory
-    )
-    return _finalize(
-        params, array, memory, tech, sched, traffic,
-        macs=params.macs, utilization=tiling.utilization,
-    )
+    """Simulate one GEMM layer: :func:`simulate_layer_batched` at ``batch=1``."""
+    return simulate_layer_batched(params, array, memory, tech=tech)
 
 
 def simulate_layer_batched(
@@ -76,28 +62,20 @@ def simulate_layer_batched(
 ) -> LayerResult:
     """Simulate ``batch`` requests of one layer folded into the N dimension.
 
-    The fast path inference serving batches through: the schedule comes
-    from the closed-form fold algebra (:func:`repro.sim.batch.batched_schedule`)
-    instead of iterating the tile list, and only the activation streams
-    scale with the batch — the weight stream is shared.  ``warm_weights``
-    additionally skips the weight DRAM fill when a residency tracker says
-    the working set is still in SRAM (see :mod:`repro.serve.residency`).
-
-    Differential tests pin ``batch=1, warm_weights=False`` byte-identical
-    to :func:`simulate_layer`.
+    The path inference serving batches through: the schedule comes from
+    the closed-form fold algebra (:func:`repro.sim.dataflow.schedule_layer`)
+    and only the activation streams scale with the batch — the weight
+    stream is shared.  ``warm_weights`` additionally skips the weight DRAM
+    fill when a residency tracker says the working set is still in SRAM
+    (see :mod:`repro.serve.residency`).
     """
+    # Entry contract (repro.analysis): reject impossible configs loudly even
+    # when they were built via dataclasses.replace or deserialization paths.
     params.validate()
     array.validate()
     memory.validate()
     tiling = tile_gemm(params, array.rows, array.cols)
-    sched = batched_schedule(
-        params,
-        array.rows,
-        array.cols,
-        array.mac_cycles,
-        batch=batch,
-        geometry=array.geometry,
-    )
+    sched = schedule_layer(tiling, array.mac_cycles, array.geometry, batch=batch)
     traffic = profile_traffic_batched(
         params,
         tiling,
@@ -106,28 +84,7 @@ def simulate_layer_batched(
         batch=batch,
         warm_weights=warm_weights,
     )
-    return _finalize(
-        params, array, memory, tech, sched, traffic,
-        macs=batch * params.macs, utilization=tiling.utilization,
-    )
 
-
-def _finalize(
-    params: GemmParams,
-    array: ArrayConfig,
-    memory: MemoryConfig,
-    tech: TechNode,
-    sched: LayerSchedule,
-    traffic: TrafficProfile,
-    macs: int,
-    utilization: float,
-) -> LayerResult:
-    """Assemble a :class:`LayerResult` from a schedule and a traffic profile.
-
-    The contention model and energy ledger shared by the per-tile and the
-    closed-form batched paths — one body, so the two can never disagree
-    about runtime or energy accounting.
-    """
     # --- runtime with contention ---------------------------------------
     dram_rate = memory.dram.effective_bandwidth_bytes_per_s / tech.frequency_hz
     dram_cycles = traffic.dram_total / dram_rate
@@ -164,11 +121,11 @@ def _finalize(
     return LayerResult(
         layer=params.name,
         config_label=array.label + ("" if memory.has_sram else "-noSRAM"),
-        macs=macs,
+        macs=batch * params.macs,
         compute_cycles=sched.compute_cycles,
         total_cycles=total_cycles,
         runtime_s=runtime_s,
-        utilization=utilization,
+        utilization=tiling.utilization,
         traffic=traffic,
         energy=energy,
     )

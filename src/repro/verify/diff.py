@@ -55,6 +55,7 @@ from .oracles import (
     conv_oracle,
     im2col_oracle,
     mac_latency_oracle,
+    per_tile_schedule_oracle,
     traffic_oracle,
 )
 
@@ -321,13 +322,16 @@ def _diff_engine(case: VerifyCase, out: _Collector) -> None:
     cycles = compute_cycles_oracle(
         params, array.rows, array.cols, latency, skewed=array.scheme.has_skew
     )
-    out.compare(
-        "engine.schedule_cycles",
-        cycles,
-        schedule_layer(tiling, array.mac_cycles, array.geometry).compute_cycles,
+    sched = schedule_layer(tiling, array.mac_cycles, array.geometry)
+    per_tile, per_tile_util = per_tile_schedule_oracle(
+        tiling, array.mac_cycles, array.geometry
     )
+    out.compare("engine.schedule_cycles", cycles, sched.compute_cycles)
+    out.compare("engine.per_tile_cycles", per_tile.compute_cycles, sched.compute_cycles)
+    out.compare("engine.per_tile_active", per_tile.active_pe_mac_cycles, sched.active_pe_mac_cycles)
     result = simulate_layer(params, array, memory)
     out.compare("engine.compute_cycles", cycles, result.compute_cycles)
+    out.compare("engine.utilization", per_tile_util, result.utilization)
 
     oracle = traffic_oracle(params, array.rows, array.cols, case.bits, memory)
     traffic = profile_traffic(params, tiling, case.bits, memory)
@@ -456,12 +460,14 @@ def _diff_array(case: VerifyCase, out: _Collector) -> None:
     cycles = compute_cycles_oracle(
         params, array.rows, array.cols, latency, skewed=array.scheme.has_skew
     )
+    per_tile, _ = per_tile_schedule_oracle(tiling, array.mac_cycles, array.geometry)
     # Resolved through the module so mutation tests diff what runs.
     stepped = arraysim.simulate_array(
         params, array, weight, ifm, granularity="wave", collect_planes=True
     )
 
     out.compare("array.compute_cycles", cycles, stepped.compute_cycles)
+    out.compare("array.per_tile_cycles", per_tile.compute_cycles, stepped.compute_cycles)
     out.compare("array.schedule_cycles", sched.compute_cycles, stepped.compute_cycles)
     out.compare("array.pe_busy_cycles", sched.active_pe_mac_cycles, stepped.pe_busy_cycles)
     out.compare("array.num_folds", tiling.num_tiles, stepped.num_folds)

@@ -3,9 +3,10 @@
 Every oracle here is a deliberately *independent* derivation: the exact
 functional outputs come from direct numpy arithmetic (no ``im2col``, no
 tiling, no unary kernels), and the performance totals come from the
-closed-form Table II algebra rather than from iterating the fold
-schedule.  An implementation bug therefore cannot hide by being shared
-between the system under test and its reference — the tubGEMM/tuGEMM
+closed-form Table II algebra, or — :func:`per_tile_schedule_oracle` —
+from iterating the fold schedule the simulator sums in closed form.  An
+implementation bug therefore cannot hide by being shared between the
+system under test and its reference — the tubGEMM/tuGEMM
 exact-binary-oracle discipline applied to this reproduction.
 """
 
@@ -16,8 +17,10 @@ import math
 import numpy as np
 
 from ..gemm.params import GemmParams
+from ..gemm.tiling import Tiling
 from ..memory.hierarchy import MemoryConfig
-from ..schemes import ComputeScheme
+from ..schemes import WEIGHT_STATIONARY_SKEWED, ComputeScheme, DataflowGeometry
+from ..sim.dataflow import LayerSchedule, schedule_tile
 
 __all__ = [
     "gemm_oracle",
@@ -25,6 +28,7 @@ __all__ = [
     "conv_oracle",
     "mac_latency_oracle",
     "compute_cycles_oracle",
+    "per_tile_schedule_oracle",
     "traffic_oracle",
 ]
 
@@ -176,6 +180,35 @@ def compute_cycles_oracle(
     preloads = cf * k + kf * oc - kf * cf
     last_drain = (k - (kf - 1) * rows) + (oc - (cf - 1) * cols) - 2
     return preloads + streams + last_drain
+
+
+def per_tile_schedule_oracle(
+    tiling: Tiling,
+    mac_cycles: int,
+    geometry: DataflowGeometry = WEIGHT_STATIONARY_SKEWED,
+) -> tuple[LayerSchedule, float]:
+    """Layer schedule and MAC-weighted utilisation, summed fold by fold.
+
+    Sums :func:`~repro.sim.dataflow.schedule_tile` over every fold (only
+    the last drain is paid); both results must equal the closed-form
+    ``schedule_layer`` and ``Tiling.utilization`` exactly.
+    """
+    compute = active = macs = vectors = last_drain = 0
+    for tile in tiling:
+        ts = schedule_tile(tile, mac_cycles, geometry)
+        compute += ts.preload_cycles + ts.stream_cycles
+        last_drain = ts.drain_cycles
+        active += ts.active_pe_mac_cycles
+        macs += tile.macs
+        vectors += tile.vectors
+    slots = vectors * tiling.array_rows * tiling.array_cols
+    schedule = LayerSchedule(
+        compute_cycles=compute + last_drain,
+        active_pe_mac_cycles=active,
+        num_tiles=tiling.num_tiles,
+        mac_cycles=mac_cycles,
+    )
+    return schedule, (macs / slots if slots else 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from repro.core.config import ArrayConfig
 from repro.core.isa import Instruction, Opcode, build_program
 from repro.core.machine import UsystolicMachine
+from repro.core.scheduler import build_schedule
 from repro.gemm.params import GemmParams
 from repro.gemm.tiling import tile_gemm
 from repro.schemes import ComputeScheme as CS
+from repro.schemes import registered_codes
 from repro.sim.dataflow import schedule_layer
 
 PARAMS = GemmParams("c", ih=10, iw=10, ic=8, wh=3, ww=3, oc=20)
@@ -35,6 +37,22 @@ class TestMachine:
         final = machine.run(build_program(PARAMS, cfg))
         sched = schedule_layer(tile_gemm(PARAMS, 12, 14), cfg.mac_cycles)
         assert final.cycle == sched.compute_cycles
+
+    @pytest.mark.parametrize("code", registered_codes())
+    def test_every_geometry_agrees_with_the_analytic_schedule(self, code):
+        # The machine and the op scheduler time each fold under the
+        # scheme's dataflow geometry: on DiP (no skew, no drain) this layer
+        # takes 912 cycles, not the skewed 1008.
+        params = GemmParams("c", ih=10, iw=10, ic=8, wh=3, ww=3, oc=16)
+        cfg = ArrayConfig(12, 14, CS(code))
+        final = UsystolicMachine(params, cfg).run(build_program(params, cfg))
+        ops = build_schedule(params, cfg).ops
+        sched = schedule_layer(
+            tile_gemm(params, 12, 14), cfg.mac_cycles, cfg.geometry
+        )
+        assert final.cycle == ops[-1].end_cycle == sched.compute_cycles
+        if code == "DP":
+            assert final.cycle == 912
 
     def test_counts_weights_and_vectors(self):
         cfg = ArrayConfig(12, 14, CS.BINARY_PARALLEL)

@@ -13,7 +13,7 @@ class TestTiling:
         p = GemmParams("c", ih=6, iw=6, ic=1, wh=3, ww=3, oc=8)
         t = tile_gemm(p, 12, 14)
         assert t.num_tiles == 1
-        tile = t.tiles[0]
+        tile = t.tile(0)
         assert tile.rows == 9
         assert tile.cols == 8
         assert tile.vectors == 16
@@ -29,8 +29,8 @@ class TestTiling:
     def test_edge_tiles_are_partial(self):
         p = GemmParams.matmul("m", rows=1, inner=13, cols=15)
         t = tile_gemm(p, 12, 14)
-        rows = sorted({tile.rows for tile in t.tiles})
-        cols = sorted({tile.cols for tile in t.tiles})
+        rows = sorted({tile.rows for tile in t})
+        cols = sorted({tile.cols for tile in t})
         assert rows == [1, 12]
         assert cols == [1, 14]
 
@@ -38,7 +38,7 @@ class TestTiling:
         # The folds together perform exactly the GEMM's MACs.
         p = GemmParams("c", ih=10, iw=10, ic=5, wh=3, ww=3, oc=20, stride=1)
         t = tile_gemm(p, 12, 14)
-        assert sum(tile.macs for tile in t.tiles) == p.macs
+        assert sum(tile.macs for tile in t) == p.macs
 
     def test_full_utilization_when_exact_fit(self):
         p = GemmParams.matmul("m", rows=7, inner=12, cols=14)
@@ -65,6 +65,21 @@ class TestTiling:
         t = tile_gemm(p, 12, 14)
         assert len(list(t)) == t.num_tiles
 
+    def test_tile_lookup_matches_iteration(self):
+        p = GemmParams("c", ih=9, iw=9, ic=3, wh=3, ww=3, oc=30)
+        t = tile_gemm(p, 12, 14)
+        assert [t.tile(i) for i in range(t.num_tiles)] == list(t)
+        last = t.tile(t.num_tiles - 1)
+        assert (last.rows, last.cols) == (t.edge_rows, t.edge_cols)
+
+    @pytest.mark.parametrize("index", [-1, 9])
+    def test_tile_lookup_out_of_range(self, index):
+        p = GemmParams("c", ih=9, iw=9, ic=3, wh=3, ww=3, oc=30)
+        t = tile_gemm(p, 12, 14)
+        assert t.num_tiles == 9
+        with pytest.raises(IndexError):
+            t.tile(index)
+
 
 @given(
     inner=st.integers(1, 600),
@@ -76,5 +91,5 @@ class TestTiling:
 def test_mac_conservation_property(inner, cols, rows_arr, cols_arr):
     p = GemmParams.matmul("m", rows=3, inner=inner, cols=cols)
     t = tile_gemm(p, rows_arr, cols_arr)
-    assert sum(tile.macs for tile in t.tiles) == p.macs
+    assert sum(tile.macs for tile in t) == p.macs
     assert 0.0 < t.utilization <= 1.0

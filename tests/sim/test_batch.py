@@ -1,10 +1,10 @@
-"""Differential tests: the batched-N fast path vs the per-tile engine.
+"""Differential tests: batching in ``N`` vs explicitly batched GEMMs.
 
-The closed forms in ``repro.sim.batch`` must be *exactly* the per-tile
-schedule — not approximately: ``simulate_layer_batched(batch=1)`` is
-byte-equal to ``simulate_layer``, and at batch B it is byte-equal to
-running the slow path on an explicitly batched matmul (``N`` scaled by
-B).  Any drift between the two paths is a modelling bug.
+Folding B requests into the ``N`` dimension must be *exactly* the
+schedule of the wider GEMM — not approximately:
+``simulate_layer_batched(batch=1)`` is byte-equal to ``simulate_layer``,
+and at batch B it is byte-equal to simulating an explicitly batched
+matmul (``N`` scaled by B).  Any drift between the two is a modelling bug.
 """
 
 import dataclasses

@@ -39,7 +39,7 @@ class TestScheduleLayer:
         p = GemmParams("c", ih=6, iw=6, ic=1, wh=3, ww=3, oc=8)
         tiling = tile_gemm(p, 12, 14)
         sched = schedule_layer(tiling, 1)
-        ts = schedule_tile(tiling.tiles[0], 1)
+        ts = schedule_tile(tiling.tile(0), 1)
         assert sched.compute_cycles == ts.total_cycles
 
     def test_drain_paid_once(self):

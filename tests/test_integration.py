@@ -180,5 +180,6 @@ class TestGoldenMultiFold:
         # Per-fold totals include each fold's skew drain; the layer
         # schedule overlaps all but the last drain with preloads.
         per_fold_drains = sum(t.rows + t.cols - 2 for t in tiling)
-        last_drain = tiling.tiles[-1].rows + tiling.tiles[-1].cols - 2
+        last = tiling.tile(tiling.num_tiles - 1)
+        last_drain = last.rows + last.cols - 2
         assert finishes - per_fold_drains + last_drain == sched.compute_cycles

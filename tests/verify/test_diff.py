@@ -101,12 +101,13 @@ class TestRunCase:
         assert payload["case"] == {"bits": 5, "ifm": 3, "weights": [7]}
 
     def test_engine_report_covers_traffic_and_trace(self):
-        # 3 cycle checks + 12 traffic fields + 4 trace totals.
+        # 6 schedule checks (incl. the per-tile oracle) + 12 traffic
+        # fields + 4 trace totals.
         case = VerifyCase(
             kind="engine", scheme="BP", bits=8, ih=6, iw=6, ic=2, wh=2, ww=2,
             oc=3, rows=3, cols=2,
         )
-        assert run_case(case).checks == 19
+        assert run_case(case).checks == 22
 
 
 class TestDiffReport:

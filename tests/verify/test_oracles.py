@@ -9,12 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gemm.im2col import im2col
 from repro.gemm.params import GemmParams
 from repro.gemm.tiling import tile_gemm
 from repro.memory.hierarchy import MemoryConfig
-from repro.schemes import ComputeScheme, scheme_mac_cycles
+from repro.schemes import (
+    DIAGONAL_INPUT,
+    WEIGHT_STATIONARY_SKEWED,
+    ComputeScheme,
+    scheme_mac_cycles,
+)
+from repro.sim.batch import batched_matmul_params
 from repro.sim.dataflow import schedule_layer
 from repro.sim.traffic import profile_traffic
 from repro.verify.oracles import (
@@ -23,8 +31,11 @@ from repro.verify.oracles import (
     gemm_oracle,
     im2col_oracle,
     mac_latency_oracle,
+    per_tile_schedule_oracle,
     traffic_oracle,
 )
+
+GEOMETRIES = [WEIGHT_STATIONARY_SKEWED, DIAGONAL_INPUT]
 
 PARAMS = [
     GemmParams(name="p1", ih=5, iw=5, ic=2, wh=2, ww=2, oc=3, stride=1),
@@ -102,6 +113,65 @@ class TestComputeCyclesOracle:
             compute_cycles_oracle(params, rows, cols, mac)
             == schedule_layer(tiling, mac).compute_cycles
         )
+
+
+def _assert_fold_algebra_agrees(params, rows, cols, mac, geometry, batch=1):
+    """Closed form == per-tile sum == independent closed-form oracle.
+
+    A batch-B schedule is compared with the per-tile sum over the
+    explicitly batched matmul, whose folds stream B times the vectors.
+    """
+    tiling = tile_gemm(params, rows, cols)
+    closed = schedule_layer(tiling, mac, geometry, batch=batch)
+    wide = batched_matmul_params(params, batch) if batch > 1 else params
+    per_tile, utilization = per_tile_schedule_oracle(
+        tile_gemm(wide, rows, cols), mac, geometry
+    )
+    assert closed == per_tile
+    assert closed.compute_cycles == compute_cycles_oracle(
+        wide, rows, cols, mac, skewed=geometry.has_skew
+    )
+    assert tiling.utilization == utilization
+
+
+@st.composite
+def _fold_plans(draw):
+    """(matmul, rows, cols): K and OC drawn as whole tiles plus a remainder,
+    so K < rows, OC < cols, exact multiples and ragged edges all occur."""
+    rows = draw(st.integers(1, 16))
+    cols = draw(st.integers(1, 16))
+    k = max(1, draw(st.integers(0, 4)) * rows + draw(st.integers(0, rows - 1)))
+    oc = max(1, draw(st.integers(0, 4)) * cols + draw(st.integers(0, cols - 1)))
+    params = GemmParams.matmul("m", rows=draw(st.integers(1, 6)), inner=k, cols=oc)
+    return params, rows, cols
+
+
+class TestPerTileScheduleOracle:
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=lambda g: g.name)
+    @pytest.mark.parametrize(
+        "k,oc",
+        [(5, 3), (16, 12), (8, 6), (19, 13), (1, 1)],
+        ids=["k<rows,oc<cols", "exact-multiples", "exact-fit", "ragged", "1x1"],
+    )
+    def test_fold_regimes(self, geometry, k, oc):
+        params = GemmParams.matmul("m", rows=3, inner=k, cols=oc)
+        _assert_fold_algebra_agrees(params, 8, 6, 17, geometry)
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=lambda g: g.name)
+    @pytest.mark.parametrize("params", PARAMS, ids=lambda p: p.name)
+    def test_convolutions(self, geometry, params):
+        _assert_fold_algebra_agrees(params, 4, 3, 9, geometry)
+
+    @given(
+        plan=_fold_plans(),
+        mac=st.sampled_from([1, 9, 17, 129]),
+        geometry=st.sampled_from(GEOMETRIES),
+        batch=st.integers(1, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_equals_per_tile_property(self, plan, mac, geometry, batch):
+        params, rows, cols = plan
+        _assert_fold_algebra_agrees(params, rows, cols, mac, geometry, batch)
 
 
 class TestTrafficOracle:
