@@ -5,8 +5,9 @@
 clock.  Each iteration finds the earliest pending event among
 
 1. per-instance internal events (batch completions, batching-window
-   expiries) — processed first, in canonical ``(pool, instance_id)``
-   order, so routers observe post-completion queue depths;
+   wakes), read from a heap of each instance's
+   :meth:`~repro.fleet.instance.Instance.next_event_s` — processed first,
+   so routers observe post-completion queue depths;
 2. the next request arrival — routed by the configured load balancer
    and offered to exactly one instance;
 3. the next autoscaler control tick — processed last, so scaling reacts
@@ -19,6 +20,26 @@ a pure function of ``(config, arrival stream)``: two same-seed runs
 produce byte-identical :class:`~repro.fleet.ledger.FleetLedger`
 documents.
 
+At each event the loop advances only the instances whose advance can
+change something:
+
+- instances that are *due*
+  (:meth:`~repro.fleet.instance.Instance.due_s` at or before the event):
+  a completion or wake, a queued deadline now in the past, or a batching
+  wake that passed without a dispatch;
+- instances just offered a request;
+- instances the autoscaler spawned or drained;
+- every live instance once, at the moment the arrival stream runs out,
+  because from then on every partial batch may flush.
+
+Advancing any other instance would change nothing (``advance`` is
+idempotent at a fixed instant), and advances of different instances
+commute, since each touches only its own executor and ledger.  The live
+and routable lists are cached and rebuilt only on spawn, drain, stop or
+halt.  So the ledger is byte-identical to advancing every live instance
+at every event, the loop :func:`repro.verify.oracles.naive_fleet_oracle`
+keeps as the reference.
+
 Once the arrival stream is exhausted the fleet drains: every advance
 passes ``draining=True`` so partial batches flush, and the loop ends
 when no instance holds work.  Instances draining for the *autoscaler*
@@ -29,7 +50,10 @@ running at the end is finalized at the global end time.
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import itertools
 import math
+from typing import Iterable
 
 from ..analysis.contracts import require
 from ..jobs.store import ResultStore
@@ -83,6 +107,74 @@ class FleetConfig:
     def total_instances(self) -> int:
         """Initial fleet size across pools."""
         return sum(pool.instances for pool in self.pools)
+
+
+class _Agenda:
+    """Each live instance's next event and due time, in two heaps.
+
+    Entries are pruned lazily: an entry is current while its time equals
+    the time last planned for its instance, and :meth:`replan` pushes
+    only when a time changes, so a stale entry lasts only until the clock
+    passes it.
+    """
+
+    def __init__(self) -> None:
+        self._events: list[tuple[float, int, Instance]] = []
+        self._dues: list[tuple[float, int, Instance]] = []
+        #: live instance -> [planned next event, planned due time]
+        self._planned: dict[Instance, list[float]] = {}
+        self._order = itertools.count()
+
+    def replan(self, instances: Iterable[Instance], now_s: float) -> bool:
+        """Re-read the next event and due time of instances just advanced.
+
+        ``True`` when one of them stopped or halted, i.e. the live or
+        routable set changed.
+        """
+        changed = False
+        for inst in instances:
+            if inst.state is InstanceState.STOPPED:
+                self._planned.pop(inst, None)  # its entries turn stale
+                changed = True
+                continue
+            changed = changed or inst.executor.halted
+            planned = self._planned.get(inst)
+            if planned is None:
+                planned = self._planned[inst] = [math.inf, math.inf]
+            event_s = inst.next_event_s(now_s)
+            if event_s != planned[0]:
+                planned[0] = event_s
+                if event_s < math.inf:
+                    heapq.heappush(self._events, (event_s, next(self._order), inst))
+            due_s = inst.due_s(now_s)
+            if due_s != planned[1]:
+                planned[1] = due_s
+                if due_s < math.inf:
+                    heapq.heappush(self._dues, (due_s, next(self._order), inst))
+        return changed
+
+    def next_event_s(self) -> float:
+        """The earliest planned instance event, ``math.inf`` if none."""
+        events = self._events
+        while events:
+            event_s, _, inst = events[0]
+            planned = self._planned.get(inst)
+            if planned is not None and planned[0] == event_s:
+                return event_s
+            heapq.heappop(events)
+        return math.inf
+
+    def pop_due(self, now_s: float) -> list[Instance]:
+        """Every instance due at or before ``now_s``, each once."""
+        dues = self._dues
+        due = []
+        while dues and dues[0][0] <= now_s:
+            due_s, _, inst = heapq.heappop(dues)
+            planned = self._planned.get(inst)
+            if planned is not None and planned[1] == due_s:
+                planned[1] = math.nan  # taken: the next replan pushes anew
+                due.append(inst)
+        return due
 
 
 class FleetSimulator:
@@ -139,7 +231,8 @@ class FleetSimulator:
     def _routable(self) -> list[Instance]:
         return [inst for inst in self.instances if inst.routable]
 
-    def _apply_scaling(self, now_s: float) -> None:
+    def _apply_scaling(self, now_s: float) -> list[Instance]:
+        """Run one autoscaler tick; return the instances spawned or drained."""
         pools: dict[str, list[Instance]] = {
             name: [] for name in self._pool_configs
         }
@@ -149,80 +242,21 @@ class FleetSimulator:
             name: (pool.min_instances, pool.max_instances)
             for name, pool in self._pool_configs.items()
         }
+        scaled = []
         for action in plan_scaling(
             self.config.autoscale, pools, limits, now_s
         ):
             if action.verb == "spawn":
-                self._spawn(action.pool, now_s)
+                scaled.append(self._spawn(action.pool, now_s))
             else:
                 for inst in pools[action.pool]:
                     if inst.instance_id == action.instance_id:
                         inst.begin_drain(now_s)
+                        scaled.append(inst)
+        return scaled
 
-    # ------------------------------------------------------------------
-    # the event loop
-    # ------------------------------------------------------------------
-    def run(self, arrivals: list[Request]) -> FleetLedger:
-        """Serve ``arrivals`` to exhaustion; return the merged ledger."""
-        pending = sorted(arrivals, key=lambda r: (r.arrival_s, r.req_id))
-        now_s = 0.0
-        i = 0
-        autoscale = self.config.autoscale
-        next_tick_s = autoscale.interval_s if autoscale is not None else math.inf
-
-        while True:
-            live = self._live()
-            draining = i >= len(pending)
-            next_arrival_s = (
-                pending[i].arrival_s if i < len(pending) else math.inf
-            )
-            next_instance_s = min(
-                (inst.next_event_s(now_s) for inst in live),
-                default=math.inf,
-            )
-            candidates = [next_arrival_s, next_instance_s]
-            if not draining or any(inst.backlog for inst in live):
-                candidates.append(next_tick_s)
-            event_s = min(candidates)
-
-            if event_s == math.inf:
-                backlog = sum(inst.backlog for inst in live)
-                if backlog:
-                    for inst in live:
-                        inst.advance(now_s, draining=True)
-                    if sum(i2.backlog for i2 in self._live()) < backlog or any(
-                        inst.executor.in_service_count
-                        for inst in self._live()
-                    ):
-                        continue
-                break
-
-            now_s = max(now_s, event_s)
-            # 1. internal events: completions, window expiries, dispatch.
-            for inst in live:
-                inst.advance(now_s, draining=draining)
-            # 2. arrivals: route each request at its own timestamp.
-            while i < len(pending) and pending[i].arrival_s <= now_s:
-                request = pending[i]
-                i += 1
-                targets = self._routable()
-                if not targets:
-                    raise RuntimeError(
-                        f"no routable instance for request {request.req_id}; "
-                        "pools must keep min_instances >= 1 active"
-                    )
-                self.router.route(request, targets, now_s).offer(
-                    request, now_s
-                )
-            draining = i >= len(pending)
-            for inst in self._live():
-                inst.advance(now_s, draining=draining)
-            # 3. control tick.
-            if autoscale is not None and now_s >= next_tick_s:
-                self._apply_scaling(now_s)
-                while next_tick_s <= now_s:
-                    next_tick_s += autoscale.interval_s
-
+    def _close(self, now_s: float) -> FleetLedger:
+        """Account stranded queues, close every window, build the ledger."""
         # A policy that refuses to drain strands its queue; account for it
         # (mirrors ServeExecutor.run's stranded-queue accounting).
         for inst in self._live():
@@ -252,6 +286,82 @@ class FleetSimulator:
             makespan_s=now_s,
             slo_s=self.config.slo_s,
         )
+
+    # ------------------------------------------------------------------
+    # the event loop
+    # ------------------------------------------------------------------
+    def run(self, arrivals: list[Request]) -> FleetLedger:
+        """Serve ``arrivals`` to exhaustion; return the merged ledger."""
+        pending = sorted(arrivals, key=lambda r: (r.arrival_s, r.req_id))
+        total = len(pending)
+        now_s = 0.0
+        i = 0
+        autoscale = self.config.autoscale
+        next_tick_s = autoscale.interval_s if autoscale is not None else math.inf
+        agenda = _Agenda()
+        live, routable = self._live(), self._routable()
+        draining = i >= total
+
+        while True:
+            next_arrival_s = pending[i].arrival_s if i < total else math.inf
+            event_s = min(next_arrival_s, agenda.next_event_s())
+            if not draining or any(inst.backlog for inst in live):
+                event_s = min(event_s, next_tick_s)
+
+            if event_s == math.inf:
+                # Nothing is scheduled, yet a policy may still hold work
+                # that only a draining flush releases.
+                backlog = sum(inst.backlog for inst in live)
+                if backlog:
+                    for inst in live:
+                        inst.advance(now_s, draining=True)
+                    if agenda.replan(live, now_s):
+                        live, routable = self._live(), self._routable()
+                    if sum(inst.backlog for inst in live) < backlog or any(
+                        inst.executor.in_service_count for inst in live
+                    ):
+                        continue
+                break
+
+            now_s = max(now_s, event_s)
+            # 1. due instances: completions, expiries, window wakes.
+            due = agenda.pop_due(now_s)
+            for inst in due:
+                inst.advance(now_s, draining=draining)
+            if agenda.replan(due, now_s):
+                live, routable = self._live(), self._routable()
+            # 2. arrivals: route each request at its own timestamp.
+            offered: list[Instance] = []
+            while i < total and pending[i].arrival_s <= now_s:
+                request = pending[i]
+                i += 1
+                if not routable:
+                    raise RuntimeError(
+                        f"no routable instance for request {request.req_id}; "
+                        "pools must keep min_instances >= 1 active"
+                    )
+                target = self.router.route(request, routable, now_s)
+                target.offer(request, now_s)
+                if target not in offered:
+                    offered.append(target)
+            if not draining and i >= total:
+                # The stream just ran out: every partial batch may flush.
+                draining = True
+                offered = live
+            for inst in offered:
+                inst.advance(now_s, draining=draining)
+            if agenda.replan(offered, now_s):
+                live, routable = self._live(), self._routable()
+            # 3. control tick.
+            if autoscale is not None and now_s >= next_tick_s:
+                scaled = self._apply_scaling(now_s)
+                if scaled:
+                    agenda.replan(scaled, now_s)
+                    live, routable = self._live(), self._routable()
+                while next_tick_s <= now_s:
+                    next_tick_s += autoscale.interval_s
+
+        return self._close(now_s)
 
 
 def simulate_fleet(

@@ -101,6 +101,12 @@ class Instance:
             return math.inf
         return self.executor.next_event_s(now_s)
 
+    def due_s(self, now_s: float) -> float:
+        """Earliest time :meth:`advance` could change anything, else ``inf``."""
+        if self.state is InstanceState.STOPPED:
+            return math.inf
+        return self.executor.due_s(now_s)
+
     def offer(self, request: Request, now_s: float) -> None:
         """Accept one routed request at ``now_s``."""
         if not self.routable:

@@ -121,24 +121,23 @@ class SloEnergyRouter(Router):
         """Cheapest deadline-feasible instance, else earliest finish."""
         scored = []
         for inst in instances:
-            finish_s = now_s + (inst.backlog + 1) * inst.service_estimate_s
-            scored.append((finish_s, inst))
+            backlog = inst.backlog
+            finish_s = now_s + (backlog + 1) * inst.service_estimate_s
+            scored.append((finish_s, backlog, inst))
         if request.deadline_s is not None:
             feasible = [
-                (finish_s, inst)
-                for finish_s, inst in scored
-                if finish_s <= request.deadline_s
+                entry for entry in scored if entry[0] <= request.deadline_s
             ]
             if feasible:
                 return min(
                     feasible,
-                    key=lambda pair: (
-                        pair[1].energy_estimate_j,
-                        pair[1].backlog,
-                        pair[1].key,
+                    key=lambda entry: (
+                        entry[2].energy_estimate_j,
+                        entry[1],
+                        entry[2].key,
                     ),
-                )[1]
-        return min(scored, key=lambda pair: (pair[0], pair[1].key))[1]
+                )[2]
+        return min(scored, key=lambda entry: (entry[0], entry[2].key))[2]
 
 
 #: Registered router names, the CLI/eval choice set.

@@ -238,6 +238,29 @@ class ServeExecutor:
                 return wake_s
         return math.inf
 
+    def due_s(self, now_s: float) -> float:
+        """Earliest time an :meth:`advance` could change this executor.
+
+        The earliest of :meth:`next_event_s`; the instant after the
+        earliest queued deadline (:meth:`advance` expires only deadlines
+        strictly before its clock); and ``now_s`` itself while the idle
+        array holds work whose batching wake has already passed without
+        a dispatch — the policy's window test can disagree with its own
+        wake, so any later event may dispatch.  Apart from a routed
+        arrival or a draining flush, advancing before this time changes
+        nothing.
+        """
+        expiry_s = math.nextafter(self.queue.next_deadline_s(), math.inf)
+        if self._in_service:
+            return min(self._service_done_s, expiry_s)
+        if self.queue.depth:
+            if self._halted:
+                return now_s
+            wake_s = self.batcher.next_wake_s(self.queue, now_s)
+            if wake_s is not None:
+                return min(max(wake_s, now_s), expiry_s)
+        return expiry_s
+
     def offer(
         self, request: Request, now_s: float, metrics: ServeMetrics
     ) -> None:

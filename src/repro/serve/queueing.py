@@ -20,6 +20,7 @@ dropped + in flight) is asserted by the metrics collector at every event.
 from __future__ import annotations
 
 import bisect
+import math
 
 from .requests import Request
 
@@ -74,6 +75,12 @@ class BoundedQueue:
     def peek_all(self) -> tuple[Request, ...]:
         """The waiting requests in service order (no removal)."""
         return tuple(self._items)
+
+    def next_deadline_s(self) -> float:
+        """Earliest deadline among the waiting requests (``math.inf`` if none)."""
+        if not self._deadline_count:
+            return math.inf
+        return min(r.deadline_s for r in self._items if r.deadline_s is not None)
 
     def expire(self, now_s: float) -> list[Request]:
         """Remove and return every request whose deadline has passed."""

@@ -36,6 +36,7 @@ from .oracles import (
     gemm_oracle,
     im2col_oracle,
     mac_latency_oracle,
+    naive_fleet_oracle,
     per_tile_schedule_oracle,
     traffic_oracle,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "generate_case",
     "im2col_oracle",
     "mac_latency_oracle",
+    "naive_fleet_oracle",
     "per_tile_schedule_oracle",
     "run_case",
     "run_fuzz",

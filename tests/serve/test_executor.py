@@ -5,6 +5,8 @@ instant is exactly predictable, plus seeded-hypothesis sweeps for the
 sample-path Little's law and the byte-identical-ledger guarantee.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,9 @@ from repro.serve.arrivals import poisson_arrivals, uniform_arrivals
 from repro.serve.batching import make_batcher
 from repro.serve.costs import ServiceCost
 from repro.serve.executor import ServeExecutor
+from repro.serve.metrics import ServeMetrics
 from repro.serve.queueing import make_queue
-from repro.serve.requests import RequestStatus
+from repro.serve.requests import Request, RequestStatus
 from repro.system.battery import Battery
 
 
@@ -135,6 +138,34 @@ def test_dynamic_window_delays_dispatch():
     # Once the stream is exhausted no batch can ever fill: the policy
     # drains immediately instead of waiting out the window.
     assert records[1].finish_s == pytest.approx(0.6)
+
+
+def test_due_time_covers_a_missed_wake_and_queued_deadlines():
+    server = _executor(batcher=make_batcher("dynamic", 8, max_wait_s=0.1))
+    metrics = ServeMetrics()
+    server.offer(Request(0, "net", arrival_s=0.7), 0.7, metrics)
+    server.advance(0.7, metrics)
+    wake_s = server.next_event_s(0.7)
+    assert server.due_s(0.7) == wake_s
+    # 0.7 + 0.1 rounds down, so at its own wake the window test
+    # (wake - 0.7 >= 0.1) fails: the wake passes without a dispatch and
+    # the executor stays due at every later event.
+    server.advance(wake_s, metrics)
+    assert server.in_service_count == 0
+    assert server.next_event_s(wake_s) == math.inf
+    assert server.due_s(wake_s) == wake_s
+    later_s = math.nextafter(wake_s, math.inf)
+    server.advance(later_s, metrics)
+    assert server.in_service_count == 1
+    # Busy: due at completion, or just after a queued deadline if sooner
+    # (expiry drops only deadlines strictly in the past).
+    server.offer(Request(1, "net", arrival_s=0.81, deadline_s=0.85), 0.81, metrics)
+    assert server.due_s(0.81) == math.nextafter(0.85, math.inf)
+    server.advance(0.85, metrics)
+    assert metrics.dropped == 0
+    server.advance(server.due_s(0.85), metrics)
+    assert metrics.dropped == 1
+    assert server.due_s(0.86) == server.next_event_s(0.86) == later_s + 0.1
 
 
 def test_residency_warms_repeat_batches():

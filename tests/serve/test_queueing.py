@@ -1,5 +1,7 @@
 """Bounded queues: admission, ordering, expiry, workload-filtered take."""
 
+import math
+
 import pytest
 
 from repro.serve.queueing import DeadlineQueue, FifoQueue, make_queue
@@ -46,6 +48,19 @@ def test_expire_removes_only_past_deadlines():
     assert [r.req_id for r in gone] == [0]
     assert q.depth == 2
     assert q.expire(2.0) == []
+
+
+def test_next_deadline_is_the_earliest_queued_deadline():
+    q = FifoQueue(capacity=10)
+    assert q.next_deadline_s() == math.inf
+    q.push(_req(0, 0.0, deadline=5.0))
+    q.push(_req(1, 0.1, deadline=1.0))  # later arrival, earlier deadline
+    q.push(_req(2, 0.2))
+    assert q.next_deadline_s() == 1.0
+    q.expire(2.0)
+    assert q.next_deadline_s() == 5.0
+    q.take(1)
+    assert q.next_deadline_s() == math.inf
 
 
 def test_take_filters_by_workload_preserving_positions():
