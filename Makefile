@@ -19,7 +19,7 @@ fuzz-array:
 	$(PYTHON) -m repro.verify fuzz --seed 1 --budget 40 --engine array
 
 bench:
-	$(PYTHON) benchmarks/bench_trajectory.py --check
+	$(PYTHON) perfbench/run.py
 
 eval:
 	$(PYTHON) -m repro.eval

@@ -1,4 +1,4 @@
-"""Repo-native static analysis and runtime contracts.
+"""Repo-native static analysis.
 
 ``repro.analysis`` keeps the reproduction honest about the physical
 quantities it models and the architecture it promised.  Per-file AST
@@ -22,27 +22,14 @@ pytest gate):
   and return/assignment unit agreement across resolved call sites;
 - **dead** (``DEAD*``) — ``__all__`` exports and modules unreachable
   from every entrypoint, test, example and benchmark;
-- **perf** (``PERF*``) — hot-path vectorisation: element-wise ndarray
-  loops, reducible accumulations, in-loop allocation, loop-invariant
-  pure calls — built on per-function CFGs (``analysis.cfg``) and the
-  dataflow solver (``analysis.dataflow``), ranked by measured cProfile
-  time under ``--profile``;
 - **conc** (``CONC*``) — pool-determinism: unordered dict/set iteration
   reaching hash/ledger sinks, nondeterministically seeded RNGs,
   module-level mutable state read by pool workers, completion-order
   accumulation;
-- **shape** (``SHAPE*``) — ndarray dimension algebra proved by abstract
-  interpretation (``analysis.absint``): matmul/broadcast extent
-  mismatches, element-count-changing reshapes, ragged concatenations,
-  docstring shape-contract violations;
-- **bound** (``BND*``) — interval proofs over the cycle/energy algebra:
-  possibly-zero divisors, provably negative unit-suffixed sinks,
-  indices escaping a constant axis extent, constructor arguments that
-  contradict the class's own ``validate()`` contract;
 - **sup** (``SUP001``) — suppression comments that suppress nothing.
 
-:mod:`repro.analysis.contracts` carries the runtime half of the config
-contract.  Suppress individual findings with
+The runtime half of the config contract lives outside this package, in
+:mod:`repro.contracts`.  Suppress individual findings with
 ``# repro-lint: ignore[group-or-code]``; freeze known debt in
 ``analysis-baseline.json`` (ratcheted: it may only shrink); see
 ``docs/analysis.md``.
@@ -50,30 +37,19 @@ contract.  Suppress individual findings with
 
 from __future__ import annotations
 
-from .absint import AbsValue, FunctionAnalysis, Interpreter, interpreter_for
 from .arch import ArchChecker
 from .baseline import Baseline, BaselineDelta
-from .bounds import BoundChecker
 from .cfg import CFG, build_cfg
 from .conc import ConcChecker
 from .config_checks import ConfigChecker
-from .dataflow import (
-    LiveVariables,
-    NdarrayTypes,
-    ReachingDefinitions,
-    SolveStats,
-)
+from .dataflow import ReachingDefinitions
 from .dead import DeadChecker
 from .determinism import DeterminismChecker
 from .exports import ExportChecker
 from .findings import Finding
 from .flow import FlowChecker
-from .intervals import Interval
 from .modgraph import ModuleIndex, build_index, module_name_for
-from .perf import PerfChecker
 from .reporting import render_json, render_text
-from .shapecheck import ShapeChecker
-from .shapes import Dim, Shape
 from .runner import (
     ALL_CHECKERS,
     PROJECT_CHECKERS,
@@ -92,34 +68,22 @@ from .visitor import Checker, ProjectChecker, SourceFile, collect_sources
 __all__ = [
     "ALL_CHECKERS",
     "PROJECT_CHECKERS",
-    "AbsValue",
     "AnalysisResult",
     "ArchChecker",
     "Baseline",
     "BaselineDelta",
-    "BoundChecker",
     "CFG",
     "Checker",
     "ConcChecker",
     "ConfigChecker",
     "DeadChecker",
     "DeterminismChecker",
-    "Dim",
     "ExportChecker",
     "Finding",
     "FlowChecker",
-    "FunctionAnalysis",
-    "Interpreter",
-    "Interval",
-    "LiveVariables",
     "ModuleIndex",
-    "NdarrayTypes",
-    "PerfChecker",
     "ProjectChecker",
     "ReachingDefinitions",
-    "Shape",
-    "ShapeChecker",
-    "SolveStats",
     "SourceFile",
     "UnitChecker",
     "VerificationChecker",
@@ -129,7 +93,6 @@ __all__ = [
     "collect_sources",
     "context_paths",
     "default_paths",
-    "interpreter_for",
     "main",
     "module_name_for",
     "parse_unit",

@@ -9,16 +9,12 @@ transfer functions therefore never descend into a compound statement's
 body — :func:`shallow_exprs` and the definition helpers in
 ``repro.analysis.dataflow`` give them the header-only view.
 
-The graph records what the PERF/CONC checkers need beyond plain edges:
+The graph records what the CONC checker needs beyond plain edges:
 
-- per-block **loop nesting depth** (``BasicBlock.loop_depth``);
 - explicit :class:`Loop` records with their member block sets, so
   "is this definition inside the loop?" is a set lookup;
 - an entry and a single exit block (``return``/``raise`` edges land
-  there), so backward analyses have one boundary;
-- conditional-edge polarities (``CFG.cond_edges``): which successor a
-  branch takes when its test holds, so the abstract interpreter in
-  ``repro.analysis.absint`` can refine facts along each edge.
+  there).
 
 Approximations, chosen to over- rather than under-connect (a *may*
 analysis stays sound): every block of a ``try`` body gets an edge to
@@ -40,7 +36,6 @@ class BasicBlock:
     """A straight-line run of shallow statements."""
 
     bid: int
-    loop_depth: int
     stmts: list[ast.stmt] = dataclasses.field(default_factory=list)
     succs: set[int] = dataclasses.field(default_factory=set)
     preds: set[int] = dataclasses.field(default_factory=set)
@@ -67,24 +62,10 @@ class CFG:
         self.loops: list[Loop] = []
         #: id(stmt) -> (block id, index within block) for every placed stmt.
         self.location: dict[int, tuple[int, int]] = {}
-        #: (src bid, dst bid) -> polarity for conditional edges: ``True``
-        #: when the edge is taken because the ``if``/``while`` test held
-        #: (or a ``for`` loop yielded an element), ``False`` for the
-        #: fall-through/exit edge.  Unconditional edges are absent.  The
-        #: abstract interpreter refines facts along these edges.
-        self.cond_edges: dict[tuple[int, int], bool] = {}
 
     def block(self, bid: int) -> BasicBlock:
         """The block with id ``bid``."""
         return self.blocks[bid]
-
-    def depth_of(self, bid: int) -> int:
-        """Loop nesting depth of block ``bid`` (0 = not in any loop)."""
-        return self.blocks[bid].loop_depth
-
-    def loops_containing(self, bid: int) -> list[Loop]:
-        """Every loop whose member set contains ``bid``, innermost last."""
-        return [loop for loop in self.loops if bid in loop.members]
 
     def index(self) -> None:
         """(Re)build the ``location`` map after construction."""
@@ -102,30 +83,27 @@ class _Ctx:
     breaks: list[int]
     continues: list[int]
     handlers: list[list[int]]
-    depth: int
 
 
 class _Builder:
     def __init__(self, func: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         self.cfg = CFG(func)
         self._counter = 0
-        self._new_block(0)  # entry
-        self._new_block(0)  # exit
+        self._new_block()  # entry
+        self._new_block()  # exit
 
-    def _new_block(self, depth: int) -> BasicBlock:
-        block = BasicBlock(bid=self._counter, loop_depth=depth)
+    def _new_block(self) -> BasicBlock:
+        block = BasicBlock(bid=self._counter)
         self.cfg.blocks[block.bid] = block
         self._counter += 1
         return block
 
-    def _edge(self, src: int, dst: int, cond: bool | None = None) -> None:
+    def _edge(self, src: int, dst: int) -> None:
         self.cfg.blocks[src].succs.add(dst)
         self.cfg.blocks[dst].preds.add(src)
-        if cond is not None:
-            self.cfg.cond_edges[(src, dst)] = cond
 
     def build(self) -> CFG:
-        ctx = _Ctx(breaks=[], continues=[], handlers=[], depth=0)
+        ctx = _Ctx(breaks=[], continues=[], handlers=[])
         end = self._body(self.cfg.func.body, self.cfg.entry, ctx)
         if end is not None:
             self._edge(end, self.cfg.exit)
@@ -142,7 +120,7 @@ class _Builder:
             if current is None:
                 # Unreachable code still gets blocks (and definitions), it
                 # just has no predecessors.
-                current = self._new_block(ctx.depth).bid
+                current = self._new_block().bid
             current = self._stmt(stmt, current, ctx)
         return current
 
@@ -194,19 +172,19 @@ class _Builder:
     def _if(self, stmt: ast.If, current: int, ctx: _Ctx) -> int:
         self._place(stmt, current)
         after = None
-        then_block = self._new_block(ctx.depth)
-        self._edge(current, then_block.bid, cond=True)
+        then_block = self._new_block()
+        self._edge(current, then_block.bid)
         then_end = self._body(stmt.body, then_block.bid, ctx)
         if stmt.orelse:
-            else_block = self._new_block(ctx.depth)
-            self._edge(current, else_block.bid, cond=False)
+            else_block = self._new_block()
+            self._edge(current, else_block.bid)
             else_end = self._body(stmt.orelse, else_block.bid, ctx)
         else:
             else_end = None
-        after = self._new_block(ctx.depth)
+        after = self._new_block()
         if not stmt.orelse:
             # Fall-through past a bodyless else: the test was false.
-            self._edge(current, after.bid, cond=False)
+            self._edge(current, after.bid)
         for end in (then_end, else_end):
             if end is not None:
                 self._edge(end, after.bid)
@@ -215,18 +193,17 @@ class _Builder:
     def _loop(
         self, stmt: ast.For | ast.AsyncFor | ast.While, current: int, ctx: _Ctx
     ) -> int:
-        head = self._new_block(ctx.depth)
+        head = self._new_block()
         self._place(stmt, head.bid)
         self._edge(current, head.bid)
-        after = self._new_block(ctx.depth)
+        after = self._new_block()
         member_start = self._counter
-        body_block = self._new_block(ctx.depth + 1)
-        self._edge(head.bid, body_block.bid, cond=True)
+        body_block = self._new_block()
+        self._edge(head.bid, body_block.bid)
         inner = _Ctx(
             breaks=ctx.breaks + [after.bid],
             continues=ctx.continues + [head.bid],
             handlers=ctx.handlers,
-            depth=ctx.depth + 1,
         )
         body_end = self._body(stmt.body, body_block.bid, inner)
         if body_end is not None:
@@ -236,28 +213,27 @@ class _Builder:
         )
         self.cfg.loops.append(Loop(head=head.bid, members=members, node=stmt))
         if stmt.orelse:
-            else_block = self._new_block(ctx.depth)
-            self._edge(head.bid, else_block.bid, cond=False)
+            else_block = self._new_block()
+            self._edge(head.bid, else_block.bid)
             else_end = self._body(stmt.orelse, else_block.bid, ctx)
             if else_end is not None:
                 self._edge(else_end, after.bid)
         else:
-            self._edge(head.bid, after.bid, cond=False)
+            self._edge(head.bid, after.bid)
         return after.bid
 
     def _try(self, stmt: ast.Try, current: int, ctx: _Ctx) -> int | None:
-        handler_blocks = [self._new_block(ctx.depth) for _ in stmt.handlers]
+        handler_blocks = [self._new_block() for _ in stmt.handlers]
         for handler, block in zip(stmt.handlers, handler_blocks):
             # The handler node itself marks the exception-name binding.
             block.stmts.append(handler)  # type: ignore[arg-type]
-        body_first = self._new_block(ctx.depth)
+        body_first = self._new_block()
         self._edge(current, body_first.bid)
         body_start = body_first.bid
         inner = _Ctx(
             breaks=ctx.breaks,
             continues=ctx.continues,
             handlers=ctx.handlers + [[b.bid for b in handler_blocks]],
-            depth=ctx.depth,
         )
         body_end = self._body(stmt.body, body_first.bid, inner)
         body_blocks = range(body_start, self._counter)
@@ -266,7 +242,7 @@ class _Builder:
                 self._edge(bid, block.bid)
         if stmt.orelse and body_end is not None:
             body_end = self._body(stmt.orelse, body_end, ctx)
-        after = self._new_block(ctx.depth)
+        after = self._new_block()
         if body_end is not None:
             self._edge(body_end, after.bid)
         for handler, block in zip(stmt.handlers, handler_blocks):
@@ -280,10 +256,10 @@ class _Builder:
 
     def _match(self, stmt: ast.Match, current: int, ctx: _Ctx) -> int:
         self._place(stmt, current)
-        after = self._new_block(ctx.depth)
+        after = self._new_block()
         self._edge(current, after.bid)  # no case may match
         for case in stmt.cases:
-            case_block = self._new_block(ctx.depth)
+            case_block = self._new_block()
             self._edge(current, case_block.bid)
             case_end = self._body(case.body, case_block.bid, ctx)
             if case_end is not None:

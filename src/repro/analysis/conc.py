@@ -29,14 +29,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .cfg import CFG, shallow_exprs
-from .dataflow import (
-    Definition,
-    ReachingDefinitions,
-    build_cfg,
-    iter_functions,
-    stmt_defs,
-)
+from .cfg import CFG, build_cfg, shallow_exprs
+from .dataflow import Definition, ReachingDefinitions, iter_functions, stmt_defs
 from .findings import Finding
 from .modgraph import ModuleIndex, ModuleInfo, resolve_callee
 from .visitor import ProjectChecker

@@ -1,27 +1,19 @@
-"""Generic dataflow solver + the analyses the PERF/CONC passes consume.
+"""Generic dataflow solver + the reaching-definitions analysis CONC uses.
 
-A :class:`DataflowAnalysis` names a direction, a boundary fact, a join
-and a block transfer; :func:`solve` runs the optimistic worklist
-iteration over a :class:`~repro.analysis.cfg.CFG` to the fixpoint.  On
-top of the generic solver:
-
-- :class:`ReachingDefinitions` — which textual definitions of a name may
-  reach a statement (parameters count as entry definitions);
-- :class:`LiveVariables` — backward liveness, per block;
-- :class:`NdarrayTypes` — a three-point lattice (``array`` / ``other`` /
-  unknown) over local names, seeded from numpy-module aliases, resolved
-  in-project callees whose return annotation names ``ndarray``,
-  parameter annotations, and — as a scalar hint — the FLOW unit
-  vocabulary (a ``*_cycles`` / ``*_pj`` name is a quantity, not an
-  array).
+A :class:`DataflowAnalysis` names a boundary fact, a join and a block
+transfer; :func:`solve` runs the optimistic forward worklist iteration
+over a :class:`~repro.analysis.cfg.CFG` to the fixpoint.  On
+top of the generic solver, :class:`ReachingDefinitions` answers which
+textual definitions of a name may reach a statement (parameters count as
+entry definitions).
 
 Statements are the *shallow* statements of the CFG: transfers never look
 inside a compound statement's body (those live in other blocks); the
 header expressions come from :func:`~repro.analysis.cfg.shallow_exprs`.
 
 All analyses are per-function and flow-insensitive across calls — the
-checkers built on top (``perf``/``conc``) accept that a *may* answer is
-the right default for lint.
+checker built on top (``conc``) accepts that a *may* answer is the right
+default for lint.
 """
 
 from __future__ import annotations
@@ -30,23 +22,15 @@ import ast
 import dataclasses
 from typing import Any, Iterator
 
-from .cfg import CFG, BasicBlock, build_cfg, shallow_exprs
-from .modgraph import ModuleIndex, ModuleInfo, resolve_callee
-from .units import parse_unit
+from .cfg import CFG, BasicBlock
 
 __all__ = [
-    "ArraySeeds",
     "DataflowAnalysis",
     "Definition",
-    "LiveVariables",
-    "NdarrayTypes",
     "ReachingDefinitions",
-    "SolveStats",
-    "array_seeds",
     "iter_functions",
     "solve",
     "stmt_defs",
-    "stmt_uses",
 ]
 
 
@@ -94,16 +78,6 @@ def stmt_defs(stmt: ast.stmt) -> list[str]:
     return names
 
 
-def stmt_uses(stmt: ast.stmt) -> list[ast.Name]:
-    """``Name`` loads a shallowly placed statement itself evaluates."""
-    uses: list[ast.Name] = []
-    for expr in shallow_exprs(stmt):
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                uses.append(node)
-    return uses
-
-
 def iter_functions(
     tree: ast.Module,
 ) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
@@ -126,12 +100,10 @@ def iter_functions(
 
 
 class DataflowAnalysis:
-    """One dataflow problem: direction, lattice operations, transfer."""
-
-    direction = "forward"  # or "backward"
+    """One forward dataflow problem: lattice operations and transfer."""
 
     def boundary(self) -> Any:
-        """Fact at the entry (forward) or exit (backward) boundary."""
+        """Fact at the entry boundary."""
         raise NotImplementedError
 
     def initial(self) -> Any:
@@ -146,56 +118,21 @@ class DataflowAnalysis:
         """Fact after executing ``block`` given the fact before it."""
         raise NotImplementedError
 
-    def edge_transfer(self, src: BasicBlock, dst: int, fact: Any) -> Any:
-        """Refine ``fact`` as it flows along the edge ``src -> dst``.
 
-        Called at merge points before the join, once per computed
-        upstream block (``src`` precedes ``dst`` in *analysis* order, so
-        for a backward analysis ``src`` is an execution-order successor).
-        The default is the identity; the abstract interpreter overrides
-        it to narrow facts by the branch condition recorded in
-        ``CFG.cond_edges``.
-        """
-        return fact
-
-
-@dataclasses.dataclass
-class SolveStats:
-    """Observability for one :func:`solve` run (pass ``stats=``).
-
-    ``visits[bid]`` counts how many times block ``bid``'s out-fact
-    *changed* after its first computation; ``damped`` counts how many
-    times the per-block visit budget forced a dampening join.  A
-    well-behaved widening analysis keeps ``damped == 0`` — the
-    regression test in ``tests/analysis/test_abstract_props.py`` pins
-    that for the interval interpreter.
-    """
-
-    visits: dict[int, int] = dataclasses.field(default_factory=dict)
-    damped: int = 0
-    budget: int = 0
-
-
-def _reverse_postorder(cfg: CFG, start: int, forward: bool) -> list[int]:
+def _reverse_postorder(cfg: CFG, start: int) -> list[int]:
     """Blocks reachable from ``start``, predecessors-first in flow order."""
     order: list[int] = []
-    seen: set[int] = set()
-    stack: list[tuple[int, Iterator[int]]] = []
-    seen.add(start)
-    succs = sorted(
-        cfg.blocks[start].succs if forward else cfg.blocks[start].preds
-    )
-    stack.append((start, iter(succs)))
+    seen: set[int] = {start}
+    stack: list[tuple[int, Iterator[int]]] = [
+        (start, iter(sorted(cfg.blocks[start].succs)))
+    ]
     while stack:
         bid, it = stack[-1]
         advanced = False
         for nxt in it:
             if nxt not in seen:
                 seen.add(nxt)
-                block = cfg.blocks[nxt]
-                stack.append(
-                    (nxt, iter(sorted(block.succs if forward else block.preds)))
-                )
+                stack.append((nxt, iter(sorted(cfg.blocks[nxt].succs))))
                 advanced = True
                 break
         if not advanced:
@@ -205,54 +142,32 @@ def _reverse_postorder(cfg: CFG, start: int, forward: bool) -> list[int]:
     return order
 
 
-def solve(
-    cfg: CFG,
-    analysis: DataflowAnalysis,
-    visit_budget: int | None = None,
-    stats: SolveStats | None = None,
-) -> dict[int, tuple[Any, Any]]:
+def solve(cfg: CFG, analysis: DataflowAnalysis) -> dict[int, tuple[Any, Any]]:
     """Worklist fixpoint; maps block id -> (fact before, fact after).
 
-    "Before"/"after" are in *execution* order for both directions (for a
-    backward analysis the transfer runs against execution order, but the
-    returned pair is still ``(at block entry, at block exit)``).
-
-    The worklist seeds in reverse postorder from the boundary block, so a
+    The worklist seeds in reverse postorder from the entry block, so a
     block's predecessors are (back edges aside) computed before the block
     itself and an uncomputed predecessor is simply skipped at the join
-    (= treated as ⊤) rather than collapsed to ``initial()``; injecting
-    ``initial()`` mid-iteration is what made the intersection-join ndarray
-    analysis oscillate.  ``initial()`` now only ever feeds blocks that are
-    unreachable from the boundary (dead code after ``return``/``raise``).
+    (= treated as ⊤) rather than collapsed to ``initial()``, which can
+    make an intersection-join analysis oscillate.  ``initial()`` only ever
+    feeds blocks that are unreachable from the boundary (dead code after
+    ``return``/``raise``).
 
     Termination is guaranteed even for a non-monotone transfer: past a
-    per-block visit budget — ``visit_budget``, defaulting to
-    ``8 + 4 * len(cfg.blocks)`` — the new fact is dampened through
-    ``analysis.join`` with the old one, which is a no-op for monotone
-    analyses (the join of an ascending pair is the new fact) and forces
-    disagreeing entries to resolve for oscillating ones — the dampened
-    sequence moves one way through a finite lattice, so it stops.  The
-    budget is a backstop, not a convergence mechanism: an analysis over
-    an infinite-height lattice must widen in its own transfer (see
-    ``repro.analysis.absint``), and can pass a :class:`SolveStats` to
-    assert ``damped == 0`` afterwards.
+    per-block visit budget of ``8 + 4 * len(cfg.blocks)`` the new fact is
+    dampened through ``analysis.join`` with the old one, which is a no-op
+    for monotone analyses (the join of an ascending pair is the new fact)
+    and forces disagreeing entries to resolve for oscillating ones — the
+    dampened sequence moves one way through a finite lattice, so it stops.
+    The budget is a backstop, not a convergence mechanism: an analysis
+    over an infinite-height lattice must widen in its own transfer.
     """
-    forward = analysis.direction == "forward"
-    start = cfg.entry if forward else cfg.exit
-
-    def preds(bid: int) -> set[int]:
-        block = cfg.blocks[bid]
-        return block.preds if forward else block.succs
-
-    rpo = _reverse_postorder(cfg, start, forward)
+    start = cfg.entry
+    rpo = _reverse_postorder(cfg, start)
     unreachable = [bid for bid in sorted(cfg.blocks) if bid not in set(rpo)]
-    visit_cap = (
-        visit_budget if visit_budget is not None else 8 + 4 * len(cfg.blocks)
-    )
-    if stats is not None:
-        stats.budget = visit_cap
+    visit_cap = 8 + 4 * len(cfg.blocks)
 
-    out: dict[int, Any] = {}  # fact on the downstream side, optimistic ⊤
+    out: dict[int, Any] = {}  # fact at block exit, optimistic ⊤
     worklist = [*rpo, *unreachable]
     in_worklist = set(worklist)
     visits: dict[int, int] = {}
@@ -264,15 +179,12 @@ def solve(
             fact = analysis.boundary()
         else:
             fact = None
-            for pred in preds(bid):
+            for pred in cfg.blocks[bid].preds:
                 if pred in out:
-                    along = analysis.edge_transfer(
-                        cfg.blocks[pred], bid, out[pred]
-                    )
                     fact = (
-                        along
+                        out[pred]
                         if fact is None
-                        else analysis.join(fact, along)
+                        else analysis.join(fact, out[pred])
                     )
             if fact is None:
                 fact = analysis.initial()
@@ -282,23 +194,16 @@ def solve(
             if out[bid] == new_out:
                 continue
             visits[bid] = visits.get(bid, 0) + 1
-            if stats is not None:
-                stats.visits[bid] = visits[bid]
             if visits[bid] > visit_cap:
-                if stats is not None:
-                    stats.damped += 1
                 new_out = analysis.join(out[bid], new_out)
                 if out[bid] == new_out:
                     continue
         out[bid] = new_out
-        block = cfg.blocks[bid]
-        for succ in block.succs if forward else block.preds:
+        for succ in cfg.blocks[bid].succs:
             if succ not in in_worklist:
                 worklist.append(succ)
                 in_worklist.add(succ)
-    if forward:
-        return {bid: (inputs[bid], out[bid]) for bid in cfg.blocks}
-    return {bid: (out[bid], inputs[bid]) for bid in cfg.blocks}
+    return {bid: (inputs[bid], out[bid]) for bid in cfg.blocks}
 
 
 # -- reaching definitions --------------------------------------------------
@@ -316,8 +221,6 @@ class Definition:
 
 
 class _ReachingProblem(DataflowAnalysis):
-    direction = "forward"
-
     def __init__(self, rd: "ReachingDefinitions") -> None:
         self._rd = rd
 
@@ -396,330 +299,3 @@ class ReachingDefinitions:
                 key=lambda d: (d.block, d.index),
             )
         )
-
-
-# -- live variables --------------------------------------------------------
-
-
-class _LivenessProblem(DataflowAnalysis):
-    direction = "backward"
-
-    def boundary(self) -> frozenset[str]:
-        return frozenset()
-
-    def initial(self) -> frozenset[str]:
-        return frozenset()
-
-    def join(self, a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-        return a | b
-
-    def transfer(
-        self, block: BasicBlock, fact: frozenset[str]
-    ) -> frozenset[str]:
-        for stmt in reversed(block.stmts):
-            fact = fact - frozenset(stmt_defs(stmt))
-            fact = fact | frozenset(n.id for n in stmt_uses(stmt))
-        return fact
-
-
-class LiveVariables:
-    """Backward liveness over local names, per block boundary."""
-
-    def __init__(self, cfg: CFG) -> None:
-        self.cfg = cfg
-        solution = solve(cfg, _LivenessProblem())
-        self.block_in = {bid: pair[0] for bid, pair in solution.items()}
-        self.block_out = {bid: pair[1] for bid, pair in solution.items()}
-
-    def live_in(self, bid: int) -> frozenset[str]:
-        """Names live on entry to block ``bid``."""
-        return self.block_in[bid]
-
-    def live_out(self, bid: int) -> frozenset[str]:
-        """Names live on exit from block ``bid``."""
-        return self.block_out[bid]
-
-
-# -- ndarray typedness -----------------------------------------------------
-
-ARRAY = "array"
-OTHER = "other"
-
-#: numpy constructors whose result is an ndarray.
-_NP_ARRAY_FUNCS = {
-    "array", "asarray", "ascontiguousarray", "zeros", "zeros_like", "ones",
-    "ones_like", "empty", "empty_like", "full", "full_like", "arange",
-    "linspace", "concatenate", "stack", "vstack", "hstack", "tile", "repeat",
-    "where", "clip", "cumsum", "cumprod", "sort", "argsort", "unique",
-    "reshape", "ravel", "take", "maximum", "minimum", "abs", "sign",
-    "bincount", "searchsorted", "pad", "roll", "flip", "split",
-}
-
-#: ndarray methods whose result is again an ndarray.
-_ARRAY_METHODS = {
-    "astype", "reshape", "copy", "ravel", "flatten", "clip", "round",
-    "take", "transpose", "cumsum", "repeat", "squeeze", "view",
-}
-
-#: expression forms that are definitely not ndarrays.
-_SCALARIZERS = {"tolist", "item"}
-
-
-@dataclasses.dataclass(frozen=True)
-class ArraySeeds:
-    """Module-level facts that seed the ndarray lattice for one function."""
-
-    #: local names bound to the numpy module (``np``).
-    numpy_aliases: frozenset[str]
-    #: local callables known (by annotation) to return an ndarray.
-    array_returning: frozenset[str]
-
-
-def _annotation_mentions_array(ann: ast.AST | None) -> bool:
-    if ann is None:
-        return False
-    for node in ast.walk(ann):
-        if isinstance(node, ast.Name) and node.id in ("ndarray", "NDArray"):
-            return True
-        if isinstance(node, ast.Attribute) and node.attr in (
-            "ndarray",
-            "NDArray",
-        ):
-            return True
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if "ndarray" in node.value or "NDArray" in node.value:
-                return True
-    return False
-
-
-def _annotation_is_scalar(ann: ast.AST | None) -> bool:
-    return (
-        isinstance(ann, ast.Name)
-        and ann.id in ("int", "float", "bool", "str", "bytes")
-    )
-
-
-def array_seeds(
-    index: ModuleIndex | None,
-    info: ModuleInfo | None,
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> ArraySeeds:
-    """Collect the module facts :class:`NdarrayTypes` needs for ``func``.
-
-    ``array_returning`` holds every *local* name that resolves — through
-    the module index — to an in-project function whose return annotation
-    names ``ndarray`` (this is how ``repro.unary``'s kernel signatures
-    seed the lattice in callers).
-    """
-    numpy_aliases: set[str] = set()
-    array_returning: set[str] = set()
-    if info is not None:
-        for local, module in info.imported_modules.items():
-            if module == "numpy" or module.startswith("numpy."):
-                numpy_aliases.add(local)
-        if index is not None:
-            candidates: set[str] = set(info.imported_symbols)
-            candidates.update(info.defs)
-            for name in candidates:
-                resolved = resolve_callee(
-                    index, info, ast.Name(id=name, ctx=ast.Load())
-                )
-                if resolved is None:
-                    continue
-                node = resolved[1].node
-                if isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ) and _annotation_mentions_array(node.returns):
-                    array_returning.add(name)
-    return ArraySeeds(
-        numpy_aliases=frozenset(numpy_aliases),
-        array_returning=frozenset(array_returning),
-    )
-
-
-class _NdarrayProblem(DataflowAnalysis):
-    direction = "forward"
-
-    def __init__(self, types: "NdarrayTypes") -> None:
-        self._types = types
-
-    def boundary(self) -> dict[str, str]:
-        return dict(self._types.entry_env)
-
-    def initial(self) -> dict[str, str]:
-        return {}
-
-    def join(self, a: dict[str, str], b: dict[str, str]) -> dict[str, str]:
-        return {k: v for k, v in a.items() if b.get(k) == v}
-
-    def transfer(
-        self, block: BasicBlock, fact: dict[str, str]
-    ) -> dict[str, str]:
-        env = dict(fact)
-        for stmt in block.stmts:
-            self._types.step(stmt, env)
-        return env
-
-
-class NdarrayTypes:
-    """Forward ``array``/``other``/unknown typedness of local names."""
-
-    def __init__(self, cfg: CFG, seeds: ArraySeeds) -> None:
-        self.cfg = cfg
-        self.seeds = seeds
-        self.entry_env: dict[str, str] = {}
-        args = cfg.func.args
-        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-            if _annotation_mentions_array(arg.annotation):
-                self.entry_env[arg.arg] = ARRAY
-            elif _annotation_is_scalar(arg.annotation):
-                self.entry_env[arg.arg] = OTHER
-        solution = solve(cfg, _NdarrayProblem(self))
-        self.block_in = {bid: pair[0] for bid, pair in solution.items()}
-
-    # -- expression classification ---------------------------------------
-
-    def kind_of(self, expr: ast.AST, env: dict[str, str]) -> str | None:
-        """``"array"``, ``"other"`` or ``None`` (unknown) for ``expr``."""
-        if isinstance(expr, ast.Name):
-            kind = env.get(expr.id)
-            if kind is not None:
-                return kind
-            # FLOW unit vocabulary: a unit-suffixed name is a quantity.
-            return OTHER if parse_unit(expr.id) is not None else None
-        if isinstance(expr, ast.Constant):
-            return OTHER
-        if isinstance(
-            expr,
-            (
-                ast.List,
-                ast.Tuple,
-                ast.Set,
-                ast.Dict,
-                ast.ListComp,
-                ast.SetComp,
-                ast.DictComp,
-                ast.GeneratorExp,
-                ast.JoinedStr,
-                ast.Compare,
-            ),
-        ):
-            return OTHER
-        if isinstance(expr, ast.Call):
-            return self._call_kind(expr, env)
-        if isinstance(expr, ast.Attribute):
-            if expr.attr == "T" and self.kind_of(expr.value, env) == ARRAY:
-                return ARRAY
-            return None
-        if isinstance(expr, ast.Subscript):
-            if self.kind_of(expr.value, env) == ARRAY and _slices(expr.slice):
-                return ARRAY
-            return None
-        if isinstance(expr, ast.BinOp):
-            left = self.kind_of(expr.left, env)
-            right = self.kind_of(expr.right, env)
-            if ARRAY in (left, right):
-                return ARRAY
-            if left == OTHER and right == OTHER:
-                return OTHER
-            return None
-        if isinstance(expr, ast.UnaryOp):
-            return self.kind_of(expr.operand, env)
-        if isinstance(expr, ast.IfExp):
-            body = self.kind_of(expr.body, env)
-            orelse = self.kind_of(expr.orelse, env)
-            return body if body == orelse else None
-        if isinstance(expr, ast.Starred):
-            return self.kind_of(expr.value, env)
-        return None
-
-    def _call_kind(self, call: ast.Call, env: dict[str, str]) -> str | None:
-        func = call.func
-        if isinstance(func, ast.Name):
-            if func.id in self.seeds.array_returning:
-                return ARRAY
-            if func.id in ("len", "int", "float", "bool", "str", "sum",
-                           "min", "max", "list", "dict", "set", "tuple",
-                           "sorted", "range", "enumerate", "zip"):
-                return OTHER
-            return None
-        if isinstance(func, ast.Attribute):
-            if func.attr in _SCALARIZERS:
-                return OTHER
-            base = func.value
-            if (
-                isinstance(base, ast.Name)
-                and base.id in self.seeds.numpy_aliases
-            ):
-                return ARRAY if func.attr in _NP_ARRAY_FUNCS else None
-            if (
-                func.attr in _ARRAY_METHODS
-                and self.kind_of(base, env) == ARRAY
-            ):
-                return ARRAY
-            return None
-        return None
-
-    # -- transfer --------------------------------------------------------
-
-    def step(self, stmt: ast.stmt, env: dict[str, str]) -> None:
-        """Mutate ``env`` with the effect of one shallow statement."""
-        if isinstance(stmt, ast.Assign):
-            kind = self.kind_of(stmt.value, env)
-            for target in stmt.targets:
-                self._bind(target, kind, env)
-        elif isinstance(stmt, ast.AnnAssign):
-            if _annotation_mentions_array(stmt.annotation):
-                kind: str | None = ARRAY
-            elif _annotation_is_scalar(stmt.annotation):
-                kind = OTHER
-            elif stmt.value is not None:
-                kind = self.kind_of(stmt.value, env)
-            else:
-                kind = None
-            self._bind(stmt.target, kind, env)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            # The element kind of an iterable is unknown in general (a 2-D
-            # array yields rows, a 1-D array yields scalars): drop targets.
-            self._bind(stmt.target, None, env)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                if item.optional_vars is not None:
-                    self._bind(item.optional_vars, None, env)
-        elif isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            env[stmt.name] = OTHER
-        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            for name in stmt_defs(stmt):
-                env.pop(name, None)
-
-    def _bind(
-        self, target: ast.AST, kind: str | None, env: dict[str, str]
-    ) -> None:
-        if isinstance(target, ast.Name):
-            if kind is None:
-                env.pop(target.id, None)
-            else:
-                env[target.id] = kind
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._bind(elt, None, env)
-        elif isinstance(target, ast.Starred):
-            self._bind(target.value, None, env)
-
-    def env_before(self, bid: int, index: int) -> dict[str, str]:
-        """The environment just before statement ``index`` of block ``bid``."""
-        env = dict(self.block_in[bid])
-        for stmt in self.cfg.blocks[bid].stmts[:index]:
-            self.step(stmt, env)
-        return env
-
-
-def _slices(node: ast.AST) -> bool:
-    """True when a subscript's index keeps at least one axis (a slice)."""
-    if isinstance(node, ast.Slice):
-        return True
-    if isinstance(node, ast.Tuple):
-        return any(_slices(elt) for elt in node.elts)
-    return False

@@ -4,11 +4,6 @@ A :class:`Finding` pins one defect to a file/line/column with a stable
 code (``UNIT001``, ``DET002``, ...).  Codes group into checker families by
 prefix — the same family names the suppression syntax uses
 (``# repro-lint: ignore[unit]``).
-
-Abstract-interpretation findings (``SHAPE``/``BND``) additionally carry a
-``data`` payload with the inferred shapes/intervals that prove the
-defect; it rides along in the JSON report (schema v4) but never takes
-part in ordering, equality or the baseline identity.
 """
 
 from __future__ import annotations
@@ -27,12 +22,9 @@ GROUPS = {
     "ARCH": "arch",
     "FLOW": "flow",
     "DEAD": "dead",
-    "PERF": "perf",
     "CONC": "conc",
     "SUP": "sup",
-    "SHAPE": "shape",
     "SCHEME": "scheme",
-    "BND": "bound",
 }
 
 
@@ -54,11 +46,6 @@ class Finding:
     col: int
     code: str
     message: str
-    #: Checker-specific evidence (inferred shapes/intervals as strings);
-    #: excluded from comparison so findings stay hashable and orderable.
-    data: dict | None = dataclasses.field(
-        default=None, compare=False, hash=False
-    )
 
     @property
     def group(self) -> str:
@@ -67,7 +54,7 @@ class Finding:
 
     def to_dict(self) -> dict:
         """JSON-serializable representation (round-trips via :meth:`from_dict`)."""
-        doc = {
+        return {
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -75,9 +62,6 @@ class Finding:
             "group": self.group,
             "message": self.message,
         }
-        if self.data is not None:
-            doc["data"] = dict(self.data)
-        return doc
 
     @classmethod
     def from_dict(cls, data: dict) -> "Finding":
@@ -88,7 +72,6 @@ class Finding:
             col=data["col"],
             code=data["code"],
             message=data["message"],
-            data=data.get("data"),
         )
 
     def render(self) -> str:

@@ -39,7 +39,7 @@ __all__ = [
 LAYERS: tuple[tuple[str, tuple[str, ...], str], ...] = (
     (
         "foundation",
-        ("analysis", "unary"),
+        ("analysis", "contracts", "unary"),
         "contract helpers + lint substrate; bit-true unary kernels "
         "(no repro imports besides each other)",
     ),

@@ -6,9 +6,6 @@ document versioned by ``schema_version`` (see ``docs/analysis.md`` for
 the pinned shape) that round-trips through
 :meth:`repro.analysis.findings.Finding.from_dict`.  When a baseline is
 in force, both renderers show what it accepted and any stale entries.
-When a cProfile document was supplied (``--profile``), both renderers
-additionally rank the findings that land inside measured-hot functions
-by cumulative seconds.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from .findings import Finding
 __all__ = [
     "render_text",
     "render_json",
-    "rank_by_profile",
     "JSON_SCHEMA_VERSION",
 ]
 
@@ -30,53 +26,16 @@ __all__ = [
 #: ``schema_version``, ``summary`` and the ``baseline`` block; v3 added
 #: the ``profile`` block (measured-hotness ranking from ``--profile``);
 #: v4 added the optional per-finding ``data`` payload carrying the
-#: inferred intervals/shapes behind ``SHAPE``/``BND`` findings.
-JSON_SCHEMA_VERSION = 4
-
-
-def rank_by_profile(
-    findings: list[Finding], entries: list
-) -> list[tuple[Finding, float]]:
-    """Pair findings with measured cumulative seconds, hottest first.
-
-    ``entries`` are :class:`repro.analysis.perf.ProfileEntry` rows.  A
-    finding matches the profiled function whose definition line is the
-    nearest one at-or-above it in the same file — cProfile reports the
-    ``def`` line, so this attributes a finding to its enclosing profiled
-    function without needing function extents.
-    """
-    ranked: list[tuple[Finding, float]] = []
-    for finding in findings:
-        best_line = -1
-        best_time: float | None = None
-        for entry in entries:
-            if entry.line > finding.line or not _paths_match(
-                finding.path, entry.file
-            ):
-                continue
-            if entry.line > best_line or (
-                entry.line == best_line
-                and (best_time is None or entry.cumtime_s > best_time)
-            ):
-                best_line = entry.line
-                best_time = entry.cumtime_s
-        if best_time is not None:
-            ranked.append((finding, best_time))
-    ranked.sort(key=lambda pair: (-pair[1], pair[0]))
-    return ranked
-
-
-def _paths_match(finding_path: str, profile_file: str) -> bool:
-    a = finding_path.replace("\\", "/")
-    b = profile_file.replace("\\", "/")
-    return a.endswith(b) or b.endswith(a)
+#: inferred intervals/shapes behind ``SHAPE``/``BND`` findings; v5 removed
+#: the ``profile`` block and the ``data`` payload with the checkers that
+#: produced them.
+JSON_SCHEMA_VERSION = 5
 
 
 def render_text(
     findings: list[Finding],
     files_scanned: int,
     delta: BaselineDelta | None = None,
-    profile: tuple[str, list[tuple[Finding, float]]] | None = None,
 ) -> str:
     """Human-readable report: sorted findings plus a summary line."""
     lines = [f.render() for f in sorted(findings)]
@@ -99,17 +58,6 @@ def render_text(
                 f"stale baseline entry: {path} {code} {message} "
                 "(fixed? rewrite with --write-baseline)"
             )
-    if profile is not None:
-        profile_path, ranked = profile
-        lines.append(f"\nprofile ranking ({profile_path}):")
-        if ranked:
-            for finding, cumtime_s in ranked:
-                lines.append(
-                    f"  {cumtime_s:8.3f}s  {finding.path}:{finding.line} "
-                    f"{finding.code}"
-                )
-        else:
-            lines.append("  no finding lands in a profiled function")
     return "\n".join(lines)
 
 
@@ -118,7 +66,6 @@ def render_json(
     files_scanned: int,
     delta: BaselineDelta | None = None,
     baseline_path: str | None = None,
-    profile: tuple[str, list[tuple[Finding, float]]] | None = None,
 ) -> str:
     """Machine-readable report; parse with ``json.loads``."""
     by_group = Counter(f.group for f in sorted(findings))
@@ -131,7 +78,6 @@ def render_json(
             "by_group": dict(sorted(by_group.items())),
         },
         "baseline": None,
-        "profile": None,
     }
     if delta is not None:
         doc["baseline"] = {
@@ -140,15 +86,6 @@ def render_json(
             "new": len(delta.new),
             "stale": [
                 {"path": p, "code": c, "message": m} for p, c, m in delta.stale
-            ],
-        }
-    if profile is not None:
-        profile_path, ranked = profile
-        doc["profile"] = {
-            "path": profile_path,
-            "ranked": [
-                {**finding.to_dict(), "cumtime_s": cumtime_s}
-                for finding, cumtime_s in ranked
             ],
         }
     return json.dumps(doc, indent=2)

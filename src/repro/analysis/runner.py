@@ -7,9 +7,8 @@ suppression comments and the baseline — the same contract the pytest
 gate and the CI lint job rely on.
 
 The run parses each source file exactly once: the per-file checkers and
-the whole-program passes (``arch``/``flow``/``dead``/``perf``/``conc``/
-``shape``/``bound``) all share the same
-:class:`~repro.analysis.visitor.SourceFile` list and the
+the whole-program passes (``arch``/``flow``/``dead``/``conc``) all share
+the same :class:`~repro.analysis.visitor.SourceFile` list and the
 :class:`~repro.analysis.modgraph.ModuleIndex` built from it.  The test
 suite is additionally indexed as *usage context* so the reachability
 pass sees what tests exercise, without linting the tests themselves.
@@ -26,7 +25,6 @@ from typing import Iterable, Sequence
 from . import layers
 from .arch import ArchChecker, layer_violations
 from .baseline import Baseline, BaselineDelta
-from .bounds import BoundChecker
 from .conc import ConcChecker
 from .config_checks import ConfigChecker
 from .dead import DeadChecker
@@ -35,10 +33,8 @@ from .exports import ExportChecker
 from .findings import Finding, group_of
 from .flow import FlowChecker
 from .modgraph import ModuleIndex, build_index, render_dot
-from .perf import PerfChecker, ProfileEntry, load_profile_entries
-from .reporting import rank_by_profile, render_json, render_text
+from .reporting import render_json, render_text
 from .scheme_checks import SchemeChecker
-from .shapecheck import ShapeChecker
 from .units import UnitChecker
 from .verification import VerificationChecker
 from .visitor import Checker, ProjectChecker, SourceFile, collect_sources
@@ -72,10 +68,7 @@ PROJECT_CHECKERS: tuple[ProjectChecker, ...] = (
     ArchChecker(),
     FlowChecker(),
     DeadChecker(),
-    PerfChecker(),
     ConcChecker(),
-    ShapeChecker(),
-    BoundChecker(),
 )
 
 #: The runner's own stale-suppression code (not a checker class: it needs
@@ -115,9 +108,6 @@ class AnalysisResult:
     files_scanned: int
     sources: list[SourceFile]
     index: ModuleIndex
-    #: (profile path, findings ranked by measured cumtime) when --profile
-    #: was supplied; None otherwise.
-    profile_rank: tuple[str, list[tuple[Finding, float]]] | None = None
 
 
 def _known_select_tokens() -> set[str]:
@@ -132,7 +122,6 @@ def analyze(
     paths: Iterable[str | Path],
     select: Iterable[str] | None = None,
     context: Iterable[str | Path] = (),
-    profile: str | Path | None = None,
 ) -> AnalysisResult:
     """Run every checker over ``paths``, sharing one parse per file.
 
@@ -140,12 +129,9 @@ def analyze(
     (``unit``/``arch``/...) or exact codes (``FLOW001``); every checker
     still runs, so stale-suppression detection stays accurate.
     ``context`` paths are parsed and indexed for the whole-program passes
-    but are not themselves linted.  ``profile`` names a cProfile JSON
-    document (``benchmarks/bench_trajectory.py --profile-out``): the
-    PERF pass then annotates findings in measured-hot functions and the
-    result carries a hotness ranking.
+    but are not themselves linted.
     """
-    # Tokens are case-insensitive: accept "PERF,CONC" and "perf001" by
+    # Tokens are case-insensitive: accept "CONC,ARCH" and "conc001" by
     # normalising to the canonical code (upper) or group (lower) form.
     known = _known_select_tokens()
     selected = (
@@ -162,17 +148,8 @@ def analyze(
             raise ValueError(
                 f"unknown --select token(s): {', '.join(unknown)}; "
                 "expected a checker group (unit/det/cfg/exp/ver/scheme/arch/"
-                "flow/dead/perf/conc/shape/bound/sup) or a code like UNIT002"
+                "flow/dead/conc/sup) or a code like UNIT002"
             )
-    profile_entries: list[ProfileEntry] = []
-    if profile is not None:
-        import json as _json
-
-        doc = _json.loads(Path(profile).read_text(encoding="utf-8"))
-        profile_entries = load_profile_entries(doc)
-    for project_checker in PROJECT_CHECKERS:
-        if isinstance(project_checker, PerfChecker):
-            project_checker.set_profile(profile_entries)
     sources = collect_sources(paths)
     # Test *data* is not usage context: planted fixture trees (which
     # deliberately contain violations and fake ``repro`` packages) must
@@ -208,19 +185,11 @@ def analyze(
             for finding in survivors
             if finding.code in selected or group_of(finding.code) in selected
         ]
-    survivors = sorted(survivors)
-    profile_rank = None
-    if profile is not None:
-        profile_rank = (
-            str(profile),
-            rank_by_profile(survivors, profile_entries),
-        )
     return AnalysisResult(
-        findings=survivors,
+        findings=sorted(survivors),
         files_scanned=len(sources),
         sources=sources,
         index=index,
-        profile_rank=profile_rank,
     )
 
 
@@ -334,8 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Static analysis for the uSystolic reproduction: unit "
             "consistency, determinism, config invariants, export hygiene, "
             "verification traceability, layering contracts, interprocedural "
-            "unit flow, dead-reachability, and abstract-interpretation "
-            "shape/bound proofs."
+            "unit flow, dead-reachability, and pool determinism."
         ),
     )
     parser.add_argument(
@@ -352,15 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="GROUP_OR_CODE",
         help="restrict to checker groups or codes (repeatable, "
-        "comma-separated): unit,det,cfg,exp,ver,scheme,arch,flow,dead,perf,"
-        "conc,shape,bound,sup or e.g. UNIT002",
-    )
-    parser.add_argument(
-        "--profile",
-        metavar="FILE",
-        default=None,
-        help="cProfile JSON (benchmarks/bench_trajectory.py --profile-out) "
-        "to rank PERF/CONC findings by measured cumulative time",
+        "comma-separated): unit,det,cfg,exp,ver,scheme,arch,flow,dead,"
+        "conc,sup or e.g. UNIT002",
     )
     parser.add_argument(
         "--list-checkers",
@@ -441,12 +402,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         ]
     try:
         paths = [Path(p) for p in args.paths] or default_paths()
-        result = analyze(
-            paths,
-            select=select,
-            context=context_paths(),
-            profile=args.profile,
-        )
+        result = analyze(paths, select=select, context=context_paths())
     except (FileNotFoundError, SyntaxError, ValueError) as exc:
         print(f"repro.analysis: error: {exc}", file=sys.stderr)
         return 2
@@ -475,25 +431,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"repro.analysis: error: {exc}", file=sys.stderr)
             return 2
         reported = list(delta.new)
-    profile_rank = result.profile_rank
-    if profile_rank is not None and reported is not result.findings:
-        # Re-rank against what the baseline left visible.
-        profile_rank = (
-            profile_rank[0],
-            [(f, t) for f, t in profile_rank[1] if f in set(reported)],
-        )
     report = (
-        render_json(
-            reported,
-            result.files_scanned,
-            delta,
-            baseline_path,
-            profile=profile_rank,
-        )
+        render_json(reported, result.files_scanned, delta, baseline_path)
         if args.json
-        else render_text(
-            reported, result.files_scanned, delta, profile=profile_rank
-        )
+        else render_text(reported, result.files_scanned, delta)
     )
     print(report)
     failed = bool(reported) or (delta is not None and not delta.clean)

@@ -155,12 +155,9 @@ class ProjectChecker(abc.ABC):
         col: int,
         code: str,
         message: str,
-        data: dict | None = None,
     ) -> Finding:
-        """Build a finding at an explicit location (with optional evidence)."""
-        return Finding(
-            path=path, line=line, col=col, code=code, message=message, data=data
-        )
+        """Build a finding at an explicit location."""
+        return Finding(path=path, line=line, col=col, code=code, message=message)
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:

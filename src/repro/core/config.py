@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..analysis.contracts import (
+from ..contracts import (
     is_power_of_two,
     require,
     require_in_range,

@@ -98,7 +98,7 @@ class PeModel(abc.ABC):
         for vec in range(v):
             for r in range(k):
                 x = int(x_tile[vec, r])
-                for c in range(w_tile.shape[1]):  # repro-lint: ignore[perf]
+                for c in range(w_tile.shape[1]):
                     out[vec, c] += self.multiply(int(w_tile[r, c]), x)
         return out
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..analysis.contracts import require
+from ..contracts import require
 from .instance import Instance, InstanceState
 
 __all__ = ["AutoscaleConfig", "plan_scaling", "ScaleAction"]

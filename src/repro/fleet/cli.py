@@ -297,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry: replay a trace through a fleet, or sweep capacity."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Entry contract (repro.analysis): surface impossible configurations
+    # Entry contract (repro.contracts): surface impossible configurations
     # as a clean usage error instead of a traceback mid-simulation.
     try:
         pools = _parse_pools(args.pools)

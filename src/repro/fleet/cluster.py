@@ -55,7 +55,7 @@ import itertools
 import math
 from typing import Iterable
 
-from ..analysis.contracts import require
+from ..contracts import require
 from ..jobs.store import ResultStore
 from ..serve.requests import Request
 from .autoscale import AutoscaleConfig, plan_scaling

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..analysis.contracts import require
+from ..contracts import require
 from ..jobs.store import ResultStore
 from ..schemes import ComputeScheme
 from ..serve.batching import make_batcher

@@ -62,14 +62,14 @@ class FsuGemm:
         products: list[Bitstream] = []
         # Bit-true per-element stream simulation: each product runs the
         # bipolar uMUL cycle-by-cycle, so the scalar loop IS the model.
-        for w, x in zip(weights.tolist(), ifms.tolist()):  # repro-lint: ignore[perf]
+        for w, x in zip(weights.tolist(), ifms.tolist()):
             res = umul_bipolar(
                 quantize_bipolar(x / self._limit, self.bits),
                 quantize_bipolar(w / self._limit, self.bits),
                 self.bits,
                 coding=self.coding,
             )
-            products.append(res.output)  # repro-lint: ignore[perf]
+            products.append(res.output)
         summed = mux_add(products, polarity=Polarity.BIPOLAR)
         # mean of bipolar product values, rescaled to the integer dot.
         return summed.value * self._limit * self._limit * len(products)
@@ -82,8 +82,8 @@ class FsuGemm:
             raise ValueError(f"incompatible shapes {x.shape} @ {w.shape}")
         out = np.empty((x.shape[0], w.shape[1]), dtype=np.float64)
         # One bit-true streaming dot per output element, by construction.
-        for v in range(x.shape[0]):  # repro-lint: ignore[perf]
-            for c in range(w.shape[1]):  # repro-lint: ignore[perf]
+        for v in range(x.shape[0]):
+            for c in range(w.shape[1]):
                 out[v, c] = self.dot(w[:, c], x[v])
         return out
 

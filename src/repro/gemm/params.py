@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-from ..analysis.contracts import require, require_positive
+from ..contracts import require, require_positive
 
 __all__ = ["GemmType", "GemmParams"]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..analysis.contracts import (
+from ..contracts import (
     require,
     require_in_range,
     require_positive,

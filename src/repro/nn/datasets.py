@@ -73,7 +73,7 @@ def _render(
     num_classes = protos.shape[0]
     # Per-image loop pins the RNG draw order; vectorising would reorder
     # the stream and change every generated dataset byte.
-    for i, label in enumerate(labels):  # repro-lint: ignore[perf]
+    for i, label in enumerate(labels):
         img = protos[label].copy()
         if mix > 0:
             other = int(rng.integers(num_classes))

@@ -239,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry: build the stream, serve it per scheme, print the table."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Entry contract (repro.analysis): surface impossible configurations as
+    # Entry contract (repro.contracts): surface impossible configurations as
     # a clean usage error instead of a traceback mid-simulation.
     try:
         schemes = _parse_schemes(args.schemes)

@@ -1,31 +1,18 @@
 """uSystolic-Sim: weight-stationary cycle/traffic simulator with contention."""
 
-from .arraysim import ArraySimResult, FoldTrace, simulate_array
+from .arraysim import ArraySimResult, CycleLimitError, FoldTrace, simulate_array
 from .batch import batched_matmul_params, batched_schedule
-from .cyclesim import CycleAccurateResult, CycleLimitError, simulate_fold
 from .dataflow import LayerSchedule, TileSchedule, schedule_layer, schedule_tile
-from .engine import (
-    simulate_layer,
-    simulate_layer_batched,
-    simulate_network,
-    simulate_network_batched,
-)
+from .engine import simulate_layer, simulate_layer_batched, simulate_network
 from .results import EnergyLedger, LayerResult, aggregate_results
 from .tracegen import TraceEvent, bandwidth_histogram, generate_trace, trace_totals
-from .traffic import (
-    TrafficProfile,
-    VariableTraffic,
-    profile_traffic,
-    profile_traffic_batched,
-)
+from .traffic import TrafficProfile, VariableTraffic, profile_traffic_batched
 
 __all__ = [
     "ArraySimResult",
-    "CycleAccurateResult",
     "CycleLimitError",
     "FoldTrace",
     "simulate_array",
-    "simulate_fold",
     "TraceEvent",
     "bandwidth_histogram",
     "generate_trace",
@@ -39,12 +26,10 @@ __all__ = [
     "simulate_layer",
     "simulate_layer_batched",
     "simulate_network",
-    "simulate_network_batched",
     "EnergyLedger",
     "LayerResult",
     "aggregate_results",
     "TrafficProfile",
     "VariableTraffic",
-    "profile_traffic",
     "profile_traffic_batched",
 ]

@@ -1,24 +1,24 @@
 """Full-array cycle-accurate co-simulation: the stepped R x C truth source.
 
-:mod:`repro.sim.cyclesim` steps *one* weight-stationary fold;  this module
-generalises it to whole layers: every fold of the :func:`repro.gemm.tiling.
-tile_gemm` schedule is stepped on a full R x C array whose per-PE state
-lives in numpy planes (``working`` vector index, ``remaining`` MAC cycles,
-the column psum ripple), advanced whole-array per step with no
-Python-per-PE loops.  Partial sums accumulate across reduction folds with
-the preload/drain overlap the analytic model assumes (a fold's psum ripple
-is pushed out by the next fold's weight preload), and every contribution
-is attributed to its reduction fold in a ``(k_folds, V, OC)`` provenance
-tensor — the register-level ground truth the differential engine
+Every fold of the :func:`repro.gemm.tiling.tile_gemm` schedule is stepped
+on a full R x C array whose per-PE state lives in numpy planes
+(``working`` vector index, ``remaining`` MAC cycles, the column psum
+ripple), advanced whole-array per step with no Python-per-PE loops.
+Partial sums accumulate across reduction folds with the preload/drain
+overlap the analytic model assumes (a fold's psum ripple is pushed out by
+the next fold's weight preload), and every contribution is attributed to
+its reduction fold in a ``(k_folds, V, OC)`` provenance tensor — the
+register-level ground truth the differential engine
 (:mod:`repro.verify.diff`) holds the closed-form schedule and the event
 trace against.
 
 Two step granularities, differentially pinned against each other:
 
-- ``"cycle"`` — one plane advance per clock cycle, exactly the register
-  semantics of :func:`repro.sim.cyclesim.simulate_fold` lifted to whole
-  layers.  O(cycles) — the truth source for small configs (the fuzzer's
-  diet).
+- ``"cycle"`` — one plane advance per clock cycle through weight
+  preload, skewed IFM streaming with ``mac_cycles``-long PE occupancy and
+  the one-cycle column lag (the IDFF of Figure 7); a one-fold layer is
+  the register-level golden model of a single fold.  O(cycles) — the
+  truth source for small configs (the fuzzer's diet).
 - ``"wave"`` — one plane advance per admitted vector (``mac_cycles``
   clock cycles at a time).  Between vector admissions every PE's state
   evolution is rigid (``remaining`` decrements once per cycle, nothing
@@ -45,9 +45,14 @@ from ..gemm.im2col import im2col
 from ..gemm.params import GemmParams
 from ..gemm.tiling import Tile, tile_gemm
 from ..schemes import DataflowGeometry
-from .cyclesim import CycleLimitError
 
-__all__ = ["ArraySimResult", "FoldTrace", "GRANULARITIES", "simulate_array"]
+__all__ = [
+    "ArraySimResult",
+    "CycleLimitError",
+    "FoldTrace",
+    "GRANULARITIES",
+    "simulate_array",
+]
 
 #: Step granularities (see module docstring).
 GRANULARITIES = ("cycle", "wave")
@@ -61,6 +66,25 @@ _COLUMN_LAG = 1
 
 #: Default absolute-cycle budget for one layer run.
 _DEFAULT_MAX_CYCLES = 50_000_000
+
+
+class CycleLimitError(RuntimeError):
+    """The stepper exceeded ``max_cycles`` with MACs still pending.
+
+    Carries the machine state a bare assert would discard: the absolute
+    cycle at which the limit tripped and how many MACs were still pending
+    — enough to tell a too-small budget from a genuine schedule deadlock.
+    """
+
+    def __init__(self, cycle: int, pending_macs: int, max_cycles: int) -> None:
+        self.cycle = cycle
+        self.pending_macs = pending_macs
+        self.max_cycles = max_cycles
+        super().__init__(
+            f"cycle limit exceeded at cycle {cycle} with {pending_macs} "
+            f"MAC(s) still pending (max_cycles={max_cycles}) — raise the "
+            "budget or suspect a schedule deadlock"
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,8 +218,7 @@ def _step_fold_cycle(
 ) -> _FoldRun:
     """Advance one fold one clock cycle at a time (register semantics).
 
-    The whole-array lift of :func:`repro.sim.cyclesim.simulate_fold`:
-    per cycle, a launch mask admits due vectors, every occupied PE burns
+    Per cycle, a launch mask admits due vectors, every occupied PE burns
     one cycle, and PEs whose MAC retires land their product into the
     column psum — all as whole-plane numpy operations.
     """

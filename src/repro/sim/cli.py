@@ -134,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     platform: Platform = _PLATFORMS[args.platform]
     scheme = _SCHEMES[args.scheme]
     layers = _load_layers(args)
-    # Entry contract (repro.analysis): surface impossible configurations as
+    # Entry contract (repro.contracts): surface impossible configurations as
     # a clean usage error instead of a traceback mid-simulation.
     try:
         array = ArrayConfig(

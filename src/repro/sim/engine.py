@@ -33,7 +33,6 @@ __all__ = [
     "simulate_layer",
     "simulate_layer_batched",
     "simulate_network",
-    "simulate_network_batched",
 ]
 
 # Streaming DRAM accesses mostly hit the open page; partial-sum round trips
@@ -69,7 +68,7 @@ def simulate_layer_batched(
     fill when a residency tracker says the working set is still in SRAM
     (see :mod:`repro.serve.residency`).
     """
-    # Entry contract (repro.analysis): reject impossible configs loudly even
+    # Entry contract (repro.contracts): reject impossible configs loudly even
     # when they were built via dataclasses.replace or deserialization paths.
     params.validate()
     array.validate()
@@ -139,20 +138,3 @@ def simulate_network(
 ) -> list[LayerResult]:
     """Simulate every layer of a network under one configuration."""
     return [simulate_layer(layer, array, memory, tech=tech) for layer in layers]
-
-
-def simulate_network_batched(
-    layers: list[GemmParams],
-    array: ArrayConfig,
-    memory: MemoryConfig,
-    batch: int = 1,
-    tech: TechNode = TECH_32NM,
-    warm_weights: bool = False,
-) -> list[LayerResult]:
-    """Simulate every layer at batch ``batch`` (see :func:`simulate_layer_batched`)."""
-    return [
-        simulate_layer_batched(
-            layer, array, memory, batch=batch, tech=tech, warm_weights=warm_weights
-        )
-        for layer in layers
-    ]

@@ -25,7 +25,6 @@ from ..memory.hierarchy import MemoryConfig
 __all__ = [
     "VariableTraffic",
     "TrafficProfile",
-    "profile_traffic",
     "profile_traffic_batched",
 ]
 
@@ -113,16 +112,6 @@ class TrafficProfile:
             weight=VariableTraffic.from_json(data["weight"]),
             ofm=VariableTraffic.from_json(data["ofm"]),
         )
-
-
-def profile_traffic(
-    params: GemmParams,
-    tiling: Tiling,
-    bits: int,
-    memory: MemoryConfig,
-) -> TrafficProfile:
-    """Profile the traffic of ``params`` scheduled as ``tiling``."""
-    return profile_traffic_batched(params, tiling, bits, memory, batch=1)
 
 
 def profile_traffic_batched(

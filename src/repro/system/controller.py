@@ -22,7 +22,7 @@ from ..memory.hierarchy import MemoryConfig
 from ..schemes import ComputeScheme
 from ..jobs.runner import simulate_network
 from ..serve.residency import ResidencyTracker
-from ..sim.engine import simulate_network_batched
+from ..sim.engine import simulate_layer_batched
 from .battery import Battery
 
 __all__ = ["AdaptiveEbtController", "StreamOutcome", "simulate_inference_stream"]
@@ -87,9 +87,10 @@ def _job_cost(
     a same-network stream would double-count the fill.
     """
     if warm_weights:
-        results = simulate_network_batched(
-            layers, array, memory, warm_weights=True
-        )
+        results = [
+            simulate_layer_batched(layer, array, memory, warm_weights=True)
+            for layer in layers
+        ]
     else:
         results = simulate_network(layers, array, memory)
     return (

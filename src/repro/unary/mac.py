@@ -183,6 +183,6 @@ def hub_dot(
     total = 0
     # Scalar oracle: the element-at-a-time HubMac chain is the reference
     # repro.verify diffs the vectorised kernels against — keep it naive.
-    for w, x in zip(weights.tolist(), ifms.tolist()):  # repro-lint: ignore[perf]
+    for w, x in zip(weights.tolist(), ifms.tolist()):
         total = mac.mac(int(w), int(x), total)
     return total

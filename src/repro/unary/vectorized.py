@@ -188,8 +188,8 @@ def hub_mac_tile(
     mag_bits = ebt - 1
     if mag_bits > _TABLE_MAX_MAG_BITS:
         out = np.zeros((x_tile.shape[0], w_tile.shape[1]), dtype=np.float64)
-        for vec in range(x_tile.shape[0]):  # repro-lint: ignore[perf]
-            for r in range(w_tile.shape[0]):  # repro-lint: ignore[perf]
+        for vec in range(x_tile.shape[0]):
+            for r in range(w_tile.shape[0]):
                 out[vec] += hub_mac_row(
                     int(x_tile[vec, r]), w_tile[r], bits, ebt=ebt, coding=coding
                 )
@@ -259,8 +259,8 @@ def hub_product_counts(
             (x_tile.shape[0], w_tile.shape[0], w_tile.shape[1]), dtype=np.int64
         )
         restore = int(scale)
-        for vec in range(x_tile.shape[0]):  # repro-lint: ignore[perf]
-            for r in range(w_tile.shape[0]):  # repro-lint: ignore[perf]
+        for vec in range(x_tile.shape[0]):
+            for r in range(w_tile.shape[0]):
                 row = hub_mac_row(
                     int(x_tile[vec, r]), w_tile[r], bits, ebt=ebt, coding=coding
                 )

@@ -46,7 +46,7 @@ from ..schemes import ComputeScheme
 from ..sim import arraysim, tracegen
 from ..sim.dataflow import schedule_layer, schedule_tile
 from ..sim.engine import simulate_layer
-from ..sim.traffic import profile_traffic
+from ..sim.traffic import profile_traffic_batched
 from ..unary import vectorized
 from ..unary.bitstream import Coding
 from ..unary.mac import HubMac
@@ -334,7 +334,7 @@ def _diff_engine(case: VerifyCase, out: _Collector) -> None:
     out.compare("engine.utilization", per_tile_util, result.utilization)
 
     oracle = traffic_oracle(params, array.rows, array.cols, case.bits, memory)
-    traffic = profile_traffic(params, tiling, case.bits, memory)
+    traffic = profile_traffic_batched(params, tiling, case.bits, memory)
     for key, expected in sorted(oracle.items()):
         variable, field = key.split(".", 1)
         out.compare(
@@ -386,7 +386,7 @@ def _diff_functional(case: VerifyCase, out: _Collector) -> None:
         expected = np.zeros((cols_mat.shape[0], params.oc), dtype=np.float64)
         # Independent scalar oracle: deliberately not vectorised, so it
         # cannot share a bug with the kernel under test.
-        for v in range(cols_mat.shape[0]):  # repro-lint: ignore[perf]
+        for v in range(cols_mat.shape[0]):
             for k in range(params.window):
                 x = int(cols_mat[v, k])
                 for c in range(params.oc):

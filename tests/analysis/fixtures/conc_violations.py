@@ -1,6 +1,6 @@
 """Fixture: known pool-determinism violations (never imported).
 
-Line numbers are asserted by ``tests/analysis/test_perf_conc.py`` — keep
+Line numbers are asserted by ``tests/analysis/test_conc.py`` — keep
 the statements exactly where they are.
 """
 

@@ -109,7 +109,7 @@ class TestCliBaseline:
         capsys.readouterr()
         assert main([str(bad), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == 4
+        assert doc["schema_version"] == 5
         assert doc["findings"] == []
         assert doc["baseline"] == {
             "path": DEFAULT_BASELINE,

@@ -1,10 +1,9 @@
 """Unit tests for the per-function CFG builder and the dataflow solver.
 
-These pin the structural invariants the PERF/CONC checkers rely on:
+These pin the structural invariants the CONC checker relies on:
 branch/loop/try shapes, loop member sets and depths, reaching
-definitions through merges, backward liveness, the ndarray lattice's
-intersection join, and — critically — solver termination on the
-oscillation-prone shapes that once hung the ndarray analysis.
+definitions through merges, and solver termination on a non-monotone
+transfer.
 """
 
 from __future__ import annotations
@@ -12,23 +11,12 @@ from __future__ import annotations
 import ast
 import textwrap
 
-from repro.analysis import (
-    LiveVariables,
-    NdarrayTypes,
-    ReachingDefinitions,
-    build_cfg,
-)
+from repro.analysis import ReachingDefinitions, build_cfg
 from repro.analysis.dataflow import (
-    ARRAY,
-    ArraySeeds,
     DataflowAnalysis,
     iter_functions,
     solve,
     stmt_defs,
-)
-
-NP_SEEDS = ArraySeeds(
-    numpy_aliases=frozenset({"np"}), array_returning=frozenset()
 )
 
 
@@ -95,13 +83,9 @@ class TestCfgShapes:
         brk_bid, _ = _stmt_loc(cfg, ast.Break)
         assert cfg.blocks[cont_bid].succs == {loop.head}
         assert cfg.blocks[brk_bid].succs == {after}
-        # Every body block is a member and sits at depth >= 1.
+        # The jump blocks are loop members; the block after is not.
         assert cont_bid in loop.members and brk_bid in loop.members
-        assert all(
-            cfg.blocks[bid].loop_depth >= 1
-            for bid in loop.members
-            if bid != loop.head
-        )
+        assert after not in loop.members
 
     def test_nested_loop_depths(self):
         cfg = _cfg(
@@ -113,13 +97,15 @@ class TestCfgShapes:
             """
         )
         assert len(cfg.loops) == 2
-        # Loop headers sit at the depth of their surrounding context; the
-        # innermost body reaches depth 2 (what PERF003 keys on).
-        head_depths = sorted(
-            cfg.blocks[loop.head].loop_depth for loop in cfg.loops
-        )
-        assert head_depths == [0, 1]
-        assert max(b.loop_depth for b in cfg.blocks.values()) == 2
+
+        def depth(bid):
+            return sum(bid in loop.members for loop in cfg.loops)
+
+        # A block's nesting depth is the number of loops it belongs to:
+        # each header sits one level inside its surrounding context, and
+        # the innermost body reaches depth 2.
+        assert sorted(depth(loop.head) for loop in cfg.loops) == [1, 2]
+        assert max(depth(bid) for bid in cfg.blocks) == 2
         # The inner loop's members are a strict subset of the outer's.
         inner, outer = sorted(cfg.loops, key=lambda l: len(l.members))
         assert inner.members < outer.members
@@ -216,83 +202,12 @@ class TestReachingDefinitions:
         } == {3, 5}
 
 
-class TestLiveVariables:
-    def test_straight_line_liveness(self):
-        cfg = _cfg(
-            """
-            def f(a, b):
-                c = a + b
-                d = c * 2
-                return d
-            """
-        )
-        live = LiveVariables(cfg)
-        assert live.live_in(cfg.entry) == {"a", "b"}
-        assert live.live_out(cfg.exit) == frozenset()
-
-    def test_branch_only_use_is_live_at_entry(self):
-        cfg = _cfg(
-            """
-            def f(p, q):
-                if p:
-                    return q
-                return 0
-            """
-        )
-        live = LiveVariables(cfg)
-        assert {"p", "q"} <= live.live_in(cfg.entry)
-
-    def test_dead_store_is_not_live(self):
-        cfg = _cfg(
-            """
-            def f(a):
-                unused = a * 2
-                return a
-            """
-        )
-        live = LiveVariables(cfg)
-        assert "unused" not in live.live_in(cfg.entry)
-
-
-class TestNdarrayTypes:
-    def test_annotations_and_numpy_calls_seed_the_lattice(self):
-        cfg = _cfg(
-            """
-            def f(xs: np.ndarray, n: int):
-                zs = np.zeros(n)
-                return zs
-            """
-        )
-        types = NdarrayTypes(cfg, NP_SEEDS)
-        bid, idx = _stmt_loc(cfg, ast.Return)
-        env = types.env_before(bid, idx)
-        assert env["xs"] == ARRAY
-        assert env["zs"] == ARRAY
-        assert env["n"] != ARRAY
-
-    def test_disagreeing_branches_drop_the_name(self):
-        cfg = _cfg(
-            """
-            def f(p, n: int):
-                zs = np.zeros(n)
-                if p:
-                    zs = zs.tolist()
-                return zs
-            """
-        )
-        types = NdarrayTypes(cfg, NP_SEEDS)
-        bid, idx = _stmt_loc(cfg, ast.Return)
-        assert "zs" not in types.env_before(bid, idx)
-
-
 class _Oscillator(DataflowAnalysis):
     """Deliberately non-monotone: the transfer negates its input.
 
     On any cycle the plain fixpoint iteration flips 0 <-> 1 forever; the
     solver's visit-cap join dampening must still terminate it.
     """
-
-    direction = "forward"
 
     def boundary(self) -> int:
         return 0
@@ -332,27 +247,3 @@ class TestSolver:
         )
         solution = solve(cfg, _Oscillator())
         assert set(solution) == set(cfg.blocks)
-
-    def test_ndarray_analysis_terminates_on_loop_try_shape(self):
-        # Regression: this profile_to_json-like shape (loop + branch with
-        # a type-conflicting rebind + use after the loop) oscillated the
-        # intersection-join lattice before reverse-postorder seeding.
-        cfg = _cfg(
-            """
-            def f(stats, limit: int):
-                rows = []
-                for key, row in stats.items():
-                    try:
-                        rows = np.asarray(row)
-                    except ValueError:
-                        rows = sorted(rows)
-                    if limit:
-                        rows = rows.tolist()
-                total = len(rows)
-                return rows, total
-            """
-        )
-        types = NdarrayTypes(cfg, NP_SEEDS)
-        bid, idx = _stmt_loc(cfg, ast.Return)
-        env = types.env_before(bid, idx)
-        assert "rows" not in env, "conflicting kinds must meet to unknown"

@@ -188,10 +188,9 @@ class TestSelect:
 
     def test_whole_fixture_dir(self):
         findings, files_scanned = run_analysis([FIXTURES])
-        assert files_scanned == 27  # flat fixtures + graph/cycle/sup trees
+        assert files_scanned == 24  # flat fixtures + graph/cycle/sup trees
         groups = {f.group for f in findings}
         assert groups == {
             "unit", "det", "cfg", "exp", "ver", "scheme",
-            "arch", "flow", "dead", "perf", "conc", "sup",
-            "shape", "bound",
+            "arch", "flow", "dead", "conc", "sup",
         }

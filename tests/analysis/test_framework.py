@@ -124,7 +124,7 @@ class TestFindingsAndReporters:
     def test_json_report_round_trips(self):
         f = Finding(path="a.py", line=3, col=7, code="EXP001", message="msg")
         doc = json.loads(render_json([f], files_scanned=2))
-        assert doc["schema_version"] == 4
+        assert doc["schema_version"] == 5
         assert doc["files_scanned"] == 2
         assert [Finding.from_dict(d) for d in doc["findings"]] == [f]
         assert doc["summary"] == {"total": 1, "by_group": {"exp": 1}}

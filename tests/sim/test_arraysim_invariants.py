@@ -6,7 +6,9 @@ schedule and the :mod:`repro.verify.oracles` golden models *exactly*, the
 wave and per-cycle granularities must agree plane for plane, and the
 single-fold skew/drain invariants of ``test_skew_invariants.py`` must
 extend to multi-fold runs (fold starts chain through the drain-overlap
-boundary, launch planes carry the ``r + c`` skew of every fold).
+boundary, launch planes carry the ``r + c`` skew of every fold).  A
+one-fold layer stepped per cycle is the register-level golden model of a
+single fold; its budget overrun raises a structured ``CycleLimitError``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from repro.core.config import ArrayConfig
 from repro.gemm.params import GemmParams
 from repro.gemm.tiling import tile_gemm
 from repro.schemes import ComputeScheme as CS
-from repro.sim.arraysim import simulate_array
+from repro.sim.arraysim import CycleLimitError, simulate_array
 from repro.sim.dataflow import schedule_layer, schedule_tile
+from repro.unary.vectorized import hub_mac_row
 from repro.verify.oracles import compute_cycles_oracle, conv_oracle
 
 SCHEMES = st.sampled_from(
@@ -199,3 +202,81 @@ class TestValidation:
         x = np.zeros((2, 2, 1), dtype=np.int64)
         with pytest.raises(ValueError, match="integer"):
             simulate_array(params, config, w, x)
+
+    def test_rejects_mismatched_operand_shapes(self):
+        params = GemmParams(name="g", ih=2, iw=2, ic=1, wh=1, ww=1, oc=1, stride=1)
+        config = ArrayConfig(rows=1, cols=1, scheme=CS.BINARY_PARALLEL, bits=8)
+        w = np.zeros((1, 1, 1, 2), dtype=np.int64)  # ic=2, params say 1
+        x = np.zeros((2, 2, 1), dtype=np.int64)
+        with pytest.raises(ValueError, match="shape"):
+            simulate_array(params, config, w, x)
+
+
+def _one_fold(rows, cols, vectors, scheme, ebt=None, seed=0):
+    """A layer that is exactly one (rows x cols) fold, plus its operands.
+
+    1x1 kernels over ``rows`` input channels and ``cols`` filters, applied
+    to ``vectors`` pixels: the im2col matrix is the (vectors, rows) IFM and
+    the weight matrix the (rows, cols) fold.  Returns the simulate_array
+    arguments and the two matrices.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.integers(-100, 101, size=(rows, cols))
+    x = rng.integers(-100, 101, size=(vectors, rows))
+    params = GemmParams(
+        name="fold", ih=1, iw=vectors, ic=rows, wh=1, ww=1, oc=cols, stride=1
+    )
+    config = ArrayConfig(rows=rows, cols=cols, scheme=scheme, bits=8, ebt=ebt)
+    weight = w.T.reshape(cols, 1, 1, rows)
+    ifm = x.reshape(1, vectors, rows)
+    return (params, config, weight, ifm), w, x
+
+
+class TestOneFoldCycleStepping:
+    def test_unary_outputs_match_functional_array(self):
+        # The per-cycle stepper and the vectorised row kernel share PE
+        # arithmetic; their partial sums must agree product for product.
+        args, w, x = _one_fold(3, 3, 4, CS.USYSTOLIC_RATE, ebt=6, seed=3)
+        res = simulate_array(*args, granularity="cycle")
+        assert res.num_folds == 1
+        ref = np.zeros((4, 3))
+        for v in range(4):
+            for r in range(3):
+                ref[v] += hub_mac_row(int(x[v, r]), w[r], 8, ebt=6)
+        np.testing.assert_array_equal(res.psums, ref)
+
+
+class TestCycleLimit:
+    """Regression: budget overruns raise a structured error, not a bare one."""
+
+    def test_structured_error_carries_machine_state(self):
+        args, _, _ = _one_fold(3, 3, 8, CS.USYSTOLIC_RATE, ebt=6, seed=1)
+        with pytest.raises(CycleLimitError) as excinfo:
+            simulate_array(*args, granularity="cycle", max_cycles=10)
+        err = excinfo.value
+        assert err.max_cycles == 10
+        assert err.pending_macs > 0
+        assert err.cycle > err.max_cycles
+        assert "pending" in str(err)
+        assert str(err.pending_macs) in str(err)
+
+    def test_limit_error_is_a_runtime_error(self):
+        assert issubclass(CycleLimitError, RuntimeError)
+
+    def test_generous_budget_still_completes(self):
+        args, _, _ = _one_fold(2, 2, 2, CS.BINARY_PARALLEL, seed=2)
+        res = simulate_array(*args, granularity="cycle", max_cycles=1_000)
+        assert res.compute_cycles > 0
+
+    def test_arraysim_steppers_share_the_error(self):
+        params = GemmParams(name="lim", ih=4, iw=4, ic=2, wh=2, ww=2, oc=3, stride=1)
+        config = ArrayConfig(rows=2, cols=2, scheme=CS.USYSTOLIC_RATE, bits=8, ebt=4)
+        rng = np.random.default_rng(0)
+        w = rng.integers(-100, 101, size=(3, 2, 2, 2))
+        x = rng.integers(-100, 101, size=(4, 4, 2))
+        for granularity in ("wave", "cycle"):
+            with pytest.raises(CycleLimitError) as excinfo:
+                simulate_array(
+                    params, config, w, x, granularity=granularity, max_cycles=20
+                )
+            assert excinfo.value.pending_macs > 0

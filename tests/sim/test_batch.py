@@ -18,12 +18,8 @@ from repro.memory.hierarchy import MemoryConfig
 from repro.schemes import ComputeScheme as CS
 from repro.sim.batch import batched_matmul_params, batched_schedule
 from repro.sim.dataflow import schedule_layer
-from repro.sim.engine import (
-    simulate_layer,
-    simulate_layer_batched,
-    simulate_network_batched,
-)
-from repro.sim.traffic import profile_traffic, profile_traffic_batched
+from repro.sim.engine import simulate_layer, simulate_layer_batched
+from repro.sim.traffic import profile_traffic_batched
 from repro.workloads.alexnet import alexnet_layers
 
 ARRAYS = [
@@ -105,16 +101,6 @@ def test_batched_traffic_weight_paid_once():
     assert t8.ofm.dram_write == 8 * t1.ofm.dram_write
 
 
-def test_profile_traffic_delegates_to_batch1():
-    array = ARRAYS[0]
-    memory = MemoryConfig(sram_bytes_per_variable=64 * 1024)
-    params = _matmul()
-    tiling = tile_gemm(params, array.rows, array.cols)
-    plain = profile_traffic(params, tiling, array.bits, memory)
-    batched = profile_traffic_batched(params, tiling, array.bits, memory, batch=1)
-    assert plain.to_json() == batched.to_json()
-
-
 def test_warm_weights_skips_the_fill_with_sram():
     array = ARRAYS[0]
     memory = MemoryConfig(sram_bytes_per_variable=64 * 1024)
@@ -141,18 +127,6 @@ def test_warm_weights_meaningless_without_sram():
         params, array, memory, batch=2, warm_weights=True
     )
     assert warm.to_json() == cold.to_json()
-
-
-def test_simulate_network_batched_is_per_layer():
-    array = ARRAYS[0]
-    memory = MemoryConfig(sram_bytes_per_variable=64 * 1024)
-    layers = [_matmul("a"), _matmul("b", k=32, oc=20, n=2)]
-    network = simulate_network_batched(layers, array, memory, batch=4)
-    singles = [
-        simulate_layer_batched(layer, array, memory, batch=4)
-        for layer in layers
-    ]
-    assert [r.to_json() for r in network] == [r.to_json() for r in singles]
 
 
 def test_batched_matmul_params_rejects_conv_shapes():

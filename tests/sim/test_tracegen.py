@@ -8,7 +8,7 @@ from repro.gemm.tiling import tile_gemm
 from repro.memory.hierarchy import MemoryConfig
 from repro.schemes import ComputeScheme as CS
 from repro.sim.tracegen import bandwidth_histogram, generate_trace, trace_totals
-from repro.sim.traffic import profile_traffic
+from repro.sim.traffic import profile_traffic_batched
 
 PARAMS = GemmParams("c", ih=8, iw=8, ic=4, wh=3, ww=3, oc=8)
 CFG_BP = ArrayConfig(12, 14, CS.BINARY_PARALLEL)
@@ -22,7 +22,7 @@ class TestGenerateTrace:
         trace = generate_trace(PARAMS, CFG_BP)
         totals = trace_totals(trace)
         tiling = tile_gemm(PARAMS, 12, 14)
-        agg = profile_traffic(
+        agg = profile_traffic_batched(
             PARAMS, tiling, 8, MemoryConfig(sram_bytes_per_variable=None)
         )
         assert totals[("ifm", "read")] == agg.ifm.dram_read

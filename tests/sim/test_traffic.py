@@ -5,14 +5,15 @@ import pytest
 from repro.gemm.params import GemmParams
 from repro.gemm.tiling import tile_gemm
 from repro.memory.hierarchy import MemoryConfig
-from repro.sim.traffic import profile_traffic
+from repro.sim.traffic import profile_traffic_batched
 
 MEM_SRAM = MemoryConfig(sram_bytes_per_variable=64 * 1024)
 MEM_NONE = MemoryConfig(sram_bytes_per_variable=None)
 
 
 def _profile(params, memory, rows=12, cols=14, bits=8):
-    return profile_traffic(params, tile_gemm(params, rows, cols), bits, memory)
+    tiling = tile_gemm(params, rows, cols)
+    return profile_traffic_batched(params, tiling, bits, memory)
 
 
 class TestWithSram:

@@ -142,15 +142,11 @@ class TestEndToEndStory:
 
 class TestGoldenMultiFold:
     def test_golden_folds_compose_to_functional_gemm(self):
-        # Running every fold of a tiled GEMM through the register-level
-        # golden model and accumulating partial sums in binary must equal
-        # the functional array's output exactly (fold-invariance + shared
-        # arithmetic), and the per-fold last-MAC finishes must sum to the
-        # layer schedule.
-        from repro.gemm.im2col import im2col
-        from repro.gemm.tiling import tile_gemm
-        from repro.sim.cyclesim import simulate_fold
-        from repro.sim.dataflow import schedule_layer
+        # Stepping every fold of a tiled GEMM cycle by cycle and
+        # accumulating partial sums in binary must equal the functional
+        # array's output exactly (fold-invariance + shared arithmetic),
+        # and the stepped completion must equal the layer schedule.
+        from repro.sim.arraysim import simulate_array
 
         params = GemmParams("c", ih=6, iw=6, ic=2, wh=3, ww=3, oc=5)
         rng = np.random.default_rng(4)
@@ -158,28 +154,14 @@ class TestGoldenMultiFold:
         ifm = rng.integers(-100, 101, size=(6, 6, 2))
         config = ArrayConfig(4, 3, ComputeScheme.USYSTOLIC_RATE, bits=8, ebt=6)
 
-        cols_mat = im2col(params, ifm)
-        wmat = weight.reshape(5, params.window).T
+        res = simulate_array(params, config, weight, ifm, granularity="cycle")
         tiling = tile_gemm(params, 4, 3)
-        out = np.zeros((cols_mat.shape[0], 5))
-        finishes = 0
-        for tile in tiling:
-            rows = slice(tile.k_start, tile.k_start + tile.rows)
-            cs = slice(tile.c_start, tile.c_start + tile.cols)
-            res = simulate_fold(
-                wmat[rows, cs], cols_mat[:, rows], config.scheme,
-                bits=8, ebt=6,
-            )
-            out[:, cs] += res.psums
-            finishes += res.last_mac_finish
+        assert res.num_folds == tiling.num_tiles > 1
 
         functional = UsystolicArray(config).execute(params, weight, ifm)
-        np.testing.assert_array_equal(out.reshape(functional.shape), functional)
+        np.testing.assert_array_equal(
+            res.psums.reshape(functional.shape), functional
+        )
 
         sched = schedule_layer(tiling, config.mac_cycles)
-        # Per-fold totals include each fold's skew drain; the layer
-        # schedule overlaps all but the last drain with preloads.
-        per_fold_drains = sum(t.rows + t.cols - 2 for t in tiling)
-        last = tiling.tile(tiling.num_tiles - 1)
-        last_drain = last.rows + last.cols - 2
-        assert finishes - per_fold_drains + last_drain == sched.compute_cycles
+        assert res.compute_cycles == sched.compute_cycles

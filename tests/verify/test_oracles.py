@@ -24,7 +24,7 @@ from repro.schemes import (
 )
 from repro.sim.batch import batched_matmul_params
 from repro.sim.dataflow import schedule_layer
-from repro.sim.traffic import profile_traffic
+from repro.sim.traffic import profile_traffic_batched
 from repro.verify.oracles import (
     compute_cycles_oracle,
     conv_oracle,
@@ -182,7 +182,7 @@ class TestTrafficOracle:
         rows, cols = 4, 3
         memory = MemoryConfig(sram_bytes_per_variable=sram)
         tiling = tile_gemm(params, rows, cols)
-        profile = profile_traffic(params, tiling, bits, memory)
+        profile = profile_traffic_batched(params, tiling, bits, memory)
         oracle = traffic_oracle(params, rows, cols, bits, memory)
         for key, expected in oracle.items():
             variable, field = key.split(".", 1)
