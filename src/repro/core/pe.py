@@ -46,6 +46,19 @@ __all__ = [
 ]
 
 
+def _exact_planes(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Exact integer products of one fold as one broadcast outer product.
+
+    C order whatever the operands' layout: the stepped array sums the
+    plane row by row, which must read contiguous C-rows.
+    """
+    return np.multiply(
+        np.asarray(vectors, dtype=np.int64)[:, :, None],
+        np.asarray(weights, dtype=np.int64)[None, :, :],
+        order="C",
+    )
+
+
 class PeModel(abc.ABC):
     """A processing element: one signed multiply per ``mac_cycles`` cycles."""
 
@@ -122,10 +135,8 @@ class BinaryPe(PeModel):
     def fold_products(
         self, weights: np.ndarray, vectors: np.ndarray
     ) -> tuple[np.ndarray, float]:
-        """Exact binary planes: one broadcast outer product, scale 1."""
-        weights = np.asarray(weights, dtype=np.int64)
-        vectors = np.asarray(vectors, dtype=np.int64)
-        return (vectors[:, :, None] * weights[None, :, :]).astype(np.float64), 1.0
+        """Exact binary planes (:func:`_exact_planes`), scale 1."""
+        return _exact_planes(weights, vectors), 1.0
 
 
 class UsystolicPe(PeModel):
@@ -224,10 +235,8 @@ class ExactPe(PeModel):
     def fold_products(
         self, weights: np.ndarray, vectors: np.ndarray
     ) -> tuple[np.ndarray, float]:
-        """Exact planes: one broadcast outer product, scale 1."""
-        weights = np.asarray(weights, dtype=np.int64)
-        vectors = np.asarray(vectors, dtype=np.int64)
-        return (vectors[:, :, None] * weights[None, :, :]).astype(np.float64), 1.0
+        """Exact planes (:func:`_exact_planes`), scale 1."""
+        return _exact_planes(weights, vectors), 1.0
 
     def tile_psums(self, w_tile: np.ndarray, x_tile: np.ndarray) -> np.ndarray:
         """Exact fold: one matmul at integer scale."""

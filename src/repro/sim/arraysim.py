@@ -19,12 +19,15 @@ Two step granularities, differentially pinned against each other:
   the one-cycle column lag (the IDFF of Figure 7); a one-fold layer is
   the register-level golden model of a single fold.  O(cycles) — the
   truth source for small configs (the fuzzer's diet).
-- ``"wave"`` — one plane advance per admitted vector (``mac_cycles``
-  clock cycles at a time).  Between vector admissions every PE's state
-  evolution is rigid (``remaining`` decrements once per cycle, nothing
-  else moves), so the wave advance is exact, and the ``array`` diff
-  surface proves it cycle-identical on every fuzz case.  O(vectors) —
-  fast enough for a full AlexNet conv layer in seconds.
+- ``"wave"`` — each fold's plane state evaluated at vector-admission
+  boundaries in closed form.  Between admissions every PE's evolution is
+  rigid (``remaining`` decrements once per cycle, nothing else moves), so
+  one whole-plane step per fold gives the launch and finish planes, the
+  busy count, the column psums and, on a budget overrun, the cycle
+  stepper's :class:`CycleLimitError` state; the ``array`` diff surface
+  holds it to the cycle stepper on small cases.  Its cost is one pass
+  over each fold's product plane, so a full AlexNet conv layer steps
+  inside the test suite.
 
 Timing convention (shared with :mod:`repro.sim.dataflow`): fold ``f+1``'s
 weight preload begins the cycle PE(0, 0) retires fold ``f``'s last MAC, so
@@ -155,14 +158,18 @@ def _step_fold_wave(
     max_cycles: int,
     geometry: DataflowGeometry,
 ) -> _FoldRun:
-    """Advance one fold a vector-wave (``mac`` cycles) at a time.
+    """Evaluate one fold's plane state at vector-admission boundaries.
 
-    Plane state is identical to the cycle stepper at every wave boundary:
-    a wave admits vector ``v`` into every PE (launch skewed by the
-    geometry's row/column lags), burns its ``mac`` occupied cycles, and
-    lands the product plane into the column psum ripple (a cumulative sum
-    up the rows — the per-PE psum register contents as the partials pass
-    through).
+    PE(r, c) admits vector ``v`` at ``launch0[r, c] + v * mac`` and holds
+    it for ``mac`` cycles, so the whole fold is closed form: the bottom
+    row retires column sum ``(v, c)`` at ``launch0[rows - 1, c] +
+    (v + 1) * mac``, every PE is busy ``mac`` cycles per vector, and the
+    column psum is the product plane summed over the rows in ripple order.
+    The cycle stepper evolves the same state one clock at a time; the
+    ``array`` diff surface holds the two to each other plane for plane.
+    A budget overrun raises the cycle stepper's :class:`CycleLimitError`
+    state: it trips at the first cycle past ``max_cycles`` (or the fold's
+    first launch, if later) with the MACs not yet retired by then.
     """
     nvec, rows, cols = counts.shape
     preload = geometry.preload_cycles(rows, cols)
@@ -174,35 +181,26 @@ def _step_fold_wave(
         + geometry.row_lag * rplane
         + geometry.col_lag * _COLUMN_LAG * cplane
     )
-    working = np.full((rows, cols), -1, dtype=np.int64)
-    remaining = np.zeros((rows, cols), dtype=np.int64)
-    psum_cols = np.zeros((nvec, cols), dtype=counts.dtype)
-    finish = np.zeros((nvec, cols), dtype=np.int64)
-    bottom_launch = launch0[rows - 1, :]
-    busy = 0
-    for v in range(nvec):
-        if remaining.any():
-            raise RuntimeError("PE still occupied at vector admission")
-        if not (working == v - 1).all():
-            raise RuntimeError("PE re-entered an old vector")
-        working[:, :] = v
-        remaining[:, :] = mac
-        busy += mac * rows * cols
-        # The wave's ``mac`` cycles: remaining drains to zero and the
-        # product plane ripples up the columns into the psum register.
-        psum_plane = np.cumsum(counts[v], axis=0)
-        psum_cols[v, :] = psum_plane[rows - 1, :]
-        finish[v, :] = bottom_launch + v * mac + mac
-        remaining[:, :] = 0
-    last_finish = int(finish[nvec - 1, cols - 1])
-    if last_finish > max_cycles:
-        still_open = int((finish > max_cycles).sum()) * rows
-        raise CycleLimitError(last_finish, still_open, max_cycles)
+    waves = mac * np.arange(1, nvec + 1, dtype=np.int64)[:, None]
+    finish = launch0[rows - 1, :] + waves
+    last_finish = int(finish[nvec - 1].max())
+    if last_finish - 1 > max_cycles:
+        trip = max(max_cycles + 1, offset + preload)
+        retired = np.clip((trip - launch0 - mac) // mac + 1, 0, nvec)
+        raise CycleLimitError(
+            trip, rows * cols * nvec - int(retired.sum()), max_cycles
+        )
+    # Add the rows in ripple order, row 0 first, as the psum registers pass
+    # the partials down: float planes (scalar-walk PEs) need exactly this
+    # order to match the cycle stepper and the functional array bytewise.
+    psum_cols = counts[:, 0, :].copy()
+    for r in range(1, rows):
+        psum_cols += counts[:, r, :]
     return _FoldRun(
         psums=psum_cols.astype(np.float64) * scale,
         finish=finish,
         launch0=launch0,
-        busy=busy,
+        busy=mac * rows * cols * nvec,
         next_offset=int(launch0[0, 0]) + nvec * mac,
         last_mac_finish=last_finish,
     )

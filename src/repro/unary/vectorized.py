@@ -9,18 +9,25 @@ and one RNG sequence serve all C columns at once.
 
 :func:`hub_mac_row` is bit-identical to running :class:`~repro.unary.mac.
 HubMac` per element with default sequences (a property test asserts this).
-:func:`hub_mac_tile` lifts the same arithmetic to a whole weight-stationary
-fold at once: for a fixed ``(coding, ebt)`` the enabled-cycle hit count is
-a pure function of ``(imag, wmag)``, so a precomputed
-``2**mag_bits x 2**mag_bits`` count table replaces the per-cycle stream
-walk and the fold reduces to one gather + signed sum — still exact
-integers times one power-of-two scale, hence byte-identical.
+:func:`hub_mac_tile` and :func:`hub_product_counts` lift the same
+arithmetic to a whole weight-stationary fold at once.  For a fixed
+``(coding, ebt)`` the enabled-cycle hit count is a pure function of
+``(imag, wmag)``, so a precomputed count table replaces the per-cycle
+stream walk; folding the XOR sign in gives a square *signed* table over
+sign-magnitude codes (side ``2 * 2**mag_bits``).  The weights stay in
+place for the whole fold, so the kernels first gather a per-fold *row
+table* from it — for every row ``k``, the signed product count of every
+column for every signed IFM code — and the ``(V, K, C)`` product plane is
+then one gather of contiguous C-rows, indexed by each vector's IFM code,
+with no sign plane and no multiply.  Still exact integers times one
+power-of-two scale, hence byte-identical.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -108,12 +115,17 @@ def hub_mac_row(
     )
 
 
-#: Largest magnitude bitwidth the count table covers; 2**10 x 2**10 int64
-#: is 8 MiB — beyond that :func:`hub_mac_tile` falls back to the row path.
+#: Largest magnitude bitwidth the count tables cover; the signed table of
+#: side ``2**11`` is 32 MiB of int64 — beyond that :func:`hub_mac_tile`
+#: and :func:`hub_product_counts` fall back to the row path.
 _TABLE_MAX_MAG_BITS = 10
 
-#: Target elements per (v, K, C) gather chunk, bounding peak memory.
+#: Target elements per temporary (row table, gather block), bounding peak
+#: memory; the plane :func:`hub_product_counts` returns is not bounded.
 _TILE_CHUNK_ELEMS = 1 << 20
+
+#: One block of a fold's count plane: V, K and C slices and the counts.
+_Block = tuple[slice, slice, slice, np.ndarray]
 
 
 def _count_table(coding: Coding, mag_bits: int) -> np.ndarray:
@@ -122,13 +134,8 @@ def _count_table(coding: Coding, mag_bits: int) -> np.ndarray:
     Row ``imag`` replays exactly :func:`hub_mac_row`'s stream walk — the
     enable stream gates the C-BSG advance, and the hit count for every
     ``wmag`` at once is the cumulative histogram of the enabled RNG
-    values.  Built once per ``(coding, mag_bits)`` and LRU-cached.
+    values.
     """
-    cache = _seq_cache()
-    key = (f"table-{coding.value}", mag_bits)
-    if key in cache:
-        cache.move_to_end(key)
-        return cache[key]
     cycles = 1 << mag_bits
     stream_seq = _sequence(
         "sobol" if coding is Coding.RATE else "counter", mag_bits
@@ -143,28 +150,46 @@ def _count_table(coding: Coding, mag_bits: int) -> np.ndarray:
         hist = np.bincount(rvals, minlength=cycles)
         # hits at wmag w = #{enabled t : rvals[t] < w} = cumulative hist.
         table[imag, 1:] = np.cumsum(hist)[:-1]
-    cache[key] = table
-    while len(cache) > _SEQ_CACHE_MAX:
-        cache.popitem(last=False)
     return table
 
 
-def hub_mac_tile(
+def _signed_table(coding: Coding, mag_bits: int) -> np.ndarray:
+    """``S[xcode, wcode]`` = signed hit count over sign-magnitude codes.
+
+    A code is ``magnitude + 2**mag_bits * sign``, so the table is four
+    copies of :func:`_count_table` with the XOR sign folded in.  Built
+    once per ``(coding, mag_bits)`` and LRU-cached.
+    """
+    cache = _seq_cache()
+    key = (f"signed-{coding.value}", mag_bits)
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    table = _count_table(coding, mag_bits)
+    signed = np.block([[table, -table], [-table, table]])
+    cache[key] = signed
+    while len(cache) > _SEQ_CACHE_MAX:
+        cache.popitem(last=False)
+    return signed
+
+
+def _signed_codes(values: np.ndarray, shift: int, mag_bits: int) -> np.ndarray:
+    """Sign-magnitude codes ``magnitude + 2**mag_bits * sign`` of operands."""
+    return (np.abs(values) >> shift) + np.where(values < 0, 1 << mag_bits, 0)
+
+
+def _fold_counts(
     w_tile: np.ndarray,
     x_tile: np.ndarray,
     bits: int,
-    ebt: int | None = None,
-    coding: Coding = Coding.RATE,
-) -> np.ndarray:
-    """Partial sums of one weight-stationary fold: ``(V, K) x (K, C)``.
+    ebt: int | None,
+    coding: Coding,
+) -> tuple[tuple[int, int, int], float, Iterator[_Block]]:
+    """Check one fold's operands; return its plane shape, scale and blocks.
 
-    Bit-identical to accumulating :func:`hub_mac_row` (and therefore
-    :class:`~repro.unary.mac.HubMac`) over the K rows — every product is
-    an exact integer count times the one power-of-two restore scale, and
-    K-fold integer sums stay far inside float64's ``2**53`` window, so
-    summing counts first and scaling once reproduces the float
-    accumulation byte for byte (``repro.verify`` diffs both against the
-    scalar model).
+    The operand checks run here, at the call; the blocks
+    ``(vs, ks, cs, counts[vs, ks, cs])`` of the signed ``(V, K, C)`` count
+    plane are produced lazily by :func:`_count_blocks`.
     """
     if ebt is None:
         ebt = bits
@@ -184,35 +209,86 @@ def hub_mac_tile(
         or np.abs(x_tile).max(initial=0) >= limit
     ):
         raise ValueError(f"operands must be {bits}-bit sign-magnitude values")
+    shape = (x_tile.shape[0], x_tile.shape[1], w_tile.shape[1])
+    scale = float((1 << (bits - ebt)) * (1 << (bits - 1)))
+    return shape, scale, _count_blocks(w_tile, x_tile, bits, ebt, coding)
 
-    mag_bits = ebt - 1
-    if mag_bits > _TABLE_MAX_MAG_BITS:
-        out = np.zeros((x_tile.shape[0], w_tile.shape[1]), dtype=np.float64)
-        for vec in range(x_tile.shape[0]):
-            for r in range(w_tile.shape[0]):
-                out[vec] += hub_mac_row(
-                    int(x_tile[vec, r]), w_tile[r], bits, ebt=ebt, coding=coding
-                )
-        return out
 
-    shift = (bits - 1) - mag_bits
-    table = _count_table(coding, mag_bits)
-    imag = np.abs(x_tile) >> shift  # (V, K)
-    isign = x_tile < 0
-    wmag = np.abs(w_tile) >> shift  # (K, C)
-    wsign = w_tile < 0
+def _count_blocks(
+    w_tile: np.ndarray,
+    x_tile: np.ndarray,
+    bits: int,
+    ebt: int,
+    coding: Coding,
+) -> Iterator[_Block]:
+    """Yield ``(vs, ks, cs, counts[vs, ks, cs])`` blocks of a checked fold.
+
+    Each block of K rows and C columns first gets its row table
+    ``rows[xcode, k, c]``: row ``k``'s signed product count in column
+    ``c`` for IFM code ``xcode``.  A block of the plane is then one gather
+    of contiguous C-rows, ``rows[xcode[v, k], k]``.  Row table and gather
+    block each stay within ``_TILE_CHUNK_ELEMS`` elements (a whole 256x256
+    UT row table would be 134 MB).
+    """
     n_v, n_k = x_tile.shape
     n_c = w_tile.shape[1]
-    out = np.zeros((n_v, n_c), dtype=np.int64)
-    step = max(1, _TILE_CHUNK_ELEMS // max(1, n_k * n_c))
-    for start in range(0, n_v, step):
-        sl = slice(start, start + step)
-        counts = table[imag[sl, :, None], wmag[None, :, :]]  # (v, K, C)
-        signs = np.where(isign[sl, :, None] ^ wsign[None, :, :], -1, 1)
-        out[sl] = (signs * counts).sum(axis=1)
-    return out.astype(np.float64) * float(
-        (1 << (bits - ebt)) * (1 << (bits - 1))
-    )
+    mag_bits = ebt - 1
+    if mag_bits > _TABLE_MAX_MAG_BITS:
+        restore = (1 << (bits - ebt)) * (1 << (bits - 1))
+        for vec in range(n_v):
+            block = np.empty((1, n_k, n_c), dtype=np.int64)
+            for r in range(n_k):
+                row = hub_mac_row(
+                    int(x_tile[vec, r]), w_tile[r], bits, ebt=ebt, coding=coding
+                )
+                block[0, r] = np.round(row / restore).astype(np.int64)
+            yield slice(vec, vec + 1), slice(0, n_k), slice(0, n_c), block
+        return
+
+    shift = (bits - 1) - mag_bits
+    signed = _signed_table(coding, mag_bits)
+    side = signed.shape[0]
+    xcode = _signed_codes(x_tile, shift, mag_bits)  # (V, K)
+    wcode = _signed_codes(w_tile, shift, mag_bits)  # (K, C)
+    c_step = max(1, min(n_c, _TILE_CHUNK_ELEMS // side))
+    k_step = max(1, _TILE_CHUNK_ELEMS // (side * c_step))
+    for c0 in range(0, n_c, c_step):
+        cs = slice(c0, c0 + c_step)
+        for k0 in range(0, n_k, k_step):
+            ks = slice(k0, k0 + k_step)
+            rows = signed.take(wcode[ks, cs], axis=1)  # (side, k, c)
+            _, n_kb, n_cb = rows.shape
+            flat = rows.reshape(side * n_kb, n_cb)
+            k_index = np.arange(n_kb)
+            v_step = max(1, _TILE_CHUNK_ELEMS // (n_kb * n_cb))
+            for v0 in range(0, n_v, v_step):
+                vs = slice(v0, v0 + v_step)
+                index = xcode[vs, ks] * n_kb + k_index
+                yield vs, ks, cs, flat.take(index, axis=0)
+
+
+def hub_mac_tile(
+    w_tile: np.ndarray,
+    x_tile: np.ndarray,
+    bits: int,
+    ebt: int | None = None,
+    coding: Coding = Coding.RATE,
+) -> np.ndarray:
+    """Partial sums of one weight-stationary fold: ``(V, K) x (K, C)``.
+
+    Bit-identical to accumulating :func:`hub_mac_row` (and therefore
+    :class:`~repro.unary.mac.HubMac`) over the K rows — every product is
+    an exact integer count times the one power-of-two restore scale, and
+    K-fold integer sums stay far inside float64's ``2**53`` window, so
+    summing counts first and scaling once reproduces the float
+    accumulation byte for byte (``repro.verify`` diffs both against the
+    scalar model).
+    """
+    shape, scale, blocks = _fold_counts(w_tile, x_tile, bits, ebt, coding)
+    out = np.zeros((shape[0], shape[2]), dtype=np.int64)
+    for vs, _, cs, counts in blocks:
+        out[vs, cs] += counts.sum(axis=1)
+    return out.astype(np.float64) * scale
 
 
 def hub_product_counts(
@@ -233,53 +309,10 @@ def hub_product_counts(
     co-simulator (:mod:`repro.sim.arraysim`) lands one element of per PE
     per MAC completion.
     """
-    if ebt is None:
-        ebt = bits
-    if not 2 <= ebt <= bits:
-        raise ValueError(f"ebt must be in [2, {bits}], got {ebt}")
-    if ebt != bits and coding is Coding.TEMPORAL:
-        raise ValueError("temporal coding admits no early termination")
-    w_tile = np.asarray(w_tile, dtype=np.int64)
-    x_tile = np.asarray(x_tile, dtype=np.int64)
-    if w_tile.ndim != 2 or x_tile.ndim != 2 or w_tile.shape[0] != x_tile.shape[1]:
-        raise ValueError(
-            f"incompatible tile shapes {x_tile.shape} x {w_tile.shape}"
-        )
-    limit = 1 << (bits - 1)
-    if (
-        np.abs(w_tile).max(initial=0) >= limit
-        or np.abs(x_tile).max(initial=0) >= limit
-    ):
-        raise ValueError(f"operands must be {bits}-bit sign-magnitude values")
-
-    mag_bits = ebt - 1
-    scale = float((1 << (bits - ebt)) * (1 << (bits - 1)))
-    if mag_bits > _TABLE_MAX_MAG_BITS:
-        out_f = np.zeros(
-            (x_tile.shape[0], w_tile.shape[0], w_tile.shape[1]), dtype=np.int64
-        )
-        restore = int(scale)
-        for vec in range(x_tile.shape[0]):
-            for r in range(w_tile.shape[0]):
-                row = hub_mac_row(
-                    int(x_tile[vec, r]), w_tile[r], bits, ebt=ebt, coding=coding
-                )
-                out_f[vec, r] = np.round(row / restore).astype(np.int64)
-        return out_f, scale
-
-    shift = (bits - 1) - mag_bits
-    table = _count_table(coding, mag_bits)
-    imag = np.abs(x_tile) >> shift  # (V, K)
-    isign = x_tile < 0
-    wmag = np.abs(w_tile) >> shift  # (K, C)
-    wsign = w_tile < 0
-    n_v, n_k = x_tile.shape
-    n_c = w_tile.shape[1]
-    out = np.empty((n_v, n_k, n_c), dtype=np.int64)
-    step = max(1, _TILE_CHUNK_ELEMS // max(1, n_k * n_c))
-    for start in range(0, n_v, step):
-        sl = slice(start, start + step)
-        counts = table[imag[sl, :, None], wmag[None, :, :]]  # (v, K, C)
-        signs = np.where(isign[sl, :, None] ^ wsign[None, :, :], -1, 1)
-        out[sl] = signs * counts
+    shape, scale, blocks = _fold_counts(w_tile, x_tile, bits, ebt, coding)
+    out = np.empty(shape, dtype=np.int64)
+    for vs, ks, cs, counts in blocks:
+        if counts.shape == shape:
+            return counts, scale  # one block is the whole plane: no copy
+        out[vs, ks, cs] = counts
     return out, scale

@@ -75,7 +75,7 @@ _MAX_ELEMENT_MISMATCHES = 8
 
 #: Analytic-cycle budget under which the array diff also runs the exact
 #: per-clock-cycle stepper and holds the wave stepper to it; above it
-#: only the O(vectors) wave granularity runs (still diffed against the
+#: only the closed-form wave granularity runs (still diffed against the
 #: schedule, trace and functional array).
 _CYCLE_STEP_GUARD = 50_000
 

@@ -8,7 +8,8 @@ single-fold skew/drain invariants of ``test_skew_invariants.py`` must
 extend to multi-fold runs (fold starts chain through the drain-overlap
 boundary, launch planes carry the ``r + c`` skew of every fold).  A
 one-fold layer stepped per cycle is the register-level golden model of a
-single fold; its budget overrun raises a structured ``CycleLimitError``.
+single fold; its budget overrun raises a structured ``CycleLimitError``,
+and the wave stepper raises the same one (equal cycle and pending MACs).
 """
 
 from __future__ import annotations
@@ -28,13 +29,26 @@ from repro.sim.dataflow import schedule_layer, schedule_tile
 from repro.unary.vectorized import hub_mac_row
 from repro.verify.oracles import compute_cycles_oracle, conv_oracle
 
-SCHEMES = st.sampled_from(
-    [
-        (CS.BINARY_PARALLEL, 8, None),
-        (CS.BINARY_SERIAL, 6, None),
-        (CS.USYSTOLIC_RATE, 4, 3),
-        (CS.USYSTOLIC_RATE, 5, None),
-        (CS.USYSTOLIC_TEMPORAL, 3, None),
+_SKEWED = [
+    (CS.BINARY_PARALLEL, 8, None),
+    (CS.BINARY_SERIAL, 6, None),
+    (CS.USYSTOLIC_RATE, 4, 3),
+    (CS.USYSTOLIC_RATE, 5, None),
+    (CS.USYSTOLIC_TEMPORAL, 3, None),
+]
+
+#: The skewed weight-stationary schemes (``r + c`` launch skew).
+SCHEMES = st.sampled_from(_SKEWED)
+
+#: Plus DiP (zero row and column lag), tuGEMM (exact integer planes at a
+#: temporal latency) and uGEMM-H (float planes from the scalar PE walk,
+#: so the wave ripple's float summation order is exercised).
+ALL_SCHEMES = st.sampled_from(
+    _SKEWED
+    + [
+        (CS.DIP_PARALLEL, 8, None),
+        (CS.TUGEMM_TEMPORAL, 4, None),
+        (CS.UGEMM_RATE, 4, 3),
     ]
 )
 
@@ -74,14 +88,18 @@ def stepped_cases(draw, schemes=SCHEMES):
 
 
 class TestSteppedMatchesAnalytic:
-    @given(case=stepped_cases())
+    @given(case=stepped_cases(schemes=ALL_SCHEMES))
     @settings(max_examples=30, deadline=None)
     def test_cycles_busy_and_psums_match_oracles(self, case):
         params, config, weight, ifm = case
         tiling = tile_gemm(params, config.rows, config.cols)
-        sched = schedule_layer(tiling, config.mac_cycles)
+        sched = schedule_layer(tiling, config.mac_cycles, config.geometry)
         oracle = compute_cycles_oracle(
-            params, config.rows, config.cols, config.mac_cycles
+            params,
+            config.rows,
+            config.cols,
+            config.mac_cycles,
+            skewed=config.geometry.has_skew,
         )
         ref = UsystolicArray(config).execute(params, weight, ifm)
         ref = ref.reshape(-1, params.oc)
@@ -106,7 +124,7 @@ class TestSteppedMatchesAnalytic:
 
 
 class TestGranularitiesAgree:
-    @given(case=stepped_cases())
+    @given(case=stepped_cases(schemes=ALL_SCHEMES))
     @settings(max_examples=25, deadline=None)
     def test_wave_equals_cycle_plane_for_plane(self, case):
         params, config, weight, ifm = case
@@ -128,6 +146,8 @@ class TestGranularitiesAgree:
 
 
 class TestMultiFoldSkewAndDrain:
+    # Skewed schemes only: the launch planes asserted below carry the
+    # ``r + c`` skew, which DiP does not have.
     @given(case=stepped_cases())
     @settings(max_examples=25, deadline=None)
     def test_fold_boundaries_chain_through_drain_overlap(self, case):
@@ -269,14 +289,52 @@ class TestCycleLimit:
         assert res.compute_cycles > 0
 
     def test_arraysim_steppers_share_the_error(self):
-        params = GemmParams(name="lim", ih=4, iw=4, ic=2, wh=2, ww=2, oc=3, stride=1)
-        config = ArrayConfig(rows=2, cols=2, scheme=CS.USYSTOLIC_RATE, bits=8, ebt=4)
-        rng = np.random.default_rng(0)
-        w = rng.integers(-100, 101, size=(3, 2, 2, 2))
-        x = rng.integers(-100, 101, size=(4, 4, 2))
+        params, config, w, x = _limit_layer(CS.USYSTOLIC_RATE, ebt=4)
         for granularity in ("wave", "cycle"):
             with pytest.raises(CycleLimitError) as excinfo:
                 simulate_array(
                     params, config, w, x, granularity=granularity, max_cycles=20
                 )
             assert excinfo.value.pending_macs > 0
+
+    @pytest.mark.parametrize(
+        "scheme,ebt,last_macs",
+        [(CS.USYSTOLIC_RATE, 4, 1), (CS.DIP_PARALLEL, None, 2)],
+        ids=["lim-UR", "lim-DP"],
+    )
+    def test_steppers_trip_at_the_same_state(self, scheme, ebt, last_macs):
+        # Regression: the wave stepper used to compare the fold's exclusive
+        # end to the budget, report that end as the trip cycle and count
+        # whole unfinished columns as pending; the cycle stepper trips at
+        # the first cycle past the budget with the MACs not yet retired.
+        args = _limit_layer(scheme, ebt=ebt)
+        total = simulate_array(*args, granularity="cycle").compute_cycles
+        for budget in (20, total // 2, total - 2, total - 1, total):
+            outcome = {}
+            for granularity in ("wave", "cycle"):
+                try:
+                    res = simulate_array(
+                        *args, granularity=granularity, max_cycles=budget
+                    )
+                    outcome[granularity] = ("done", res.compute_cycles)
+                except CycleLimitError as err:
+                    assert err.max_cycles == budget
+                    outcome[granularity] = ("limit", err.cycle, err.pending_macs)
+            assert outcome["wave"] == outcome["cycle"], budget
+        # The last MACs retire in cycle ``total - 1``: one cycle short
+        # leaves exactly those pending (one under the skew; DiP's last
+        # 2x1 fold retires both PEs together).
+        with pytest.raises(CycleLimitError) as excinfo:
+            simulate_array(*args, granularity="wave", max_cycles=total - 2)
+        err = excinfo.value
+        assert (err.cycle, err.pending_macs) == (total - 1, last_macs)
+
+
+def _limit_layer(scheme, ebt=None):
+    """The ``lim`` layer: four folds of 2x2 on a 2x2 array, 9 vectors."""
+    params = GemmParams(name="lim", ih=4, iw=4, ic=2, wh=2, ww=2, oc=3, stride=1)
+    config = ArrayConfig(rows=2, cols=2, scheme=scheme, bits=8, ebt=ebt)
+    rng = np.random.default_rng(0)
+    w = rng.integers(-100, 101, size=(3, 2, 2, 2))
+    x = rng.integers(-100, 101, size=(4, 4, 2))
+    return params, config, w, x

@@ -1,13 +1,16 @@
-"""The vectorised row kernel and its bounded thread-local sequence cache.
+"""The vectorised HUB kernels and their bounded thread-local cache.
 
-Scalar equivalence lives in the differential suite (``tests/verify``);
-this file pins the cache contract: per-thread isolation, LRU bound, and
-bit-identical results under concurrent mixed-width hammering.
+Scalar equivalence of whole layers lives in the differential suite
+(``tests/verify``); this file pins the cache contract (per-thread
+isolation, LRU bound, bit-identical results under concurrent mixed-width
+hammering) and each fold kernel against the scalar ``HubMac``, its row
+path fallback, its chunking and its peak memory.
 """
 
 from __future__ import annotations
 
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,6 +24,7 @@ from repro.unary.vectorized import (
     _seq_cache,
     hub_mac_row,
     hub_mac_tile,
+    hub_product_counts,
 )
 
 
@@ -142,17 +146,21 @@ def _random_tiles(bits, v, k, c, seed=11):
     return w_tile, x_tile
 
 
+#: The (bits, EBT, coding) grid both fold kernels are held to.
+_FOLD_GRID = pytest.mark.parametrize(
+    "bits,ebt,coding",
+    [
+        (8, None, Coding.RATE),
+        (8, 6, Coding.RATE),
+        (8, 4, Coding.RATE),
+        (6, None, Coding.TEMPORAL),
+        (4, 2, Coding.RATE),
+    ],
+)
+
+
 class TestTileEquivalence:
-    @pytest.mark.parametrize(
-        "bits,ebt,coding",
-        [
-            (8, None, Coding.RATE),
-            (8, 6, Coding.RATE),
-            (8, 4, Coding.RATE),
-            (6, None, Coding.TEMPORAL),
-            (4, 2, Coding.RATE),
-        ],
-    )
+    @_FOLD_GRID
     def test_matches_row_accumulation(self, bits, ebt, coding):
         w_tile, x_tile = _random_tiles(bits, v=5, k=4, c=3)
         tile = hub_mac_tile(w_tile, x_tile, bits, ebt=ebt, coding=coding)
@@ -218,3 +226,84 @@ class TestTileEquivalence:
             hub_mac_tile(w_tile, x_tile, 8, ebt=4, coding=Coding.TEMPORAL)
         with pytest.raises(ValueError, match="sign-magnitude"):
             hub_mac_tile(w_tile, x_tile, 4)
+
+
+class TestProductCounts:
+    @_FOLD_GRID
+    def test_each_count_is_the_scalar_hubmac_product(self, bits, ebt, coding):
+        w_tile, x_tile = _random_tiles(bits, v=5, k=4, c=3, seed=17)
+        counts, scale = hub_product_counts(
+            w_tile, x_tile, bits, ebt=ebt, coding=coding
+        )
+        assert counts.dtype == np.int64
+        assert counts.shape == (5, 4, 3)
+        mac = HubMac(bits, ebt=ebt, coding=coding)
+        restore = 1 << (bits - 1)
+        for v in range(5):
+            for r in range(4):
+                for c in range(3):
+                    product = mac.multiply(int(w_tile[r, c]), int(x_tile[v, r]))
+                    assert counts[v, r, c] * scale == product.product * restore
+
+    @_FOLD_GRID
+    def test_k_sum_is_hub_mac_tile_byte_for_byte(self, bits, ebt, coding):
+        w_tile, x_tile = _random_tiles(bits, v=7, k=5, c=4, seed=29)
+        counts, scale = hub_product_counts(
+            w_tile, x_tile, bits, ebt=ebt, coding=coding
+        )
+        tile = hub_mac_tile(w_tile, x_tile, bits, ebt=ebt, coding=coding)
+        assert (counts.sum(axis=1) * scale).tobytes() == tile.tobytes()
+
+    @_FOLD_GRID
+    def test_wide_magnitudes_fall_back_to_row_path(
+        self, bits, ebt, coding, monkeypatch
+    ):
+        w_tile, x_tile = _random_tiles(bits, v=3, k=3, c=2, seed=31)
+        table = hub_product_counts(w_tile, x_tile, bits, ebt=ebt, coding=coding)
+        # Every grid width is at least one magnitude bit: all fall back.
+        monkeypatch.setattr(vectorized, "_TABLE_MAX_MAG_BITS", 0)
+        rows = hub_product_counts(w_tile, x_tile, bits, ebt=ebt, coding=coding)
+        assert rows[0].dtype == np.int64
+        assert np.array_equal(rows[0], table[0])
+        assert rows[1] == table[1]
+
+    @_FOLD_GRID
+    def test_chunked_gather_is_identical(self, bits, ebt, coding, monkeypatch):
+        w_tile, x_tile = _random_tiles(bits, v=9, k=6, c=5, seed=37)
+        whole = hub_product_counts(w_tile, x_tile, bits, ebt=ebt, coding=coding)
+        tile = hub_mac_tile(w_tile, x_tile, bits, ebt=ebt, coding=coding)
+        # Smaller than one row-table column: every axis is chunked.
+        monkeypatch.setattr(vectorized, "_TILE_CHUNK_ELEMS", 2)
+        chunked = hub_product_counts(
+            w_tile, x_tile, bits, ebt=ebt, coding=coding
+        )
+        assert np.array_equal(chunked[0], whole[0])
+        assert chunked[1] == whole[1]
+        chunked_tile = hub_mac_tile(w_tile, x_tile, bits, ebt=ebt, coding=coding)
+        assert chunked_tile.tobytes() == tile.tobytes()
+
+    def test_validation(self):
+        w_tile, x_tile = _random_tiles(8, v=2, k=3, c=2)
+        with pytest.raises(ValueError, match="incompatible tile shapes"):
+            hub_product_counts(w_tile, x_tile[:, :2], 8)
+        with pytest.raises(ValueError, match="ebt must be in"):
+            hub_product_counts(w_tile, x_tile, 8, ebt=1)
+        with pytest.raises(ValueError, match="no early termination"):
+            hub_product_counts(w_tile, x_tile, 8, ebt=4, coding=Coding.TEMPORAL)
+        with pytest.raises(ValueError, match="sign-magnitude"):
+            hub_product_counts(w_tile, x_tile, 4)
+
+
+def test_full_array_fold_stays_within_the_chunk_budget():
+    # A 256x256 UT fold: built whole, its row table alone would be
+    # 256 codes x 256 x 256 int64 = 128 MiB.
+    w_tile, x_tile = _random_tiles(8, v=4, k=256, c=256, seed=41)
+    # Build the cached signed table first; the guard is on the temporaries.
+    hub_mac_tile(w_tile[:1, :1], x_tile[:, :1], 8, coding=Coding.TEMPORAL)
+    tracemalloc.start()
+    try:
+        hub_mac_tile(w_tile, x_tile, 8, coding=Coding.TEMPORAL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024 * 1024

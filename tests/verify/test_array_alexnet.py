@@ -5,7 +5,7 @@ is the paper's headline workload geometry: 36 folds, ~105M MACs.  The
 ``array`` diff surface must prove analytic schedule ≡ event trace ≡
 stepped array on it for all three scheme families — bit-parallel binary,
 HUB-rate and HUB-temporal — and stay fast enough to live in the test
-suite (the wave-granularity stepper is O(vectors), not O(cycles)).
+suite (the wave-granularity stepper is closed form per fold, not O(cycles)).
 """
 
 from __future__ import annotations
