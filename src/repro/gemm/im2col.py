@@ -11,7 +11,20 @@ import numpy as np
 
 from .params import GemmParams
 
-__all__ = ["im2col", "col2im_output"]
+__all__ = ["im2col", "im2col_windows", "col2im_output"]
+
+
+def im2col_windows(x: np.ndarray, wh: int, ww: int, stride: int) -> np.ndarray:
+    """Gather every window of ``(..., H, W, C)`` into ``(..., OH, OW, WH*WW*C)``.
+
+    Any leading (batch) axes pass through.  Element k of a window row is
+    ordered as the (wh, ww, ic) loop nest of Algorithm 1; the result is a
+    fresh C-contiguous copy of a strided window view.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(x, (wh, ww), axis=(-3, -2))
+    # (..., H', W', C, WH, WW) -> strided positions, then (..., WH, WW, C).
+    windows = np.moveaxis(windows[..., ::stride, ::stride, :, :, :], -3, -1)
+    return windows.copy().reshape(*windows.shape[:-3], -1)
 
 
 def im2col(params: GemmParams, ifm: np.ndarray) -> np.ndarray:
@@ -25,17 +38,8 @@ def im2col(params: GemmParams, ifm: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"IFM shape {ifm.shape} != ({params.ih}, {params.iw}, {params.ic})"
         )
-    s = params.stride
-    rows = np.empty((params.oh * params.ow, params.window), dtype=ifm.dtype)
-    r = 0
-    for oh in range(params.oh):
-        for ow in range(params.ow):
-            window = ifm[
-                oh * s : oh * s + params.wh, ow * s : ow * s + params.ww, :
-            ]
-            rows[r] = window.reshape(-1)
-            r += 1
-    return rows
+    rows = im2col_windows(ifm, params.wh, params.ww, params.stride)
+    return rows.reshape(params.oh * params.ow, params.window)
 
 
 def col2im_output(params: GemmParams, out_mat: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from .quant import (
     gemm_usystolic,
     quantize_symmetric,
     quantized_gemm,
-    usystolic_count_table,
 )
 from .training import TrainResult, evaluate_fp32, softmax_cross_entropy, train
 
@@ -73,7 +72,6 @@ __all__ = [
     "gemm_usystolic",
     "quantize_symmetric",
     "quantized_gemm",
-    "usystolic_count_table",
     "TrainResult",
     "evaluate_fp32",
     "softmax_cross_entropy",

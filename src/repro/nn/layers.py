@@ -17,6 +17,7 @@ import abc
 
 import numpy as np
 
+from ..gemm.im2col import im2col_windows
 from .quant import QuantMode, QuantSpec, quantized_gemm
 
 __all__ = [
@@ -56,19 +57,6 @@ class Layer(abc.ABC):
         return self.forward(x, spec)
 
 
-def _im2col_batch(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(B, H, W, C) -> (B, OH, OW, KH*KW*C) patch matrix."""
-    b, h, w, c = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    out = np.empty((b, oh, ow, kh * kw * c), dtype=x.dtype)
-    for i in range(oh):
-        for j in range(ow):
-            patch = x[:, i * stride : i * stride + kh, j * stride : j * stride + kw, :]
-            out[:, i, j, :] = patch.reshape(b, -1)
-    return out
-
-
 class Conv2d(Layer):
     """Valid-padding convolution lowered to GEMM (pad inputs upstream)."""
 
@@ -101,7 +89,7 @@ class Conv2d(Layer):
                 x, ((0, 0), (self.pad, self.pad), (self.pad, self.pad), (0, 0))
             )
         self._x_shape = x.shape
-        cols = _im2col_batch(x, self.kernel, self.kernel, self.stride)
+        cols = im2col_windows(x, self.kernel, self.kernel, self.stride)
         b, oh, ow, k = cols.shape
         self._cols = cols.reshape(b * oh * ow, k)
         out = quantized_gemm(self._cols, self.weight, spec) + self.bias

@@ -11,24 +11,26 @@ Four computing schemes are compared, exactly as Section V-A defines them:
   early-terminated to EBT n, binary accumulation, n-bit products restored
   by the output shifter.
 
-The uSystolic backend here is *bit-exact* with the scalar kernel yet fully
-vectorised.  With Sobol C-BSG the product count is the closed form
-``count(a, b) = #{k < a : S_k < b}`` (the number of the first ``a`` Sobol
-values below ``b``), so a precomputed (2^m+1) x (2^m+1) table turns a whole
-GEMM into two gathers and a sum.  Rate and temporal coding produce the
-same counts (the enable-conditioned RNG sees the same index sequence),
-matching the paper's note that their accuracies coincide.
+The uSystolic backend quantises both operands and runs the whole GEMM as
+one weight-stationary fold of the array's own bit-true kernel,
+:func:`repro.unary.vectorized.hub_mac_tile`.  Its one count table is the
+closed form ``count(a, b) = #{k < a : S_k < b}`` (the number of the first
+``a`` Sobol values below ``b``), held in int8 or int16 and covering up to
+11 magnitude bits, so every EBT of Figure 9 (6..12) is a gather and a sum.
+Rate and temporal coding draw the same Sobol values (the
+enable-conditioned RNG sees the same index sequence), so they produce the
+same counts, matching the paper's note that their accuracies coincide.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 
 import numpy as np
 
-from ..unary.rng import sobol_sequence
+from ..contracts import require
+from ..unary.vectorized import hub_mac_tile
 
 __all__ = [
     "QuantMode",
@@ -38,7 +40,6 @@ __all__ = [
     "gemm_fxp",
     "gemm_usystolic",
     "quantized_gemm",
-    "usystolic_count_table",
 ]
 
 
@@ -61,6 +62,15 @@ class QuantSpec:
 
     mode: QuantMode
     ebt: int = 8
+
+    def __post_init__(self) -> None:
+        # FXP-o-res splits n between the operands, and each needs 2 bits.
+        require(
+            self.mode is not QuantMode.FXP_O_RES or self.ebt >= 4,
+            "QuantSpec",
+            "ebt",
+            f"FXP-o-res needs n >= 4 (two bits per operand), got {self.ebt}",
+        )
 
     @property
     def label(self) -> str:
@@ -90,24 +100,6 @@ def quantize_symmetric(x: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
     return ints, scale
 
 
-@functools.lru_cache(maxsize=None)
-def usystolic_count_table(mag_bits: int) -> np.ndarray:
-    """Exact uMUL count table: ``T[a, b] = #{k < a : S_k < b}``.
-
-    ``S`` is the Sobol sequence both the IFM stream generator and the
-    C-BSG weight RNG draw from.  Bit-identical to the scalar HUB kernel.
-    """
-    if mag_bits < 1:
-        raise ValueError(f"mag_bits must be >= 1, got {mag_bits}")
-    period = 1 << mag_bits
-    s = sobol_sequence(mag_bits, period)
-    # indicator[k, b] = 1 if S_k < b, for b in 0..period.
-    indicator = (s[:, None] < np.arange(period + 1)[None, :]).astype(np.int64)
-    table = np.zeros((period + 1, period + 1), dtype=np.int64)
-    table[1:] = np.cumsum(indicator, axis=0)
-    return table
-
-
 def gemm_fp32(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Reference float GEMM: (V, K) @ (K, OC)."""
     return x.astype(np.float64) @ w.astype(np.float64)
@@ -130,23 +122,9 @@ def gemm_usystolic(
     Every product runs the HUB kernel at ``bits`` input resolution with
     EBT ``ebt``; accumulation across K is exact binary addition.
     """
-    if ebt is None:
-        ebt = bits
-    if not 2 <= ebt <= bits:
-        raise ValueError(f"ebt must be in [2, {bits}], got {ebt}")
     xi, sx = quantize_symmetric(x, bits)
     wi, sw = quantize_symmetric(w, bits)
-    shift = bits - ebt
-    mag_bits = ebt - 1
-    table = usystolic_count_table(mag_bits)
-    m_x = (np.abs(xi) >> shift).astype(np.int64)  # (V, K)
-    m_w = (np.abs(wi) >> shift).astype(np.int64)  # (K, OC)
-    sign = np.sign(xi)[:, :, None] * np.sign(wi)[None, :, :]  # (V, K, OC)
-    counts = table[m_x[:, :, None], m_w[None, :, :]]  # (V, K, OC)
-    # count -> n-bit product -> N-bit scale -> integer product scale.
-    prod_scale = float((1 << shift) * (1 << (bits - 1)))
-    acc = (sign * counts).sum(axis=1).astype(np.float64) * prod_scale
-    return acc * (sx * sw)
+    return hub_mac_tile(wi, xi, bits, ebt=ebt) * (sx * sw)
 
 
 def quantized_gemm(x: np.ndarray, w: np.ndarray, spec: QuantSpec) -> np.ndarray:
@@ -164,8 +142,7 @@ def quantized_gemm(x: np.ndarray, w: np.ndarray, spec: QuantSpec) -> np.ndarray:
         return gemm_fxp(x, w, spec.ebt, spec.ebt)
     if spec.mode is QuantMode.FXP_O_RES:
         bits_x = spec.ebt // 2
-        bits_w = spec.ebt - bits_x
-        return gemm_fxp(x, w, max(bits_x, 2), max(bits_w, 2))
+        return gemm_fxp(x, w, bits_x, spec.ebt - bits_x)
     # Data bitwidth N follows the platforms (8 from Eyeriss, 16 from TPU);
     # EBTs above 8 imply the 16-bit configuration.
     bits = 8 if spec.ebt <= 8 else 16

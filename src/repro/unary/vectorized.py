@@ -10,17 +10,23 @@ and one RNG sequence serve all C columns at once.
 :func:`hub_mac_row` is bit-identical to running :class:`~repro.unary.mac.
 HubMac` per element with default sequences (a property test asserts this).
 :func:`hub_mac_tile` and :func:`hub_product_counts` lift the same
-arithmetic to a whole weight-stationary fold at once.  For a fixed
-``(coding, ebt)`` the enabled-cycle hit count is a pure function of
-``(imag, wmag)``, so a precomputed count table replaces the per-cycle
-stream walk; folding the XOR sign in gives a square *signed* table over
-sign-magnitude codes (side ``2 * 2**mag_bits``).  The weights stay in
-place for the whole fold, so the kernels first gather a per-fold *row
-table* from it — for every row ``k``, the signed product count of every
-column for every signed IFM code — and the ``(V, K, C)`` product plane is
-then one gather of contiguous C-rows, indexed by each vector's IFM code,
-with no sign plane and no multiply.  Still exact integers times one
-power-of-two scale, hence byte-identical.
+arithmetic to a whole weight-stationary fold at once.  Both codings enable
+exactly ``imag`` of the ``2**mag_bits`` cycles and the C-BSG weight RNG
+advances only on enabled cycles, so the enabled cycles draw the first
+``imag`` Sobol values ``S_k`` whatever the coding, and the hit count is
+the one closed form ``T[imag, wmag] = #{k < imag : S_k < wmag}``.  Folding
+the XOR sign in gives a square *signed* table over sign-magnitude codes
+(side ``2 * 2**mag_bits``), held in the narrowest signed integer type
+that holds ``±(2**mag_bits - 1)`` (int8 up to 7 magnitude bits, int16
+above) and widened to int64 where it is gathered, so no narrow value
+reaches a sum.  Tables cover up to 11 magnitude bits — every EBT the
+paper plots; wider magnitudes take the per-element row path.  The weights
+stay in place for the whole fold, so the kernels first gather a per-fold
+*row table* from it — for every row ``k``, the signed product count of
+every column for every signed IFM code — and the ``(V, K, C)`` product
+plane is then one gather of contiguous C-rows, indexed by each vector's
+IFM code, with no sign plane and no multiply.  Still exact integers times
+one power-of-two scale, hence byte-identical.
 """
 
 from __future__ import annotations
@@ -116,9 +122,9 @@ def hub_mac_row(
 
 
 #: Largest magnitude bitwidth the count tables cover; the signed table of
-#: side ``2**11`` is 32 MiB of int64 — beyond that :func:`hub_mac_tile`
+#: side ``2**12`` is 32 MiB of int16 — beyond that :func:`hub_mac_tile`
 #: and :func:`hub_product_counts` fall back to the row path.
-_TABLE_MAX_MAG_BITS = 10
+_TABLE_MAX_MAG_BITS = 11
 
 #: Target elements per temporary (row table, gather block), bounding peak
 #: memory; the plane :func:`hub_product_counts` returns is not bounded.
@@ -128,44 +134,36 @@ _TILE_CHUNK_ELEMS = 1 << 20
 _Block = tuple[slice, slice, slice, np.ndarray]
 
 
-def _count_table(coding: Coding, mag_bits: int) -> np.ndarray:
-    """``T[imag, wmag]`` = enabled-cycle hits of the HUB uMUL.
+def _count_table(mag_bits: int) -> np.ndarray:
+    """``T[imag, wmag] = #{k < imag : S_k < wmag}``: the HUB uMUL hit count.
 
-    Row ``imag`` replays exactly :func:`hub_mac_row`'s stream walk — the
-    enable stream gates the C-BSG advance, and the hit count for every
-    ``wmag`` at once is the cumulative histogram of the enabled RNG
-    values.
+    Either coding enables exactly ``imag`` cycles and the C-BSG advances
+    only on those, so the enabled cycles draw ``S_0 .. S_{imag-1}`` of the
+    Sobol sequence and a hit is a draw below ``wmag``.  Built in the
+    narrowest signed type that holds ``±(2**mag_bits - 1)``.
     """
-    cycles = 1 << mag_bits
-    stream_seq = _sequence(
-        "sobol" if coding is Coding.RATE else "counter", mag_bits
-    )[:cycles]
-    rng = _sequence("sobol", mag_bits)
-    table = np.zeros((cycles, cycles), dtype=np.int64)
-    for imag in range(1, cycles):
-        enable = stream_seq < imag
-        # Exclusive cumsum: the C-BSG advance before each cycle.
-        advance = np.cumsum(enable) - enable
-        rvals = rng[advance % cycles][enable]
-        hist = np.bincount(rvals, minlength=cycles)
-        # hits at wmag w = #{enabled t : rvals[t] < w} = cumulative hist.
-        table[imag, 1:] = np.cumsum(hist)[:-1]
+    side = 1 << mag_bits
+    dtype = np.min_scalar_type(1 - side)
+    below = _sequence("sobol", mag_bits)[:, None] < np.arange(side)
+    table = np.zeros((side, side), dtype=dtype)
+    np.cumsum(below[:-1], axis=0, dtype=dtype, out=table[1:])
     return table
 
 
-def _signed_table(coding: Coding, mag_bits: int) -> np.ndarray:
+def _signed_table(mag_bits: int) -> np.ndarray:
     """``S[xcode, wcode]`` = signed hit count over sign-magnitude codes.
 
     A code is ``magnitude + 2**mag_bits * sign``, so the table is four
-    copies of :func:`_count_table` with the XOR sign folded in.  Built
-    once per ``(coding, mag_bits)`` and LRU-cached.
+    copies of :func:`_count_table` with the XOR sign folded in, in the
+    count table's narrow type.  Built once per ``mag_bits`` and
+    LRU-cached.
     """
     cache = _seq_cache()
-    key = (f"signed-{coding.value}", mag_bits)
+    key = ("signed", mag_bits)
     if key in cache:
         cache.move_to_end(key)
         return cache[key]
-    table = _count_table(coding, mag_bits)
+    table = _count_table(mag_bits)
     signed = np.block([[table, -table], [-table, table]])
     cache[key] = signed
     while len(cache) > _SEQ_CACHE_MAX:
@@ -226,9 +224,9 @@ def _count_blocks(
     Each block of K rows and C columns first gets its row table
     ``rows[xcode, k, c]``: row ``k``'s signed product count in column
     ``c`` for IFM code ``xcode``.  A block of the plane is then one gather
-    of contiguous C-rows, ``rows[xcode[v, k], k]``.  Row table and gather
-    block each stay within ``_TILE_CHUNK_ELEMS`` elements (a whole 256x256
-    UT row table would be 134 MB).
+    of contiguous C-rows, ``rows[xcode[v, k], k]``, widened to int64.  Row
+    table and gather block each stay within ``_TILE_CHUNK_ELEMS`` elements
+    (a whole 256x256 UT row table would be 16 Mi entries).
     """
     n_v, n_k = x_tile.shape
     n_c = w_tile.shape[1]
@@ -246,7 +244,7 @@ def _count_blocks(
         return
 
     shift = (bits - 1) - mag_bits
-    signed = _signed_table(coding, mag_bits)
+    signed = _signed_table(mag_bits)
     side = signed.shape[0]
     xcode = _signed_codes(x_tile, shift, mag_bits)  # (V, K)
     wcode = _signed_codes(w_tile, shift, mag_bits)  # (K, C)
@@ -256,7 +254,7 @@ def _count_blocks(
         cs = slice(c0, c0 + c_step)
         for k0 in range(0, n_k, k_step):
             ks = slice(k0, k0 + k_step)
-            rows = signed.take(wcode[ks, cs], axis=1)  # (side, k, c)
+            rows = signed.take(wcode[ks, cs], axis=1)  # (side, k, c), narrow
             _, n_kb, n_cb = rows.shape
             flat = rows.reshape(side * n_kb, n_cb)
             k_index = np.arange(n_kb)
@@ -264,7 +262,8 @@ def _count_blocks(
             for v0 in range(0, n_v, v_step):
                 vs = slice(v0, v0 + v_step)
                 index = xcode[vs, ks] * n_kb + k_index
-                yield vs, ks, cs, flat.take(index, axis=0)
+                # Widened at the gather: no narrow count reaches a sum.
+                yield vs, ks, cs, flat.take(index, axis=0).astype(np.int64)
 
 
 def hub_mac_tile(

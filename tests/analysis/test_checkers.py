@@ -74,16 +74,6 @@ class TestLruCacheFixture:
         assert 19 not in lines, "staticmethod lru_cache must pass"
         assert 29 not in lines, "module-level int-keyed lru_cache must pass"
 
-    def test_quant_count_table_is_compliant(self):
-        # The repo's one real lru_cache (repro.nn.quant:93,
-        # usystolic_count_table) is module-level with an int key: DET004
-        # must accept it without a suppression comment.
-        import repro.nn.quant as quant
-
-        source = SourceFile.parse(quant.__file__)
-        codes = [f.code for f in DeterminismChecker().check(source)]
-        assert codes == []
-
 
 class TestConfigFixture:
     def test_expected_findings(self):

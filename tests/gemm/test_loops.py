@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gemm.im2col import col2im_output, im2col
+from repro.gemm.im2col import col2im_output, im2col, im2col_windows
 from repro.gemm.loops import gemm_fast, gemm_reference
 from repro.gemm.params import GemmParams
+from repro.verify.oracles import im2col_oracle
 
 
 def _random_operands(params, seed=0):
@@ -106,3 +107,32 @@ def test_reference_fast_equivalence_property(ih, iw, ic, wh, ww, oc, stride):
     np.testing.assert_allclose(
         gemm_reference(p, w, x), gemm_fast(p, w, x), rtol=1e-10, atol=1e-12
     )
+
+
+@given(
+    batch=st.integers(1, 3),
+    ih=st.integers(1, 9),
+    iw=st.integers(1, 9),
+    ic=st.integers(1, 3),
+    kernel=st.integers(1, 4),
+    stride=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_gather_is_the_oracle_per_image(
+    batch, ih, iw, ic, kernel, stride, seed
+):
+    # The batch axis passes through: image b of the batched gather is the
+    # independent oracle's lowering of image b, and never a view of it.
+    if kernel > ih or kernel > iw:
+        return
+    p = GemmParams(
+        "batch", ih=ih, iw=iw, ic=ic, wh=kernel, ww=kernel, oc=1, stride=stride
+    )
+    x = np.random.default_rng(seed).integers(-99, 100, size=(batch, ih, iw, ic))
+    cols = im2col_windows(x, kernel, kernel, stride)
+    assert cols.shape == (batch, p.oh, p.ow, p.window)
+    assert cols.flags.c_contiguous and not np.shares_memory(cols, x)
+    for b in range(batch):
+        flat = cols[b].reshape(p.oh * p.ow, p.window)
+        assert flat.tobytes() == im2col_oracle(p, x[b]).tobytes()

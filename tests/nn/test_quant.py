@@ -12,9 +12,9 @@ from repro.nn.quant import (
     gemm_usystolic,
     quantize_symmetric,
     quantized_gemm,
-    usystolic_count_table,
 )
-from repro.unary.vectorized import hub_mac_row
+from repro.unary.mac import HubMac
+from repro.unary.vectorized import _count_table, hub_mac_row
 
 
 class TestQuantizeSymmetric:
@@ -41,30 +41,28 @@ class TestQuantizeSymmetric:
 
 
 class TestCountTable:
+    """The kernel's count table, the one every uSystolic GEMM gathers from."""
+
     def test_matches_definition(self):
         from repro.unary.rng import sobol_sequence
 
         mag_bits = 5
-        table = usystolic_count_table(mag_bits)
+        table = _count_table(mag_bits)
         s = sobol_sequence(mag_bits, 1 << mag_bits)
-        for a in [0, 1, 7, 16, 32]:
-            for b in [0, 3, 17, 32]:
+        for a in [0, 1, 7, 16, 31]:
+            for b in [0, 3, 17, 31]:
                 assert table[a, b] == int((s[:a] < b).sum())
 
     def test_corners(self):
-        table = usystolic_count_table(5)
-        assert table[0].sum() == 0  # no cycles -> no counts
-        assert table[:, 0].sum() == 0  # zero weight -> no hits
-        assert table[32, 32] == 32  # full x full = all ones
+        table = _count_table(5)
+        assert table.shape == (32, 32)
+        assert not table[0].any()  # no cycles -> no counts
+        assert not table[:, 0].any()  # zero weight -> no hits
 
     def test_monotone_in_both_arguments(self):
-        table = usystolic_count_table(5)
+        table = _count_table(5).astype(np.int64)
         assert (np.diff(table, axis=0) >= 0).all()
         assert (np.diff(table, axis=1) >= 0).all()
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            usystolic_count_table(0)
 
 
 class TestGemmUsystolic:
@@ -109,7 +107,7 @@ class TestGemmUsystolic:
         assert rel < 0.1
 
     def test_invalid_ebt(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ebt must be in"):
             gemm_usystolic(np.ones((2, 2)), np.ones((2, 2)), bits=8, ebt=9)
 
 
@@ -150,6 +148,18 @@ class TestErrorRanking:
         assert QuantSpec(QuantMode.USYSTOLIC, 6).label == "uSystolic 6-32"
         assert "n=8" in QuantSpec(QuantMode.FXP_I_RES, 8).label
 
+    def test_fxp_o_res_rejects_n_below_four(self):
+        # Each operand needs at least 2 bits; n < 4 is an error, not a
+        # silent run at n = 4.
+        for n in range(4):
+            with pytest.raises(ValueError, match=r"QuantSpec\.ebt: FXP-o-res"):
+                QuantSpec(QuantMode.FXP_O_RES, n)
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((4, 8))
+        w = rng.standard_normal((8, 3))
+        out = quantized_gemm(x, w, QuantSpec(QuantMode.FXP_O_RES, 4))
+        assert out.tobytes() == gemm_fxp(x, w, 2, 2).tobytes()
+
     def test_high_ebt_uses_16bit_data(self):
         # EBT above 8 implies the 16-bit platform; result should be finite
         # and accurate.
@@ -177,3 +187,59 @@ def test_usystolic_gemm_bounded_error_property(ebt, seed):
         np.abs(w).max() / 127
     ) * 128
     assert np.abs(out - exact).max() <= bound
+
+
+#: Every (data bits, EBT) pair Figure 9 can reach, and the small EBTs.
+_WIDTHS = [(8, ebt) for ebt in range(2, 9)] + [(16, ebt) for ebt in range(9, 13)]
+
+
+def _overflow_k(mag_bits):
+    """A K at which K largest counts overflow the kernel's narrow table type
+    (int8 up to 7 magnitude bits, int16 above)."""
+    narrow = np.iinfo(np.int8 if mag_bits <= 7 else np.int16).max
+    return narrow // max(1, (1 << mag_bits) - 2) + 1
+
+
+def _scalar_gemm(x, w, bits, ebt):
+    """Quantise, sum the per-element scalar HubMac products, dequantise."""
+    xi, sx = quantize_symmetric(x, bits)
+    wi, sw = quantize_symmetric(w, bits)
+    mac = HubMac(bits, ebt=ebt)
+    restore = 1 << (bits - 1)
+    acc = np.zeros((x.shape[0], w.shape[1]))
+    for v in range(x.shape[0]):
+        for c in range(w.shape[1]):
+            for r in range(x.shape[1]):
+                product = mac.multiply(int(wi[r, c]), int(xi[v, r])).product
+                acc[v, c] += float(product * restore)
+    return acc * (sx * sw)
+
+
+@pytest.mark.parametrize("bits,ebt", _WIDTHS)
+def test_gemm_usystolic_full_scale_sum_outgrows_the_narrow_table(bits, ebt):
+    # Every operand at the largest magnitude: each K-sum of counts exceeds
+    # the narrow table type, and must still be the scalar sum byte for byte.
+    mag_bits = ebt - 1
+    k = _overflow_k(mag_bits)
+    table = _count_table(mag_bits)
+    assert k * int(table[-1, -1]) > np.iinfo(table.dtype).max
+    x, w = np.ones((2, k)), np.ones((k, 2))
+    out = gemm_usystolic(x, w, bits=bits, ebt=ebt)
+    assert out.tobytes() == _scalar_gemm(x, w, bits, ebt).tobytes()
+
+
+@given(
+    width=st.sampled_from(_WIDTHS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_gemm_usystolic_is_the_scalar_hubmac_sum(width, seed):
+    # Byte for byte: the per-element scalar HubMac products, summed over K,
+    # times the quantisation scales.
+    bits, ebt = width
+    rng = np.random.default_rng(seed)
+    k = _overflow_k(ebt - 1)
+    x = rng.standard_normal((2, k))
+    w = rng.standard_normal((k, 2))
+    out = gemm_usystolic(x, w, bits=bits, ebt=ebt)
+    assert out.tobytes() == _scalar_gemm(x, w, bits, ebt).tobytes()

@@ -18,10 +18,9 @@ from repro.core.machine import UsystolicMachine
 from repro.gemm.im2col import im2col
 from repro.gemm.params import GemmParams
 from repro.gemm.tiling import tile_gemm
-from repro.nn.quant import usystolic_count_table
 from repro.sim.dataflow import schedule_layer
 from repro.unary.mac import HubMac
-from repro.unary.vectorized import hub_mac_row
+from repro.unary.vectorized import _count_table, hub_mac_row
 
 
 class TestFunctionalPathsAgree:
@@ -31,14 +30,14 @@ class TestFunctionalPathsAgree:
         rng = np.random.default_rng(0)
         bits, ebt = 8, 6
         mac = HubMac(bits, ebt=ebt)
-        table = usystolic_count_table(ebt - 1)
+        table = _count_table(ebt - 1)
         shift = bits - ebt
         for _ in range(40):
             w = int(rng.integers(-127, 128))
             x = int(rng.integers(-127, 128))
             scalar = mac.multiply(w, x).product * (1 << (bits - 1))
             vector = hub_mac_row(x, np.array([w]), bits, ebt=ebt)[0]
-            count = table[abs(x) >> shift, abs(w) >> shift]
+            count = int(table[abs(x) >> shift, abs(w) >> shift])
             sign = -1 if (w < 0) != (x < 0) else 1
             tabled = sign * count * (1 << shift) * (1 << (bits - 1))
             assert scalar == vector == tabled

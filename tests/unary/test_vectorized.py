@@ -3,8 +3,9 @@
 Scalar equivalence of whole layers lives in the differential suite
 (``tests/verify``); this file pins the cache contract (per-thread
 isolation, LRU bound, bit-identical results under concurrent mixed-width
-hammering) and each fold kernel against the scalar ``HubMac``, its row
-path fallback, its chunking and its peak memory.
+hammering), the one narrow count table against the row kernel's stream
+walk, and each fold kernel against the scalar ``HubMac``, its row path
+fallback, its chunking and its peak memory.
 """
 
 from __future__ import annotations
@@ -186,17 +187,28 @@ class TestTileEquivalence:
                 assert tile[vec, col] == total
 
     def test_count_table_matches_closed_form(self):
-        # The replayed stream walk must agree with the analytic table the
-        # nn layer uses (T[a, b] = #{k < a : S_k < b}); the C-BSG only
-        # advances on enabled cycles, so both codings see the same draws.
-        from repro.nn.quant import usystolic_count_table
-
-        for mag_bits in (2, 3, 5):
-            closed = usystolic_count_table(mag_bits)
-            closed = closed[: 1 << mag_bits, : 1 << mag_bits]
+        # The closed form T[a, b] = #{k < a : S_k < b} must equal
+        # hub_mac_row's stream walk for both codings: the C-BSG only
+        # advances on enabled cycles, so both see the same draws.
+        for mag_bits in (1, 2, 3, 5):
+            bits = mag_bits + 1  # no early termination, no shift
+            side = 1 << mag_bits
+            restore = 1 << (bits - 1)
+            table = vectorized._count_table(mag_bits)
             for coding in (Coding.RATE, Coding.TEMPORAL):
-                table = vectorized._count_table(coding, mag_bits)
-                assert np.array_equal(table, closed)
+                walked = [
+                    hub_mac_row(imag, np.arange(side), bits, coding=coding)
+                    for imag in range(side)
+                ]
+                assert np.array_equal(np.array(walked) / restore, table)
+
+    def test_signed_table_is_narrow(self):
+        # int8 holds +-(2**m - 1) up to m = 7, int16 up to the cap of 11.
+        for mag_bits, dtype in ((1, np.int8), (7, np.int8), (8, np.int16)):
+            signed = vectorized._signed_table(mag_bits)
+            assert signed.dtype == dtype
+            assert signed.shape == (2 << mag_bits, 2 << mag_bits)
+        assert vectorized._TABLE_MAX_MAG_BITS == 11
 
     def test_chunked_gather_is_byte_identical(self, monkeypatch):
         bits = 8
@@ -294,16 +306,36 @@ class TestProductCounts:
             hub_product_counts(w_tile, x_tile, 4)
 
 
+def test_every_paper_ebt_takes_the_table_path(monkeypatch):
+    # 16-bit data at EBT 12 has 11 magnitude bits, inside the table cap:
+    # the per-element row path must not run.
+    w_tile, x_tile = _random_tiles(16, v=3, k=4, c=2, seed=43)
+    reference = _reference_tile(w_tile, x_tile, 16, 12, Coding.RATE)
+
+    def row_path(*args, **kwargs):
+        raise AssertionError("EBT 12 fell back to the row path")
+
+    monkeypatch.setattr(vectorized, "hub_mac_row", row_path)
+    tile = hub_mac_tile(w_tile, x_tile, 16, ebt=12)
+    counts, scale = hub_product_counts(w_tile, x_tile, 16, ebt=12)
+    assert tile.dtype == np.float64
+    assert counts.dtype == np.int64
+    assert tile.tobytes() == reference.tobytes()
+    assert (counts.sum(axis=1) * scale).tobytes() == tile.tobytes()
+
+
 def test_full_array_fold_stays_within_the_chunk_budget():
-    # A 256x256 UT fold: built whole, its row table alone would be
-    # 256 codes x 256 x 256 int64 = 128 MiB.
-    w_tile, x_tile = _random_tiles(8, v=4, k=256, c=256, seed=41)
-    # Build the cached signed table first; the guard is on the temporaries.
-    hub_mac_tile(w_tile[:1, :1], x_tile[:, :1], 8, coding=Coding.TEMPORAL)
-    tracemalloc.start()
-    try:
-        hub_mac_tile(w_tile, x_tile, 8, coding=Coding.TEMPORAL)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 1024 * 1024
+    # A 256x256 fold.  Built whole, its row table alone would be 256 codes
+    # x 256 x 256 = 16 Mi entries for UT, and 4096 codes (256 Mi entries)
+    # at 16-bit EBT 12.
+    for bits, ebt, coding in ((8, None, Coding.TEMPORAL), (16, 12, Coding.RATE)):
+        w_tile, x_tile = _random_tiles(bits, v=4, k=256, c=256, seed=41)
+        # Build the cached signed table first; the guard is on the temporaries.
+        hub_mac_tile(w_tile[:1, :1], x_tile[:, :1], bits, ebt=ebt, coding=coding)
+        tracemalloc.start()
+        try:
+            hub_mac_tile(w_tile, x_tile, bits, ebt=ebt, coding=coding)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 1024 * 1024
