@@ -20,7 +20,7 @@ import sys
 import time
 from typing import Callable, TextIO
 
-from ..jobs.runner import JobRunner, get_runner, using_runner
+from ..jobs.runner import JobRunner, get_runner, jobs_arg, using_runner
 from ..jobs.store import ResultStore
 from ..workloads.presets import CLOUD, EDGE
 from .accuracy import format_figure9, run_accuracy_experiment
@@ -189,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=jobs_arg,
         default=1,
         help="worker processes for the simulation fan-out",
     )

@@ -5,16 +5,25 @@ PEs (for unary schemes), plus the per-column output shifters of the early
 termination path (Section III-C) — the latter excluded from the Figure 11
 breakdown ("excluding the insignificant FIFOs and shifters") but included
 in the energy model.
+
+The gate-equivalent roll-up depends only on (scheme, rows, cols, bits), so
+it is computed once per array and shared by every layer simulated on it;
+the process node (``tech``) is not part of that key and is applied per
+call.  The shared block map is read-only, so no caller can change what a
+later one reads.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import types
+from typing import Mapping
 
 from ..schemes import ComputeScheme
 from . import gates
 from .gates import TECH_32NM, TechNode
-from .pe_cost import PeCost, PePosition, pe_cost
+from .pe_cost import PePosition, pe_cost
 
 __all__ = ["ArrayCost", "array_cost", "wiring_factor"]
 
@@ -34,14 +43,21 @@ def wiring_factor(rows: int, cols: int) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class ArrayCost:
-    """Area/power model of an R x C systolic array."""
+    """Area/power model of an R x C systolic array.
+
+    ``per_pe_ge`` is the array-average, activity-weighted gate count of one
+    PE: the gates that toggle per active PE-cycle.  Every area, leakage and
+    energy figure is computed from ``tech`` when read, so one instance can
+    be shared by every caller of the same array and node.
+    """
 
     scheme: ComputeScheme
     rows: int
     cols: int
     bits: int
-    block_ge: dict[str, float]
+    block_ge: Mapping[str, float]
     shifter_ge: float
+    per_pe_ge: float
     tech: TechNode
 
     @property
@@ -72,22 +88,33 @@ class ArrayCost:
         doing useful work that cycle (utilization-weighted), which the
         cycle simulator reports.
         """
-        left = pe_cost(self.scheme, self.bits, PePosition.LEFTMOST)
-        # Use the array-average per-PE activity-weighted gate count.
-        inner = pe_cost(self.scheme, self.bits, PePosition.INNER)
-        per_pe = 0.0
-        for block in _BLOCKS:
-            avg_ge = (left.block(block) + (self.cols - 1) * inner.block(block)) / (
-                self.cols
-            )
-            per_pe += avg_ge * inner.activity[block]
-        return self.tech.dynamic_energy_j(per_pe, 1.0, active_pe_cycles)
+        return self.tech.dynamic_energy_j(self.per_pe_ge, 1.0, active_pe_cycles)
 
-    def dynamic_power_w(self, active_pe_cycles: float, runtime_cycles: float) -> float:
-        if runtime_cycles <= 0:
-            return 0.0
-        energy = self.dynamic_energy_j(active_pe_cycles)
-        return energy / (runtime_cycles / self.tech.frequency_hz)
+
+@functools.lru_cache(maxsize=1024)
+def _rollup(scheme: ComputeScheme, rows: int, cols: int, bits: int) -> ArrayCost:
+    """The PE-cost roll-up of one array, at the default node, computed once."""
+    left = pe_cost(scheme, bits, PePosition.LEFTMOST)
+    inner = pe_cost(scheme, bits, PePosition.INNER)
+    block_ge = {}
+    per_pe_ge = 0.0
+    for block in _BLOCKS:
+        column_ge = left.block(block) + (cols - 1) * inner.block(block)
+        block_ge[block] = rows * column_ge
+        # Array-average per-PE gates, weighted by the block's activity.
+        per_pe_ge += column_ge / cols * inner.activity[block]
+    # One output shifter per column for early-termination rescale (top row).
+    shifter_ge = cols * gates.shifter(bits + 4, bits)
+    return ArrayCost(
+        scheme=scheme,
+        rows=rows,
+        cols=cols,
+        bits=bits,
+        block_ge=types.MappingProxyType(block_ge),
+        shifter_ge=shifter_ge,
+        per_pe_ge=per_pe_ge,
+        tech=TECH_32NM,
+    )
 
 
 def array_cost(
@@ -100,21 +127,7 @@ def array_cost(
     """Compose the PE costs of an ``rows x cols`` array of ``scheme``."""
     if rows < 1 or cols < 1:
         raise ValueError("array dimensions must be positive")
-    left: PeCost = pe_cost(scheme, bits, PePosition.LEFTMOST)
-    inner: PeCost = pe_cost(scheme, bits, PePosition.INNER)
-    block_ge = {}
-    for block in _BLOCKS:
-        block_ge[block] = rows * (
-            left.block(block) + (cols - 1) * inner.block(block)
-        )
-    # One output shifter per column for early-termination rescale (top row).
-    shifter_ge = cols * gates.shifter(bits + 4, bits)
-    return ArrayCost(
-        scheme=scheme,
-        rows=rows,
-        cols=cols,
-        bits=bits,
-        block_ge=block_ge,
-        shifter_ge=shifter_ge,
-        tech=tech,
-    )
+    cost = _rollup(scheme, rows, cols, bits)
+    # An ArrayCost prices with its node on every read, so the shared one
+    # serves its own node as is; another node gets a copy carrying it.
+    return cost if cost.tech is tech else dataclasses.replace(cost, tech=tech)

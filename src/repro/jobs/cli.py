@@ -26,7 +26,7 @@ from ..sim.results import aggregate_results
 from ..workloads.alexnet import alexnet_layers
 from ..workloads.mlperf import mlperf_suite
 from ..workloads.presets import CLOUD, EDGE, Platform, scheme_sweep
-from .runner import JobGraph, JobRunner, using_runner
+from .runner import JobGraph, JobRunner, jobs_arg, using_runner
 from .store import ResultStore
 
 __all__ = ["main", "build_parser", "build_grid"]
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--bits", type=int, default=8)
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for the fan-out"
+        "--jobs", type=jobs_arg, default=1, help="worker processes for the fan-out"
     )
     parser.add_argument(
         "--cache-dir", default=None, help="content-addressed result store directory"

@@ -22,6 +22,7 @@ dependencies fail loudly before anything runs.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import time
@@ -45,6 +46,7 @@ __all__ = [
     "JobGraph",
     "configure",
     "get_runner",
+    "jobs_arg",
     "set_runner",
     "using_runner",
     "simulate_layer",
@@ -74,7 +76,9 @@ class JobRunner:
         store: ResultStore | None = None,
         memoize: bool = True,
     ) -> None:
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
+        if self.workers < 1:
+            raise ValueError(f"JobRunner.workers must be >= 1, got {workers}")
         self.store = store
         self.memoize = memoize
         self._memo: dict[str, LayerResult] = {}
@@ -279,6 +283,21 @@ def set_runner(runner: JobRunner) -> JobRunner:
     previous = _ACTIVE
     _ACTIVE = runner
     return previous
+
+
+def jobs_arg(text: str) -> int:
+    """The ``--jobs`` argparse type: a worker count of at least 1.
+
+    Anything smaller is a usage error (exit 2) naming ``--jobs``, never a
+    silent serial run.
+    """
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return workers
 
 
 def configure(

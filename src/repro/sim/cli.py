@@ -19,7 +19,7 @@ from pathlib import Path
 
 from ..core.config import ArrayConfig
 from ..eval.report import format_table
-from ..jobs.runner import JobRunner
+from ..jobs.runner import JobRunner, jobs_arg
 from ..jobs.store import ResultStore
 from ..schemes import ComputeScheme
 from ..workloads.alexnet import alexnet_layers
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--csv", type=Path, help="dump per-layer results as CSV")
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=jobs_arg,
         default=1,
         help="worker processes for the layer-simulation fan-out",
     )

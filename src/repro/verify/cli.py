@@ -24,6 +24,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from ..jobs.pool import run_tasks
+from ..jobs.runner import jobs_arg
 from ..jobs.store import ResultStore
 from .diff import DiffReport, default_cases, run_case
 from .fuzz import execute_case, generate_case, load_counterexample, run_fuzz
@@ -47,13 +48,13 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument(
         "--budget", type=int, default=0, help="extra seeded cases beyond the grid"
     )
-    diff.add_argument("--jobs", type=int, default=1, help="worker processes")
+    diff.add_argument("--jobs", type=jobs_arg, default=1, help="worker processes")
     diff.add_argument("--json", action="store_true", help="machine-readable report")
 
     fuzz = sub.add_parser("fuzz", help="seeded fuzz campaign with shrinking")
     fuzz.add_argument("--seed", type=int, default=0, help="campaign seed")
     fuzz.add_argument("--budget", type=int, default=200, help="cases to draw")
-    fuzz.add_argument("--jobs", type=int, default=1, help="worker processes")
+    fuzz.add_argument("--jobs", type=jobs_arg, default=1, help="worker processes")
     fuzz.add_argument(
         "--engine",
         choices=("all", "kernel", "engine", "functional", "array"),

@@ -151,12 +151,6 @@ class TestArrayCost:
         assert e1 > 0
         assert e2 == pytest.approx(2 * e1)
 
-    def test_dynamic_power(self):
-        cost = array_cost(CS.BINARY_PARALLEL, 12, 14, 8)
-        p = cost.dynamic_power_w(1e6, 1e6)
-        assert p > 0
-        assert cost.dynamic_power_w(1e6, 0) == 0.0
-
     def test_unary_dynamic_energy_below_binary(self):
         # Same work (PE-cycles): unary toggles far fewer gates.
         bp = array_cost(CS.BINARY_PARALLEL, 12, 14, 8)
