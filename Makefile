@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: lint test verify fuzz fuzz-array bench eval serve fleet all
 
 lint:
-	$(PYTHON) -m repro.analysis --baseline analysis-baseline.json
+	$(PYTHON) -m repro.analysis
 
 test:
 	$(PYTHON) -m pytest -q tests/

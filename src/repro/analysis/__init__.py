@@ -22,27 +22,20 @@ pytest gate):
   and return/assignment unit agreement across resolved call sites;
 - **dead** (``DEAD*``) — ``__all__`` exports and modules unreachable
   from every entrypoint, test, example and benchmark;
-- **conc** (``CONC*``) — pool-determinism: unordered dict/set iteration
-  reaching hash/ledger sinks, nondeterministically seeded RNGs,
-  module-level mutable state read by pool workers, completion-order
-  accumulation;
+- **conc** (``CONC*``) — pool-determinism: nondeterministically seeded
+  RNGs and module-level mutable state read by pool workers;
 - **sup** (``SUP001``) — suppression comments that suppress nothing.
 
 The runtime half of the config contract lives outside this package, in
 :mod:`repro.contracts`.  Suppress individual findings with
-``# repro-lint: ignore[group-or-code]``; freeze known debt in
-``analysis-baseline.json`` (ratcheted: it may only shrink); see
-``docs/analysis.md``.
+``# repro-lint: ignore[group-or-code]``; see ``docs/analysis.md``.
 """
 
 from __future__ import annotations
 
 from .arch import ArchChecker
-from .baseline import Baseline, BaselineDelta
-from .cfg import CFG, build_cfg
 from .conc import ConcChecker
 from .config_checks import ConfigChecker
-from .dataflow import ReachingDefinitions
 from .dead import DeadChecker
 from .determinism import DeterminismChecker
 from .exports import ExportChecker
@@ -70,9 +63,6 @@ __all__ = [
     "PROJECT_CHECKERS",
     "AnalysisResult",
     "ArchChecker",
-    "Baseline",
-    "BaselineDelta",
-    "CFG",
     "Checker",
     "ConcChecker",
     "ConfigChecker",
@@ -83,12 +73,10 @@ __all__ = [
     "FlowChecker",
     "ModuleIndex",
     "ProjectChecker",
-    "ReachingDefinitions",
     "SourceFile",
     "UnitChecker",
     "VerificationChecker",
     "analyze",
-    "build_cfg",
     "build_index",
     "collect_sources",
     "context_paths",

@@ -1,27 +1,22 @@
-"""Pool-determinism pass (``CONC*``), built on the dataflow engine.
+"""Pool-determinism pass (``CONC*``).
 
 The process pool in :mod:`repro.jobs` promises byte-identical results
-for ``--jobs N`` and serial runs.  Four rules guard the assumptions that
+for ``--jobs N`` and serial runs.  Two rules guard the assumptions that
 promise rests on:
 
-- ``CONC001`` — a value derived from iterating an unordered (or
-  insertion-ordered) ``dict``/``set`` reaches a serialisation or hashing
-  sink — ``hashlib.sha256``-family, ``json.dumps`` *without*
-  ``sort_keys=True``, or a ``.put`` store write — via reaching
-  definitions.  Iterate ``sorted(...)`` instead so the bytes cannot
-  depend on registration/insertion order;
-- ``CONC002`` — an RNG is constructed with a seed that *flows from a
-  nondeterministic source* (``time.*``, ``os.urandom``, ``uuid4``,
-  ``secrets``).  The zero-argument case is already ``DET003``; this is
-  the dataflow half;
+- ``CONC002`` — an RNG is constructed with a seed that comes from a
+  *nondeterministic source* (``time.*``, ``os.urandom``, ``uuid4``,
+  ``secrets``), either directly or through a local the same function
+  assigns from one.  The zero-argument case is already ``DET003``;
 - ``CONC003`` — a function transitively submitted to the
   :mod:`repro.jobs` pool reads module-level mutable state (dict/list/set
   globals).  Worker processes re-import modules, so parent-process
   mutations diverge; reads wrapped in ``sorted(...)`` are exempt (they
-  document order-robust access to import-time registries);
-- ``CONC004`` — a ``+=`` accumulation inside a loop over
-  ``as_completed(...)`` / ``imap_unordered(...)``: float addition is not
-  associative, so the sum depends on which worker finished first.
+  document order-robust access to import-time registries).
+
+Ordering hazards (an unordered iteration reaching a job key, results
+taken in completion order) are left to the tests, which recompute keys
+under two hash seeds and compare pool runs with serial ones.
 """
 
 from __future__ import annotations
@@ -29,15 +24,12 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .cfg import CFG, build_cfg, shallow_exprs
-from .dataflow import Definition, ReachingDefinitions, iter_functions, stmt_defs
 from .findings import Finding
 from .modgraph import ModuleIndex, ModuleInfo, resolve_callee
 from .visitor import ProjectChecker
 
 __all__ = ["ConcChecker"]
 
-_HASH_CTORS = {"sha256", "sha1", "sha512", "md5", "blake2b", "blake2s"}
 _RNG_CTORS = {"default_rng", "RandomState", "PCG64", "Philox", "SFC64",
               "Generator", "Random", "seed"}
 _NONDET_TIME = {"time", "time_ns", "perf_counter", "perf_counter_ns",
@@ -47,7 +39,7 @@ _NONDET_OTHER = {"urandom", "getpid", "uuid1", "uuid4", "token_bytes",
 _MUTABLE_CTORS = {"dict", "list", "set", "defaultdict", "OrderedDict",
                   "Counter", "deque"}
 _POOL_SUBMITTERS = {"run_tasks", "run_simulations"}
-_UNORDERED_METHODS = {"items", "keys", "values"}
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _MAX_CLOSURE = 400
 
 
@@ -56,222 +48,67 @@ class ConcChecker(ProjectChecker):
 
     name = "conc"
     codes = {
-        "CONC001": "unordered dict/set iteration reaches a hash/ledger/"
-        "store sink",
         "CONC002": "RNG seeded from a nondeterministic source",
         "CONC003": "module-level mutable state read in a pool-submitted "
         "function",
-        "CONC004": "accumulation ordered by pool completion, not "
-        "submission",
     }
 
     def check_project(self, index: ModuleIndex) -> Iterator[Finding]:
         for info in sorted(index.targets(), key=lambda m: m.name):
-            for qualname, func in sorted(
-                iter_functions(info.source.tree),
-                key=lambda pair: pair[1].lineno,
-            ):
-                yield from self._check_function(index, info, qualname, func)
+            for qualname, func in _functions(info.source.tree):
+                yield from self._nondet_seeds(info.source.path, qualname, func)
         yield from self._pool_state_reads(index)
-
-    # -- per-function rules (CONC001/002/004) ----------------------------
-
-    def _check_function(
-        self,
-        index: ModuleIndex,
-        info: ModuleInfo,
-        qualname: str,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-    ) -> Iterator[Finding]:
-        interesting = False
-        for node in ast.walk(func):
-            if isinstance(node, (ast.For, ast.AsyncFor, ast.Call)):
-                interesting = True
-                break
-        if not interesting:
-            return
-        cfg = build_cfg(func)
-        rdefs = ReachingDefinitions(cfg)
-        path = info.source.path
-        tainted = self._tainted_definitions(cfg)
-
-        for block in cfg.blocks.values():
-            for i, stmt in enumerate(block.stmts):
-                for expr in shallow_exprs(stmt):
-                    for node in ast.walk(expr):
-                        if not isinstance(node, ast.Call):
-                            continue
-                        yield from self._check_sink(
-                            info, cfg, rdefs, tainted, qualname,
-                            block.bid, i, node, path,
-                        )
-                        yield from self._check_rng_seed(
-                            info, rdefs, qualname, block.bid, i, node, path
-                        )
-        yield from self._completion_order_sums(cfg, qualname, path)
-
-    # CONC001 ------------------------------------------------------------
-
-    def _tainted_definitions(self, cfg: CFG) -> set[Definition]:
-        """Definitions whose value may encode dict/set iteration order."""
-        tainted: set[Definition] = set()
-        unordered_members: set[int] = set()
-        for loop in cfg.loops:
-            node = loop.node
-            if isinstance(node, (ast.For, ast.AsyncFor)) and _is_unordered(
-                node.iter
-            ):
-                unordered_members.update(loop.members)
-                bid, idx = cfg.location[id(node)]
-                for name in stmt_defs(node):
-                    tainted.add(
-                        Definition(name=name, block=bid, index=idx, node=node)
-                    )
-        for block in cfg.blocks.values():
-            for i, stmt in enumerate(block.stmts):
-                if (
-                    block.bid in unordered_members
-                    and isinstance(stmt, ast.AugAssign)
-                ):
-                    for name in stmt_defs(stmt):
-                        tainted.add(
-                            Definition(
-                                name=name, block=block.bid, index=i, node=stmt
-                            )
-                        )
-                elif isinstance(stmt, ast.Assign) and _value_unordered(
-                    stmt.value
-                ):
-                    for name in stmt_defs(stmt):
-                        tainted.add(
-                            Definition(
-                                name=name, block=block.bid, index=i, node=stmt
-                            )
-                        )
-        return tainted
-
-    def _check_sink(
-        self,
-        info: ModuleInfo,
-        cfg: CFG,
-        rdefs: ReachingDefinitions,
-        tainted: set[Definition],
-        qualname: str,
-        bid: int,
-        stmt_index: int,
-        call: ast.Call,
-        path: str,
-    ) -> Iterator[Finding]:
-        sink = _sink_kind(info, call)
-        if sink is None:
-            return
-        args: list[ast.expr] = list(call.args)
-        args.extend(k.value for k in call.keywords if k.arg != "sort_keys")
-        fact = rdefs.before(bid, stmt_index)
-        for arg in args:
-            if _value_unordered(arg):
-                yield self.finding_at(
-                    path, call.lineno, call.col_offset, "CONC001",
-                    f"{sink} in '{qualname}' consumes a dict/set-iteration "
-                    "value directly; wrap the iteration in sorted(...) so "
-                    "the bytes cannot depend on insertion order",
-                )
-                return
-            for node in ast.walk(arg):
-                if not (
-                    isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Load)
-                ):
-                    continue
-                hits = [
-                    d for d in rdefs.of(node.id, fact) if d in tainted
-                ]
-                if hits:
-                    origin = min(
-                        getattr(d.node, "lineno", 0) for d in hits
-                    )
-                    yield self.finding_at(
-                        path, call.lineno, call.col_offset, "CONC001",
-                        f"{sink} in '{qualname}' consumes '{node.id}', "
-                        f"derived from unordered dict/set iteration "
-                        f"(line {origin}); iterate sorted(...) instead",
-                    )
-                    return
 
     # CONC002 ------------------------------------------------------------
 
-    def _check_rng_seed(
+    def _nondet_seeds(
         self,
-        info: ModuleInfo,
-        rdefs: ReachingDefinitions,
-        qualname: str,
-        bid: int,
-        stmt_index: int,
-        call: ast.Call,
         path: str,
+        qualname: str,
+        func: ast.FunctionDef | ast.AsyncFunctionDef,
     ) -> Iterator[Finding]:
-        name = _callee_basename(call.func)
-        if name not in _RNG_CTORS:
-            return
-        seeds: list[ast.expr] = list(call.args[:1])
-        seeds.extend(k.value for k in call.keywords if k.arg == "seed")
-        if not seeds:
-            return  # the zero-arg case is DET003's
-        fact = rdefs.before(bid, stmt_index)
-        for seed in seeds:
-            source = _nondet_source(seed)
+        nodes = list(_own_nodes(func))
+        # Locals assigned anywhere in the function from a nondeterministic
+        # call; a seed naming one is tainted whatever the control flow.
+        tainted: dict[str, str] = {}
+        for node in nodes:
+            value = _assigned_value(node)
+            source = None if value is None else _nondet_source(value)
             if source is None:
-                for node in ast.walk(seed):
-                    if isinstance(node, ast.Name) and isinstance(
-                        node.ctx, ast.Load
-                    ):
-                        for definition in rdefs.of(node.id, fact):
-                            value = _assigned_value(definition.node)
-                            if value is not None:
-                                flowed = _nondet_source(value)
-                                if flowed is not None:
-                                    source = f"{flowed} (via '{node.id}')"
-                                    break
-                        if source is not None:
-                            break
-            if source is not None:
-                yield self.finding_at(
-                    path, call.lineno, call.col_offset, "CONC002",
-                    f"RNG '{name}(...)' in '{qualname}' is seeded from "
-                    f"{source}; thread a fixed seed through the config "
-                    "instead",
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target
+            ]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        tainted.setdefault(name.id, source)
+        for call in nodes:
+            if not isinstance(call, ast.Call):
+                continue
+            ctor = _callee_basename(call.func)
+            if ctor not in _RNG_CTORS:
+                continue
+            # No seed at all is DET003's finding, not this one.
+            seeds = list(call.args[:1])
+            seeds.extend(k.value for k in call.keywords if k.arg == "seed")
+            for seed in seeds:
+                source = _nondet_source(seed) or next(
+                    (
+                        f"{tainted[name.id]} (via '{name.id}')"
+                        for name in ast.walk(seed)
+                        if isinstance(name, ast.Name) and name.id in tainted
+                    ),
+                    None,
                 )
-                return
-
-    # CONC004 ------------------------------------------------------------
-
-    def _completion_order_sums(
-        self, cfg: CFG, qualname: str, path: str
-    ) -> Iterator[Finding]:
-        for loop in cfg.loops:
-            node = loop.node
-            if not isinstance(node, (ast.For, ast.AsyncFor)):
-                continue
-            iter_name = _callee_basename(
-                node.iter.func
-            ) if isinstance(node.iter, ast.Call) else None
-            if iter_name not in ("as_completed", "imap_unordered"):
-                continue
-            for bid in sorted(loop.members):
-                for stmt in cfg.blocks[bid].stmts:
-                    if stmt is node:
-                        continue
-                    if isinstance(stmt, ast.AugAssign) and isinstance(
-                        stmt.op, ast.Add
-                    ):
-                        yield self.finding_at(
-                            path, stmt.lineno, stmt.col_offset, "CONC004",
-                            f"accumulation inside the '{iter_name}(...)' "
-                            f"loop in '{qualname}' depends on worker "
-                            "completion order; float addition is not "
-                            "associative — accumulate in submission order "
-                            "(executor.map) or sort results first",
-                        )
+                if source is not None:
+                    yield self.finding_at(
+                        path, call.lineno, call.col_offset, "CONC002",
+                        f"RNG '{ctor}(...)' in '{qualname}' is seeded from "
+                        f"{source}; thread a fixed seed through the config "
+                        "instead",
+                    )
+                    break
 
     # CONC003 ------------------------------------------------------------
 
@@ -363,102 +200,38 @@ class ConcChecker(ProjectChecker):
 # -- helpers ---------------------------------------------------------------
 
 
+def _functions(
+    tree: ast.Module,
+) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
+    """Every function in a module with a dotted qualifier (methods too)."""
+    stack: list[tuple[str, ast.AST]] = [("", tree)]
+    while stack:
+        prefix, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{prefix}{child.name}", child
+                stack.append((f"{prefix}{child.name}.", child))
+            elif isinstance(child, ast.ClassDef):
+                stack.append((f"{prefix}{child.name}.", child))
+            else:
+                stack.append((prefix, child))
+
+
+def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
+    """Nodes inside ``func`` that no nested def or class owns."""
+    stack = [func]
+    while stack:
+        for child in ast.iter_child_nodes(stack.pop()):
+            if not isinstance(child, _SCOPES):
+                yield child
+                stack.append(child)
+
+
 def _callee_basename(func: ast.AST) -> str | None:
     if isinstance(func, ast.Name):
         return func.id
     if isinstance(func, ast.Attribute):
         return func.attr
-    return None
-
-
-def _strip_wrappers(expr: ast.expr) -> ast.expr:
-    """Peel ``list(...)``/``tuple(...)`` conversions (not ``sorted``)."""
-    while (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Name)
-        and expr.func.id in ("list", "tuple")
-        and len(expr.args) == 1
-    ):
-        expr = expr.args[0]
-    return expr
-
-
-def _is_unordered(iter_expr: ast.expr) -> bool:
-    """True when iterating ``iter_expr`` exposes dict/set ordering."""
-    expr = _strip_wrappers(iter_expr)
-    if (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Name)
-        and expr.func.id == "sorted"
-    ):
-        return False
-    if (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Attribute)
-        and expr.func.attr in _UNORDERED_METHODS
-        and not expr.args
-    ):
-        return True
-    if isinstance(expr, (ast.Set, ast.SetComp)):
-        return True
-    if (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Name)
-        and expr.func.id == "set"
-    ):
-        return True
-    return False
-
-
-def _value_unordered(expr: ast.expr) -> bool:
-    """The expression itself materialises an unordered iteration."""
-    stripped = _strip_wrappers(expr)
-    if _is_unordered(stripped):
-        return True
-    if isinstance(stripped, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
-        return any(
-            _is_unordered(gen.iter) for gen in stripped.generators
-        )
-    return False
-
-
-def _sink_kind(info: ModuleInfo, call: ast.Call) -> str | None:
-    func = call.func
-    name = _callee_basename(func)
-    if name in _HASH_CTORS:
-        if isinstance(func, ast.Attribute):
-            base = func.value
-            if not (
-                isinstance(base, ast.Name)
-                and info.imported_modules.get(base.id, "") == "hashlib"
-            ):
-                return None
-        elif isinstance(func, ast.Name):
-            if info.imported_symbols.get(name, ("", ""))[0] != "hashlib":
-                return None
-        return f"hash key 'hashlib.{name}'"
-    if name == "update" and isinstance(func, ast.Attribute):
-        return None  # hash .update() handled at construction sites
-    if name == "dumps":
-        origin_ok = False
-        if isinstance(func, ast.Attribute) and isinstance(
-            func.value, ast.Name
-        ):
-            origin_ok = info.imported_modules.get(func.value.id) == "json"
-        elif isinstance(func, ast.Name):
-            origin_ok = info.imported_symbols.get(name, ("", ""))[0] == "json"
-        if not origin_ok:
-            return None
-        for keyword in call.keywords:
-            if (
-                keyword.arg == "sort_keys"
-                and isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is True
-            ):
-                return None
-        return "ledger serialisation 'json.dumps' (no sort_keys=True)"
-    if name == "put" and isinstance(func, ast.Attribute):
-        return f"store write '{_callee_basename(func.value) or ''}.put'"
     return None
 
 
@@ -480,9 +253,7 @@ def _describe_call(call: ast.Call) -> str:
 
 
 def _assigned_value(node: ast.AST) -> ast.expr | None:
-    if isinstance(node, ast.Assign):
-        return node.value
-    if isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+    if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
         return node.value
     return None
 

@@ -21,15 +21,11 @@ annotated as numpy arrays it raises ``TypeError`` at call time because
 arrays are unhashable.  Cacheable work belongs on module-level functions
 of hashable config values — or in the content-addressed
 ``repro.jobs`` store.
-
-The ``repro.unary`` package is a sanctioned site: its Sobol/LFSR modules
-*are* the deterministic sequence generators, so it is exempt.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import PurePath
 from typing import Iterator
 
 from .findings import Finding
@@ -49,18 +45,9 @@ _SEEDED_CONSTRUCTORS = {
     "MT19937",
 }
 
-#: Package path fragments exempt from this checker (the RNG modules
-#: themselves).
-_SANCTIONED_FRAGMENTS = ("repro/unary/",)
-
-
-def _is_sanctioned(path: str) -> bool:
-    posix = PurePath(path).as_posix()
-    return any(fragment in posix for fragment in _SANCTIONED_FRAGMENTS)
-
 
 class DeterminismChecker(Checker):
-    """Flag global-state and unseeded randomness outside sanctioned sites."""
+    """Flag global-state and unseeded randomness."""
 
     name = "det"
     codes = {
@@ -72,8 +59,6 @@ class DeterminismChecker(Checker):
     }
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        if _is_sanctioned(source.path):
-            return
         numpy_aliases, nprandom_aliases, stdlib_aliases, from_imports = (
             self._collect_imports(source.tree)
         )

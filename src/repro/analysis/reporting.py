@@ -4,8 +4,7 @@ The text form is the human-facing ``path:line:col CODE message`` listing
 with a per-group summary; the JSON form is a stable machine-readable
 document versioned by ``schema_version`` (see ``docs/analysis.md`` for
 the pinned shape) that round-trips through
-:meth:`repro.analysis.findings.Finding.from_dict`.  When a baseline is
-in force, both renderers show what it accepted and any stale entries.
+:meth:`repro.analysis.findings.Finding.from_dict`.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .baseline import BaselineDelta
 from .findings import Finding
 
 __all__ = [
@@ -28,15 +26,12 @@ __all__ = [
 #: v4 added the optional per-finding ``data`` payload carrying the
 #: inferred intervals/shapes behind ``SHAPE``/``BND`` findings; v5 removed
 #: the ``profile`` block and the ``data`` payload with the checkers that
-#: produced them.
-JSON_SCHEMA_VERSION = 5
+#: produced them; v6 removed the ``baseline`` block with the baseline
+#: ratchet.
+JSON_SCHEMA_VERSION = 6
 
 
-def render_text(
-    findings: list[Finding],
-    files_scanned: int,
-    delta: BaselineDelta | None = None,
-) -> str:
+def render_text(findings: list[Finding], files_scanned: int) -> str:
     """Human-readable report: sorted findings plus a summary line."""
     lines = [f.render() for f in sorted(findings)]
     if findings:
@@ -50,23 +45,10 @@ def render_text(
         )
     else:
         lines.append(f"clean: 0 findings in {files_scanned} file(s)")
-    if delta is not None:
-        if delta.accepted:
-            lines.append(f"baseline: {len(delta.accepted)} accepted finding(s)")
-        for path, code, message in delta.stale:
-            lines.append(
-                f"stale baseline entry: {path} {code} {message} "
-                "(fixed? rewrite with --write-baseline)"
-            )
     return "\n".join(lines)
 
 
-def render_json(
-    findings: list[Finding],
-    files_scanned: int,
-    delta: BaselineDelta | None = None,
-    baseline_path: str | None = None,
-) -> str:
+def render_json(findings: list[Finding], files_scanned: int) -> str:
     """Machine-readable report; parse with ``json.loads``."""
     by_group = Counter(f.group for f in sorted(findings))
     doc = {
@@ -77,15 +59,5 @@ def render_json(
             "total": len(findings),
             "by_group": dict(sorted(by_group.items())),
         },
-        "baseline": None,
     }
-    if delta is not None:
-        doc["baseline"] = {
-            "path": baseline_path,
-            "accepted": len(delta.accepted),
-            "new": len(delta.new),
-            "stale": [
-                {"path": p, "code": c, "message": m} for p, c, m in delta.stale
-            ],
-        }
     return json.dumps(doc, indent=2)

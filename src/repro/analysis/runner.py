@@ -3,8 +3,8 @@
 ``python -m repro.analysis [--json] [paths...]`` runs every checker over
 the given paths (default: ``src``, ``examples`` and ``benchmarks`` under
 the current directory) and exits nonzero when findings survive the
-suppression comments and the baseline — the same contract the pytest
-gate and the CI lint job rely on.
+suppression comments — the same contract the pytest gate and the CI
+lint job rely on.
 
 The run parses each source file exactly once: the per-file checkers and
 the whole-program passes (``arch``/``flow``/``dead``/``conc``) all share
@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 
 from . import layers
 from .arch import ArchChecker, layer_violations
-from .baseline import Baseline, BaselineDelta
 from .conc import ConcChecker
 from .config_checks import ConfigChecker
 from .dead import DeadChecker
@@ -79,7 +78,6 @@ SUPPRESSION_CODES = {
 
 _DEFAULT_ROOTS = ("src", "examples", "benchmarks")
 _CONTEXT_ROOTS = ("tests",)
-DEFAULT_BASELINE = "analysis-baseline.json"
 
 
 def default_paths(base: str | Path = ".") -> list[Path]:
@@ -329,23 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print every checker and finding code, then exit",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=f"baseline file to ratchet against (default: {DEFAULT_BASELINE} "
-        "when it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept the current findings: rewrite the baseline and exit 0",
-    )
-    parser.add_argument(
         "--graph-dot",
         metavar="FILE",
         default=None,
@@ -379,7 +360,7 @@ def _list_checkers() -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry: 0 clean, 1 findings (or stale baseline), 2 errors."""
+    """CLI entry: 0 clean, 1 findings, 2 errors."""
     args = _build_parser().parse_args(argv)
     if args.list_checkers:
         print(_list_checkers())
@@ -410,32 +391,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         write_graph_dot(result, args.graph_dot)
         print(f"import graph written to {args.graph_dot}", file=sys.stderr)
 
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline:
-        if Path(DEFAULT_BASELINE).is_file():
-            baseline_path = DEFAULT_BASELINE
-    if args.write_baseline:
-        target = baseline_path or DEFAULT_BASELINE
-        Baseline.from_findings(result.findings).save(target)
-        print(
-            f"baseline {target}: accepted {len(result.findings)} finding(s)"
-        )
-        return 0
-
-    delta: BaselineDelta | None = None
-    reported = result.findings
-    if baseline_path is not None and not args.no_baseline:
-        try:
-            delta = Baseline.load(baseline_path).apply(result.findings)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"repro.analysis: error: {exc}", file=sys.stderr)
-            return 2
-        reported = list(delta.new)
     report = (
-        render_json(reported, result.files_scanned, delta, baseline_path)
+        render_json(result.findings, result.files_scanned)
         if args.json
-        else render_text(reported, result.files_scanned, delta)
+        else render_text(result.findings, result.files_scanned)
     )
     print(report)
-    failed = bool(reported) or (delta is not None and not delta.clean)
-    return 1 if failed else 0
+    return 1 if result.findings else 0

@@ -5,7 +5,7 @@ Line numbers are asserted by ``tests/analysis/test_checkers.py``.
 
 import dataclasses
 
-__all__ = ["BadConfig", "NegativeDefaults", "GoodConfig"]
+__all__ = ["BadConfig", "NegativeDefaults", "GoodConfig", "UnwiredConfig"]
 
 
 @dataclasses.dataclass
@@ -37,4 +37,17 @@ class GoodConfig:
         """Raise ValueError on impossible fields."""
         if self.rows < 1:
             raise ValueError(f"GoodConfig.rows: must be positive, got {self.rows}")
+        return self
+
+
+@dataclasses.dataclass(frozen=True)
+class UnwiredConfig:  # line 44: CFG003 (validate() never called)
+    """Frozen with a validate(), but no __post_init__ calls it."""
+
+    rows: int = 1
+
+    def validate(self) -> "UnwiredConfig":
+        """Raise ValueError on impossible fields."""
+        if self.rows < 1:
+            raise ValueError(f"UnwiredConfig.rows: must be >= 1, got {self.rows}")
         return self

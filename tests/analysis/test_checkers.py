@@ -51,14 +51,19 @@ class TestDeterminismFixture:
             ("DET002", 30),
         ]
 
-    def test_unary_package_is_sanctioned(self):
-        text = "import numpy as np\nx = np.random.rand()\n"
-        sanctioned = SourceFile.parse("src/repro/unary/fake.py", text=text)
-        assert list(DeterminismChecker().check(sanctioned)) == []
-        elsewhere = SourceFile.parse("src/repro/sim/fake.py", text=text)
-        assert [f.code for f in DeterminismChecker().check(elsewhere)] == [
-            "DET001"
-        ]
+    def test_unary_package_is_checked(self):
+        # repro.unary holds the fault injectors; an unseeded RNG there is
+        # as much a finding as anywhere else.
+        text = (
+            "import numpy as np\n"
+            "x = np.random.rand()\n"
+            "rng = np.random.default_rng()\n"
+        )
+        for path in ("src/repro/unary/fake.py", "src/repro/sim/fake.py"):
+            source = SourceFile.parse(path, text=text)
+            assert [f.code for f in DeterminismChecker().check(source)] == [
+                "DET001", "DET003"
+            ]
 
 
 class TestLruCacheFixture:
@@ -81,12 +86,13 @@ class TestConfigFixture:
             ("CFG001", 12),
             ("CFG002", 12),
             ("CFG004", 24),
+            ("CFG003", 44),
         ]
 
     def test_compliant_class_is_clean(self):
         codes = [c for c, _ in _findings("cfg_violations.py", select=["cfg"])]
         # GoodConfig (validate + frozen + __post_init__) adds nothing.
-        assert len(codes) == 3
+        assert len(codes) == 4
 
 
 class TestExportFixture:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from repro.analysis.findings import group_of
 from repro.analysis.runner import main
 from repro.analysis.units import UnitChecker, parse_unit
 from repro.analysis.visitor import SourceFile
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestParseUnit:
@@ -124,11 +127,13 @@ class TestFindingsAndReporters:
     def test_json_report_round_trips(self):
         f = Finding(path="a.py", line=3, col=7, code="EXP001", message="msg")
         doc = json.loads(render_json([f], files_scanned=2))
-        assert doc["schema_version"] == 5
+        assert doc["schema_version"] == 6
+        assert set(doc) == {
+            "schema_version", "files_scanned", "findings", "summary",
+        }
         assert doc["files_scanned"] == 2
         assert [Finding.from_dict(d) for d in doc["findings"]] == [f]
         assert doc["summary"] == {"total": 1, "by_group": {"exp": 1}}
-        assert doc["baseline"] is None
 
     def test_text_report_mentions_counts(self):
         f = Finding(path="a.py", line=1, col=0, code="DET002", message="msg")
@@ -175,6 +180,83 @@ class TestCli:
         bad.write_text("x = a_pj + b_cycles\n")
         assert main([str(bad), "--select", "bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_removed_codes_and_flags_are_usage_errors(self, tmp_path, capsys):
+        clean = tmp_path / "clean.py"
+        clean.write_text('"""Clean module."""\n\n__all__ = []\n')
+        for code in ("CONC001", "CONC004"):
+            assert main([str(clean), "--select", code]) == 2
+        for flag in ("--baseline=x.json", "--no-baseline", "--write-baseline"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([str(clean), flag])
+            assert exit_info.value.code == 2
+        assert main(["--list-checkers"]) == 0
+        out = capsys.readouterr().out
+        assert "CONC002" in out and "CONC003" in out
+        assert "CONC001" not in out and "CONC004" not in out
+
+
+class TestCliSurface:
+    def test_select_whole_program_groups(self, capsys):
+        graph = FIXTURES / "graph"
+        assert main([str(graph), "--select", "arch,flow,dead"]) == 1
+        out = capsys.readouterr().out
+        seen = {
+            line.split()[1]
+            for line in out.splitlines()
+            if ".py:" in line.split(" ")[0]
+        }
+        assert seen == {
+            "ARCH001", "ARCH003", "FLOW001", "FLOW002", "FLOW003",
+            "DEAD001", "DEAD002",
+        }
+
+    def test_select_single_code(self, capsys):
+        graph = FIXTURES / "graph"
+        assert main([str(graph), "--select", "ARCH001"]) == 1
+        out = capsys.readouterr().out
+        assert "ARCH001" in out and "FLOW001" not in out
+
+    def test_select_rejects_unknown_token(self, capsys):
+        assert main([str(FIXTURES / "graph"), "--select", "bogus"]) == 2
+        assert "unknown --select token" in capsys.readouterr().err
+
+    def test_graph_dot_export(self, tmp_path, capsys):
+        out = tmp_path / "graph.dot"
+        assert main([str(FIXTURES / "graph"), "--graph-dot", str(out)]) == 1
+        dot = out.read_text()
+        assert dot.startswith("digraph")
+        assert "unary" in dot and "red" in dot
+
+    def test_list_checkers_names_every_group(self, capsys):
+        assert main(["--list-checkers"]) == 0
+        out = capsys.readouterr().out
+        for code in ("ARCH001", "ARCH002", "ARCH003", "FLOW001", "FLOW002",
+                     "FLOW003", "DEAD001", "DEAD002", "SUP001"):
+            assert code in out
+
+    def test_write_arch_diagram_errors_without_markers(self, tmp_path, capsys):
+        doc = tmp_path / "architecture.md"
+        doc.write_text("# Architecture\n\nno markers here\n")
+        assert main(["--write-arch-diagram", str(doc)]) == 2
+        assert "markers" in capsys.readouterr().err
+
+    def test_write_arch_diagram_rewrites_section(self, tmp_path, capsys):
+        doc = tmp_path / "architecture.md"
+        doc.write_text(
+            "# Architecture\n\n"
+            "<!-- BEGIN GENERATED: layer-diagram -->\n"
+            "stale body\n"
+            "<!-- END GENERATED: layer-diagram -->\n\n"
+            "tail prose\n"
+        )
+        assert main(["--write-arch-diagram", str(doc)]) == 0
+        text = doc.read_text()
+        assert "foundation:" in text and "stale body" not in text
+        assert text.startswith("# Architecture") and "tail prose" in text
+        # Second run is a no-op.
+        assert main(["--write-arch-diagram", str(doc)]) == 0
+        assert "already up to date" in capsys.readouterr().out
 
 
 def test_run_analysis_handles_multiple_paths(tmp_path):

@@ -23,6 +23,12 @@ class TestErrorCurve:
         curve = termination_error_curve(8, ebts=[8], samples=60, seed=1)
         assert curve[8].rmse < 0.02
 
+    def test_same_seed_gives_the_same_curve(self):
+        # The operand pairs are drawn from the seed alone.
+        assert termination_error_curve(8, seed=0) == termination_error_curve(
+            8, seed=0
+        )
+
 
 class TestPolicy:
     def test_tight_budget_selects_full_bits(self):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.serve.cli as serve_cli
 from repro.serve.cli import build_parser, main
 
 FAST_ARGS = [
@@ -55,6 +56,21 @@ def test_multi_scheme_comparison(tmp_path, capsys):
     ur = document["schemes"]["UR"]["summary"]
     assert ur["p99_latency_s"] > bp["p99_latency_s"]
     capsys.readouterr()
+
+
+def test_max_wait_ms_reaches_the_batcher_in_seconds(monkeypatch, capsys):
+    # --max-wait-ms is milliseconds; make_batcher takes seconds.
+    seen = []
+    real = serve_cli.make_batcher
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["max_wait_s"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(serve_cli, "make_batcher", spy)
+    assert main(FAST_ARGS + ["--max-wait-ms", "5"]) == 0
+    capsys.readouterr()
+    assert seen == [pytest.approx(0.005, rel=1e-12)]
 
 
 def test_bad_arguments_are_usage_errors():

@@ -40,7 +40,7 @@ def test_tree_is_lint_clean(full_tree):
 def test_json_report_round_trips_on_full_tree(full_tree):
     findings, files_scanned = full_tree
     doc = json.loads(render_json(findings, files_scanned))
-    assert doc["schema_version"] == 5
+    assert doc["schema_version"] == 6
     assert doc["findings"] == []
     assert doc["summary"] == {"total": 0, "by_group": {}}
 

@@ -32,6 +32,13 @@ class TestStreamFaults:
     def test_zero_flips_no_error(self):
         assert unary_fault_error(_stream(), flips=0) == 0.0
 
+    def test_same_seed_flips_the_same_bits(self):
+        s = _stream()
+        for seed in range(20):
+            assert unary_fault_error(s, 16, seed=seed) == unary_fault_error(
+                s, 16, seed=seed
+            )
+
     def test_flip_count_validation(self):
         s = _stream()
         with pytest.raises(ValueError):

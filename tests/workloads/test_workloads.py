@@ -5,6 +5,7 @@ import pytest
 from repro.gemm.params import GemmType
 from repro.gemm.tiling import tile_gemm
 from repro.schemes import ComputeScheme as CS
+from repro.schemes.registry import registered_codes
 from repro.workloads.alexnet import ALEXNET_PARAM_COUNT, alexnet_layers
 from repro.workloads.mlperf import mlperf_suite
 from repro.workloads.presets import CLOUD, EDGE, scheme_sweep
@@ -116,8 +117,13 @@ class TestPresets:
         assert arr.mac_cycles == 33
 
     def test_memory_for_scheme(self):
-        assert EDGE.memory_for(CS.BINARY_PARALLEL).has_sram
-        assert not EDGE.memory_for(CS.USYSTOLIC_RATE).has_sram
+        # SRAM exactly for the binary schemes, on both platforms and for
+        # every registered scheme, the zoo included.
+        for platform in (EDGE, CLOUD):
+            for code in registered_codes():
+                scheme = CS(code)
+                has_sram = platform.memory_for(scheme).has_sram
+                assert has_sram == (not scheme.is_unary), (platform.name, code)
 
     def test_scheme_sweep_matches_figure10(self):
         sweep = scheme_sweep()
