@@ -13,10 +13,11 @@ from __future__ import annotations
 import dataclasses
 
 from ..contracts import (
+    fail,
     is_power_of_two,
-    require,
     require_in_range,
-    require_positive,
+    require_int,
+    require_positive_int,
 )
 from ..schemes import ComputeScheme, scheme_mac_cycles
 
@@ -52,35 +53,39 @@ class ArrayConfig:
         constructed) and again by ``simulate_layer``/the CLI at entry, as
         the runtime half of the ``repro.analysis`` config contract.
         """
-        require_positive("ArrayConfig", rows=self.rows, cols=self.cols)
-        require(
-            isinstance(self.scheme, ComputeScheme),
-            "ArrayConfig",
-            "scheme",
-            f"must be a ComputeScheme, got {self.scheme!r}",
-        )
-        require(self.bits >= 2, "ArrayConfig", "bits", f"must be >= 2, got {self.bits}")
+        require_positive_int("ArrayConfig", rows=self.rows, cols=self.cols)
+        if not isinstance(self.scheme, ComputeScheme):
+            fail(
+                "ArrayConfig",
+                "scheme",
+                f"must be a ComputeScheme, got {self.scheme!r}",
+            )
+        if type(self.bits) is not int or self.bits < 2:
+            require_int("ArrayConfig", "bits", self.bits)
+            fail("ArrayConfig", "bits", f"must be >= 2, got {self.bits}")
         if self.ebt is not None:
-            require_in_range("ArrayConfig", "ebt", self.ebt, 2, self.bits)
-            require(
-                self.scheme.supports_early_termination,
-                "ArrayConfig",
-                "ebt",
-                f"scheme {self.scheme.value} does not support early termination",
-            )
+            if type(self.ebt) is not int or not 2 <= self.ebt <= self.bits:
+                require_int("ArrayConfig", "ebt", self.ebt)
+                require_in_range("ArrayConfig", "ebt", self.ebt, 2, self.bits)
+            if not self.scheme.supports_early_termination:
+                fail(
+                    "ArrayConfig",
+                    "ebt",
+                    f"scheme {self.scheme.value} does not support early termination",
+                )
         if self.act_frac is not None:
-            require(
-                self.scheme.value_dependent_latency,
-                "ArrayConfig",
-                "act_frac",
-                f"scheme {self.scheme.value} has no value-dependent latency",
-            )
-            require(
-                0.0 <= self.act_frac <= 1.0,
-                "ArrayConfig",
-                "act_frac",
-                f"must be in [0, 1], got {self.act_frac}",
-            )
+            if not self.scheme.value_dependent_latency:
+                fail(
+                    "ArrayConfig",
+                    "act_frac",
+                    f"scheme {self.scheme.value} has no value-dependent latency",
+                )
+            if not 0.0 <= self.act_frac <= 1.0:
+                fail(
+                    "ArrayConfig",
+                    "act_frac",
+                    f"must be in [0, 1], got {self.act_frac}",
+                )
         # Validates bits/ebt/scheme compatibility eagerly, and pins the
         # power-of-two bitstream-length invariant HUB correctness rests on
         # (declared per scheme; value-dependent streams are exempt).
@@ -88,13 +93,13 @@ class ArrayConfig:
             self.scheme, self.bits, self.ebt, act_frac=self.act_frac
         )
         if self.scheme.spec.power_of_two_stream:
-            require(
-                is_power_of_two(mac_cycles - 1),
-                "ArrayConfig",
-                "ebt",
-                f"unary bitstream length must be a power of two, got "
-                f"{mac_cycles - 1}",
-            )
+            if not is_power_of_two(mac_cycles - 1):
+                fail(
+                    "ArrayConfig",
+                    "ebt",
+                    f"unary bitstream length must be a power of two, got "
+                    f"{mac_cycles - 1}",
+                )
         return self
 
     @property

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..contracts import require
+from ..contracts import fail
 from .instance import Instance, InstanceState
 
 __all__ = ["AutoscaleConfig", "plan_scaling", "ScaleAction"]
@@ -46,25 +46,25 @@ class AutoscaleConfig:
 
     def validate(self) -> "AutoscaleConfig":
         """Contract check: raise ``ValueError`` on any impossible field."""
-        require(
-            self.interval_s > 0,
-            "AutoscaleConfig",
-            "interval_s",
-            f"must be positive, got {self.interval_s}",
-        )
-        require(
-            self.high_watermark > self.low_watermark >= 0,
-            "AutoscaleConfig",
-            "high_watermark",
-            f"needs high > low >= 0, got high={self.high_watermark} "
-            f"low={self.low_watermark}",
-        )
-        require(
-            self.power_cap_w is None or self.power_cap_w > 0,
-            "AutoscaleConfig",
-            "power_cap_w",
-            f"must be positive, got {self.power_cap_w}",
-        )
+        if not self.interval_s > 0:
+            fail(
+                "AutoscaleConfig",
+                "interval_s",
+                f"must be positive, got {self.interval_s}",
+            )
+        if not self.high_watermark > self.low_watermark >= 0:
+            fail(
+                "AutoscaleConfig",
+                "high_watermark",
+                f"needs high > low >= 0, got high={self.high_watermark} "
+                f"low={self.low_watermark}",
+            )
+        if not (self.power_cap_w is None or self.power_cap_w > 0):
+            fail(
+                "AutoscaleConfig",
+                "power_cap_w",
+                f"must be positive, got {self.power_cap_w}",
+            )
         return self
 
 

@@ -55,7 +55,7 @@ import itertools
 import math
 from typing import Iterable
 
-from ..contracts import require
+from ..contracts import fail
 from ..jobs.store import ResultStore
 from ..serve.requests import Request
 from .autoscale import AutoscaleConfig, plan_scaling
@@ -82,25 +82,21 @@ class FleetConfig:
 
     def validate(self) -> "FleetConfig":
         """Contract check: raise ``ValueError`` on any impossible field."""
-        require(
-            len(self.pools) >= 1,
-            "FleetConfig",
-            "pools",
-            "needs at least one pool",
-        )
+        if len(self.pools) < 1:
+            fail("FleetConfig", "pools", "needs at least one pool")
         names = [pool.name for pool in self.pools]
-        require(
-            len(set(names)) == len(names),
-            "FleetConfig",
-            "pools",
-            f"pool names must be unique, got {names}",
-        )
-        require(
-            self.slo_s is None or self.slo_s > 0,
-            "FleetConfig",
-            "slo_s",
-            f"must be positive, got {self.slo_s}",
-        )
+        if len(set(names)) != len(names):
+            fail(
+                "FleetConfig",
+                "pools",
+                f"pool names must be unique, got {names}",
+            )
+        if not (self.slo_s is None or self.slo_s > 0):
+            fail(
+                "FleetConfig",
+                "slo_s",
+                f"must be positive, got {self.slo_s}",
+            )
         return self
 
     @property

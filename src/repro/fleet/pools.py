@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..contracts import require
+from ..contracts import fail
 from ..jobs.store import ResultStore
 from ..schemes import ComputeScheme
 from ..serve.batching import make_batcher
@@ -83,56 +83,59 @@ class PoolConfig:
 
     def validate(self) -> "PoolConfig":
         """Contract check: raise ``ValueError`` on any impossible field."""
-        require(bool(self.name), "PoolConfig", "name", "must be a non-empty label")
-        require(
-            self.platform in _PLATFORMS,
-            "PoolConfig",
-            "platform",
-            f"must be one of {_PLATFORMS}, got {self.platform!r}",
-        )
-        require(
-            self.instances >= 1,
-            "PoolConfig",
-            "instances",
-            f"must be >= 1, got {self.instances}",
-        )
-        require(
-            1 <= self.min_instances <= self.max_instances,
-            "PoolConfig",
-            "min_instances",
-            f"needs 1 <= min_instances <= max_instances, got "
-            f"min={self.min_instances} max={self.max_instances}",
-        )
-        require(
-            self.min_instances <= self.instances <= self.max_instances,
-            "PoolConfig",
-            "instances",
-            f"{self.instances} outside "
-            f"[{self.min_instances}, {self.max_instances}]",
-        )
-        require(
-            self.max_wait_s >= 0,
-            "PoolConfig",
-            "max_wait_s",
-            f"must be >= 0, got {self.max_wait_s}",
-        )
-        require(
+        if not self.name:
+            fail("PoolConfig", "name", "must be a non-empty label")
+        if self.platform not in _PLATFORMS:
+            fail(
+                "PoolConfig",
+                "platform",
+                f"must be one of {_PLATFORMS}, got {self.platform!r}",
+            )
+        if not self.instances >= 1:
+            fail(
+                "PoolConfig",
+                "instances",
+                f"must be >= 1, got {self.instances}",
+            )
+        if not 1 <= self.min_instances <= self.max_instances:
+            fail(
+                "PoolConfig",
+                "min_instances",
+                f"needs 1 <= min_instances <= max_instances, got "
+                f"min={self.min_instances} max={self.max_instances}",
+            )
+        if not self.min_instances <= self.instances <= self.max_instances:
+            fail(
+                "PoolConfig",
+                "instances",
+                f"{self.instances} outside "
+                f"[{self.min_instances}, {self.max_instances}]",
+            )
+        if not self.max_wait_s >= 0:
+            fail(
+                "PoolConfig",
+                "max_wait_s",
+                f"must be >= 0, got {self.max_wait_s}",
+            )
+        if not (
             self.act_frac is None
             or (
                 self.scheme.value_dependent_latency
                 and 0.0 <= self.act_frac <= 1.0
-            ),
-            "PoolConfig",
-            "act_frac",
-            f"needs a value-dependent scheme and a value in [0, 1], got "
-            f"scheme={self.scheme.value} act_frac={self.act_frac}",
-        )
-        require(
-            self.power_cap_w is None or self.power_cap_w > 0,
-            "PoolConfig",
-            "power_cap_w",
-            f"must be positive, got {self.power_cap_w}",
-        )
+            )
+        ):
+            fail(
+                "PoolConfig",
+                "act_frac",
+                f"needs a value-dependent scheme and a value in [0, 1], got "
+                f"scheme={self.scheme.value} act_frac={self.act_frac}",
+            )
+        if not (self.power_cap_w is None or self.power_cap_w > 0):
+            fail(
+                "PoolConfig",
+                "power_cap_w",
+                f"must be positive, got {self.power_cap_w}",
+            )
         return self
 
     def sized(self, instances: int) -> "PoolConfig":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-from ..contracts import require, require_positive
+from ..contracts import fail, require_positive_int
 
 __all__ = ["GemmType", "GemmParams"]
 
@@ -51,7 +51,7 @@ class GemmParams:
         Raises ``ValueError`` naming the offending field; called from
         ``__post_init__`` and by ``simulate_layer`` at entry.
         """
-        require_positive(
+        require_positive_int(
             "GemmParams",
             ih=self.ih,
             iw=self.iw,
@@ -61,13 +61,13 @@ class GemmParams:
             oc=self.oc,
             stride=self.stride,
         )
-        require(
-            self.wh <= self.ih and self.ww <= self.iw,
-            "GemmParams",
-            "wh/ww",
-            f"weight window ({self.wh}x{self.ww}) exceeds IFM "
-            f"({self.ih}x{self.iw}) in GEMM {self.name!r}",
-        )
+        if not (self.wh <= self.ih and self.ww <= self.iw):
+            fail(
+                "GemmParams",
+                "wh/ww",
+                f"weight window ({self.wh}x{self.ww}) exceeds IFM "
+                f"({self.ih}x{self.iw}) in GEMM {self.name!r}",
+            )
         return self
 
     @classmethod

@@ -11,9 +11,10 @@ from __future__ import annotations
 import dataclasses
 
 from ..contracts import (
-    require,
+    fail,
     require_in_range,
     require_positive,
+    require_positive_int,
     require_power_of_two,
 )
 from .cacti import SramSpec, sram_model
@@ -50,7 +51,7 @@ class MemoryConfig:
         ``sram_model`` — or not at all when the SRAM was never touched.
         """
         if self.sram_bytes_per_variable is not None:
-            require_positive(
+            require_positive_int(
                 "MemoryConfig",
                 sram_bytes_per_variable=self.sram_bytes_per_variable,
             )
@@ -59,12 +60,12 @@ class MemoryConfig:
             sram_banks=self.sram_banks,
             sram_word_bytes=self.sram_word_bytes,
         )
-        require(
-            isinstance(self.dram, DramSpec),
-            "MemoryConfig",
-            "dram",
-            f"must be a DramSpec, got {type(self.dram).__name__}",
-        )
+        if not isinstance(self.dram, DramSpec):
+            fail(
+                "MemoryConfig",
+                "dram",
+                f"must be a DramSpec, got {type(self.dram).__name__}",
+            )
         require_positive(
             "MemoryConfig",
             dram_peak_bandwidth_bytes_per_s=self.dram.peak_bandwidth_bytes_per_s,

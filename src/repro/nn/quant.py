@@ -29,7 +29,7 @@ import enum
 
 import numpy as np
 
-from ..contracts import require
+from ..contracts import fail
 from ..unary.vectorized import hub_mac_tile
 
 __all__ = [
@@ -65,12 +65,12 @@ class QuantSpec:
 
     def __post_init__(self) -> None:
         # FXP-o-res splits n between the operands, and each needs 2 bits.
-        require(
-            self.mode is not QuantMode.FXP_O_RES or self.ebt >= 4,
-            "QuantSpec",
-            "ebt",
-            f"FXP-o-res needs n >= 4 (two bits per operand), got {self.ebt}",
-        )
+        if self.mode is QuantMode.FXP_O_RES and not self.ebt >= 4:
+            fail(
+                "QuantSpec",
+                "ebt",
+                f"FXP-o-res needs n >= 4 (two bits per operand), got {self.ebt}",
+            )
 
     @property
     def label(self) -> str:

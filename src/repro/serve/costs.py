@@ -3,11 +3,13 @@
 The serving executor charges each dispatched batch the full-network cost
 at that batch size: per layer, the closed-form batched simulation
 (:func:`repro.sim.simulate_layer_batched`), summed over the network.
-Every (layer, batch, warmth) triple is resolved in two tiers — an
-in-process memo, then the content-addressed
-:class:`~repro.jobs.store.ResultStore` — so a serving run that dispatches
-thousands of batches pays for each distinct batch size once, and a
-*second* run (or a sweep sibling in another process) pays nothing at all.
+Each (batch, warmth) pair is priced once per model and kept in an
+in-process table, so a serving run that dispatches thousands of batches
+sums the network once per distinct batch size.  Pricing a new pair
+resolves each layer through the content-addressed
+:class:`~repro.jobs.store.ResultStore` when one is attached, so a
+*second* run (or a sweep sibling in another process) simulates nothing
+at all.
 """
 
 from __future__ import annotations
@@ -64,27 +66,22 @@ class NetworkCostModel:
         if not layers:
             raise ValueError(f"network {name!r} has no layers")
         self.name = name
-        self.layers = list(layers)
+        self.layers = tuple(layers)
         self.array = array
         self.memory = memory
         self.tech = tech
         self.store = store
-        self._memo: dict[tuple[int, int, bool], LayerResult] = {}
-
-    @property
-    def weight_footprint_bytes(self) -> int:
-        """Total weight working set (the residency tracker's admit size)."""
-        return sum(layer.weight_bytes(self.array.bits) for layer in self.layers)
+        #: Total weight working set (the residency tracker's admit size).
+        self.weight_footprint_bytes = sum(
+            layer.weight_bytes(array.bits) for layer in self.layers
+        )
+        self._costs: dict[tuple[int, bool], ServiceCost] = {}
 
     def layer_result(
         self, index: int, batch: int, warm_weights: bool = False
     ) -> LayerResult:
-        """Memo/store-resolved batched result of one layer."""
-        memo_key = (index, batch, warm_weights)
-        if memo_key in self._memo:
-            return self._memo[memo_key]
+        """Batched result of one layer: a store hit, or a fresh simulation."""
         layer = self.layers[index]
-        result: LayerResult | None = None
         key = ""
         if self.store is not None:
             key = batched_simulation_key(
@@ -93,33 +90,38 @@ class NetworkCostModel:
             payload = self.store.get(key, _BATCH_KIND)
             if payload is not None:
                 try:
-                    result = LayerResult.from_json(payload)
+                    return LayerResult.from_json(payload)
                 except (KeyError, TypeError):
                     # Stale/foreign payload shape: recompute and overwrite.
                     self.store.stats.corrupt += 1
-                    result = None
-        if result is None:
-            result = simulate_layer_batched(
-                layer,
-                self.array,
-                self.memory,
-                batch=batch,
-                tech=self.tech,
-                warm_weights=warm_weights,
-            )
-            if self.store is not None:
-                self.store.put(key, _BATCH_KIND, result.to_json())
-        self._memo[memo_key] = result
+        result = simulate_layer_batched(
+            layer,
+            self.array,
+            self.memory,
+            batch=batch,
+            tech=self.tech,
+            warm_weights=warm_weights,
+        )
+        if self.store is not None:
+            self.store.put(key, _BATCH_KIND, result.to_json())
         return result
 
     def batch_cost(self, batch: int, warm_weights: bool = False) -> ServiceCost:
-        """Cost of serving one batch of ``batch`` requests end to end."""
+        """Cost of serving one batch of ``batch`` requests end to end.
+
+        Priced once per ``(batch, warm_weights)``; later calls return the
+        same :class:`ServiceCost`.
+        """
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
-        runtime_s = 0.0
-        energy_j = 0.0
-        for index in range(len(self.layers)):
-            result = self.layer_result(index, batch, warm_weights)
-            runtime_s += result.runtime_s
-            energy_j += result.energy.total
-        return ServiceCost(runtime_s=runtime_s, energy_j=energy_j, batch=batch)
+        cost = self._costs.get((batch, warm_weights))
+        if cost is None:
+            runtime_s = 0.0
+            energy_j = 0.0
+            for index in range(len(self.layers)):
+                result = self.layer_result(index, batch, warm_weights)
+                runtime_s += result.runtime_s
+                energy_j += result.energy.total
+            cost = ServiceCost(runtime_s=runtime_s, energy_j=energy_j, batch=batch)
+            self._costs[batch, warm_weights] = cost
+        return cost

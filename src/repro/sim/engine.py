@@ -102,9 +102,11 @@ def simulate_layer_batched(
     array_dynamic = cost.dynamic_energy_j(sched.active_pe_mac_cycles)
     array_leakage = cost.leakage_w * runtime_s
     sram_dynamic = 0.0
+    sram_leakage_w = 0.0
     if sram is not None:
         sram_dynamic = sram.access_energy_j(traffic.sram_read, traffic.sram_write)
-    sram_leakage = memory.total_sram_leakage_w() * runtime_s
+        sram_leakage_w = len(VARIABLES) * sram.leakage_w
+    sram_leakage = sram_leakage_w * runtime_s
     psum_bytes = traffic.ofm.dram_total
     stream_bytes = traffic.dram_total - psum_bytes
     dram_dynamic = memory.dram.access_energy_j(

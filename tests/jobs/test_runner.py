@@ -54,6 +54,18 @@ class TestCacheTiers:
         assert warm.misses == 0
         assert warm.hit_rate == 1.0
 
+    def test_corrupt_store_payload_is_recomputed(self, tmp_path, reference):
+        store = ResultStore(tmp_path)
+        JobRunner(store=store).simulate_network(LAYERS, ARRAY, MEMORY)
+        # Overwrite every stored payload with a wrong shape; a fresh
+        # runner must fall back to recomputation instead of crashing.
+        for key in list(store.iter_keys()):
+            store.put(key, "simulate_layer", {"nonsense": 1})
+        fresh = JobRunner(store=store)
+        assert fresh.simulate_network(LAYERS, ARRAY, MEMORY) == reference
+        assert store.stats.corrupt == len(LAYERS)
+        assert fresh.misses == len(LAYERS)
+
     def test_no_cache_recomputes(self):
         runner = JobRunner(memoize=False)
         runner.simulate_network(LAYERS, ARRAY, MEMORY)

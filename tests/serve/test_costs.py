@@ -75,10 +75,11 @@ def test_corrupt_store_payload_is_recomputed(tmp_path):
     cost = model.batch_cost(2)
     # Overwrite every stored payload with a wrong shape; a fresh model
     # must fall back to recomputation instead of crashing.
-    for key in list(store.keys()) if hasattr(store, "keys") else []:
+    for key in list(store.iter_keys()):
         store.put(key, "simulate_layer_batched", {"nonsense": 1})
     fresh = _model(store=store)
     assert fresh.batch_cost(2) == cost
+    assert store.stats.corrupt == len(_layers())
 
 
 def test_validation():

@@ -1,0 +1,79 @@
+"""Deterministic work counts: configuration work paid once, not per call.
+
+A served batch is priced once per ``(batch, warm)`` pair however often it
+is dispatched, and one layer simulation builds its SRAM macro once.
+Counting the calls pins both on any machine, independent of wall time.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.gemm.params import GemmParams
+from repro.memory import hierarchy
+from repro.schemes import ComputeScheme
+from repro.serve.arrivals import poisson_arrivals
+from repro.serve.batching import make_batcher
+from repro.serve.costs import NetworkCostModel
+from repro.serve.executor import ServeExecutor
+from repro.serve.queueing import make_queue
+from repro.serve.residency import ResidencyTracker
+from repro.sim.engine import simulate_layer
+from repro.workloads.presets import EDGE
+
+LAYERS = [
+    GemmParams.matmul("a", rows=1, inner=64, cols=32),
+    GemmParams.matmul("b", rows=1, inner=32, cols=16),
+    GemmParams("c", ih=6, iw=6, ic=4, wh=3, ww=3, oc=8),
+]
+
+
+def _counting(monkeypatch, owner, name, log):
+    """Wrap ``owner.name`` so every call appends its arguments to ``log``."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        log.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_serve_prices_each_distinct_batch_once(monkeypatch):
+    lookups, dispatches = [], []
+    _counting(monkeypatch, NetworkCostModel, "layer_result", lookups)
+    _counting(monkeypatch, NetworkCostModel, "batch_cost", dispatches)
+    model = NetworkCostModel(
+        "net",
+        LAYERS,
+        EDGE.array(ComputeScheme.BINARY_PARALLEL),
+        EDGE.memory,
+    )
+    cost = model.batch_cost(4)
+    rate = 3 * 4 / cost.runtime_s  # past capacity: batches of every size
+    server = ServeExecutor(
+        models={"net": model},
+        queue=make_queue("fifo", 64),
+        batcher=make_batcher("dynamic", 4, max_wait_s=cost.runtime_s),
+        # Holds the weights, so every dispatch after the first is warm.
+        residency=ResidencyTracker(model.weight_footprint_bytes),
+    )
+    server.run(poisson_arrivals("net", rate, 60 / rate, seed=0))
+
+    priced = {
+        (args[1], kwargs.get("warm_weights", False)) for args, kwargs in dispatches
+    }
+    assert {warm for _, warm in priced} == {False, True}
+    assert len(dispatches) > 2 * len(priced)
+    assert len(lookups) == len(LAYERS) * len(priced)
+
+
+@pytest.mark.parametrize(
+    "memory,macros", [(EDGE.memory, 1), (EDGE.memory.without_sram(), 0)]
+)
+def test_one_layer_builds_one_sram_macro(monkeypatch, memory, macros):
+    array = EDGE.array(ComputeScheme.USYSTOLIC_RATE, ebt=6)
+    built = []
+    _counting(monkeypatch, hierarchy, "sram_model", built)
+    simulate_layer(LAYERS[2], array, memory)
+    assert len(built) == macros
