@@ -21,7 +21,7 @@ pytest gate):
 - **flow** (``FLOW*``) — interprocedural unit flow: argument/parameter
   and return/assignment unit agreement across resolved call sites;
 - **dead** (``DEAD*``) — ``__all__`` exports and modules unreachable
-  from every entrypoint, test, example and benchmark;
+  from every entrypoint, test and example;
 - **conc** (``CONC*``) — pool-determinism: nondeterministically seeded
   RNGs and module-level mutable state read by pool workers;
 - **sup** (``SUP001``) — suppression comments that suppress nothing.

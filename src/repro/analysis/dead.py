@@ -5,13 +5,13 @@ Export hygiene (``EXP*``) keeps ``__all__`` honest about what a module
 actually **reach** it?
 
 - ``DEAD001`` — an ``__all__``-exported symbol that no CLI entrypoint
-  (``repro.*.__main__``), test, example, benchmark or other module ever
+  (``repro.*.__main__``), test, example or other module ever
   uses: no from-import that is then referenced, no attribute access
   through a module alias, no star-import use, and no live re-export
   chain.  The fix is to delete it or make it private — not to grow
   ``__all__`` around it.
 - ``DEAD002`` — a module under ``repro`` that no root (entrypoint, test,
-  example, benchmark) can reach through the import graph at all, even
+  example) can reach through the import graph at all, even
   through lazy imports.
 
 Liveness is computed as a fixpoint over re-export chains: a facade
@@ -102,8 +102,8 @@ class DeadChecker(ProjectChecker):
     codes = {
         "DEAD001": "__all__-exported symbol unreachable from any "
         "entrypoint, test or other module",
-        "DEAD002": "module unreachable from every entrypoint, test, "
-        "example and benchmark",
+        "DEAD002": "module unreachable from every entrypoint, test "
+        "and example",
     }
 
     def check_project(self, index: ModuleIndex) -> Iterator[Finding]:
@@ -247,7 +247,7 @@ class DeadChecker(ProjectChecker):
             info.name
             for info in index.modules.values()
             if not info.is_target  # context: the test suite
-            or layers.package_key(info.name) is None  # examples/benchmarks
+            or layers.package_key(info.name) is None  # examples
             or info.basename == "__main__"  # CLI entrypoints
         ]
         reached: set[str] = set()
@@ -270,5 +270,5 @@ class DeadChecker(ProjectChecker):
                 0,
                 "DEAD002",
                 f"module {info.name} is unreachable from every entrypoint, "
-                "test, example and benchmark",
+                "test and example",
             )

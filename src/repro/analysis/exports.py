@@ -12,8 +12,7 @@ actual definitions:
 - ``EXP004`` — a public top-level ``def``/``class`` has no docstring.
 
 ``EXP003``/``EXP004`` only apply to *package* modules (an ``__init__.py``
-sits next to the file); standalone scripts in ``examples/`` and
-``benchmarks/`` are exempt.
+sits next to the file); standalone scripts in ``examples/`` are exempt.
 """
 
 from __future__ import annotations

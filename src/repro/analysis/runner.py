@@ -1,8 +1,8 @@
 """Analysis driver and command line.
 
 ``python -m repro.analysis [--json] [paths...]`` runs every checker over
-the given paths (default: ``src``, ``examples`` and ``benchmarks`` under
-the current directory) and exits nonzero when findings survive the
+the given paths (default: ``src`` and ``examples`` under the current
+directory) and exits nonzero when findings survive the
 suppression comments — the same contract the pytest gate and the CI
 lint job rely on.
 
@@ -76,12 +76,12 @@ SUPPRESSION_CODES = {
     "SUP001": "suppression comment no longer suppresses any finding",
 }
 
-_DEFAULT_ROOTS = ("src", "examples", "benchmarks")
+_DEFAULT_ROOTS = ("src", "examples")
 _CONTEXT_ROOTS = ("tests",)
 
 
 def default_paths(base: str | Path = ".") -> list[Path]:
-    """The conventional lint surface: src/examples/benchmarks under ``base``."""
+    """The conventional lint surface: src and examples under ``base``."""
     base = Path(base)
     found = [base / root for root in _DEFAULT_ROOTS if (base / root).is_dir()]
     if not found:
@@ -307,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files/directories to analyse (default: src examples benchmarks)",
+        help="files/directories to analyse (default: src examples)",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit the machine-readable report"

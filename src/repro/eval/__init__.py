@@ -13,7 +13,6 @@ from .efficiency import (
     EfficiencyResult,
     format_figure14,
     headline,
-    mean_utilization,
     run_efficiency_experiment,
 )
 from .energy import (
@@ -31,7 +30,6 @@ from .capacity import (
     run_capacity_planning,
 )
 from .claims import ClaimResult, format_scorecard, run_claims
-from .figures import line_chart, log_bar_chart
 from .pareto import DesignPoint, design_space, format_pareto, pareto_frontier
 from .report import format_series, format_table, table1
 from .runall import run_all
@@ -78,7 +76,6 @@ __all__ = [
     "EfficiencyResult",
     "format_figure14",
     "headline",
-    "mean_utilization",
     "run_efficiency_experiment",
     "EnergyResult",
     "edp_improvements",
@@ -90,8 +87,6 @@ __all__ = [
     "format_series",
     "format_table",
     "table1",
-    "line_chart",
-    "log_bar_chart",
     "DesignPoint",
     "design_space",
     "format_pareto",

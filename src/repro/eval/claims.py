@@ -2,26 +2,42 @@
 
 :func:`run_claims` executes one check per claim and returns a scorecard —
 the reproduction's self-audit.  Each claim carries its paper section, the
-paper's wording/value, the measured value, and a pass flag.  The fig-9
-accuracy claims involve CNN training and are gated behind
-``include_slow=True``; everything else runs in seconds.
+paper's wording/value, the measured value, and a pass flag.  The Section
+V-A accuracy claims read the Figure 9 panels, which take CNN training, so
+they are checked only when those panels are passed in; everything else
+runs in seconds.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
 
 from ..fsu import fsu_weight_storage
+from ..hw import gates
+from ..hw.array_cost import array_cost
+from ..hw.pe_cost import PePosition, pe_cost
 from ..schemes import ComputeScheme as CS
-from ..jobs.runner import simulate_layer, simulate_network
+from ..jobs.runner import simulate_layer
 from ..unary.multiply import umul_bipolar, umul_unipolar
+from ..unary.rng import LfsrSequence, NumberSequence, SobolSequence
 from ..workloads.alexnet import alexnet_layers
 from ..workloads.presets import CLOUD, EDGE
+from .accuracy import AccuracyResult, gemm_error_ranking
 from .area import area_reductions
+from .bandwidth import run_bandwidth_experiment
+from .efficiency import run_efficiency_experiment
+from .energy import (
+    edp_improvements,
+    energy_reductions,
+    power_reductions,
+    run_energy_experiment,
+)
 from .report import format_table
+from .schemezoo import run_schemezoo_experiment
 
 __all__ = ["ClaimResult", "run_claims", "format_scorecard"]
+
+_UNARY_CONFIGS = ("Unary-32c", "Unary-64c", "Unary-128c")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,33 +51,47 @@ class ClaimResult:
     passed: bool
 
 
-def _edge_runs() -> dict[str, list]:
-    layers = alexnet_layers()
-    runs = {}
-    for key, scheme, ebt in [
-        ("bp", CS.BINARY_PARALLEL, None),
-        ("bs", CS.BINARY_SERIAL, None),
-        ("ur32", CS.USYSTOLIC_RATE, 6),
-        ("ur128", CS.USYSTOLIC_RATE, 8),
-        ("ug", CS.UGEMM_RATE, 8),
-    ]:
-        memory = EDGE.memory_for(scheme)
-        runs[key] = simulate_network(layers, EDGE.array(scheme, ebt=ebt), memory)
-    runs["bp_nosram"] = simulate_network(
-        layers, EDGE.array(CS.BINARY_PARALLEL), EDGE.memory.without_sram()
-    )
-    return runs
+def _umul_error(sequence: type[NumberSequence], bits: int = 7) -> float:
+    """Mean |count - exact| of the uMUL, in LSB, over an operand grid."""
+    full = 1 << bits
+    grid = range(8, full, 24)
+    errors = [
+        abs(
+            umul_unipolar(
+                a,
+                b,
+                bits,
+                stream_sequence=sequence(bits),
+                weight_sequence=sequence(bits),
+            ).count
+            - a * b / full
+        )
+        for a in grid
+        for b in grid
+    ]
+    return sum(errors) / len(errors)
 
 
-def run_claims(include_slow: bool = False) -> list[ClaimResult]:
-    """Evaluate the scorecard; see module docstring."""
+def _mean_over_configs(table: dict[str, dict[str, dict[str, float]]]) -> float:
+    """Mean reduction vs Binary Parallel, averaged over 32c/64c/128c."""
+    means = [table["Binary Parallel"][c]["mean"] for c in _UNARY_CONFIGS]
+    return sum(means) / len(means)
+
+
+def run_claims(accuracy: list[AccuracyResult] | None = None) -> list[ClaimResult]:
+    """Evaluate the scorecard; see module docstring.
+
+    ``accuracy`` is the three Figure 9 panels (easy, medium, hard), swept
+    over at least EBT 6 and 10; when given, the Section V-A rows run too.
+    """
     results: list[ClaimResult] = []
 
     def check(section: str, claim: str, paper: str, measured: str, passed: bool):
         results.append(ClaimResult(section, claim, paper, f"{measured}", passed))
 
-    runs = _edge_runs()
+    edge = {r.design: r.layers for r in run_bandwidth_experiment(EDGE)}
     convs = slice(0, 5)
+    ur_pe = pe_cost(CS.USYSTOLIC_RATE, 8, PePosition.LEFTMOST)
 
     # --- II-B4b: sign-magnitude halves the bipolar cost -----------------
     uni = umul_unipolar(128, 128, 7).cycles
@@ -73,9 +103,47 @@ def run_claims(include_slow: bool = False) -> list[ClaimResult]:
         f"{bip / uni:.1f}x",
         bip == 2 * uni,
     )
+    ug_mul = pe_cost(CS.UGEMM_RATE, 8, PePosition.LEFTMOST).mul
+    check(
+        "II-B4b",
+        "uGEMM-H's bipolar MUL is much larger than the sign-magnitude MUL",
+        "~2x",
+        f"{ug_mul / ur_pe.mul:.2f}x",
+        ug_mul > 1.5 * ur_pe.mul,
+    )
+
+    # --- III: reduced-resolution accumulation, bitstream reuse, RNG -------
+    def acc_datapath(width: int) -> float:
+        return gates.adder(width) + gates.dff(width) + gates.mux(width)
+
+    reduced, full = acc_datapath(8 + 4), acc_datapath(2 * 8 + 4)
+    check(
+        "III-A",
+        "the reduced-resolution accumulator shrinks the ACC datapath",
+        ">30% smaller",
+        f"{100 * (1 - reduced / full):.1f}% smaller",
+        reduced < 0.7 * full,
+    )
+    shared = array_cost(CS.USYSTOLIC_RATE, EDGE.rows, EDGE.cols, 8).total_ge
+    duplicated = EDGE.rows * EDGE.cols * ur_pe.total
+    check(
+        "III-B",
+        "bitstream reuse beats per-PE RNG duplication in edge array area",
+        ">20% smaller",
+        f"{100 * (1 - shared / duplicated):.1f}% smaller",
+        shared < 0.8 * duplicated,
+    )
+    sobol, lfsr = _umul_error(SobolSequence), _umul_error(LfsrSequence)
+    check(
+        "IV (RNG)",
+        "the Sobol RNG multiplies more accurately than an LFSR",
+        "high-quality Sobol",
+        f"{sobol:.2f} vs {lfsr:.2f} LSB",
+        sobol < lfsr,
+    )
 
     # --- V-B: crawling bytes ---------------------------------------------
-    ur128_conv_bw = max(r.dram_bandwidth_gbps for r in runs["ur128"][convs])
+    ur128_conv_bw = max(r.dram_bandwidth_gbps for r in edge["Unary-128c"][convs])
     check(
         "V-B",
         "uSystolic-128c edge conv DRAM bandwidth stays ultra-low",
@@ -83,13 +151,37 @@ def run_claims(include_slow: bool = False) -> list[ClaimResult]:
         f"{ur128_conv_bw:.2f} GB/s",
         ur128_conv_bw < 0.5,
     )
-    bp_bw = max(r.dram_bandwidth_gbps for r in runs["bp_nosram"])
+    bp_bw = max(r.dram_bandwidth_gbps for r in edge["Binary Parallel (no SRAM)"])
     check(
         "V-B",
         "binary parallel without SRAM demands far more DRAM bandwidth",
         "10.49 vs 0.47 GB/s",
         f"{bp_bw:.1f} vs {ur128_conv_bw:.2f} GB/s",
         bp_bw > 5 * ur128_conv_bw,
+    )
+    bp_sram_bw = max(r.dram_bandwidth_gbps for r in edge["Binary Parallel"])
+    check(
+        "V-B",
+        "eliminating SRAM raises binary parallel's peak DRAM bandwidth",
+        "3.03 -> 10.49 GB/s",
+        f"{bp_sram_bw:.2f} -> {bp_bw:.2f} GB/s",
+        bp_bw > bp_sram_bw,
+    )
+    ur128_bw = max(r.dram_bandwidth_gbps for r in edge["Unary-128c"])
+    check(
+        "V-B",
+        "uSystolic-128c edge DRAM bandwidth < 1 GB/s on every layer",
+        "FC band [0.46, 1.08] GB/s",
+        f"{ur128_bw:.2f} GB/s",
+        ur128_bw < 1.0,
+    )
+    ug_bw = max(r.dram_bandwidth_gbps for r in edge["uGEMM-H"])
+    check(
+        "V-B",
+        "uGEMM-H crawls slowest: peak DRAM bandwidth below uSystolic-128c",
+        "lowest",
+        f"{ug_bw:.2f} vs {ur128_bw:.2f} GB/s",
+        ug_bw < ur128_bw,
     )
 
     # --- V-C: area ----------------------------------------------------------
@@ -110,7 +202,7 @@ def run_claims(include_slow: bool = False) -> list[ClaimResult]:
     )
 
     # --- V-D: contention ------------------------------------------------
-    edge_overhead = max(r.contention_overhead for r in runs["ur32"][convs])
+    edge_overhead = max(r.contention_overhead for r in edge["Unary-32c"][convs])
     check(
         "V-D",
         "edge conv memory contention is insignificant",
@@ -129,12 +221,22 @@ def run_claims(include_slow: bool = False) -> list[ClaimResult]:
         f"{100 * cloud_bp.contention_overhead:.1f}% (Conv2)",
         cloud_bp.contention_overhead > 1.0,
     )
+    conv1_ratio = (
+        edge["Unary-32c"][0].throughput_gops / edge["Unary-128c"][0].throughput_gops
+    )
+    check(
+        "V-D",
+        "edge conv throughput falls almost linearly with MAC cycles",
+        "129/33 = 3.9x (Conv1, 32c/128c)",
+        f"{conv1_ratio:.2f}x",
+        3.0 < conv1_ratio < 4.5,
+    )
 
     # --- V-E: energy ------------------------------------------------------
-    bp_onchip = [r.energy.on_chip for r in runs["bp"]]
+    bp_onchip = [r.energy.on_chip for r in edge["Binary Parallel"]]
     if not bp_onchip:
         raise ValueError("no Binary Parallel layer results to compare against")
-    bp_sram_leak = sum(r.energy.sram_leakage for r in runs["bp"])
+    bp_sram_leak = sum(r.energy.sram_leakage for r in edge["Binary Parallel"])
     check(
         "V-E",
         "SRAM leakage dominates binary on-chip energy",
@@ -142,7 +244,7 @@ def run_claims(include_slow: bool = False) -> list[ClaimResult]:
         f"{100 * bp_sram_leak / sum(bp_onchip):.0f}% of on-chip",
         bp_sram_leak > 0.5 * sum(bp_onchip),
     )
-    ur32_onchip = [r.energy.on_chip for r in runs["ur32"]]
+    ur32_onchip = [r.energy.on_chip for r in edge["Unary-32c"]]
     mean_red = sum(
         100 * (1 - u / b) for u, b in zip(ur32_onchip, bp_onchip)
     ) / len(bp_onchip)
@@ -153,7 +255,9 @@ def run_claims(include_slow: bool = False) -> list[ClaimResult]:
         f"{mean_red:.1f}%",
         mean_red > 50.0,
     )
-    conv_total_gain = 1 - runs["ur128"][1].energy.total / runs["bp"][1].energy.total
+    conv_total_gain = (
+        1 - edge["Unary-128c"][1].energy.total / edge["Binary Parallel"][1].energy.total
+    )
     check(
         "V-E",
         "total (DRAM-dominated) energy gains are negative on convolutions",
@@ -161,8 +265,8 @@ def run_claims(include_slow: bool = False) -> list[ClaimResult]:
         f"{100 * conv_total_gain:.1f}% (Conv2, 128c)",
         conv_total_gain < 0,
     )
-    ug_energy = sum(r.energy.on_chip for r in runs["ug"][convs])
-    ur_energy = sum(r.energy.on_chip for r in runs["ur128"][convs])
+    ug_energy = sum(r.energy.on_chip for r in edge["uGEMM-H"][convs])
+    ur_energy = sum(r.energy.on_chip for r in edge["Unary-128c"][convs])
     check(
         "V-E",
         "uGEMM-H consumes over ~2x the energy of uSystolic",
@@ -170,9 +274,31 @@ def run_claims(include_slow: bool = False) -> list[ClaimResult]:
         f"{ug_energy / ur_energy:.1f}x",
         ug_energy > 1.5 * ur_energy,
     )
+    ug_all = sum(r.energy.on_chip for r in edge["uGEMM-H"])
+    ur_all = sum(r.energy.on_chip for r in edge["Unary-128c"])
+    check(
+        "V-E",
+        "uGEMM-H costs over ~2x uSystolic-128c on all 8 layers, FCs too",
+        ">2x",
+        f"{ug_all / ur_all:.2f}x",
+        ug_all > 1.5 * ur_all,
+    )
+    energy = run_energy_experiment(EDGE)
+    edp_mean = _mean_over_configs(edp_improvements(energy))
+    energy_mean = _mean_over_configs(energy_reductions(energy))
+    check(
+        "V-E",
+        "on-chip EDP gains fall far short of the energy gains (edge mean)",
+        "-487.8% vs 83.5%",
+        f"{edp_mean:.1f}% vs {energy_mean:.1f}%",
+        edp_mean < energy_mean,
+    )
 
     # --- V-F: power ----------------------------------------------------------
-    power_red = 1 - runs["ur32"][0].on_chip_power_w / runs["bp"][0].on_chip_power_w
+    power_red = 1 - (
+        edge["Unary-32c"][0].on_chip_power_w
+        / edge["Binary Parallel"][0].on_chip_power_w
+    )
     check(
         "V-F",
         "tremendous on-chip power reduction (edge)",
@@ -180,11 +306,51 @@ def run_claims(include_slow: bool = False) -> list[ClaimResult]:
         f"{100 * power_red:.1f}% (Conv1, 32c)",
         power_red > 0.9,
     )
+    power_mean = _mean_over_configs(power_reductions(energy))
+    check(
+        "V-F",
+        "on-chip power reduction, mean over layers and 32/64/128c (edge)",
+        "mean 98.4%",
+        f"{power_mean:.1f}%",
+        power_mean > 90.0,
+    )
+
+    # --- V-G: efficiency (Figure 14) ---------------------------------------
+    panels = [
+        run_efficiency_experiment(platform, workload)
+        for workload in ("alexnet", "mlperf")
+        for platform in (EDGE, CLOUD)
+    ]
+    ordered = [
+        p
+        for p in panels
+        if p.eei["Binary Parallel"]["Unary-32c"]
+        > p.eei["Binary Parallel"]["Unary-64c"]
+        > p.eei["Binary Parallel"]["Unary-128c"]
+        > p.eei["Binary Parallel"]["uGEMM-H"]
+    ]
+    check(
+        "V-G",
+        "E.E.I. falls with MAC cycles: 32c > 64c > 128c > uGEMM-H",
+        "every panel",
+        f"{len(ordered)}/{len(panels)} panels",
+        len(ordered) == len(panels),
+    )
+    edge_alexnet, _, edge_mlperf, _ = panels
+    alexnet_eei = edge_alexnet.eei["Binary Parallel"]["Unary-32c"]
+    mlperf_eei = edge_mlperf.eei["Binary Parallel"]["Unary-32c"]
+    check(
+        "V-G",
+        "MLPerf's lower utilization dilutes the E.E.I. (edge, 32c)",
+        "util 69.6% vs 97.1%",
+        f"{mlperf_eei:.1f}x vs {alexnet_eei:.1f}x",
+        mlperf_eei < alexnet_eei,
+    )
 
     # --- headline ---------------------------------------------------------
     eei = [
         (u.energy_efficiency() / b.energy_efficiency())
-        for u, b in zip(runs["ur32"], runs["bs"])
+        for u, b in zip(edge["Unary-32c"], edge["Binary Serial"])
     ]
     check(
         "Abstract",
@@ -195,9 +361,6 @@ def run_claims(include_slow: bool = False) -> list[ClaimResult]:
     )
 
     # --- post-uSystolic zoo ---------------------------------------------
-    from ..hw.pe_cost import pe_cost
-    from .schemezoo import run_schemezoo_experiment
-
     zoo = run_schemezoo_experiment(EDGE, layers=alexnet_layers()[:3])
     tub = sorted(
         (p for p in zoo if p.sparsity is not None), key=lambda p: p.sparsity
@@ -219,14 +382,13 @@ def run_claims(include_slow: bool = False) -> list[ClaimResult]:
         f"{by_label['Binary Parallel'].runtime_s * 1e3:.2f} ms",
         by_label["DiP"].runtime_s < by_label["Binary Parallel"].runtime_s,
     )
-    tu_mul = pe_cost(CS.TUGEMM_TEMPORAL, 8, "leftmost").mul
-    ur_mul = pe_cost(CS.USYSTOLIC_RATE, 8, "leftmost").mul
+    tu_mul = pe_cost(CS.TUGEMM_TEMPORAL, 8, PePosition.LEFTMOST).mul
     check(
         "zoo (ISCAS'23)",
         "tuGEMM's counter MUL is smaller than the Sobol C-BSG MUL",
         "no RNG area",
-        f"{tu_mul:.0f} vs {ur_mul:.0f} gates",
-        tu_mul < ur_mul,
+        f"{tu_mul:.0f} vs {ur_pe.mul:.0f} gates",
+        tu_mul < ur_pe.mul,
     )
 
     # --- footnote 2 ---------------------------------------------------------
@@ -239,9 +401,8 @@ def run_claims(include_slow: bool = False) -> list[ClaimResult]:
         storage.storage_bytes > 24 * 2**20,
     )
 
-    if include_slow:
-        from .accuracy import gemm_error_ranking
-
+    # --- V-A: accuracy (Figure 9) -----------------------------------------
+    if accuracy is not None:
         errors = gemm_error_ranking(ebt=8, trials=5)
         check(
             "V-A",
@@ -251,6 +412,23 @@ def run_claims(include_slow: bool = False) -> list[ClaimResult]:
                 f"{errors[k]:.2f}" for k in ("fxp-o-res", "usystolic", "fxp-i-res")
             ),
             errors["fxp-o-res"] > errors["usystolic"] > errors["fxp-i-res"],
+        )
+        easy, _, hard = accuracy
+        easy6 = easy.sweep["usystolic"][6]
+        check(
+            "V-A",
+            "easy task barely drops: uSystolic@6 within 15 points of FP32",
+            "barely any drop",
+            f"{100 * easy6:.1f} vs {100 * easy.fp32_accuracy:.1f}",
+            easy6 >= easy.fp32_accuracy - 0.15,
+        )
+        hard10 = hard.sweep["usystolic"][10]
+        check(
+            "V-A",
+            "hard task saturates: uSystolic@10 within 10 points of FP32",
+            "saturated by EBT 10",
+            f"{100 * hard10:.1f} vs {100 * hard.fp32_accuracy:.1f}",
+            hard10 >= hard.fp32_accuracy - 0.10,
         )
     return results
 

@@ -23,7 +23,6 @@ from .report import format_table
 __all__ = [
     "EfficiencyResult",
     "run_efficiency_experiment",
-    "mean_utilization",
     "headline",
     "format_figure14",
 ]
@@ -45,6 +44,7 @@ class EfficiencyResult:
     """per-layer maximum (the paper's "up to" numbers)."""
     pei_max: dict[str, dict[str, float]]
     utilization: float
+    """Section V-G's mean MAC utilization (drives the MLPerf dilution)."""
 
 
 def _simulate_all(
@@ -112,20 +112,6 @@ def run_efficiency_experiment(
         pei_max=pei_max,
         utilization=util,
     )
-
-
-def mean_utilization(platform: Platform, workload: str = "alexnet") -> float:
-    """Section V-G's MAC utilization (drives the MLPerf dilution)."""
-    if workload == "alexnet":
-        layers = alexnet_layers()
-    else:
-        layers = [l for ls in mlperf_suite().values() for l in ls]
-    from ..gemm.tiling import tile_gemm
-
-    utils = [tile_gemm(l, platform.rows, platform.cols).utilization for l in layers]
-    if not utils:
-        raise ValueError(f"workload {workload!r} has no layers")
-    return sum(utils) / len(utils)
 
 
 def headline(platform: Platform) -> dict[str, float]:

@@ -1,7 +1,8 @@
 """One-shot driver: regenerate every paper table and figure in sequence.
 
-``python -m repro.eval`` runs this.  The accuracy experiment (Figure 9)
-trains three CNNs and is the slow step; pass ``--fast`` to shrink it.
+``python -m repro.eval`` runs this and exits 1 when any row of the
+claims scorecard fails.  The accuracy experiment (Figure 9) trains three
+CNNs and is the slow step; pass ``--fast`` to shrink it.
 
 All simulation-bound experiments route through the :mod:`repro.jobs`
 layer: ``--jobs N`` fans layer simulations out across worker processes
@@ -23,9 +24,10 @@ from typing import Callable, TextIO
 from ..jobs.runner import JobRunner, get_runner, jobs_arg, using_runner
 from ..jobs.store import ResultStore
 from ..workloads.presets import CLOUD, EDGE
-from .accuracy import format_figure9, run_accuracy_experiment
+from .accuracy import AccuracyResult, format_figure9, run_accuracy_experiment
 from .area import format_figure11, run_area_experiment
 from .bandwidth import format_figure10, run_bandwidth_experiment
+from .claims import ClaimResult, format_scorecard, run_claims
 from .efficiency import format_figure14, headline, run_efficiency_experiment
 from .energy import format_figure13, run_energy_experiment
 from .report import format_series, table1
@@ -73,22 +75,31 @@ def run_all(
     out: TextIO = sys.stdout,
     fast: bool = False,
     log: TextIO | None = None,
-) -> None:
-    """Regenerate Table I and Figures 9-14 plus the headline numbers."""
+) -> list[ClaimResult]:
+    """Regenerate Table I and Figures 9-14 plus the headline numbers.
+
+    Returns the scorecard rows.  The full run hands its Figure 9 panels to
+    the scorecard's accuracy rows; ``fast`` trains smaller networks, so it
+    checks no accuracy row.
+    """
     ebts = [6, 8, 10] if fast else list(range(6, 13))
     train = 250 if fast else 500
     test = 60 if fast else 150
+    accuracy: list[AccuracyResult] = []
+    claims: list[ClaimResult] = []
+
+    def figure9() -> str:
+        accuracy.extend(
+            run_accuracy_experiment(ebts=ebts, train_samples=train, test_samples=test)
+        )
+        return format_figure9(accuracy, ebts)
+
+    def scorecard() -> str:
+        claims.extend(run_claims(None if fast else accuracy))
+        return format_scorecard(claims)
 
     _timed(out, "Table I", table1, log=log)
-    _timed(
-        out,
-        "Figure 9: accuracy vs effective bitwidth",
-        lambda: format_figure9(
-            run_accuracy_experiment(ebts=ebts, train_samples=train, test_samples=test),
-            ebts,
-        ),
-        log=log,
-    )
+    _timed(out, "Figure 9: accuracy vs effective bitwidth", figure9, log=log)
     for platform in (EDGE, CLOUD):
         _timed(
             out,
@@ -154,14 +165,8 @@ def run_all(
         lambda: format_series("edge headline", headline(EDGE), fmt="{:.1f}"),
         log=log,
     )
-    from .claims import format_scorecard, run_claims
-
-    _timed(
-        out,
-        "Reproduction scorecard",
-        lambda: format_scorecard(run_claims(include_slow=not fast)),
-        log=log,
-    )
+    _timed(out, "Reproduction scorecard", scorecard, log=log)
+    return claims
 
 
 def cache_summary_line() -> str:
@@ -179,7 +184,10 @@ def cache_summary_line() -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Regenerate every paper table/figure; the `python -m repro.eval` entry."""
+    """Regenerate every paper table/figure; the `python -m repro.eval` entry.
+
+    Exits 1 when any scorecard row fails, 0 when every row holds.
+    """
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval",
         description="Regenerate every uSystolic paper table/figure.",
@@ -208,6 +216,6 @@ def main(argv: list[str] | None = None) -> int:
     store = ResultStore(args.cache_dir) if args.cache_dir and use_cache else None
     runner = JobRunner(workers=args.jobs, store=store, memoize=use_cache)
     with using_runner(runner):
-        run_all(fast=args.fast, log=sys.stderr)
+        claims = run_all(fast=args.fast, log=sys.stderr)
         print(cache_summary_line(), file=sys.stderr)
-    return 0
+    return 0 if all(c.passed for c in claims) else 1

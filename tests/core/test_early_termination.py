@@ -51,8 +51,9 @@ class TestTradeoff:
         points = energy_accuracy_tradeoff(8, samples=60, seed=1)
         ebts = [p.ebt for p in points]
         assert ebts == sorted(ebts)
-        rmses = [p.rmse for p in points]
-        assert all(a >= b for a, b in zip(rmses, rmses[1:]))
+        for sample in (points, energy_accuracy_tradeoff(8, samples=150, seed=0)):
+            rmses = [p.rmse for p in sample]
+            assert all(a >= b for a, b in zip(rmses, rmses[1:]))
         fracs = [p.energy_fraction for p in points]
         assert all(a <= b for a, b in zip(fracs, fracs[1:]))
         assert fracs[-1] == pytest.approx(1.0)

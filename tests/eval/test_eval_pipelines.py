@@ -1,8 +1,9 @@
 """Tests for the per-figure evaluation pipelines.
 
 These assert the *shape* results the paper reports — who wins, orderings,
-sign patterns — on reduced sample sizes so the suite stays fast; the
-benchmarks run the full-size experiments.
+sign patterns — on reduced sample sizes so the suite stays fast;
+``python -m repro.eval`` runs the full-size experiments and checks the
+paper's claims in its scorecard.
 """
 
 import pytest
@@ -14,11 +15,7 @@ from repro.eval.accuracy import (
 )
 from repro.eval.area import area_reductions, format_figure11, run_area_experiment
 from repro.eval.bandwidth import format_figure10, run_bandwidth_experiment
-from repro.eval.efficiency import (
-    format_figure14,
-    mean_utilization,
-    run_efficiency_experiment,
-)
+from repro.eval.efficiency import format_figure14, run_efficiency_experiment
 from repro.eval.energy import (
     energy_reductions,
     format_figure13,
@@ -222,10 +219,10 @@ class TestEfficiencyPipeline:
         assert edge_alex.eei_max["Binary Parallel"]["Unary-32c"] > 30.0
         assert edge_alex.pei_max["Binary Parallel"]["Unary-32c"] > 30.0
 
-    def test_alexnet_utilization_high_on_edge(self):
+    def test_alexnet_utilization_high_on_edge(self, edge_alex):
         # Section V-G: 97.1% for AlexNet vs 69.6% for MLPerf on the edge.
-        alex = mean_utilization(EDGE, "alexnet")
-        mlperf = mean_utilization(EDGE, "mlperf")
+        alex = edge_alex.utilization
+        mlperf = run_efficiency_experiment(EDGE, "mlperf").utilization
         assert alex > 0.9
         assert mlperf < alex
 
@@ -238,7 +235,8 @@ class TestEfficiencyPipeline:
 class TestAccuracyPipeline:
     @pytest.fixture(scope="class")
     def results(self):
-        # Reduced sizes for test speed; benches run the full experiment.
+        # Reduced sizes for test speed; `python -m repro.eval` runs the
+        # full experiment.
         return run_accuracy_experiment(
             ebts=[6, 8, 10], train_samples=250, test_samples=60
         )

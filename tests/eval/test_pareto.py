@@ -65,22 +65,26 @@ class TestFrontier:
         assert energies == sorted(energies)
 
 
+def _space(train_samples, test_samples, epochs, layers, **kwargs):
+    ds = make_dataset("easy", train=train_samples, test=test_samples)
+    model = mnist4(ds.image_shape, ds.num_classes)
+    train(model, ds, epochs=epochs, seed=1)
+    return design_space(
+        model,
+        ds.x_test,
+        ds.y_test,
+        alexnet_layers()[:layers],
+        EDGE.rows,
+        EDGE.cols,
+        EDGE.memory.without_sram(),
+        **kwargs,
+    )
+
+
 class TestDesignSpace:
     @pytest.fixture(scope="class")
     def space(self):
-        ds = make_dataset("easy", train=150, test=50)
-        model = mnist4(ds.image_shape, ds.num_classes)
-        train(model, ds, epochs=4, seed=1)
-        return design_space(
-            model,
-            ds.x_test,
-            ds.y_test,
-            alexnet_layers()[:2],
-            EDGE.rows,
-            EDGE.cols,
-            EDGE.memory.without_sram(),
-            ebts=(4, 6, 8),
-        )
+        return _space(150, 50, epochs=4, layers=2, ebts=(4, 6, 8))
 
     def test_covers_all_schemes(self, space):
         schemes = {p.scheme for p in space}
@@ -95,9 +99,11 @@ class TestDesignSpace:
 
     def test_ugemm_always_dominated(self, space):
         # Identical arithmetic, double the cycles: every uGEMM-H point is
-        # dominated by the uSystolic point at the same EBT.
-        frontier = pareto_frontier(space)
-        assert all(p.scheme is not CS.UGEMM_RATE for p in frontier)
+        # dominated by the uSystolic point at the same EBT.  Also over the
+        # default EBTs 4-8 on a larger model and three layers.
+        for points in (space, _space(300, 100, epochs=5, layers=3)):
+            frontier = pareto_frontier(points)
+            assert all(p.scheme is not CS.UGEMM_RATE for p in frontier)
 
     def test_zoo_points_present(self, space):
         by_label = {p.label: p for p in space}

@@ -1,4 +1,4 @@
-"""Tests for the run-all driver's interface (full runs live in benches)."""
+"""Tests for the run-all driver's interface (CI's eval-full job runs it whole)."""
 
 import io
 import re
@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro.eval import runall
+from repro.eval.claims import ClaimResult
 from repro.jobs.runner import JobRunner, get_runner, using_runner
 
 
@@ -15,6 +16,7 @@ class TestMainInterface:
 
         def fake_run_all(out=None, fast=False, log=None):
             called["fast"] = fast
+            return []
 
         monkeypatch.setattr(runall, "run_all", fake_run_all)
         assert runall.main(["--fast"]) == 0
@@ -25,10 +27,17 @@ class TestMainInterface:
         monkeypatch.setattr(
             runall,
             "run_all",
-            lambda out=None, fast=False, log=None: called.update(fast=fast),
+            lambda out=None, fast=False, log=None: called.update(fast=fast) or [],
         )
         assert runall.main([]) == 0
         assert called["fast"] is False
+
+    def test_exit_status_follows_the_scorecard(self, monkeypatch):
+        rows = [ClaimResult("V-A", "holds", "p", "m", True)]
+        monkeypatch.setattr(runall, "run_all", lambda **kwargs: rows)
+        assert runall.main(["--fast"]) == 0
+        rows.append(ClaimResult("V-B", "fails", "p", "m", False))
+        assert runall.main(["--fast"]) == 1
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit):
@@ -41,7 +50,8 @@ class TestMainInterface:
             "run_all",
             lambda out=None, fast=False, log=None: seen.update(
                 runner=get_runner()
-            ),
+            )
+            or [],
         )
         before = get_runner()
         assert runall.main(["--jobs", "3", "--cache-dir", str(tmp_path)]) == 0
@@ -59,7 +69,8 @@ class TestMainInterface:
             "run_all",
             lambda out=None, fast=False, log=None: seen.update(
                 runner=get_runner()
-            ),
+            )
+            or [],
         )
         assert (
             runall.main(["--no-cache", "--cache-dir", str(tmp_path)]) == 0

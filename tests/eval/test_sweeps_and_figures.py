@@ -1,8 +1,7 @@
-"""Tests for the design-space sweeps and text-figure renderers."""
+"""Tests for the design-space sweeps."""
 
 import pytest
 
-from repro.eval.figures import line_chart, log_bar_chart
 from repro.eval.sweeps import array_shape_sweep, format_sram_sweep, sram_sizing_sweep
 from repro.schemes import ComputeScheme as CS
 from repro.workloads.alexnet import alexnet_layers
@@ -17,21 +16,28 @@ class TestSramSweep:
         array = EDGE.array(CS.USYSTOLIC_RATE, ebt=6)
         return sram_sizing_sweep(LAYERS, array, EDGE.memory)
 
+    @pytest.fixture(scope="class")
+    def alexnet_points(self):
+        array = EDGE.array(CS.USYSTOLIC_RATE, ebt=6)
+        return sram_sizing_sweep(alexnet_layers(), array, EDGE.memory)
+
     def test_covers_requested_sizes(self, ur_points):
         sizes = [p.sram_bytes_per_variable for p in ur_points]
         assert sizes[0] == 0
         assert sizes == sorted(sizes)
 
-    def test_dram_traffic_shrinks_with_sram(self, ur_points):
+    def test_dram_traffic_shrinks_with_sram(self, ur_points, alexnet_points):
         # The V-G continuous design space: a buffer captures reuse.
-        assert ur_points[-1].dram_bytes < ur_points[0].dram_bytes
+        for points in (ur_points, alexnet_points):
+            assert points[-1].dram_bytes < points[0].dram_bytes
 
     def test_dram_energy_shrinks_with_sram(self, ur_points):
         assert ur_points[-1].dram_energy_j < ur_points[0].dram_energy_j
 
-    def test_on_chip_energy_grows_with_sram(self, ur_points):
+    def test_on_chip_energy_grows_with_sram(self, ur_points, alexnet_points):
         # ... but the buffer itself leaks: the trade-off is real.
-        assert ur_points[-1].on_chip_energy_j > ur_points[0].on_chip_energy_j
+        for points in (ur_points, alexnet_points):
+            assert points[-1].on_chip_energy_j > points[0].on_chip_energy_j
 
     def test_total_energy_accounting(self, ur_points):
         for p in ur_points:
@@ -50,7 +56,9 @@ class TestShapeSweep:
         points = array_shape_sweep(
             LAYERS, CS.USYSTOLIC_RATE, EDGE.memory.without_sram(), ebt=6
         )
-        assert [(p.rows, p.cols) for p in points][2] == (12, 14)
+        shapes = [(p.rows, p.cols) for p in points]
+        assert shapes[2] == (12, 14)
+        assert len(set(shapes)) == len(shapes)
 
     def test_geometry_moves_utilization(self):
         points = array_shape_sweep(
@@ -67,39 +75,3 @@ class TestShapeSweep:
         assert p.runtime_s > 0
         assert 0 < p.utilization <= 1
         assert p.on_chip_energy_j > 0
-
-
-class TestFigureRenderers:
-    def test_log_bar_chart_renders_all_labels(self):
-        out = log_bar_chart(
-            {"g1": {"a": 1.0, "b": 100.0}, "g2": {"c": 10.0}},
-            title="T",
-            unit="GB/s",
-        )
-        for token in ("T", "[g1]", "[g2]", "a", "b", "c", "GB/s"):
-            assert token in out
-
-    def test_log_bar_lengths_ordered(self):
-        out = log_bar_chart({"g": {"small": 1.0, "big": 1000.0}})
-        lines = {l.split("|")[0].strip(): l for l in out.splitlines() if "|" in l}
-        assert lines["big"].count("#") > lines["small"].count("#")
-
-    def test_zero_values_handled(self):
-        out = log_bar_chart({"g": {"zero": 0.0, "one": 1.0}})
-        assert "zero" in out
-
-    def test_empty_chart(self):
-        assert log_bar_chart({}, title="empty") == "empty"
-
-    def test_line_chart_contains_marks_and_legend(self):
-        out = line_chart(
-            [0, 1, 2, 3],
-            {"up": [0, 1, 2, 3], "down": [3, 2, 1, 0]},
-            title="L",
-        )
-        assert "o=up" in out
-        assert "x=down" in out
-        assert "o" in out
-
-    def test_line_chart_empty(self):
-        assert line_chart([], {}, title="L") == "L"

@@ -27,7 +27,7 @@ def full_tree():
 def test_default_paths_exist():
     paths = default_paths(REPO_ROOT)
     names = {p.name for p in paths}
-    assert {"src", "examples", "benchmarks"} <= names
+    assert names == {"src", "examples"}
 
 
 def test_tree_is_lint_clean(full_tree):
