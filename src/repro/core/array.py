@@ -11,6 +11,10 @@ bitstream and one weight RNG sequence (the per-column one-cycle lag of
 Figure 7 shifts timing, not bit pairing — Equations 2-4), so uSystolic rows
 are computed with the vectorised kernel and are bit-identical to the
 leftmost PE's arithmetic.
+
+Every product is an exact integer, so under the layer bound of
+:func:`check_operands` a psum is the same in any summation order and
+``execute`` sums a whole layer in one call of the PE's fold kernel.
 """
 
 from __future__ import annotations
@@ -19,11 +23,49 @@ import numpy as np
 
 from ..gemm.im2col import im2col
 from ..gemm.params import GemmParams
-from ..gemm.tiling import tile_gemm
 from .config import ArrayConfig
 from .pe import make_pe
 
-__all__ = ["UsystolicArray"]
+__all__ = ["UsystolicArray", "check_operands"]
+
+#: float64 holds every integer up to ``2**53`` exactly.
+_EXACT_LIMIT = 1 << 53
+
+
+def check_operands(
+    params: GemmParams, config: ArrayConfig, weight: np.ndarray, ifm: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check one layer's integer operands; return them as int64.
+
+    ``weight`` must have shape (OC, WH, WW, IC) and ``ifm`` (IH, IW, IC),
+    in the ``config.bits``-bit sign-magnitude range.  Every product, HUB
+    and uGEMM estimates included, is then at most ``4**(bits-1)`` in
+    magnitude, so a layer is rejected when ``params.window * 4**(bits-1)``
+    exceeds ``2**53``: past that bound a float64 psum can round, and the
+    engines would disagree with each other and with the exact GEMM.
+    """
+    bits = config.bits
+    if params.window << (2 * (bits - 1)) > _EXACT_LIMIT:
+        raise ValueError(
+            f"layer {params.name!r}: window {params.window} * 4**({bits}-1) "
+            f"exceeds 2**53, so {bits}-bit psums may leave float64's exact "
+            "integer range"
+        )
+    return (
+        _check_operand(weight, (params.oc, params.wh, params.ww, params.ic), bits),
+        _check_operand(ifm, (params.ih, params.iw, params.ic), bits),
+    )
+
+
+def _check_operand(arr: np.ndarray, shape: tuple[int, ...], bits: int) -> np.ndarray:
+    arr = np.asarray(arr)
+    if arr.shape != shape:
+        raise ValueError(f"operand shape {arr.shape} != expected {shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError("operands must be integer (FXP) arrays")
+    if np.abs(arr).max(initial=0) >= 1 << (bits - 1):
+        raise ValueError(f"operands exceed the {bits}-bit sign-magnitude range")
+    return arr.astype(np.int64)
 
 
 class UsystolicArray:
@@ -53,42 +95,8 @@ class UsystolicArray:
         ``weight`` has shape (OC, WH, WW, IC), ``ifm`` (IH, IW, IC); the
         result has shape (OH, OW, OC) in float64 at integer product scale.
         """
-        weight = self._check_operand(weight, (params.oc, params.wh, params.ww, params.ic))
-        ifm = self._check_operand(ifm, (params.ih, params.iw, params.ic))
+        weight, ifm = check_operands(params, self.config, weight, ifm)
         cols_mat = im2col(params, ifm)  # (V, K)
         wmat = weight.reshape(params.oc, params.window).T  # (K, OC)
-        out = self._execute_matrix(params, wmat, cols_mat)
+        out = self._pe.tile_psums(wmat, cols_mat)
         return out.reshape(params.oh, params.ow, params.oc)
-
-    def _execute_matrix(
-        self, params: GemmParams, wmat: np.ndarray, cols_mat: np.ndarray
-    ) -> np.ndarray:
-        if self.config.scheme.is_exact:
-            # Exact PEs (binary, tuGEMM/tubGEMM/DiP): fold order cannot
-            # change the result.
-            return cols_mat.astype(np.float64) @ wmat.astype(np.float64)
-        v = cols_mat.shape[0]
-        out = np.zeros((v, wmat.shape[1]), dtype=np.float64)
-        tiling = tile_gemm(params, self.config.rows, self.config.cols)
-        for tile in tiling:
-            rows = slice(tile.k_start, tile.k_start + tile.rows)
-            cols = slice(tile.c_start, tile.c_start + tile.cols)
-            w_tile = wmat[rows, cols]
-            x_tile = cols_mat[:, rows]
-            # The PE model owns the fold kernel (hub_mac_tile for
-            # uSystolic, the bit-level scalar loop for uGEMM).
-            out[:, cols] += self._pe.tile_psums(w_tile, x_tile)
-        return out
-
-    def _check_operand(self, arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        arr = np.asarray(arr)
-        if arr.shape != shape:
-            raise ValueError(f"operand shape {arr.shape} != expected {shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError("operands must be integer (FXP) arrays")
-        limit = 1 << (self.config.bits - 1)
-        if np.abs(arr).max(initial=0) >= limit:
-            raise ValueError(
-                f"operands exceed the {self.config.bits}-bit sign-magnitude range"
-            )
-        return arr.astype(np.int64)

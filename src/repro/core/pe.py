@@ -4,12 +4,12 @@ Each PE model multiplies two N-bit signed integers and reports the product
 *at the true integer product scale* so that array outputs are directly
 comparable with an exact GEMM:
 
-- binary PEs are exact;
+- :class:`ExactPe` computes the exact product at the scheme's registered
+  latency: binary PEs (:class:`BinaryPe`) and the zoo's exact
+  temporal/permuted schemes (tuGEMM, tubGEMM, DiP) all use it;
 - uSystolic PEs run the bit-true HUB kernel (unipolar uMUL + binary
   accumulation) whose natural output is ``w*x / 2**(N-1)`` and rescale it;
-- the uGEMM-H PE runs the bipolar uMUL over ``2**N`` cycles;
-- the zoo's exact temporal/permuted schemes (tuGEMM, tubGEMM, DiP) share
-  :class:`ExactPe`, whose latency comes from the scheme's registered law.
+- the uGEMM-H PE runs the bipolar uMUL over ``2**N`` cycles.
 
 ``mac_cycles`` on every model reports the latency the cycle simulator uses,
 keeping the functional and performance models in one place.  This module
@@ -46,19 +46,6 @@ __all__ = [
 ]
 
 
-def _exact_planes(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Exact integer products of one fold as one broadcast outer product.
-
-    C order whatever the operands' layout: the stepped array sums the
-    plane row by row, which must read contiguous C-rows.
-    """
-    return np.multiply(
-        np.asarray(vectors, dtype=np.int64)[:, :, None],
-        np.asarray(weights, dtype=np.int64)[None, :, :],
-        order="C",
-    )
-
-
 class PeModel(abc.ABC):
     """A processing element: one signed multiply per ``mac_cycles`` cycles."""
 
@@ -82,9 +69,11 @@ class PeModel(abc.ABC):
         ``products[v, r, c] * scale`` is exactly :meth:`multiply` of
         ``(weights[r, c], vectors[v, r])`` — the value PE(r, c) lands into
         the column partial sum when its MAC for vector ``v`` completes.
-        The base implementation walks the scalar PE model element by
-        element (the truth source for exotic schemes); subclasses override
-        it with whole-plane kernels proven bit-identical.
+        Only the stepped array's ``"cycle"`` stepper, which lands each
+        product on its own cycle, needs the un-summed plane.  The base
+        implementation walks the scalar PE model element by element (the
+        truth source for exotic schemes); subclasses override it with
+        whole-plane kernels proven bit-identical.
         """
         weights = np.asarray(weights, dtype=np.int64)
         vectors = np.asarray(vectors, dtype=np.int64)
@@ -99,12 +88,18 @@ class PeModel(abc.ABC):
         return out, 1.0
 
     def tile_psums(self, w_tile: np.ndarray, x_tile: np.ndarray) -> np.ndarray:
-        """Column partial sums of one fold (``(V, C)``), at integer scale.
+        """Column partial sums ``(V, C)`` of ``x_tile @ w_tile``, at integer scale.
 
-        The base implementation runs the bit-level PE element by element
-        — that simulation *is* the model for exotic schemes (uGEMM), so
-        the scalar loop stays; subclasses override with whole-fold
-        kernels proven bit-identical.
+        :meth:`repro.core.array.UsystolicArray.execute` calls it once per
+        layer and the stepped array's ``"wave"`` stepper once per fold.
+        Every model's product, HUB and uGEMM estimates included, is an
+        integer of magnitude at most ``4**(bits-1)``, so under the
+        engines' layer bound (:func:`repro.core.array.check_operands`)
+        every float64 partial sum is exact and the psums do not depend on
+        how the K rows are ordered or grouped.  The base implementation
+        runs the bit-level PE element by element — that simulation *is*
+        the model for exotic schemes (uGEMM), so the scalar loop stays;
+        subclasses override with whole-fold kernels proven bit-identical.
         """
         v, k = x_tile.shape
         out = np.zeros((v, w_tile.shape[1]), dtype=np.float64)
@@ -116,7 +111,41 @@ class PeModel(abc.ABC):
         return out
 
 
-class BinaryPe(PeModel):
+class ExactPe(PeModel):
+    """Exact integer MAC at a scheme-declared latency.
+
+    Binary PEs (:class:`BinaryPe`) and the zoo's tuGEMM, tubGEMM and DiP
+    use it.  The zoo's temporal and permuted-dataflow schemes compute the
+    exact 2N-bit product — their novelty is *when* it finishes
+    (counter-driven streams, magnitude-proportional pulses, skew-free
+    launches), which the schedule and PE-cost hooks model, not the
+    arithmetic.
+    """
+
+    def multiply(self, weight: int, ifm: int) -> float:
+        return float(weight * ifm)
+
+    def fold_products(
+        self, weights: np.ndarray, vectors: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        """Exact planes as one broadcast outer product, scale 1."""
+        return (
+            np.asarray(vectors, dtype=np.int64)[:, :, None]
+            * np.asarray(weights, dtype=np.int64)[None, :, :]
+        ), 1.0
+
+    def tile_psums(self, w_tile: np.ndarray, x_tile: np.ndarray) -> np.ndarray:
+        """Exact fold: one float64 matmul at integer scale.
+
+        Exact while every partial sum stays within ``2**53``, which the
+        engines' layer bound guarantees
+        (:func:`repro.core.array.check_operands`).  numpy's int64 matmul
+        is exact too, but it does not use BLAS and is over 10x slower.
+        """
+        return x_tile.astype(np.float64) @ w_tile.astype(np.float64)
+
+
+class BinaryPe(ExactPe):
     """Exact binary MAC — both the parallel and serial variants.
 
     Bit-serial differs from bit-parallel only in latency (Section IV-C2);
@@ -128,15 +157,6 @@ class BinaryPe(PeModel):
             ComputeScheme.BINARY_SERIAL if serial else ComputeScheme.BINARY_PARALLEL
         )
         super().__init__(bits, scheme_mac_cycles(scheme, bits))
-
-    def multiply(self, weight: int, ifm: int) -> float:
-        return float(weight * ifm)
-
-    def fold_products(
-        self, weights: np.ndarray, vectors: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """Exact binary planes (:func:`_exact_planes`), scale 1."""
-        return _exact_planes(weights, vectors), 1.0
 
 
 class UsystolicPe(PeModel):
@@ -218,29 +238,6 @@ class UgemmHPe(PeModel):
             )
             self._cache[key] = res.value * limit * limit
         return self._cache[key]
-
-
-class ExactPe(PeModel):
-    """Exact integer MAC at a scheme-declared latency (tuGEMM/tubGEMM/DiP).
-
-    The zoo's temporal and permuted-dataflow schemes compute the exact
-    2N-bit product — their novelty is *when* it finishes (counter-driven
-    streams, magnitude-proportional pulses, skew-free launches), which the
-    schedule and PE-cost hooks model, not the arithmetic.
-    """
-
-    def multiply(self, weight: int, ifm: int) -> float:
-        return float(weight * ifm)
-
-    def fold_products(
-        self, weights: np.ndarray, vectors: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """Exact planes (:func:`_exact_planes`), scale 1."""
-        return _exact_planes(weights, vectors), 1.0
-
-    def tile_psums(self, w_tile: np.ndarray, x_tile: np.ndarray) -> np.ndarray:
-        """Exact fold: one matmul at integer scale."""
-        return x_tile.astype(np.float64) @ w_tile.astype(np.float64)
 
 
 def make_pe(

@@ -23,11 +23,14 @@ Two step granularities, differentially pinned against each other:
   boundaries in closed form.  Between admissions every PE's evolution is
   rigid (``remaining`` decrements once per cycle, nothing else moves), so
   one whole-plane step per fold gives the launch and finish planes, the
-  busy count, the column psums and, on a budget overrun, the cycle
-  stepper's :class:`CycleLimitError` state; the ``array`` diff surface
-  holds it to the cycle stepper on small cases.  Its cost is one pass
-  over each fold's product plane, so a full AlexNet conv layer steps
-  inside the test suite.
+  busy count and, on a budget overrun, the cycle stepper's
+  :class:`CycleLimitError` state; the ``array`` diff surface holds it to
+  the cycle stepper on small cases.  Its column psums come from the PE's
+  own fold kernel (:meth:`~repro.core.pe.PeModel.tile_psums`), with no
+  per-PE product plane: every product, uGEMM-H's included, is an exact
+  integer, so under the layer bound of
+  :func:`~repro.core.array.check_operands` a column sum is the same in
+  any order.  A full AlexNet conv layer steps inside the test suite.
 
 Timing convention (shared with :mod:`repro.sim.dataflow`): fold ``f+1``'s
 weight preload begins the cycle PE(0, 0) retires fold ``f``'s last MAC, so
@@ -42,6 +45,7 @@ import dataclasses
 
 import numpy as np
 
+from ..core.array import check_operands
 from ..core.config import ArrayConfig
 from ..core.pe import PeModel, make_pe
 from ..gemm.im2col import im2col
@@ -151,8 +155,8 @@ class _FoldRun:
 # fold steppers
 # ----------------------------------------------------------------------
 def _step_fold_wave(
-    counts: np.ndarray,
-    scale: float,
+    psums: np.ndarray,
+    rows: int,
     mac: int,
     offset: int,
     max_cycles: int,
@@ -160,18 +164,19 @@ def _step_fold_wave(
 ) -> _FoldRun:
     """Evaluate one fold's plane state at vector-admission boundaries.
 
-    PE(r, c) admits vector ``v`` at ``launch0[r, c] + v * mac`` and holds
-    it for ``mac`` cycles, so the whole fold is closed form: the bottom
-    row retires column sum ``(v, c)`` at ``launch0[rows - 1, c] +
-    (v + 1) * mac``, every PE is busy ``mac`` cycles per vector, and the
-    column psum is the product plane summed over the rows in ripple order.
-    The cycle stepper evolves the same state one clock at a time; the
-    ``array`` diff surface holds the two to each other plane for plane.
-    A budget overrun raises the cycle stepper's :class:`CycleLimitError`
-    state: it trips at the first cycle past ``max_cycles`` (or the fold's
-    first launch, if later) with the MACs not yet retired by then.
+    ``psums`` is the fold's ``(V, cols)`` column sums from the PE's fold
+    kernel and ``rows`` its reduction depth.  PE(r, c) admits vector
+    ``v`` at ``launch0[r, c] + v * mac`` and holds it for ``mac`` cycles,
+    so the whole fold's timing is closed form: the bottom row retires
+    column sum ``(v, c)`` at ``launch0[rows - 1, c] + (v + 1) * mac`` and
+    every PE is busy ``mac`` cycles per vector.  The cycle stepper
+    evolves the same state one clock at a time; the ``array`` diff
+    surface holds the two to each other plane for plane.  A budget
+    overrun raises the cycle stepper's :class:`CycleLimitError` state: it
+    trips at the first cycle past ``max_cycles`` (or the fold's first
+    launch, if later) with the MACs not yet retired by then.
     """
-    nvec, rows, cols = counts.shape
+    nvec, cols = psums.shape
     preload = geometry.preload_cycles(rows, cols)
     rplane = np.arange(rows, dtype=np.int64)[:, None]
     cplane = np.arange(cols, dtype=np.int64)[None, :]
@@ -190,14 +195,8 @@ def _step_fold_wave(
         raise CycleLimitError(
             trip, rows * cols * nvec - int(retired.sum()), max_cycles
         )
-    # Add the rows in ripple order, row 0 first, as the psum registers pass
-    # the partials down: float planes (scalar-walk PEs) need exactly this
-    # order to match the cycle stepper and the functional array bytewise.
-    psum_cols = counts[:, 0, :].copy()
-    for r in range(1, rows):
-        psum_cols += counts[:, r, :]
     return _FoldRun(
-        psums=psum_cols.astype(np.float64) * scale,
+        psums=psums,
         finish=finish,
         launch0=launch0,
         busy=mac * rows * cols * nvec,
@@ -300,17 +299,6 @@ def _accumulate_fold(
 # ----------------------------------------------------------------------
 # the whole-layer co-simulator
 # ----------------------------------------------------------------------
-def _check_operand(arr: np.ndarray, shape: tuple[int, ...], bits: int) -> np.ndarray:
-    arr = np.asarray(arr)
-    if arr.shape != shape:
-        raise ValueError(f"operand shape {arr.shape} != expected {shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("operands must be integer (FXP) arrays")
-    if np.abs(arr).max(initial=0) >= 1 << (bits - 1):
-        raise ValueError(f"operands exceed the {bits}-bit sign-magnitude range")
-    return arr.astype(np.int64)
-
-
 def simulate_array(
     params: GemmParams,
     config: ArrayConfig,
@@ -337,10 +325,7 @@ def simulate_array(
         )
     params.validate()
     config.validate()
-    weight = _check_operand(
-        weight, (params.oc, params.wh, params.ww, params.ic), config.bits
-    )
-    ifm = _check_operand(ifm, (params.ih, params.iw, params.ic), config.bits)
+    weight, ifm = check_operands(params, config, weight, ifm)
 
     pe: PeModel = make_pe(
         config.scheme, config.bits, config.ebt, act_frac=config.act_frac
@@ -354,7 +339,6 @@ def simulate_array(
     nvec = cols_mat.shape[0]
     psums = np.zeros((nvec, params.oc), dtype=np.float64)
     provenance = np.zeros((tiling.k_folds, nvec, params.oc), dtype=np.int64)
-    stepper = _step_fold_cycle if granularity == "cycle" else _step_fold_wave
     folds: list[FoldTrace] = []
     launch_planes: list[np.ndarray] = []
     finish_planes: list[np.ndarray] = []
@@ -365,8 +349,18 @@ def simulate_array(
         w_tile = wmat[tile.k_start : tile.k_start + tile.rows,
                       tile.c_start : tile.c_start + tile.cols]
         x_tile = cols_mat[:, tile.k_start : tile.k_start + tile.rows]
-        counts, scale = pe.fold_products(w_tile, x_tile)
-        run = stepper(counts, scale, mac, offset, max_cycles, geometry)
+        if granularity == "cycle":
+            counts, scale = pe.fold_products(w_tile, x_tile)
+            run = _step_fold_cycle(counts, scale, mac, offset, max_cycles, geometry)
+        else:
+            run = _step_fold_wave(
+                pe.tile_psums(w_tile, x_tile),
+                tile.rows,
+                mac,
+                offset,
+                max_cycles,
+                geometry,
+            )
         _accumulate_fold(psums, provenance, tile, k_fold, run.psums)
         folds.append(
             FoldTrace(

@@ -22,7 +22,6 @@ from ..eval.report import format_table
 from ..jobs.runner import JobRunner, jobs_arg
 from ..jobs.store import ResultStore
 from ..schemes import ComputeScheme
-from ..workloads.alexnet import alexnet_layers
 from ..workloads.mlperf import mlperf_suite
 from ..workloads.presets import CLOUD, EDGE, Platform
 from ..workloads.topology_io import load_topology
@@ -43,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--workload",
-        choices=["alexnet"] + sorted(mlperf_suite()),
+        choices=sorted(mlperf_suite()),
         help="a built-in workload",
     )
     source.add_argument(
@@ -103,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_layers(args: argparse.Namespace):
     if args.topology is not None:
         return load_topology(args.topology)
-    if args.workload == "alexnet":
-        return alexnet_layers()
     return mlperf_suite()[args.workload]
 
 

@@ -18,15 +18,17 @@ the one closed form ``T[imag, wmag] = #{k < imag : S_k < wmag}``.  Folding
 the XOR sign in gives a square *signed* table over sign-magnitude codes
 (side ``2 * 2**mag_bits``), held in the narrowest signed integer type
 that holds ``±(2**mag_bits - 1)`` (int8 up to 7 magnitude bits, int16
-above) and widened to int64 where it is gathered, so no narrow value
-reaches a sum.  Tables cover up to 11 magnitude bits — every EBT the
-paper plots; wider magnitudes take the per-element row path.  The weights
-stay in place for the whole fold, so the kernels first gather a per-fold
-*row table* from it — for every row ``k``, the signed product count of
-every column for every signed IFM code — and the ``(V, K, C)`` product
-plane is then one gather of contiguous C-rows, indexed by each vector's
-IFM code, with no sign plane and no multiply.  Still exact integers times
-one power-of-two scale, hence byte-identical.
+above).  Gathered blocks stay narrow: :func:`hub_mac_tile` reduces them
+straight into int64 (``sum(..., dtype=np.int64)``) and
+:func:`hub_product_counts` widens the plane it returns, so no sum is ever
+taken in the narrow type.  Tables cover up to 11 magnitude bits — every
+EBT the paper plots; wider magnitudes take the per-element row path.  The
+weights stay in place for the whole fold, so the kernels first gather a
+per-fold *row table* from it — for every row ``k``, the signed product
+count of every column for every signed IFM code — and the ``(V, K, C)``
+product plane is then one gather of contiguous C-rows, indexed by each
+vector's IFM code, with no sign plane and no multiply.  Still exact
+integers times one power-of-two scale, hence byte-identical.
 """
 
 from __future__ import annotations
@@ -126,8 +128,9 @@ def hub_mac_row(
 #: and :func:`hub_product_counts` fall back to the row path.
 _TABLE_MAX_MAG_BITS = 11
 
-#: Target elements per temporary (row table, gather block), bounding peak
-#: memory; the plane :func:`hub_product_counts` returns is not bounded.
+#: Target elements per temporary (row table, gather block, row-path block),
+#: bounding peak memory; the plane :func:`hub_product_counts` returns is
+#: not bounded.
 _TILE_CHUNK_ELEMS = 1 << 20
 
 #: One block of a fold's count plane: V, K and C slices and the counts.
@@ -224,23 +227,38 @@ def _count_blocks(
     Each block of K rows and C columns first gets its row table
     ``rows[xcode, k, c]``: row ``k``'s signed product count in column
     ``c`` for IFM code ``xcode``.  A block of the plane is then one gather
-    of contiguous C-rows, ``rows[xcode[v, k], k]``, widened to int64.  Row
-    table and gather block each stay within ``_TILE_CHUNK_ELEMS`` elements
-    (a whole 256x256 UT row table would be 16 Mi entries).
+    of contiguous C-rows, ``rows[xcode[v, k], k]``, in the count table's
+    narrow type (the row path's blocks are int64); callers widen or
+    reduce into int64.  Row table and gather block each stay within
+    ``_TILE_CHUNK_ELEMS`` elements (a whole 256x256 UT row table would be
+    16 Mi entries), and so do the row path's blocks and, where one column
+    allows it, its per-row hit matrices.
     """
     n_v, n_k = x_tile.shape
     n_c = w_tile.shape[1]
     mag_bits = ebt - 1
     if mag_bits > _TABLE_MAX_MAG_BITS:
         restore = (1 << (bits - ebt)) * (1 << (bits - 1))
+        # hub_mac_row's hit matrix is (2**mag_bits, columns).
+        c_step = max(1, min(n_c, _TILE_CHUNK_ELEMS >> mag_bits))
+        k_step = max(1, _TILE_CHUNK_ELEMS // c_step)
         for vec in range(n_v):
-            block = np.empty((1, n_k, n_c), dtype=np.int64)
-            for r in range(n_k):
-                row = hub_mac_row(
-                    int(x_tile[vec, r]), w_tile[r], bits, ebt=ebt, coding=coding
-                )
-                block[0, r] = np.round(row / restore).astype(np.int64)
-            yield slice(vec, vec + 1), slice(0, n_k), slice(0, n_c), block
+            for c0 in range(0, n_c, c_step):
+                cs = slice(c0, c0 + c_step)
+                for k0 in range(0, n_k, k_step):
+                    ks = slice(k0, k0 + k_step)
+                    w_rows = w_tile[ks, cs]
+                    block = np.empty((1, *w_rows.shape), dtype=np.int64)
+                    for r, w_row in enumerate(w_rows):
+                        row = hub_mac_row(
+                            int(x_tile[vec, k0 + r]),
+                            w_row,
+                            bits,
+                            ebt=ebt,
+                            coding=coding,
+                        )
+                        block[0, r] = np.round(row / restore).astype(np.int64)
+                    yield slice(vec, vec + 1), ks, cs, block
         return
 
     shift = (bits - 1) - mag_bits
@@ -262,8 +280,7 @@ def _count_blocks(
             for v0 in range(0, n_v, v_step):
                 vs = slice(v0, v0 + v_step)
                 index = xcode[vs, ks] * n_kb + k_index
-                # Widened at the gather: no narrow count reaches a sum.
-                yield vs, ks, cs, flat.take(index, axis=0).astype(np.int64)
+                yield vs, ks, cs, flat.take(index, axis=0)
 
 
 def hub_mac_tile(
@@ -286,7 +303,8 @@ def hub_mac_tile(
     shape, scale, blocks = _fold_counts(w_tile, x_tile, bits, ebt, coding)
     out = np.zeros((shape[0], shape[2]), dtype=np.int64)
     for vs, _, cs, counts in blocks:
-        out[vs, cs] += counts.sum(axis=1)
+        # Widening the narrow block before the sum would copy it.
+        out[vs, cs] += counts.sum(axis=1, dtype=np.int64)
     return out.astype(np.float64) * scale
 
 
@@ -304,14 +322,13 @@ def hub_product_counts(
     power-of-two restore scale, so ``counts.sum(axis=1) * scale`` equals
     :func:`hub_mac_tile` byte for byte and ``counts[v, r, c] * scale``
     equals the scalar :class:`~repro.unary.mac.HubMac` product of
-    ``(w_tile[r, c], x_tile[v, r])``.  This is the plane the stepped-array
-    co-simulator (:mod:`repro.sim.arraysim`) lands one element of per PE
-    per MAC completion.
+    ``(w_tile[r, c], x_tile[v, r])``.  This is the plane the stepped
+    array's cycle stepper (:mod:`repro.sim.arraysim`) lands one element of
+    per PE per MAC completion.  The plane is int64 whatever the count
+    table's type.
     """
     shape, scale, blocks = _fold_counts(w_tile, x_tile, bits, ebt, coding)
     out = np.empty(shape, dtype=np.int64)
     for vs, ks, cs, counts in blocks:
-        if counts.shape == shape:
-            return counts, scale  # one block is the whole plane: no copy
         out[vs, ks, cs] = counts
     return out, scale

@@ -24,7 +24,7 @@ from repro.core.config import ArrayConfig
 from repro.gemm.params import GemmParams
 from repro.gemm.tiling import tile_gemm
 from repro.schemes import ComputeScheme as CS
-from repro.sim.arraysim import CycleLimitError, simulate_array
+from repro.sim.arraysim import GRANULARITIES, CycleLimitError, simulate_array
 from repro.sim.dataflow import schedule_layer, schedule_tile
 from repro.unary.vectorized import hub_mac_row
 from repro.verify.oracles import compute_cycles_oracle, conv_oracle
@@ -41,8 +41,9 @@ _SKEWED = [
 SCHEMES = st.sampled_from(_SKEWED)
 
 #: Plus DiP (zero row and column lag), tuGEMM (exact integer planes at a
-#: temporal latency) and uGEMM-H (float planes from the scalar PE walk,
-#: so the wave ripple's float summation order is exercised).
+#: temporal latency) and uGEMM-H (float psums from the scalar PE walk, so
+#: the wave stepper's fold kernel is held to the cycle stepper's landing
+#: order).
 ALL_SCHEMES = st.sampled_from(
     _SKEWED
     + [
@@ -230,6 +231,52 @@ class TestValidation:
         x = np.zeros((2, 2, 1), dtype=np.int64)
         with pytest.raises(ValueError, match="shape"):
             simulate_array(params, config, w, x)
+
+
+class TestFloat64ExactRange:
+    """Both engines reject a layer whose psums could leave float64's
+    exact integer range: ``window * 4**(bits-1) > 2**53``."""
+
+    CONFIG = ArrayConfig(rows=32, cols=32, scheme=CS.BINARY_PARALLEL, bits=24)
+
+    @staticmethod
+    def _near_max(params, seed):
+        # 24-bit magnitudes just under 2**23, all positive: the largest sums.
+        rng = np.random.default_rng(seed)
+        low, high = (1 << 23) - 5001, 1 << 23
+        w = rng.integers(low, high, size=(params.oc, params.wh, params.ww, params.ic))
+        x = rng.integers(low, high, size=(params.ih, params.iw, params.ic))
+        return w, x
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "params",
+        [
+            GemmParams(name="fc", ih=1, iw=1, ic=128, wh=1, ww=1, oc=40),
+            GemmParams(name="conv", ih=5, iw=5, ic=8, wh=4, ww=4, oc=3),
+        ],
+        ids=["fc", "conv"],
+    )
+    def test_at_the_bound_every_engine_is_exact(self, params, seed):
+        assert params.window * 4**23 == 2**53
+        w, x = self._near_max(params, seed)
+        exact = conv_oracle(params, w, x).reshape(-1, params.oc)
+        executed = UsystolicArray(self.CONFIG).execute(params, w, x)
+        assert executed.reshape(-1, params.oc).tobytes() == exact.tobytes()
+        for granularity in GRANULARITIES:
+            stepped = simulate_array(
+                params, self.CONFIG, w, x, granularity=granularity
+            )
+            assert stepped.psums.tobytes() == exact.tobytes(), granularity
+
+    def test_past_the_bound_both_engines_raise(self):
+        params = GemmParams(name="fc", ih=1, iw=1, ic=129, wh=1, ww=1, oc=1)
+        w, x = self._near_max(params, 0)
+        with pytest.raises(ValueError, match=r"window 129 \* 4\*\*\(24-1\) exceeds 2\*\*53"):
+            UsystolicArray(self.CONFIG).execute(params, w, x)
+        for granularity in GRANULARITIES:
+            with pytest.raises(ValueError, match=r"exceeds 2\*\*53"):
+                simulate_array(params, self.CONFIG, w, x, granularity=granularity)
 
 
 def _one_fold(rows, cols, vectors, scheme, ebt=None, seed=0):

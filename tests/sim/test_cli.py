@@ -3,6 +3,8 @@
 import pytest
 
 from repro.sim.cli import build_parser, main
+from repro.workloads.alexnet import alexnet_layers
+from repro.workloads.topology_io import save_topology
 
 
 class TestParser:
@@ -15,6 +17,11 @@ class TestParser:
             build_parser().parse_args(
                 ["--workload", "alexnet", "--topology", "x.csv"]
             )
+
+    def test_workload_choices_are_unique(self):
+        (workload,) = [a for a in build_parser()._actions if a.dest == "workload"]
+        assert "alexnet" in workload.choices
+        assert len(workload.choices) == len(set(workload.choices))
 
     def test_defaults(self):
         args = build_parser().parse_args(["--workload", "alexnet"])
@@ -30,6 +37,16 @@ class TestMain:
         assert "UR-8b-32c on edge" in out
         assert "Conv1" in out and "FC8" in out
         assert "network:" in out
+
+    def test_alexnet_workload_prints_alexnets_layers(self, tmp_path, capsys):
+        # The built-in name and a topology file of the same layers print
+        # the same bytes.
+        path = tmp_path / "alexnet.csv"
+        save_topology(alexnet_layers(), path)
+        assert main(["--topology", str(path), "--scheme", "UR", "--ebt", "6"]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["--workload", "alexnet", "--scheme", "UR", "--ebt", "6"]) == 0
+        assert capsys.readouterr().out == from_file
 
     def test_binary_keeps_sram_by_default(self, capsys):
         main(["--workload", "alexnet", "--scheme", "BP"])

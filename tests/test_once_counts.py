@@ -1,15 +1,22 @@
 """Deterministic work counts: configuration work paid once, not per call.
 
 A served batch is priced once per ``(batch, warm)`` pair however often it
-is dispatched, and one layer simulation builds its SRAM macro once.
-Counting the calls pins both on any machine, independent of wall time.
+is dispatched, one layer simulation builds its SRAM macro once, and the
+bit-true engines make one fold-kernel call per fold (stepped array) or
+per layer (``execute``).  Counting the calls pins all three on
+any machine, independent of wall time.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core import pe
+from repro.core.array import UsystolicArray
+from repro.core.config import ArrayConfig
 from repro.gemm.params import GemmParams
+from repro.gemm.tiling import tile_gemm
 from repro.memory import hierarchy
 from repro.schemes import ComputeScheme
 from repro.serve.arrivals import poisson_arrivals
@@ -18,6 +25,7 @@ from repro.serve.costs import NetworkCostModel
 from repro.serve.executor import ServeExecutor
 from repro.serve.queueing import make_queue
 from repro.serve.residency import ResidencyTracker
+from repro.sim.arraysim import GRANULARITIES, simulate_array
 from repro.sim.engine import simulate_layer
 from repro.workloads.presets import EDGE
 
@@ -77,3 +85,50 @@ def test_one_layer_builds_one_sram_macro(monkeypatch, memory, macros):
     _counting(monkeypatch, hierarchy, "sram_model", built)
     simulate_layer(LAYERS[2], array, memory)
     assert len(built) == macros
+
+
+def _kernel_calls(monkeypatch):
+    """Count ``fold_products`` and ``tile_psums`` calls on every PE model."""
+    logs = {"fold_products": [], "tile_psums": []}
+    models = [c for c in vars(pe).values() if isinstance(c, type)]
+    for cls in (c for c in models if issubclass(c, pe.PeModel)):
+        for name, log in logs.items():
+            if name in vars(cls):
+                _counting(monkeypatch, cls, name, log)
+    return logs
+
+
+def _folded_layer(code: str):
+    """LAYERS[2] on an 8x5 array (10 folds) with its operands."""
+    config = ArrayConfig(8, 5, ComputeScheme(code), bits=6)
+    params = LAYERS[2]
+    rng = np.random.default_rng(0)
+    weight = rng.integers(-31, 32, size=(params.oc, params.wh, params.ww, params.ic))
+    ifm = rng.integers(-31, 32, size=(params.ih, params.iw, params.ic))
+    folds = tile_gemm(params, config.rows, config.cols).num_tiles
+    assert folds == 10
+    return params, config, weight, ifm, folds
+
+
+@pytest.mark.parametrize("code", ["BP", "UR", "UT", "UG"])
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_stepped_array_makes_one_kernel_call_per_fold(
+    monkeypatch, code, granularity
+):
+    # The wave stepper sums each fold through the PE's fold kernel; only
+    # the cycle stepper needs the per-PE product plane.
+    params, config, weight, ifm, folds = _folded_layer(code)
+    logs = _kernel_calls(monkeypatch)
+    simulate_array(params, config, weight, ifm, granularity=granularity)
+    calls = (len(logs["fold_products"]), len(logs["tile_psums"]))
+    assert calls == ((folds, 0) if granularity == "cycle" else (0, folds))
+
+
+@pytest.mark.parametrize("code", ["BP", "UR", "UT", "UG"])
+def test_execute_makes_one_kernel_call_per_layer(monkeypatch, code):
+    # Every product is an exact integer, so fold order cannot move a psum.
+    params, config, weight, ifm, _ = _folded_layer(code)
+    logs = _kernel_calls(monkeypatch)
+    UsystolicArray(config).execute(params, weight, ifm)
+    assert not logs["fold_products"]
+    assert len(logs["tile_psums"]) == 1

@@ -294,6 +294,21 @@ class TestProductCounts:
         chunked_tile = hub_mac_tile(w_tile, x_tile, bits, ebt=ebt, coding=coding)
         assert chunked_tile.tobytes() == tile.tobytes()
 
+    @_FOLD_GRID
+    def test_row_path_blocks_are_bounded(self, bits, ebt, coding, monkeypatch):
+        w_tile, x_tile = _random_tiles(bits, v=3, k=5, c=4, seed=41)
+        whole = hub_product_counts(w_tile, x_tile, bits, ebt=ebt, coding=coding)
+        tile = hub_mac_tile(w_tile, x_tile, bits, ebt=ebt, coding=coding)
+        monkeypatch.setattr(vectorized, "_TABLE_MAX_MAG_BITS", 0)
+        monkeypatch.setattr(vectorized, "_TILE_CHUNK_ELEMS", 2)
+        _, _, blocks = vectorized._fold_counts(w_tile, x_tile, bits, ebt, coding)
+        assert max(block.size for *_, block in blocks) <= 2
+        rows = hub_product_counts(w_tile, x_tile, bits, ebt=ebt, coding=coding)
+        assert np.array_equal(rows[0], whole[0])
+        assert rows[1] == whole[1]
+        row_tile = hub_mac_tile(w_tile, x_tile, bits, ebt=ebt, coding=coding)
+        assert row_tile.tobytes() == tile.tobytes()
+
     def test_validation(self):
         w_tile, x_tile = _random_tiles(8, v=2, k=3, c=2)
         with pytest.raises(ValueError, match="incompatible tile shapes"):
