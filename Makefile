@@ -16,7 +16,7 @@ fuzz:
 	$(PYTHON) -m repro.verify fuzz --seed 0 --budget 200
 
 fuzz-array:
-	$(PYTHON) -m repro.verify fuzz --seed 1 --budget 40 --engine array
+	$(PYTHON) -m repro.verify fuzz --seed 1 --budget 1000 --engine array
 
 bench:
 	$(PYTHON) perfbench/run.py

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..gemm.im2col import im2col
 from ..gemm.params import GemmParams
+from ..unary.mac import check_sign_magnitude
 from .config import ArrayConfig
 from .pe import make_pe
 
@@ -63,8 +64,7 @@ def _check_operand(arr: np.ndarray, shape: tuple[int, ...], bits: int) -> np.nda
         raise ValueError(f"operand shape {arr.shape} != expected {shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError("operands must be integer (FXP) arrays")
-    if np.abs(arr).max(initial=0) >= 1 << (bits - 1):
-        raise ValueError(f"operands exceed the {bits}-bit sign-magnitude range")
+    check_sign_magnitude(bits, arr)
     return arr.astype(np.int64)
 
 

@@ -24,6 +24,7 @@ from ..hw import gates
 from ..hw.gates import TECH_32NM, TechNode
 from ..unary.add import mux_add
 from ..unary.bitstream import Bitstream, Coding, Polarity, quantize_bipolar
+from ..unary.mac import check_sign_magnitude
 from ..unary.multiply import umul_bipolar
 
 __all__ = ["FsuGemm", "FsuStorageReport", "fsu_weight_storage"]
@@ -55,10 +56,7 @@ class FsuGemm:
         ifms = np.asarray(ifms, dtype=np.int64)
         if weights.shape != ifms.shape or weights.ndim != 1:
             raise ValueError("weights and ifms must be equal-length vectors")
-        if np.abs(weights).max(initial=0) >= self._limit or np.abs(
-            ifms
-        ).max(initial=0) >= self._limit:
-            raise ValueError(f"operands must be {self.bits}-bit signed values")
+        check_sign_magnitude(self.bits, weights, ifms)
         products: list[Bitstream] = []
         # Bit-true per-element stream simulation: each product runs the
         # bipolar uMUL cycle-by-cycle, so the scalar loop IS the model.

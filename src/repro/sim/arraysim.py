@@ -17,8 +17,12 @@ Two step granularities, differentially pinned against each other:
 - ``"cycle"`` — one plane advance per clock cycle through weight
   preload, skewed IFM streaming with ``mac_cycles``-long PE occupancy and
   the one-cycle column lag (the IDFF of Figure 7); a one-fold layer is
-  the register-level golden model of a single fold.  O(cycles) — the
-  truth source for small configs (the fuzzer's diet).
+  the register-level golden model of a single fold.  Each fold is a
+  fresh machine of its own, so consecutive folds are clocked together on
+  a leading fold axis, as many as keep their stacked product planes
+  within the kernels' ``_TILE_CHUNK_ELEMS`` bound: a group costs its
+  longest fold's cycles, not the sum over its folds.  The truth source
+  for small configs (the fuzzer's diet).
 - ``"wave"`` — each fold's plane state evaluated at vector-admission
   boundaries in closed form.  Between admissions every PE's evolution is
   rigid (``remaining`` decrements once per cycle, nothing else moves), so
@@ -34,24 +38,31 @@ Two step granularities, differentially pinned against each other:
 
 Timing convention (shared with :mod:`repro.sim.dataflow`): fold ``f+1``'s
 weight preload begins the cycle PE(0, 0) retires fold ``f``'s last MAC, so
-each fold costs ``preload + V*mac`` and only the last fold's drain is paid
-— the stepped model *derives* these boundaries from plane state rather
-than assuming them.
+each fold costs ``preload + V*mac`` and only the last fold's drain is paid.
+Both steppers take fold starts from this drain-overlap closed form.  From
+each start the cycle stepper clocks launches, landings, finishes and busy
+counts out of plane state, and the differential surfaces hold both
+steppers to the analytic schedule.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
+from ..contracts import require_positive_int
 from ..core.array import check_operands
 from ..core.config import ArrayConfig
 from ..core.pe import PeModel, make_pe
 from ..gemm.im2col import im2col
 from ..gemm.params import GemmParams
-from ..gemm.tiling import Tile, tile_gemm
+from ..gemm.tiling import Tile, Tiling, tile_gemm
 from ..schemes import DataflowGeometry
+from ..unary.vectorized import _TILE_CHUNK_ELEMS
 
 __all__ = [
     "ArraySimResult",
@@ -147,8 +158,33 @@ class _FoldRun:
     finish: np.ndarray  # (V, cols) absolute completion cycle per column sum
     launch0: np.ndarray  # (rows, cols) absolute launch cycle of vector 0
     busy: int
-    next_offset: int  # absolute cycle the next fold's preload may begin
     last_mac_finish: int
+
+
+def _fold_schedule(
+    tiling: Tiling, nvec: int, mac: int, geometry: DataflowGeometry
+) -> Iterator[tuple[Tile, int, int]]:
+    """Every fold with its start and preload cycles, in schedule order.
+
+    The drain-overlap convention in closed form: fold ``f+1``'s weight
+    preload begins the cycle PE(0, 0) retires fold ``f``'s last MAC,
+    ``preload + V*mac`` cycles after fold ``f`` began.
+    """
+    start = 0
+    for tile in tiling:
+        preload = geometry.preload_cycles(tile.rows, tile.cols)
+        yield tile, start, preload
+        start += preload + nvec * mac
+
+
+def _skew(geometry: DataflowGeometry, rows: int, cols: int) -> np.ndarray:
+    """``(rows, cols)`` cycles PE(r, c) admits a vector after PE(0, 0)."""
+    return (
+        geometry.row_lag * np.arange(rows, dtype=np.int64)[:, None]
+        + geometry.col_lag
+        * _COLUMN_LAG
+        * np.arange(cols, dtype=np.int64)[None, :]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -158,39 +194,33 @@ def _step_fold_wave(
     psums: np.ndarray,
     rows: int,
     mac: int,
-    offset: int,
+    base: int,
     max_cycles: int,
     geometry: DataflowGeometry,
 ) -> _FoldRun:
     """Evaluate one fold's plane state at vector-admission boundaries.
 
     ``psums`` is the fold's ``(V, cols)`` column sums from the PE's fold
-    kernel and ``rows`` its reduction depth.  PE(r, c) admits vector
-    ``v`` at ``launch0[r, c] + v * mac`` and holds it for ``mac`` cycles,
-    so the whole fold's timing is closed form: the bottom row retires
-    column sum ``(v, c)`` at ``launch0[rows - 1, c] + (v + 1) * mac`` and
-    every PE is busy ``mac`` cycles per vector.  The cycle stepper
-    evolves the same state one clock at a time; the ``array`` diff
-    surface holds the two to each other plane for plane.  A budget
-    overrun raises the cycle stepper's :class:`CycleLimitError` state: it
-    trips at the first cycle past ``max_cycles`` (or the fold's first
-    launch, if later) with the MACs not yet retired by then.
+    kernel, ``rows`` its reduction depth and ``base`` the absolute cycle
+    PE(0, 0) admits vector 0 (the fold's start plus its preload).
+    PE(r, c) admits vector ``v`` at ``launch0[r, c] + v * mac`` and holds
+    it for ``mac`` cycles, so the whole fold's timing is closed form: the
+    bottom row retires column sum ``(v, c)`` at
+    ``launch0[rows - 1, c] + (v + 1) * mac`` and every PE is busy ``mac``
+    cycles per vector.  The cycle stepper evolves the same state one
+    clock at a time; the ``array`` diff surface holds the two to each
+    other plane for plane.  A budget overrun raises the cycle stepper's
+    :class:`CycleLimitError` state: it trips at the first cycle past
+    ``max_cycles`` (or the fold's first launch, if later) with the MACs
+    not yet retired by then.
     """
     nvec, cols = psums.shape
-    preload = geometry.preload_cycles(rows, cols)
-    rplane = np.arange(rows, dtype=np.int64)[:, None]
-    cplane = np.arange(cols, dtype=np.int64)[None, :]
-    launch0 = (
-        offset
-        + preload
-        + geometry.row_lag * rplane
-        + geometry.col_lag * _COLUMN_LAG * cplane
-    )
+    launch0 = base + _skew(geometry, rows, cols)
     waves = mac * np.arange(1, nvec + 1, dtype=np.int64)[:, None]
     finish = launch0[rows - 1, :] + waves
     last_finish = int(finish[nvec - 1].max())
     if last_finish - 1 > max_cycles:
-        trip = max(max_cycles + 1, offset + preload)
+        trip = max(max_cycles + 1, base)
         retired = np.clip((trip - launch0 - mac) // mac + 1, 0, nvec)
         raise CycleLimitError(
             trip, rows * cols * nvec - int(retired.sum()), max_cycles
@@ -200,79 +230,188 @@ def _step_fold_wave(
         finish=finish,
         launch0=launch0,
         busy=mac * rows * cols * nvec,
-        next_offset=int(launch0[0, 0]) + nvec * mac,
         last_mac_finish=last_finish,
     )
 
 
-def _step_fold_cycle(
+@dataclasses.dataclass
+class _FoldGroup:
+    """Register planes of consecutive folds clocked together.
+
+    Fold ``g`` is a fresh array of its own: index ``[g]`` of every plane,
+    its tile in the top-left corner of the group's padded ``(R, C)``
+    planes, with ``valid`` masking the padding so a padded PE never
+    launches.  The folds share one relative clock ``t``, so the planes
+    hold relative cycles; fold ``g`` is at absolute cycle ``base_g + t``.
+    """
+
+    counts: np.ndarray  # (G, V, R, C) product planes, zero-padded
+    valid: np.ndarray  # (G, R, C) PE inside its fold's tile
+    skew: np.ndarray  # (R, C) launch lag behind PE(0, 0)
+    mac: int
+    working: np.ndarray  # (G, R, C) vector held, -1 before the first
+    remaining: np.ndarray  # (G, R, C) MAC cycles left
+    launch0: np.ndarray  # (G, R, C) relative launch cycle of vector 0
+    pending: np.ndarray  # (G, V, C) MACs each column sum awaits
+    psum_cols: np.ndarray  # (G, V, C) column sums, in the counts' type
+    finish: np.ndarray  # (G, V, C) relative completion cycle
+    busy: np.ndarray  # (G, R, C) cycles each PE was occupied
+    done: np.ndarray  # (G,) MACs retired
+
+
+def _clock(group: _FoldGroup, t: int) -> None:
+    """Advance every fold of ``group`` one clock: relative cycle ``t``.
+
+    A launch mask admits due vectors, every occupied PE burns one cycle,
+    and PEs whose MAC retires land their product into the column psum —
+    whole-plane numpy operations over the whole group.  DiP's skew-free
+    array retires several rows into one column sum in the same cycle,
+    so landings accumulate through ``np.add.at``.
+    """
+    vnext, lag = np.divmod(t - group.skew, group.mac)
+    can = (
+        (lag == 0)
+        & (vnext >= 0)
+        & (vnext < group.counts.shape[1])
+        & group.valid
+        & (group.remaining == 0)
+    )
+    g_idx, r_idx, c_idx = np.nonzero(can)
+    if len(g_idx):
+        entering = vnext[r_idx, c_idx]
+        if (group.working[g_idx, r_idx, c_idx] >= entering).any():
+            raise RuntimeError("PE re-entered an old vector")
+        group.working[g_idx, r_idx, c_idx] = entering
+        group.remaining[g_idx, r_idx, c_idx] = group.mac
+        first = entering == 0
+        group.launch0[g_idx[first], r_idx[first], c_idx[first]] = t
+    active = group.remaining > 0
+    group.busy += active
+    group.remaining -= active
+    g_idx, r_idx, c_idx = np.nonzero(active & (group.remaining == 0))
+    if len(g_idx):
+        v_idx = group.working[g_idx, r_idx, c_idx]
+        at = (g_idx, v_idx, c_idx)
+        np.add.at(group.psum_cols, at, group.counts[g_idx, v_idx, r_idx, c_idx])
+        np.add.at(group.pending, at, -1)
+        closed = group.pending[at] == 0
+        group.finish[g_idx[closed], v_idx[closed], c_idx[closed]] = t + 1
+        group.done += np.bincount(g_idx, minlength=len(group.done))
+
+
+def _step_fold_group(
     counts: np.ndarray,
-    scale: float,
+    scales: list[float],
+    tiles: list[Tile],
+    bases: list[int],
     mac: int,
-    offset: int,
     max_cycles: int,
     geometry: DataflowGeometry,
-) -> _FoldRun:
-    """Advance one fold one clock cycle at a time (register semantics).
+) -> list[_FoldRun]:
+    """Clock consecutive folds together, one cycle at a time (register semantics).
 
-    Per cycle, a launch mask admits due vectors, every occupied PE burns
-    one cycle, and PEs whose MAC retires land their product into the
-    column psum — all as whole-plane numpy operations.
+    ``counts`` stacks the folds' product planes (``counts[g] * scales[g]``
+    is fold ``g``'s :meth:`~repro.core.pe.PeModel.fold_products`),
+    zero-padded to the largest tile; fold ``g`` admits its first vector
+    at absolute cycle ``bases[g]``.  Every fold runs until its own last
+    MAC retires, so the group takes as many clocks (:func:`_clock`) as
+    its longest fold, not the sum over its folds.  A budget overrun
+    raises what stepping the folds one after another would: the
+    :class:`CycleLimitError` of the lowest-index fold that trips, at its
+    first cycle past ``max_cycles`` with its own MACs still pending.
+    Later folds start later, so they trip earlier in relative time.
     """
-    nvec, rows, cols = counts.shape
-    preload = geometry.preload_cycles(rows, cols)
-    skew = (
-        geometry.row_lag * np.arange(rows, dtype=np.int64)[:, None]
-        + geometry.col_lag
-        * _COLUMN_LAG
-        * np.arange(cols, dtype=np.int64)[None, :]
+    nfolds, nvec, rows, cols = counts.shape
+    fold_rows = np.array([tile.rows for tile in tiles], dtype=np.int64)
+    fold_cols = np.array([tile.cols for tile in tiles], dtype=np.int64)
+    plane = (nfolds, rows, cols)
+    group = _FoldGroup(
+        counts=counts,
+        valid=(np.arange(rows)[:, None] < fold_rows[:, None, None])
+        & (np.arange(cols) < fold_cols[:, None, None]),
+        skew=_skew(geometry, rows, cols),
+        mac=mac,
+        working=np.full(plane, -1, dtype=np.int64),
+        remaining=np.zeros(plane, dtype=np.int64),
+        launch0=np.zeros(plane, dtype=np.int64),
+        pending=np.repeat(fold_rows, nvec * cols).reshape(nfolds, nvec, cols),
+        psum_cols=np.zeros((nfolds, nvec, cols), dtype=counts.dtype),
+        finish=np.zeros((nfolds, nvec, cols), dtype=np.int64),
+        busy=np.zeros(plane, dtype=np.int64),
+        done=np.zeros(nfolds, dtype=np.int64),
     )
-    working = np.full((rows, cols), -1, dtype=np.int64)
-    remaining = np.zeros((rows, cols), dtype=np.int64)
-    launch0 = np.zeros((rows, cols), dtype=np.int64)
-    pending = np.full((nvec, cols), rows, dtype=np.int64)
-    psum_cols = np.zeros((nvec, cols), dtype=counts.dtype)
-    finish = np.zeros((nvec, cols), dtype=np.int64)
-    busy = 0
-    done_macs = 0
-    total_macs = rows * cols * nvec
-    next_offset = offset + preload + nvec * mac
+    total = fold_rows * fold_cols * nvec
+    start = np.array(bases, dtype=np.int64)
+    trips: dict[int, tuple[int, int]] = {}
+    running = np.ones(nfolds, dtype=bool)
     t = 0
-    while done_macs < total_macs:
-        cycle = offset + preload + t
-        if cycle > max_cycles:
-            raise CycleLimitError(cycle, total_macs - done_macs, max_cycles)
-        vnext, lag = np.divmod(t - skew, mac)
-        can = (lag == 0) & (vnext >= 0) & (vnext < nvec) & (remaining == 0)
-        if can.any():
-            if (working[can] >= vnext[can]).any():
-                raise RuntimeError("PE re-entered an old vector")
-            working[can] = vnext[can]
-            remaining[can] = mac
-            launch0[can & (vnext == 0)] = cycle
-        active = remaining > 0
-        occupied = int(np.count_nonzero(active))
-        if occupied:
-            remaining[active] -= 1
-            busy += occupied
-            landed = active & (remaining == 0)
-            if landed.any():
-                r_idx, c_idx = np.nonzero(landed)
-                v_idx = working[landed]
-                np.add.at(psum_cols, (v_idx, c_idx), counts[v_idx, r_idx, c_idx])
-                np.add.at(pending, (v_idx, c_idx), -1)
-                closed = pending[v_idx, c_idx] == 0
-                finish[v_idx[closed], c_idx[closed]] = cycle + 1
-                done_macs += len(v_idx)
+    while True:
+        over = running & (start + t > max_cycles)
+        for g in np.flatnonzero(over).tolist():
+            trips[g] = (bases[g] + t, int(total[g] - group.done[g]))
+        running &= ~over
+        if not running.any():
+            break
+        _clock(group, t)
+        running &= group.done < total
         t += 1
-    return _FoldRun(
-        psums=psum_cols.astype(np.float64) * scale,
-        finish=finish,
-        launch0=launch0,
-        busy=busy,
-        next_offset=next_offset,
-        last_mac_finish=int(finish.max()),
-    )
+    if trips:
+        cycle, pending = trips[min(trips)]
+        raise CycleLimitError(cycle, pending, max_cycles)
+    runs = []
+    for g, tile in enumerate(tiles):
+        finish = group.finish[g, :, : tile.cols] + bases[g]
+        runs.append(
+            _FoldRun(
+                psums=group.psum_cols[g, :, : tile.cols].astype(np.float64)
+                * scales[g],
+                finish=finish,
+                launch0=group.launch0[g, : tile.rows, : tile.cols] + bases[g],
+                busy=int(group.busy[g].sum()),
+                last_mac_finish=int(finish.max()),
+            )
+        )
+    return runs
+
+
+def _cycle_runs(
+    pe: PeModel,
+    schedule: Iterator[tuple[Tile, int, int]],
+    operands: Callable[[Tile], tuple[np.ndarray, np.ndarray]],
+    plane: tuple[int, int, int],
+    max_cycles: int,
+    geometry: DataflowGeometry,
+) -> Iterator[tuple[Tile, int, int, _FoldRun]]:
+    """Step a layer's folds per clock, consecutive folds in groups.
+
+    ``plane`` is the ``(V, R, C)`` shape of the largest fold's product
+    plane.  A group takes as many folds as keep its stacked
+    ``(G, V, R, C)`` plane within the kernels' ``_TILE_CHUNK_ELEMS``
+    elements (at least one), so memory stays bounded on many-fold layers;
+    each fold's plane still comes from one
+    :meth:`~repro.core.pe.PeModel.fold_products` call.
+    """
+    size = max(1, _TILE_CHUNK_ELEMS // math.prod(plane))
+    while folds := list(itertools.islice(schedule, size)):
+        counts = None
+        scales = []
+        for g, (tile, _, _) in enumerate(folds):
+            products, scale = pe.fold_products(*operands(tile))
+            if counts is None:
+                counts = np.zeros((len(folds), *plane), dtype=products.dtype)
+            counts[g, :, : tile.rows, : tile.cols] = products
+            scales.append(scale)
+        runs = _step_fold_group(
+            counts,
+            scales,
+            [tile for tile, _, _ in folds],
+            [start + preload for _, start, preload in folds],
+            pe.mac_cycles,
+            max_cycles,
+            geometry,
+        )
+        for (tile, start, preload), run in zip(folds, runs):
+            yield tile, start, preload, run
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +462,7 @@ def simulate_array(
         raise ValueError(
             f"granularity must be one of {GRANULARITIES}, got {granularity!r}"
         )
+    require_positive_int("simulate_array", max_cycles=max_cycles)
     params.validate()
     config.validate()
     weight, ifm = check_operands(params, config, weight, ifm)
@@ -343,24 +483,38 @@ def simulate_array(
     launch_planes: list[np.ndarray] = []
     finish_planes: list[np.ndarray] = []
     busy_total = 0
-    offset = 0
-    for index, tile in enumerate(tiling):
-        k_fold = tile.k_start // config.rows
-        w_tile = wmat[tile.k_start : tile.k_start + tile.rows,
-                      tile.c_start : tile.c_start + tile.cols]
-        x_tile = cols_mat[:, tile.k_start : tile.k_start + tile.rows]
-        if granularity == "cycle":
-            counts, scale = pe.fold_products(w_tile, x_tile)
-            run = _step_fold_cycle(counts, scale, mac, offset, max_cycles, geometry)
-        else:
-            run = _step_fold_wave(
-                pe.tile_psums(w_tile, x_tile),
-                tile.rows,
-                mac,
-                offset,
-                max_cycles,
-                geometry,
+
+    def operands(tile: Tile) -> tuple[np.ndarray, np.ndarray]:
+        ks = slice(tile.k_start, tile.k_start + tile.rows)
+        return wmat[ks, tile.c_start : tile.c_start + tile.cols], cols_mat[:, ks]
+
+    schedule = _fold_schedule(tiling, nvec, mac, geometry)
+    if granularity == "cycle":
+        plane = (
+            nvec,
+            min(config.rows, params.window),
+            min(config.cols, params.oc),
+        )
+        stepped = _cycle_runs(pe, schedule, operands, plane, max_cycles, geometry)
+    else:
+        stepped = (
+            (
+                tile,
+                start,
+                preload,
+                _step_fold_wave(
+                    pe.tile_psums(*operands(tile)),
+                    tile.rows,
+                    mac,
+                    start + preload,
+                    max_cycles,
+                    geometry,
+                ),
             )
+            for tile, start, preload in schedule
+        )
+    for index, (tile, start, preload, run) in enumerate(stepped):
+        k_fold = tile.k_start // config.rows
         _accumulate_fold(psums, provenance, tile, k_fold, run.psums)
         folds.append(
             FoldTrace(
@@ -371,8 +525,8 @@ def simulate_array(
                 c_start=tile.c_start,
                 rows=tile.rows,
                 cols=tile.cols,
-                start_cycle=offset,
-                preload_cycles=geometry.preload_cycles(tile.rows, tile.cols),
+                start_cycle=start,
+                preload_cycles=preload,
                 first_launch_cycle=int(run.launch0[0, 0]),
                 last_mac_finish=run.last_mac_finish,
             )
@@ -381,7 +535,6 @@ def simulate_array(
             launch_planes.append(run.launch0)
             finish_planes.append(run.finish)
         busy_total += run.busy
-        offset = run.next_offset
     return ArraySimResult(
         psums=psums,
         provenance=provenance,

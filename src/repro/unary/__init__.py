@@ -26,6 +26,7 @@ from .faults import (
 from .mac import (
     HubMac,
     MacResult,
+    check_sign_magnitude,
     from_sign_magnitude,
     hub_dot,
     mac_cycles,
@@ -63,6 +64,7 @@ __all__ = [
     "unary_fault_error",
     "HubMac",
     "MacResult",
+    "check_sign_magnitude",
     "from_sign_magnitude",
     "hub_dot",
     "mac_cycles",

@@ -29,6 +29,7 @@ __all__ = [
     "from_sign_magnitude",
     "HubMac",
     "MacResult",
+    "check_sign_magnitude",
     "mac_cycles",
     "hub_dot",
 ]
@@ -47,6 +48,27 @@ def sign_magnitude(value: int, bits: int) -> tuple[int, int]:
             f"value {value} outside sign-magnitude range of {bits} bits"
         )
     return (1 if value < 0 else 0), abs(value)
+
+
+def check_sign_magnitude(bits: int, *operands: np.ndarray | int) -> None:
+    """Every element of every operand must lie in ``bits``-bit sign-magnitude.
+
+    The array form of :func:`sign_magnitude`'s range check: each value
+    must lie strictly between ``-2**(bits-1)`` and ``2**(bits-1)``.  Both
+    ends are tested, because ``np.abs`` of a signed dtype's minimum (an
+    int8 ``-128``, ``INT64_MIN``) wraps to itself and would pass an
+    ``abs(x) < limit`` test.
+    """
+    limit = 1 << (bits - 1)
+    for operand in operands:
+        operand = np.asarray(operand)
+        if (
+            int(operand.min(initial=0)) <= -limit
+            or int(operand.max(initial=0)) >= limit
+        ):
+            raise ValueError(
+                f"operands must lie in the {bits}-bit sign-magnitude range"
+            )
 
 
 def from_sign_magnitude(sign: int, magnitude: int) -> int:

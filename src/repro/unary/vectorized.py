@@ -40,6 +40,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .bitstream import Coding
+from .mac import check_sign_magnitude
 from .rng import CounterSequence, SobolSequence
 
 __all__ = ["hub_mac_row", "hub_mac_tile", "hub_product_counts"]
@@ -95,9 +96,7 @@ def hub_mac_row(
     if ebt != bits and coding is Coding.TEMPORAL:
         raise ValueError("temporal coding admits no early termination")
     weights = np.asarray(weights, dtype=np.int64)
-    limit = 1 << (bits - 1)
-    if abs(ifm) >= limit or np.abs(weights).max(initial=0) >= limit:
-        raise ValueError(f"operands must be {bits}-bit sign-magnitude values")
+    check_sign_magnitude(bits, ifm, weights)
 
     mag_bits = ebt - 1
     cycles = 1 << mag_bits
@@ -204,12 +203,7 @@ def _fold_counts(
         raise ValueError(
             f"incompatible tile shapes {x_tile.shape} x {w_tile.shape}"
         )
-    limit = 1 << (bits - 1)
-    if (
-        np.abs(w_tile).max(initial=0) >= limit
-        or np.abs(x_tile).max(initial=0) >= limit
-    ):
-        raise ValueError(f"operands must be {bits}-bit sign-magnitude values")
+    check_sign_magnitude(bits, w_tile, x_tile)
     shape = (x_tile.shape[0], x_tile.shape[1], w_tile.shape[1])
     scale = float((1 << (bits - ebt)) * (1 << (bits - 1)))
     return shape, scale, _count_blocks(w_tile, x_tile, bits, ebt, coding)

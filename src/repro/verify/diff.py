@@ -76,7 +76,9 @@ _MAX_ELEMENT_MISMATCHES = 8
 #: Analytic-cycle budget under which the array diff also runs the exact
 #: per-clock-cycle stepper and holds the wave stepper to it; above it
 #: only the closed-form wave granularity runs (still diffed against the
-#: schedule, trace and functional array).
+#: schedule, trace and functional array).  The guard counts the layer's
+#: analytic cycles, a bound on the stepper's cost: the stepper clocks
+#: consecutive folds together, so it pays the longest fold per group.
 _CYCLE_STEP_GUARD = 50_000
 
 

@@ -21,13 +21,17 @@ from hypothesis import strategies as st
 
 from repro.core.array import UsystolicArray
 from repro.core.config import ArrayConfig
+from repro.fsu.ugemm import FsuGemm
 from repro.gemm.params import GemmParams
 from repro.gemm.tiling import tile_gemm
 from repro.schemes import ComputeScheme as CS
+from repro.sim import arraysim
 from repro.sim.arraysim import GRANULARITIES, CycleLimitError, simulate_array
 from repro.sim.dataflow import schedule_layer, schedule_tile
-from repro.unary.vectorized import hub_mac_row
+from repro.unary.vectorized import hub_mac_row, hub_mac_tile, hub_product_counts
 from repro.verify.oracles import compute_cycles_oracle, conv_oracle
+
+from .per_fold_stepper import simulate_array_per_fold
 
 _SKEWED = [
     (CS.BINARY_PARALLEL, 8, None),
@@ -146,6 +150,106 @@ class TestGranularitiesAgree:
             assert np.array_equal(w_plane, c_plane)
 
 
+def _assert_same_run(grouped, reference):
+    """Every byte of two ``collect_planes`` cycle runs is the same."""
+    assert grouped.psums.tobytes() == reference.psums.tobytes()
+    assert np.array_equal(grouped.provenance, reference.provenance)
+    assert grouped.compute_cycles == reference.compute_cycles
+    assert grouped.pe_busy_cycles == reference.pe_busy_cycles
+    assert grouped.folds == reference.folds
+    for got, want in zip(
+        grouped.launch_planes + grouped.finish_planes,
+        reference.launch_planes + reference.finish_planes,
+        strict=True,
+    ):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _budget_outcomes(step, args):
+    """Completion, or the ``CycleLimitError`` state, at budgets that trip
+    before the first launch, mid-layer and one or two cycles short."""
+    total = step(*args).compute_cycles
+    outcomes = []
+    for budget in sorted({20, total // 2, total - 2, total - 1, total} - {0}):
+        try:
+            outcomes.append(("done", step(*args, max_cycles=budget).compute_cycles))
+        except CycleLimitError as err:
+            assert err.max_cycles == budget
+            outcomes.append(("limit", budget, err.cycle, err.pending_macs))
+    return outcomes
+
+
+def _grouped(params, config, weight, ifm, max_cycles=50_000_000):
+    return simulate_array(
+        params,
+        config,
+        weight,
+        ifm,
+        granularity="cycle",
+        max_cycles=max_cycles,
+        collect_planes=True,
+    )
+
+
+#: Group bounds to draw: the default, one fold per group, and bounds
+#: that split the drawn layers into groups of several folds.
+GROUP_ELEMS = st.sampled_from([None, 1, 60, 250])
+
+
+class TestGroupedCycleStepper:
+    """The cycle stepper clocks consecutive folds together; each fold is a
+    fresh machine, so it must match stepping them one after another with
+    the per-fold stepper it replaced (``per_fold_stepper.py``)."""
+
+    @given(case=stepped_cases(schemes=ALL_SCHEMES), group_elems=GROUP_ELEMS)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_per_fold_stepper(self, case, group_elems):
+        with pytest.MonkeyPatch.context() as patch:
+            if group_elems is not None:
+                patch.setattr(arraysim, "_TILE_CHUNK_ELEMS", group_elems)
+            _assert_same_run(_grouped(*case), simulate_array_per_fold(*case))
+
+    @given(case=stepped_cases(schemes=ALL_SCHEMES), group_elems=GROUP_ELEMS)
+    @settings(max_examples=15, deadline=None)
+    def test_trips_where_the_per_fold_stepper_trips(self, case, group_elems):
+        with pytest.MonkeyPatch.context() as patch:
+            if group_elems is not None:
+                patch.setattr(arraysim, "_TILE_CHUNK_ELEMS", group_elems)
+            grouped = _budget_outcomes(_grouped, case)
+        assert grouped == _budget_outcomes(simulate_array_per_fold, case)
+
+    @pytest.mark.parametrize(
+        "scheme,ebt",
+        [(CS.USYSTOLIC_RATE, 4), (CS.DIP_PARALLEL, None), (CS.BINARY_SERIAL, None)],
+        ids=["UR", "DP", "BS"],
+    )
+    def test_a_layer_spanning_several_groups(self, monkeypatch, scheme, ebt):
+        # Ten folds of 8x5 (edge rows 4, edge columns 3) with room for
+        # three fold planes per group: groups of 3, 3, 3 and 1 that mix
+        # full and edge tiles.
+        params = GemmParams(name="g", ih=6, iw=6, ic=4, wh=3, ww=3, oc=8)
+        config = ArrayConfig(rows=8, cols=5, scheme=scheme, bits=6, ebt=ebt)
+        rng = np.random.default_rng(7)
+        weight = rng.integers(-31, 32, size=(params.oc, params.wh, params.ww, params.ic))
+        ifm = rng.integers(-31, 32, size=(params.ih, params.iw, params.ic))
+        case = (params, config, weight, ifm)
+        monkeypatch.setattr(arraysim, "_TILE_CHUNK_ELEMS", 3 * params.oh * params.ow * 8 * 5)
+        groups = []
+        step_group = arraysim._step_fold_group
+
+        def counted(counts, *rest):
+            groups.append(len(counts))
+            return step_group(counts, *rest)
+
+        monkeypatch.setattr(arraysim, "_step_fold_group", counted)
+        _assert_same_run(_grouped(*case), simulate_array_per_fold(*case))
+        assert groups == [3, 3, 3, 1]
+        assert _budget_outcomes(_grouped, case) == _budget_outcomes(
+            simulate_array_per_fold, case
+        )
+
+
 class TestMultiFoldSkewAndDrain:
     # Skewed schemes only: the launch planes asserted below carry the
     # ``r + c`` skew, which DiP does not have.
@@ -215,6 +319,42 @@ class TestValidation:
         x = np.zeros((2, 2, 1), dtype=np.int64)
         with pytest.raises(ValueError, match="range"):
             simulate_array(params, config, w, x)
+
+    @pytest.mark.parametrize(
+        "dtype,bits",
+        [(np.int8, 8), (np.int16, 16), (np.int32, 16), (np.int64, 8)],
+        ids=["int8", "int16", "int32", "int64"],
+    )
+    def test_rejects_each_dtype_minimum(self, dtype, bits):
+        # Regression: the range checks took ``np.abs``, and the abs of a
+        # signed dtype's minimum is itself, so an int8 -128 passed as an
+        # 8-bit operand and INT64_MIN passed at any width.
+        low = np.iinfo(dtype).min
+        named = "sign-magnitude range"
+        params = GemmParams(name="g", ih=2, iw=2, ic=1, wh=1, ww=1, oc=1, stride=1)
+        for code in ("BP", "UR"):
+            config = ArrayConfig(rows=1, cols=1, scheme=CS(code), bits=bits)
+            for operand in ("weight", "ifm"):
+                w = np.zeros((1, 1, 1, 1), dtype=dtype)
+                x = np.zeros((2, 2, 1), dtype=dtype)
+                (w if operand == "weight" else x).flat[0] = low
+                with pytest.raises(ValueError, match=named):
+                    UsystolicArray(config).execute(params, w, x)
+                for granularity in GRANULARITIES:
+                    with pytest.raises(ValueError, match=named):
+                        simulate_array(params, config, w, x, granularity=granularity)
+        row = np.array([low], dtype=dtype)
+        one = np.ones((1, 1), dtype=dtype)
+        with pytest.raises(ValueError, match=named):
+            hub_mac_row(1, row, bits)
+        with pytest.raises(ValueError, match=named):
+            hub_mac_row(row[0], one[0], bits)
+        with pytest.raises(ValueError, match=named):
+            hub_mac_tile(row[None, :], one, bits)
+        with pytest.raises(ValueError, match=named):
+            hub_product_counts(one, row[None, :], bits)
+        with pytest.raises(ValueError, match=named):
+            FsuGemm(bits).dot(row, one[0])
 
     def test_rejects_float_operands(self):
         params = GemmParams(name="g", ih=2, iw=2, ic=1, wh=1, ww=1, oc=1, stride=1)
@@ -329,6 +469,17 @@ class TestCycleLimit:
 
     def test_limit_error_is_a_runtime_error(self):
         assert issubclass(CycleLimitError, RuntimeError)
+
+    @pytest.mark.parametrize(
+        "budget", [None, True, 0, -5, 2.0], ids=["None", "True", "0", "-5", "2.0"]
+    )
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    def test_rejects_a_malformed_budget(self, granularity, budget):
+        # Regression: ``None`` died on a bare ``TypeError`` from an int
+        # comparison, and ``True`` ran as a one-cycle budget.
+        args, _, _ = _one_fold(2, 2, 2, CS.BINARY_PARALLEL, seed=2)
+        with pytest.raises(ValueError, match="simulate_array.max_cycles"):
+            simulate_array(*args, granularity=granularity, max_cycles=budget)
 
     def test_generous_budget_still_completes(self):
         args, _, _ = _one_fold(2, 2, 2, CS.BINARY_PARALLEL, seed=2)

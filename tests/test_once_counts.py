@@ -1,10 +1,11 @@
 """Deterministic work counts: configuration work paid once, not per call.
 
 A served batch is priced once per ``(batch, warm)`` pair however often it
-is dispatched, one layer simulation builds its SRAM macro once, and the
+is dispatched, one layer simulation builds its SRAM macro once, the
 bit-true engines make one fold-kernel call per fold (stepped array) or
-per layer (``execute``).  Counting the calls pins all three on
-any machine, independent of wall time.
+per layer (``execute``), and the cycle stepper clocks a layer's folds
+together.  Counting the calls pins all four on any machine, independent
+of wall time.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.serve.costs import NetworkCostModel
 from repro.serve.executor import ServeExecutor
 from repro.serve.queueing import make_queue
 from repro.serve.residency import ResidencyTracker
+from repro.sim import arraysim
 from repro.sim.arraysim import GRANULARITIES, simulate_array
 from repro.sim.engine import simulate_layer
 from repro.workloads.presets import EDGE
@@ -122,6 +124,18 @@ def test_stepped_array_makes_one_kernel_call_per_fold(
     simulate_array(params, config, weight, ifm, granularity=granularity)
     calls = (len(logs["fold_products"]), len(logs["tile_psums"]))
     assert calls == ((folds, 0) if granularity == "cycle" else (0, folds))
+
+
+@pytest.mark.parametrize("code", ["BP", "UR", "UT", "UG", "DP"])
+def test_cycle_stepper_clocks_the_folds_together(monkeypatch, code):
+    # Each fold is a fresh machine, so the ten folds share every clock:
+    # as many per-clock updates as the longest fold spans, not the sum.
+    params, config, weight, ifm, _ = _folded_layer(code)
+    clocks = []
+    _counting(monkeypatch, arraysim, "_clock", clocks)
+    res = simulate_array(params, config, weight, ifm, granularity="cycle")
+    spans = [fold.last_mac_finish - fold.first_launch_cycle for fold in res.folds]
+    assert len(clocks) == max(spans) < sum(spans)
 
 
 @pytest.mark.parametrize("code", ["BP", "UR", "UT", "UG"])
