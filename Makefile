@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test verify fuzz fuzz-array bench eval serve fleet all
+.PHONY: lint test verify fuzz fuzz-array fuzz-functional bench eval serve fleet all
 
 lint:
 	$(PYTHON) -m repro.analysis
@@ -17,6 +17,9 @@ fuzz:
 
 fuzz-array:
 	$(PYTHON) -m repro.verify fuzz --seed 1 --budget 1000 --engine array
+
+fuzz-functional:
+	$(PYTHON) -m repro.verify fuzz --seed 2 --budget 3000 --engine functional
 
 bench:
 	$(PYTHON) perfbench/run.py

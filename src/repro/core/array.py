@@ -62,8 +62,6 @@ def _check_operand(arr: np.ndarray, shape: tuple[int, ...], bits: int) -> np.nda
     arr = np.asarray(arr)
     if arr.shape != shape:
         raise ValueError(f"operand shape {arr.shape} != expected {shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("operands must be integer (FXP) arrays")
     check_sign_magnitude(bits, arr)
     return arr.astype(np.int64)
 

@@ -90,13 +90,14 @@ class PeModel(abc.ABC):
     def tile_psums(self, w_tile: np.ndarray, x_tile: np.ndarray) -> np.ndarray:
         """Column partial sums ``(V, C)`` of ``x_tile @ w_tile``, at integer scale.
 
-        :meth:`repro.core.array.UsystolicArray.execute` calls it once per
-        layer and the stepped array's ``"wave"`` stepper once per fold.
-        Every model's product, HUB and uGEMM estimates included, is an
-        integer of magnitude at most ``4**(bits-1)``, so under the
-        engines' layer bound (:func:`repro.core.array.check_operands`)
-        every float64 partial sum is exact and the psums do not depend on
-        how the K rows are ordered or grouped.  The base implementation
+        :meth:`repro.core.array.UsystolicArray.execute` and the stepped
+        array's ``"wave"`` stepper each call it once per layer, on the
+        whole ``(V, K) x (K, OC)`` GEMM.  Every model's product, HUB and
+        uGEMM estimates included, is an integer of magnitude at most
+        ``4**(bits-1)``, so under the engines' layer bound
+        (:func:`repro.core.array.check_operands`) every float64 partial
+        sum is exact and the psums do not depend on how the K rows are
+        ordered or grouped into folds.  The base implementation
         runs the bit-level PE element by element — that simulation *is*
         the model for exotic schemes (uGEMM), so the scalar loop stays;
         subclasses override with whole-fold kernels proven bit-identical.
@@ -196,18 +197,18 @@ class UsystolicPe(PeModel):
         self, weights: np.ndarray, vectors: np.ndarray
     ) -> tuple[np.ndarray, float]:
         """HUB planes via the count table (:func:`hub_product_counts`)."""
-        counts, scale = hub_product_counts(
-            np.asarray(weights, dtype=np.int64),
-            np.asarray(vectors, dtype=np.int64),
+        return hub_product_counts(
+            weights,
+            vectors,
             self.bits,
             ebt=self._mac.ebt,
             coding=self._mac.coding,
         )
-        return counts, scale
 
     def tile_psums(self, w_tile: np.ndarray, x_tile: np.ndarray) -> np.ndarray:
-        """Whole fold in one count-table gather; byte-identical to the
-        per-element HubMac chain (see :mod:`repro.unary.vectorized`)."""
+        """The whole GEMM through the count-table kernel
+        (:func:`hub_mac_tile`); byte-identical to the per-element HubMac
+        chain (see :mod:`repro.unary.vectorized`)."""
         return hub_mac_tile(
             w_tile,
             x_tile,

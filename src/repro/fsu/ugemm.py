@@ -52,11 +52,11 @@ class FsuGemm:
 
         Returns the dot product estimate at integer product scale.
         """
+        check_sign_magnitude(self.bits, weights, ifms)
         weights = np.asarray(weights, dtype=np.int64)
         ifms = np.asarray(ifms, dtype=np.int64)
         if weights.shape != ifms.shape or weights.ndim != 1:
             raise ValueError("weights and ifms must be equal-length vectors")
-        check_sign_magnitude(self.bits, weights, ifms)
         products: list[Bitstream] = []
         # Bit-true per-element stream simulation: each product runs the
         # bipolar uMUL cycle-by-cycle, so the scalar loop IS the model.
@@ -74,6 +74,7 @@ class FsuGemm:
 
     def matmul(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """(V, K) @ (K, OC) with fully streaming unary arithmetic."""
+        check_sign_magnitude(self.bits, x, w)
         x = np.asarray(x, dtype=np.int64)
         w = np.asarray(w, dtype=np.int64)
         if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:

@@ -7,7 +7,8 @@ ripple), advanced whole-array per step with no Python-per-PE loops.
 Partial sums accumulate across reduction folds with the preload/drain
 overlap the analytic model assumes (a fold's psum ripple is pushed out by
 the next fold's weight preload), and every contribution is attributed to
-its reduction fold in a ``(k_folds, V, OC)`` provenance tensor — the
+its reduction fold in a ``(k_folds, V, OC)`` provenance tensor (recorded
+once per fold and output column, since no count varies by vector) — the
 register-level ground truth the differential engine
 (:mod:`repro.verify.diff`) holds the closed-form schedule and the event
 trace against.
@@ -29,12 +30,14 @@ Two step granularities, differentially pinned against each other:
   one whole-plane step per fold gives the launch and finish planes, the
   busy count and, on a budget overrun, the cycle stepper's
   :class:`CycleLimitError` state; the ``array`` diff surface holds it to
-  the cycle stepper on small cases.  Its column psums come from the PE's
-  own fold kernel (:meth:`~repro.core.pe.PeModel.tile_psums`), with no
-  per-PE product plane: every product, uGEMM-H's included, is an exact
-  integer, so under the layer bound of
-  :func:`~repro.core.array.check_operands` a column sum is the same in
-  any order.  A full AlexNet conv layer steps inside the test suite.
+  the cycle stepper on small cases.  Its psums are the whole layer's,
+  from the one call of the PE's kernel
+  (:meth:`~repro.core.pe.PeModel.tile_psums`) that
+  :meth:`~repro.core.array.UsystolicArray.execute` makes, with no per-PE
+  product plane: every product, uGEMM-H's included, is an exact integer,
+  so under the layer bound of :func:`~repro.core.array.check_operands` a
+  column sum is the same in any order and any grouping into folds.  A
+  full AlexNet conv layer steps inside the test suite.
 
 Timing convention (shared with :mod:`repro.sim.dataflow`): fold ``f+1``'s
 weight preload begins the cycle PE(0, 0) retires fold ``f``'s last MAC, so
@@ -132,7 +135,9 @@ class ArraySimResult:
     psums: np.ndarray
     """(V, OC) partial sums at integer product scale, all folds folded in."""
     provenance: np.ndarray
-    """(k_folds, V, OC) MACs each reduction fold contributed per output."""
+    """(k_folds, V, OC) MACs each reduction fold contributed per output: a
+    read-only broadcast of one row per fold, since no count varies by
+    vector."""
     compute_cycles: int
     """Layer completion under the drain-overlap convention (== analytic)."""
     pe_busy_cycles: int
@@ -154,7 +159,7 @@ class ArraySimResult:
 class _FoldRun:
     """Per-fold plane artifacts one stepper hands back."""
 
-    psums: np.ndarray  # (V, cols) at integer product scale
+    psums: np.ndarray | None  # (V, cols) at integer product scale; wave: None
     finish: np.ndarray  # (V, cols) absolute completion cycle per column sum
     launch0: np.ndarray  # (rows, cols) absolute launch cycle of vector 0
     busy: int
@@ -191,8 +196,8 @@ def _skew(geometry: DataflowGeometry, rows: int, cols: int) -> np.ndarray:
 # fold steppers
 # ----------------------------------------------------------------------
 def _step_fold_wave(
-    psums: np.ndarray,
-    rows: int,
+    tile: Tile,
+    nvec: int,
     mac: int,
     base: int,
     max_cycles: int,
@@ -200,21 +205,20 @@ def _step_fold_wave(
 ) -> _FoldRun:
     """Evaluate one fold's plane state at vector-admission boundaries.
 
-    ``psums`` is the fold's ``(V, cols)`` column sums from the PE's fold
-    kernel, ``rows`` its reduction depth and ``base`` the absolute cycle
-    PE(0, 0) admits vector 0 (the fold's start plus its preload).
-    PE(r, c) admits vector ``v`` at ``launch0[r, c] + v * mac`` and holds
-    it for ``mac`` cycles, so the whole fold's timing is closed form: the
-    bottom row retires column sum ``(v, c)`` at
-    ``launch0[rows - 1, c] + (v + 1) * mac`` and every PE is busy ``mac``
-    cycles per vector.  The cycle stepper evolves the same state one
-    clock at a time; the ``array`` diff surface holds the two to each
-    other plane for plane.  A budget overrun raises the cycle stepper's
-    :class:`CycleLimitError` state: it trips at the first cycle past
-    ``max_cycles`` (or the fold's first launch, if later) with the MACs
-    not yet retired by then.
+    ``base`` is the absolute cycle PE(0, 0) admits vector 0 (the fold's
+    start plus its preload).  PE(r, c) admits vector ``v`` at
+    ``launch0[r, c] + v * mac`` and holds it for ``mac`` cycles, so the
+    whole fold's timing is closed form: the bottom row retires column sum
+    ``(v, c)`` at ``launch0[rows - 1, c] + (v + 1) * mac`` and every PE is
+    busy ``mac`` cycles per vector.  The cycle stepper evolves the same
+    state one clock at a time; the ``array`` diff surface holds the two
+    to each other plane for plane.  A budget overrun raises the cycle
+    stepper's :class:`CycleLimitError` state: it trips at the first cycle
+    past ``max_cycles`` (or the fold's first launch, if later) with the
+    MACs not yet retired by then.  The run carries no psums: the wave
+    stepper sums the whole layer in one kernel call.
     """
-    nvec, cols = psums.shape
+    rows, cols = tile.rows, tile.cols
     launch0 = base + _skew(geometry, rows, cols)
     waves = mac * np.arange(1, nvec + 1, dtype=np.int64)[:, None]
     finish = launch0[rows - 1, :] + waves
@@ -226,7 +230,7 @@ def _step_fold_wave(
             trip, rows * cols * nvec - int(retired.sum()), max_cycles
         )
     return _FoldRun(
-        psums=psums,
+        psums=None,
         finish=finish,
         launch0=launch0,
         busy=mac * rows * cols * nvec,
@@ -422,16 +426,20 @@ def _accumulate_fold(
     provenance: np.ndarray,
     tile: Tile,
     k_fold: int,
-    fold_psums: np.ndarray,
+    fold_psums: np.ndarray | None,
 ) -> None:
     """Fold one tile's column sums into the layer OFM, with provenance.
 
     Reduction folds accumulate through the psum buffer exactly in binary
     (the HUB fold-invariance guarantee); ``provenance[k_fold]`` records
-    how many MACs this reduction fold contributed to each touched output.
+    how many MACs this reduction fold contributed to each touched output
+    (the ``(k_folds, 1, OC)`` record: a count does not vary by vector).
+    ``fold_psums`` is ``None`` from the wave stepper, whose layer psums
+    come whole from one kernel call.
     """
     cols = slice(tile.c_start, tile.c_start + tile.cols)
-    psums[:, cols] += fold_psums
+    if fold_psums is not None:
+        psums[:, cols] += fold_psums
     provenance[k_fold, :, cols] += tile.rows
 
 
@@ -477,8 +485,7 @@ def simulate_array(
     tiling = tile_gemm(params, config.rows, config.cols)
 
     nvec = cols_mat.shape[0]
-    psums = np.zeros((nvec, params.oc), dtype=np.float64)
-    provenance = np.zeros((tiling.k_folds, nvec, params.oc), dtype=np.int64)
+    provenance = np.zeros((tiling.k_folds, 1, params.oc), dtype=np.int64)
     folds: list[FoldTrace] = []
     launch_planes: list[np.ndarray] = []
     finish_planes: list[np.ndarray] = []
@@ -490,6 +497,7 @@ def simulate_array(
 
     schedule = _fold_schedule(tiling, nvec, mac, geometry)
     if granularity == "cycle":
+        psums = np.zeros((nvec, params.oc), dtype=np.float64)
         plane = (
             nvec,
             min(config.rows, params.window),
@@ -497,18 +505,16 @@ def simulate_array(
         )
         stepped = _cycle_runs(pe, schedule, operands, plane, max_cycles, geometry)
     else:
+        # The one kernel call execute makes: fold order cannot move an
+        # exact integer psum.
+        psums = pe.tile_psums(wmat, cols_mat)
         stepped = (
             (
                 tile,
                 start,
                 preload,
                 _step_fold_wave(
-                    pe.tile_psums(*operands(tile)),
-                    tile.rows,
-                    mac,
-                    start + preload,
-                    max_cycles,
-                    geometry,
+                    tile, nvec, mac, start + preload, max_cycles, geometry
                 ),
             )
             for tile, start, preload in schedule
@@ -537,7 +543,7 @@ def simulate_array(
         busy_total += run.busy
     return ArraySimResult(
         psums=psums,
-        provenance=provenance,
+        provenance=np.broadcast_to(provenance, (tiling.k_folds, nvec, params.oc)),
         compute_cycles=folds[-1].last_mac_finish,
         pe_busy_cycles=busy_total,
         folds=tuple(folds),

@@ -51,17 +51,23 @@ def sign_magnitude(value: int, bits: int) -> tuple[int, int]:
 
 
 def check_sign_magnitude(bits: int, *operands: np.ndarray | int) -> None:
-    """Every element of every operand must lie in ``bits``-bit sign-magnitude.
+    """Every operand must hold integers in ``bits``-bit sign-magnitude.
 
-    The array form of :func:`sign_magnitude`'s range check: each value
-    must lie strictly between ``-2**(bits-1)`` and ``2**(bits-1)``.  Both
-    ends are tested, because ``np.abs`` of a signed dtype's minimum (an
-    int8 ``-128``, ``INT64_MIN``) wraps to itself and would pass an
-    ``abs(x) < limit`` test.
+    The array form of :func:`sign_magnitude`'s checks, run before any
+    cast to int64 (which would truncate a float ``2.9`` to ``2``).  Each
+    operand must have an integer dtype, and each value must lie strictly
+    between ``-2**(bits-1)`` and ``2**(bits-1)``.  Both ends are tested,
+    because ``np.abs`` of a signed dtype's minimum (an int8 ``-128``,
+    ``INT64_MIN``) wraps to itself and would pass an ``abs(x) < limit``
+    test.
     """
     limit = 1 << (bits - 1)
     for operand in operands:
         operand = np.asarray(operand)
+        if not np.issubdtype(operand.dtype, np.integer):
+            raise ValueError(
+                f"operands must be integer (FXP) values, got {operand.dtype}"
+            )
         if (
             int(operand.min(initial=0)) <= -limit
             or int(operand.max(initial=0)) >= limit

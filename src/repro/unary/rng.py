@@ -123,18 +123,15 @@ def sobol_sequence(bits: int, length: int, dim: int = 0) -> np.ndarray:
     (a property the unary multiplier relies on for exactness at full length).
     """
     v = _sobol_direction_vectors(dim, bits)
-    out = np.empty(length, dtype=np.int64)
-    x = 0
-    for k in range(length):
-        out[k] = x
-        # Gray-code construction: flip by the direction vector of the lowest
-        # zero bit of k.
-        c = 0
-        kk = k
-        while kk & 1:
-            kk >>= 1
-            c += 1
-        x ^= int(v[min(c, bits - 1)])
+    # Gray-code construction: step k flips x by the direction vector of the
+    # lowest zero bit of k, i.e. of its trailing-ones count c.  That is the
+    # lowest set bit of k + 1, 2**c, whose binary exponent frexp gives
+    # exactly.
+    after = np.arange(1, length, dtype=np.int64)
+    _, exponent = np.frexp(after & -after)
+    flips = v[np.minimum(exponent - 1, bits - 1)]
+    out = np.zeros(length, dtype=np.int64)
+    np.bitwise_xor.accumulate(flips, out=out[1:])
     return out
 
 

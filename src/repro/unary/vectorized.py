@@ -10,7 +10,7 @@ and one RNG sequence serve all C columns at once.
 :func:`hub_mac_row` is bit-identical to running :class:`~repro.unary.mac.
 HubMac` per element with default sequences (a property test asserts this).
 :func:`hub_mac_tile` and :func:`hub_product_counts` lift the same
-arithmetic to a whole weight-stationary fold at once.  Both codings enable
+arithmetic to a whole weight-stationary GEMM at once.  Both codings enable
 exactly ``imag`` of the ``2**mag_bits`` cycles and the C-BSG weight RNG
 advances only on enabled cycles, so the enabled cycles draw the first
 ``imag`` Sobol values ``S_k`` whatever the coding, and the hit count is
@@ -18,17 +18,19 @@ the one closed form ``T[imag, wmag] = #{k < imag : S_k < wmag}``.  Folding
 the XOR sign in gives a square *signed* table over sign-magnitude codes
 (side ``2 * 2**mag_bits``), held in the narrowest signed integer type
 that holds ``±(2**mag_bits - 1)`` (int8 up to 7 magnitude bits, int16
-above).  Gathered blocks stay narrow: :func:`hub_mac_tile` reduces them
-straight into int64 (``sum(..., dtype=np.int64)``) and
-:func:`hub_product_counts` widens the plane it returns, so no sum is ever
-taken in the narrow type.  Tables cover up to 11 magnitude bits — every
-EBT the paper plots; wider magnitudes take the per-element row path.  The
-weights stay in place for the whole fold, so the kernels first gather a
-per-fold *row table* from it — for every row ``k``, the signed product
-count of every column for every signed IFM code — and the ``(V, K, C)``
-product plane is then one gather of contiguous C-rows, indexed by each
-vector's IFM code, with no sign plane and no multiply.  Still exact
-integers times one power-of-two scale, hence byte-identical.
+above).  Tables cover up to 11 magnitude bits — every EBT the paper
+plots; wider magnitudes take the per-element row path.  The weights stay
+in place, so both kernels first gather *row tables* from them, one chunk
+of rows and columns at a time: for every row ``k``, the signed product
+count of every column for every signed IFM code.  Indexed by a vector's
+IFM code, a row table gives that row's C products as one contiguous
+C-row, with no sign plane and no multiply.  :func:`hub_product_counts`
+gathers ``(V, k, C)`` blocks of the per-PE plane and widens them into the
+int64 plane it returns.  :func:`hub_mac_tile` never builds that plane: it
+adds each row's ``(V, C)`` gather into an int32 accumulator, exact within
+one chunk of rows, and adds the accumulator into its int64 output, so no
+sum is ever taken in the narrow type.  Still exact integers times one
+power-of-two scale, hence byte-identical.
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ def hub_mac_row(
         raise ValueError(f"ebt must be in [2, {bits}], got {ebt}")
     if ebt != bits and coding is Coding.TEMPORAL:
         raise ValueError("temporal coding admits no early termination")
-    weights = np.asarray(weights, dtype=np.int64)
     check_sign_magnitude(bits, ifm, weights)
+    weights = np.asarray(weights, dtype=np.int64)
 
     mag_bits = ebt - 1
     cycles = 1 << mag_bits
@@ -127,9 +129,9 @@ def hub_mac_row(
 #: and :func:`hub_product_counts` fall back to the row path.
 _TABLE_MAX_MAG_BITS = 11
 
-#: Target elements per temporary (row table, gather block, row-path block),
-#: bounding peak memory; the plane :func:`hub_product_counts` returns is
-#: not bounded.
+#: Target elements per temporary (row table, gather block, accumulator,
+#: row-path block), bounding peak memory; the plane
+#: :func:`hub_product_counts` returns is not bounded.
 _TILE_CHUNK_ELEMS = 1 << 20
 
 #: One block of a fold's count plane: V, K and C slices and the counts.
@@ -178,6 +180,31 @@ def _signed_codes(values: np.ndarray, shift: int, mag_bits: int) -> np.ndarray:
     return (np.abs(values) >> shift) + np.where(values < 0, 1 << mag_bits, 0)
 
 
+def _check_fold(
+    w_tile: np.ndarray,
+    x_tile: np.ndarray,
+    bits: int,
+    ebt: int | None,
+    coding: Coding,
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Check one fold's operands; return them as int64, the EBT and the scale."""
+    if ebt is None:
+        ebt = bits
+    if not 2 <= ebt <= bits:
+        raise ValueError(f"ebt must be in [2, {bits}], got {ebt}")
+    if ebt != bits and coding is Coding.TEMPORAL:
+        raise ValueError("temporal coding admits no early termination")
+    check_sign_magnitude(bits, w_tile, x_tile)
+    w_tile = np.asarray(w_tile, dtype=np.int64)
+    x_tile = np.asarray(x_tile, dtype=np.int64)
+    if w_tile.ndim != 2 or x_tile.ndim != 2 or w_tile.shape[0] != x_tile.shape[1]:
+        raise ValueError(
+            f"incompatible tile shapes {x_tile.shape} x {w_tile.shape}"
+        )
+    scale = float((1 << (bits - ebt)) * (1 << (bits - 1)))
+    return w_tile, x_tile, ebt, scale
+
+
 def _fold_counts(
     w_tile: np.ndarray,
     x_tile: np.ndarray,
@@ -191,22 +218,38 @@ def _fold_counts(
     ``(vs, ks, cs, counts[vs, ks, cs])`` of the signed ``(V, K, C)`` count
     plane are produced lazily by :func:`_count_blocks`.
     """
-    if ebt is None:
-        ebt = bits
-    if not 2 <= ebt <= bits:
-        raise ValueError(f"ebt must be in [2, {bits}], got {ebt}")
-    if ebt != bits and coding is Coding.TEMPORAL:
-        raise ValueError("temporal coding admits no early termination")
-    w_tile = np.asarray(w_tile, dtype=np.int64)
-    x_tile = np.asarray(x_tile, dtype=np.int64)
-    if w_tile.ndim != 2 or x_tile.ndim != 2 or w_tile.shape[0] != x_tile.shape[1]:
-        raise ValueError(
-            f"incompatible tile shapes {x_tile.shape} x {w_tile.shape}"
-        )
-    check_sign_magnitude(bits, w_tile, x_tile)
+    w_tile, x_tile, ebt, scale = _check_fold(w_tile, x_tile, bits, ebt, coding)
     shape = (x_tile.shape[0], x_tile.shape[1], w_tile.shape[1])
-    scale = float((1 << (bits - ebt)) * (1 << (bits - 1)))
     return shape, scale, _count_blocks(w_tile, x_tile, bits, ebt, coding)
+
+
+def _row_tables(
+    w_tile: np.ndarray, bits: int, ebt: int
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """Yield ``(ks, cs, rows)``: the row table of each K x C chunk.
+
+    With ``n`` rows in the chunk, ``rows[xcode * n + k]`` is row
+    ``ks.start + k``'s signed product count in each column of ``cs`` for
+    IFM code ``xcode``: one contiguous C-row per (code, row), in the count
+    table's narrow type.  A chunk takes as many columns as fit (at most
+    ``_TILE_CHUNK_ELEMS // side``), then as many rows as keep its table
+    within ``_TILE_CHUNK_ELEMS`` elements (a whole 256x256 UT row table
+    would be 16 Mi entries).  So a K-chunk holds at most
+    ``max(1, _TILE_CHUNK_ELEMS // side)`` rows.
+    """
+    mag_bits = ebt - 1
+    signed = _signed_table(mag_bits)
+    side = signed.shape[0]
+    wcode = _signed_codes(w_tile, bits - ebt, mag_bits)  # (K, C)
+    n_k, n_c = wcode.shape
+    c_step = max(1, min(n_c, _TILE_CHUNK_ELEMS // side))
+    k_step = max(1, _TILE_CHUNK_ELEMS // (side * c_step))
+    for c0 in range(0, n_c, c_step):
+        cs = slice(c0, min(c0 + c_step, n_c))
+        for k0 in range(0, n_k, k_step):
+            ks = slice(k0, min(k0 + k_step, n_k))
+            rows = signed.take(wcode[ks, cs], axis=1)  # (side, k, c)
+            yield ks, cs, rows.reshape(-1, rows.shape[2])
 
 
 def _count_blocks(
@@ -218,15 +261,12 @@ def _count_blocks(
 ) -> Iterator[_Block]:
     """Yield ``(vs, ks, cs, counts[vs, ks, cs])`` blocks of a checked fold.
 
-    Each block of K rows and C columns first gets its row table
-    ``rows[xcode, k, c]``: row ``k``'s signed product count in column
-    ``c`` for IFM code ``xcode``.  A block of the plane is then one gather
-    of contiguous C-rows, ``rows[xcode[v, k], k]``, in the count table's
-    narrow type (the row path's blocks are int64); callers widen or
-    reduce into int64.  Row table and gather block each stay within
-    ``_TILE_CHUNK_ELEMS`` elements (a whole 256x256 UT row table would be
-    16 Mi entries), and so do the row path's blocks and, where one column
-    allows it, its per-row hit matrices.
+    A block of the plane is one gather of contiguous C-rows from its
+    chunk's row table (:func:`_row_tables`), ``rows[xcode[v, k], k]``, in
+    the count table's narrow type (the row path's blocks are int64);
+    callers widen into int64.  Each gather block stays within
+    ``_TILE_CHUNK_ELEMS`` elements, and so do the row path's blocks and,
+    where one column allows it, its per-row hit matrices.
     """
     n_v, n_k = x_tile.shape
     n_c = w_tile.shape[1]
@@ -255,26 +295,15 @@ def _count_blocks(
                     yield slice(vec, vec + 1), ks, cs, block
         return
 
-    shift = (bits - 1) - mag_bits
-    signed = _signed_table(mag_bits)
-    side = signed.shape[0]
-    xcode = _signed_codes(x_tile, shift, mag_bits)  # (V, K)
-    wcode = _signed_codes(w_tile, shift, mag_bits)  # (K, C)
-    c_step = max(1, min(n_c, _TILE_CHUNK_ELEMS // side))
-    k_step = max(1, _TILE_CHUNK_ELEMS // (side * c_step))
-    for c0 in range(0, n_c, c_step):
-        cs = slice(c0, c0 + c_step)
-        for k0 in range(0, n_k, k_step):
-            ks = slice(k0, k0 + k_step)
-            rows = signed.take(wcode[ks, cs], axis=1)  # (side, k, c), narrow
-            _, n_kb, n_cb = rows.shape
-            flat = rows.reshape(side * n_kb, n_cb)
-            k_index = np.arange(n_kb)
-            v_step = max(1, _TILE_CHUNK_ELEMS // (n_kb * n_cb))
-            for v0 in range(0, n_v, v_step):
-                vs = slice(v0, v0 + v_step)
-                index = xcode[vs, ks] * n_kb + k_index
-                yield vs, ks, cs, flat.take(index, axis=0)
+    xcode = _signed_codes(x_tile, bits - ebt, mag_bits)  # (V, K)
+    for ks, cs, rows in _row_tables(w_tile, bits, ebt):
+        n_kb = ks.stop - ks.start
+        n_cb = rows.shape[1]
+        k_index = np.arange(n_kb)
+        v_step = max(1, _TILE_CHUNK_ELEMS // (n_kb * n_cb))
+        for v0 in range(0, n_v, v_step):
+            vs = slice(v0, v0 + v_step)
+            yield vs, ks, cs, rows.take(xcode[vs, ks] * n_kb + k_index, axis=0)
 
 
 def hub_mac_tile(
@@ -284,7 +313,7 @@ def hub_mac_tile(
     ebt: int | None = None,
     coding: Coding = Coding.RATE,
 ) -> np.ndarray:
-    """Partial sums of one weight-stationary fold: ``(V, K) x (K, C)``.
+    """Partial sums of a weight-stationary GEMM: ``(V, K) x (K, C)``.
 
     Bit-identical to accumulating :func:`hub_mac_row` (and therefore
     :class:`~repro.unary.mac.HubMac`) over the K rows — every product is
@@ -292,13 +321,32 @@ def hub_mac_tile(
     K-fold integer sums stay far inside float64's ``2**53`` window, so
     summing counts first and scaling once reproduces the float
     accumulation byte for byte (``repro.verify`` diffs both against the
-    scalar model).
+    scalar model).  On the table path each row's ``(V, C)`` gather is
+    added into an int32 accumulator per chunk of rows, and each
+    accumulator into the int64 sums, so no ``(V, K, C)`` block is built.
     """
-    shape, scale, blocks = _fold_counts(w_tile, x_tile, bits, ebt, coding)
-    out = np.zeros((shape[0], shape[2]), dtype=np.int64)
-    for vs, _, cs, counts in blocks:
-        # Widening the narrow block before the sum would copy it.
-        out[vs, cs] += counts.sum(axis=1, dtype=np.int64)
+    w_tile, x_tile, ebt, scale = _check_fold(w_tile, x_tile, bits, ebt, coding)
+    n_v = x_tile.shape[0]
+    out = np.zeros((n_v, w_tile.shape[1]), dtype=np.int64)
+    if ebt - 1 > _TABLE_MAX_MAG_BITS:
+        for vs, _, cs, counts in _count_blocks(w_tile, x_tile, bits, ebt, coding):
+            out[vs, cs] += counts.sum(axis=1)
+        return out.astype(np.float64) * scale
+    # (K, V): each reduction row's IFM codes are contiguous.
+    xcode = _signed_codes(x_tile, bits - ebt, ebt - 1).T.copy()
+    for ks, cs, rows in _row_tables(w_tile, bits, ebt):
+        n_kb = ks.stop - ks.start
+        v_step = max(1, _TILE_CHUNK_ELEMS // rows.shape[1])
+        for v0 in range(0, n_v, v_step):
+            vs = slice(v0, min(v0 + v_step, n_v))
+            # int32 is exact: every count is below side / 2 and a K-chunk
+            # holds at most max(1, _TILE_CHUNK_ELEMS // side) rows, so the
+            # sum stays below max(side, _TILE_CHUNK_ELEMS) / 2, which is
+            # 2**19 at the default chunk size.
+            acc = np.zeros((vs.stop - v0, rows.shape[1]), dtype=np.int32)
+            for k in range(n_kb):
+                acc += rows.take(xcode[ks.start + k, vs] * n_kb + k, axis=0)
+            out[vs, cs] += acc
     return out.astype(np.float64) * scale
 
 

@@ -662,6 +662,11 @@ def default_cases() -> list[VerifyCase]:
                        wh=2, ww=2, oc=3, rows=4, cols=3, seed=7),
             VerifyCase(kind="functional", scheme="UR", bits=5, ebt=4, ih=4, iw=4,
                        ic=1, wh=2, ww=2, oc=2, rows=2, cols=2, seed=11),
+            # The widest count table (11 magnitude bits): K = 144 spans the
+            # kernel's 128-row K-chunks at two columns, so the chunk seam
+            # of its int32 accumulator is diffed against the scalar HubMac.
+            VerifyCase(kind="functional", scheme="UR", bits=12, ebt=12, ih=3,
+                       iw=3, ic=16, wh=3, ww=3, oc=2, rows=4, cols=2, seed=43),
             VerifyCase(kind="functional", scheme="UT", bits=4, ih=3, iw=3, ic=1,
                        wh=2, ww=2, oc=2, rows=3, cols=2, seed=3),
             VerifyCase(kind="functional", scheme="TU", bits=6, ih=4, iw=4, ic=1,

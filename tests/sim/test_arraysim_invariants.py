@@ -357,12 +357,37 @@ class TestValidation:
             FsuGemm(bits).dot(row, one[0])
 
     def test_rejects_float_operands(self):
+        # Every entry point must reject a float before it casts to int64,
+        # which would run 2.9 as 2; a float IFM scalar included.
+        named = "integer"
         params = GemmParams(name="g", ih=2, iw=2, ic=1, wh=1, ww=1, oc=1, stride=1)
-        config = ArrayConfig(rows=1, cols=1, scheme=CS.BINARY_PARALLEL, bits=8)
-        w = np.zeros((1, 1, 1, 1), dtype=np.float64)
-        x = np.zeros((2, 2, 1), dtype=np.int64)
-        with pytest.raises(ValueError, match="integer"):
-            simulate_array(params, config, w, x)
+        for code in ("BP", "UR"):
+            config = ArrayConfig(rows=1, cols=1, scheme=CS(code), bits=8)
+            for operand in ("weight", "ifm"):
+                w = np.zeros((1, 1, 1, 1), dtype=np.int64)
+                x = np.zeros((2, 2, 1), dtype=np.int64)
+                if operand == "weight":
+                    w = w + 2.9
+                else:
+                    x = x + 2.9
+                with pytest.raises(ValueError, match=named):
+                    UsystolicArray(config).execute(params, w, x)
+                for granularity in GRANULARITIES:
+                    with pytest.raises(ValueError, match=named):
+                        simulate_array(params, config, w, x, granularity=granularity)
+        for ifm, weights in ((3, [2.9]), (3.7, [2]), (np.float64(3.0), [2])):
+            with pytest.raises(ValueError, match=named):
+                hub_mac_row(ifm, weights, 8)
+        for w_tile, x_tile in (([[2.9]], [[3]]), ([[2]], [[3.0]])):
+            with pytest.raises(ValueError, match=named):
+                hub_mac_tile(w_tile, x_tile, 8)
+            with pytest.raises(ValueError, match=named):
+                hub_product_counts(w_tile, x_tile, 8)
+            with pytest.raises(ValueError, match=named):
+                FsuGemm(8).matmul(x_tile, w_tile)
+        for weights, ifms in (([2.9], [3]), ([2], [3.0])):
+            with pytest.raises(ValueError, match=named):
+                FsuGemm(8).dot(weights, ifms)
 
     def test_rejects_mismatched_operand_shapes(self):
         params = GemmParams(name="g", ih=2, iw=2, ic=1, wh=1, ww=1, oc=1, stride=1)

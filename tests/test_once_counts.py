@@ -2,10 +2,10 @@
 
 A served batch is priced once per ``(batch, warm)`` pair however often it
 is dispatched, one layer simulation builds its SRAM macro once, the
-bit-true engines make one fold-kernel call per fold (stepped array) or
-per layer (``execute``), and the cycle stepper clocks a layer's folds
-together.  Counting the calls pins all four on any machine, independent
-of wall time.
+bit-true engines make one fold-kernel call per layer (``execute`` and
+the wave stepper) or one product plane per fold (the cycle stepper), and
+the cycle stepper clocks a layer's folds together.  Counting the calls
+pins all four on any machine, independent of wall time.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.serve.executor import ServeExecutor
 from repro.serve.queueing import make_queue
 from repro.serve.residency import ResidencyTracker
 from repro.sim import arraysim
-from repro.sim.arraysim import GRANULARITIES, simulate_array
+from repro.sim.arraysim import simulate_array
 from repro.sim.engine import simulate_layer
 from repro.workloads.presets import EDGE
 
@@ -113,17 +113,33 @@ def _folded_layer(code: str):
 
 
 @pytest.mark.parametrize("code", ["BP", "UR", "UT", "UG"])
-@pytest.mark.parametrize("granularity", GRANULARITIES)
+@pytest.mark.parametrize("granularity", ["cycle"])
 def test_stepped_array_makes_one_kernel_call_per_fold(
     monkeypatch, code, granularity
 ):
-    # The wave stepper sums each fold through the PE's fold kernel; only
-    # the cycle stepper needs the per-PE product plane.
+    # Only the cycle stepper lands each PE's product on its own cycle, so
+    # only it needs the per-PE product plane, one per fold.
     params, config, weight, ifm, folds = _folded_layer(code)
     logs = _kernel_calls(monkeypatch)
     simulate_array(params, config, weight, ifm, granularity=granularity)
     calls = (len(logs["fold_products"]), len(logs["tile_psums"]))
-    assert calls == ((folds, 0) if granularity == "cycle" else (0, folds))
+    assert calls == (folds, 0)
+
+
+@pytest.mark.parametrize("code", ["BP", "UR", "UT", "UG"])
+def test_wave_stepper_makes_one_kernel_call_per_layer(monkeypatch, code):
+    # The wave stepper sums the layer in the one call execute makes, on
+    # the same whole-layer operands: fold order cannot move an exact
+    # integer psum.
+    params, config, weight, ifm, _ = _folded_layer(code)
+    logs = _kernel_calls(monkeypatch)
+    UsystolicArray(config).execute(params, weight, ifm)
+    simulate_array(params, config, weight, ifm, granularity="wave")
+    assert not logs["fold_products"]
+    (executed, _), (stepped, _) = logs["tile_psums"]
+    assert stepped[1].shape == (params.window, params.oc)
+    for got, want in zip(stepped[1:], executed[1:], strict=True):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("code", ["BP", "UR", "UT", "UG", "DP"])

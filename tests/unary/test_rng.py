@@ -6,12 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.unary.rng import (
+    _SOBOL_DIRECTIONS,
     CounterSequence,
     LfsrSequence,
     SobolSequence,
+    _sobol_direction_vectors,
     lfsr_sequence,
     sobol_sequence,
 )
+
+
+def _sobol_loop(bits, length, dim=0):
+    """The Gray-code walk one element per step: the reference."""
+    v = _sobol_direction_vectors(dim, bits)
+    out = np.empty(length, dtype=np.int64)
+    x = 0
+    for k in range(length):
+        out[k] = x
+        # Flip by the direction vector of the lowest zero bit of k.
+        c = 0
+        kk = k
+        while kk & 1:
+            kk >>= 1
+            c += 1
+        x ^= int(v[min(c, bits - 1)])
+    return out
 
 
 class TestSobol:
@@ -43,6 +62,17 @@ class TestSobol:
         for k in [4, 8, 16, 32, 64]:
             below = int((seq[:k] < half).sum())
             assert abs(below - k / 2) <= 1
+
+    @pytest.mark.parametrize("dim", range(len(_SOBOL_DIRECTIONS)))
+    def test_matches_the_gray_code_walk(self, dim):
+        # Past the period too: the walk clamps its flip index to bits - 1.
+        for bits in range(1, 15):
+            period = 1 << bits
+            for length in (0, 1, 2, period - 1, period, 2 * period + 3):
+                seq = sobol_sequence(bits, length, dim=dim)
+                want = _sobol_loop(bits, length, dim=dim)
+                assert seq.dtype == want.dtype
+                assert seq.tobytes() == want.tobytes(), (bits, length)
 
     def test_unsupported_dimension_rejected(self):
         with pytest.raises(ValueError):

@@ -339,6 +339,29 @@ def test_every_paper_ebt_takes_the_table_path(monkeypatch):
     assert (counts.sum(axis=1) * scale).tobytes() == tile.tobytes()
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_extreme_operands_sum_exactly_across_chunks(monkeypatch, sign):
+    # 12 bits at EBT 12 is the widest table (11 magnitude bits, side
+    # 4096), and every operand at the maximum gives every product the
+    # largest count it holds.
+    bits, side = 12, 4096
+    top = (1 << (bits - 1)) - 1
+    for chunk_elems, (v, k, c) in (
+        # Below one table column: K- and C-chunks of one, V-chunks of two.
+        (2, (5, 5, 3)),
+        # Both columns at once, so 17 rows a K-chunk: K = 40 spans three,
+        # and each chunk's sum, 17 * 2046, is past int16's 32767.
+        (17 * side * 2, (3, 40, 2)),
+    ):
+        monkeypatch.setattr(vectorized, "_TILE_CHUNK_ELEMS", chunk_elems)
+        w_tile = np.full((k, c), top)
+        x_tile = np.full((v, k), sign * top)
+        counts, scale = hub_product_counts(w_tile, x_tile, bits, ebt=bits)
+        tile = hub_mac_tile(w_tile, x_tile, bits, ebt=bits)
+        assert (counts.sum(axis=1) * scale).tobytes() == tile.tobytes()
+        assert (np.abs(counts) == 2046).all()
+
+
 def test_full_array_fold_stays_within_the_chunk_budget():
     # A 256x256 fold.  Built whole, its row table alone would be 256 codes
     # x 256 x 256 = 16 Mi entries for UT, and 4096 codes (256 Mi entries)

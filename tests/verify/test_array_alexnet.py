@@ -5,7 +5,12 @@ is the paper's headline workload geometry: 36 folds, ~105M MACs.  The
 ``array`` diff surface must prove analytic schedule ≡ event trace ≡
 stepped array on it for all three scheme families — bit-parallel binary,
 HUB-rate and HUB-temporal — and stay fast enough to live in the test
-suite (the wave-granularity stepper is closed form per fold, not O(cycles)).
+suite: the wave-granularity stepper is closed-form timing per fold, not
+O(cycles), plus one kernel call for the whole layer.  That call is the
+one ``execute`` makes, so on this layer the psum plane is held
+independently only for binary-parallel (against ``conv_oracle``); the
+HUB kernels' psums are held to the scalar ``HubMac`` by the functional
+surface and to the cycle stepper's per-PE landing on small cases.
 """
 
 from __future__ import annotations
