@@ -1,22 +1,21 @@
 """Pool-determinism pass (``CONC*``).
 
-The process pool in :mod:`repro.jobs` promises byte-identical results
-for ``--jobs N`` and serial runs.  Two rules guard the assumptions that
-promise rests on:
+The process pool behind :func:`repro.jobs.run_tasks` promises
+byte-identical results for ``--jobs N`` and serial runs.  Two rules
+guard the assumptions that promise rests on:
 
 - ``CONC002`` — an RNG is constructed with a seed that comes from a
   *nondeterministic source* (``time.*``, ``os.urandom``, ``uuid4``,
   ``secrets``), either directly or through a local the same function
   assigns from one.  The zero-argument case is already ``DET003``;
-- ``CONC003`` — a function transitively submitted to the
-  :mod:`repro.jobs` pool reads module-level mutable state (dict/list/set
-  globals).  Worker processes re-import modules, so parent-process
-  mutations diverge; reads wrapped in ``sorted(...)`` are exempt (they
-  document order-robust access to import-time registries).
+- ``CONC003`` — a function transitively submitted to the pool (through
+  ``run_tasks`` or ``executor.submit/map``) reads module-level mutable
+  state (dict/list/set globals).  Worker processes re-import modules, so
+  parent-process mutations diverge; reads wrapped in ``sorted(...)`` are
+  exempt (they document order-robust access to import-time registries).
 
-Ordering hazards (an unordered iteration reaching a job key, results
-taken in completion order) are left to the tests, which recompute keys
-under two hash seeds and compare pool runs with serial ones.
+Ordering hazards (results taken in completion order) are left to the
+tests, which compare pool runs with serial ones.
 """
 
 from __future__ import annotations
@@ -38,13 +37,13 @@ _NONDET_OTHER = {"urandom", "getpid", "uuid1", "uuid4", "token_bytes",
                  "token_hex", "randbits", "now", "utcnow"}
 _MUTABLE_CTORS = {"dict", "list", "set", "defaultdict", "OrderedDict",
                   "Counter", "deque"}
-_POOL_SUBMITTERS = {"run_tasks", "run_simulations"}
+_POOL_SUBMITTERS = {"run_tasks"}
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _MAX_CLOSURE = 400
 
 
 class ConcChecker(ProjectChecker):
-    """Cross-process determinism hazards under the ``repro.jobs`` pool."""
+    """Cross-process determinism hazards under the ``run_tasks`` pool."""
 
     name = "conc"
     codes = {

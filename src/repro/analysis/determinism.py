@@ -19,8 +19,7 @@ randomness: ``functools.lru_cache`` on an *instance method* keeps every
 that survives reconfiguration), and on a function whose parameters are
 annotated as numpy arrays it raises ``TypeError`` at call time because
 arrays are unhashable.  Cacheable work belongs on module-level functions
-of hashable config values — or in the content-addressed
-``repro.jobs`` store.
+of hashable config values.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ clusters use.
 Two sanctioned exemptions, both composition roots rather than layers:
 
 - **entrypoint modules** (``__main__``/``cli``) wire whole pipelines
-  together — ``repro.sim.cli`` legitimately reaches up into ``jobs`` for
-  ``--cache-dir`` and into ``eval.report`` for table rendering;
+  together — ``repro.sim.cli`` legitimately reaches up into
+  ``eval.report`` for table rendering;
 - the **root facade** (``repro/__init__.py``) re-exports the public API
   from every layer.
 
@@ -72,7 +72,7 @@ LAYERS: tuple[tuple[str, tuple[str, ...], str], ...] = (
     (
         "orchestration",
         ("jobs",),
-        "content-addressed result store, process-pool fan-out, job graphs",
+        "order-preserving process-pool fan-out (run_tasks) and the --jobs flag",
     ),
     (
         "serving",

@@ -338,7 +338,7 @@ def resolve_callee(
     """Resolve a call's ``func`` expression to its defining module/symbol.
 
     Handles bare names bound by from-imports, dotted attribute chains
-    through module aliases (``jobs.runner.simulate_network``), and local
+    through module aliases (``engine.simulate_network``), and local
     definitions.  ``shadowed`` names (function params / local assignments)
     are never resolved.
     """

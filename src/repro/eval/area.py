@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..hw.synthesis import SynthesisReport
-from ..jobs.runner import synthesize
+from ..hw.synthesis import SynthesisReport, synthesize
 from ..memory.hierarchy import MemoryConfig
 from ..schemes import ComputeScheme
 from ..workloads.presets import Platform

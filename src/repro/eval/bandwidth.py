@@ -13,7 +13,7 @@ import dataclasses
 from ..core.config import ArrayConfig
 from ..memory.hierarchy import MemoryConfig
 from ..schemes import ComputeScheme
-from ..jobs.runner import simulate_network
+from ..sim.engine import simulate_network
 from ..sim.results import LayerResult
 from ..workloads.alexnet import alexnet_layers
 from ..workloads.presets import Platform, scheme_sweep

@@ -12,7 +12,7 @@ read off what a capacity planner buys hardware by:
 
 Every (pool, fleet size) cell is an independent fleet simulation, so the
 grid fans out across worker processes via
-:func:`repro.jobs.pool.run_tasks` (module-level picklable worker), and
+:func:`repro.jobs.run_tasks` (module-level picklable worker), and
 the table is byte-deterministic for a fixed seed regardless of
 ``--jobs``.
 """
@@ -25,7 +25,7 @@ from ..fleet.cluster import FleetConfig
 from ..fleet.pools import pool_presets
 from ..fleet.sharding import run_fleet
 from ..fleet.traces import piecewise_poisson_arrivals
-from ..jobs.pool import run_tasks
+from ..jobs import run_tasks
 from .report import format_table
 
 __all__ = [

@@ -17,7 +17,7 @@ from ..hw import gates
 from ..hw.array_cost import array_cost
 from ..hw.pe_cost import PePosition, pe_cost
 from ..schemes import ComputeScheme as CS
-from ..jobs.runner import simulate_layer
+from ..sim.engine import simulate_layer
 from ..unary.multiply import umul_bipolar, umul_unipolar
 from ..unary.rng import LfsrSequence, NumberSequence, SobolSequence
 from ..workloads.alexnet import alexnet_layers

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 
 from ..gemm.params import GemmParams
-from ..jobs.runner import simulate_network
+from ..sim.engine import simulate_network
 from ..sim.results import LayerResult
 from ..workloads.alexnet import alexnet_layers
 from ..workloads.mlperf import mlperf_suite

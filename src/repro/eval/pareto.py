@@ -21,7 +21,7 @@ from ..nn.inference import evaluate
 from ..nn.layers import Sequential
 from ..nn.quant import QuantMode, QuantSpec
 from ..schemes import ComputeScheme
-from ..jobs.runner import simulate_network
+from ..sim.engine import simulate_network
 from .report import format_table
 
 __all__ = ["DesignPoint", "design_space", "pareto_frontier", "format_pareto"]

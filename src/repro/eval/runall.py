@@ -4,14 +4,10 @@
 claims scorecard fails.  The accuracy experiment (Figure 9) trains three
 CNNs and is the slow step; pass ``--fast`` to shrink it.
 
-All simulation-bound experiments route through the :mod:`repro.jobs`
-layer: ``--jobs N`` fans layer simulations out across worker processes
-and ``--cache-dir`` persists results in the content-addressed store, so a
-warm re-run is near-instant.  Figure/table text goes to ``out`` (stdout)
-and is byte-identical regardless of worker count or cache state; the
-structured progress log — per-experiment start/finish lines with elapsed
-time and cache-hit deltas — goes to ``log`` (stderr), so long runs are
-observable mid-flight without perturbing the comparable output.
+Figure/table text goes to ``out`` (stdout) and is byte-identical from
+run to run; the progress log — per-experiment start/finish lines with
+elapsed time — goes to ``log`` (stderr), so long runs are observable
+mid-flight without perturbing the comparable output.
 """
 
 from __future__ import annotations
@@ -21,8 +17,6 @@ import sys
 import time
 from typing import Callable, TextIO
 
-from ..jobs.runner import JobRunner, get_runner, jobs_arg, using_runner
-from ..jobs.store import ResultStore
 from ..workloads.presets import CLOUD, EDGE
 from .accuracy import AccuracyResult, format_figure9, run_accuracy_experiment
 from .area import format_figure11, run_area_experiment
@@ -35,7 +29,7 @@ from .schemezoo import format_schemezoo, run_schemezoo_experiment
 from .serving import format_serving, run_serving_experiment
 from .throughput import format_figure12, run_throughput_experiment
 
-__all__ = ["run_all", "main", "cache_summary_line"]
+__all__ = ["run_all", "main"]
 
 
 def _timed(
@@ -47,26 +41,16 @@ def _timed(
     """Run one experiment: banner + body to ``out``, progress to ``log``.
 
     The ``out`` banner carries no timing, so table output stays
-    byte-identical between cold, warm and parallel runs; elapsed time and
-    cache deltas go to the ``log`` stream instead.
+    byte-identical from run to run; elapsed time goes to the ``log``
+    stream instead.
     """
-    runner = get_runner()
-    hits_before = runner.hits
-    misses_before = runner.misses
     if log is not None:
         print(f"[start] {name}", file=log, flush=True)
     start = time.perf_counter()
     text = fn()
     elapsed = time.perf_counter() - start
     if log is not None:
-        hits = runner.hits - hits_before
-        misses = runner.misses - misses_before
-        print(
-            f"[done]  {name}  {elapsed:.1f}s  "
-            f"(sims: {hits} cached, {misses} computed)",
-            file=log,
-            flush=True,
-        )
+        print(f"[done]  {name}  {elapsed:.1f}s", file=log, flush=True)
     print(f"\n{'=' * 72}\n{name}\n{'=' * 72}", file=out)
     print(text, file=out)
 
@@ -151,11 +135,7 @@ def run_all(
         out,
         "Serving: binary vs HUB under load",
         lambda: format_serving(
-            run_serving_experiment(
-                EDGE,
-                horizon_s=0.5 if fast else 1.0,
-                workers=get_runner().workers,
-            )
+            run_serving_experiment(EDGE, horizon_s=0.5 if fast else 1.0)
         ),
         log=log,
     )
@@ -167,20 +147,6 @@ def run_all(
     )
     _timed(out, "Reproduction scorecard", scorecard, log=log)
     return claims
-
-
-def cache_summary_line() -> str:
-    """One machine-parseable line summarizing the active runner's caching.
-
-    Format (the CI cache-reuse job greps it)::
-
-        cache: sims=<N> hits=<H> misses=<M> hit_rate=<P>%
-    """
-    runner = get_runner()
-    return (
-        f"cache: sims={runner.sims_requested} hits={runner.hits} "
-        f"misses={runner.misses} hit_rate={100 * runner.hit_rate:.1f}%"
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -195,27 +161,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fast", action="store_true", help="shrink the Figure 9 training run"
     )
-    parser.add_argument(
-        "--jobs",
-        type=jobs_arg,
-        default=1,
-        help="worker processes for the simulation fan-out",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="content-addressed result store shared across runs",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every simulation (disables store and in-process memo)",
-    )
     args = parser.parse_args(argv)
-    use_cache = not args.no_cache
-    store = ResultStore(args.cache_dir) if args.cache_dir and use_cache else None
-    runner = JobRunner(workers=args.jobs, store=store, memoize=use_cache)
-    with using_runner(runner):
-        claims = run_all(fast=args.fast, log=sys.stderr)
-        print(cache_summary_line(), file=sys.stderr)
+    claims = run_all(fast=args.fast, log=sys.stderr)
     return 0 if all(c.passed for c in claims) else 1

@@ -9,19 +9,18 @@ magnitude, so post-ReLU sparsity directly shortens the run; DiP
 deleting the skew/drain bubbles of the weight-stationary schedule.
 
 This experiment puts every registered scheme on the same platform and
-workload — via :mod:`repro.jobs.runner`, so the CI cache-reuse job sees
-the shared layer simulations — and sweeps tubGEMM across activation
-sparsity to expose its headline property: runtime falls as sparsity
-rises, while every value-independent scheme stands still.
+workload and sweeps tubGEMM across activation sparsity to expose its
+headline property: runtime falls as sparsity rises, while every
+value-independent scheme stands still.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from ..jobs.runner import simulate_network
 from ..nn.sparsity import act_frac_for_sparsity
 from ..schemes import ComputeScheme
+from ..sim.engine import simulate_network
 from ..workloads.alexnet import alexnet_layers
 from ..workloads.presets import EDGE, Platform
 from .report import format_table

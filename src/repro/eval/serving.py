@@ -7,18 +7,12 @@ requests in front of the binary-parallel array and the HUB rate/temporal
 unary arrays, on the same platform, at several arrival rates, and reads
 off what a serving operator would: p99 latency and energy per request,
 side by side, plus SLO attainment and goodput.
-
-Each (design, rate) cell is an independent serving simulation, so the
-grid fans out across worker processes via the generic
-:func:`repro.jobs.pool.run_tasks` map — the worker is a module-level
-picklable function, per the pool's contract.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from ..jobs.pool import run_tasks
 from ..schemes import ComputeScheme
 from ..serve.arrivals import poisson_arrivals
 from ..serve.batching import make_batcher
@@ -32,7 +26,6 @@ from .report import format_table
 
 __all__ = [
     "ServingPoint",
-    "serve_design",
     "serving_designs",
     "run_serving_experiment",
     "format_serving",
@@ -78,66 +71,6 @@ def serving_designs() -> list[tuple[str, ComputeScheme, int | None, float | None
     ]
 
 
-@dataclasses.dataclass(frozen=True)
-class _ServingTask:
-    """One picklable (design, rate) cell of the serving grid."""
-
-    design: str
-    scheme: ComputeScheme
-    ebt: int | None
-    platform: Platform
-    bits: int
-    act_frac: float | None
-    rate_per_s: float
-    horizon_s: float
-    seed: int
-    slo_s: float
-    max_batch: int
-    max_wait_s: float
-
-
-def serve_design(task: _ServingTask) -> ServingPoint:
-    """Worker: serve one seeded stream on one design (module-level, picklable)."""
-    array = task.platform.array(
-        task.scheme, bits=task.bits, ebt=task.ebt, act_frac=task.act_frac
-    )
-    memory = task.platform.memory_for(task.scheme)
-    model = NetworkCostModel(
-        name="alexnet",
-        layers=alexnet_layers(),
-        array=array,
-        memory=memory,
-    )
-    arrivals = poisson_arrivals(
-        "alexnet",
-        rate_per_s=task.rate_per_s,
-        horizon_s=task.horizon_s,
-        seed=task.seed,
-        slo_s=task.slo_s,
-    )
-    weight_buffer_bytes = (
-        memory.sram_bytes_per_variable if memory.has_sram else 0
-    )
-    executor = ServeExecutor(
-        models={"alexnet": model},
-        queue=make_queue("fifo", 256),
-        batcher=make_batcher(
-            "dynamic", task.max_batch, max_wait_s=task.max_wait_s
-        ),
-        slo_s=task.slo_s,
-        residency=ResidencyTracker(weight_buffer_bytes),
-    )
-    metrics = executor.run(arrivals)
-    return ServingPoint(
-        design=task.design,
-        scheme=task.scheme,
-        ebt=task.ebt,
-        rate_per_s=task.rate_per_s,
-        summary=metrics.summary(),
-        act_frac=task.act_frac,
-    )
-
-
 def run_serving_experiment(
     platform: Platform = EDGE,
     rates: tuple[float, ...] = DEFAULT_RATES,
@@ -147,28 +80,44 @@ def run_serving_experiment(
     slo_s: float = 0.5,
     max_batch: int = 8,
     max_wait_s: float = 5e-3,
-    workers: int = 1,
 ) -> list[ServingPoint]:
     """The full (design x rate) serving grid, one stream per rate."""
-    tasks = [
-        _ServingTask(
-            design=design,
-            scheme=scheme,
-            ebt=ebt,
-            platform=platform,
-            bits=bits,
-            act_frac=act_frac,
-            rate_per_s=rate,
-            horizon_s=horizon_s,
-            seed=seed,
-            slo_s=slo_s,
-            max_batch=max_batch,
-            max_wait_s=max_wait_s,
+    points = []
+    for design, scheme, ebt, act_frac in serving_designs():
+        array = platform.array(scheme, bits=bits, ebt=ebt, act_frac=act_frac)
+        memory = platform.memory_for(scheme)
+        model = NetworkCostModel(
+            name="alexnet", layers=alexnet_layers(), array=array, memory=memory
         )
-        for design, scheme, ebt, act_frac in serving_designs()
-        for rate in rates
-    ]
-    return run_tasks(serve_design, tasks, workers=workers)
+        weight_buffer_bytes = (
+            memory.sram_bytes_per_variable if memory.has_sram else 0
+        )
+        for rate in rates:
+            arrivals = poisson_arrivals(
+                "alexnet",
+                rate_per_s=rate,
+                horizon_s=horizon_s,
+                seed=seed,
+                slo_s=slo_s,
+            )
+            executor = ServeExecutor(
+                models={"alexnet": model},
+                queue=make_queue("fifo", 256),
+                batcher=make_batcher("dynamic", max_batch, max_wait_s=max_wait_s),
+                slo_s=slo_s,
+                residency=ResidencyTracker(weight_buffer_bytes),
+            )
+            points.append(
+                ServingPoint(
+                    design=design,
+                    scheme=scheme,
+                    ebt=ebt,
+                    rate_per_s=rate,
+                    summary=executor.run(arrivals).summary(),
+                    act_frac=act_frac,
+                )
+            )
+    return points
 
 
 def format_serving(results: list[ServingPoint]) -> str:

@@ -20,7 +20,7 @@ from ..core.config import ArrayConfig
 from ..gemm.params import GemmParams
 from ..memory.hierarchy import MemoryConfig
 from ..schemes import ComputeScheme
-from ..jobs.runner import simulate_network
+from ..sim.engine import simulate_network
 from .report import format_table
 
 __all__ = [

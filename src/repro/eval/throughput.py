@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..jobs.runner import simulate_network
+from ..sim.engine import simulate_network
 from ..sim.results import LayerResult
 from ..workloads.alexnet import alexnet_layers
 from ..workloads.presets import Platform, scheme_sweep

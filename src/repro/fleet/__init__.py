@@ -19,7 +19,8 @@ The module map mirrors a real serving stack:
 - :mod:`~repro.fleet.traces` — seeded diurnal / flash-crowd streams;
 - :mod:`~repro.fleet.ledger` — canonical merged fleet ledgers;
 - :mod:`~repro.fleet.sharding` — cell sharding over the
-  :mod:`repro.jobs` process pool, byte-identical under any ``--jobs``.
+  :func:`repro.jobs.run_tasks` process pool, byte-identical under any
+  ``--jobs``.
 
 ``python -m repro.fleet`` replays a trace against a configured fleet or
 runs the capacity-planning sweep (``--capacity``): requests/sec/watt

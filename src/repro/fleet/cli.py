@@ -36,7 +36,7 @@ from ..eval.capacity import (
     run_capacity_planning,
 )
 from ..eval.report import format_table
-from ..jobs.store import ResultStore
+from ..jobs import jobs_arg
 from .autoscale import AutoscaleConfig
 from .cluster import FleetConfig
 from .ledger import FleetLedger
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=jobs_arg,
         default=1,
         help="worker processes for shard fan-out (never changes bytes)",
     )
@@ -156,12 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         type=Path,
         help="write the canonical merged fleet ledger as JSON",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="content-addressed result store shared across runs (repro.jobs)",
     )
     return parser
 
@@ -306,11 +300,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--slo-ms must be positive, got {args.slo_ms}")
         if args.rate <= 0:
             raise ValueError(f"--rate must be positive, got {args.rate}")
-        if args.shards < 1 or args.jobs < 1:
-            raise ValueError(
-                f"--shards and --jobs must be >= 1, got "
-                f"{args.shards} and {args.jobs}"
-            )
+        if args.shards < 1:
+            raise ValueError(f"--shards must be >= 1, got {args.shards}")
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -348,17 +339,8 @@ def main(argv: list[str] | None = None) -> int:
         config = build_fleet(args)
     except ValueError as exc:
         parser.error(str(exc))
-    store = ResultStore(args.cache_dir) if args.cache_dir is not None else None
-    workload = config.pools[0].workload
-    arrivals = build_trace(args, workload)
-    if args.shards == 1:
-        from .cluster import simulate_fleet
-
-        ledger = simulate_fleet(config, arrivals, store=store)
-    else:
-        ledger = run_fleet(
-            config, arrivals, shards=args.shards, workers=args.jobs
-        )
+    arrivals = build_trace(args, config.pools[0].workload)
+    ledger = run_fleet(config, arrivals, shards=args.shards, workers=args.jobs)
 
     headers, rows = _summary_rows(ledger)
     title = (

@@ -56,7 +56,6 @@ import math
 from typing import Iterable
 
 from ..contracts import fail
-from ..jobs.store import ResultStore
 from ..serve.requests import Request
 from .autoscale import AutoscaleConfig, plan_scaling
 from .instance import Instance, InstanceState
@@ -176,20 +175,12 @@ class _Agenda:
 class FleetSimulator:
     """Deterministic discrete-event simulation of one fleet."""
 
-    def __init__(
-        self,
-        config: FleetConfig,
-        shard: int = 0,
-        store: ResultStore | None = None,
-    ) -> None:
+    def __init__(self, config: FleetConfig, shard: int = 0) -> None:
         self.config = config
         self.shard = shard
         self.router = make_router(config.router, seed=config.seed + shard)
         #: pool name -> shared cost model (read-only memo, one per pool).
-        self.models = {
-            pool.name: build_cost_model(pool, store=store)
-            for pool in config.pools
-        }
+        self.models = {pool.name: build_cost_model(pool) for pool in config.pools}
         self._pool_configs = {pool.name: pool for pool in config.pools}
         self._next_id = {pool.name: 0 for pool in config.pools}
         #: every instance ever spawned, including stopped ones.
@@ -364,7 +355,6 @@ def simulate_fleet(
     config: FleetConfig,
     arrivals: list[Request],
     shard: int = 0,
-    store: ResultStore | None = None,
 ) -> FleetLedger:
     """Build and run one fleet over one arrival stream."""
-    return FleetSimulator(config, shard=shard, store=store).run(arrivals)
+    return FleetSimulator(config, shard=shard).run(arrivals)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 
 from ..contracts import fail
-from ..jobs.store import ResultStore
 from ..schemes import ComputeScheme
 from ..serve.batching import make_batcher
 from ..serve.costs import NetworkCostModel
@@ -192,9 +191,7 @@ def pool_presets() -> dict[str, PoolConfig]:
     return presets
 
 
-def build_cost_model(
-    config: PoolConfig, store: ResultStore | None = None
-) -> NetworkCostModel:
+def build_cost_model(config: PoolConfig) -> NetworkCostModel:
     """The pool's shared batched cost model on its platform."""
     platform = config.platform_preset()
     ebt = config.ebt if config.scheme.supports_early_termination else None
@@ -207,7 +204,6 @@ def build_cost_model(
         layers=workload_layers(config.workload),
         array=array,
         memory=memory,
-        store=store,
     )
 
 

@@ -5,8 +5,8 @@ is hashed to a cell at the front door and never crosses cells.  That
 architecture is exactly what makes fleet simulation embarrassingly
 parallel — each cell is a closed system, so simulating cells in
 separate worker processes is *equivalent* to simulating them in one,
-and the :mod:`repro.jobs` pool (order-preserving ``run_tasks``) fans
-them out across cores.
+and :func:`repro.jobs.run_tasks` (an order-preserving process-pool map)
+fans them out across cores.
 
 Determinism contract: the shard *count* is part of the experiment
 configuration (it changes queueing, like any topology choice), while
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..jobs.pool import run_tasks
+from ..jobs import run_tasks
 from ..serve.requests import Request
 from .cluster import FleetConfig, simulate_fleet
 from .ledger import FleetLedger

@@ -10,8 +10,8 @@ first use, so a spec's hooks work even when nothing imported the
 provider yet — the sanctioned plugin pattern that keeps the dependency
 arrow pointing upward.
 
-Job-key stability: lookups are by ``code`` string and specs serialise by
-code, so registration *order* never leaks into fingerprints or ledgers.
+Serialisation stability: lookups are by ``code`` string and specs
+serialise by code, so registration *order* never leaks into ledgers.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ A deterministic discrete-event simulator drives seeded arrival streams
 (:mod:`~repro.serve.queueing`) and batching policies
 (:mod:`~repro.serve.batching`) into an executor
 (:mod:`~repro.serve.executor`) that charges every dispatched batch the
-closed-form batched network cost (:mod:`~repro.serve.costs`, memoised
-through the ``repro.jobs`` result store) — modelling power caps as
+closed-form batched network cost (:mod:`~repro.serve.costs`, priced
+once per batch size) — modelling power caps as
 throttling, batteries as a hard energy budget, and SRAM weight residency
 (:mod:`~repro.serve.residency`) across back-to-back and interleaved
 networks.  :mod:`~repro.serve.metrics` folds the event stream into

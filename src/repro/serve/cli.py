@@ -22,7 +22,6 @@ import sys
 from pathlib import Path
 
 from ..eval.report import format_table
-from ..jobs.store import ResultStore
 from ..schemes import ComputeScheme
 from ..system.battery import Battery
 from ..workloads.alexnet import alexnet_layers
@@ -140,12 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json", type=Path, help="write per-scheme metric ledgers as JSON"
     )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="content-addressed result store shared across runs (repro.jobs)",
-    )
     return parser
 
 
@@ -175,7 +168,6 @@ def serve_one(
     scheme: ComputeScheme,
     args: argparse.Namespace,
     arrivals: list,
-    store: ResultStore | None,
 ) -> ServeMetrics:
     """Run the request stream against one compute scheme's array."""
     platform: Platform = _PLATFORMS[args.platform]
@@ -192,7 +184,6 @@ def serve_one(
         layers=_load_layers(args.workload),
         array=array,
         memory=memory,
-        store=store,
     )
     # Unary schemes drop the SRAM entirely; a zero-capacity tracker keeps
     # every execution cold, matching the no-SRAM traffic model.
@@ -263,11 +254,10 @@ def main(argv: list[str] | None = None) -> int:
             )
     except ValueError as exc:
         parser.error(str(exc))
-    store = ResultStore(args.cache_dir) if args.cache_dir is not None else None
 
     results: dict[str, ServeMetrics] = {}
     for scheme in schemes:
-        results[scheme.value] = serve_one(scheme, args, arrivals, store)
+        results[scheme.value] = serve_one(scheme, args, arrivals)
 
     headers = [
         "scheme",

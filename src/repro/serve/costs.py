@@ -1,15 +1,11 @@
-"""Batched network cost model, memoised through the jobs result store.
+"""Batched network cost model, memoised per (batch, warmth) pair.
 
 The serving executor charges each dispatched batch the full-network cost
 at that batch size: per layer, the closed-form batched simulation
 (:func:`repro.sim.simulate_layer_batched`), summed over the network.
 Each (batch, warmth) pair is priced once per model and kept in an
 in-process table, so a serving run that dispatches thousands of batches
-sums the network once per distinct batch size.  Pricing a new pair
-resolves each layer through the content-addressed
-:class:`~repro.jobs.store.ResultStore` when one is attached, so a
-*second* run (or a sweep sibling in another process) simulates nothing
-at all.
+sums the network once per distinct batch size.
 """
 
 from __future__ import annotations
@@ -19,15 +15,11 @@ import dataclasses
 from ..core.config import ArrayConfig
 from ..gemm.params import GemmParams
 from ..hw.gates import TECH_32NM, TechNode
-from ..jobs.keys import batched_simulation_key
-from ..jobs.store import ResultStore
 from ..memory.hierarchy import MemoryConfig
 from ..sim.engine import simulate_layer_batched
 from ..sim.results import LayerResult
 
 __all__ = ["ServiceCost", "NetworkCostModel"]
-
-_BATCH_KIND = "simulate_layer_batched"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,7 +53,6 @@ class NetworkCostModel:
         array: ArrayConfig,
         memory: MemoryConfig,
         tech: TechNode = TECH_32NM,
-        store: ResultStore | None = None,
     ) -> None:
         if not layers:
             raise ValueError(f"network {name!r} has no layers")
@@ -70,7 +61,6 @@ class NetworkCostModel:
         self.array = array
         self.memory = memory
         self.tech = tech
-        self.store = store
         #: Total weight working set (the residency tracker's admit size).
         self.weight_footprint_bytes = sum(
             layer.weight_bytes(array.bits) for layer in self.layers
@@ -80,31 +70,15 @@ class NetworkCostModel:
     def layer_result(
         self, index: int, batch: int, warm_weights: bool = False
     ) -> LayerResult:
-        """Batched result of one layer: a store hit, or a fresh simulation."""
-        layer = self.layers[index]
-        key = ""
-        if self.store is not None:
-            key = batched_simulation_key(
-                layer, self.array, self.memory, self.tech, batch, warm_weights
-            )
-            payload = self.store.get(key, _BATCH_KIND)
-            if payload is not None:
-                try:
-                    return LayerResult.from_json(payload)
-                except (KeyError, TypeError):
-                    # Stale/foreign payload shape: recompute and overwrite.
-                    self.store.stats.corrupt += 1
-        result = simulate_layer_batched(
-            layer,
+        """Batched simulation of one layer."""
+        return simulate_layer_batched(
+            self.layers[index],
             self.array,
             self.memory,
             batch=batch,
             tech=self.tech,
             warm_weights=warm_weights,
         )
-        if self.store is not None:
-            self.store.put(key, _BATCH_KIND, result.to_json())
-        return result
 
     def batch_cost(self, batch: int, warm_weights: bool = False) -> ServiceCost:
         """Cost of serving one batch of ``batch`` requests end to end.

@@ -19,12 +19,11 @@ from pathlib import Path
 
 from ..core.config import ArrayConfig
 from ..eval.report import format_table
-from ..jobs.runner import JobRunner, jobs_arg
-from ..jobs.store import ResultStore
 from ..schemes import ComputeScheme
 from ..workloads.mlperf import mlperf_suite
 from ..workloads.presets import CLOUD, EDGE, Platform
 from ..workloads.topology_io import load_topology
+from .engine import simulate_network
 from .results import LayerResult, aggregate_results
 
 __all__ = ["main", "build_parser"]
@@ -79,23 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep the SRAM even for unary schemes",
     )
     parser.add_argument("--csv", type=Path, help="dump per-layer results as CSV")
-    parser.add_argument(
-        "--jobs",
-        type=jobs_arg,
-        default=1,
-        help="worker processes for the layer-simulation fan-out",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="content-addressed result store shared across runs (repro.jobs)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every simulation even when --cache-dir has results",
-    )
     return parser
 
 
@@ -152,14 +134,7 @@ def main(argv: list[str] | None = None) -> int:
             layer.validate()
     except ValueError as exc:
         parser.error(str(exc))
-    use_cache = not args.no_cache
-    store = (
-        ResultStore(args.cache_dir)
-        if (args.cache_dir is not None and use_cache)
-        else None
-    )
-    runner = JobRunner(workers=args.jobs, store=store, memoize=use_cache)
-    results = runner.simulate_network(layers, array, memory)
+    results = simulate_network(layers, array, memory)
 
     headers = [
         "layer",
@@ -193,13 +168,6 @@ def main(argv: list[str] | None = None) -> int:
             writer.writerow(headers)
             writer.writerows(_layer_rows(results))
         print(f"per-layer results written to {args.csv}")
-    if store is not None:
-        print(
-            f"cache: sims={runner.sims_requested} hits={runner.hits} "
-            f"misses={runner.misses} "
-            f"hit_rate={100 * runner.hit_rate:.1f}%",
-            file=sys.stderr,
-        )
     return 0
 
 

@@ -45,23 +45,12 @@ class EnergyLedger:
         return self.on_chip + self.dram_dynamic
 
     def to_json(self) -> dict:
-        """JSON-able field dict (round-trips via :meth:`from_json`).
+        """JSON-able field dict.
 
         Floats survive exactly: ``json`` emits the shortest ``repr`` that
-        reconstructs each value, so a round-trip is bit-identical.
+        reconstructs each value.
         """
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "EnergyLedger":
-        """Rebuild an :class:`EnergyLedger` from :meth:`to_json` output."""
-        return cls(
-            array_dynamic=data["array_dynamic"],
-            array_leakage=data["array_leakage"],
-            sram_dynamic=data["sram_dynamic"],
-            sram_leakage=data["sram_leakage"],
-            dram_dynamic=data["dram_dynamic"],
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,11 +126,10 @@ class LayerResult:
         return self.throughput_gops / power
 
     def to_json(self) -> dict:
-        """JSON-able nested dict (round-trips via :meth:`from_json`).
+        """JSON-able nested dict of the stored fields.
 
-        This is the payload the ``repro.jobs`` result store persists; only
-        the stored fields are serialized — every derived property is
-        recomputed on load, so a round-trip preserves them exactly.
+        Derived properties are left out: each is a function of the
+        fields.  Benchmark digests hash this document.
         """
         return {
             "layer": self.layer,
@@ -154,21 +142,6 @@ class LayerResult:
             "traffic": self.traffic.to_json(),
             "energy": self.energy.to_json(),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LayerResult":
-        """Rebuild a :class:`LayerResult` from :meth:`to_json` output."""
-        return cls(
-            layer=data["layer"],
-            config_label=data["config_label"],
-            macs=data["macs"],
-            compute_cycles=data["compute_cycles"],
-            total_cycles=data["total_cycles"],
-            runtime_s=data["runtime_s"],
-            utilization=data["utilization"],
-            traffic=TrafficProfile.from_json(data["traffic"]),
-            energy=EnergyLedger.from_json(data["energy"]),
-        )
 
 
 def aggregate_results(results: list[LayerResult]) -> dict[str, float]:

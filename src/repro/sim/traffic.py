@@ -47,18 +47,8 @@ class VariableTraffic:
         return self.dram_read + self.dram_write
 
     def to_json(self) -> dict:
-        """JSON-able field dict (round-trips via :meth:`from_json`)."""
+        """JSON-able field dict."""
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "VariableTraffic":
-        """Rebuild a :class:`VariableTraffic` from :meth:`to_json` output."""
-        return cls(
-            sram_read=data["sram_read"],
-            sram_write=data["sram_write"],
-            dram_read=data["dram_read"],
-            dram_write=data["dram_write"],
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,21 +87,12 @@ class TrafficProfile:
         return {"ifm": self.ifm, "weight": self.weight, "ofm": self.ofm}[name]
 
     def to_json(self) -> dict:
-        """JSON-able nested dict (round-trips via :meth:`from_json`)."""
+        """JSON-able nested dict."""
         return {
             "ifm": self.ifm.to_json(),
             "weight": self.weight.to_json(),
             "ofm": self.ofm.to_json(),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TrafficProfile":
-        """Rebuild a :class:`TrafficProfile` from :meth:`to_json` output."""
-        return cls(
-            ifm=VariableTraffic.from_json(data["ifm"]),
-            weight=VariableTraffic.from_json(data["weight"]),
-            ofm=VariableTraffic.from_json(data["ofm"]),
-        )
 
 
 def profile_traffic_batched(

@@ -20,9 +20,8 @@ from ..core.config import ArrayConfig
 from ..gemm.params import GemmParams
 from ..memory.hierarchy import MemoryConfig
 from ..schemes import ComputeScheme
-from ..jobs.runner import simulate_network
 from ..serve.residency import ResidencyTracker
-from ..sim.engine import simulate_layer_batched
+from ..sim.engine import simulate_layer_batched, simulate_network
 from .battery import Battery
 
 __all__ = ["AdaptiveEbtController", "StreamOutcome", "simulate_inference_stream"]

@@ -17,8 +17,8 @@ from typing import Sequence
 from ..core.config import ArrayConfig
 from ..gemm.params import GemmParams
 from ..memory.hierarchy import MemoryConfig
-from ..jobs.runner import simulate_layer
 from ..serve.residency import ResidencyTracker
+from ..sim.engine import simulate_layer
 from ..workloads.presets import Platform
 
 __all__ = ["Interconnect", "TiledSystem", "ScalingPoint", "scaling_curve"]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bitstream import Coding
 from .multiply import umul_unipolar
-from .rng import NumberSequence, SobolSequence
+from .rng import CounterSequence, SobolSequence
 
 __all__ = [
     "sign_magnitude",
@@ -41,7 +41,12 @@ def sign_magnitude(value: int, bits: int) -> tuple[int, int]:
     ``sign`` is 0 for non-negative, 1 for negative; ``magnitude`` fits in
     ``bits - 1`` bits.  The most negative two's-complement value has no
     sign-magnitude representation and is rejected, mirroring the hardware.
+    A non-integer (a float ``2.9``) is rejected before the range test.
     """
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(
+            f"operands must be integer (FXP) values, got {type(value).__name__}"
+        )
     limit = 1 << (bits - 1)
     if not -limit + 1 <= value <= limit - 1:
         raise ValueError(
@@ -124,8 +129,6 @@ class HubMac:
         bits: int,
         ebt: int | None = None,
         coding: Coding = Coding.RATE,
-        stream_sequence: NumberSequence | None = None,
-        weight_sequence: NumberSequence | None = None,
     ) -> None:
         if bits < 2:
             raise ValueError(f"bits must be >= 2, got {bits}")
@@ -144,8 +147,15 @@ class HubMac:
         self.mul_cycles = 1 << (ebt - 1)
         # Sequences compare against (ebt-1)-bit magnitudes: under early
         # termination the comparators effectively see only the top bits.
-        self._stream_sequence = stream_sequence
-        self._weight_sequence = weight_sequence or SobolSequence(ebt - 1)
+        # Both are built once here; multiply only reads them.  The weights
+        # use Sobol dimension 0; a rate-coded stream reads that same table
+        # (stream_for_input's default) and a temporal one a counter.
+        self._weight_sequence = SobolSequence(ebt - 1)
+        self._stream_sequence = (
+            self._weight_sequence
+            if coding is Coding.RATE
+            else CounterSequence(ebt - 1)
+        )
 
     @property
     def cycles(self) -> int:

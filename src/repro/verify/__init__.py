@@ -20,8 +20,9 @@ and tuGEMM validate their unary GEMM units against exact binary oracles:
   bare assert;
 - :mod:`repro.verify.fuzz` — a seeded random generator over the
   ``ArrayConfig`` / ``GemmParams`` / coding / bit-width space, fanned
-  out through :mod:`repro.jobs`, with greedy shrinking of failing cases
-  to minimal JSON counterexamples under ``verify-failures/``;
+  out through :func:`repro.jobs.run_tasks`, with greedy shrinking of
+  failing cases to minimal JSON counterexamples under
+  ``verify-failures/``;
 - ``python -m repro.verify {diff,fuzz,replay}`` — the CLI, and
   ``tests/verify/`` replays every checked-in counterexample forever.
 """

@@ -4,8 +4,7 @@
   seeded extras) and report any oracle disagreement;
 - ``fuzz`` — the seeded campaign: ``--seed``/``--budget`` cases across
   ``--jobs`` workers, shrunk counterexamples written to ``--out``
-  (default ``verify-failures/``), optionally incremental via
-  ``--cache-dir``;
+  (default ``verify-failures/``);
 - ``replay`` — re-run previously written counterexample files (or every
   ``*.json`` in a directory), the forever-regression entry the
   ``tests/verify/`` suite wraps.
@@ -23,9 +22,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from ..jobs.pool import run_tasks
-from ..jobs.runner import jobs_arg
-from ..jobs.store import ResultStore
+from ..jobs import jobs_arg, run_tasks
 from .diff import DiffReport, default_cases, run_case
 from .fuzz import execute_case, generate_case, load_counterexample, run_fuzz
 
@@ -65,11 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default="verify-failures",
         help="directory for shrunk counterexamples (default: verify-failures)",
-    )
-    fuzz.add_argument(
-        "--cache-dir",
-        default=None,
-        help="repro.jobs result store: skip cases already recorded as passing",
     )
     fuzz.add_argument("--json", action="store_true", help="machine-readable report")
 
@@ -123,13 +115,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    store = ResultStore(args.cache_dir) if args.cache_dir else None
     result = run_fuzz(
         seed=args.seed,
         budget=args.budget,
         jobs=args.jobs,
         out_dir=args.out,
-        store=store,
         engine=None if args.engine == "all" else args.engine,
     )
     status = _render_reports(list(result.failures), sys.stderr)
@@ -138,7 +128,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     else:
         print(
             f"verify fuzz: seed={result.seed} budget={result.budget} "
-            f"checks={result.checks} cached={result.cached} "
+            f"checks={result.checks} "
             f"failures={len(result.failures)}"
         )
         for path in result.written:

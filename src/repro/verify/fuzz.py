@@ -4,7 +4,7 @@
 ``np.random.default_rng(seed)`` stream — the draw sequence is part of
 the repo's determinism contract, so ``--seed 0 --budget 200`` names the
 exact same cases on every machine — fans them out through
-:func:`repro.jobs.pool.run_tasks`, and greedily shrinks every failing
+:func:`repro.jobs.run_tasks`, and greedily shrinks every failing
 case toward the all-defaults minimal case before writing it to
 ``verify-failures/`` as a JSON document that ``replay`` (and the
 ``tests/verify/`` suite) can re-run forever.
@@ -20,15 +20,14 @@ shrinks to <= 3 fields).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from ..jobs.keys import fingerprint
-from ..jobs.pool import run_tasks
-from ..jobs.store import ResultStore
+from ..jobs import run_tasks
 from .diff import DiffReport, VerifyCase, run_case
 
 __all__ = [
@@ -193,7 +192,7 @@ def generate_case(
 
 
 # ----------------------------------------------------------------------
-# execution (module-level, picklable for the jobs fan-out)
+# execution (module-level, picklable for the process-pool fan-out)
 # ----------------------------------------------------------------------
 def execute_case(case: VerifyCase) -> DiffReport:
     """Run one case; the worker function :func:`run_fuzz` fans out."""
@@ -201,8 +200,9 @@ def execute_case(case: VerifyCase) -> DiffReport:
 
 
 def case_key(case: VerifyCase) -> str:
-    """Content-addressed key of one verify case (``repro.jobs`` schema)."""
-    return fingerprint("verify_case", case=case)
+    """Content-addressed key of one verify case: SHA-256 of its JSON."""
+    text = json.dumps(case.to_json(), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +320,6 @@ class FuzzResult:
     failures: tuple[DiffReport, ...]
     """Shrunk reports, one per failing drawn case."""
     written: tuple[str, ...]
-    cached: int = 0
 
     @property
     def ok(self) -> bool:
@@ -332,7 +331,6 @@ class FuzzResult:
             "seed": self.seed,
             "budget": self.budget,
             "checks": self.checks,
-            "cached": self.cached,
             "failures": [report.to_json() for report in self.failures],
             "written": list(self.written),
         }
@@ -343,14 +341,10 @@ def run_fuzz(
     budget: int,
     jobs: int = 1,
     out_dir: str | Path | None = "verify-failures",
-    store: ResultStore | None = None,
     engine: str | None = None,
 ) -> FuzzResult:
     """Draw, run, shrink and persist: the whole fuzz campaign.
 
-    A :class:`~repro.jobs.store.ResultStore` makes re-runs incremental:
-    cases whose content key is already recorded as passing are skipped
-    (failures are never cached — they must shrink and re-reproduce).
     ``engine`` pins every drawn case to one surface (``--engine array``
     fuzzes only the stepped-array oracle); ``None`` mixes all four.
     """
@@ -359,25 +353,12 @@ def run_fuzz(
     rng = np.random.default_rng(seed)
     cases = [generate_case(rng, kind=engine) for _ in range(budget)]
 
-    pending: list[tuple[int, VerifyCase]] = []
-    cached = 0
-    if store is not None:
-        for index, case in enumerate(cases):
-            if store.get(case_key(case), "verify_case") == {"ok": True}:
-                cached += 1
-            else:
-                pending.append((index, case))
-    else:
-        pending = list(enumerate(cases))
-
-    reports = run_tasks(execute_case, [case for _, case in pending], workers=jobs)
+    reports = run_tasks(execute_case, cases, workers=jobs)
     checks = sum(report.checks for report in reports)
     failures: list[DiffReport] = []
     written: list[str] = []
-    for (index, case), report in zip(pending, reports):
+    for index, (case, report) in enumerate(zip(cases, reports)):
         if report.ok:
-            if store is not None:
-                store.put(case_key(case), "verify_case", {"ok": True})
             continue
         shrunk = shrink_case(case)
         shrunk_report = run_case(shrunk)
@@ -392,5 +373,4 @@ def run_fuzz(
         checks=checks,
         failures=tuple(failures),
         written=tuple(written),
-        cached=cached,
     )

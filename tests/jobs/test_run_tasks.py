@@ -1,8 +1,8 @@
-"""``run_tasks``: the generic ordered fan-out the verify fuzzer rides on."""
+"""``run_tasks``: the ordered fan-out that fleet cells and verify cases ride on."""
 
 from __future__ import annotations
 
-from repro.jobs.pool import run_tasks
+from repro.jobs import run_tasks
 
 
 def _square(x):

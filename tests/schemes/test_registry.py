@@ -1,12 +1,9 @@
-"""The scheme registry: round-trips, capability errors, order-stable keys."""
-
-import dataclasses
+"""The scheme registry: round-trips, capability errors, latency laws."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jobs.keys import canonical_json, fingerprint
 from repro.schemes import (
     DIAGONAL_INPUT,
     WEIGHT_STATIONARY_SKEWED,
@@ -21,7 +18,6 @@ from repro.schemes import (
     resolve_hook,
     scheme_mac_cycles,
 )
-from repro.schemes import registry as registry_module
 
 
 class TestRegistryRoundTrips:
@@ -80,27 +76,6 @@ class TestErrors:
     def test_unknown_hook_slot_rejected(self):
         with pytest.raises(ValueError, match="unknown hook slot"):
             resolve_hook("BP", "no-such-slot")
-
-
-class TestOrderIndependentKeys:
-    def test_job_keys_survive_late_registration(self, monkeypatch):
-        from repro.core.config import ArrayConfig
-
-        array = ArrayConfig(rows=4, cols=4, scheme=ComputeScheme.USYSTOLIC_RATE)
-        before = fingerprint("probe", array=array)
-        monkeypatch.setattr(registry_module, "_SPECS", dict(registry_module._SPECS))
-        register_scheme(
-            dataclasses.replace(get_scheme("DP"), code="Z9", name="late plugin")
-        )
-        assert registered_codes()[-1] == "Z9"
-        assert fingerprint("probe", array=array) == before
-
-    def test_enum_canonical_form_is_the_code_string(self):
-        # Serialisation goes through the code, never the spec object, so
-        # registration order cannot leak into ledgers or store keys.
-        assert canonical_json(ComputeScheme.TUBGEMM_TEMPORAL) == (
-            '["enum","ComputeScheme","TB"]'
-        )
 
 
 class TestLatencyLaws:

@@ -1,10 +1,9 @@
-"""NetworkCostModel: correctness vs the engine, memo and store tiers."""
+"""NetworkCostModel: correctness vs the engine."""
 
 import pytest
 
 from repro.core.config import ArrayConfig
 from repro.gemm.params import GemmParams
-from repro.jobs.store import ResultStore
 from repro.memory.hierarchy import MemoryConfig
 from repro.schemes import ComputeScheme as CS
 from repro.serve.costs import NetworkCostModel, ServiceCost
@@ -21,10 +20,8 @@ def _layers():
     ]
 
 
-def _model(store=None):
-    return NetworkCostModel(
-        name="tiny", layers=_layers(), array=ARRAY, memory=MEMORY, store=store
-    )
+def _model():
+    return NetworkCostModel(name="tiny", layers=_layers(), array=ARRAY, memory=MEMORY)
 
 
 def test_batch_cost_sums_the_engine_results():
@@ -57,29 +54,6 @@ def test_service_cost_derived_quantities():
     assert cost.power_w == pytest.approx(2.0)
     assert cost.energy_per_request_j == pytest.approx(0.25)
     assert ServiceCost(runtime_s=0.0, energy_j=0.0, batch=1).power_w == 0.0
-
-
-def test_store_shares_results_across_instances(tmp_path):
-    store = ResultStore(tmp_path)
-    first = _model(store=store)
-    cost = first.batch_cost(4)
-    assert store.stats.misses == len(_layers())
-    second = _model(store=store)
-    assert second.batch_cost(4) == cost
-    assert store.stats.hits == len(_layers())
-
-
-def test_corrupt_store_payload_is_recomputed(tmp_path):
-    store = ResultStore(tmp_path)
-    model = _model(store=store)
-    cost = model.batch_cost(2)
-    # Overwrite every stored payload with a wrong shape; a fresh model
-    # must fall back to recomputation instead of crashing.
-    for key in list(store.iter_keys()):
-        store.put(key, "simulate_layer_batched", {"nonsense": 1})
-    fresh = _model(store=store)
-    assert fresh.batch_cost(2) == cost
-    assert store.stats.corrupt == len(_layers())
 
 
 def test_validation():

@@ -3,9 +3,10 @@
 A served batch is priced once per ``(batch, warm)`` pair however often it
 is dispatched, one layer simulation builds its SRAM macro once, the
 bit-true engines make one fold-kernel call per layer (``execute`` and
-the wave stepper) or one product plane per fold (the cycle stepper), and
-the cycle stepper clocks a layer's folds together.  Counting the calls
-pins all four on any machine, independent of wall time.
+the wave stepper) or one product plane per fold (the cycle stepper), the
+cycle stepper clocks a layer's folds together, and a scalar ``HubMac``
+builds its number sequences once.  Counting the calls pins all five on
+any machine, independent of wall time.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from repro.serve.residency import ResidencyTracker
 from repro.sim import arraysim
 from repro.sim.arraysim import simulate_array
 from repro.sim.engine import simulate_layer
+from repro.unary import rng
+from repro.unary.bitstream import Coding
+from repro.unary.mac import HubMac
 from repro.workloads.presets import EDGE
 
 LAYERS = [
@@ -162,3 +166,23 @@ def test_execute_makes_one_kernel_call_per_layer(monkeypatch, code):
     UsystolicArray(config).execute(params, weight, ifm)
     assert not logs["fold_products"]
     assert len(logs["tile_psums"]) == 1
+
+
+@pytest.mark.parametrize(
+    "coding, tables",
+    # Rate coding streams from the weights' own Sobol table; temporal
+    # coding adds a counter.
+    [(Coding.RATE, 1), (Coding.TEMPORAL, 2)],
+    ids=["rate", "temporal"],
+)
+def test_hub_mac_builds_its_sequences_once(monkeypatch, coding, tables):
+    built = []
+    _counting(monkeypatch, rng.SobolSequence, "__init__", built)
+    _counting(monkeypatch, rng.CounterSequence, "__init__", built)
+    mac = HubMac(8, ebt=8, coding=coding)
+    at_init = len(built)
+    for weight in range(-2, 3):
+        for ifm in range(-2, 3):
+            mac.multiply(weight, ifm)
+    assert at_init == tables
+    assert len(built) == at_init

@@ -34,6 +34,24 @@ class TestSignMagnitude:
         assert sign_magnitude(5, 8)[0] == 0
         assert sign_magnitude(0, 8)[0] == 0
 
+    def test_numpy_integers_accepted(self):
+        assert sign_magnitude(np.int64(-5), 8) == (1, 5)
+        assert sign_magnitude(np.int8(5), 8) == (0, 5)
+
+    @pytest.mark.parametrize(
+        "value",
+        [2.9, 3.0, np.float64(2.9)],
+        ids=["float", "whole-float", "numpy-float"],
+    )
+    def test_non_integer_rejected(self, value):
+        with pytest.raises(ValueError, match="must be integer \\(FXP\\) values"):
+            sign_magnitude(value, 8)
+
+    @pytest.mark.parametrize("operands", [(2.9, 3), (3, 2.9)], ids=["weight", "ifm"])
+    def test_hub_mac_rejects_float_operands(self, operands):
+        with pytest.raises(ValueError, match="must be integer \\(FXP\\) values"):
+            HubMac(8).multiply(*operands)
+
 
 class TestMacCycles:
     def test_paper_values(self):

@@ -1,4 +1,4 @@
-"""Fuzz determinism, the shrinker, counterexample files and caching."""
+"""Fuzz determinism, the shrinker and counterexample files."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.jobs.store import ResultStore
 from repro.verify.diff import DiffReport, Mismatch, VerifyCase, run_case
 from repro.verify.fuzz import (
     case_key,
@@ -148,14 +147,6 @@ class TestRunFuzz:
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError, match="budget"):
             run_fuzz(seed=0, budget=0)
-
-    def test_store_caches_passing_cases(self, tmp_path):
-        store = ResultStore(tmp_path / "cache")
-        first = run_fuzz(seed=3, budget=15, out_dir=None, store=store)
-        assert first.cached == 0
-        second = run_fuzz(seed=3, budget=15, out_dir=None, store=store)
-        assert second.cached == 15
-        assert second.checks == 0, "every case skipped via the store"
 
     def test_result_json_shape(self):
         result = run_fuzz(seed=1, budget=5, out_dir=None)
