@@ -21,7 +21,7 @@ pytest gate):
 - **flow** (``FLOW*``) — interprocedural unit flow: argument/parameter
   and return/assignment unit agreement across resolved call sites;
 - **dead** (``DEAD*``) — ``__all__`` exports and modules unreachable
-  from every entrypoint, test and example;
+  from every entrypoint, example and benchmark (tests are not roots);
 - **conc** (``CONC*``) — pool-determinism: nondeterministically seeded
   RNGs and module-level mutable state read by pool workers;
 - **sup** (``SUP001``) — suppression comments that suppress nothing.
@@ -51,7 +51,6 @@ from .runner import (
     context_paths,
     default_paths,
     main,
-    run_analysis,
     update_architecture_doc,
 )
 from .units import UnitChecker, parse_unit
@@ -86,6 +85,5 @@ __all__ = [
     "parse_unit",
     "render_json",
     "render_text",
-    "run_analysis",
     "update_architecture_doc",
 ]

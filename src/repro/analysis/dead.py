@@ -5,13 +5,14 @@ Export hygiene (``EXP*``) keeps ``__all__`` honest about what a module
 actually **reach** it?
 
 - ``DEAD001`` — an ``__all__``-exported symbol that no CLI entrypoint
-  (``repro.*.__main__``), test, example or other module ever
+  (``repro.*.__main__``), example, benchmark or other module ever
   uses: no from-import that is then referenced, no attribute access
   through a module alias, no star-import use, and no live re-export
   chain.  The fix is to delete it or make it private — not to grow
-  ``__all__`` around it.
-- ``DEAD002`` — a module under ``repro`` that no root (entrypoint, test,
-  example) can reach through the import graph at all, even
+  ``__all__`` around it.  Tests are not roots: an export only its own
+  tests call is dead.
+- ``DEAD002`` — a module under ``repro`` that no root (entrypoint,
+  example, benchmark) can reach through the import graph at all, even
   through lazy imports.
 
 Liveness is computed as a fixpoint over re-export chains: a facade
@@ -101,9 +102,9 @@ class DeadChecker(ProjectChecker):
     name = "dead"
     codes = {
         "DEAD001": "__all__-exported symbol unreachable from any "
-        "entrypoint, test or other module",
-        "DEAD002": "module unreachable from every entrypoint, test "
-        "and example",
+        "entrypoint, example, benchmark or module",
+        "DEAD002": "module unreachable from every entrypoint, example "
+        "and benchmark",
     }
 
     def check_project(self, index: ModuleIndex) -> Iterator[Finding]:
@@ -161,8 +162,8 @@ class DeadChecker(ProjectChecker):
                 0,
                 "DEAD001",
                 f"'{name}' is exported by {module} but nothing reaches it "
-                "(no entrypoint, test or module uses it): delete it or "
-                "make it private",
+                "(no entrypoint, example, benchmark or module uses it): "
+                "delete it or make it private",
             )
 
     def _directly_used(
@@ -246,7 +247,7 @@ class DeadChecker(ProjectChecker):
         roots = [
             info.name
             for info in index.modules.values()
-            if not info.is_target  # context: the test suite
+            if not info.is_target  # context: the benchmark
             or layers.package_key(info.name) is None  # examples
             or info.basename == "__main__"  # CLI entrypoints
         ]
@@ -270,5 +271,5 @@ class DeadChecker(ProjectChecker):
                 0,
                 "DEAD002",
                 f"module {info.name} is unreachable from every entrypoint, "
-                "test and example",
+                "example and benchmark",
             )

@@ -57,7 +57,7 @@ LAYERS: tuple[tuple[str, tuple[str, ...], str], ...] = (
     (
         "config",
         ("core", "memory"),
-        "ArrayConfig + functional array/ISA; SRAM/DRAM hierarchy models",
+        "ArrayConfig + functional array and fold timing; SRAM/DRAM hierarchy models",
     ),
     (
         "models",

@@ -9,9 +9,10 @@ lint job rely on.
 The run parses each source file exactly once: the per-file checkers and
 the whole-program passes (``arch``/``flow``/``dead``/``conc``) all share
 the same :class:`~repro.analysis.visitor.SourceFile` list and the
-:class:`~repro.analysis.modgraph.ModuleIndex` built from it.  The test
-suite is additionally indexed as *usage context* so the reachability
-pass sees what tests exercise, without linting the tests themselves.
+:class:`~repro.analysis.modgraph.ModuleIndex` built from it.  The
+benchmark (``perfbench/``) is additionally indexed as *usage context*, so
+the reachability pass sees what it runs without linting it.  The test
+suite is not: code that only tests reach is dead.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "PROJECT_CHECKERS",
     "AnalysisResult",
     "analyze",
-    "run_analysis",
     "default_paths",
     "context_paths",
     "render_architecture_section",
@@ -77,7 +77,7 @@ SUPPRESSION_CODES = {
 }
 
 _DEFAULT_ROOTS = ("src", "examples")
-_CONTEXT_ROOTS = ("tests",)
+_CONTEXT_ROOTS = ("perfbench",)
 
 
 def default_paths(base: str | Path = ".") -> list[Path]:
@@ -93,7 +93,12 @@ def default_paths(base: str | Path = ".") -> list[Path]:
 
 
 def context_paths(base: str | Path = ".") -> list[Path]:
-    """Usage-only context (the test suite) indexed for reachability."""
+    """Usage-only context indexed for reachability: the benchmark.
+
+    With the CLI entrypoints and ``examples/`` it is what a user runs, so
+    ``DEAD*`` roots at an entrypoint, example, benchmark or module.  Tests
+    are not context: an export only a test reaches is dead.
+    """
     base = Path(base)
     return [base / root for root in _CONTEXT_ROOTS if (base / root).is_dir()]
 
@@ -222,20 +227,6 @@ def _stale_suppressions(
                 )
             )
     return stale
-
-
-def run_analysis(
-    paths: Iterable[str | Path],
-    select: Iterable[str] | None = None,
-    context: Iterable[str | Path] = (),
-) -> tuple[list[Finding], int]:
-    """Back-compat wrapper around :func:`analyze`.
-
-    Returns the surviving (non-suppressed) findings and the number of
-    files scanned.
-    """
-    result = analyze(paths, select=select, context=context)
-    return result.findings, result.files_scanned
 
 
 # -- generated artifacts ---------------------------------------------------

@@ -10,7 +10,12 @@ construction instead of silently corrupting a sweep.
 Every check runs on every call, but its message is built only when it
 fails: a call site tests its condition itself and calls :func:`fail` in
 the branch that raises, and each ``require_*`` helper does the same, so
-a passing check costs its comparison and nothing more.
+a passing check costs its comparison and nothing more.  Each test is
+written so that NaN fails it (``not value > 0``, never ``value <= 0``).
+
+The CLIs' float flags share two argparse types, :func:`positive_float`
+and :func:`non_negative_float`: a value that is not finite or breaks the
+sign rule is a usage error (exit 2) naming the flag.
 
 Kept free of imports from the rest of ``repro`` so config modules at any
 layer can depend on it without cycles.
@@ -18,18 +23,21 @@ layer can depend on it without cycles.
 
 from __future__ import annotations
 
+import argparse
+import math
 from typing import NoReturn
 
 __all__ = [
     "is_power_of_two",
     "fail",
     "require_int",
+    "require_finite",
     "require_positive",
     "require_positive_int",
-    "require_non_negative",
     "require_power_of_two",
     "require_in_range",
-    "require_at_most",
+    "positive_float",
+    "non_negative_float",
 ]
 
 
@@ -56,6 +64,13 @@ def require_int(owner: str, field: str, value: object) -> None:
         fail(owner, field, f"must be an int, got {value!r}")
 
 
+def require_finite(owner: str, **fields: float) -> None:
+    """Every named field must be a finite number: NaN and both infinities fail."""
+    for name, value in fields.items():
+        if not -math.inf < value < math.inf:
+            fail(owner, name, f"must be finite, got {value!r}")
+
+
 def require_positive(owner: str, **fields: float) -> None:
     """Every named field must be strictly positive."""
     for name, value in fields.items():
@@ -69,13 +84,6 @@ def require_positive_int(owner: str, **fields: int) -> None:
         if type(value) is not int or value <= 0:
             require_int(owner, name, value)
             fail(owner, name, f"must be positive, got {value!r}")
-
-
-def require_non_negative(owner: str, **fields: float) -> None:
-    """Every named field must be zero or positive."""
-    for name, value in fields.items():
-        if not value >= 0:
-            fail(owner, name, f"must be >= 0, got {value!r}")
 
 
 def require_power_of_two(owner: str, **fields: int) -> None:
@@ -93,9 +101,24 @@ def require_in_range(
         fail(owner, field, f"must be in [{lo}, {hi}], got {value!r}")
 
 
-def require_at_most(
-    owner: str, field: str, value: float, bound: float, bound_name: str
-) -> None:
-    """``value <= bound`` or ``ValueError`` naming both quantities."""
-    if not value <= bound:
-        fail(owner, field, f"must be <= {bound_name} ({bound!r}), got {value!r}")
+def positive_float(text: str) -> float:
+    """The argparse type of a float flag that must be finite and above 0."""
+    return _finite_float(text, strict=True)
+
+
+def non_negative_float(text: str) -> float:
+    """The argparse type of a float flag that must be finite and at least 0."""
+    return _finite_float(text, strict=False)
+
+
+def _finite_float(text: str, strict: bool) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not ((value > 0 if strict else value >= 0) and value < math.inf):
+        bound = "> 0" if strict else ">= 0"
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number {bound}, got {text!r}"
+        )
+    return value

@@ -1,44 +1,23 @@
-"""uSystolic core architecture: configuration, PEs, array, scheduler, ISA."""
+"""uSystolic core architecture: configuration, PEs, array, fold timing."""
 
 from .array import UsystolicArray
 from .config import ArrayConfig
-from .dataflows import Dataflow, cbsg_compatible, dataflow_cycles, stationary_operand
-from .machine import MachineState, UsystolicMachine
 from .early_termination import (
-    TerminationPolicy,
     TradeoffPoint,
     energy_accuracy_tradeoff,
     termination_error_curve,
 )
-from .isa import Instruction, Opcode, assemble, build_program, decode
 from .pe import BinaryPe, PeModel, UgemmHPe, UsystolicPe, make_pe
-from .scheduler import OpKind, Schedule, ScheduledOp, build_schedule
 
 __all__ = [
     "UsystolicArray",
     "ArrayConfig",
-    "Dataflow",
-    "cbsg_compatible",
-    "dataflow_cycles",
-    "stationary_operand",
-    "MachineState",
-    "UsystolicMachine",
-    "TerminationPolicy",
     "TradeoffPoint",
     "energy_accuracy_tradeoff",
     "termination_error_curve",
-    "Instruction",
-    "Opcode",
-    "assemble",
-    "build_program",
-    "decode",
     "BinaryPe",
     "PeModel",
     "UgemmHPe",
     "UsystolicPe",
     "make_pe",
-    "OpKind",
-    "Schedule",
-    "ScheduledOp",
-    "build_schedule",
 ]

@@ -6,14 +6,13 @@ scales back.  It is only sound for *rate* coding: a rate-coded prefix is an
 unbiased estimate of the full stream, while a temporal (thermometer) prefix
 is saturated junk (Section II-B3).
 
-This module provides the measurement and policy layer:
+This module provides the measurement layer:
 
 - :func:`termination_error_curve` measures product error vs EBT with the
   bit-true kernel;
-- :class:`TerminationPolicy` picks the smallest EBT meeting an error
-  budget, the "metric-based characterization" knob of [69], [72];
 - :func:`energy_accuracy_tradeoff` pairs each EBT with its relative MAC
-  energy (cycles), the curve Figures 9 + 13 trace jointly.
+  energy (cycles), the curve Figures 9 + 13 trace jointly; the claims
+  scorecard checks it.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from ..unary.metrics import ErrorStats, error_stats
 
 __all__ = [
     "termination_error_curve",
-    "TerminationPolicy",
     "TradeoffPoint",
     "energy_accuracy_tradeoff",
 ]
@@ -60,39 +58,6 @@ def termination_error_curve(
         ref = ws.astype(np.float64) * xs.astype(np.float64)
         curve[ebt] = error_stats(est / (scale * scale), ref / (scale * scale))
     return curve
-
-
-@dataclasses.dataclass(frozen=True)
-class TerminationPolicy:
-    """Choose the smallest effective bitwidth meeting an error budget."""
-
-    bits: int
-    rmse_budget: float
-    curve: dict[int, ErrorStats]
-
-    @classmethod
-    def for_error_budget(
-        cls, bits: int, rmse_budget: float, samples: int = 200, seed: int = 0
-    ) -> "TerminationPolicy":
-        curve = termination_error_curve(bits, samples=samples, seed=seed)
-        return cls(bits=bits, rmse_budget=rmse_budget, curve=curve)
-
-    @property
-    def ebt(self) -> int:
-        """Smallest EBT whose measured RMSE fits the budget (or full N)."""
-        for ebt in sorted(self.curve):
-            if self.curve[ebt].rmse <= self.rmse_budget:
-                return ebt
-        return self.bits
-
-    @property
-    def mac_cycles(self) -> int:
-        return mac_cycles(self.ebt)
-
-    @property
-    def energy_fraction(self) -> float:
-        """MAC energy relative to the untruncated run (cycles dominate)."""
-        return self.mac_cycles / mac_cycles(self.bits)
 
 
 @dataclasses.dataclass(frozen=True)

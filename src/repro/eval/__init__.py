@@ -30,7 +30,6 @@ from .capacity import (
     run_capacity_planning,
 )
 from .claims import ClaimResult, format_scorecard, run_claims
-from .pareto import DesignPoint, design_space, format_pareto, pareto_frontier
 from .report import format_series, format_table, table1
 from .runall import run_all
 from .schemezoo import (
@@ -46,16 +45,9 @@ from .serving import (
     run_serving_experiment,
     serving_designs,
 )
-from .sweeps import (
-    ShapeSweepPoint,
-    SramSweepPoint,
-    array_shape_sweep,
-    format_sram_sweep,
-    sram_sizing_sweep,
-)
+from .sweeps import SramSweepPoint, sram_sizing_sweep
 from .throughput import (
     ThroughputResult,
-    contention_overheads,
     format_figure12,
     run_throughput_experiment,
 )
@@ -87,10 +79,6 @@ __all__ = [
     "format_series",
     "format_table",
     "table1",
-    "DesignPoint",
-    "design_space",
-    "format_pareto",
-    "pareto_frontier",
     "CapacityPoint",
     "format_capacity",
     "run_capacity_planning",
@@ -107,13 +95,9 @@ __all__ = [
     "format_serving",
     "run_serving_experiment",
     "serving_designs",
-    "ShapeSweepPoint",
     "SramSweepPoint",
-    "array_shape_sweep",
-    "format_sram_sweep",
     "sram_sizing_sweep",
     "ThroughputResult",
-    "contention_overheads",
     "format_figure12",
     "run_throughput_experiment",
 ]

@@ -12,14 +12,21 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..fsu import fsu_weight_storage
+import numpy as np
+
+from ..core.early_termination import energy_accuracy_tradeoff
+from ..fsu import FsuGemm, fsu_vs_usystolic_area, fsu_weight_storage
 from ..hw import gates
 from ..hw.array_cost import array_cost
 from ..hw.pe_cost import PePosition, pe_cost
 from ..schemes import ComputeScheme as CS
 from ..sim.engine import simulate_layer
-from ..unary.multiply import umul_bipolar, umul_unipolar
+from ..system.tiled import scaling_curve
+from ..unary.bitstream import Coding, quantize_unipolar
+from ..unary.faults import binary_fault_error, unary_fault_error
+from ..unary.multiply import stream_for_input, umul_bipolar, umul_unipolar
 from ..unary.rng import LfsrSequence, NumberSequence, SobolSequence
+from ..unary.vectorized import hub_mac_row
 from ..workloads.alexnet import alexnet_layers
 from ..workloads.presets import CLOUD, EDGE
 from .accuracy import AccuracyResult, gemm_error_ranking
@@ -34,6 +41,7 @@ from .energy import (
 )
 from .report import format_table
 from .schemezoo import run_schemezoo_experiment
+from .sweeps import sram_sizing_sweep
 
 __all__ = ["ClaimResult", "run_claims", "format_scorecard"]
 
@@ -72,6 +80,43 @@ def _umul_error(sequence: type[NumberSequence], bits: int = 7) -> float:
     return sum(errors) / len(errors)
 
 
+def _fsu_vs_hub_error() -> tuple[float, float]:
+    """Summed |error| of five seeded 16-element dot products: FSU vs HUB.
+
+    The FSU accumulates its products in the unary domain (a mux tree);
+    a uSystolic column takes the same HUB products (:func:`hub_mac_row`)
+    and adds them in binary.
+    """
+    fsu = FsuGemm(8)
+    fsu_err = hub_err = 0.0
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        w = rng.integers(-100, 101, size=16)
+        x = rng.integers(-100, 101, size=16)
+        exact = float(np.dot(w, x))
+        hub = sum(
+            float(hub_mac_row(int(xk), np.array([wk]), 8)[0]) for wk, xk in zip(w, x)
+        )
+        fsu_err += abs(fsu.dot(w, x) - exact)
+        hub_err += abs(hub - exact)
+    return fsu_err, hub_err
+
+
+def _tiled_speedup(array) -> tuple[float, bool]:
+    """V-H: speedup of 16 tiled instances over one, and whether the fabric binds.
+
+    Edge platform without SRAM, AlexNet Conv1-3 repeated eight times.
+    """
+    one, many = scaling_curve(
+        EDGE,
+        array,
+        EDGE.memory.without_sram(),
+        alexnet_layers()[:3] * 8,
+        instance_counts=(1, 16),
+    )
+    return many.throughput_gops / one.throughput_gops, many.fabric_bound
+
+
 def _mean_over_configs(table: dict[str, dict[str, dict[str, float]]]) -> float:
     """Mean reduction vs Binary Parallel, averaged over 32c/64c/128c."""
     means = [table["Binary Parallel"][c]["mean"] for c in _UNARY_CONFIGS]
@@ -92,6 +137,24 @@ def run_claims(accuracy: list[AccuracyResult] | None = None) -> list[ClaimResult
     edge = {r.design: r.layers for r in run_bandwidth_experiment(EDGE)}
     convs = slice(0, 5)
     ur_pe = pe_cost(CS.USYSTOLIC_RATE, 8, PePosition.LEFTMOST)
+
+    # --- II-B4a: FSU accumulates in the unary domain, one instance each ---
+    fsu_err, hub_err = _fsu_vs_hub_error()
+    check(
+        "II-B4a",
+        "FSU's unary-domain accumulation is far noisier than HUB's binary one",
+        "suboptimal accuracy",
+        f"{fsu_err / hub_err:.0f}x the HUB error",
+        fsu_err > 3 * hub_err,
+    )
+    fsu_area = fsu_vs_usystolic_area(alexnet_layers(), CLOUD.rows, CLOUD.cols)
+    check(
+        "II-B4a",
+        "one FSU instance per AlexNet layer dwarfs one uSystolic array",
+        "multiple instances needed",
+        f"{fsu_area['ratio']:.0f}x the {CLOUD.rows}x{CLOUD.cols} array's area",
+        fsu_area["ratio"] > 100.0,
+    )
 
     # --- II-B4b: sign-magnitude halves the bipolar cost -----------------
     uni = umul_unipolar(128, 128, 7).cycles
@@ -132,6 +195,17 @@ def run_claims(accuracy: list[AccuracyResult] | None = None) -> list[ClaimResult
         ">20% smaller",
         f"{100 * (1 - shared / duplicated):.1f}% smaller",
         shared < 0.8 * duplicated,
+    )
+    tradeoff = energy_accuracy_tradeoff(8)
+    rmses = [p.rmse for p in tradeoff]
+    check(
+        "III-C",
+        "early termination trades accuracy for MAC cycles at every EBT step",
+        "2^(n-1)+1 cycles",
+        f"RMSE {rmses[0]:.3f} -> {rmses[-1]:.4f} over EBT "
+        f"{tradeoff[0].ebt}-{tradeoff[-1].ebt}",
+        all(a > b for a, b in zip(rmses, rmses[1:]))
+        and all(p.mac_cycles == 2 ** (p.ebt - 1) + 1 for p in tradeoff),
     )
     sobol, lfsr = _umul_error(SobolSequence), _umul_error(LfsrSequence)
     check(
@@ -346,6 +420,30 @@ def run_claims(accuracy: list[AccuracyResult] | None = None) -> list[ClaimResult
         f"{mlperf_eei:.1f}x vs {alexnet_eei:.1f}x",
         mlperf_eei < alexnet_eei,
     )
+    sweep = sram_sizing_sweep(
+        alexnet_layers(), EDGE.array(CS.USYSTOLIC_RATE, ebt=6), EDGE.memory
+    )
+    best = min(sweep, key=lambda p: p.total_energy_j)
+    check(
+        "V-G",
+        "a small SRAM minimises total energy (edge AlexNet, UR EBT 6)",
+        "small-sized SRAM pays",
+        f"{best.total_energy_j * 1e3:.1f} mJ at "
+        f"{best.sram_bytes_per_variable // 1024} KB vs "
+        f"{sweep[0].total_energy_j * 1e3:.1f} mJ without",
+        0 < best.sram_bytes_per_variable < EDGE.memory.sram_bytes_per_variable,
+    )
+
+    # --- V-H: tiled instances share one channel --------------------------
+    ur_up, _ = _tiled_speedup(EDGE.array(CS.USYSTOLIC_RATE, ebt=6))
+    bp_up, bp_bound = _tiled_speedup(EDGE.array(CS.BINARY_PARALLEL))
+    check(
+        "V-H",
+        "low bandwidth scales across tiled instances; binary saturates",
+        "better scalability",
+        f"{ur_up:.2f}x vs {bp_up:.2f}x at 16 instances",
+        bp_bound and ur_up > 2 * bp_up,
+    )
 
     # --- headline ---------------------------------------------------------
     eei = [
@@ -399,6 +497,18 @@ def run_claims(accuracy: list[AccuracyResult] | None = None) -> list[ClaimResult
         "61.1 MB > 24 MB TPU SRAM",
         f"{storage.storage_mb:.1f} MiB",
         storage.storage_bytes > 24 * 2**20,
+    )
+
+    # --- [16]: unary streams degrade gracefully --------------------------
+    stream = stream_for_input(quantize_unipolar(0.5, 7), 7, Coding.RATE)
+    unary_worst = max(unary_fault_error(stream, 1, seed=seed) for seed in range(10))
+    binary_worst = max(binary_fault_error(64, bit, 8) for bit in range(8))
+    check(
+        "[16]",
+        "one bit flip costs a unary stream 1 LSB, a binary word up to half",
+        "graceful degradation",
+        f"1/{1 / unary_worst:.0f} vs {binary_worst:g}",
+        unary_worst == 1 / len(stream) and binary_worst == 0.5,
     )
 
     # --- V-A: accuracy (Figure 9) -----------------------------------------

@@ -1,15 +1,12 @@
-"""Design-space sweeps beyond the paper's fixed configurations.
+"""The Section V-G SRAM design space beyond the paper's fixed configurations.
 
 Section V-G closes with: "there indeed exists a continuous design space
 where a small-sized on-chip SRAM can reduce the off-chip DRAM access
 cost."  :func:`sram_sizing_sweep` walks that space — per-variable SRAM
 capacity from zero (the paper's elimination point) to the platform's full
 budget — and reports total energy, on-chip energy and DRAM traffic at each
-size, exposing where (and whether) a small buffer pays for itself.
-
-:func:`array_shape_sweep` covers the orthogonal axis the paper fixes to
-Eyeriss/TPU shapes: array geometry at constant PE budget, which trades
-reduction-fold count against column-fold count per workload.
+size, exposing where (and whether) a small buffer pays for itself.  The
+claims scorecard checks where the minimum falls.
 """
 
 from __future__ import annotations
@@ -19,17 +16,9 @@ import dataclasses
 from ..core.config import ArrayConfig
 from ..gemm.params import GemmParams
 from ..memory.hierarchy import MemoryConfig
-from ..schemes import ComputeScheme
 from ..sim.engine import simulate_network
-from .report import format_table
 
-__all__ = [
-    "SramSweepPoint",
-    "sram_sizing_sweep",
-    "ShapeSweepPoint",
-    "array_shape_sweep",
-    "format_sram_sweep",
-]
+__all__ = ["SramSweepPoint", "sram_sizing_sweep"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,60 +62,3 @@ def sram_sizing_sweep(
         )
     return points
 
-
-def format_sram_sweep(points: list[SramSweepPoint], title: str) -> str:
-    """Render one SRAM-capacity sweep as a runtime/energy table."""
-    rows = [
-        [
-            f"{p.sram_bytes_per_variable // 1024} KB",
-            f"{p.runtime_s * 1e3:.2f}",
-            f"{p.on_chip_energy_j * 1e3:.3f}",
-            f"{p.dram_energy_j * 1e3:.3f}",
-            f"{p.total_energy_j * 1e3:.3f}",
-            f"{p.dram_bytes / 2**20:.1f}",
-        ]
-        for p in points
-    ]
-    return format_table(
-        ["SRAM/var", "runtime ms", "on-chip mJ", "DRAM mJ", "total mJ", "DRAM MB"],
-        rows,
-        title=title,
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class ShapeSweepPoint:
-    """One array geometry at (near-)constant PE budget."""
-
-    rows: int
-    cols: int
-    runtime_s: float
-    utilization: float
-    on_chip_energy_j: float
-
-
-def array_shape_sweep(
-    layers: list[GemmParams],
-    scheme: ComputeScheme,
-    memory: MemoryConfig,
-    shapes: tuple[tuple[int, int], ...] = ((4, 42), (8, 21), (12, 14), (14, 12), (21, 8), (42, 4)),
-    bits: int = 8,
-    ebt: int | None = None,
-) -> list[ShapeSweepPoint]:
-    """Geometry sweep: how shape (not size) moves runtime and utilization."""
-    points = []
-    for rows, cols in shapes:
-        array = ArrayConfig(rows=rows, cols=cols, scheme=scheme, bits=bits, ebt=ebt)
-        results = simulate_network(layers, array, memory)
-        if not results:
-            raise ValueError("simulate_network returned no layer results")
-        points.append(
-            ShapeSweepPoint(
-                rows=rows,
-                cols=cols,
-                runtime_s=sum(r.runtime_s for r in results),
-                utilization=sum(r.utilization for r in results) / len(results),
-                on_chip_energy_j=sum(r.energy.on_chip for r in results),
-            )
-        )
-    return points

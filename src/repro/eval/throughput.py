@@ -13,7 +13,6 @@ from .report import format_table
 __all__ = [
     "ThroughputResult",
     "run_throughput_experiment",
-    "contention_overheads",
     "format_figure12",
 ]
 
@@ -54,11 +53,6 @@ def run_throughput_experiment(platform: Platform, bits: int = 8) -> list[Through
             )
         )
     return results
-
-
-def contention_overheads(results: list[ThroughputResult]) -> dict[str, float]:
-    """Section V-D: mean conv-layer runtime overhead per design, percent."""
-    return {r.design: 100.0 * r.mean_conv_contention for r in results}
 
 
 def format_figure12(results: list[ThroughputResult]) -> str:

@@ -29,6 +29,7 @@ import json
 import sys
 from pathlib import Path
 
+from ..contracts import non_negative_float, positive_float
 from ..eval.capacity import (
     DEFAULT_FLEET_SIZES,
     DEFAULT_POOLS,
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--slo-ms",
-        type=float,
+        type=positive_float,
         default=500.0,
         help="per-request latency SLO (sets deadlines and goodput)",
     )
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--rate",
-        type=float,
+        type=positive_float,
         default=30.0,
         help=(
             "base arrival rate, req/s (capacity mode: per-instance rate, "
@@ -110,19 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--peak-rate",
-        type=float,
+        type=non_negative_float,
         default=None,
         help="diurnal crest / flash spike rate, req/s (default 4x --rate)",
     )
     parser.add_argument(
         "--horizon-s",
-        type=float,
+        type=positive_float,
         default=1.0,
         help="length of the trace in simulated seconds",
     )
     parser.add_argument(
         "--period-s",
-        type=float,
+        type=positive_float,
         default=None,
         help="diurnal period (default: the horizon, one full day)",
     )
@@ -132,11 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the queue-depth threshold autoscaler",
     )
     parser.add_argument(
-        "--autoscale-interval-s", type=float, default=0.05
+        "--autoscale-interval-s", type=positive_float, default=0.05
     )
     parser.add_argument(
         "--power-cap-w",
-        type=float,
+        type=positive_float,
         default=None,
         help="fleet-wide power cap the autoscaler enforces",
     )
@@ -296,10 +297,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         pools = _parse_pools(args.pools)
         sizes = _parse_sizes(args.fleet_sizes)
-        if args.slo_ms <= 0:
-            raise ValueError(f"--slo-ms must be positive, got {args.slo_ms}")
-        if args.rate <= 0:
-            raise ValueError(f"--rate must be positive, got {args.rate}")
         if args.shards < 1:
             raise ValueError(f"--shards must be >= 1, got {args.shards}")
     except ValueError as exc:

@@ -37,8 +37,8 @@ idempotent at a fixed instant), and advances of different instances
 commute, since each touches only its own executor and ledger.  The live
 and routable lists are cached and rebuilt only on spawn, drain, stop or
 halt.  So the ledger is byte-identical to advancing every live instance
-at every event, the loop :func:`repro.verify.oracles.naive_fleet_oracle`
-keeps as the reference.
+at every event, the loop ``tests/fleet/naive_loop.py`` keeps as the
+reference.
 
 Once the arrival stream is exhausted the fleet drains: every advance
 passes ``draining=True`` so partial batches flush, and the loop ends

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from ..contracts import require_finite
 from ..serve.requests import Request
 
 __all__ = [
@@ -45,10 +46,15 @@ def piecewise_poisson_arrivals(
     """
     if not segments:
         raise ValueError("need at least one (duration_s, rate_per_s) segment")
+    if slo_s is not None:
+        require_finite("piecewise_poisson_arrivals", slo_s=slo_s)
     for duration_s, rate_per_s in segments:
-        if duration_s <= 0:
+        require_finite(
+            "piecewise_poisson_arrivals", duration_s=duration_s, rate_per_s=rate_per_s
+        )
+        if not duration_s > 0:
             raise ValueError(f"segment duration must be positive, got {duration_s}")
-        if rate_per_s < 0:
+        if not rate_per_s >= 0:
             raise ValueError(f"segment rate must be >= 0, got {rate_per_s}")
     rng = np.random.default_rng(seed)
     requests: list[Request] = []
@@ -93,13 +99,20 @@ def diurnal_arrivals(
     around.  ``buckets_per_period`` controls how finely the sinusoid is
     staircased.
     """
-    if peak_rate_per_s < base_rate_per_s:
+    require_finite(
+        "diurnal_arrivals",
+        base_rate_per_s=base_rate_per_s,
+        peak_rate_per_s=peak_rate_per_s,
+        period_s=period_s,
+        horizon_s=horizon_s,
+    )
+    if not peak_rate_per_s >= base_rate_per_s:
         raise ValueError(
             f"peak rate {peak_rate_per_s} must be >= base rate {base_rate_per_s}"
         )
-    if base_rate_per_s < 0:
+    if not base_rate_per_s >= 0:
         raise ValueError(f"base rate must be >= 0, got {base_rate_per_s}")
-    if period_s <= 0 or horizon_s <= 0:
+    if not (period_s > 0 and horizon_s > 0):
         raise ValueError(
             f"period_s and horizon_s must be positive, got "
             f"{period_s} and {horizon_s}"
@@ -137,12 +150,20 @@ def flash_crowd_arrivals(
     start_id: int = 0,
 ) -> list[Request]:
     """Base load with one rectangular spike — the autoscaler stress test."""
-    if spike_start_s < 0 or spike_duration_s <= 0:
+    require_finite(
+        "flash_crowd_arrivals",
+        base_rate_per_s=base_rate_per_s,
+        spike_rate_per_s=spike_rate_per_s,
+        spike_start_s=spike_start_s,
+        spike_duration_s=spike_duration_s,
+        horizon_s=horizon_s,
+    )
+    if not (spike_start_s >= 0 and spike_duration_s > 0):
         raise ValueError(
             f"spike window must be positive, got start={spike_start_s} "
             f"duration={spike_duration_s}"
         )
-    if spike_start_s + spike_duration_s > horizon_s:
+    if not spike_start_s + spike_duration_s <= horizon_s:
         raise ValueError(
             f"spike [{spike_start_s}, {spike_start_s + spike_duration_s}) "
             f"exceeds horizon {horizon_s}"

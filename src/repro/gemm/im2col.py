@@ -11,7 +11,7 @@ import numpy as np
 
 from .params import GemmParams
 
-__all__ = ["im2col", "im2col_windows", "col2im_output"]
+__all__ = ["im2col", "im2col_windows"]
 
 
 def im2col_windows(x: np.ndarray, wh: int, ww: int, stride: int) -> np.ndarray:
@@ -41,10 +41,3 @@ def im2col(params: GemmParams, ifm: np.ndarray) -> np.ndarray:
     rows = im2col_windows(ifm, params.wh, params.ww, params.stride)
     return rows.reshape(params.oh * params.ow, params.window)
 
-
-def col2im_output(params: GemmParams, out_mat: np.ndarray) -> np.ndarray:
-    """Reshape a (OH*OW, OC) GEMM result back to the (OH, OW, OC) OFM."""
-    want = (params.oh * params.ow, params.oc)
-    if out_mat.shape != want:
-        raise ValueError(f"output shape {out_mat.shape} != expected {want}")
-    return out_mat.reshape(params.oh, params.ow, params.oc)

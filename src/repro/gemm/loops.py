@@ -1,9 +1,9 @@
-"""Reference GEMM loop nest (Algorithm 1) and vectorised equivalents.
+"""Algorithm 1 as one matmul over the im2col lowering.
 
 The six-deep loop of Algorithm 1 is the functional specification every
-compute scheme must match.  :func:`gemm_reference` executes it literally
-(slow, for tests); :func:`gemm_fast` uses the im2col transform and a single
-matmul (the oracle used everywhere else).
+compute scheme must match.  :func:`gemm_fast` evaluates it with the im2col
+transform and a single matmul; :func:`repro.verify.oracles.conv_oracle`
+is the independent direct convolution it is tested against.
 """
 
 from __future__ import annotations
@@ -13,31 +13,7 @@ import numpy as np
 from .im2col import im2col
 from .params import GemmParams
 
-__all__ = ["gemm_reference", "gemm_fast"]
-
-
-def gemm_reference(params: GemmParams, weight: np.ndarray, ifm: np.ndarray) -> np.ndarray:
-    """Algorithm 1, executed loop by loop.
-
-    ``ifm`` has shape (IH, IW, IC) and ``weight`` (OC, WH, WW, IC); the
-    output has shape (OH, OW, OC).
-    """
-    _check_shapes(params, weight, ifm)
-    out = np.zeros((params.oh, params.ow, params.oc), dtype=np.float64)
-    s = params.stride
-    for oh in range(params.oh):
-        for ow in range(params.ow):
-            for oc in range(params.oc):
-                acc = 0.0
-                for wh in range(params.wh):
-                    for ww in range(params.ww):
-                        for ic in range(params.ic):
-                            acc += (
-                                weight[oc, wh, ww, ic]
-                                * ifm[wh + oh * s, ww + ow * s, ic]
-                            )
-                out[oh, ow, oc] = acc
-    return out
+__all__ = ["gemm_fast"]
 
 
 def gemm_fast(params: GemmParams, weight: np.ndarray, ifm: np.ndarray) -> np.ndarray:

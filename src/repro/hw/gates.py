@@ -28,7 +28,6 @@ __all__ = [
     "serial_multiplier",
     "counter",
     "sobol_rng",
-    "lfsr_rng",
     "mux",
     "and_gate",
     "xor_gate",
@@ -151,11 +150,6 @@ def sobol_rng(bits: int) -> float:
     storage/select + XOR update network: ~12 GE per bit.
     """
     return dff(bits) + bits * (2.0 + 3.0 + 2.0)
-
-
-def lfsr_rng(bits: int) -> float:
-    """Maximal-length LFSR: state register plus feedback XORs."""
-    return dff(bits) + 3 * _GE_XOR
 
 
 def mux(bits: int) -> float:

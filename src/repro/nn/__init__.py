@@ -3,10 +3,7 @@
 from .datasets import DIFFICULTIES, Dataset, make_dataset
 from .inference import accuracy_sweep, evaluate
 from .layers import (
-    AvgPool2d,
-    BatchNorm,
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool,
     Layer,
@@ -16,15 +13,8 @@ from .layers import (
     Residual,
     Sequential,
 )
-from .models import MODEL_BUILDERS, alexnet_mini, mnist4, resnet_mini
-from .pipeline import network_to_gemms
-from .serialize import load_model, save_model
-from .sparsity import (
-    ActivationStats,
-    act_frac_for_sparsity,
-    activation_stats,
-    sparsify,
-)
+from .models import alexnet_mini, mnist4, resnet_mini
+from .sparsity import act_frac_for_sparsity
 from .quant import (
     QuantMode,
     QuantSpec,
@@ -42,10 +32,7 @@ __all__ = [
     "make_dataset",
     "accuracy_sweep",
     "evaluate",
-    "AvgPool2d",
-    "BatchNorm",
     "Conv2d",
-    "Dropout",
     "Flatten",
     "GlobalAvgPool",
     "Layer",
@@ -54,14 +41,7 @@ __all__ = [
     "ReLU",
     "Residual",
     "Sequential",
-    "MODEL_BUILDERS",
-    "network_to_gemms",
-    "load_model",
-    "save_model",
-    "ActivationStats",
     "act_frac_for_sparsity",
-    "activation_stats",
-    "sparsify",
     "alexnet_mini",
     "mnist4",
     "resnet_mini",

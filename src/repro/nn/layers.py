@@ -26,9 +26,6 @@ __all__ = [
     "Linear",
     "ReLU",
     "MaxPool2d",
-    "AvgPool2d",
-    "BatchNorm",
-    "Dropout",
     "Flatten",
     "GlobalAvgPool",
     "Residual",
@@ -250,105 +247,3 @@ class Sequential(Layer):
     def num_parameters(self) -> int:
         return sum(p.size for p, _ in self.params_and_grads())
 
-
-class BatchNorm(Layer):
-    """Per-channel batch normalisation (training uses batch statistics,
-    inference uses the tracked running estimates).
-
-    At inference the affine transform could be folded into the previous
-    convolution; keeping it explicit leaves quantisation behaviour
-    unchanged because the transform runs in float either way (the paper's
-    HUB flow only replaces GEMMs).
-    """
-
-    def __init__(self, channels: int, momentum: float = 0.9, eps: float = 1e-5) -> None:
-        self.gamma = np.ones(channels)
-        self.beta = np.zeros(channels)
-        self.grad_gamma = np.zeros(channels)
-        self.grad_beta = np.zeros(channels)
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
-        self.training = True
-
-    def forward(self, x: np.ndarray, spec: QuantSpec = FP32) -> np.ndarray:
-        axes = tuple(range(x.ndim - 1))
-        if self.training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.running_mean = (
-                self.momentum * self.running_mean + (1 - self.momentum) * mean
-            )
-            self.running_var = (
-                self.momentum * self.running_var + (1 - self.momentum) * var
-            )
-        else:
-            mean, var = self.running_mean, self.running_var
-        self._std = np.sqrt(var + self.eps)
-        self._xhat = (x - mean) / self._std
-        return self.gamma * self._xhat + self.beta
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        axes = tuple(range(grad.ndim - 1))
-        n = grad.size // grad.shape[-1]
-        self.grad_gamma = (grad * self._xhat).sum(axis=axes)
-        self.grad_beta = grad.sum(axis=axes)
-        gx_hat = grad * self.gamma
-        return (
-            gx_hat
-            - gx_hat.mean(axis=axes)
-            - self._xhat * (gx_hat * self._xhat).sum(axis=axes) / n
-        ) / self._std
-
-    def params_and_grads(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(self.gamma, self.grad_gamma), (self.beta, self.grad_beta)]
-
-
-class AvgPool2d(Layer):
-    """Non-overlapping average pooling."""
-
-    def __init__(self, size: int = 2) -> None:
-        self.size = size
-
-    def forward(self, x: np.ndarray, spec: QuantSpec = FP32) -> np.ndarray:
-        b, h, w, c = x.shape
-        s = self.size
-        oh, ow = h // s, w // s
-        self._in_shape = x.shape
-        cropped = x[:, : oh * s, : ow * s, :]
-        return cropped.reshape(b, oh, s, ow, s, c).mean(axis=(2, 4))
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        b, oh, ow, c = grad.shape
-        s = self.size
-        spread = np.broadcast_to(
-            grad[:, :, None, :, None, :], (b, oh, s, ow, s, c)
-        ).reshape(b, oh * s, ow * s, c) / (s * s)
-        gx = np.zeros(self._in_shape)
-        gx[:, : oh * s, : ow * s, :] = spread
-        return gx
-
-
-class Dropout(Layer):
-    """Inverted dropout: active during training, identity at inference."""
-
-    def __init__(self, rate: float = 0.5, seed: int = 0) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self.training = True
-        self._rng = np.random.default_rng(seed)
-
-    def forward(self, x: np.ndarray, spec: QuantSpec = FP32) -> np.ndarray:
-        if not self.training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad
-        return grad * self._mask

@@ -24,7 +24,7 @@ from .layers import (
     Sequential,
 )
 
-__all__ = ["mnist4", "resnet_mini", "alexnet_mini", "MODEL_BUILDERS"]
+__all__ = ["mnist4", "resnet_mini", "alexnet_mini"]
 
 
 def mnist4(input_shape: tuple[int, int, int], num_classes: int) -> Sequential:
@@ -93,9 +93,3 @@ def alexnet_mini(input_shape: tuple[int, int, int], num_classes: int) -> Sequent
         Linear(48, num_classes, seed=25),
     )
 
-
-MODEL_BUILDERS = {
-    "mnist4": mnist4,
-    "resnet_mini": resnet_mini,
-    "alexnet_mini": alexnet_mini,
-}

@@ -1,87 +1,17 @@
-"""Activation magnitude/sparsity statistics: tubGEMM's latency knob.
+"""Activation sparsity as tubGEMM's latency knob.
 
 tubGEMM encodes each activation as a temporal stream exactly as long as
 its magnitude, so the scheme's *expected* MAC latency is set by the mean
 activation magnitude rather than the worst case — which post-ReLU
-activations keep low and magnitude pruning lowers further.  This module
-measures that knob from real tensors (:func:`activation_stats`), applies
-deterministic magnitude pruning (:func:`sparsify`), and maps a target
-sparsity to the ``act_frac`` the latency law consumes
-(:func:`act_frac_for_sparsity`), so sweeps can dial sparsity up and
-watch tubGEMM's runtime fall while every other scheme stays put.
+activations keep low and magnitude pruning lowers further.
+:func:`act_frac_for_sparsity` maps a target sparsity to the ``act_frac``
+the latency law consumes, so sweeps can dial sparsity up and watch
+tubGEMM's runtime fall while every other scheme stays put.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-import numpy as np
-
-__all__ = ["ActivationStats", "activation_stats", "sparsify", "act_frac_for_sparsity"]
-
-
-@dataclasses.dataclass(frozen=True)
-class ActivationStats:
-    """Summary of one activation tensor at a given bitwidth."""
-
-    bits: int
-    sparsity: float
-    """Fraction of exactly-zero elements."""
-    mean_frac: float
-    """Mean magnitude normalised to full scale ``2**(bits-1)``."""
-    max_frac: float
-    """Peak magnitude normalised to full scale (clipping diagnostic)."""
-
-    @property
-    def act_frac(self) -> float:
-        """The value the tubGEMM expected-latency law consumes."""
-        return self.mean_frac
-
-
-def activation_stats(x: np.ndarray, bits: int) -> ActivationStats:
-    """Measure the magnitude/sparsity profile of an activation tensor.
-
-    ``x`` holds integer activations in the ``bits``-bit sign-magnitude
-    range (the array's operand format); the returned ``mean_frac`` is
-    the mean absolute value over *all* elements (zeros included), i.e.
-    exactly the per-stream expected length divided by full scale.
-    """
-    if bits < 2:
-        raise ValueError(f"bits must be >= 2, got {bits}")
-    x = np.asarray(x)
-    if x.size == 0:
-        raise ValueError("activation tensor must be non-empty")
-    mags = np.abs(x.astype(np.float64))
-    scale = float(1 << (bits - 1))
-    if mags.max(initial=0.0) >= scale:
-        raise ValueError(f"activations exceed the {bits}-bit range")
-    return ActivationStats(
-        bits=bits,
-        sparsity=float(np.count_nonzero(mags == 0) / max(1, mags.size)),
-        mean_frac=float(mags.mean() / scale),
-        max_frac=float(mags.max(initial=0.0) / scale),
-    )
-
-
-def sparsify(x: np.ndarray, sparsity: float) -> np.ndarray:
-    """Zero the smallest-magnitude fraction of a tensor, deterministically.
-
-    Classic magnitude pruning: exactly ``floor(sparsity * size)`` elements
-    are zeroed, chosen as the smallest absolute values with ties broken
-    by flat index (a stable sort), so the result is identical on every
-    machine.  Returns a new array; the input is never modified.
-    """
-    if not 0.0 <= sparsity <= 1.0:
-        raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
-    x = np.asarray(x)
-    out = x.copy()
-    k = int(sparsity * x.size)
-    if k == 0:
-        return out
-    order = np.argsort(np.abs(x), axis=None, kind="stable")
-    flat = out.reshape(-1)
-    flat[order[:k]] = 0
-    return out
+__all__ = ["act_frac_for_sparsity"]
 
 
 def act_frac_for_sparsity(sparsity: float, dense_mean_frac: float = 0.5) -> float:
@@ -94,8 +24,7 @@ def act_frac_for_sparsity(sparsity: float, dense_mean_frac: float = 0.5) -> floa
         act_frac = (1 - sparsity) * dense_mean_frac
 
     ``dense_mean_frac`` is the unpruned tensor's mean magnitude fraction
-    (0.5 for uniformly distributed operands); measure it with
-    :func:`activation_stats` when a real tensor is available.
+    (0.5 for uniformly distributed operands).
     """
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")

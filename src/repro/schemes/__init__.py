@@ -27,7 +27,6 @@ from .geometry import (
 )
 from .paper import PAPER_SPECS
 from .registry import (
-    all_specs,
     bind_hook,
     get_scheme,
     register_scheme,
@@ -50,7 +49,6 @@ __all__ = [
     "register_scheme",
     "get_scheme",
     "registered_codes",
-    "all_specs",
     "bind_hook",
     "resolve_hook",
 ]

@@ -26,7 +26,6 @@ __all__ = [
     "register_scheme",
     "get_scheme",
     "registered_codes",
-    "all_specs",
     "bind_hook",
     "resolve_hook",
 ]
@@ -57,7 +56,7 @@ def get_scheme(key: Any) -> SchemeSpec:
         # modules, so the lookup is reproducible across processes.
         return _SPECS[code]  # repro-lint: ignore[conc]
     except KeyError:
-        known = ", ".join(sorted(_SPECS))
+        known = ", ".join(registered_codes())
         raise UnknownSchemeError(
             f"unknown compute scheme {code!r}; registered: {known}"
         ) from None
@@ -66,11 +65,6 @@ def get_scheme(key: Any) -> SchemeSpec:
 def registered_codes() -> tuple[str, ...]:
     """Codes of every registered scheme, sorted (order-independent)."""
     return tuple(sorted(_SPECS))
-
-
-def all_specs() -> tuple[SchemeSpec, ...]:
-    """Every registered spec, sorted by code."""
-    return tuple(_SPECS[code] for code in registered_codes())
 
 
 def bind_hook(code: str, slot: str, fn: Callable[..., Any]) -> None:

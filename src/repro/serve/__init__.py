@@ -21,12 +21,7 @@ byte-identical JSON ledgers for equal seeds.
 under one arrival stream and prints the serving comparison.
 """
 
-from .arrivals import (
-    merge_streams,
-    poisson_arrivals,
-    replay_arrivals,
-    uniform_arrivals,
-)
+from .arrivals import poisson_arrivals, uniform_arrivals
 from .batching import (
     BatchPolicy,
     ContinuousBatcher,
@@ -42,9 +37,7 @@ from .requests import Request, RequestRecord, RequestStatus
 from .residency import ResidencyTracker
 
 __all__ = [
-    "merge_streams",
     "poisson_arrivals",
-    "replay_arrivals",
     "uniform_arrivals",
     "BatchPolicy",
     "ContinuousBatcher",

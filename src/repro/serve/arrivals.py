@@ -1,34 +1,43 @@
 """Seeded workload generators: request streams over simulated time.
 
-Three arrival processes cover the serving-evaluation space:
+Two arrival processes cover the serving-evaluation space:
 
 - :func:`poisson_arrivals` — memoryless traffic (exponential gaps from a
   seeded ``np.random.Generator``), the open-loop load model queueing
   results are quoted against;
 - :func:`uniform_arrivals` — a deterministic, perfectly paced stream at
-  the same mean rate, isolating burstiness effects from rate effects;
-- :func:`replay_arrivals` — an explicit timestamp trace, for replaying
-  recorded traffic or adversarial hand-written bursts.
+  the same mean rate, isolating burstiness effects from rate effects.
 
 Every generator is a pure function of its arguments (the Poisson process
 of its seed), so a request stream is reproducible across runs, machines
-and worker processes.  :func:`merge_streams` interleaves streams of
-different workloads into one globally time-ordered stream with
-deterministic tie-breaking.
+and worker processes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..contracts import require_finite
 from .requests import Request
 
-__all__ = [
-    "poisson_arrivals",
-    "uniform_arrivals",
-    "replay_arrivals",
-    "merge_streams",
-]
+__all__ = ["poisson_arrivals", "uniform_arrivals"]
+
+
+def _check_stream(
+    owner: str, rate_per_s: float, horizon_s: float, slo_s: float | None
+) -> None:
+    """A finite positive rate and window, and a finite SLO if one is set.
+
+    An infinite rate draws zero gaps and an infinite window never ends,
+    so either would grow the stream without bound.
+    """
+    require_finite(owner, rate_per_s=rate_per_s, horizon_s=horizon_s)
+    if slo_s is not None:
+        require_finite(owner, slo_s=slo_s)
+    if not rate_per_s > 0:
+        raise ValueError(f"rate_per_s must be positive, got {rate_per_s}")
+    if not horizon_s > 0:
+        raise ValueError(f"horizon_s must be positive, got {horizon_s}")
 
 
 def _with_deadlines(
@@ -62,10 +71,7 @@ def poisson_arrivals(
     stream stops at the first arrival past the horizon, so the expected
     request count is ``rate_per_s * horizon_s``.
     """
-    if rate_per_s <= 0:
-        raise ValueError(f"rate_per_s must be positive, got {rate_per_s}")
-    if horizon_s <= 0:
-        raise ValueError(f"horizon_s must be positive, got {horizon_s}")
+    _check_stream("poisson_arrivals", rate_per_s, horizon_s, slo_s)
     rng = np.random.default_rng(seed)
     times: list[float] = []
     now_s = 0.0
@@ -85,42 +91,9 @@ def uniform_arrivals(
     start_id: int = 0,
 ) -> list[Request]:
     """A perfectly paced stream: one request every ``1 / rate_per_s``."""
-    if rate_per_s <= 0:
-        raise ValueError(f"rate_per_s must be positive, got {rate_per_s}")
-    if horizon_s <= 0:
-        raise ValueError(f"horizon_s must be positive, got {horizon_s}")
+    _check_stream("uniform_arrivals", rate_per_s, horizon_s, slo_s)
     gap_s = 1.0 / rate_per_s
     count = int(horizon_s * rate_per_s)
     times = [i * gap_s for i in range(count) if i * gap_s < horizon_s]
     return _with_deadlines(workload, times, slo_s, start_id)
 
-
-def replay_arrivals(
-    workload: str,
-    times_s: list[float],
-    slo_s: float | None = None,
-    start_id: int = 0,
-) -> list[Request]:
-    """Replay an explicit arrival-time trace (must be sorted ascending)."""
-    if any(b < a for a, b in zip(times_s, times_s[1:])):
-        raise ValueError("replay arrival times must be sorted ascending")
-    if any(t < 0 for t in times_s):
-        raise ValueError("replay arrival times must be non-negative")
-    return _with_deadlines(workload, list(times_s), slo_s, start_id)
-
-
-def merge_streams(*streams: list[Request]) -> list[Request]:
-    """Interleave several request streams into one time-ordered stream.
-
-    Requests keep their identities; ties on arrival time break by
-    ``req_id`` so the merge is deterministic.  Callers give each stream a
-    disjoint ``start_id`` range to keep ids unique.
-    """
-    merged = [request for stream in streams for request in stream]
-    merged.sort(key=lambda r: (r.arrival_s, r.req_id))
-    seen: set[int] = set()
-    for request in merged:
-        if request.req_id in seen:
-            raise ValueError(f"duplicate req_id {request.req_id} across streams")
-        seen.add(request.req_id)
-    return merged

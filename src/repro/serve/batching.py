@@ -88,7 +88,7 @@ class DynamicBatcher(BatchPolicy):
 
     def __init__(self, max_batch: int, max_wait_s: float) -> None:
         super().__init__(max_batch)
-        if max_wait_s < 0:
+        if not max_wait_s >= 0:
             raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
         self.max_wait_s = max_wait_s
 

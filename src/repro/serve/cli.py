@@ -21,6 +21,7 @@ import json
 import sys
 from pathlib import Path
 
+from ..contracts import non_negative_float, positive_float
 from ..eval.report import format_table
 from ..schemes import ComputeScheme
 from ..system.battery import Battery
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--act-frac",
-        type=float,
+        type=non_negative_float,
         default=None,
         help=(
             "mean activation magnitude fraction for value-dependent "
@@ -84,11 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--rate", type=float, required=True, help="mean arrival rate, req/s"
+        "--rate",
+        type=positive_float,
+        required=True,
+        help="mean arrival rate, req/s",
     )
     parser.add_argument(
         "--horizon-s",
-        type=float,
+        type=positive_float,
         default=1.0,
         help="length of the arrival window in simulated seconds",
     )
@@ -98,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--slo-ms",
-        type=float,
+        type=positive_float,
         default=None,
         help="per-request latency SLO; sets queue deadlines when given",
     )
@@ -111,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-batch", type=int, default=8)
     parser.add_argument(
         "--max-wait-ms",
-        type=float,
+        type=non_negative_float,
         default=5.0,
         help="dynamic policy: longest time the head request waits to batch",
     )
@@ -121,13 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--queue-capacity", type=int, default=256)
     parser.add_argument(
         "--power-cap-w",
-        type=float,
+        type=positive_float,
         default=None,
         help="throttle any batch whose average power would exceed this",
     )
     parser.add_argument(
         "--battery-j",
-        type=float,
+        type=positive_float,
         default=None,
         help="serve on a finite energy budget; the server halts when empty",
     )
@@ -235,8 +239,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         schemes = _parse_schemes(args.schemes)
         slo_s = None if args.slo_ms is None else args.slo_ms * 1e-3
-        if slo_s is not None and slo_s <= 0:
-            raise ValueError(f"--slo-ms must be positive, got {args.slo_ms}")
         if args.arrivals == "poisson":
             arrivals = poisson_arrivals(
                 args.workload,

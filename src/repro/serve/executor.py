@@ -58,7 +58,7 @@ class ServeExecutor:
     ) -> None:
         if not models:
             raise ValueError("need at least one workload cost model")
-        if power_cap_w is not None and power_cap_w <= 0:
+        if power_cap_w is not None and not power_cap_w > 0:
             raise ValueError(f"power_cap_w must be positive, got {power_cap_w}")
         self.models = dict(models)
         self.queue = queue

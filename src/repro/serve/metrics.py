@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 
+from ..contracts import require_finite
 from .requests import Request, RequestRecord, RequestStatus
 
 __all__ = ["ServeMetrics", "percentile"]
@@ -51,8 +52,10 @@ class ServeMetrics:
     """Streaming collector for one serving run's event history."""
 
     def __init__(self, slo_s: float | None = None) -> None:
-        if slo_s is not None and slo_s <= 0:
-            raise ValueError(f"slo_s must be positive, got {slo_s}")
+        if slo_s is not None:
+            require_finite("ServeMetrics", slo_s=slo_s)
+            if not slo_s > 0:
+                raise ValueError(f"slo_s must be positive, got {slo_s}")
         self.slo_s = slo_s
         self.records: list[RequestRecord] = []
         self.admitted = 0

@@ -2,9 +2,8 @@
 
 Where :mod:`repro.sim.traffic` aggregates bytes per level, this module
 materialises the actual *event stream*: timestamped reads/writes with
-addresses, per variable, following the weight-stationary schedule.  Traces
-feed the bandwidth histogram (how bursty is the demand, not just its
-average) and give downstream users a SCALE-Sim-style artefact to consume.
+addresses, per variable, following the weight-stationary schedule, a
+SCALE-Sim-style artefact for downstream users to consume.
 
 Addressing uses one flat region per variable: weights laid out fold-major,
 the IFM as its im2col stream order, the OFM output-major — consistent with
@@ -14,13 +13,12 @@ how the schedule touches them.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator
 
 from ..core.config import ArrayConfig
 from ..gemm.params import GemmParams
 from ..gemm.tiling import tile_gemm
 
-__all__ = ["TraceEvent", "generate_trace", "bandwidth_histogram", "trace_totals"]
+__all__ = ["TraceEvent", "generate_trace", "trace_totals"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,25 +93,3 @@ def trace_totals(events: list[TraceEvent]) -> dict[tuple[str, str], int]:
         totals[key] = totals.get(key, 0) + e.nbytes
     return totals
 
-
-def bandwidth_histogram(
-    events: list[TraceEvent],
-    window_cycles: int,
-    frequency_hz: float = 400e6,
-) -> list[float]:
-    """Windowed bandwidth (GB/s) over the trace: demand burstiness.
-
-    Peak-to-mean of this histogram is what double buffering has to hide;
-    for binary designs it is spiky (preload bursts), for uSystolic the
-    crawl flattens it.
-    """
-    if window_cycles < 1:
-        raise ValueError("window must be at least one cycle")
-    if not events:
-        return []
-    horizon = max(e.cycle for e in events) + 1
-    bins = [0.0] * ((horizon + window_cycles - 1) // window_cycles)
-    for e in events:
-        bins[e.cycle // window_cycles] += e.nbytes
-    window_s = window_cycles / frequency_hz
-    return [b / window_s / 1e9 for b in bins]

@@ -27,7 +27,7 @@ class Battery:
     _drawn_j: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.capacity_j <= 0:
+        if not self.capacity_j > 0:
             raise ValueError("battery capacity must be positive")
         if self.idle_power_w < 0:
             raise ValueError("idle power cannot be negative")

@@ -2,21 +2,18 @@
 
 This subpackage is the reproduction's equivalent of UnarySim [69]: a
 bit-true model of rate/temporal unary coding, Sobol/LFSR number sequences,
-stochastic cross correlation, the C-BSG unary multiplier, and the hybrid
-unary-binary MAC that forms the uSystolic PE kernel.
+the C-BSG unary multiplier (which holds stochastic cross correlation at
+zero), and the hybrid unary-binary MAC that forms the uSystolic PE kernel.
 """
 
-from .add import counter_add, mux_add, or_add
+from .add import mux_add
 from .bitstream import (
     Bitstream,
-    BitstreamGenerator,
     Coding,
     Polarity,
     quantize_bipolar,
     quantize_unipolar,
 )
-from .correlation import scc, scc_bits
-from .divide import cordiv, insqrt
 from .faults import (
     binary_fault_error,
     flip_binary_bit,
@@ -27,8 +24,6 @@ from .mac import (
     HubMac,
     MacResult,
     check_sign_magnitude,
-    from_sign_magnitude,
-    hub_dot,
     mac_cycles,
     sign_magnitude,
 )
@@ -45,19 +40,12 @@ from .rng import (
 )
 
 __all__ = [
-    "counter_add",
     "mux_add",
-    "or_add",
     "Bitstream",
-    "BitstreamGenerator",
     "Coding",
     "Polarity",
     "quantize_bipolar",
     "quantize_unipolar",
-    "scc",
-    "scc_bits",
-    "cordiv",
-    "insqrt",
     "binary_fault_error",
     "flip_binary_bit",
     "flip_stream_bits",
@@ -65,8 +53,6 @@ __all__ = [
     "HubMac",
     "MacResult",
     "check_sign_magnitude",
-    "from_sign_magnitude",
-    "hub_dot",
     "mac_cycles",
     "sign_magnitude",
     "ErrorStats",

@@ -1,18 +1,10 @@
-"""Unary-domain adders — the accumulation FSU architectures rely on.
+"""Unary-domain addition — the accumulation FSU architectures rely on.
 
 uSystolic's defining choice is to accumulate in *binary* (Section III-A);
-these are the unary alternatives it rejects, implemented bit-true so the
-comparison is measurable:
-
-- :func:`mux_add` — scaled addition: a K:1 mux samples one input stream
-  per cycle, so the output stream encodes ``mean(inputs)``.  Unbiased but
-  adds sampling variance, and the ``1/K`` scale costs dynamic range.
-- :func:`or_add` — OR-gate addition for sparse unipolar streams: cheap,
-  but saturates (``P_out = 1 - prod(1 - P_i)``) as soon as streams are
-  dense.
-- :func:`counter_add` — a parallel counter (popcount per cycle) feeding a
-  binary register: exact, and in fact the *boundary* between unary and
-  binary accumulation — uSystolic's OREG is the 1-input special case.
+:func:`mux_add` is the unary alternative it rejects, implemented bit-true
+so the comparison is measurable: a K:1 mux samples one input stream per
+cycle, so the output stream encodes ``mean(inputs)``.  Unbiased, but it
+adds sampling variance, and the ``1/K`` scale costs dynamic range.
 
 The FSU model (:mod:`repro.fsu`) composes :func:`mux_add` after bipolar
 uMULs to reproduce the accuracy loss of unary-domain GEMM accumulation
@@ -26,7 +18,7 @@ import numpy as np
 from .bitstream import Bitstream, Polarity
 from .rng import LfsrSequence, NumberSequence
 
-__all__ = ["mux_add", "or_add", "counter_add"]
+__all__ = ["mux_add"]
 
 
 def _stack(streams: list[Bitstream]) -> np.ndarray:
@@ -59,23 +51,3 @@ def mux_add(
     out = bits[sel, np.arange(length)]
     return Bitstream(out.astype(np.uint8), polarity=polarity)
 
-
-def or_add(streams: list[Bitstream]) -> Bitstream:
-    """OR-gate addition of unipolar streams (saturating)."""
-    bits = _stack(streams)
-    for s in streams:
-        if s.polarity is not Polarity.UNIPOLAR:
-            raise ValueError("OR addition is only defined for unipolar streams")
-    out = (bits.max(axis=0) > 0).astype(np.uint8)
-    return Bitstream(out, polarity=Polarity.UNIPOLAR)
-
-
-def counter_add(streams: list[Bitstream]) -> int:
-    """Parallel-counter addition: exact popcount over all streams.
-
-    Returns the integer sum of 1 bits — the value a binary accumulator
-    holds after the streams end.  This is the HUB boundary: the result is
-    no longer a bitstream.
-    """
-    bits = _stack(streams)
-    return int(bits.sum())

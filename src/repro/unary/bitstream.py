@@ -1,4 +1,4 @@
-"""Unary bitstream representation and generation (Figure 3 of the paper).
+"""Unary bitstream representation (Figure 3 of the paper).
 
 A unary bitstream encodes a value in the *probability* of 1 bits.  Two
 codings exist:
@@ -15,6 +15,8 @@ Two polarities map probabilities to values:
 
 uSystolic operates on *unipolar* streams of the magnitude in sign-magnitude
 format; the uGEMM-H baseline uses *bipolar* streams of the signed value.
+:func:`~repro.unary.multiply.stream_for_input` generates a stream by
+comparing a source value against an RNG (rate) or counter (temporal).
 """
 
 from __future__ import annotations
@@ -24,13 +26,10 @@ import enum
 
 import numpy as np
 
-from .rng import CounterSequence, NumberSequence, SobolSequence
-
 __all__ = [
     "Coding",
     "Polarity",
     "Bitstream",
-    "BitstreamGenerator",
     "quantize_unipolar",
     "quantize_bipolar",
 ]
@@ -106,63 +105,3 @@ class Bitstream:
             return p
         return 2.0 * p - 1.0
 
-
-class BitstreamGenerator:
-    """BSG block: compares a stationary source value against a sequence.
-
-    ``bits`` sets the stream resolution: the natural stream length is
-    ``2**bits`` and source values are integers in ``[0, 2**bits]``.
-    """
-
-    def __init__(
-        self,
-        bits: int,
-        coding: Coding = Coding.RATE,
-        sequence: NumberSequence | None = None,
-    ) -> None:
-        if bits < 1:
-            raise ValueError(f"bits must be >= 1, got {bits}")
-        self.bits = bits
-        self.coding = coding
-        if sequence is None:
-            if coding is Coding.RATE:
-                sequence = SobolSequence(bits)
-            else:
-                sequence = CounterSequence(bits)
-        self.sequence = sequence
-
-    @property
-    def length(self) -> int:
-        """Natural (full-resolution) stream length."""
-        return 1 << self.bits
-
-    def generate(
-        self,
-        source: int,
-        length: int | None = None,
-        polarity: Polarity = Polarity.UNIPOLAR,
-        offset: int = 0,
-    ) -> Bitstream:
-        """Generate a stream whose probability of 1s is ``source / 2**bits``."""
-        if length is None:
-            length = self.length
-        if not 0 <= source <= self.length:
-            raise ValueError(
-                f"source must be within [0, {self.length}], got {source}"
-            )
-        seq = self.sequence.values(length, offset=offset)
-        bits = (seq < source).astype(np.uint8)
-        return Bitstream(bits, polarity=polarity)
-
-    def generate_float(
-        self,
-        value: float,
-        length: int | None = None,
-        polarity: Polarity = Polarity.UNIPOLAR,
-    ) -> Bitstream:
-        """Quantise a float to this resolution and generate its stream."""
-        if polarity is Polarity.UNIPOLAR:
-            source = quantize_unipolar(value, self.bits)
-        else:
-            source = quantize_bipolar(value, self.bits)
-        return self.generate(source, length=length, polarity=polarity)

@@ -26,12 +26,10 @@ from .rng import CounterSequence, SobolSequence
 
 __all__ = [
     "sign_magnitude",
-    "from_sign_magnitude",
     "HubMac",
     "MacResult",
     "check_sign_magnitude",
     "mac_cycles",
-    "hub_dot",
 ]
 
 
@@ -80,11 +78,6 @@ def check_sign_magnitude(bits: int, *operands: np.ndarray | int) -> None:
             raise ValueError(
                 f"operands must lie in the {bits}-bit sign-magnitude range"
             )
-
-
-def from_sign_magnitude(sign: int, magnitude: int) -> int:
-    """Inverse of :func:`sign_magnitude`."""
-    return -magnitude if sign else magnitude
 
 
 def mac_cycles(ebt: int) -> int:
@@ -197,30 +190,3 @@ class HubMac:
         """One full MAC: multiply then binary-accumulate the partial sum."""
         return partial_sum + self.multiply(weight, ifm).product
 
-
-def hub_dot(
-    weights: np.ndarray,
-    ifms: np.ndarray,
-    bits: int,
-    ebt: int | None = None,
-    coding: Coding = Coding.RATE,
-) -> int:
-    """Bit-true HUB dot product: the reduction a uSystolic column performs.
-
-    Every product is computed by the unary kernel; the reduction itself is
-    exact binary addition (the accuracy guarantee of HUB computing versus
-    unary-domain accumulation in FSU designs).  The result approximates
-    ``round(dot(weights, ifms) / 2**(bits-1))`` — the N-bit OFM resolution
-    the paper's binary-unary-binary flow maintains end to end.
-    """
-    weights = np.asarray(weights)
-    ifms = np.asarray(ifms)
-    if weights.shape != ifms.shape or weights.ndim != 1:
-        raise ValueError("weights and ifms must be equal-length vectors")
-    mac = HubMac(bits, ebt=ebt, coding=coding)
-    total = 0
-    # Scalar oracle: the element-at-a-time HubMac chain is the reference
-    # repro.verify diffs the vectorised kernels against — keep it naive.
-    for w, x in zip(weights.tolist(), ifms.tolist()):
-        total = mac.mac(int(w), int(x), total)
-    return total

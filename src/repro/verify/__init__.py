@@ -5,8 +5,8 @@ scalar HUB MAC, the functional array and the analytic performance model
 all describe *one* machine — is made executable here, the way tubGEMM
 and tuGEMM validate their unary GEMM units against exact binary oracles:
 
-- :mod:`repro.verify.oracles` — pure-numpy golden models (exact GEMM /
-  im2col / convolution outputs, the closed-form ``2**(n-1) + 1`` crawl
+- :mod:`repro.verify.oracles` — pure-numpy golden models (exact im2col /
+  convolution outputs, the closed-form ``2**(n-1) + 1`` crawl
   latency, analytical DRAM/SRAM traffic totals from Table II parameters)
   that share *no code* with the implementations they judge;
 - :mod:`repro.verify.diff` — the differential engine: one
@@ -34,10 +34,8 @@ from .fuzz import FuzzResult, generate_case, run_fuzz, shrink_case
 from .oracles import (
     compute_cycles_oracle,
     conv_oracle,
-    gemm_oracle,
     im2col_oracle,
     mac_latency_oracle,
-    naive_fleet_oracle,
     per_tile_schedule_oracle,
     traffic_oracle,
 )
@@ -49,11 +47,9 @@ __all__ = [
     "VerifyCase",
     "compute_cycles_oracle",
     "conv_oracle",
-    "gemm_oracle",
     "generate_case",
     "im2col_oracle",
     "mac_latency_oracle",
-    "naive_fleet_oracle",
     "per_tile_schedule_oracle",
     "run_case",
     "run_fuzz",

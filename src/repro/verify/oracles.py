@@ -7,10 +7,7 @@ closed-form Table II algebra, or — :func:`per_tile_schedule_oracle` —
 from iterating the fold schedule the simulator sums in closed form.  An
 implementation bug therefore cannot hide by being shared between the
 system under test and its reference — the tubGEMM/tuGEMM
-exact-binary-oracle discipline applied to this reproduction.  The fleet
-event loop is judged the same way: :func:`naive_fleet_oracle` advances
-every live instance at every event, the schedule the event-driven loop
-prunes.
+exact-binary-oracle discipline applied to this reproduction.
 """
 
 from __future__ import annotations
@@ -19,44 +16,25 @@ import math
 
 import numpy as np
 
-from ..fleet.cluster import FleetConfig, FleetSimulator
-from ..fleet.ledger import FleetLedger
 from ..gemm.params import GemmParams
 from ..gemm.tiling import Tiling
 from ..memory.hierarchy import MemoryConfig
 from ..schemes import WEIGHT_STATIONARY_SKEWED, ComputeScheme, DataflowGeometry
-from ..serve.requests import Request
 from ..sim.dataflow import LayerSchedule, schedule_tile
 
 __all__ = [
-    "gemm_oracle",
     "im2col_oracle",
     "conv_oracle",
     "mac_latency_oracle",
     "compute_cycles_oracle",
     "per_tile_schedule_oracle",
     "traffic_oracle",
-    "naive_fleet_oracle",
 ]
 
 
 # ----------------------------------------------------------------------
 # functional oracles (exact binary arithmetic)
 # ----------------------------------------------------------------------
-def gemm_oracle(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Exact integer matrix product, computed in object-free int64.
-
-    The binary reference every unary approximation is measured against;
-    inputs must be integer matrices small enough that products fit in 64
-    bits (always true for the sign-magnitude operand ranges).
-    """
-    lhs = np.asarray(lhs, dtype=np.int64)
-    rhs = np.asarray(rhs, dtype=np.int64)
-    if lhs.ndim != 2 or rhs.ndim != 2 or lhs.shape[1] != rhs.shape[0]:
-        raise ValueError(f"incompatible GEMM shapes {lhs.shape} @ {rhs.shape}")
-    return (lhs @ rhs).astype(np.float64)
-
-
 def im2col_oracle(params: GemmParams, ifm: np.ndarray) -> np.ndarray:
     """The (OH*OW, WH*WW*IC) lowering, rebuilt by pure index arithmetic.
 
@@ -272,80 +250,3 @@ def traffic_oracle(
         totals["ofm.dram_read"] = psum_read
         totals["ofm.dram_write"] = ofm_write
     return totals
-
-
-# ----------------------------------------------------------------------
-# fleet oracle (every live instance advanced at every event)
-# ----------------------------------------------------------------------
-def naive_fleet_oracle(
-    config: FleetConfig, arrivals: list[Request], shard: int = 0
-) -> FleetLedger:
-    """One fleet cell served by the naive loop; compare ``ledger_text()``.
-
-    :meth:`~repro.fleet.cluster.FleetSimulator.run` advances only the
-    instances with something due.  This is the loop it replaced, which
-    asks every live instance for its next event and advances every live
-    instance at every global event.  It drives the same
-    :class:`~repro.fleet.cluster.FleetSimulator` — spawn, scaling and
-    ledger-closing helpers included — so only the scheduling differs and
-    the two ledgers must match byte for byte.
-    """
-    sim = FleetSimulator(config, shard=shard)
-    pending = sorted(arrivals, key=lambda r: (r.arrival_s, r.req_id))
-    now_s = 0.0
-    i = 0
-    autoscale = config.autoscale
-    next_tick_s = autoscale.interval_s if autoscale is not None else math.inf
-
-    while True:
-        live = sim._live()
-        draining = i >= len(pending)
-        next_arrival_s = (
-            pending[i].arrival_s if i < len(pending) else math.inf
-        )
-        next_instance_s = min(
-            (inst.next_event_s(now_s) for inst in live),
-            default=math.inf,
-        )
-        candidates = [next_arrival_s, next_instance_s]
-        if not draining or any(inst.backlog for inst in live):
-            candidates.append(next_tick_s)
-        event_s = min(candidates)
-
-        if event_s == math.inf:
-            backlog = sum(inst.backlog for inst in live)
-            if backlog:
-                for inst in live:
-                    inst.advance(now_s, draining=True)
-                if sum(i2.backlog for i2 in sim._live()) < backlog or any(
-                    inst.executor.in_service_count
-                    for inst in sim._live()
-                ):
-                    continue
-            break
-
-        now_s = max(now_s, event_s)
-        # 1. internal events: completions, window expiries, dispatch.
-        for inst in live:
-            inst.advance(now_s, draining=draining)
-        # 2. arrivals: route each request at its own timestamp.
-        while i < len(pending) and pending[i].arrival_s <= now_s:
-            request = pending[i]
-            i += 1
-            targets = sim._routable()
-            if not targets:
-                raise RuntimeError(
-                    f"no routable instance for request {request.req_id}; "
-                    "pools must keep min_instances >= 1 active"
-                )
-            sim.router.route(request, targets, now_s).offer(request, now_s)
-        draining = i >= len(pending)
-        for inst in sim._live():
-            inst.advance(now_s, draining=draining)
-        # 3. control tick.
-        if autoscale is not None and now_s >= next_tick_s:
-            sim._apply_scaling(now_s)
-            while next_tick_s <= now_s:
-                next_tick_s += autoscale.interval_s
-
-    return sim._close(now_s)

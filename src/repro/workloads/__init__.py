@@ -1,7 +1,6 @@
 """Workload definitions: AlexNet, the MLPerf suite, platform presets."""
 
-from .alexnet import ALEXNET_PARAM_COUNT, alexnet_layers
-from .cnns import mnist_cnn_layers, resnet18_layers
+from .alexnet import alexnet_layers
 from .mlperf import (
     alphagozero_layers,
     googlenet_layers,
@@ -13,15 +12,11 @@ from .mlperf import (
     transformer_layers,
 )
 from .presets import CLOUD, EDGE, Platform, scheme_sweep
-from .topology_io import load_topology, save_topology
+from .topology_io import load_topology
 
 __all__ = [
-    "ALEXNET_PARAM_COUNT",
     "alexnet_layers",
-    "mnist_cnn_layers",
-    "resnet18_layers",
     "load_topology",
-    "save_topology",
     "alphagozero_layers",
     "googlenet_layers",
     "mlperf_suite",

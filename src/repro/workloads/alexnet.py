@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from ..gemm.params import GemmParams
 
-__all__ = ["alexnet_layers", "ALEXNET_PARAM_COUNT"]
-
-#: Parameter count the paper quotes for AlexNet.
-ALEXNET_PARAM_COUNT = 61_100_840
-
+__all__ = ["alexnet_layers"]
 
 def alexnet_layers() -> list[GemmParams]:
     """The eight GEMM layers of AlexNet (Conv1-5, FC6-8)."""

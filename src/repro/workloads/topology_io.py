@@ -6,9 +6,8 @@ uSystolic-Sim was adapted from ARM's SCALE-Sim, whose workloads are CSV
     Layer name, IFMAP Height, IFMAP Width, Filter Height, Filter Width,
     Channels, Num Filter, Strides,
 
-This module reads and writes that format, so existing SCALE-Sim topology
-collections drive this simulator unchanged — and our workloads export back
-out for cross-checking against the original tools.
+This module reads that format, so existing SCALE-Sim topology collections
+drive this simulator unchanged.
 """
 
 from __future__ import annotations
@@ -18,19 +17,7 @@ from pathlib import Path
 
 from ..gemm.params import GemmParams
 
-__all__ = ["load_topology", "save_topology"]
-
-_HEADER = [
-    "Layer name",
-    "IFMAP Height",
-    "IFMAP Width",
-    "Filter Height",
-    "Filter Width",
-    "Channels",
-    "Num Filter",
-    "Strides",
-]
-
+__all__ = ["load_topology"]
 
 def load_topology(path: str | Path) -> list[GemmParams]:
     """Parse a SCALE-Sim topology CSV into GEMM parameters.
@@ -67,25 +54,3 @@ def load_topology(path: str | Path) -> list[GemmParams]:
         raise ValueError(f"{path}: no layers found")
     return layers
 
-
-def save_topology(layers: list[GemmParams], path: str | Path) -> None:
-    """Write GEMM parameters as a SCALE-Sim topology CSV."""
-    if not layers:
-        raise ValueError("no layers to save")
-    path = Path(path)
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(_HEADER)
-        for layer in layers:
-            writer.writerow(
-                [
-                    layer.name,
-                    layer.ih,
-                    layer.iw,
-                    layer.wh,
-                    layer.ww,
-                    layer.ic,
-                    layer.oc,
-                    layer.stride,
-                ]
-            )

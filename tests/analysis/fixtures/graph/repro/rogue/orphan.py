@@ -1,4 +1,4 @@
-"""DEAD002 bait: no entrypoint, test or module imports this."""
+"""DEAD002 bait: no entrypoint, example, benchmark or module imports this."""
 
 __all__ = ["lonely"]
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import run_analysis
+from repro.analysis import analyze
 from repro.analysis.determinism import DeterminismChecker
 from repro.analysis.visitor import SourceFile
 
@@ -16,9 +16,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _findings(name: str, select=None):
-    findings, files_scanned = run_analysis([FIXTURES / name], select=select)
-    assert files_scanned == 1
-    return [(f.code, f.line) for f in findings]
+    result = analyze([FIXTURES / name], select=select)
+    assert result.files_scanned == 1
+    return [(f.code, f.line) for f in result.findings]
 
 
 class TestUnitFixture:
@@ -31,7 +31,7 @@ class TestUnitFixture:
         ]
 
     def test_paths_point_at_fixture(self):
-        findings, _ = run_analysis([FIXTURES / "unit_violations.py"])
+        findings = analyze([FIXTURES / "unit_violations.py"]).findings
         assert all(f.path.endswith("unit_violations.py") for f in findings)
 
     def test_suppressed_line_is_clean(self):
@@ -134,7 +134,7 @@ class TestVerificationFixture:
     def test_real_vectorized_module_is_clean(self):
         import repro.unary.vectorized as vectorized
 
-        findings, _ = run_analysis([vectorized.__file__], select=["ver"])
+        findings = analyze([vectorized.__file__], select=["ver"]).findings
         assert findings == []
 
 
@@ -177,14 +177,13 @@ class TestSelect:
         ]
 
     def test_select_by_group_excludes_others(self):
-        findings, _ = run_analysis(
-            [FIXTURES / "det_violations.py"], select=["unit"]
-        )
+        findings = analyze([FIXTURES / "det_violations.py"], select=["unit"]).findings
         assert findings == []
 
     def test_whole_fixture_dir(self):
-        findings, files_scanned = run_analysis([FIXTURES])
-        assert files_scanned == 24  # flat fixtures + graph/cycle/sup trees
+        result = analyze([FIXTURES])
+        findings = result.findings
+        assert result.files_scanned == 24  # flat fixtures + graph/cycle/sup trees
         groups = {f.group for f in findings}
         assert groups == {
             "unit", "det", "cfg", "exp", "ver", "scheme",

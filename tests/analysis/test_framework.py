@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Finding, render_json, render_text, run_analysis
+from repro.analysis import Finding, analyze, render_json, render_text
 from repro.analysis.findings import group_of
 from repro.analysis.runner import main
 from repro.analysis.units import UnitChecker, parse_unit
@@ -264,6 +264,6 @@ def test_run_analysis_handles_multiple_paths(tmp_path):
     b = tmp_path / "b.py"
     a.write_text("x = a_pj + b_cycles\n")
     b.write_text("y = c_um2 + d_mm2\n")
-    findings, files_scanned = run_analysis([a, b])
-    assert files_scanned == 2
-    assert [f.code for f in findings] == ["UNIT001", "UNIT002"]
+    result = analyze([a, b])
+    assert result.files_scanned == 2
+    assert [f.code for f in result.findings] == ["UNIT001", "UNIT002"]

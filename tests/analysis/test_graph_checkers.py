@@ -14,7 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze, build_index, module_name_for
+from repro.analysis import (
+    analyze,
+    build_index,
+    context_paths,
+    default_paths,
+    module_name_for,
+)
 from repro.analysis.arch import layer_violations
 from repro.analysis.layers import (
     LAYERS,
@@ -238,7 +244,7 @@ class TestDead:
         for live in ("simulate", "mac_latency", "drive", "wrapped", "Tile"):
             assert not any(f"'{live}'" in message for message in dead)
 
-    def test_tests_count_as_reachability_roots(self, tmp_path):
+    def test_context_paths_count_as_reachability_roots(self, tmp_path):
         root = tmp_path / "proj"
         (root / "repro" / "sim").mkdir(parents=True)
         (root / "repro" / "__init__.py").write_text('"""Root."""\n')
@@ -257,6 +263,37 @@ class TestDead:
         assert with_ctx.findings == []
         without = analyze([root / "repro"], select=["dead"])
         assert {f.code for f in without.findings} == {"DEAD001", "DEAD002"}
+
+    def test_the_benchmark_is_a_root_and_the_tests_are_not(self, tmp_path):
+        # The default context is what a user runs: an export only a test
+        # imports is dead, one the benchmark imports is live.
+        root = tmp_path / "proj"
+        pkg = root / "src" / "repro" / "sim"
+        pkg.mkdir(parents=True)
+        (root / "src" / "repro" / "__init__.py").write_text('"""Root."""\n')
+        (pkg / "__init__.py").write_text('"""Sim."""\n')
+        (pkg / "lib.py").write_text(
+            '"""Lib."""\n\n__all__ = ["bench_only", "test_only"]\n\n\n'
+            'def bench_only():\n    """Timed by the benchmark."""\n    return 1\n\n\n'
+            'def test_only():\n    """Called by a test alone."""\n    return 2\n'
+        )
+        (root / "tests").mkdir()
+        (root / "tests" / "test_lib.py").write_text(
+            '"""Test."""\n\nfrom repro.sim.lib import test_only\n\n\n'
+            "def test_it():\n    assert test_only() == 2\n"
+        )
+        (root / "perfbench").mkdir()
+        (root / "perfbench" / "run.py").write_text(
+            '"""Bench."""\n\nfrom repro.sim.lib import bench_only\n\nbench_only()\n'
+        )
+        result = analyze(
+            default_paths(root), select=["dead"], context=context_paths(root)
+        )
+        assert [(f.code, Path(f.path).name) for f in result.findings] == [
+            ("DEAD001", "lib.py")
+        ]
+        assert "'test_only'" in result.findings[0].message
+        assert "benchmark" in result.findings[0].message
 
 
 class TestStaleSuppressions:

@@ -1,9 +1,8 @@
-"""Tests for the early-termination measurement and policy layer."""
+"""Tests for the early-termination measurement layer."""
 
 import pytest
 
 from repro.core.early_termination import (
-    TerminationPolicy,
     energy_accuracy_tradeoff,
     termination_error_curve,
 )
@@ -28,22 +27,6 @@ class TestErrorCurve:
         assert termination_error_curve(8, seed=0) == termination_error_curve(
             8, seed=0
         )
-
-
-class TestPolicy:
-    def test_tight_budget_selects_full_bits(self):
-        policy = TerminationPolicy.for_error_budget(8, 1e-9, samples=40, seed=1)
-        assert policy.ebt == 8
-        assert policy.energy_fraction == pytest.approx(1.0)
-
-    def test_loose_budget_selects_small_ebt(self):
-        policy = TerminationPolicy.for_error_budget(8, 0.5, samples=40, seed=1)
-        assert policy.ebt <= 4
-        assert policy.energy_fraction < 0.2
-
-    def test_mac_cycles_match_ebt(self):
-        policy = TerminationPolicy.for_error_budget(8, 0.02, samples=40, seed=1)
-        assert policy.mac_cycles == (1 << (policy.ebt - 1)) + 1
 
 
 class TestTradeoff:

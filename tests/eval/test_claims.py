@@ -6,7 +6,7 @@ from repro.eval.accuracy import AccuracyResult
 from repro.eval.claims import ClaimResult, format_scorecard, run_claims
 
 #: Rows of the scorecard without the Figure 9 panels (``--fast``).
-FAST_ROWS = 30
+FAST_ROWS = 36
 
 
 def _panel(fp32: float, usystolic: dict[int, float]) -> AccuracyResult:
@@ -25,6 +25,24 @@ class TestScorecard:
         assert len(fast_rows) == FAST_ROWS
         failed = [r.claim for r in fast_rows if not r.passed]
         assert not failed, failed
+
+    def test_rows_quoted_beyond_the_figures(self, fast_rows):
+        # The values EXPERIMENTS.md quotes for the studies no figure
+        # table prints: FSU accuracy and area, early termination, the
+        # SRAM design space, tiled scaling and fault tolerance.
+        measured = {(r.section, r.claim[:12]): r.measured for r in fast_rows}
+        assert measured[("II-B4a", "FSU's unary-")] == "33x the HUB error"
+        assert measured[("II-B4a", "one FSU inst")] == (
+            "194x the 256x256 array's area"
+        )
+        assert measured[("III-C", "early termin")] == (
+            "RMSE 0.191 -> 0.0042 over EBT 2-8"
+        )
+        assert measured[("V-G", "a small SRAM")] == (
+            "17.6 mJ at 8 KB vs 22.5 mJ without"
+        )
+        assert measured[("V-H", "low bandwidt")] == "9.43x vs 1.00x at 16 instances"
+        assert measured[("[16]", "one bit flip")] == "1/128 vs 0.5"
 
     def test_every_claim_has_section_and_values(self, fast_rows):
         for r in fast_rows:

@@ -1,8 +1,8 @@
-"""Tests for the design-space sweeps."""
+"""Tests for the Section V-G SRAM design-space sweep."""
 
 import pytest
 
-from repro.eval.sweeps import array_shape_sweep, format_sram_sweep, sram_sizing_sweep
+from repro.eval.sweeps import sram_sizing_sweep
 from repro.schemes import ComputeScheme as CS
 from repro.workloads.alexnet import alexnet_layers
 from repro.workloads.presets import EDGE
@@ -45,33 +45,3 @@ class TestSramSweep:
                 p.on_chip_energy_j + p.dram_energy_j
             )
 
-    def test_format(self, ur_points):
-        out = format_sram_sweep(ur_points, "sweep")
-        assert "SRAM/var" in out
-        assert "0 KB" in out
-
-
-class TestShapeSweep:
-    def test_shapes_present(self):
-        points = array_shape_sweep(
-            LAYERS, CS.USYSTOLIC_RATE, EDGE.memory.without_sram(), ebt=6
-        )
-        shapes = [(p.rows, p.cols) for p in points]
-        assert shapes[2] == (12, 14)
-        assert len(set(shapes)) == len(shapes)
-
-    def test_geometry_moves_utilization(self):
-        points = array_shape_sweep(
-            LAYERS, CS.BINARY_PARALLEL, EDGE.memory,
-            shapes=((4, 42), (42, 4)),
-        )
-        assert points[0].utilization != points[1].utilization
-
-    def test_all_points_positive(self):
-        points = array_shape_sweep(
-            LAYERS, CS.BINARY_PARALLEL, EDGE.memory, shapes=((12, 14),)
-        )
-        p = points[0]
-        assert p.runtime_s > 0
-        assert 0 < p.utilization <= 1
-        assert p.on_chip_energy_j > 0

@@ -2,7 +2,7 @@
 
 :meth:`~repro.fleet.cluster.FleetSimulator.run` advances only the
 instances with something due;
-:func:`~repro.verify.oracles.naive_fleet_oracle` advances every live
+:func:`~tests.fleet.naive_loop.naive_fleet_oracle` advances every live
 instance at every event.  For every router, batching policy, queue
 discipline and autoscaler setting, on one and two shards, the two must
 write byte-identical ledgers.  The short flash crowd overloads the
@@ -29,7 +29,8 @@ from repro.fleet.routing import ROUTER_NAMES
 from repro.fleet.sharding import run_fleet, shard_requests, split_fleet
 from repro.fleet.traces import flash_crowd_arrivals
 from repro.serve.executor import ServeExecutor
-from repro.verify.oracles import naive_fleet_oracle
+
+from .naive_loop import naive_fleet_oracle
 
 _SLO_S = 0.02
 _SCALING = {

@@ -25,9 +25,6 @@ class TestPrimitives:
     def test_serial_multiplier_much_smaller(self):
         assert gates.serial_multiplier(8) < gates.array_multiplier(8) / 5
 
-    def test_sobol_costlier_than_lfsr(self):
-        assert gates.sobol_rng(8) > gates.lfsr_rng(8)
-
     def test_sobol_costlier_than_counter(self):
         assert gates.sobol_rng(8) > gates.counter(8)
 

@@ -1,66 +1,8 @@
-"""Activation magnitude/sparsity statistics feeding tubGEMM's latency law."""
+"""The activation-sparsity planning model feeding tubGEMM's latency law."""
 
-import numpy as np
 import pytest
 
-from repro.nn import (
-    ActivationStats,
-    act_frac_for_sparsity,
-    activation_stats,
-    sparsify,
-)
-from repro.schemes import ComputeScheme, scheme_mac_cycles
-
-
-def test_stats_on_a_known_tensor():
-    x = np.array([0, 0, 64, -64, 127, -127])
-    stats = activation_stats(x, bits=8)
-    assert isinstance(stats, ActivationStats)
-    assert stats.bits == 8
-    assert stats.sparsity == pytest.approx(2 / 6)
-    assert stats.mean_frac == pytest.approx((64 + 64 + 127 + 127) / 6 / 128)
-    assert stats.max_frac == pytest.approx(127 / 128)
-    assert stats.act_frac == stats.mean_frac
-
-
-def test_stats_reject_bad_inputs():
-    with pytest.raises(ValueError, match="bits"):
-        activation_stats(np.ones(3), bits=1)
-    with pytest.raises(ValueError, match="non-empty"):
-        activation_stats(np.array([]), bits=8)
-    with pytest.raises(ValueError, match="exceed"):
-        activation_stats(np.array([300]), bits=8)
-
-
-def test_sparsify_is_exact_and_deterministic():
-    rng = np.random.default_rng(7)
-    x = rng.integers(-100, 100, size=64)
-    pruned = sparsify(x, 0.5)
-    assert pruned is not x and pruned.shape == x.shape
-    assert np.count_nonzero(pruned == 0) >= 32
-    # The survivors are the largest magnitudes, untouched.
-    kept = np.abs(pruned) > 0
-    assert np.all(pruned[kept] == x[kept])
-    assert np.array_equal(pruned, sparsify(x, 0.5))
-    assert np.array_equal(sparsify(x, 0.0), x)
-    with pytest.raises(ValueError, match="sparsity"):
-        sparsify(x, 1.5)
-
-
-def test_measured_act_frac_falls_with_pruning_and_so_does_tb_latency():
-    rng = np.random.default_rng(11)
-    x = rng.integers(-127, 128, size=256)
-    fracs, cycles = [], []
-    for sparsity in (0.0, 0.4, 0.8):
-        stats = activation_stats(sparsify(x, sparsity), bits=8)
-        fracs.append(stats.act_frac)
-        cycles.append(
-            scheme_mac_cycles(
-                ComputeScheme.TUBGEMM_TEMPORAL, 8, act_frac=stats.act_frac
-            )
-        )
-    assert fracs[0] > fracs[1] > fracs[2]
-    assert cycles[0] > cycles[1] > cycles[2]
+from repro.nn import act_frac_for_sparsity
 
 
 def test_planning_model_matches_its_endpoints():

@@ -1,13 +1,8 @@
-"""Arrival generators: seeded determinism, rates, deadlines, merging."""
+"""Arrival generators: seeded determinism, rates, deadlines, validation."""
 
 import pytest
 
-from repro.serve.arrivals import (
-    merge_streams,
-    poisson_arrivals,
-    replay_arrivals,
-    uniform_arrivals,
-)
+from repro.serve.arrivals import poisson_arrivals, uniform_arrivals
 
 
 def test_poisson_is_a_pure_function_of_the_seed():
@@ -44,26 +39,6 @@ def test_uniform_spacing():
         for a, b in zip(stream, stream[1:])
     }
     assert gaps == {0.1}
-
-
-def test_replay_validates_ordering():
-    stream = replay_arrivals("net", [0.0, 0.5, 0.5, 2.0], slo_s=1.0)
-    assert [r.arrival_s for r in stream] == [0.0, 0.5, 0.5, 2.0]
-    with pytest.raises(ValueError):
-        replay_arrivals("net", [1.0, 0.5])
-    with pytest.raises(ValueError):
-        replay_arrivals("net", [-0.1, 0.5])
-
-
-def test_merge_streams_orders_and_rejects_duplicates():
-    a = uniform_arrivals("a", rate_per_s=10, horizon_s=0.5, start_id=0)
-    b = uniform_arrivals("b", rate_per_s=7, horizon_s=0.5, start_id=100)
-    merged = merge_streams(a, b)
-    assert len(merged) == len(a) + len(b)
-    keys = [(r.arrival_s, r.req_id) for r in merged]
-    assert keys == sorted(keys)
-    with pytest.raises(ValueError):
-        merge_streams(a, a)
 
 
 def test_generator_argument_validation():

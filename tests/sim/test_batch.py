@@ -16,11 +16,13 @@ from repro.gemm.params import GemmParams
 from repro.gemm.tiling import tile_gemm
 from repro.memory.hierarchy import MemoryConfig
 from repro.schemes import ComputeScheme as CS
-from repro.sim.batch import batched_matmul_params, batched_schedule
+from repro.sim.batch import batched_schedule
 from repro.sim.dataflow import schedule_layer
 from repro.sim.engine import simulate_layer, simulate_layer_batched
 from repro.sim.traffic import profile_traffic_batched
 from repro.workloads.alexnet import alexnet_layers
+
+from .batched_params import batched_matmul_params
 
 ARRAYS = [
     ArrayConfig(rows=12, cols=14, scheme=CS.BINARY_PARALLEL, bits=8),

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.cli import build_parser, main
 from repro.workloads.alexnet import alexnet_layers
-from repro.workloads.topology_io import save_topology
 
 
 class TestParser:
@@ -42,7 +41,12 @@ class TestMain:
         # The built-in name and a topology file of the same layers print
         # the same bytes.
         path = tmp_path / "alexnet.csv"
-        save_topology(alexnet_layers(), path)
+        path.write_text(
+            "".join(
+                f"{l.name},{l.ih},{l.iw},{l.wh},{l.ww},{l.ic},{l.oc},{l.stride}\n"
+                for l in alexnet_layers()
+            )
+        )
         assert main(["--topology", str(path), "--scheme", "UR", "--ebt", "6"]) == 0
         from_file = capsys.readouterr().out
         assert main(["--workload", "alexnet", "--scheme", "UR", "--ebt", "6"]) == 0

@@ -7,7 +7,7 @@ from repro.gemm.params import GemmParams
 from repro.gemm.tiling import tile_gemm
 from repro.memory.hierarchy import MemoryConfig
 from repro.schemes import ComputeScheme as CS
-from repro.sim.tracegen import bandwidth_histogram, generate_trace, trace_totals
+from repro.sim.tracegen import generate_trace, trace_totals
 from repro.sim.traffic import profile_traffic_batched
 
 PARAMS = GemmParams("c", ih=8, iw=8, ic=4, wh=3, ww=3, oc=8)
@@ -64,28 +64,3 @@ class TestGenerateTrace:
         with pytest.raises(ValueError):
             generate_trace(PARAMS, CFG_BP, max_events=5)
 
-
-class TestBandwidthHistogram:
-    def test_total_bytes_conserved(self):
-        trace = generate_trace(PARAMS, CFG_BP)
-        hist = bandwidth_histogram(trace, window_cycles=64)
-        window_s = 64 / 400e6
-        recon = sum(h * window_s * 1e9 for h in hist)
-        assert recon == pytest.approx(sum(e.nbytes for e in trace), rel=1e-9)
-
-    def test_unary_peak_demand_far_below_binary(self):
-        # The crawl: at the same window size, uSystolic's peak windowed
-        # demand sits far below binary parallel's (weight-preload bursts
-        # are shared by both, so the gap is bounded by the burst floor).
-        def peak(cfg):
-            trace = generate_trace(PARAMS, cfg)
-            return max(bandwidth_histogram(trace, window_cycles=32))
-
-        assert peak(CFG_UR) < peak(CFG_BP) / 5
-
-    def test_empty_trace(self):
-        assert bandwidth_histogram([], 16) == []
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            bandwidth_histogram([], 0)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import render_json, run_analysis, update_architecture_doc
+from repro.analysis import analyze, render_json, update_architecture_doc
 from repro.analysis.runner import context_paths, default_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -21,7 +21,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 @pytest.fixture(scope="module")
 def full_tree():
     """(findings, files scanned) of one analysis run over the whole tree."""
-    return run_analysis(default_paths(REPO_ROOT), context=context_paths(REPO_ROOT))
+    result = analyze(default_paths(REPO_ROOT), context=context_paths(REPO_ROOT))
+    return result.findings, result.files_scanned
 
 
 def test_default_paths_exist():

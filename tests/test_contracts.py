@@ -8,9 +8,7 @@ import pytest
 
 from repro.contracts import (
     is_power_of_two,
-    require_at_most,
     require_in_range,
-    require_non_negative,
     require_positive,
     require_power_of_two,
 )
@@ -33,14 +31,10 @@ class TestHelpers:
     def test_messages_name_owner_and_field(self):
         with pytest.raises(ValueError, match=r"Thing\.banks: must be positive"):
             require_positive("Thing", banks=0)
-        with pytest.raises(ValueError, match=r"Thing\.x: must be >= 0"):
-            require_non_negative("Thing", x=-1)
         with pytest.raises(ValueError, match=r"Thing\.n: must be a power of two"):
             require_power_of_two("Thing", n=12)
         with pytest.raises(ValueError, match=r"Thing\.r: must be in \[0.0, 1.0\]"):
             require_in_range("Thing", "r", 1.5, 0.0, 1.0)
-        with pytest.raises(ValueError, match=r"Thing\.ebt: must be <= bits"):
-            require_at_most("Thing", "ebt", 9, 8, "bits")
 
 
 class TestArrayConfigValidate:
@@ -169,16 +163,6 @@ def _dram(**fields):
 #: power-of-two bitstream check in ``ArrayConfig`` is unreachable: every
 #: registered scheme that declares it has a ``1 << n`` stream.)
 CONTRACT_MESSAGES = [
-    pytest.param(
-        lambda: require_non_negative("Thing", x=-1),
-        "Thing.x: must be >= 0, got -1",
-        id="require_non_negative",
-    ),
-    pytest.param(
-        lambda: require_at_most("Thing", "ebt", 9, 8, "bits"),
-        "Thing.ebt: must be <= bits (8), got 9",
-        id="require_at_most",
-    ),
     pytest.param(
         lambda: QuantSpec(QuantMode.FXP_O_RES, ebt=3),
         "QuantSpec.ebt: FXP-o-res needs n >= 4 (two bits per operand), got 3",

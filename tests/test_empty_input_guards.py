@@ -14,13 +14,11 @@ import numpy as np
 import pytest
 
 from repro.eval.energy import reduction_stats
-from repro.eval.sweeps import array_shape_sweep
 from repro.fleet.routing import RoundRobinRouter
 from repro.nn.inference import evaluate
 from repro.nn.layers import Linear, Sequential
 from repro.nn.quant import QuantMode, QuantSpec
 from repro.nn.training import softmax_cross_entropy
-from repro.schemes import ComputeScheme
 from repro.serve.requests import Request
 from repro.workloads.presets import EDGE
 
@@ -58,10 +56,6 @@ def _round_robin_route():
     RoundRobinRouter(seed=0).route(request, [], 0.0)
 
 
-def _array_shape_sweep():
-    array_shape_sweep([], ComputeScheme.BINARY_PARALLEL, EDGE.memory)
-
-
 def _mlperf_model_row():
     _example("mlperf_generalizability").model_row("empty", [], EDGE)
 
@@ -71,7 +65,6 @@ CASES = [
     (_evaluate, "empty evaluation set"),
     (_softmax_cross_entropy, "empty batch"),
     (_round_robin_route, "no routable instances"),
-    (_array_shape_sweep, "no layer results"),
     (_mlperf_model_row, "has no layers"),
 ]
 

@@ -1,9 +1,8 @@
-"""Cross-stack integration tests: the same architecture described three
-ways (bit-true kernel, functional array, vectorised backend, ISA machine,
-cycle simulator) must agree wherever their domains overlap."""
+"""Cross-stack integration tests: the same architecture described several
+ways (bit-true kernel, functional array, vectorised backend, stepped
+array, cycle simulator) must agree wherever their domains overlap."""
 
 import numpy as np
-import pytest
 
 from repro import (
     CLOUD,
@@ -13,8 +12,6 @@ from repro import (
     UsystolicArray,
     simulate_layer,
 )
-from repro.core.isa import build_program
-from repro.core.machine import UsystolicMachine
 from repro.gemm.im2col import im2col
 from repro.gemm.params import GemmParams
 from repro.gemm.tiling import tile_gemm
@@ -61,26 +58,6 @@ class TestFunctionalPathsAgree:
         np.testing.assert_array_equal(
             out.reshape(-1, 3), ref
         )
-
-
-class TestTimingPathsAgree:
-    """ISA machine, analytic schedule and simulator agree on cycles."""
-
-    @pytest.mark.parametrize(
-        "scheme,ebt",
-        [(ComputeScheme.BINARY_PARALLEL, None), (ComputeScheme.USYSTOLIC_RATE, 6)],
-    )
-    def test_machine_schedule_simulator(self, scheme, ebt):
-        params = GemmParams("c", ih=9, iw=9, ic=6, wh=3, ww=3, oc=18)
-        config = ArrayConfig(12, 14, scheme, ebt=ebt)
-        machine_cycles = UsystolicMachine(params, config).run(
-            build_program(params, config)
-        ).cycle
-        sched_cycles = schedule_layer(
-            tile_gemm(params, 12, 14), config.mac_cycles
-        ).compute_cycles
-        sim = simulate_layer(params, config, EDGE.memory.without_sram())
-        assert machine_cycles == sched_cycles == sim.compute_cycles
 
 
 class TestEndToEndStory:

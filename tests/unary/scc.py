@@ -1,20 +1,15 @@
-"""Stochastic cross correlation (SCC) between unary bitstreams.
+"""Stochastic cross correlation (SCC), the measure behind Equation 1.
 
 SCC (Alaghi & Hayes [2]) measures the bit-level similarity of two streams.
-Accurate unary multiplication requires SCC = 0 (Equation 1 of the paper):
-the streams must be statistically independent.  uSystolic enforces this
-through conditional bitstream generation (C-BSG) and preserves it across
-columns through the one-cycle lag of the spatial-temporal reuse
-(Equations 2-4).
+Accurate unary multiplication requires SCC = 0: the streams must be
+statistically independent.  The runtime enforces that through conditional
+bitstream generation (C-BSG) and never measures it, so this measurement
+lives beside the tests that check C-BSG with it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .bitstream import Bitstream
-
-__all__ = ["scc", "scc_bits"]
 
 
 def scc_bits(x: np.ndarray, y: np.ndarray) -> float:
@@ -42,8 +37,3 @@ def scc_bits(x: np.ndarray, y: np.ndarray) -> float:
     if denom <= 1e-12:
         return 0.0
     return float(delta / denom)
-
-
-def scc(a: Bitstream, b: Bitstream) -> float:
-    """SCC of two :class:`Bitstream` objects."""
-    return scc_bits(a.bits, b.bits)

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from repro.unary.bitstream import (
     Bitstream,
-    BitstreamGenerator,
     Coding,
     Polarity,
     quantize_bipolar,
     quantize_unipolar,
 )
+from repro.unary.multiply import stream_for_input
 
 
 class TestQuantize:
@@ -68,17 +68,17 @@ class TestBitstream:
 
 
 class TestBitstreamGenerator:
+    """The BSG block: ``stream_for_input`` compares a source to a sequence."""
+
     @pytest.mark.parametrize("coding", [Coding.RATE, Coding.TEMPORAL])
     def test_full_length_is_exact(self, coding):
         # Over a full period both codings represent source/2**bits exactly.
-        gen = BitstreamGenerator(6, coding=coding)
         for source in [0, 1, 17, 32, 63, 64]:
-            stream = gen.generate(source)
+            stream = stream_for_input(source, 6, coding)
             assert stream.bits.sum() == source
 
     def test_temporal_bits_contiguous(self):
-        gen = BitstreamGenerator(5, coding=Coding.TEMPORAL)
-        stream = gen.generate(11)
+        stream = stream_for_input(11, 5, Coding.TEMPORAL)
         # Thermometer code: all ones first.
         assert stream.bits[:11].all()
         assert not stream.bits[11:].any()
@@ -86,30 +86,18 @@ class TestBitstreamGenerator:
     def test_rate_bits_spread(self):
         # Rate coding's defining property: 1s are spread through the stream,
         # so any half-length prefix already approximates the value.
-        gen = BitstreamGenerator(6, coding=Coding.RATE)
-        stream = gen.generate(32)
+        stream = stream_for_input(32, 6, Coding.RATE)
         assert abs(stream.prefix_value(16) - 0.5) < 0.1
 
-    def test_source_out_of_range(self):
-        gen = BitstreamGenerator(4)
-        with pytest.raises(ValueError):
-            gen.generate(17)
-        with pytest.raises(ValueError):
-            gen.generate(-1)
-
     def test_generate_float_roundtrip(self):
-        gen = BitstreamGenerator(7)
-        stream = gen.generate_float(0.25)
+        stream = stream_for_input(quantize_unipolar(0.25, 7), 7, Coding.RATE)
         assert abs(stream.value - 0.25) < 1e-9
 
     def test_generate_float_bipolar(self):
-        gen = BitstreamGenerator(7)
-        stream = gen.generate_float(-0.5, polarity=Polarity.BIPOLAR)
+        source = quantize_bipolar(-0.5, 7)
+        bits = stream_for_input(source, 7, Coding.RATE).bits
+        stream = Bitstream(bits, polarity=Polarity.BIPOLAR)
         assert abs(stream.value - (-0.5)) < 1e-9
-
-    def test_invalid_bits(self):
-        with pytest.raises(ValueError):
-            BitstreamGenerator(0)
 
 
 @given(
@@ -119,8 +107,7 @@ class TestBitstreamGenerator:
 @settings(max_examples=80, deadline=None)
 def test_full_period_value_exact_property(bits, frac):
     source = frac % ((1 << bits) + 1)
-    gen = BitstreamGenerator(bits, coding=Coding.RATE)
-    stream = gen.generate(source)
+    stream = stream_for_input(source, bits, Coding.RATE)
     assert stream.bits.sum() == source
 
 
@@ -130,6 +117,5 @@ def test_full_period_value_exact_property(bits, frac):
 )
 @settings(max_examples=50, deadline=None)
 def test_decoded_value_within_quantisation_step(bits, frac):
-    gen = BitstreamGenerator(bits)
-    stream = gen.generate_float(frac)
+    stream = stream_for_input(quantize_unipolar(frac, bits), bits, Coding.RATE)
     assert abs(stream.value - frac) <= 0.5 / (1 << bits) + 1e-12

@@ -1,12 +1,11 @@
-"""Tests for stochastic cross correlation (SCC)."""
+"""Tests for the stochastic cross correlation (SCC) measure in ``scc.py``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.unary.bitstream import Bitstream
-from repro.unary.correlation import scc, scc_bits
+from .scc import scc_bits
 
 
 class TestSccBits:
@@ -42,11 +41,6 @@ class TestSccBits:
         x = rng.integers(0, 2, 64)
         y = rng.integers(0, 2, 64)
         assert scc_bits(x, y) == pytest.approx(scc_bits(y, x))
-
-    def test_bitstream_wrapper(self):
-        a = Bitstream(np.array([1, 0, 1, 0], dtype=np.uint8))
-        b = Bitstream(np.array([1, 1, 0, 0], dtype=np.uint8))
-        assert scc(a, b) == pytest.approx(scc_bits(a.bits, b.bits))
 
 
 @given(data=st.data(), n=st.integers(min_value=4, max_value=64))

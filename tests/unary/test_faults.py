@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.unary.bitstream import BitstreamGenerator
+from repro.unary.bitstream import Coding, quantize_unipolar
 from repro.unary.faults import (
     binary_fault_error,
     flip_binary_bit,
     flip_stream_bits,
     unary_fault_error,
 )
+from repro.unary.multiply import stream_for_input
 
 
 def _stream(value=0.5, bits=7):
-    return BitstreamGenerator(bits).generate_float(value)
+    return stream_for_input(quantize_unipolar(value, bits), bits, Coding.RATE)
 
 
 class TestStreamFaults:
@@ -91,7 +92,7 @@ class TestGracefulDegradation:
 )
 @settings(max_examples=40, deadline=None)
 def test_unary_error_bound_property(flips, value):
-    s = BitstreamGenerator(6).generate_float(value)
+    s = _stream(value, bits=6)
     err = unary_fault_error(s, flips=flips, seed=flips)
     assert err <= flips / len(s) + 1e-12
 

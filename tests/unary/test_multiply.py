@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.unary.bitstream import Coding, quantize_bipolar
-from repro.unary.correlation import scc_bits
 from repro.unary.multiply import (
     stream_for_input,
     umul_bipolar,
     umul_unipolar,
 )
+
+from .scc import scc_bits
 
 
 class TestUnipolarUmul:

@@ -22,18 +22,18 @@ from repro.schemes import (
     ComputeScheme,
     scheme_mac_cycles,
 )
-from repro.sim.batch import batched_matmul_params
 from repro.sim.dataflow import schedule_layer
 from repro.sim.traffic import profile_traffic_batched
 from repro.verify.oracles import (
     compute_cycles_oracle,
     conv_oracle,
-    gemm_oracle,
     im2col_oracle,
     mac_latency_oracle,
     per_tile_schedule_oracle,
     traffic_oracle,
 )
+
+from ..sim.batched_params import batched_matmul_params
 
 GEOMETRIES = [WEIGHT_STATIONARY_SKEWED, DIAGONAL_INPUT]
 
@@ -43,14 +43,6 @@ PARAMS = [
     GemmParams(name="p3", ih=7, iw=9, ic=1, wh=2, ww=3, oc=4, stride=2),
     GemmParams(name="p4", ih=3, iw=3, ic=1, wh=1, ww=1, oc=1, stride=1),
 ]
-
-
-class TestGemmOracle:
-    def test_exact_integer_matmul(self):
-        rng = np.random.default_rng(0)
-        lhs = rng.integers(-100, 100, size=(6, 7))
-        rhs = rng.integers(-100, 100, size=(7, 4))
-        assert np.array_equal(gemm_oracle(lhs, rhs), (lhs @ rhs).astype(np.float64))
 
 
 class TestIm2colOracle:
@@ -77,8 +69,8 @@ class TestConvOracle:
         weight = rng.integers(
             -8, 8, size=(params.oc, params.wh, params.ww, params.ic)
         )
-        via_gemm = gemm_oracle(
-            im2col_oracle(params, ifm), weight.reshape(params.oc, -1).T
+        via_gemm = (
+            im2col_oracle(params, ifm) @ weight.reshape(params.oc, -1).T
         ).reshape(params.oh, params.ow, params.oc)
         assert np.array_equal(conv_oracle(params, weight, ifm), via_gemm)
 

@@ -6,9 +6,12 @@ from repro.gemm.params import GemmType
 from repro.gemm.tiling import tile_gemm
 from repro.schemes import ComputeScheme as CS
 from repro.schemes.registry import registered_codes
-from repro.workloads.alexnet import ALEXNET_PARAM_COUNT, alexnet_layers
+from repro.workloads.alexnet import alexnet_layers
 from repro.workloads.mlperf import mlperf_suite
 from repro.workloads.presets import CLOUD, EDGE, scheme_sweep
+
+#: Parameter count the paper quotes for AlexNet.
+ALEXNET_PARAM_COUNT = 61_100_840
 
 
 class TestAlexNet:
@@ -143,34 +146,3 @@ class TestPresets:
         ]
         assert cycles == [0, 8, 32, 64, 128, 256]
 
-
-class TestOtherCnns:
-    def test_mnist_cnn_parameter_count(self):
-        from repro.workloads.cnns import mnist_cnn_layers
-
-        total = sum(l.weight_elems for l in mnist_cnn_layers())
-        assert total == pytest.approx(1.2e6, rel=0.05)
-
-    def test_resnet18_parameter_count(self):
-        from repro.workloads.cnns import resnet18_layers
-
-        total = sum(l.weight_elems for l in resnet18_layers())
-        assert total == pytest.approx(11.7e6, rel=0.06)
-
-    def test_resnet18_structure(self):
-        from repro.workloads.cnns import resnet18_layers
-
-        layers = resnet18_layers()
-        # stem + 8 blocks x 2 convs + 3 downsamples + fc.
-        assert len(layers) == 1 + 16 + 3 + 1
-
-    def test_all_layers_simulate(self):
-        from repro.sim.engine import simulate_network
-        from repro.workloads.cnns import mnist_cnn_layers
-
-        results = simulate_network(
-            mnist_cnn_layers(),
-            EDGE.array(CS.USYSTOLIC_RATE, ebt=6),
-            EDGE.memory.without_sram(),
-        )
-        assert all(r.runtime_s > 0 for r in results)
