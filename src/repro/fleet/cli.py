@@ -220,6 +220,11 @@ def build_trace(args: argparse.Namespace, workload: str) -> list:
             slo_s=slo_s,
         )
     if args.trace == "diurnal":
+        if not peak >= args.rate:
+            raise ValueError(
+                f"argument --peak-rate: the diurnal crest must be >= --rate "
+                f"{args.rate:g}, got {peak:g}"
+            )
         period_s = args.period_s if args.period_s is not None else args.horizon_s
         return diurnal_arrivals(
             workload,
@@ -334,9 +339,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = build_fleet(args)
+        arrivals = build_trace(args, config.pools[0].workload)
     except ValueError as exc:
         parser.error(str(exc))
-    arrivals = build_trace(args, config.pools[0].workload)
     ledger = run_fleet(config, arrivals, shards=args.shards, workers=args.jobs)
 
     headers, rows = _summary_rows(ledger)

@@ -251,6 +251,7 @@ class FleetSimulator:
             if depth:
                 for request in inst.executor.queue.take(depth):
                     inst.metrics.observe_drop(request, now_s)
+                inst.backlog = inst.executor.backlog
         # Close every window; stopped instances keep their earlier close.
         for inst in self.instances:
             if inst.state is not InstanceState.STOPPED:

@@ -17,9 +17,14 @@ lifecycle the autoscaler drives:
 The fleet simulator owns the clock; an instance only ever moves through
 :meth:`offer` (a routed arrival), :meth:`advance` (process everything
 due at the global event time) and :meth:`begin_drain`/:meth:`stop`.
+Those (and the fleet's end-of-run close, which drops a stranded queue)
+are the only calls that change the executor's queue or in-flight batch,
+and each records the result in :attr:`Instance.backlog`: routers, the
+autoscaler and the event loop read a plain int, never the executor.
 Per-request service/energy estimates — used by the SLO/energy-aware
 router — are computed once from the pool's shared cost model at
-construction, so routing is O(instances) arithmetic, not simulation.
+construction, so a route is one pass over recorded numbers: no
+simulation, no executor reads.
 """
 
 from __future__ import annotations
@@ -61,6 +66,9 @@ class Instance:
         self.state = InstanceState.ACTIVE
         self.spawned_s = spawned_s
         self.stopped_s: float | None = None
+        #: queued plus in-service requests (the JSQ signal), recorded by
+        #: every call that changes them; 0 once stopped.
+        self.backlog = executor.backlog
         cost = model.batch_cost(1)
         #: cost of one unbatched request, the router's scoring inputs.
         self.service_estimate_s = cost.runtime_s
@@ -78,13 +86,6 @@ class Instance:
     def routable(self) -> bool:
         """May the load balancer send this instance new requests?"""
         return self.state is InstanceState.ACTIVE and not self.executor.halted
-
-    @property
-    def backlog(self) -> int:
-        """Queued plus in-service requests (the JSQ signal)."""
-        if self.state is InstanceState.STOPPED:
-            return 0
-        return self.executor.backlog
 
     def energy_j(self) -> float:
         """Energy of all requests completed so far (autoscaler power input)."""
@@ -115,6 +116,7 @@ class Instance:
                 "must only target routable instances"
             )
         self.executor.offer(request, now_s, self.metrics)
+        self.backlog = self.executor.backlog
 
     def advance(self, now_s: float, draining: bool = False) -> None:
         """Process everything due at ``now_s``; stop when a drain empties."""
@@ -125,7 +127,8 @@ class Instance:
             self.metrics,
             draining=draining or self.state is InstanceState.DRAINING,
         )
-        if self.state is InstanceState.DRAINING and self.executor.backlog == 0:
+        self.backlog = self.executor.backlog
+        if self.state is InstanceState.DRAINING and self.backlog == 0:
             self.stop(now_s)
 
     def begin_drain(self, now_s: float) -> None:
@@ -139,4 +142,5 @@ class Instance:
         if self.state is not InstanceState.STOPPED:
             self.state = InstanceState.STOPPED
             self.stopped_s = now_s
+            self.backlog = 0
             self.metrics.finalize(now_s)

@@ -113,31 +113,81 @@ class SloEnergyRouter(Router):
     pessimistic and the feasible set errs toward meeting the SLO.  With
     no feasible instance the request is already late everywhere; it goes
     to the earliest predicted finish instead.
+
+    Instances with equal estimates differ only in backlog, and both keys
+    are monotone in it, so only the least-loaded member of each run of
+    canonically consecutive equal estimates (one run per pool in
+    practice), first in canonical order, can win: the router scores that
+    one candidate per run.  The exception is a finish so late that one
+    more service estimate is lost to rounding, where a busier member with
+    a lower key ties the finish; there every instance with the run's
+    estimates is scored.
     """
 
     def route(
         self, request: Request, instances: list[Instance], now_s: float
     ) -> Instance:
         """Cheapest deadline-feasible instance, else earliest finish."""
-        scored = []
+        if not instances:
+            raise ValueError("cannot route with no routable instances")
+        # One pass: each run's least-loaded member; ties keep the earlier.
+        leads = []
+        lead = instances[0]
+        service_s, energy_j = lead.service_estimate_s, lead.energy_estimate_j
         for inst in instances:
-            backlog = inst.backlog
-            finish_s = now_s + (backlog + 1) * inst.service_estimate_s
-            scored.append((finish_s, backlog, inst))
-        if request.deadline_s is not None:
+            if (
+                inst.service_estimate_s == service_s
+                and inst.energy_estimate_j == energy_j
+            ):
+                if inst.backlog < lead.backlog:
+                    lead = inst
+            else:
+                leads.append(lead)
+                lead = inst
+                service_s = inst.service_estimate_s
+                energy_j = inst.energy_estimate_j
+        leads.append(lead)
+        deadline_s = request.deadline_s
+        if deadline_s is not None:
             feasible = [
-                entry for entry in scored if entry[0] <= request.deadline_s
+                inst
+                for inst in leads
+                if now_s + (inst.backlog + 1) * inst.service_estimate_s
+                <= deadline_s
             ]
             if feasible:
                 return min(
                     feasible,
-                    key=lambda entry: (
-                        entry[2].energy_estimate_j,
-                        entry[1],
-                        entry[2].key,
+                    key=lambda inst: (
+                        inst.energy_estimate_j,
+                        inst.backlog,
+                        inst.key,
                     ),
-                )[2]
-        return min(scored, key=lambda entry: (entry[0], entry[2].key))[2]
+                )
+        candidates = []
+        for lead in leads:
+            service_s = lead.service_estimate_s
+            if (
+                now_s + (lead.backlog + 2) * service_s
+                == now_s + (lead.backlog + 1) * service_s
+            ):
+                # Finishes absorb a whole service time: a busier member
+                # with a lower key may tie the lead's finish.
+                candidates.extend(
+                    inst
+                    for inst in instances
+                    if inst.service_estimate_s == service_s
+                    and inst.energy_estimate_j == lead.energy_estimate_j
+                )
+            else:
+                candidates.append(lead)
+        return min(
+            candidates,
+            key=lambda inst: (
+                now_s + (inst.backlog + 1) * inst.service_estimate_s,
+                inst.key,
+            ),
+        )
 
 
 #: Registered router names, the CLI/eval choice set.

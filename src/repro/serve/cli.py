@@ -22,10 +22,11 @@ import sys
 from pathlib import Path
 
 from ..contracts import non_negative_float, positive_float
+from ..core.config import ArrayConfig
 from ..eval.report import format_table
+from ..memory.hierarchy import MemoryConfig
 from ..schemes import ComputeScheme
 from ..system.battery import Battery
-from ..workloads.alexnet import alexnet_layers
 from ..workloads.mlperf import mlperf_suite
 from ..workloads.presets import CLOUD, EDGE, Platform
 from .arrivals import poisson_arrivals, uniform_arrivals
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workload",
         required=True,
-        choices=["alexnet"] + sorted(mlperf_suite()),
+        choices=sorted(mlperf_suite()),
         help="the network every request asks for",
     )
     parser.add_argument(
@@ -162,30 +163,29 @@ def _parse_schemes(text: str) -> list[ComputeScheme]:
     return schemes
 
 
-def _load_layers(workload: str):
-    if workload == "alexnet":
-        return alexnet_layers()
-    return mlperf_suite()[workload]
-
-
-def serve_one(
-    scheme: ComputeScheme,
-    args: argparse.Namespace,
-    arrivals: list,
-) -> ServeMetrics:
-    """Run the request stream against one compute scheme's array."""
+def _scheme_configs(
+    scheme: ComputeScheme, args: argparse.Namespace
+) -> tuple[ArrayConfig, MemoryConfig]:
+    """One scheme's validated array and memory on the chosen platform."""
     platform: Platform = _PLATFORMS[args.platform]
     ebt = args.ebt if scheme.supports_early_termination else None
-    act_frac = (
-        getattr(args, "act_frac", None) if scheme.value_dependent_latency else None
-    )
+    act_frac = args.act_frac if scheme.value_dependent_latency else None
     array = platform.array(
         scheme, bits=args.bits, ebt=ebt, act_frac=act_frac
     ).validate()
-    memory = platform.memory_for(scheme).validate()
+    return array, platform.memory_for(scheme).validate()
+
+
+def serve_one(
+    array: ArrayConfig,
+    memory: MemoryConfig,
+    args: argparse.Namespace,
+    arrivals: list,
+) -> ServeMetrics:
+    """Run the request stream against one scheme's array and memory."""
     model = NetworkCostModel(
         name=args.workload,
-        layers=_load_layers(args.workload),
+        layers=mlperf_suite()[args.workload],
         array=array,
         memory=memory,
     )
@@ -238,6 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     # a clean usage error instead of a traceback mid-simulation.
     try:
         schemes = _parse_schemes(args.schemes)
+        configs = [_scheme_configs(scheme, args) for scheme in schemes]
         slo_s = None if args.slo_ms is None else args.slo_ms * 1e-3
         if args.arrivals == "poisson":
             arrivals = poisson_arrivals(
@@ -257,9 +258,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    results: dict[str, ServeMetrics] = {}
-    for scheme in schemes:
-        results[scheme.value] = serve_one(scheme, args, arrivals)
+    results = {
+        scheme.value: serve_one(array, memory, args, arrivals)
+        for scheme, (array, memory) in zip(schemes, configs)
+    }
 
     headers = [
         "scheme",

@@ -3,15 +3,59 @@
 :meth:`~repro.fleet.cluster.FleetSimulator.run` advances only the
 instances with something due.  :func:`naive_fleet_oracle` is the loop it
 replaced, kept beside ``test_loop_differential.py`` as its reference.
+It reads every backlog live from the executor (:func:`live_backlog`),
+never the one each instance records, and routes ``slo-energy`` cells
+with :func:`slo_energy_scan`, the per-instance scan
+:class:`~repro.fleet.routing.SloEnergyRouter` replaced.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from repro.fleet.cluster import FleetConfig, FleetSimulator
+from repro.fleet.instance import Instance, InstanceState
 from repro.fleet.ledger import FleetLedger
 from repro.serve.requests import Request
+
+
+def live_backlog(inst: Instance) -> int:
+    """Queued plus in-service requests, read from the executor (0 once stopped)."""
+    if inst.state is InstanceState.STOPPED:
+        return 0
+    return inst.executor.backlog
+
+
+def slo_energy_scan(
+    request: Request,
+    instances: list[Instance],
+    now_s: float,
+    backlog: Callable[[Instance], int] = live_backlog,
+) -> Instance:
+    """The SLO-energy choice made by scoring every instance.
+
+    Cheapest deadline-feasible instance by ``(energy, backlog, key)``,
+    else the earliest predicted finish by ``(finish, key)``, where finish
+    is ``now + (backlog + 1) * service_estimate``.
+    """
+    scored = []
+    for inst in instances:
+        load = backlog(inst)
+        finish_s = now_s + (load + 1) * inst.service_estimate_s
+        scored.append((finish_s, load, inst))
+    if request.deadline_s is not None:
+        feasible = [entry for entry in scored if entry[0] <= request.deadline_s]
+        if feasible:
+            return min(
+                feasible,
+                key=lambda entry: (
+                    entry[2].energy_estimate_j,
+                    entry[1],
+                    entry[2].key,
+                ),
+            )[2]
+    return min(scored, key=lambda entry: (entry[0], entry[2].key))[2]
 
 
 def naive_fleet_oracle(
@@ -24,10 +68,14 @@ def naive_fleet_oracle(
     asks every live instance for its next event and advances every live
     instance at every global event.  It drives the same
     :class:`~repro.fleet.cluster.FleetSimulator` — spawn, scaling and
-    ledger-closing helpers included — so only the scheduling differs and
-    the two ledgers must match byte for byte.
+    ledger-closing helpers included — so only the scheduling, the live
+    backlog reads and the ``slo-energy`` scan differ, and the two ledgers
+    must match byte for byte.
     """
     sim = FleetSimulator(config, shard=shard)
+    route = (
+        slo_energy_scan if config.router == "slo-energy" else sim.router.route
+    )
     pending = sorted(arrivals, key=lambda r: (r.arrival_s, r.req_id))
     now_s = 0.0
     i = 0
@@ -45,16 +93,16 @@ def naive_fleet_oracle(
             default=math.inf,
         )
         candidates = [next_arrival_s, next_instance_s]
-        if not draining or any(inst.backlog for inst in live):
+        if not draining or any(live_backlog(inst) for inst in live):
             candidates.append(next_tick_s)
         event_s = min(candidates)
 
         if event_s == math.inf:
-            backlog = sum(inst.backlog for inst in live)
+            backlog = sum(live_backlog(inst) for inst in live)
             if backlog:
                 for inst in live:
                     inst.advance(now_s, draining=True)
-                if sum(i2.backlog for i2 in sim._live()) < backlog or any(
+                if sum(live_backlog(i2) for i2 in sim._live()) < backlog or any(
                     inst.executor.in_service_count
                     for inst in sim._live()
                 ):
@@ -75,7 +123,7 @@ def naive_fleet_oracle(
                     f"no routable instance for request {request.req_id}; "
                     "pools must keep min_instances >= 1 active"
                 )
-            sim.router.route(request, targets, now_s).offer(request, now_s)
+            route(request, targets, now_s).offer(request, now_s)
         draining = i >= len(pending)
         for inst in sim._live():
             inst.advance(now_s, draining=draining)

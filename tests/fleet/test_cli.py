@@ -88,3 +88,10 @@ def test_bad_arguments_are_usage_errors(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+
+
+def test_a_diurnal_crest_below_the_base_rate_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(REPLAY_ARGS + ["--trace", "diurnal", "--peak-rate", "10"])
+    assert excinfo.value.code == 2
+    assert "argument --peak-rate" in capsys.readouterr().err

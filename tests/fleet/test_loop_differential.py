@@ -3,12 +3,15 @@
 :meth:`~repro.fleet.cluster.FleetSimulator.run` advances only the
 instances with something due;
 :func:`~tests.fleet.naive_loop.naive_fleet_oracle` advances every live
-instance at every event.  For every router, batching policy, queue
-discipline and autoscaler setting, on one and two shards, the two must
-write byte-identical ledgers.  The short flash crowd overloads the
-fleet, so the grid reaches rejections, deadline expiries, spawns, drains
-and power-cap sheds.  A planted mutation (dropping the idle-wake-passed
-case from ``ServeExecutor.due_s``) must break the match.
+instance at every event, reads every backlog live from the executor and
+routes ``slo-energy`` cells by scoring every instance.  For every
+router, batching policy, queue discipline and autoscaler setting, on one
+and two shards, the two must write byte-identical ledgers.  The short
+flash crowd overloads the fleet, so the grid reaches rejections,
+deadline expiries, spawns, drains and power-cap sheds.  Two planted
+mutations must break the match: dropping the idle-wake-passed case from
+``ServeExecutor.due_s``, and an ``Instance.advance`` that leaves the
+recorded backlog stale.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import pytest
 
 from repro.fleet.autoscale import AutoscaleConfig
 from repro.fleet.cluster import FleetConfig
+from repro.fleet.instance import Instance, InstanceState
 from repro.fleet.ledger import FleetLedger
 from repro.fleet.pools import pool_presets
 from repro.fleet.routing import ROUTER_NAMES
@@ -143,3 +147,25 @@ def test_dropping_the_idle_wake_case_breaks_the_match(monkeypatch):
     dynamic = [case for case in GRID if case[1] == "dynamic"]
     differ = [case for case in dynamic if _loop_text(case) != _oracle_text(case)]
     assert differ, "dropping the idle-wake-passed case must change a ledger"
+
+
+_REAL_ADVANCE = Instance.advance
+
+
+def _advance_without_recording(self, now_s, draining=False):
+    """The planted bug: an advance leaves the recorded backlog stale."""
+    recorded = self.backlog
+    _REAL_ADVANCE(self, now_s, draining)
+    if self.state is not InstanceState.STOPPED:
+        self.backlog = recorded
+
+
+def test_a_stale_recorded_backlog_breaks_the_match(monkeypatch):
+    monkeypatch.setattr(Instance, "advance", _advance_without_recording)
+    # Fixed fleets only: the oracle's autoscaler reads recorded backlogs,
+    # so under this mutant only its fixed-fleet ledgers stay the truth.
+    cases = [
+        case for case in GRID if case[0] == "slo-energy" and case[3] == "fixed"
+    ]
+    differ = [case for case in cases if _loop_text(case) != _oracle_text(case)]
+    assert differ, "a stale recorded backlog must change a ledger"

@@ -80,3 +80,20 @@ def test_bad_arguments_are_usage_errors():
         main(["--workload", "alexnet", "--rate", "10", "--slo-ms", "-5"])
     with pytest.raises(SystemExit):
         main(["--workload", "alexnet", "--rate", "10", "--schemes", "BP,BP"])
+
+
+def test_an_out_of_range_act_frac_is_a_usage_error(capsys):
+    # Every scheme's array is validated before any stream is served.
+    argv = ["--workload", "alexnet", "--rate", "20", "--schemes", "TB"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--act-frac", "2"])
+    assert excinfo.value.code == 2
+    assert "ArrayConfig.act_frac" in capsys.readouterr().err
+
+
+def test_workload_choices_name_each_network_once():
+    (workload,) = [
+        action for action in build_parser()._actions if action.dest == "workload"
+    ]
+    assert "alexnet" in workload.choices
+    assert len(workload.choices) == len(set(workload.choices))
