@@ -46,8 +46,8 @@ LAYERS: tuple[tuple[str, tuple[str, ...], str], ...] = (
     (
         "schemes",
         ("schemes",),
-        "pluggable compute-scheme registry: specs with capability flags, "
-        "latency laws, dataflow geometries, and late-bound provider hooks",
+        "fixed compute-scheme table: specs with capability flags, latency "
+        "laws and dataflow geometries behind the ComputeScheme enum",
     ),
     (
         "kernels",

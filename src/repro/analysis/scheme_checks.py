@@ -1,18 +1,20 @@
 """Scheme-identity lint (``SCHEME*``).
 
-The scheme zoo is a plugin registry: everything a caller might want to
-know about a :class:`~repro.schemes.ComputeScheme` — its MAC latency
-law, PE cost, traffic behaviour, dataflow geometry, coding family — is
-declared on its :class:`~repro.schemes.SchemeSpec` as a capability field
-or provider hook.  A ``scheme is ComputeScheme.X`` branch outside the
-registry silently breaks every scheme registered later: the new plugin
-takes the wrong arm of a comparison its author never sees.
+Everything a caller might want to know about a
+:class:`~repro.schemes.ComputeScheme` — its MAC latency law, dataflow
+geometry, coding family, capability flags — is declared on its
+:class:`~repro.schemes.SchemeSpec`, and its PE cost and functional PE
+are entries of member-keyed tables (``repro.hw.pe_cost``,
+``repro.core.pe``).  A ``scheme is ComputeScheme.X`` branch outside
+``repro/schemes/`` hides a per-scheme decision where adding a scheme
+never looks: the new member silently takes the wrong arm of a
+comparison its author never sees.
 
 ``SCHEME001`` flags any comparison (``is``/``==``/``in``/...) against a
 ``ComputeScheme`` member outside ``repro/schemes/``.  Dict literals
 keyed by members stay legal — a table covering every scheme fails
-loudly (``KeyError``) on a new registration instead of silently
-misbehaving, and the independent differential oracles in
+loudly (``KeyError``) on a new member instead of silently misbehaving;
+the PE tables and the independent differential oracles in
 :mod:`repro.verify` are built exactly that way.  The oracle modules'
 few deliberate identity branches carry explicit
 ``# repro-lint: ignore[scheme]`` acknowledgements.
@@ -29,7 +31,7 @@ from .visitor import Checker, SourceFile
 
 __all__ = ["SchemeChecker"]
 
-#: Package path fragments exempt from this checker (the registry itself).
+#: Package path fragments exempt from this checker (the scheme package itself).
 _SANCTIONED_FRAGMENTS = ("repro/schemes/",)
 
 
@@ -39,12 +41,12 @@ def _is_sanctioned(path: str) -> bool:
 
 
 class SchemeChecker(Checker):
-    """Flag per-scheme identity branches outside the plugin registry."""
+    """Flag per-scheme identity branches outside ``repro/schemes/``."""
 
     name = "scheme"
     codes = {
         "SCHEME001": "comparison against a ComputeScheme member outside "
-        "repro/schemes/ (dispatch on a capability field or spec hook)",
+        "repro/schemes/ (dispatch on a capability field or member-keyed table)",
     }
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
@@ -63,9 +65,9 @@ class SchemeChecker(Checker):
                     node,
                     "SCHEME001",
                     f"branch on scheme identity ({member}) outside "
-                    "repro/schemes/ breaks schemes registered later; "
+                    "repro/schemes/ breaks schemes added later; "
                     "dispatch on a SchemeSpec capability field or "
-                    "provider hook instead",
+                    "a member-keyed table instead",
                 )
 
     @staticmethod

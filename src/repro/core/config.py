@@ -4,7 +4,7 @@ An :class:`ArrayConfig` pins down everything Figure 8's "systolic array
 configuration" box feeds to the widgets: shape, compute scheme, data
 bitwidth, effective bitwidth (the early-termination knob) and the implied
 PE MAC cycle count.  The dataflow is weight stationary; its skew lags
-come from the scheme's registered :class:`~repro.schemes.DataflowGeometry`
+come from the scheme's declared :class:`~repro.schemes.DataflowGeometry`
 (the paper's schemes skew by one cycle per hop, DiP by zero).
 """
 

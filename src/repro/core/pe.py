@@ -4,7 +4,7 @@ Each PE model multiplies two N-bit signed integers and reports the product
 *at the true integer product scale* so that array outputs are directly
 comparable with an exact GEMM:
 
-- :class:`ExactPe` computes the exact product at the scheme's registered
+- :class:`ExactPe` computes the exact product at the scheme's declared
   latency: binary PEs (:class:`BinaryPe`) and the zoo's exact
   temporal/permuted schemes (tuGEMM, tubGEMM, DiP) all use it;
 - uSystolic PEs run the bit-true HUB kernel (unipolar uMUL + binary
@@ -12,25 +12,20 @@ comparable with an exact GEMM:
 - the uGEMM-H PE runs the bipolar uMUL over ``2**N`` cycles.
 
 ``mac_cycles`` on every model reports the latency the cycle simulator uses,
-keeping the functional and performance models in one place.  This module
-is the ``pe_factory`` hook *provider* of the scheme registry: every
-factory below is bound via :func:`repro.schemes.bind_hook` at import
-time, and :func:`make_pe` dispatches through the registry instead of an
-enum if-chain.
+keeping the functional and performance models in one place.
+:func:`make_pe` looks each scheme's factory up in :data:`PE_FACTORIES`, a
+table keyed by :class:`~repro.schemes.ComputeScheme` member, instead of
+an enum if-chain.
 """
 
 from __future__ import annotations
 
 import abc
+import types
 
 import numpy as np
 
-from ..schemes import (
-    ComputeScheme,
-    bind_hook,
-    get_scheme,
-    scheme_mac_cycles,
-)
+from ..schemes import ComputeScheme, scheme_mac_cycles
 from ..unary.bitstream import Coding, quantize_bipolar
 from ..unary.mac import HubMac
 from ..unary.multiply import umul_bipolar
@@ -119,7 +114,7 @@ class ExactPe(PeModel):
     use it.  The zoo's temporal and permuted-dataflow schemes compute the
     exact 2N-bit product — their novelty is *when* it finishes
     (counter-driven streams, magnitude-proportional pulses, skew-free
-    launches), which the schedule and PE-cost hooks model, not the
+    launches), which the schedule and PE-cost models capture, not the
     arithmetic.
     """
 
@@ -241,16 +236,6 @@ class UgemmHPe(PeModel):
         return self._cache[key]
 
 
-def make_pe(
-    scheme: ComputeScheme,
-    bits: int,
-    ebt: int | None = None,
-    act_frac: float | None = None,
-) -> PeModel:
-    """Factory dispatching through the scheme registry's ``pe_factory`` hook."""
-    return get_scheme(scheme).make_pe(bits, ebt=ebt, act_frac=act_frac)
-
-
 def _make_binary_parallel(bits, ebt, act_frac):
     return BinaryPe(bits, serial=False)
 
@@ -273,23 +258,34 @@ def _make_ugemm(bits, ebt, act_frac):
     return UgemmHPe(bits, ebt=ebt)
 
 
-def _make_exact(code):
+def _make_exact(scheme):
     def factory(bits, ebt, act_frac):
-        spec = get_scheme(code)
-        return ExactPe(bits, spec.mac_cycles(bits, ebt=ebt, act_frac=act_frac))
+        return ExactPe(bits, scheme_mac_cycles(scheme, bits, ebt, act_frac))
 
     return factory
 
 
-for _code, _factory in (
-    ("BP", _make_binary_parallel),
-    ("BS", _make_binary_serial),
-    ("UR", _make_usystolic_rate),
-    ("UT", _make_usystolic_temporal),
-    ("UG", _make_ugemm),
-    ("TU", _make_exact("TU")),
-    ("TB", _make_exact("TB")),
-    ("DP", _make_exact("DP")),
-):
-    bind_hook(_code, "pe_factory", _factory)
-del _code, _factory
+#: Functional-PE factory of every scheme, ``(bits, ebt, act_frac) ->
+#: PeModel``.  Frozen (MappingProxyType): pool workers re-import it.
+PE_FACTORIES = types.MappingProxyType(
+    {
+        ComputeScheme.BINARY_PARALLEL: _make_binary_parallel,
+        ComputeScheme.BINARY_SERIAL: _make_binary_serial,
+        ComputeScheme.UGEMM_RATE: _make_ugemm,
+        ComputeScheme.USYSTOLIC_RATE: _make_usystolic_rate,
+        ComputeScheme.USYSTOLIC_TEMPORAL: _make_usystolic_temporal,
+        ComputeScheme.TUGEMM_TEMPORAL: _make_exact(ComputeScheme.TUGEMM_TEMPORAL),
+        ComputeScheme.TUBGEMM_TEMPORAL: _make_exact(ComputeScheme.TUBGEMM_TEMPORAL),
+        ComputeScheme.DIP_PARALLEL: _make_exact(ComputeScheme.DIP_PARALLEL),
+    }
+)
+
+
+def make_pe(
+    scheme: ComputeScheme,
+    bits: int,
+    ebt: int | None = None,
+    act_frac: float | None = None,
+) -> PeModel:
+    """The functional PE of ``scheme``: its :data:`PE_FACTORIES` entry."""
+    return PE_FACTORIES[scheme](bits, ebt, act_frac)

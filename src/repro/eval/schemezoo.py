@@ -8,9 +8,9 @@ magnitude, so post-ReLU sparsity directly shortens the run; DiP
 (arXiv:2412.09709) keeps binary MACs but feeds inputs diagonally,
 deleting the skew/drain bubbles of the weight-stationary schedule.
 
-This experiment puts every registered scheme on the same platform and
-workload and sweeps tubGEMM across activation sparsity to expose its
-headline property: runtime falls as sparsity rises, while every
+This experiment puts the paper's schemes and the zoo on the same
+platform and workload and sweeps tubGEMM across activation sparsity to
+expose its headline property: runtime falls as sparsity rises, while every
 value-independent scheme stands still.
 """
 

@@ -292,8 +292,12 @@ class FleetSimulator:
 
         while True:
             next_arrival_s = pending[i].arrival_s if i < total else math.inf
-            event_s = min(next_arrival_s, agenda.next_event_s())
-            if not draining or any(inst.backlog for inst in live):
+            next_event_s = agenda.next_event_s()
+            event_s = min(next_arrival_s, next_event_s)
+            # Once the stream ends, tick only while an instance event is
+            # pending: a backlog with nothing scheduled never changes, so
+            # ticking on it would never end.
+            if not draining or next_event_s < math.inf:
                 event_s = min(event_s, next_tick_s)
 
             if event_s == math.inf:

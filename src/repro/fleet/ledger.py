@@ -209,7 +209,7 @@ class FleetLedger:
     # canonical serialization
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
-        """JSON-able document (round-trips via :meth:`from_json`)."""
+        """JSON-able document (the ``--json`` file and :meth:`ledger_text`)."""
         return {
             "schema_version": _SCHEMA_VERSION,
             "slo_s": self.slo_s,
@@ -226,30 +226,6 @@ class FleetLedger:
                 for entry in self.instances
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FleetLedger":
-        """Rebuild a :class:`FleetLedger` from :meth:`to_json` output."""
-        if data.get("schema_version") != _SCHEMA_VERSION:
-            raise ValueError(
-                f"fleet ledger schema_version {data.get('schema_version')!r} "
-                f"!= {_SCHEMA_VERSION}"
-            )
-        return cls(
-            instances=[
-                InstanceLedger(
-                    shard=entry["shard"],
-                    pool=entry["pool"],
-                    instance_id=entry["instance_id"],
-                    spawned_s=entry["spawned_s"],
-                    stopped_s=entry["stopped_s"],
-                    metrics=ServeMetrics.from_json(entry["ledger"]),
-                )
-                for entry in data["instances"]
-            ],
-            makespan_s=data["makespan_s"],
-            slo_s=data["slo_s"],
-        )
 
     def ledger_text(self) -> str:
         """The canonical byte-stable JSON text of this fleet run."""

@@ -20,10 +20,9 @@ for a plain counter, tubGEMM drops the multiplier entirely (the binary
 weight is accumulated once per activation pulse), and DiP keeps the
 binary-parallel PE — its savings live in the dataflow, not the cell.
 
-This module is the ``pe_cost`` hook *provider* of the scheme registry:
-every builder is bound via :func:`repro.schemes.bind_hook` at import
-time, and :func:`pe_cost` dispatches through the registry instead of an
-enum if-chain.
+:func:`pe_cost` looks each scheme's builder up in :data:`PE_COST_BUILDERS`,
+a table keyed by :class:`~repro.schemes.ComputeScheme` member, instead of
+an enum if-chain.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import dataclasses
 import types
 from typing import Mapping
 
-from ..schemes import ComputeScheme, bind_hook, get_scheme
+from ..schemes import ComputeScheme
 from . import gates
 
 __all__ = ["PeCost", "pe_cost", "PePosition"]
@@ -229,30 +228,31 @@ def _dip(bits: int, position: str) -> PeCost:
     return _bp(bits)
 
 
+#: PE-cost builder of every scheme, ``(bits, position) -> PeCost``.
+#: Frozen like the activity tables above.
+PE_COST_BUILDERS = types.MappingProxyType(
+    {
+        ComputeScheme.BINARY_PARALLEL: lambda bits, position: _bp(bits),
+        ComputeScheme.BINARY_SERIAL: lambda bits, position: _bs(bits),
+        ComputeScheme.UGEMM_RATE: _ug,
+        ComputeScheme.USYSTOLIC_RATE: _ur,
+        ComputeScheme.USYSTOLIC_TEMPORAL: _ut,
+        ComputeScheme.TUGEMM_TEMPORAL: _tu,
+        ComputeScheme.TUBGEMM_TEMPORAL: _tub,
+        ComputeScheme.DIP_PARALLEL: _dip,
+    }
+)
+
+
 def pe_cost(
     scheme: ComputeScheme, bits: int, position: str = PePosition.INNER
 ) -> PeCost:
     """Cost of one PE of ``scheme`` at ``bits`` data bitwidth.
 
     ``position`` only matters for unary schemes; binary PEs are uniform.
-    Dispatch goes through the scheme registry's ``pe_cost`` hook.
     """
     if bits < 2:
         raise ValueError(f"bits must be >= 2, got {bits}")
     if position not in (PePosition.LEFTMOST, PePosition.INNER):
         raise ValueError(f"unknown PE position {position!r}")
-    return get_scheme(scheme).pe_cost(bits, position)
-
-
-for _code, _builder in (
-    ("BP", lambda bits, position: _bp(bits)),
-    ("BS", lambda bits, position: _bs(bits)),
-    ("UR", _ur),
-    ("UT", _ut),
-    ("UG", _ug),
-    ("TU", _tu),
-    ("TB", _tub),
-    ("DP", _dip),
-):
-    bind_hook(_code, "pe_cost", _builder)
-del _code, _builder
+    return PE_COST_BUILDERS[scheme](bits, position)

@@ -1,68 +1,54 @@
 """Compute schemes: the paper's five plus the post-uSystolic zoo.
 
-This package is the pluggable successor of the original hard-coded
-enum.  Each scheme is a registered :class:`SchemeSpec` exposing its MAC
-latency law (worst-case, expected and per-operand), capability flags,
-dataflow geometry, traffic hook and provider-bound PE cost/functional
-hooks; see :mod:`repro.schemes.registry`.  The paper's BP/BS/UG/UR/UT
-are registered first (:mod:`repro.schemes.paper`), followed by tuGEMM,
-tubGEMM and DiP (:mod:`repro.schemes.zoo`).
+Each scheme is a :class:`SchemeSpec` declaring its MAC latency law
+(worst-case and expected), capability flags and dataflow geometry: the
+paper's BP/BS/UG/UR/UT (:mod:`repro.schemes.paper`), then tuGEMM,
+tubGEMM and DiP (:mod:`repro.schemes.zoo`).  The set is fixed: one
+read-only table maps each code to its spec, and the PE cost and
+functional PE of every scheme are entries of member-keyed tables in
+``repro.hw.pe_cost`` and ``repro.core.pe``.
 
-:class:`ComputeScheme` remains the enum every config, ledger and job
-key serialises — a thin facade whose properties delegate to the
-registered specs, so legacy call sites and on-disk artefacts are
-byte-identical before and after the registry refactor.  It lives at
-package root so no subpackage depends on another for it.
+:class:`ComputeScheme` is the enum every config and ledger serialises
+(by code string); its properties delegate to the member's spec.  It
+lives at package root so no subpackage depends on another for it.
 """
 
 from __future__ import annotations
 
 import enum
+import types
 
-from .errors import SchemeCapabilityError, SchemeError, UnknownSchemeError
 from .geometry import (
     DIAGONAL_INPUT,
     WEIGHT_STATIONARY_SKEWED,
     DataflowGeometry,
 )
 from .paper import PAPER_SPECS
-from .registry import (
-    bind_hook,
-    get_scheme,
-    register_scheme,
-    registered_codes,
-    resolve_hook,
-)
-from .spec import SchemeSpec
+from .spec import SchemeCapabilityError, SchemeSpec
 from .zoo import ZOO_SPECS
 
 __all__ = [
     "ComputeScheme",
     "scheme_mac_cycles",
     "SchemeSpec",
-    "SchemeError",
     "SchemeCapabilityError",
-    "UnknownSchemeError",
     "DataflowGeometry",
     "WEIGHT_STATIONARY_SKEWED",
     "DIAGONAL_INPUT",
-    "register_scheme",
-    "get_scheme",
-    "registered_codes",
-    "bind_hook",
-    "resolve_hook",
 ]
 
-for _spec in PAPER_SPECS + ZOO_SPECS:
-    register_scheme(_spec)
-del _spec
+#: Spec of every scheme, by code.  Frozen (MappingProxyType): pool
+#: workers re-import it, so it must never change after import.
+_SPECS = types.MappingProxyType(
+    {spec.code: spec for spec in PAPER_SPECS + ZOO_SPECS}
+)
 
 
 class ComputeScheme(enum.Enum):
     """One systolic-array computing scheme, keyed by Figure 11's labels.
 
-    The five paper members plus the registered zoo.  Every property
-    delegates to the scheme's :class:`SchemeSpec`.
+    The five paper members plus the zoo.  Every property delegates to
+    the scheme's :class:`SchemeSpec`.
     """
 
     BINARY_PARALLEL = "BP"
@@ -76,8 +62,8 @@ class ComputeScheme(enum.Enum):
 
     @property
     def spec(self) -> SchemeSpec:
-        """The registered :class:`SchemeSpec` behind this member."""
-        return get_scheme(self.value)
+        """The :class:`SchemeSpec` behind this member."""
+        return _SPECS[self.value]
 
     @property
     def is_unary(self) -> bool:
@@ -105,7 +91,7 @@ class ComputeScheme(enum.Enum):
 
     @property
     def geometry(self) -> DataflowGeometry:
-        """The dataflow geometry hook consumed by ``repro.sim``."""
+        """The dataflow geometry consumed by ``repro.sim``."""
         return self.spec.geometry
 
 
@@ -120,7 +106,7 @@ def scheme_mac_cycles(
     ``ebt`` is the effective bitwidth for early-terminable schemes; it
     defaults to the full data bitwidth.  ``act_frac`` selects the
     expected-latency law of value-dependent schemes (tubGEMM).  Cycle
-    formulas live with each registered spec:
+    formulas live with each spec:
 
     - BP: 1 (single-cycle MAC, Figure 2);
     - BS: bits + 1 (one serialized multiplier input [31], [56]);
@@ -135,4 +121,4 @@ def scheme_mac_cycles(
     Asking a scheme for a capability it does not declare (early
     termination, ``act_frac``) raises :class:`SchemeCapabilityError`.
     """
-    return get_scheme(scheme).mac_cycles(bits, ebt=ebt, act_frac=act_frac)
+    return scheme.spec.mac_cycles(bits, ebt=ebt, act_frac=act_frac)

@@ -1,4 +1,4 @@
-"""The paper's five compute schemes as the first registered plugins.
+"""The paper's five compute schemes.
 
 Cycle laws (Section IV-C2, multiply cycles; the MAC adds one
 accumulation cycle):
@@ -9,9 +9,9 @@ accumulation cycle):
 - UG: 2**ebt — bipolar uMUL needs double-length streams;
 - UT: 2**(bits-1) — temporal coding, no early termination.
 
-All five keep the skewed weight-stationary geometry, so the registry
-refactor changes no ledger byte for them (pinned by
-``tests/schemes/test_legacy_ledger_differential.py``).
+All five keep the skewed weight-stationary geometry; their ledgers are
+pinned byte for byte by
+``tests/schemes/test_legacy_ledger_differential.py``.
 """
 
 from __future__ import annotations
@@ -28,85 +28,68 @@ __all__ = [
     "PAPER_SPECS",
 ]
 
-_CITATION = "Wu and Di Miguel, 'uSystolic: Byte-Crawling Unary Systolic Array', HPCA 2022"
 
 BINARY_PARALLEL = SchemeSpec(
     code="BP",
-    name="Binary Parallel",
-    citation=_CITATION + " (Fig. 2)",
     is_unary=False,
     is_exact=True,
     supports_early_termination=False,
     power_of_two_stream=False,
     value_dependent_latency=False,
     coding=None,
-    quant="exact",
     geometry=WEIGHT_STATIONARY_SKEWED,
     mul_cycles=lambda bits, ebt: 0,
 )
 
 BINARY_SERIAL = SchemeSpec(
     code="BS",
-    name="Binary Serial",
-    citation=_CITATION + " ([31], [56])",
     is_unary=False,
     is_exact=True,
     supports_early_termination=False,
     power_of_two_stream=False,
     value_dependent_latency=False,
     coding=None,
-    quant="exact",
     geometry=WEIGHT_STATIONARY_SKEWED,
     mul_cycles=lambda bits, ebt: bits,
 )
 
 UGEMM_RATE = SchemeSpec(
     code="UG",
-    name="uGEMM-H",
-    citation="Wu et al., 'uGEMM: Unary Computing Architecture for GEMM Applications', ISCA 2020",
     is_unary=True,
     is_exact=False,
     supports_early_termination=True,
     power_of_two_stream=True,
     value_dependent_latency=False,
     coding="rate",
-    quant="usystolic",
     geometry=WEIGHT_STATIONARY_SKEWED,
     mul_cycles=lambda bits, ebt: 1 << ebt,
 )
 
 USYSTOLIC_RATE = SchemeSpec(
     code="UR",
-    name="uSystolic Rate",
-    citation=_CITATION + " (Section II-B4b)",
     is_unary=True,
     is_exact=False,
     supports_early_termination=True,
     power_of_two_stream=True,
     value_dependent_latency=False,
     coding="rate",
-    quant="usystolic",
     geometry=WEIGHT_STATIONARY_SKEWED,
     mul_cycles=lambda bits, ebt: 1 << (ebt - 1),
 )
 
 USYSTOLIC_TEMPORAL = SchemeSpec(
     code="UT",
-    name="uSystolic Temporal",
-    citation=_CITATION + " (Section II-B3)",
     is_unary=True,
     is_exact=False,
     supports_early_termination=False,
     power_of_two_stream=True,
     value_dependent_latency=False,
     coding="temporal",
-    quant="usystolic",
     geometry=WEIGHT_STATIONARY_SKEWED,
     mul_cycles=lambda bits, ebt: 1 << (bits - 1),
 )
 
-#: Registration order mirrors the enum; lookups are by code, so order
-#: never reaches job keys (tested).
+#: In enum order; lookups are by code, so the order reaches no output.
 PAPER_SPECS = (
     BINARY_PARALLEL,
     BINARY_SERIAL,

@@ -1,62 +1,58 @@
-""":class:`SchemeSpec` — one compute scheme as a pluggable object.
+""":class:`SchemeSpec` — what one compute scheme declares.
 
-A spec bundles everything the rest of the stack needs to price, schedule
-and emulate a scheme:
+A spec bundles what the rest of the stack asks of a scheme to price,
+schedule and emulate it:
 
 - declared capabilities (``is_unary``, ``is_exact``,
   ``supports_early_termination``, ``power_of_two_stream``,
-  ``value_dependent_latency``) replacing hand-listed enum membership;
-- the MAC latency law (``mul_cycles``), optionally joined by an
-  *expected* law over the activation-magnitude distribution
-  (``expected_mul_cycles``) and a per-operand law (``value_mul_cycles``)
-  for magnitude-dependent schemes like tubGEMM;
-- the dataflow geometry hook (:class:`.geometry.DataflowGeometry`);
-- the traffic hook (``traffic_bits``: stream width per element);
-- the accuracy-emulation hint (``quant``) consumed by ``repro.eval``;
-- provider module paths for the PE cost-model and functional-PE
-  factory hooks.  Providers live *above* this package in the layer
-  graph (``repro.hw``, ``repro.core``), so they register their hooks by
-  calling :func:`.registry.bind_hook` at import time; the registry
-  imports the provider module on first use if that has not happened yet.
+  ``value_dependent_latency``) and the coding family (``coding``),
+  replacing hand-listed enum membership;
+- the MAC latency law (``mul_cycles``), joined for magnitude-dependent
+  schemes like tubGEMM by an *expected* law over the
+  activation-magnitude distribution (``expected_mul_cycles``);
+- the dataflow geometry (:class:`.geometry.DataflowGeometry`).
+
+A scheme's PE cost and functional PE live above this package in the
+layer graph, as entries of tables keyed by
+:class:`~repro.schemes.ComputeScheme` member in ``repro.hw.pe_cost`` and
+``repro.core.pe``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable
+from typing import Callable
 
-from .errors import SchemeCapabilityError
 from .geometry import DataflowGeometry
 
-__all__ = ["SchemeSpec"]
+__all__ = ["SchemeSpec", "SchemeCapabilityError"]
+
+
+class SchemeCapabilityError(ValueError):
+    """A scheme was asked for a capability it does not declare.
+
+    Examples: early termination on a temporal scheme, or a
+    value-dependent latency knob (``act_frac``) on a worst-case scheme.
+    """
 
 
 @dataclasses.dataclass(frozen=True)
 class SchemeSpec:
-    """Declarative description + hooks for one registered compute scheme."""
+    """Declared capabilities, latency laws and geometry of one scheme."""
 
     code: str
-    name: str
-    citation: str
     is_unary: bool
     is_exact: bool
     supports_early_termination: bool
     power_of_two_stream: bool
     value_dependent_latency: bool
     coding: str | None
-    quant: str
     geometry: DataflowGeometry
     #: Worst-case multiply cycles ``(bits, ebt) -> int``; MAC adds one.
     mul_cycles: Callable[[int, int], int]
     #: Expected multiply cycles ``(bits, ebt, act_frac) -> int`` for
     #: value-dependent schemes; ``act_frac`` is E[|x|] / 2**(bits-1).
     expected_mul_cycles: Callable[[int, int, float], int] | None = None
-    #: Per-operand multiply cycles ``(value, bits) -> int``.
-    value_mul_cycles: Callable[[int, int], int] | None = None
-    #: Stream width per element ``(bits) -> int`` for the traffic model.
-    traffic_bits: Callable[[int], int] | None = None
-    pe_cost_provider: str | None = "repro.hw.pe_cost"
-    pe_factory_provider: str | None = "repro.core.pe"
 
     @property
     def has_skew(self) -> bool:
@@ -98,36 +94,7 @@ class SchemeSpec:
             raise ValueError(f"act_frac must be in [0, 1], got {act_frac}")
         return self.expected_mul_cycles(bits, ebt, act_frac) + 1
 
-    def value_mac_cycles(self, value: int, bits: int) -> int:
-        """MAC latency for one concrete operand of a value-dependent scheme."""
-        if not self.value_dependent_latency or self.value_mul_cycles is None:
-            raise SchemeCapabilityError(
-                f"{self.code} has no per-operand latency law"
-            )
-        self._validated_ebt(bits, None)
-        limit = 1 << (bits - 1)
-        if not -limit <= value <= limit:
-            raise ValueError(f"value {value} out of range for {bits} bits")
-        return self.value_mul_cycles(value, bits) + 1
-
     def stream_bits(self, bits: int) -> int:
-        """Traffic-model hook: stored/streamed width of one element."""
-        if self.traffic_bits is None:
-            return bits
-        return self.traffic_bits(bits)
-
-    def pe_cost(self, bits: int, position: Any) -> Any:
-        """Resolve the registered PE cost-model hook (``repro.hw``)."""
-        from . import registry
-
-        return registry.resolve_hook(self.code, "pe_cost")(bits, position)
-
-    def make_pe(
-        self, bits: int, ebt: int | None = None, act_frac: float | None = None
-    ) -> Any:
-        """Resolve the registered functional-PE factory (``repro.core``)."""
-        from . import registry
-
-        return registry.resolve_hook(self.code, "pe_factory")(
-            bits, ebt, act_frac
-        )
+        """Stored/streamed width of one element: every scheme moves its
+        data bitwidth (unary streams are generated inside the array)."""
+        return bits

@@ -1,4 +1,4 @@
-"""Post-uSystolic schemes registered on top of the paper's five.
+"""Post-uSystolic schemes beside the paper's five.
 
 - **tuGEMM** (``TU``): temporal-unary GEMM with counter-based stream
   generators — same ``2**(bits-1)`` temporal stream as UT but *exact*
@@ -34,50 +34,40 @@ def _tub_expected_mul(bits: int, ebt: int, act_frac: float) -> int:
 
 TUGEMM_TEMPORAL = SchemeSpec(
     code="TU",
-    name="tuGEMM",
-    citation="Anderson, Daleiden and San Miguel, 'tuGEMM: Area-Power-Efficient Temporal Unary GEMM Architecture for Low-Precision Edge AI', ISCAS 2023",
     is_unary=True,
     is_exact=True,
     supports_early_termination=False,
     power_of_two_stream=True,
     value_dependent_latency=False,
     coding="temporal",
-    quant="exact",
     geometry=WEIGHT_STATIONARY_SKEWED,
     mul_cycles=lambda bits, ebt: 1 << (bits - 1),
 )
 
 TUBGEMM_TEMPORAL = SchemeSpec(
     code="TB",
-    name="tubGEMM",
-    citation="Maan, Anderson and San Miguel, 'tubGEMM: Energy-Efficient and Sparsity-Effective Temporal-Unary-Binary Based Matrix Multiply Unit', ISVLSI 2023",
     is_unary=True,
     is_exact=True,
     supports_early_termination=False,
     power_of_two_stream=False,
     value_dependent_latency=True,
     coding="temporal",
-    quant="exact",
     geometry=WEIGHT_STATIONARY_SKEWED,
     mul_cycles=lambda bits, ebt: 1 << (bits - 1),
     expected_mul_cycles=_tub_expected_mul,
-    value_mul_cycles=lambda value, bits: abs(int(value)),
 )
 
 DIP_PARALLEL = SchemeSpec(
     code="DP",
-    name="DiP Parallel",
-    citation="Abdelmaksoud et al., 'DiP: A Scalable, Energy-Efficient Systolic Array for Matrix Multiplication Acceleration', arXiv:2412.09709, 2024",
     is_unary=False,
     is_exact=True,
     supports_early_termination=False,
     power_of_two_stream=False,
     value_dependent_latency=False,
     coding=None,
-    quant="exact",
     geometry=DIAGONAL_INPUT,
     mul_cycles=lambda bits, ebt: 0,
 )
 
-#: The zoo, in registration order (order never reaches job keys).
+#: The zoo, in enum order (lookups are by code).
 ZOO_SPECS = (TUGEMM_TEMPORAL, TUBGEMM_TEMPORAL, DIP_PARALLEL)

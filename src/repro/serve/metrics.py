@@ -10,10 +10,9 @@ rejections, drops, dispatches, completions — and maintains, online:
 
 ``summary()`` derives the headline numbers (p50/p95/p99 latency by the
 nearest-rank method, goodput = SLO-met completions per second, energy per
-completed request), and ``to_json``/``from_json`` round-trip the stored
-event ledger the way ``LayerResult`` round-trips: only raw observations
-are serialized, every derived statistic is recomputed on load, and two
-seeded runs emit byte-identical documents.
+completed request), and ``to_json`` serialises only the raw
+observations, from which every derived statistic follows, so two seeded
+runs emit byte-identical documents.
 
 The **conservation invariant** — admitted = completed + dropped +
 in flight — is checked on every event against the executor's actual
@@ -249,14 +248,11 @@ class ServeMetrics:
         }
 
     # ------------------------------------------------------------------
-    # ledger round trip
+    # canonical serialization
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
-        """JSON-able ledger (round-trips via :meth:`from_json`).
-
-        Stores raw observations only; ``summary()`` statistics are
-        recomputed on load, so a round trip preserves them exactly.
-        """
+        """JSON-able ledger of raw observations only; ``summary()``
+        derives every statistic from them."""
         return {
             "slo_s": self.slo_s,
             "records": [r.to_json() for r in self.records],
@@ -271,24 +267,6 @@ class ServeMetrics:
             "peak_in_system": self.peak_in_system,
             "makespan_s": self.makespan_s,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ServeMetrics":
-        """Rebuild a :class:`ServeMetrics` from :meth:`to_json` output."""
-        metrics = cls(slo_s=data["slo_s"])
-        metrics.records = [RequestRecord.from_json(r) for r in data["records"]]
-        metrics.admitted = data["admitted"]
-        metrics.rejected = data["rejected"]
-        metrics.completed = data["completed"]
-        metrics.dropped = data["dropped"]
-        metrics.batches = data["batches"]
-        metrics.batched_requests = data["batched_requests"]
-        metrics.busy_s = data["busy_s"]
-        metrics.depth_integral = data["depth_integral"]
-        metrics.peak_in_system = data["peak_in_system"]
-        metrics.makespan_s = data["makespan_s"]
-        metrics._last_event_s = data["makespan_s"]
-        return metrics
 
     def ledger_text(self) -> str:
         """The canonical byte-stable JSON text of this run's ledger."""

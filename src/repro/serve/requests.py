@@ -74,22 +74,7 @@ class RequestRecord:
     slo_met: bool
 
     def to_json(self) -> dict:
-        """JSON-able field dict (round-trips via :meth:`from_json`)."""
+        """JSON-able field dict, the status by its value."""
         data = dataclasses.asdict(self)
         data["status"] = self.status.value
         return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RequestRecord":
-        """Rebuild a :class:`RequestRecord` from :meth:`to_json` output."""
-        return cls(
-            req_id=data["req_id"],
-            workload=data["workload"],
-            status=RequestStatus(data["status"]),
-            arrival_s=data["arrival_s"],
-            finish_s=data["finish_s"],
-            latency_s=data["latency_s"],
-            batch_size=data["batch_size"],
-            energy_j=data["energy_j"],
-            slo_met=data["slo_met"],
-        )

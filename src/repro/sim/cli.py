@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheme",
         choices=sorted(_SCHEMES),
         default="UR",
-        help="compute scheme code (any registered scheme, e.g. BP/UR/UT/TU/TB/DP)",
+        help="compute scheme code: the paper's BP/BS/UG/UR/UT or the zoo's TU/TB/DP",
     )
     parser.add_argument("--bits", type=int, default=8)
     parser.add_argument(

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from ..core.config import ArrayConfig
 from ..gemm.params import GemmParams
+from ..hw.gates import TECH_32NM
 from ..memory.hierarchy import MemoryConfig
 from ..serve.residency import ResidencyTracker
 from ..sim.engine import simulate_layer
@@ -83,7 +84,7 @@ class TiledSystem:
             result = simulate_layer(layer, self.array, self.memory)
             # Instance-local time excludes shared-channel stalls; those are
             # re-applied at the aggregate level below.
-            local = result.compute_cycles / 400e6
+            local = result.compute_cycles / TECH_32NM.frequency_hz
             idx = i % self.instances
             per_instance[idx] += local
             total_bytes += result.traffic.dram_total

@@ -107,7 +107,7 @@ def mac_latency_oracle(
     n = bits if ebt is None else ebt
     if not 2 <= n <= bits:
         raise ValueError(f"ebt must be in [2, {bits}], got {n}")
-    # The oracle must re-derive latency without the registry's law, so
+    # The oracle must re-derive latency without the spec's law, so
     # this one identity branch is a deliberate SCHEME001 exception.
     if (
         scheme is ComputeScheme.TUBGEMM_TEMPORAL  # repro-lint: ignore[scheme]

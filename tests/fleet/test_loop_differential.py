@@ -11,7 +11,9 @@ flash crowd overloads the fleet, so the grid reaches rejections,
 deadline expiries, spawns, drains and power-cap sheds.  Two planted
 mutations must break the match: dropping the idle-wake-passed case from
 ``ServeExecutor.due_s``, and an ``Instance.advance`` that leaves the
-recorded backlog stale.
+recorded backlog stale.  Under the second, every autoscaled run must
+still return: the drain phase ticks the autoscaler only while an
+instance event is pending, never on a backlog alone.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import functools
 import itertools
 import math
 import os
+import signal
 
 import pytest
 
@@ -169,3 +172,33 @@ def test_a_stale_recorded_backlog_breaks_the_match(monkeypatch):
     ]
     differ = [case for case in cases if _loop_text(case) != _oracle_text(case)]
     assert differ, "a stale recorded backlog must change a ledger"
+
+
+class _Hung(Exception):
+    """Raised by the alarm when a fleet run does not return in time."""
+
+
+def _raise_hung(signum, frame):
+    raise _Hung
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_a_stale_recorded_backlog_cannot_hang_the_drain(monkeypatch):
+    monkeypatch.setattr(Instance, "advance", _advance_without_recording)
+    budget_s = 10  # each run takes well under 0.1 s
+    previous = signal.signal(signal.SIGALRM, _raise_hung)
+    try:
+        for case in GRID:
+            router, policy, queue, scaling, shards = case
+            if scaling == "fixed":
+                continue
+            config = _config(router, policy, queue, scaling)
+            signal.alarm(budget_s)
+            try:
+                run_fleet(config, _arrivals(), shards=shards)
+            except _Hung:
+                pytest.fail(f"run_fleet ran past {budget_s} s on {case}")
+            finally:
+                signal.alarm(0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -95,8 +95,10 @@ def test_platform_preset_maps_names_to_platforms():
 
 def test_workload_layers_known_and_unknown():
     assert len(workload_layers("alexnet")) > 0
-    with pytest.raises(ValueError, match="unknown workload"):
+    with pytest.raises(ValueError, match="unknown workload") as raised:
         workload_layers("nonexistent-net")
+    # The choices list each workload once; AlexNet is a suite member too.
+    assert str(raised.value).count("'alexnet'") == 1
 
 
 def test_build_cost_model_reflects_the_scheme():

@@ -1,7 +1,7 @@
-"""Registry refactor must not move a single ledger byte for BP/BS/UG/UR/UT.
+"""The scheme tables must not move a single ledger byte for BP/BS/UG/UR/UT.
 
 ``tests/fixtures/legacy_scheme_ledgers.json`` was captured against the
-pre-registry enum: per-layer simulation ledgers for the first three
+enum of the paper's five schemes, before the zoo and its scheme tables: per-layer simulation ledgers for the first three
 AlexNet layers on the EDGE platform plus synthesis headline numbers,
 for all five paper schemes.  This test re-runs the live pipeline and
 compares the serialized output byte-for-byte.

@@ -1,55 +1,53 @@
-"""The scheme registry: round-trips, capability errors, latency laws."""
+"""The fixed scheme tables: every member's spec, PE cost and functional
+PE; capability errors; latency laws."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pe import PE_FACTORIES, PeModel
+from repro.hw.pe_cost import PE_COST_BUILDERS, PeCost, PePosition
 from repro.schemes import (
     DIAGONAL_INPUT,
     WEIGHT_STATIONARY_SKEWED,
     ComputeScheme,
     SchemeCapabilityError,
-    SchemeSpec,
-    UnknownSchemeError,
-    get_scheme,
-    register_scheme,
-    registered_codes,
-    resolve_hook,
     scheme_mac_cycles,
 )
+from repro.schemes.paper import PAPER_SPECS
+from repro.schemes.zoo import ZOO_SPECS
 
 
 class TestRegistryRoundTrips:
     def test_every_enum_member_resolves_to_its_spec(self):
         for member in ComputeScheme:
-            spec = get_scheme(member)
-            assert spec.code == member.value
-            assert spec is get_scheme(member.value)
-            assert member.spec is spec
+            assert member.spec.code == member.value
+            assert member.geometry in (WEIGHT_STATIONARY_SKEWED, DIAGONAL_INPUT)
 
     def test_registered_codes_cover_paper_and_zoo(self):
-        assert registered_codes() == (
-            "BP", "BS", "DP", "TB", "TU", "UG", "UR", "UT",
-        )
+        codes = sorted(spec.code for spec in PAPER_SPECS + ZOO_SPECS)
+        assert codes == ["BP", "BS", "DP", "TB", "TU", "UG", "UR", "UT"]
+        assert codes == sorted(member.value for member in ComputeScheme)
 
-    def test_every_spec_carries_a_citation_and_geometry(self):
-        for spec in map(get_scheme, registered_codes()):
-            assert spec.citation
-            assert spec.geometry in (WEIGHT_STATIONARY_SKEWED, DIAGONAL_INPUT)
+
+class TestSchemeTables:
+    """A member missing from a PE table fails here, not in a sweep."""
+
+    def test_every_member_has_a_pe_cost_builder(self):
+        assert set(PE_COST_BUILDERS) == set(ComputeScheme)
+        for member, builder in PE_COST_BUILDERS.items():
+            for position in (PePosition.LEFTMOST, PePosition.INNER):
+                assert isinstance(builder(8, position), PeCost), member
+
+    def test_every_member_has_a_pe_factory(self):
+        assert set(PE_FACTORIES) == set(ComputeScheme)
+        for member, factory in PE_FACTORIES.items():
+            pe = factory(8, None, None)
+            assert isinstance(pe, PeModel), member
+            assert pe.mac_cycles == scheme_mac_cycles(member, 8), member
 
 
 class TestErrors:
-    def test_unknown_scheme_is_a_named_error(self):
-        with pytest.raises(UnknownSchemeError, match="registered: BP"):
-            get_scheme("XX")
-        # Named errors stay catchable as ValueError for legacy callers.
-        with pytest.raises(ValueError):
-            get_scheme("XX")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_scheme(get_scheme("BP"))
-
     def test_early_termination_is_a_declared_capability(self):
         with pytest.raises(
             SchemeCapabilityError, match="TU does not support early termination"
@@ -61,15 +59,6 @@ class TestErrors:
     def test_act_frac_needs_a_value_dependent_scheme(self):
         with pytest.raises(SchemeCapabilityError, match="value-dependent"):
             scheme_mac_cycles(ComputeScheme.BINARY_PARALLEL, 8, act_frac=0.5)
-
-    def test_per_operand_law_is_a_declared_capability(self):
-        with pytest.raises(SchemeCapabilityError, match="per-operand"):
-            get_scheme("BP").value_mac_cycles(3, 8)
-        assert get_scheme("TB").value_mac_cycles(3, 8) == 4
-
-    def test_unknown_hook_slot_rejected(self):
-        with pytest.raises(ValueError, match="unknown hook slot"):
-            resolve_hook("BP", "no-such-slot")
 
 
 class TestLatencyLaws:
@@ -88,11 +77,6 @@ class TestLatencyLaws:
         # Bounded by the one-cycle floor and the worst-case law.
         assert 1 <= fast
         assert slow <= scheme_mac_cycles(tb, bits)
-
-    @given(value=st.integers(-128, 128))
-    @settings(max_examples=40, deadline=None)
-    def test_tubgemm_per_operand_law_tracks_magnitude(self, value):
-        assert get_scheme("TB").value_mac_cycles(value, 8) == abs(value) + 1
 
     @given(
         rows=st.integers(1, 32),

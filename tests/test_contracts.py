@@ -161,7 +161,7 @@ def _dram(**fields):
 #: message.  A passing check never builds its message, so nothing else
 #: would notice a message broken by a change to the check.  (The
 #: power-of-two bitstream check in ``ArrayConfig`` is unreachable: every
-#: registered scheme that declares it has a ``1 << n`` stream.)
+#: scheme that declares it has a ``1 << n`` stream.)
 CONTRACT_MESSAGES = [
     pytest.param(
         lambda: QuantSpec(QuantMode.FXP_O_RES, ebt=3),

@@ -5,7 +5,6 @@ import pytest
 from repro.gemm.params import GemmType
 from repro.gemm.tiling import tile_gemm
 from repro.schemes import ComputeScheme as CS
-from repro.schemes.registry import registered_codes
 from repro.workloads.alexnet import alexnet_layers
 from repro.workloads.mlperf import mlperf_suite
 from repro.workloads.presets import CLOUD, EDGE, scheme_sweep
@@ -121,12 +120,11 @@ class TestPresets:
 
     def test_memory_for_scheme(self):
         # SRAM exactly for the binary schemes, on both platforms and for
-        # every registered scheme, the zoo included.
+        # every scheme, the zoo included.
         for platform in (EDGE, CLOUD):
-            for code in registered_codes():
-                scheme = CS(code)
+            for scheme in CS:
                 has_sram = platform.memory_for(scheme).has_sram
-                assert has_sram == (not scheme.is_unary), (platform.name, code)
+                assert has_sram == (not scheme.is_unary), (platform.name, scheme)
 
     def test_scheme_sweep_matches_figure10(self):
         sweep = scheme_sweep()
