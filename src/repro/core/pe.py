@@ -249,8 +249,6 @@ def _make_usystolic_rate(bits, ebt, act_frac):
 
 
 def _make_usystolic_temporal(bits, ebt, act_frac):
-    if ebt is not None and ebt != bits:
-        raise ValueError("temporal coding admits no early termination")
     return UsystolicPe(bits, coding=Coding.TEMPORAL)
 
 
@@ -287,5 +285,12 @@ def make_pe(
     ebt: int | None = None,
     act_frac: float | None = None,
 ) -> PeModel:
-    """The functional PE of ``scheme``: its :data:`PE_FACTORIES` entry."""
+    """The functional PE of ``scheme``: its :data:`PE_FACTORIES` entry.
+
+    It rejects exactly what :func:`~repro.schemes.scheme_mac_cycles`
+    rejects: ``ebt == bits`` suits every scheme, any other EBT only an
+    early-terminating one, and ``act_frac`` only a value-dependent one
+    (:class:`~repro.schemes.SchemeCapabilityError` otherwise).
+    """
+    scheme_mac_cycles(scheme, bits, ebt, act_frac)
     return PE_FACTORIES[scheme](bits, ebt, act_frac)

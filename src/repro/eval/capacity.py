@@ -24,8 +24,8 @@ import dataclasses
 from ..fleet.cluster import FleetConfig
 from ..fleet.pools import pool_presets
 from ..fleet.sharding import run_fleet
-from ..fleet.traces import piecewise_poisson_arrivals
 from ..jobs import run_tasks
+from ..serve.arrivals import piecewise_poisson_arrivals
 from .report import format_table
 
 __all__ = [

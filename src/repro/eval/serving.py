@@ -16,11 +16,10 @@ import dataclasses
 from ..schemes import ComputeScheme
 from ..serve.arrivals import poisson_arrivals
 from ..serve.batching import make_batcher
-from ..serve.costs import NetworkCostModel
+from ..serve.costs import platform_cost_model
 from ..serve.executor import ServeExecutor
 from ..serve.queueing import make_queue
 from ..serve.residency import ResidencyTracker
-from ..workloads.alexnet import alexnet_layers
 from ..workloads.presets import EDGE, Platform
 from .report import format_table
 
@@ -84,13 +83,8 @@ def run_serving_experiment(
     """The full (design x rate) serving grid, one stream per rate."""
     points = []
     for design, scheme, ebt, act_frac in serving_designs():
-        array = platform.array(scheme, bits=bits, ebt=ebt, act_frac=act_frac)
-        memory = platform.memory_for(scheme)
-        model = NetworkCostModel(
-            name="alexnet", layers=alexnet_layers(), array=array, memory=memory
-        )
-        weight_buffer_bytes = (
-            memory.sram_bytes_per_variable if memory.has_sram else 0
+        model = platform_cost_model(
+            platform, scheme, "alexnet", bits=bits, ebt=ebt, act_frac=act_frac
         )
         for rate in rates:
             arrivals = poisson_arrivals(
@@ -105,7 +99,7 @@ def run_serving_experiment(
                 queue=make_queue("fifo", 256),
                 batcher=make_batcher("dynamic", max_batch, max_wait_s=max_wait_s),
                 slo_s=slo_s,
-                residency=ResidencyTracker(weight_buffer_bytes),
+                residency=ResidencyTracker(model.weight_buffer_bytes),
             )
             points.append(
                 ServingPoint(

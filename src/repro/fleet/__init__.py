@@ -16,7 +16,7 @@ The module map mirrors a real serving stack:
   power-of-two, and SLO/energy-aware load balancers;
 - :mod:`~repro.fleet.autoscale` — threshold control with a power cap;
 - :mod:`~repro.fleet.cluster` — the fleet event loop;
-- :mod:`~repro.fleet.traces` — seeded diurnal / flash-crowd streams;
+- :mod:`~repro.fleet.traces` — diurnal / flash-crowd stream shapes;
 - :mod:`~repro.fleet.ledger` — canonical merged fleet ledgers;
 - :mod:`~repro.fleet.sharding` — cell sharding over the
   :func:`repro.jobs.run_tasks` process pool, byte-identical under any
@@ -42,11 +42,7 @@ from .routing import (
     make_router,
 )
 from .sharding import run_fleet, shard_requests, split_fleet
-from .traces import (
-    diurnal_arrivals,
-    flash_crowd_arrivals,
-    piecewise_poisson_arrivals,
-)
+from .traces import diurnal_arrivals, flash_crowd_arrivals
 
 __all__ = [
     "AutoscaleConfig",
@@ -73,7 +69,6 @@ __all__ = [
     "run_fleet",
     "shard_requests",
     "split_fleet",
-    "piecewise_poisson_arrivals",
     "diurnal_arrivals",
     "flash_crowd_arrivals",
 ]

@@ -38,17 +38,14 @@ from ..eval.capacity import (
 )
 from ..eval.report import format_table
 from ..jobs import jobs_arg
+from ..serve.arrivals import piecewise_poisson_arrivals
 from .autoscale import AutoscaleConfig
 from .cluster import FleetConfig
 from .ledger import FleetLedger
 from .pools import pool_presets
 from .routing import ROUTER_NAMES
 from .sharding import run_fleet
-from .traces import (
-    diurnal_arrivals,
-    flash_crowd_arrivals,
-    piecewise_poisson_arrivals,
-)
+from .traces import diurnal_arrivals, flash_crowd_arrivals
 
 __all__ = ["main", "build_parser", "build_fleet", "build_trace"]
 

@@ -2,7 +2,13 @@
 
 :class:`FleetSimulator` composes pool-built
 :class:`~repro.fleet.instance.Instance` objects under a single global
-clock.  Each iteration finds the earliest pending event among
+clock.  It steps each executor through the hooks
+:meth:`~repro.serve.executor.ServeExecutor.run` steps for one server —
+``offer`` per routed arrival, ``advance`` per instant, ``close`` at the
+end — so completion, expiry, admission, halt and dispatch are written
+once, in those hooks; the two clocks differ only in which hooks they
+call at an instant.  Each iteration finds the earliest pending event
+among
 
 1. per-instance internal events (batch completions, batching-window
    wakes), read from a heap of each instance's
@@ -14,11 +20,9 @@ clock.  Each iteration finds the earliest pending event among
    to the state the tick's arrivals produced.
 
 Equal-time events resolve in that fixed order and arrivals tie-break by
-``req_id`` (the same discipline as
-:class:`~repro.serve.executor.ServeExecutor.run`), making the whole run
-a pure function of ``(config, arrival stream)``: two same-seed runs
-produce byte-identical :class:`~repro.fleet.ledger.FleetLedger`
-documents.
+``req_id``, making the whole run a pure function of ``(config, arrival
+stream)``: two same-seed runs produce byte-identical
+:class:`~repro.fleet.ledger.FleetLedger` documents.
 
 At each event the loop advances only the instances whose advance can
 change something:
@@ -43,8 +47,9 @@ reference.
 Once the arrival stream is exhausted the fleet drains: every advance
 passes ``draining=True`` so partial batches flush, and the loop ends
 when no instance holds work.  Instances draining for the *autoscaler*
-stop themselves the moment their backlog empties; everything still
-running at the end is finalized at the global end time.
+stop themselves the moment their backlog empties, closing their run
+then; everything still running at the end is closed at the global end
+time.
 """
 
 from __future__ import annotations
@@ -243,22 +248,16 @@ class FleetSimulator:
         return scaled
 
     def _close(self, now_s: float) -> FleetLedger:
-        """Account stranded queues, close every window, build the ledger."""
-        # A policy that refuses to drain strands its queue; account for it
-        # (mirrors ServeExecutor.run's stranded-queue accounting).
-        for inst in self._live():
-            depth = inst.executor.queue.depth
-            if depth:
-                for request in inst.executor.queue.take(depth):
-                    inst.metrics.observe_drop(request, now_s)
-                inst.backlog = inst.executor.backlog
-        # Close every window; stopped instances keep their earlier close.
+        """Close every live executor's run at ``now_s``; build the ledger."""
         for inst in self.instances:
-            if inst.state is not InstanceState.STOPPED:
-                inst.metrics.finalize(now_s)
-            inst.metrics.assert_conserved(
-                inst.executor.queue.depth, inst.executor.in_service_count
-            )
+            if inst.state is InstanceState.STOPPED:
+                # Its window closed when it stopped, with nothing left.
+                inst.metrics.assert_conserved(
+                    inst.executor.queue.depth, inst.executor.in_service_count
+                )
+            else:
+                inst.executor.close(now_s, inst.metrics)
+                inst.backlog = inst.executor.backlog
         return FleetLedger(
             instances=[
                 InstanceLedger(

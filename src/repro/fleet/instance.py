@@ -11,16 +11,17 @@ lifecycle the autoscaler drives:
     batches flush, exactly like the end-of-trace drain) until empty,
     then stops.
 ``STOPPED``
-    window closed (``metrics.finalize`` at the stop time); contributes
+    run closed (``ServeExecutor.close`` at the stop time); contributes
     its ledger to the merged fleet ledger but no further events.
 
 The fleet simulator owns the clock; an instance only ever moves through
 :meth:`offer` (a routed arrival), :meth:`advance` (process everything
 due at the global event time) and :meth:`begin_drain`/:meth:`stop`.
-Those (and the fleet's end-of-run close, which drops a stranded queue)
-are the only calls that change the executor's queue or in-flight batch,
-and each records the result in :attr:`Instance.backlog`: routers, the
-autoscaler and the event loop read a plain int, never the executor.
+Those (and the fleet's end-of-run close, which drops a stranded queue
+through ``ServeExecutor.close``) are the only calls that change the
+executor's queue or in-flight batch, and each records the result in
+:attr:`Instance.backlog`: routers, the autoscaler and the event loop
+read a plain int, never the executor.
 Per-request service/energy estimates — used by the SLO/energy-aware
 router — are computed once from the pool's shared cost model at
 construction, so a route is one pass over recorded numbers: no
@@ -138,9 +139,9 @@ class Instance:
             self.advance(now_s)
 
     def stop(self, now_s: float) -> None:
-        """Close this instance's observation window."""
+        """Close this instance's run, and so its observation window."""
         if self.state is not InstanceState.STOPPED:
             self.state = InstanceState.STOPPED
             self.stopped_s = now_s
             self.backlog = 0
-            self.metrics.finalize(now_s)
+            self.executor.close(now_s, self.metrics)

@@ -13,8 +13,10 @@ across the :mod:`repro.jobs` process pool and still promise
 The headline capacity statistic rides here too:
 ``goodput_per_s_per_w`` — SLO-met completions per second per watt of
 average electrical power (total completed-request energy over the
-makespan).  All ratios return defined values (0.0) for empty windows,
-matching the :func:`repro.serve.metrics.percentile` contract.
+makespan).  Fleet and per-pool statistics come from
+:func:`repro.serve.metrics.record_summary`, the function behind a single
+server's summary, over records in ``req_id`` order; all ratios return
+defined values (0.0) for empty windows.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from __future__ import annotations
 import dataclasses
 import json
 
-from ..serve.metrics import ServeMetrics, percentile
-from ..serve.requests import RequestRecord, RequestStatus
+from ..serve.metrics import ServeMetrics, record_summary
+from ..serve.requests import RequestRecord
 
 __all__ = ["InstanceLedger", "FleetLedger"]
 
@@ -115,17 +117,13 @@ class FleetLedger:
 
     def summary(self) -> dict[str, float]:
         """The fleet-level headline numbers, derived from raw records."""
-        records = self.merged_records()
-        completed = [
-            r for r in records if r.status is RequestStatus.COMPLETED
-        ]
-        latencies = sorted(r.latency_s for r in completed)
-        slo_met = sum(1 for r in completed if r.slo_met)
-        energy_j = sum(r.energy_j for r in completed)
-        makespan = self.makespan_s
-        power_w = energy_j / makespan if makespan else 0.0
-        goodput_per_s = slo_met / makespan if makespan else 0.0
-        instance_windows_s = sum(
+        stats = record_summary(self.merged_records(), self.makespan_s)
+        power_w = stats["power_w"]
+        stats["goodput_per_s_per_w"] = (
+            stats["goodput_per_s"] / power_w if power_w else 0.0
+        )
+        stats["instances"] = float(len(self.instances))
+        stats["instance_windows_s"] = sum(
             (
                 entry.stopped_s
                 if entry.stopped_s is not None
@@ -134,40 +132,7 @@ class FleetLedger:
             - entry.spawned_s
             for entry in self.instances
         )
-        return {
-            "arrivals": float(len(records)),
-            "completed": float(len(completed)),
-            "rejected": float(
-                sum(1 for r in records if r.status is RequestStatus.REJECTED)
-            ),
-            "dropped": float(
-                sum(1 for r in records if r.status is RequestStatus.DROPPED)
-            ),
-            "p50_latency_s": percentile(latencies, 0.50),
-            "p95_latency_s": percentile(latencies, 0.95),
-            "p99_latency_s": percentile(latencies, 0.99),
-            "mean_latency_s": (
-                sum(latencies) / len(latencies) if latencies else 0.0
-            ),
-            "throughput_per_s": (
-                len(completed) / makespan if makespan else 0.0
-            ),
-            "goodput_per_s": goodput_per_s,
-            "slo_attainment": (
-                slo_met / len(records) if records else 0.0
-            ),
-            "energy_j": energy_j,
-            "energy_per_request_j": (
-                energy_j / len(completed) if completed else 0.0
-            ),
-            "power_w": power_w,
-            "goodput_per_s_per_w": (
-                goodput_per_s / power_w if power_w else 0.0
-            ),
-            "instances": float(len(self.instances)),
-            "instance_windows_s": instance_windows_s,
-            "makespan_s": makespan,
-        }
+        return stats
 
     def pool_summaries(self) -> dict[str, dict[str, float]]:
         """Per-pool instance ledgers rolled up (across shards)."""
@@ -182,27 +147,8 @@ class FleetLedger:
                 for record in entry.metrics.records
             ]
             records.sort(key=lambda record: record.req_id)
-            completed = [
-                r for r in records if r.status is RequestStatus.COMPLETED
-            ]
-            latencies = sorted(r.latency_s for r in completed)
-            energy_j = sum(r.energy_j for r in completed)
-            makespan = self.makespan_s
-            summaries[pool] = {
-                "instances": float(len(pools[pool])),
-                "arrivals": float(len(records)),
-                "completed": float(len(completed)),
-                "p99_latency_s": percentile(latencies, 0.99),
-                "slo_attainment": (
-                    sum(1 for r in completed if r.slo_met) / len(records)
-                    if records
-                    else 0.0
-                ),
-                "energy_per_request_j": (
-                    energy_j / len(completed) if completed else 0.0
-                ),
-                "power_w": energy_j / makespan if makespan else 0.0,
-            }
+            summaries[pool] = record_summary(records, self.makespan_s)
+            summaries[pool]["instances"] = float(len(pools[pool]))
         return summaries
 
     # ------------------------------------------------------------------

@@ -24,38 +24,18 @@ import dataclasses
 from ..contracts import fail
 from ..schemes import ComputeScheme
 from ..serve.batching import make_batcher
-from ..serve.costs import NetworkCostModel
+from ..serve.costs import NetworkCostModel, platform_cost_model
 from ..serve.executor import ServeExecutor
 from ..serve.queueing import make_queue
 from ..serve.residency import ResidencyTracker
-from ..workloads.alexnet import alexnet_layers
-from ..workloads.mlperf import mlperf_suite
-from ..workloads.presets import CLOUD, EDGE, Platform
+from ..workloads.presets import PLATFORMS, Platform
 
 __all__ = [
     "PoolConfig",
     "pool_presets",
-    "workload_layers",
     "build_cost_model",
     "build_executor",
 ]
-
-_PLATFORMS: tuple[str, ...] = ("edge", "cloud")
-
-
-def workload_layers(workload: str) -> list:
-    """GEMM layer list of a named workload (AlexNet or an MLPerf entry)."""
-    if workload == "alexnet":
-        # Fast path: building the whole suite (AlexNet is a member too)
-        # costs about 40x more than AlexNet alone.
-        return alexnet_layers()
-    suite = mlperf_suite()
-    if workload not in suite:
-        raise ValueError(
-            f"unknown workload {workload!r}; pick from {sorted(suite)}"
-        )
-    return suite[workload]
-
 
 @dataclasses.dataclass(frozen=True)
 class PoolConfig:
@@ -85,11 +65,11 @@ class PoolConfig:
         """Contract check: raise ``ValueError`` on any impossible field."""
         if not self.name:
             fail("PoolConfig", "name", "must be a non-empty label")
-        if self.platform not in _PLATFORMS:
+        if self.platform not in PLATFORMS:
             fail(
                 "PoolConfig",
                 "platform",
-                f"must be one of {_PLATFORMS}, got {self.platform!r}",
+                f"must be one of {tuple(PLATFORMS)}, got {self.platform!r}",
             )
         if not self.instances >= 1:
             fail(
@@ -116,6 +96,13 @@ class PoolConfig:
                 "PoolConfig",
                 "max_wait_s",
                 f"must be >= 0, got {self.max_wait_s}",
+            )
+        if not (self.ebt is None or self.scheme.supports_early_termination):
+            fail(
+                "PoolConfig",
+                "ebt",
+                f"needs a scheme with early termination, got "
+                f"scheme={self.scheme.value} ebt={self.ebt}",
             )
         if not (
             self.act_frac is None
@@ -149,7 +136,7 @@ class PoolConfig:
 
     def platform_preset(self) -> Platform:
         """The named :class:`~repro.workloads.presets.Platform`."""
-        return EDGE if self.platform == "edge" else CLOUD
+        return PLATFORMS[self.platform]
 
 
 def pool_presets() -> dict[str, PoolConfig]:
@@ -161,7 +148,7 @@ def pool_presets() -> dict[str, PoolConfig]:
     aliasing surprises.
     """
     presets = {}
-    for platform in _PLATFORMS:
+    for platform in PLATFORMS:
         presets[f"binary-{platform}"] = PoolConfig(
             name=f"binary-{platform}",
             scheme=ComputeScheme.BINARY_PARALLEL,
@@ -194,17 +181,13 @@ def pool_presets() -> dict[str, PoolConfig]:
 
 def build_cost_model(config: PoolConfig) -> NetworkCostModel:
     """The pool's shared batched cost model on its platform."""
-    platform = config.platform_preset()
-    ebt = config.ebt if config.scheme.supports_early_termination else None
-    array = platform.array(
-        config.scheme, bits=config.bits, ebt=ebt, act_frac=config.act_frac
-    ).validate()
-    memory = platform.memory_for(config.scheme).validate()
-    return NetworkCostModel(
-        name=config.workload,
-        layers=workload_layers(config.workload),
-        array=array,
-        memory=memory,
+    return platform_cost_model(
+        config.platform_preset(),
+        config.scheme,
+        config.workload,
+        bits=config.bits,
+        ebt=config.ebt,
+        act_frac=config.act_frac,
     )
 
 
@@ -214,10 +197,6 @@ def build_executor(
     slo_s: float | None = None,
 ) -> ServeExecutor:
     """One fresh serving executor for a new instance of this pool."""
-    memory = config.platform_preset().memory_for(config.scheme)
-    weight_buffer_bytes = (
-        memory.sram_bytes_per_variable if memory.has_sram else 0
-    )
     return ServeExecutor(
         models={config.workload: model},
         queue=make_queue(config.queue_discipline, config.queue_capacity),
@@ -226,5 +205,5 @@ def build_executor(
         ),
         slo_s=slo_s,
         power_cap_w=config.power_cap_w,
-        residency=ResidencyTracker(weight_buffer_bytes),
+        residency=ResidencyTracker(model.weight_buffer_bytes),
     )

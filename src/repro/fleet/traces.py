@@ -1,14 +1,14 @@
-"""Multi-hour trace generation: seeded, piecewise-rate request streams.
+"""Multi-hour trace shapes: the segments of piecewise-rate request streams.
 
 Datacenter capacity planning is about *shaped* load, not a constant
 Poisson rate: diurnal swings (the day/night cycle every serving fleet
 autoscales around) and flash crowds (a spike arriving faster than cold
 instances can warm).  Both are piecewise-inhomogeneous Poisson
-processes, generated by one seeded ``np.random.Generator`` walking the
-segments in order — a trace is a pure function of its arguments, and a
-multi-hour, millions-of-requests stream costs O(requests) to build.
+processes: each preset here only lays out ``(duration_s, rate_per_s)``
+segments, and :func:`repro.serve.arrivals.piecewise_poisson_arrivals`
+draws the stream from one seeded generator, so a trace is a pure
+function of its arguments.
 
-:func:`piecewise_poisson_arrivals` is the core generator;
 :func:`diurnal_arrivals` (sinusoidal day profile) and
 :func:`flash_crowd_arrivals` (base -> spike -> base) are the two shaped
 presets the fleet CLI exposes.
@@ -18,67 +18,14 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..contracts import require_finite
+from ..serve.arrivals import piecewise_poisson_arrivals
 from ..serve.requests import Request
 
 __all__ = [
-    "piecewise_poisson_arrivals",
     "diurnal_arrivals",
     "flash_crowd_arrivals",
 ]
-
-
-def piecewise_poisson_arrivals(
-    workload: str,
-    segments: list[tuple[float, float]],
-    seed: int,
-    slo_s: float | None = None,
-    start_id: int = 0,
-) -> list[Request]:
-    """Poisson arrivals over consecutive ``(duration_s, rate_per_s)`` segments.
-
-    Segments run back to back from t=0; a zero-rate segment contributes
-    silence.  Exponential gaps are drawn from one seeded generator in
-    segment order, so the stream is reproducible across runs, machines
-    and shard workers.
-    """
-    if not segments:
-        raise ValueError("need at least one (duration_s, rate_per_s) segment")
-    if slo_s is not None:
-        require_finite("piecewise_poisson_arrivals", slo_s=slo_s)
-    for duration_s, rate_per_s in segments:
-        require_finite(
-            "piecewise_poisson_arrivals", duration_s=duration_s, rate_per_s=rate_per_s
-        )
-        if not duration_s > 0:
-            raise ValueError(f"segment duration must be positive, got {duration_s}")
-        if not rate_per_s >= 0:
-            raise ValueError(f"segment rate must be >= 0, got {rate_per_s}")
-    rng = np.random.default_rng(seed)
-    requests: list[Request] = []
-    segment_start_s = 0.0
-    req_id = start_id
-    for duration_s, rate_per_s in segments:
-        segment_end_s = segment_start_s + duration_s
-        if rate_per_s > 0:
-            now_s = segment_start_s
-            while True:
-                now_s += float(rng.exponential(1.0 / rate_per_s))
-                if now_s >= segment_end_s:
-                    break
-                requests.append(
-                    Request(
-                        req_id=req_id,
-                        workload=workload,
-                        arrival_s=now_s,
-                        deadline_s=None if slo_s is None else now_s + slo_s,
-                    )
-                )
-                req_id += 1
-        segment_start_s = segment_end_s
-    return requests
 
 
 def diurnal_arrivals(

@@ -21,7 +21,7 @@ byte-identical JSON ledgers for equal seeds.
 under one arrival stream and prints the serving comparison.
 """
 
-from .arrivals import poisson_arrivals, uniform_arrivals
+from .arrivals import piecewise_poisson_arrivals, poisson_arrivals, uniform_arrivals
 from .batching import (
     BatchPolicy,
     ContinuousBatcher,
@@ -37,6 +37,7 @@ from .requests import Request, RequestRecord, RequestStatus
 from .residency import ResidencyTracker
 
 __all__ = [
+    "piecewise_poisson_arrivals",
     "poisson_arrivals",
     "uniform_arrivals",
     "BatchPolicy",

@@ -2,9 +2,10 @@
 
 Two arrival processes cover the serving-evaluation space:
 
-- :func:`poisson_arrivals` — memoryless traffic (exponential gaps from a
-  seeded ``np.random.Generator``), the open-loop load model queueing
-  results are quoted against;
+- :func:`piecewise_poisson_arrivals` — memoryless traffic (exponential
+  gaps from a seeded ``np.random.Generator``) over rate segments, the
+  open-loop load model queueing results are quoted against;
+  :func:`poisson_arrivals` is its one-segment case;
 - :func:`uniform_arrivals` — a deterministic, perfectly paced stream at
   the same mean rate, isolating burstiness effects from rate effects.
 
@@ -20,7 +21,7 @@ import numpy as np
 from ..contracts import require_finite
 from .requests import Request
 
-__all__ = ["poisson_arrivals", "uniform_arrivals"]
+__all__ = ["piecewise_poisson_arrivals", "poisson_arrivals", "uniform_arrivals"]
 
 
 def _check_stream(
@@ -57,6 +58,48 @@ def _with_deadlines(
     ]
 
 
+def piecewise_poisson_arrivals(
+    workload: str,
+    segments: list[tuple[float, float]],
+    seed: int,
+    slo_s: float | None = None,
+    start_id: int = 0,
+) -> list[Request]:
+    """Poisson arrivals over consecutive ``(duration_s, rate_per_s)`` segments.
+
+    Segments run back to back from t=0; a zero-rate segment contributes
+    silence.  Exponential gaps are drawn from one seeded generator in
+    segment order, and each segment stops at its first arrival past its
+    end, so the expected request count is the sum of duration x rate.
+    """
+    if not segments:
+        raise ValueError("need at least one (duration_s, rate_per_s) segment")
+    if slo_s is not None:
+        require_finite("piecewise_poisson_arrivals", slo_s=slo_s)
+    for duration_s, rate_per_s in segments:
+        require_finite(
+            "piecewise_poisson_arrivals", duration_s=duration_s, rate_per_s=rate_per_s
+        )
+        if not duration_s > 0:
+            raise ValueError(f"segment duration must be positive, got {duration_s}")
+        if not rate_per_s >= 0:
+            raise ValueError(f"segment rate must be >= 0, got {rate_per_s}")
+    rng = np.random.default_rng(seed)
+    times: list[float] = []
+    segment_start_s = 0.0
+    for duration_s, rate_per_s in segments:
+        segment_end_s = segment_start_s + duration_s
+        if rate_per_s > 0:
+            now_s = segment_start_s
+            while True:
+                now_s += float(rng.exponential(1.0 / rate_per_s))
+                if now_s >= segment_end_s:
+                    break
+                times.append(now_s)
+        segment_start_s = segment_end_s
+    return _with_deadlines(workload, times, slo_s, start_id)
+
+
 def poisson_arrivals(
     workload: str,
     rate_per_s: float,
@@ -67,20 +110,14 @@ def poisson_arrivals(
 ) -> list[Request]:
     """A seeded Poisson request stream over ``[0, horizon_s)``.
 
-    Inter-arrival gaps are exponential with mean ``1 / rate_per_s``; the
-    stream stops at the first arrival past the horizon, so the expected
-    request count is ``rate_per_s * horizon_s``.
+    The one-segment case of :func:`piecewise_poisson_arrivals`: gaps are
+    exponential with mean ``1 / rate_per_s``, so the expected request
+    count is ``rate_per_s * horizon_s``.
     """
     _check_stream("poisson_arrivals", rate_per_s, horizon_s, slo_s)
-    rng = np.random.default_rng(seed)
-    times: list[float] = []
-    now_s = 0.0
-    while True:
-        now_s += float(rng.exponential(1.0 / rate_per_s))
-        if now_s >= horizon_s:
-            break
-        times.append(now_s)
-    return _with_deadlines(workload, times, slo_s, start_id)
+    return piecewise_poisson_arrivals(
+        workload, [(horizon_s, rate_per_s)], seed, slo_s=slo_s, start_id=start_id
+    )
 
 
 def uniform_arrivals(
@@ -96,4 +133,3 @@ def uniform_arrivals(
     count = int(horizon_s * rate_per_s)
     times = [i * gap_s for i in range(count) if i * gap_s < horizon_s]
     return _with_deadlines(workload, times, slo_s, start_id)
-

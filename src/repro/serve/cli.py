@@ -22,16 +22,14 @@ import sys
 from pathlib import Path
 
 from ..contracts import non_negative_float, positive_float
-from ..core.config import ArrayConfig
 from ..eval.report import format_table
-from ..memory.hierarchy import MemoryConfig
 from ..schemes import ComputeScheme
 from ..system.battery import Battery
 from ..workloads.mlperf import mlperf_suite
-from ..workloads.presets import CLOUD, EDGE, Platform
+from ..workloads.presets import PLATFORMS
 from .arrivals import poisson_arrivals, uniform_arrivals
 from .batching import make_batcher
-from .costs import NetworkCostModel
+from .costs import NetworkCostModel, platform_cost_model
 from .executor import ServeExecutor
 from .metrics import ServeMetrics
 from .queueing import make_queue
@@ -39,7 +37,6 @@ from .residency import ResidencyTracker
 
 __all__ = ["main", "build_parser", "serve_one"]
 
-_PLATFORMS = {"edge": EDGE, "cloud": CLOUD}
 _SCHEMES = {s.value: s for s in ComputeScheme}
 
 
@@ -59,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="the network every request asks for",
     )
     parser.add_argument(
-        "--platform", choices=sorted(_PLATFORMS), default="edge"
+        "--platform", choices=sorted(PLATFORMS), default="edge"
     )
     parser.add_argument(
         "--schemes",
@@ -163,39 +160,12 @@ def _parse_schemes(text: str) -> list[ComputeScheme]:
     return schemes
 
 
-def _scheme_configs(
-    scheme: ComputeScheme, args: argparse.Namespace
-) -> tuple[ArrayConfig, MemoryConfig]:
-    """One scheme's validated array and memory on the chosen platform."""
-    platform: Platform = _PLATFORMS[args.platform]
-    ebt = args.ebt if scheme.supports_early_termination else None
-    act_frac = args.act_frac if scheme.value_dependent_latency else None
-    array = platform.array(
-        scheme, bits=args.bits, ebt=ebt, act_frac=act_frac
-    ).validate()
-    return array, platform.memory_for(scheme).validate()
-
-
 def serve_one(
-    array: ArrayConfig,
-    memory: MemoryConfig,
-    args: argparse.Namespace,
-    arrivals: list,
+    model: NetworkCostModel, args: argparse.Namespace, arrivals: list
 ) -> ServeMetrics:
-    """Run the request stream against one scheme's array and memory."""
-    model = NetworkCostModel(
-        name=args.workload,
-        layers=mlperf_suite()[args.workload],
-        array=array,
-        memory=memory,
-    )
-    # Unary schemes drop the SRAM entirely; a zero-capacity tracker keeps
-    # every execution cold, matching the no-SRAM traffic model.
-    weight_buffer_bytes = (
-        memory.sram_bytes_per_variable if memory.has_sram else 0
-    )
+    """Run the request stream against one scheme's cost model."""
     residency = (
-        None if args.no_residency else ResidencyTracker(weight_buffer_bytes)
+        None if args.no_residency else ResidencyTracker(model.weight_buffer_bytes)
     )
     executor = ServeExecutor(
         models={args.workload: model},
@@ -238,7 +208,21 @@ def main(argv: list[str] | None = None) -> int:
     # a clean usage error instead of a traceback mid-simulation.
     try:
         schemes = _parse_schemes(args.schemes)
-        configs = [_scheme_configs(scheme, args) for scheme in schemes]
+        # --ebt and --act-frac ride along a mixed --schemes list: each
+        # applies only to the schemes that take it.
+        models = [
+            platform_cost_model(
+                PLATFORMS[args.platform],
+                scheme,
+                args.workload,
+                bits=args.bits,
+                ebt=args.ebt if scheme.supports_early_termination else None,
+                act_frac=(
+                    args.act_frac if scheme.value_dependent_latency else None
+                ),
+            )
+            for scheme in schemes
+        ]
         slo_s = None if args.slo_ms is None else args.slo_ms * 1e-3
         if args.arrivals == "poisson":
             arrivals = poisson_arrivals(
@@ -259,8 +243,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
 
     results = {
-        scheme.value: serve_one(array, memory, args, arrivals)
-        for scheme, (array, memory) in zip(schemes, configs)
+        scheme.value: serve_one(model, args, arrivals)
+        for scheme, model in zip(schemes, models)
     }
 
     headers = [

@@ -6,6 +6,10 @@ at that batch size: per layer, the closed-form batched simulation
 Each (batch, warmth) pair is priced once per model and kept in an
 in-process table, so a serving run that dispatches thousands of batches
 sums the network once per distinct batch size.
+
+The serve CLI, the serving eval and the fleet's pools build every model
+with :func:`platform_cost_model` and size their weight-residency
+trackers by :attr:`NetworkCostModel.weight_buffer_bytes`.
 """
 
 from __future__ import annotations
@@ -16,10 +20,13 @@ from ..core.config import ArrayConfig
 from ..gemm.params import GemmParams
 from ..hw.gates import TECH_32NM, TechNode
 from ..memory.hierarchy import MemoryConfig
+from ..schemes import ComputeScheme
 from ..sim.engine import simulate_layer_batched
 from ..sim.results import LayerResult
+from ..workloads.mlperf import workload_layers
+from ..workloads.presets import Platform
 
-__all__ = ["ServiceCost", "NetworkCostModel"]
+__all__ = ["ServiceCost", "NetworkCostModel", "platform_cost_model"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,6 +74,12 @@ class NetworkCostModel:
         )
         self._costs: dict[tuple[int, bool], ServiceCost] = {}
 
+    @property
+    def weight_buffer_bytes(self) -> int:
+        """A weight-residency tracker's capacity: the per-variable SRAM,
+        0 without SRAM (every execution cold, like the traffic model)."""
+        return self.memory.sram_bytes_per_variable or 0
+
     def layer_result(
         self, index: int, batch: int, warm_weights: bool = False
     ) -> LayerResult:
@@ -99,3 +112,24 @@ class NetworkCostModel:
             cost = ServiceCost(runtime_s=runtime_s, energy_j=energy_j, batch=batch)
             self._costs[batch, warm_weights] = cost
         return cost
+
+
+def platform_cost_model(
+    platform: Platform,
+    scheme: ComputeScheme,
+    workload: str,
+    bits: int = 8,
+    ebt: int | None = None,
+    act_frac: float | None = None,
+) -> NetworkCostModel:
+    """The cost model of ``workload`` on ``scheme`` at ``platform``.
+
+    ``ebt`` and ``act_frac`` pass straight to the array config, which
+    rejects either on a scheme that does not take it.
+    """
+    return NetworkCostModel(
+        name=workload,
+        layers=workload_layers(workload),
+        array=platform.array(scheme, bits=bits, ebt=ebt, act_frac=act_frac),
+        memory=platform.memory_for(scheme),
+    )

@@ -5,10 +5,19 @@ arrive (seeded generators in :mod:`repro.serve.arrivals`), wait in a
 bounded queue, get folded into batches by a policy, and each dispatched
 batch occupies the array for the batched network cost
 (:class:`~repro.serve.costs.NetworkCostModel`).  Three event sources —
-next arrival, batch completion, batching-window expiry — drive simulated
-time; ties process completion → expiry → arrivals → dispatch, with all
-remaining order fixed by ``(time, req_id)``, so a run is a pure function
-of its inputs and two same-seed runs emit byte-identical ledgers.
+next arrival, batch completion, batching-window wake — drive simulated
+time.
+
+One event discipline serves both clocks.  :meth:`ServeExecutor.offer`
+admits one request (deadline expiry first) and
+:meth:`ServeExecutor.advance` processes one instant (completion, expiry,
+halt, dispatch); :meth:`ServeExecutor.close` ends a run.
+:meth:`ServeExecutor.run` is the single-server clock over those hooks,
+and :mod:`repro.fleet` steps many executors through the same hooks on
+one global clock.  In ``run``, ties at an instant process completion →
+expiry → admission → halt → dispatch, with all remaining order fixed by
+``(time, req_id)``, so a run is a pure function of its inputs and two
+same-seed runs emit byte-identical ledgers.
 
 Platform power is modelled two ways:
 
@@ -74,105 +83,83 @@ class ServeExecutor:
         self._halted = False
 
     def run(self, arrivals: list[Request]) -> ServeMetrics:
-        """Serve ``arrivals`` to exhaustion and return the metrics ledger."""
+        """Serve ``arrivals`` to exhaustion and return the metrics ledger.
+
+        The single-server clock over the same hooks a fleet steps: at
+        each event time a due completion, one :meth:`offer` per arrival,
+        then one :meth:`advance`; the stream's end drains, then
+        :meth:`close` ends the run.
+        """
         for request in arrivals:
-            if request.workload not in self.models:
-                raise ValueError(
-                    f"request {request.req_id} wants workload "
-                    f"{request.workload!r} but no cost model is registered "
-                    f"(have {sorted(self.models)})"
-                )
+            self._check_workload(request)
         pending = sorted(arrivals, key=lambda r: (r.arrival_s, r.req_id))
+        total = len(pending)
         metrics = ServeMetrics(slo_s=self.slo_s)
         now_s = 0.0
         i = 0
 
         while True:
-            next_arrival_s = (
-                pending[i].arrival_s if i < len(pending) else math.inf
-            )
-            candidates = [next_arrival_s, self._service_done_s]
-            if not self._in_service and not self._halted and self.queue.depth:
-                wake_s = self.batcher.next_wake_s(self.queue, now_s)
-                if wake_s is not None and wake_s > now_s:
-                    candidates.append(wake_s)
-            event_s = min(candidates)
+            next_arrival_s = pending[i].arrival_s if i < total else math.inf
+            event_s = min(next_arrival_s, self.next_event_s(now_s))
 
             if event_s == math.inf:
                 # No arrivals, no service, no wake.  Anything still queued
                 # can only leave via a draining flush.
-                if (
-                    self.queue.depth
-                    and not self._halted
-                    and self._dispatch(now_s, metrics, draining=True)
-                ):
-                    continue
+                if self.queue.depth and not self._halted:
+                    self.advance(now_s, metrics, draining=True)
+                    if self._in_service:
+                        continue
                 break
 
             now_s = max(now_s, event_s)
             if self._service_done_s <= now_s:
                 self._complete(now_s, metrics)
-            for request in self.queue.expire(now_s):
-                metrics.observe_drop(request, now_s)
-            while i < len(pending) and pending[i].arrival_s <= now_s:
-                self._admit(pending[i], now_s, metrics)
+            while i < total and pending[i].arrival_s <= now_s:
+                self.offer(pending[i], now_s, metrics)
                 i += 1
-            if self._halted and self.queue.depth:
-                for request in self.queue.take(self.queue.depth):
-                    metrics.observe_drop(request, now_s)
-            if not self._in_service and not self._halted:
-                self._dispatch(now_s, metrics, draining=i >= len(pending))
-            metrics.assert_conserved(self.queue.depth, len(self._in_service))
+            self.advance(now_s, metrics, draining=i >= total)
 
             # Busy-period fast path: while a batch occupies the array,
             # the only events strictly before its completion are arrivals
-            # (and the expiries they reveal) — drain them here without
-            # re-deriving the event candidates per request.  Each arrival
-            # is still processed at its own timestamp with expiry first,
-            # so the ledger is byte-identical to the one-event-per-loop
-            # trace.
+            # (and the expiries they reveal) — offer them here without
+            # re-deriving the next event per request.  Each arrival is
+            # still offered at its own timestamp, so the ledger is
+            # byte-identical to the one-event-per-loop trace.
             while (
                 self._in_service
                 and not self._halted
-                and i < len(pending)
+                and i < total
                 and pending[i].arrival_s < self._service_done_s
             ):
                 now_s = max(now_s, pending[i].arrival_s)
-                for request in self.queue.expire(now_s):
-                    metrics.observe_drop(request, now_s)
-                while i < len(pending) and pending[i].arrival_s <= now_s:
-                    self._admit(pending[i], now_s, metrics)
+                while i < total and pending[i].arrival_s <= now_s:
+                    self.offer(pending[i], now_s, metrics)
                     i += 1
                 metrics.assert_conserved(
                     self.queue.depth, len(self._in_service)
                 )
 
-        # A policy that refuses to drain strands its queue; account for it.
-        if self.queue.depth:
-            for request in self.queue.take(self.queue.depth):
-                metrics.observe_drop(request, now_s)
-        metrics.finalize(now_s)
-        metrics.assert_conserved(self.queue.depth, len(self._in_service))
+        self.close(now_s, metrics)
         return metrics
 
     # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
-    def _admit(
-        self, request: Request, now_s: float, metrics: ServeMetrics
-    ) -> None:
-        if self._halted or not self.queue.push(request):
-            metrics.observe_reject(request, now_s)
-            return
-        metrics.observe_admit(request, now_s)
+    def _check_workload(self, request: Request) -> None:
+        if request.workload not in self.models:
+            raise ValueError(
+                f"request {request.req_id} wants workload "
+                f"{request.workload!r} but no cost model is registered "
+                f"(have {sorted(self.models)})"
+            )
 
     def _dispatch(
         self, now_s: float, metrics: ServeMetrics, draining: bool
-    ) -> bool:
-        """Ask the policy for a batch and start serving it; ``True`` if started."""
+    ) -> None:
+        """Ask the policy for a batch and start serving it."""
         batch = self.batcher.next_batch(self.queue, now_s, draining)
         if not batch:
-            return False
+            return
         model = self.models[batch[0].workload]
         warm = (
             self.residency.admit(model.name, model.weight_footprint_bytes)
@@ -191,23 +178,15 @@ class ServeExecutor:
             for request in batch:
                 metrics.observe_drop(request, now_s)
             self._halted = True
-            return False
+            return
         metrics.observe_dispatch(len(batch), service_s, now_s)
         self._in_service = batch
         self._service_done_s = now_s + service_s
         self._service_energy_j = cost.energy_j
-        return True
 
     # ------------------------------------------------------------------
-    # instance lifecycle hooks (repro.fleet)
+    # event hooks: run() above and repro.fleet's global clock step these
     # ------------------------------------------------------------------
-    # ``run()`` owns the clock for the single-server case; a cluster
-    # simulator owns a *global* clock instead and steps many executors
-    # through it.  These hooks expose the same three primitives the run
-    # loop is built from — completion, expiry/admission, dispatch — so a
-    # fleet instance advances exactly like a slice of ``run()`` would,
-    # event ordering included (completion -> expiry -> admission ->
-    # dispatch at equal times).
 
     @property
     def halted(self) -> bool:
@@ -264,21 +243,18 @@ class ServeExecutor:
     def offer(
         self, request: Request, now_s: float, metrics: ServeMetrics
     ) -> None:
-        """Route one request to this executor at ``now_s`` (fleet hook).
+        """Admit one arriving request at ``now_s``, or reject it.
 
-        Deadline expiry runs first — exactly as ``run()`` expires before
-        admitting — so a full queue sheds dead requests before rejecting
-        a live one.
+        Deadline expiry runs first, so a full queue sheds dead requests
+        before rejecting a live one; a halted server rejects everything.
         """
-        if request.workload not in self.models:
-            raise ValueError(
-                f"request {request.req_id} wants workload "
-                f"{request.workload!r} but no cost model is registered "
-                f"(have {sorted(self.models)})"
-            )
+        self._check_workload(request)
         for expired in self.queue.expire(now_s):
             metrics.observe_drop(expired, now_s)
-        self._admit(request, now_s, metrics)
+        if self._halted or not self.queue.push(request):
+            metrics.observe_reject(request, now_s)
+            return
+        metrics.observe_admit(request, now_s)
 
     def advance(
         self,
@@ -301,6 +277,16 @@ class ServeExecutor:
                 metrics.observe_drop(request, now_s)
         if not self._in_service and not self._halted:
             self._dispatch(now_s, metrics, draining=draining)
+        metrics.assert_conserved(self.queue.depth, len(self._in_service))
+
+    def close(self, now_s: float, metrics: ServeMetrics) -> None:
+        """End the run at ``now_s``: drop what the queue still holds
+        (a policy that refuses to drain strands it), then close the
+        ledger's window."""
+        if self.queue.depth:
+            for request in self.queue.take(self.queue.depth):
+                metrics.observe_drop(request, now_s)
+        metrics.finalize(now_s)
         metrics.assert_conserved(self.queue.depth, len(self._in_service))
 
     def _complete(self, now_s: float, metrics: ServeMetrics) -> None:

@@ -8,11 +8,13 @@ rejections, drops, dispatches, completions — and maintains, online:
 - per-request :class:`~repro.serve.requests.RequestRecord` ledger rows;
 - server busy time and dispatched-batch accounting.
 
-``summary()`` derives the headline numbers (p50/p95/p99 latency by the
-nearest-rank method, goodput = SLO-met completions per second, energy per
-completed request), and ``to_json`` serialises only the raw
-observations, from which every derived statistic follows, so two seeded
-runs emit byte-identical documents.
+:func:`record_summary` derives the headline numbers from request
+records (p50/p95/p99 latency by the nearest-rank method, goodput =
+SLO-met completions per second, energy per completed request); it
+serves :meth:`ServeMetrics.summary` and both fleet-ledger summaries.
+``to_json`` serialises only the raw observations, from which every
+derived statistic follows, so two seeded runs emit byte-identical
+documents.
 
 The **conservation invariant** — admitted = completed + dropped +
 in flight — is checked on every event against the executor's actual
@@ -28,7 +30,7 @@ import math
 from ..contracts import require_finite
 from .requests import Request, RequestRecord, RequestStatus
 
-__all__ = ["ServeMetrics", "percentile"]
+__all__ = ["ServeMetrics", "percentile", "record_summary"]
 
 
 def percentile(sorted_values: list[float], q: float) -> float:
@@ -45,6 +47,44 @@ def percentile(sorted_values: list[float], q: float) -> float:
         raise ValueError(f"q must be in (0, 1], got {q}")
     rank = max(1, math.ceil(q * len(sorted_values)))
     return sorted_values[rank - 1]
+
+
+def record_summary(
+    records: list[RequestRecord], makespan_s: float
+) -> dict[str, float]:
+    """Headline statistics of request fates over a ``makespan_s`` window.
+
+    Latencies cover completed requests, SLO attainment is over every
+    record, and rates are per second of the window; empty windows give
+    0.0.  Energy is summed in the order given, so the caller's record
+    order fixes the float.
+    """
+    completed = [r for r in records if r.status is RequestStatus.COMPLETED]
+    latencies = sorted(r.latency_s for r in completed)
+    slo_met = sum(1 for r in completed if r.slo_met)
+    energy_j = sum(r.energy_j for r in completed)
+    arrivals = len(records)
+    return {
+        "arrivals": float(arrivals),
+        "completed": float(len(completed)),
+        "rejected": float(
+            sum(1 for r in records if r.status is RequestStatus.REJECTED)
+        ),
+        "dropped": float(
+            sum(1 for r in records if r.status is RequestStatus.DROPPED)
+        ),
+        "p50_latency_s": percentile(latencies, 0.50),
+        "p95_latency_s": percentile(latencies, 0.95),
+        "p99_latency_s": percentile(latencies, 0.99),
+        "mean_latency_s": sum(latencies) / len(latencies) if latencies else 0.0,
+        "throughput_per_s": len(completed) / makespan_s if makespan_s else 0.0,
+        "goodput_per_s": slo_met / makespan_s if makespan_s else 0.0,
+        "slo_attainment": slo_met / arrivals if arrivals else 0.0,
+        "energy_j": energy_j,
+        "energy_per_request_j": energy_j / len(completed) if completed else 0.0,
+        "power_w": energy_j / makespan_s if makespan_s else 0.0,
+        "makespan_s": makespan_s,
+    }
 
 
 class ServeMetrics:
@@ -197,55 +237,28 @@ class ServeMetrics:
             return 0.0
         return self.depth_integral / self.makespan_s
 
-    def completed_latencies_s(self) -> list[float]:
-        """Sorted latencies of completed requests."""
-        return sorted(
-            r.latency_s
-            for r in self.records
-            if r.status is RequestStatus.COMPLETED
-        )
-
     def summary(self) -> dict[str, float]:
-        """The headline serving numbers, all derived from the ledger."""
-        latencies = self.completed_latencies_s()
-        slo_met = sum(
-            1
-            for r in self.records
-            if r.status is RequestStatus.COMPLETED and r.slo_met
-        )
-        energy_j = sum(
-            r.energy_j
-            for r in self.records
-            if r.status is RequestStatus.COMPLETED
-        )
+        """The headline serving numbers, all derived from the ledger.
+
+        Arrivals count records, so a closed run's summary counts every
+        request; in flight, a request has no record yet.
+        """
+        stats = record_summary(self.records, self.makespan_s)
+        # A server's headline is energy per request, not the window's
+        # total energy or power.
+        del stats["energy_j"], stats["power_w"]
         makespan = self.makespan_s
-        return {
-            "arrivals": float(self.arrivals),
-            "admitted": float(self.admitted),
-            "completed": float(self.completed),
-            "rejected": float(self.rejected),
-            "dropped": float(self.dropped),
-            "batches": float(self.batches),
-            "mean_batch": (
+        stats.update(
+            admitted=float(self.admitted),
+            batches=float(self.batches),
+            mean_batch=(
                 self.batched_requests / self.batches if self.batches else 0.0
             ),
-            "p50_latency_s": percentile(latencies, 0.50),
-            "p95_latency_s": percentile(latencies, 0.95),
-            "p99_latency_s": percentile(latencies, 0.99),
-            "mean_latency_s": (
-                sum(latencies) / len(latencies) if latencies else 0.0
-            ),
-            "throughput_per_s": self.completed / makespan if makespan else 0.0,
-            "goodput_per_s": slo_met / makespan if makespan else 0.0,
-            "slo_attainment": slo_met / self.arrivals if self.arrivals else 0.0,
-            "energy_per_request_j": (
-                energy_j / self.completed if self.completed else 0.0
-            ),
-            "mean_in_system": self.mean_in_system,
-            "peak_in_system": float(self.peak_in_system),
-            "utilization": self.busy_s / makespan if makespan else 0.0,
-            "makespan_s": makespan,
-        }
+            mean_in_system=self.mean_in_system,
+            peak_in_system=float(self.peak_in_system),
+            utilization=self.busy_s / makespan if makespan else 0.0,
+        )
+        return stats
 
     # ------------------------------------------------------------------
     # canonical serialization

@@ -28,10 +28,11 @@ __all__ = ["BoundedQueue", "FifoQueue", "DeadlineQueue", "make_queue"]
 
 
 class BoundedQueue:
-    """A bounded request queue with admission/expiry accounting.
+    """A bounded request queue with admission and deadline expiry.
 
     Subclasses define the service order via :meth:`_sort_key`; everything
-    else — capacity, counters, expiry — is shared.
+    else — capacity, expiry — is shared.  Admission and rejection counts
+    live in :class:`~repro.serve.metrics.ServeMetrics`.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -39,8 +40,6 @@ class BoundedQueue:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._items: list[Request] = []
-        self.admitted = 0
-        self.rejected = 0
         #: queued requests carrying a deadline; lets :meth:`expire` skip
         #: the scan entirely on deadline-free streams (the common case).
         self._deadline_count = 0
@@ -57,13 +56,11 @@ class BoundedQueue:
     def push(self, request: Request) -> bool:
         """Admit ``request``; ``False`` means rejected (queue full)."""
         if len(self._items) >= self.capacity:
-            self.rejected += 1
             return False
         # Sort keys end in the unique req_id, so the sorted order is
         # unique and a binary insertion lands exactly where the full
         # re-sort used to put it — same order, O(log n) search.
         bisect.insort(self._items, request, key=self._sort_key)
-        self.admitted += 1
         if request.deadline_s is not None:
             self._deadline_count += 1
         return True

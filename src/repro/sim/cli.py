@@ -21,14 +21,13 @@ from ..core.config import ArrayConfig
 from ..eval.report import format_table
 from ..schemes import ComputeScheme
 from ..workloads.mlperf import mlperf_suite
-from ..workloads.presets import CLOUD, EDGE, Platform
+from ..workloads.presets import PLATFORMS, Platform
 from ..workloads.topology_io import load_topology
 from .engine import simulate_network
 from .results import LayerResult, aggregate_results
 
 __all__ = ["main", "build_parser"]
 
-_PLATFORMS = {"edge": EDGE, "cloud": CLOUD}
 _SCHEMES = {s.value: s for s in ComputeScheme}
 
 
@@ -48,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--topology", type=Path, help="a SCALE-Sim topology CSV file"
     )
     parser.add_argument(
-        "--platform", choices=sorted(_PLATFORMS), default="edge"
+        "--platform", choices=sorted(PLATFORMS), default="edge"
     )
     parser.add_argument(
         "--scheme",
@@ -110,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry: build the config, validate it, simulate, print the tables."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    platform: Platform = _PLATFORMS[args.platform]
+    platform: Platform = PLATFORMS[args.platform]
     scheme = _SCHEMES[args.scheme]
     layers = _load_layers(args)
     # Entry contract (repro.contracts): surface impossible configurations as

@@ -10,8 +10,9 @@ from .mlperf import (
     sentimental_seqcnn_layers,
     sentimental_seqlstm_layers,
     transformer_layers,
+    workload_layers,
 )
-from .presets import CLOUD, EDGE, Platform, scheme_sweep
+from .presets import CLOUD, EDGE, PLATFORMS, Platform, scheme_sweep
 from .topology_io import load_topology
 
 __all__ = [
@@ -25,8 +26,10 @@ __all__ = [
     "sentimental_seqcnn_layers",
     "sentimental_seqlstm_layers",
     "transformer_layers",
+    "workload_layers",
     "CLOUD",
     "EDGE",
+    "PLATFORMS",
     "Platform",
     "scheme_sweep",
 ]

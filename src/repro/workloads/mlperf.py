@@ -31,6 +31,7 @@ __all__ = [
     "sentimental_seqlstm_layers",
     "transformer_layers",
     "mlperf_suite",
+    "workload_layers",
 ]
 
 
@@ -219,3 +220,17 @@ def mlperf_suite() -> dict[str, list[GemmParams]]:
         "sentimental_seqLSTM": sentimental_seqlstm_layers(),
         "transformer": transformer_layers(),
     }
+
+
+def workload_layers(workload: str) -> list[GemmParams]:
+    """GEMM layer list of a named workload (AlexNet or an MLPerf entry)."""
+    if workload == "alexnet":
+        # Fast path: building the whole suite (AlexNet is a member too)
+        # costs about 40x more than AlexNet alone.
+        return alexnet_layers()
+    suite = mlperf_suite()
+    if workload not in suite:
+        raise ValueError(
+            f"unknown workload {workload!r}; pick from {sorted(suite)}"
+        )
+    return suite[workload]

@@ -10,12 +10,13 @@ same 1 GB DDR3 channel.
 from __future__ import annotations
 
 import dataclasses
+import types
 
 from ..core.config import ArrayConfig
 from ..memory.hierarchy import MemoryConfig
 from ..schemes import ComputeScheme
 
-__all__ = ["Platform", "EDGE", "CLOUD", "scheme_sweep"]
+__all__ = ["Platform", "EDGE", "CLOUD", "PLATFORMS", "scheme_sweep"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,6 +65,10 @@ CLOUD = Platform(
     cols=256,
     memory=MemoryConfig(sram_bytes_per_variable=8 * 2**20),
 )
+
+#: Both platforms by name, as the CLIs and pool specs spell them.
+#: Frozen (MappingProxyType): pool workers re-import it.
+PLATFORMS = types.MappingProxyType({EDGE.name: EDGE, CLOUD.name: CLOUD})
 
 
 def scheme_sweep(bits: int = 8) -> list[tuple[str, ComputeScheme, int | None]]:

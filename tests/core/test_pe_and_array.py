@@ -9,6 +9,7 @@ from repro.core.pe import BinaryPe, UgemmHPe, UsystolicPe, make_pe
 from repro.gemm.loops import gemm_fast
 from repro.gemm.params import GemmParams
 from repro.schemes import ComputeScheme as CS
+from repro.schemes import scheme_mac_cycles
 from repro.unary.bitstream import Coding
 
 
@@ -60,6 +61,22 @@ class TestPeModels:
     def test_factory_rejects_temporal_early_termination(self):
         with pytest.raises(ValueError):
             make_pe(CS.USYSTOLIC_TEMPORAL, 8, 6)
+
+    @pytest.mark.parametrize("scheme", list(CS), ids=lambda s: s.value)
+    def test_factory_rejects_what_the_latency_law_rejects(self, scheme):
+        # EBT: none, the full width, early-terminated, out of range.
+        # act_frac: none, in range, out of range.
+        for ebt in (None, 8, 6, 2, 9):
+            for act_frac in (None, 0.5, 1.5):
+                try:
+                    cycles = scheme_mac_cycles(scheme, 8, ebt, act_frac)
+                except ValueError as law_error:
+                    with pytest.raises(ValueError) as raised:
+                        make_pe(scheme, 8, ebt, act_frac=act_frac)
+                    assert type(raised.value) is type(law_error), (ebt, act_frac)
+                else:
+                    pe = make_pe(scheme, 8, ebt, act_frac=act_frac)
+                    assert pe.mac_cycles == cycles, (ebt, act_frac)
 
     def test_mac_accumulates_exactly(self):
         pe = UsystolicPe(8)

@@ -7,7 +7,7 @@ import pytest
 from repro.fleet.autoscale import AutoscaleConfig
 from repro.fleet.cluster import FleetConfig, FleetSimulator, simulate_fleet
 from repro.fleet.pools import pool_presets
-from repro.fleet.traces import piecewise_poisson_arrivals
+from repro.serve.arrivals import piecewise_poisson_arrivals
 from repro.serve.requests import RequestStatus
 
 

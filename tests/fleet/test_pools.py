@@ -9,9 +9,9 @@ from repro.fleet.pools import (
     build_cost_model,
     build_executor,
     pool_presets,
-    workload_layers,
 )
 from repro.schemes import ComputeScheme
+from repro.workloads import workload_layers
 from repro.workloads.presets import CLOUD, EDGE
 
 
@@ -38,6 +38,20 @@ def test_rate_presets_carry_the_paper_ebt():
     presets = pool_presets()
     assert presets["hub-rate-edge"].ebt == 6
     assert presets["hub-temporal-edge"].ebt is None
+    # The EBT reaches the pool's array: 2**(6-1) + 1 cycles per MAC.
+    assert build_cost_model(presets["hub-rate-edge"]).array.mac_cycles == 33
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [s for s in ComputeScheme if not s.supports_early_termination],
+    ids=lambda s: s.value,
+)
+def test_ebt_is_rejected_on_a_scheme_without_early_termination(scheme):
+    # Any EBT, the full bitwidth included: the pool's array takes none.
+    for ebt in (6, 8):
+        with pytest.raises(ValueError, match=r"^PoolConfig\.ebt: "):
+            PoolConfig(name="x", scheme=scheme, ebt=ebt)
 
 
 def test_zoo_presets_carry_their_knobs():

@@ -18,7 +18,7 @@ from repro.fleet.cluster import FleetConfig, simulate_fleet
 from repro.fleet.ledger import FleetLedger
 from repro.fleet.pools import pool_presets
 from repro.fleet.sharding import run_fleet, shard_requests, split_fleet
-from repro.fleet.traces import piecewise_poisson_arrivals
+from repro.serve.arrivals import piecewise_poisson_arrivals
 from repro.serve.requests import RequestStatus
 
 

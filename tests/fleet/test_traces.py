@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.fleet.traces import (
-    diurnal_arrivals,
-    flash_crowd_arrivals,
-    piecewise_poisson_arrivals,
-)
+from repro.fleet.traces import diurnal_arrivals, flash_crowd_arrivals
+from repro.serve.arrivals import piecewise_poisson_arrivals
 
 
 def test_piecewise_is_seeded_and_sorted():

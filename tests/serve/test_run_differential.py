@@ -1,0 +1,168 @@
+"""``ServeExecutor.run`` against the loop it replaced.
+
+``run`` steps the executor's hooks (``offer`` per arrival, ``advance``
+per instant, ``close`` at the end), the same hooks a fleet steps;
+:func:`~tests.serve.reference_run.reference_run` is the loop that did
+its own expiry, admission, halt drop and close.  Over arrival rate,
+batching policy, queue discipline and capacity, SLO, power cap, battery,
+weight residency and one- or two-workload streams, the two must write
+byte-identical ledgers and throttle the same batches.  The draws reach
+rejections, deadline expiries, throttled batches, battery halts, warm
+weight hits and stranded queues.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.schemes import ComputeScheme
+from repro.serve.arrivals import poisson_arrivals
+from repro.serve.batching import make_batcher
+from repro.serve.costs import platform_cost_model
+from repro.serve.executor import ServeExecutor
+from repro.serve.queueing import make_queue
+from repro.serve.residency import ResidencyTracker
+from repro.system.battery import Battery
+from repro.workloads.presets import CLOUD
+
+from .reference_run import reference_run
+
+#: AlexNet's weights overflow the binary array's SRAM, NCF's fit, and the
+#: unary array has none; a tracker with room for both sees every switch.
+_WORKLOADS = ("alexnet", "ncf")
+_SCHEMES = {
+    "BP": (ComputeScheme.BINARY_PARALLEL, None),
+    "UR": (ComputeScheme.USYSTOLIC_RATE, 6),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _model(scheme: str, workload: str):
+    """One shared cost model per (scheme, workload); its memo is read-only."""
+    code, ebt = _SCHEMES[scheme]
+    return platform_cost_model(CLOUD, code, workload, ebt=ebt)
+
+
+def _stream(workloads: int, rate: float, seed: int, slo_s: float | None) -> list:
+    stream = poisson_arrivals(
+        _WORKLOADS[0], rate_per_s=rate, horizon_s=0.1, seed=seed, slo_s=slo_s
+    )
+    if workloads == 2:
+        stream += poisson_arrivals(
+            _WORKLOADS[1],
+            rate_per_s=rate,
+            horizon_s=0.1,
+            seed=seed + 1,
+            slo_s=slo_s,
+            start_id=len(stream),
+        )
+    return stream
+
+
+@st.composite
+def _cases(draw):
+    scheme = draw(st.sampled_from(sorted(_SCHEMES)))
+    head = _model(scheme, _WORKLOADS[0]).batch_cost(1)
+    return dict(
+        scheme=scheme,
+        workloads=draw(st.sampled_from((1, 2))),
+        rate=draw(st.floats(20.0, 3000.0)),
+        seed=draw(st.integers(0, 2**16)),
+        policy=draw(st.sampled_from(("static", "dynamic", "continuous"))),
+        max_batch=draw(st.integers(1, 8)),
+        max_wait_s=draw(st.sampled_from((0.0, 1e-3, 5e-3))),
+        queue=draw(st.sampled_from(("fifo", "deadline"))),
+        capacity=draw(st.integers(1, 32)),
+        slo_s=draw(st.none() | st.floats(2e-3, 0.1)),
+        # Around one request's average power, so some batches throttle.
+        power_cap_w=draw(
+            st.none() | st.floats(0.5, 2.0).map(lambda k: k * head.power_w)
+        ),
+        # From a few batches' energy to more than the stream needs.
+        battery_j=draw(
+            st.none() | st.floats(2.0, 200.0).map(lambda k: k * head.energy_j)
+        ),
+        # Off, the platform's SRAM, or room for every network's weights.
+        residency=draw(st.sampled_from((None, "sram", "all"))),
+    )
+
+
+def _executor(case: dict) -> ServeExecutor:
+    models = {
+        workload: _model(case["scheme"], workload)
+        for workload in _WORKLOADS[: case["workloads"]]
+    }
+    head = models[_WORKLOADS[0]]
+    return ServeExecutor(
+        models=models,
+        queue=make_queue(case["queue"], case["capacity"]),
+        batcher=make_batcher(
+            case["policy"], case["max_batch"], max_wait_s=case["max_wait_s"]
+        ),
+        slo_s=case["slo_s"],
+        power_cap_w=case["power_cap_w"],
+        battery=(
+            Battery(capacity_j=case["battery_j"])
+            if case["battery_j"] is not None
+            else None
+        ),
+        residency=(
+            None
+            if case["residency"] is None
+            else ResidencyTracker(
+                head.weight_buffer_bytes if case["residency"] == "sram" else 1 << 30
+            )
+        ),
+    )
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    if got != want:
+        # Report the first differing stretch: pytest's own diff of two
+        # long ledgers takes minutes.
+        at = len(os.path.commonprefix([got, want]))
+        start = max(0, at - 60)
+        pytest.fail(
+            f"ledgers differ at character {at}: "
+            f"{got[start:at + 60]!r} != {want[start:at + 60]!r}"
+        )
+
+
+#: A full static-batching queue that holds too few of its head network
+#: for a batch: it rejects until the stream ends, the draining flush
+#: empties the battery, and the other network's requests are stranded
+#: for the close to drop.
+_STRANDED = dict(
+    scheme="UR",
+    workloads=2,
+    rate=2500.0,
+    seed=389,
+    policy="static",
+    max_batch=8,
+    max_wait_s=0.0,
+    queue="deadline",
+    capacity=12,
+    slo_s=None,
+    power_cap_w=None,
+    battery_j=0.01,
+    residency="all",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_cases())
+@example(case=_STRANDED)
+def test_run_matches_the_reference_loop(case):
+    stream = _stream(case["workloads"], case["rate"], case["seed"], case["slo_s"])
+    loop = _executor(case)
+    reference = _executor(case)
+    got = loop.run(stream).ledger_text()
+    want = reference_run(reference, stream).ledger_text()
+    _assert_same_text(got, want)
+    assert loop.throttled_batches == reference.throttled_batches
+    assert loop.halted == reference.halted

@@ -15,12 +15,12 @@ import math
 import pytest
 
 from repro.fleet.cli import main as fleet_main
-from repro.fleet.traces import (
-    diurnal_arrivals,
-    flash_crowd_arrivals,
+from repro.fleet.traces import diurnal_arrivals, flash_crowd_arrivals
+from repro.serve.arrivals import (
     piecewise_poisson_arrivals,
+    poisson_arrivals,
+    uniform_arrivals,
 )
-from repro.serve.arrivals import poisson_arrivals, uniform_arrivals
 from repro.serve.cli import main as serve_main
 from repro.serve.metrics import ServeMetrics
 
