@@ -11,6 +11,7 @@ come from the scheme's declared :class:`~repro.schemes.DataflowGeometry`
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from ..contracts import (
     fail,
@@ -53,7 +54,15 @@ class ArrayConfig:
         constructed) and again by ``simulate_layer``/the CLI at entry, as
         the runtime half of the ``repro.analysis`` config contract.
         """
-        require_positive_int("ArrayConfig", rows=self.rows, cols=self.cols)
+        # The helper runs only for its message: a valid shape passes this
+        # one expression, so the entry check costs no helper call.
+        if not (
+            type(self.rows) is int
+            and self.rows > 0
+            and type(self.cols) is int
+            and self.cols > 0
+        ):
+            require_positive_int("ArrayConfig", rows=self.rows, cols=self.cols)
         if not isinstance(self.scheme, ComputeScheme):
             fail(
                 "ArrayConfig",
@@ -102,14 +111,14 @@ class ArrayConfig:
                 )
         return self
 
-    @property
+    @functools.cached_property
     def mac_cycles(self) -> int:
         """PE MAC cycle count: multiplication cycles + 1 accumulation."""
         return scheme_mac_cycles(
             self.scheme, self.bits, self.ebt, act_frac=self.act_frac
         )
 
-    @property
+    @functools.cached_property
     def geometry(self):
         """The scheme's dataflow geometry (skew lags), for ``repro.sim``."""
         return self.scheme.geometry
@@ -122,7 +131,7 @@ class ArrayConfig:
     def effective_bits(self) -> int:
         return self.ebt if self.ebt is not None else self.bits
 
-    @property
+    @functools.cached_property
     def label(self) -> str:
         """Short display label, e.g. ``UR-8b-32c``."""
         return f"{self.scheme.value}-{self.bits}b-{self.mac_cycles - 1}c"

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..contracts import fail
-from ..schemes import ComputeScheme
-from ..serve.batching import make_batcher
+from ..contracts import fail, require_int, require_positive_int
+from ..schemes import ComputeScheme, scheme_mac_cycles
+from ..serve.batching import BATCH_POLICIES, make_batcher
 from ..serve.costs import NetworkCostModel, platform_cost_model
 from ..serve.executor import ServeExecutor
-from ..serve.queueing import make_queue
+from ..serve.queueing import QUEUE_DISCIPLINES, make_queue
 from ..serve.residency import ResidencyTracker
 from ..workloads.presets import PLATFORMS, Platform
 
@@ -71,6 +71,16 @@ class PoolConfig:
                 "platform",
                 f"must be one of {tuple(PLATFORMS)}, got {self.platform!r}",
             )
+        if not isinstance(self.scheme, ComputeScheme):
+            fail(
+                "PoolConfig",
+                "scheme",
+                f"must be a ComputeScheme, got {self.scheme!r}",
+            )
+        # Instance counts size the fleet's instance lists (``range``).
+        require_int("PoolConfig", "instances", self.instances)
+        require_int("PoolConfig", "min_instances", self.min_instances)
+        require_int("PoolConfig", "max_instances", self.max_instances)
         if not self.instances >= 1:
             fail(
                 "PoolConfig",
@@ -122,6 +132,38 @@ class PoolConfig:
                 "PoolConfig",
                 "power_cap_w",
                 f"must be positive, got {self.power_cap_w}",
+            )
+        # The pool's array must exist: its widths pass the latency law
+        # make_pe and ArrayConfig apply, so an impossible one fails here,
+        # named after the pool field, and not when the fleet prices it.
+        require_int("PoolConfig", "bits", self.bits)
+        if self.ebt is not None:
+            require_int("PoolConfig", "ebt", self.ebt)
+        try:
+            scheme_mac_cycles(self.scheme, self.bits, self.ebt, self.act_frac)
+        except ValueError as exc:
+            fail(
+                "PoolConfig",
+                "bits" if self.bits < 2 else "ebt",
+                f"rejected by the {self.scheme.value} latency law: {exc}",
+            )
+        require_positive_int(
+            "PoolConfig",
+            max_batch=self.max_batch,
+            queue_capacity=self.queue_capacity,
+        )
+        if self.policy not in BATCH_POLICIES:
+            fail(
+                "PoolConfig",
+                "policy",
+                f"must be one of {tuple(BATCH_POLICIES)}, got {self.policy!r}",
+            )
+        if self.queue_discipline not in QUEUE_DISCIPLINES:
+            fail(
+                "PoolConfig",
+                "queue_discipline",
+                f"must be one of {tuple(QUEUE_DISCIPLINES)}, "
+                f"got {self.queue_discipline!r}",
             )
         return self
 

@@ -51,22 +51,42 @@ class GemmParams:
         Raises ``ValueError`` naming the offending field; called from
         ``__post_init__`` and by ``simulate_layer`` at entry.
         """
-        require_positive_int(
-            "GemmParams",
-            ih=self.ih,
-            iw=self.iw,
-            ic=self.ic,
-            wh=self.wh,
-            ww=self.ww,
-            oc=self.oc,
-            stride=self.stride,
-        )
-        if not (self.wh <= self.ih and self.ww <= self.iw):
+        ih, iw, ic = self.ih, self.iw, self.ic
+        wh, ww, oc, stride = self.wh, self.ww, self.oc, self.stride
+        # The helper runs only for its message: a layer of positive ints
+        # passes this one expression, so the entry check costs no call.
+        if not (
+            type(ih) is int
+            and ih > 0
+            and type(iw) is int
+            and iw > 0
+            and type(ic) is int
+            and ic > 0
+            and type(wh) is int
+            and wh > 0
+            and type(ww) is int
+            and ww > 0
+            and type(oc) is int
+            and oc > 0
+            and type(stride) is int
+            and stride > 0
+        ):
+            require_positive_int(
+                "GemmParams",
+                ih=ih,
+                iw=iw,
+                ic=ic,
+                wh=wh,
+                ww=ww,
+                oc=oc,
+                stride=stride,
+            )
+        if not (wh <= ih and ww <= iw):
             fail(
                 "GemmParams",
                 "wh/ww",
-                f"weight window ({self.wh}x{self.ww}) exceeds IFM "
-                f"({self.ih}x{self.iw}) in GEMM {self.name!r}",
+                f"weight window ({wh}x{ww}) exceeds IFM "
+                f"({ih}x{iw}) in GEMM {self.name!r}",
             )
         return self
 
@@ -119,22 +139,12 @@ class GemmParams:
         return self.num_outputs * self.window
 
     @property
-    def ifm_elems(self) -> int:
-        return self.ih * self.iw * self.ic
-
-    @property
     def weight_elems(self) -> int:
         return self.wh * self.ww * self.ic * self.oc
 
-    def ifm_bytes(self, bits: int) -> int:
-        """IFM footprint in bytes at ``bits`` per element."""
-        return _bytes(self.ifm_elems, bits)
-
     def weight_bytes(self, bits: int) -> int:
-        return _bytes(self.weight_elems, bits)
-
-    def ofm_bytes(self, bits: int) -> int:
-        return _bytes(self.num_outputs, bits)
+        """Weight footprint in bytes at ``bits`` per element."""
+        return self.weight_elems * ((bits + 7) // 8)
 
     def describe(self) -> str:
         """Human-readable one-liner for reports."""
@@ -144,7 +154,3 @@ class GemmParams:
             f"W {self.wh}x{self.ww}x{self.ic}x{self.oc} s{self.stride} "
             f"-> OFM {self.oh}x{self.ow}x{self.oc} ({self.macs:,} MACs)"
         )
-
-
-def _bytes(elems: int, bits: int) -> int:
-    return elems * ((bits + 7) // 8)

@@ -67,10 +67,6 @@ class Tiling:
         return self.params.oh * self.params.ow
 
     @property
-    def total_vectors(self) -> int:
-        return self.num_tiles * self.vectors
-
-    @property
     def edge_rows(self) -> int:
         """Rows of the last reduction fold (``array_rows`` on an exact fit)."""
         return self.params.window - (self.k_folds - 1) * self.array_rows
@@ -86,12 +82,13 @@ class Tiling:
 
         ``K*OC*V / (kf*cf*V*R*C)``: the quantity whose drop from AlexNet
         (~97% edge) to MLPerf's diverse shapes (~70% edge) drives the
-        Figure 14c/d efficiency dilution.
+        Figure 14c/d efficiency dilution.  Every fold streams the same V
+        vectors, so the fold counts alone give it; an int quotient is
+        correctly rounded, so cancelling V leaves the float unchanged.
         """
-        slots = self.total_vectors * self.array_rows * self.array_cols
-        if slots == 0:
-            return 0.0
-        return self.params.macs / slots
+        return (self.params.window * self.params.oc) / (
+            self.k_folds * self.array_rows * self.c_folds * self.array_cols
+        )
 
     def tile(self, index: int) -> Tile:
         """Fold ``index`` of the plan, built in O(1)."""

@@ -8,9 +8,11 @@ in the energy model.
 
 The gate-equivalent roll-up depends only on (scheme, rows, cols, bits), so
 it is computed once per array and shared by every layer simulated on it;
-the process node (``tech``) is not part of that key and is applied per
-call.  The shared block map is read-only, so no caller can change what a
-later one reads.
+the process node (``tech``) is not part of that key but a field of the
+instance.  Area and dynamic energy are priced at ``tech`` when read, and
+the leakage is worked out once per instance; another node is a copy,
+which works out its own.  The shared block map is read-only, so no caller
+can change what a later one reads.
 """
 
 from __future__ import annotations
@@ -46,9 +48,12 @@ class ArrayCost:
     """Area/power model of an R x C systolic array.
 
     ``per_pe_ge`` is the array-average, activity-weighted gate count of one
-    PE: the gates that toggle per active PE-cycle.  Every area, leakage and
-    energy figure is computed from ``tech`` when read, so one instance can
-    be shared by every caller of the same array and node.
+    PE: the gates that toggle per active PE-cycle.  Every figure is priced
+    at ``tech``, a field of the instance, so one instance can be shared by
+    every caller of the same array and node.  Area and dynamic energy are
+    computed when read; the leakage, which every simulated layer reads, is
+    derived once per instance.  That is exact: another node is another
+    instance (``array_cost`` hands back a copy carrying it).
     """
 
     scheme: ComputeScheme
@@ -77,7 +82,7 @@ class ArrayCost:
     def block_area_mm2(self, block: str) -> float:
         return self.tech.area_mm2(self.block_ge[block]) * self.wiring
 
-    @property
+    @functools.cached_property
     def leakage_w(self) -> float:
         return self.tech.leakage_w(self.total_ge + self.shifter_ge) * self.wiring
 
@@ -128,6 +133,7 @@ def array_cost(
     if rows < 1 or cols < 1:
         raise ValueError("array dimensions must be positive")
     cost = _rollup(scheme, rows, cols, bits)
-    # An ArrayCost prices with its node on every read, so the shared one
-    # serves its own node as is; another node gets a copy carrying it.
+    # The shared instance serves its own node as is; another node gets a
+    # copy carrying it, which prices area and energy at that node and
+    # works out its own leakage.
     return cost if cost.tech is tech else dataclasses.replace(cost, tech=tech)

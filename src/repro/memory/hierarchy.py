@@ -9,9 +9,11 @@ buffered to hide access latency.  uSystolic's headline system-level move is
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from ..contracts import (
     fail,
+    is_power_of_two,
     require_in_range,
     require_positive,
     require_positive_int,
@@ -50,30 +52,37 @@ class MemoryConfig:
         (0-byte SRAMs, negative bank counts) that only failed deep inside
         ``sram_model`` — or not at all when the SRAM was never touched.
         """
-        if self.sram_bytes_per_variable is not None:
-            require_positive_int(
+        # Each helper runs only for its message: a valid field passes the
+        # expression that guards it, so the entry check costs no call.
+        sram_bytes = self.sram_bytes_per_variable
+        if sram_bytes is not None and not (type(sram_bytes) is int and sram_bytes > 0):
+            require_positive_int("MemoryConfig", sram_bytes_per_variable=sram_bytes)
+        if not (
+            is_power_of_two(self.sram_banks)
+            and is_power_of_two(self.sram_word_bytes)
+        ):
+            require_power_of_two(
                 "MemoryConfig",
-                sram_bytes_per_variable=self.sram_bytes_per_variable,
+                sram_banks=self.sram_banks,
+                sram_word_bytes=self.sram_word_bytes,
             )
-        require_power_of_two(
-            "MemoryConfig",
-            sram_banks=self.sram_banks,
-            sram_word_bytes=self.sram_word_bytes,
-        )
-        if not isinstance(self.dram, DramSpec):
+        dram = self.dram
+        if not isinstance(dram, DramSpec):
             fail(
                 "MemoryConfig",
                 "dram",
-                f"must be a DramSpec, got {type(self.dram).__name__}",
+                f"must be a DramSpec, got {type(dram).__name__}",
             )
-        require_positive(
-            "MemoryConfig",
-            dram_peak_bandwidth_bytes_per_s=self.dram.peak_bandwidth_bytes_per_s,
-        )
-        require_positive("MemoryConfig", dram_efficiency=self.dram.efficiency)
-        require_in_range(
-            "MemoryConfig", "dram_efficiency", self.dram.efficiency, 0.0, 1.0
-        )
+        if not dram.peak_bandwidth_bytes_per_s > 0:
+            require_positive(
+                "MemoryConfig",
+                dram_peak_bandwidth_bytes_per_s=dram.peak_bandwidth_bytes_per_s,
+            )
+        if not 0.0 < dram.efficiency <= 1.0:
+            require_positive("MemoryConfig", dram_efficiency=dram.efficiency)
+            require_in_range(
+                "MemoryConfig", "dram_efficiency", dram.efficiency, 0.0, 1.0
+            )
         return self
 
     @property
@@ -82,6 +91,12 @@ class MemoryConfig:
 
     def sram(self) -> SramSpec | None:
         """The per-variable SRAM macro, or ``None`` when eliminated."""
+        return self._sram_macro
+
+    @functools.cached_property
+    def _sram_macro(self) -> SramSpec | None:
+        # A function of three frozen fields, so it is built once per
+        # config and every layer simulated on it reads the same macro.
         if self.sram_bytes_per_variable is None:
             return None
         return sram_model(

@@ -63,7 +63,9 @@ class ComputeScheme(enum.Enum):
     @property
     def spec(self) -> SchemeSpec:
         """The :class:`SchemeSpec` behind this member."""
-        return _SPECS[self.value]
+        # ``_value_`` is the stored value ``value`` reads through the enum
+        # descriptor; every simulated layer looks its spec up several times.
+        return _SPECS[self._value_]
 
     @property
     def is_unary(self) -> bool:

@@ -28,6 +28,7 @@ __all__ = [
     "StaticBatcher",
     "DynamicBatcher",
     "ContinuousBatcher",
+    "BATCH_POLICIES",
     "make_batcher",
 ]
 
@@ -123,17 +124,28 @@ class ContinuousBatcher(BatchPolicy):
         return queue.take(self.max_batch, workload)
 
 
+#: Every policy :func:`make_batcher` builds, by the name the CLIs and pool
+#: specs spell it.
+BATCH_POLICIES = {
+    "static": StaticBatcher,
+    "dynamic": DynamicBatcher,
+    "continuous": ContinuousBatcher,
+}
+
+
 def make_batcher(
     policy: str, max_batch: int, max_wait_s: float = 0.0
 ) -> BatchPolicy:
-    """Build a policy by name (``static`` | ``dynamic`` | ``continuous``)."""
-    if policy == "static":
-        return StaticBatcher(max_batch)
-    if policy == "dynamic":
+    """Build a policy by its name in :data:`BATCH_POLICIES`.
+
+    Only the dynamic policy takes ``max_wait_s``; the others ignore it.
+    """
+    if policy not in BATCH_POLICIES:
+        raise ValueError(
+            f"unknown batching policy {policy!r}; pick from "
+            f"{sorted(BATCH_POLICIES)}"
+        )
+    batcher = BATCH_POLICIES[policy]
+    if batcher is DynamicBatcher:
         return DynamicBatcher(max_batch, max_wait_s)
-    if policy == "continuous":
-        return ContinuousBatcher(max_batch)
-    raise ValueError(
-        f"unknown batching policy {policy!r}; pick from "
-        "['continuous', 'dynamic', 'static']"
-    )
+    return batcher(max_batch)

@@ -28,11 +28,11 @@ from ..system.battery import Battery
 from ..workloads.mlperf import mlperf_suite
 from ..workloads.presets import PLATFORMS
 from .arrivals import poisson_arrivals, uniform_arrivals
-from .batching import make_batcher
+from .batching import BATCH_POLICIES, make_batcher
 from .costs import NetworkCostModel, platform_cost_model
 from .executor import ServeExecutor
 from .metrics import ServeMetrics
-from .queueing import make_queue
+from .queueing import QUEUE_DISCIPLINES, make_queue
 from .residency import ResidencyTracker
 
 __all__ = ["main", "build_parser", "serve_one"]
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--policy",
-        choices=["static", "dynamic", "continuous"],
+        choices=list(BATCH_POLICIES),
         default="dynamic",
         help="batching policy",
     )
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dynamic policy: longest time the head request waits to batch",
     )
     parser.add_argument(
-        "--queue", choices=["fifo", "deadline"], default="fifo"
+        "--queue", choices=list(QUEUE_DISCIPLINES), default="fifo"
     )
     parser.add_argument("--queue-capacity", type=int, default=256)
     parser.add_argument(

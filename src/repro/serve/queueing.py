@@ -24,7 +24,13 @@ import math
 
 from .requests import Request
 
-__all__ = ["BoundedQueue", "FifoQueue", "DeadlineQueue", "make_queue"]
+__all__ = [
+    "BoundedQueue",
+    "FifoQueue",
+    "DeadlineQueue",
+    "QUEUE_DISCIPLINES",
+    "make_queue",
+]
 
 
 class BoundedQueue:
@@ -139,12 +145,16 @@ class DeadlineQueue(BoundedQueue):
         return (deadline, request.arrival_s, request.req_id)
 
 
+#: Every queue :func:`make_queue` builds, by the name the CLIs and pool
+#: specs spell it.
+QUEUE_DISCIPLINES = {"fifo": FifoQueue, "deadline": DeadlineQueue}
+
+
 def make_queue(discipline: str, capacity: int) -> BoundedQueue:
-    """Build a queue by name (``fifo`` | ``deadline``), for CLI wiring."""
-    queues = {"fifo": FifoQueue, "deadline": DeadlineQueue}
-    if discipline not in queues:
+    """Build a queue by its name in :data:`QUEUE_DISCIPLINES`."""
+    if discipline not in QUEUE_DISCIPLINES:
         raise ValueError(
             f"unknown queue discipline {discipline!r}; pick from "
-            f"{sorted(queues)}"
+            f"{sorted(QUEUE_DISCIPLINES)}"
         )
-    return queues[discipline](capacity)
+    return QUEUE_DISCIPLINES[discipline](capacity)

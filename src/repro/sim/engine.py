@@ -15,6 +15,16 @@ This is the memory-contention-aware scheduling the paper adds on top of
 SCALE-Sim, at the fidelity of average rates rather than per-beat DRAM
 timing (the shape-level behaviour — who stalls, by how much, and how
 stalls melt as MAC cycles grow — is preserved).
+
+A figure is a grid of these calls, so each piece of work is done once.
+What depends only on a frozen config is derived once per config object
+and read from it afterwards: the MAC cycle count, label and geometry of
+an :class:`~repro.core.config.ArrayConfig`, the SRAM macro of a
+:class:`~repro.memory.hierarchy.MemoryConfig` and the leakage of the
+shared :class:`~repro.hw.array_cost.ArrayCost`.  What depends on the
+layer is computed on every call, each quantity once: the three entry
+``validate()`` calls, the fold plan, the schedule, the traffic profile
+and the contention and energy arithmetic.  Nothing caches a result.
 """
 
 from __future__ import annotations
@@ -70,6 +80,8 @@ def simulate_layer_batched(
     """
     # Entry contract (repro.contracts): reject impossible configs loudly even
     # when they were built via dataclasses.replace or deserialization paths.
+    # It runs on every call, including after the constants below were
+    # derived, so a config corrupted since then still fails here.
     params.validate()
     array.validate()
     memory.validate()
@@ -83,45 +95,45 @@ def simulate_layer_batched(
         batch=batch,
         warm_weights=warm_weights,
     )
+    ifm = traffic.ifm
+    weight = traffic.weight
+    ofm = traffic.ofm
+    psum_bytes = ofm.dram_total
+    stream_bytes = ifm.dram_total + weight.dram_total
 
     # --- runtime with contention ---------------------------------------
-    dram_rate = memory.dram.effective_bandwidth_bytes_per_s / tech.frequency_hz
-    dram_cycles = traffic.dram_total / dram_rate
+    dram = memory.dram
+    dram_rate = dram.effective_bandwidth_bytes_per_s / tech.frequency_hz
+    dram_cycles = (stream_bytes + psum_bytes) / dram_rate
     sram_cycles = 0.0
     sram = memory.sram()
     if sram is not None:
-        rate = sram.peak_bytes_per_cycle()
+        # Dividing by one positive rate keeps the order, so the busiest
+        # variable's SRAM (they serve in parallel) sets the time.
         sram_cycles = max(
-            traffic.variable(name).sram_total / rate for name in VARIABLES
-        )
+            ifm.sram_total, weight.sram_total, ofm.sram_total
+        ) / sram.peak_bytes_per_cycle()
     total_cycles = max(float(sched.compute_cycles), dram_cycles, sram_cycles)
     runtime_s = total_cycles / tech.frequency_hz
 
     # --- energy ledger ---------------------------------------------------
     cost = array_cost(array.scheme, array.rows, array.cols, array.bits, tech=tech)
-    array_dynamic = cost.dynamic_energy_j(sched.active_pe_mac_cycles)
-    array_leakage = cost.leakage_w * runtime_s
     sram_dynamic = 0.0
     sram_leakage_w = 0.0
     if sram is not None:
         sram_dynamic = sram.access_energy_j(traffic.sram_read, traffic.sram_write)
         sram_leakage_w = len(VARIABLES) * sram.leakage_w
-    sram_leakage = sram_leakage_w * runtime_s
-    psum_bytes = traffic.ofm.dram_total
-    stream_bytes = traffic.dram_total - psum_bytes
-    dram_dynamic = memory.dram.access_energy_j(
-        stream_bytes, hit_rate=_DRAM_HIT_RATE_STREAM
-    ) + memory.dram.access_energy_j(psum_bytes, hit_rate=_DRAM_HIT_RATE_PSUM)
     energy = EnergyLedger(
-        array_dynamic=array_dynamic,
-        array_leakage=array_leakage,
+        array_dynamic=cost.dynamic_energy_j(sched.active_pe_mac_cycles),
+        array_leakage=cost.leakage_w * runtime_s,
         sram_dynamic=sram_dynamic,
-        sram_leakage=sram_leakage,
-        dram_dynamic=dram_dynamic,
+        sram_leakage=sram_leakage_w * runtime_s,
+        dram_dynamic=dram.access_energy_j(stream_bytes, hit_rate=_DRAM_HIT_RATE_STREAM)
+        + dram.access_energy_j(psum_bytes, hit_rate=_DRAM_HIT_RATE_PSUM),
     )
     return LayerResult(
         layer=params.name,
-        config_label=array.label + ("" if memory.has_sram else "-noSRAM"),
+        config_label=array.label + ("" if sram is not None else "-noSRAM"),
         macs=batch * params.macs,
         compute_cycles=sched.compute_cycles,
         total_cycles=total_cycles,

@@ -121,9 +121,11 @@ def profile_traffic_batched(
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     elem = (bits + 7) // 8
+    # Every size below is arithmetic on the layer's ints, with each
+    # GemmParams property read once.
     vectors = batch * params.oh * params.ow
     window = params.window
-    outputs = batch * params.num_outputs
+    outputs = vectors * params.oc
     k_folds = tiling.k_folds
     c_folds = tiling.c_folds
 
@@ -132,12 +134,10 @@ def profile_traffic_batched(
     weight_stream_bytes = params.weight_bytes(bits)
     ofm_write_bytes = outputs * k_folds * elem
     ofm_psum_read_bytes = outputs * (k_folds - 1) * elem
-    ifm_footprint_bytes = batch * params.ifm_bytes(bits)
+    ifm_footprint_bytes = batch * params.ih * params.iw * params.ic * elem
 
-    usable = memory.usable_sram_bytes()
     if memory.has_sram:
-        ifm_fits = ifm_footprint_bytes <= usable
-        if ifm_fits:
+        if ifm_footprint_bytes <= memory.usable_sram_bytes():
             # Demand traffic: a strided window (stride > window edge) can
             # leave the im2col stream *smaller* than the IFM footprint, and
             # only touched pixels are ever fetched — without the cap, adding
@@ -164,7 +164,7 @@ def profile_traffic_batched(
         ofm = VariableTraffic(
             sram_read=ofm_psum_read_bytes,
             sram_write=ofm_write_bytes,
-            dram_write=batch * params.ofm_bytes(bits),
+            dram_write=outputs * elem,
         )
     else:
         ifm = VariableTraffic(dram_read=ifm_stream_bytes)

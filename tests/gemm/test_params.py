@@ -31,11 +31,12 @@ class TestGemmParams:
         assert p.macs == 3 * 3 * 4 * (3 * 3 * 2)
 
     def test_footprints(self):
+        # The IFM and OFM footprints are traffic arithmetic, checked in
+        # tests/sim/test_traffic.py; the weight footprint is shared.
         p = GemmParams("c", ih=4, iw=4, ic=2, wh=2, ww=2, oc=3)
-        assert p.ifm_bytes(8) == 4 * 4 * 2
-        assert p.ifm_bytes(16) == 2 * 4 * 4 * 2
         assert p.weight_bytes(8) == 2 * 2 * 2 * 3
-        assert p.ofm_bytes(8) == 3 * 3 * 3
+        assert p.weight_bytes(16) == 2 * 2 * 2 * 2 * 3
+        assert p.weight_bytes(12) == p.weight_bytes(16)
 
     def test_window_and_outputs(self):
         p = GemmParams("c", ih=6, iw=6, ic=4, wh=3, ww=3, oc=8, stride=1)

@@ -48,7 +48,7 @@ class TestGenerateTrace:
         trace = generate_trace(PARAMS, CFG_BP)
         reads = [e for e in trace if e.variable == "ofm" and e.op == "read"]
         writes = [e for e in trace if e.variable == "ofm" and e.op == "write"]
-        assert len(writes) == tiling.total_vectors
+        assert len(writes) == tiling.num_tiles * tiling.vectors
         assert len(reads) == (tiling.k_folds - 1) * tiling.c_folds * (
             PARAMS.oh * PARAMS.ow
         )

@@ -25,16 +25,17 @@ class TestWithSram:
 
     def test_small_ifm_read_once_from_dram(self):
         p = GemmParams("c", ih=10, iw=10, ic=4, wh=3, ww=3, oc=20)
-        assert p.ifm_bytes(8) < MEM_SRAM.usable_sram_bytes()
+        footprint = p.ih * p.iw * p.ic
+        assert footprint < MEM_SRAM.usable_sram_bytes()
         t = _profile(p, MEM_SRAM)
-        assert t.ifm.dram_read == p.ifm_bytes(8)
+        assert t.ifm.dram_read == footprint
 
     def test_large_ifm_restreamed_per_column_fold(self):
         # AlexNet Conv1: 154 KB IFM exceeds the 32 KB usable half-buffer.
         p = GemmParams("conv1", ih=227, iw=227, ic=3, wh=11, ww=11, oc=96, stride=4)
         tiling = tile_gemm(p, 12, 14)
         t = _profile(p, MEM_SRAM)
-        assert t.ifm.dram_read == p.ifm_bytes(8) * tiling.c_folds
+        assert t.ifm.dram_read == p.ih * p.iw * p.ic * tiling.c_folds
 
     def test_ifm_sram_reads_cover_im2col_stream(self):
         p = GemmParams("c", ih=10, iw=10, ic=4, wh=3, ww=3, oc=20)
@@ -46,7 +47,7 @@ class TestWithSram:
     def test_ofm_final_only_to_dram(self):
         p = GemmParams("c", ih=10, iw=10, ic=4, wh=3, ww=3, oc=20)
         t = _profile(p, MEM_SRAM)
-        assert t.ofm.dram_write == p.ofm_bytes(8)
+        assert t.ofm.dram_write == p.num_outputs
         assert t.ofm.dram_read == 0
 
     def test_psum_round_trips_in_sram(self):
@@ -88,6 +89,14 @@ class TestWithoutSram:
 
 
 class TestBitwidth:
+    @pytest.mark.parametrize("bits", [12, 16])
+    def test_footprints_round_up_to_whole_bytes(self, bits):
+        p = GemmParams("c", ih=4, iw=4, ic=2, wh=2, ww=2, oc=3)
+        t = _profile(p, MEM_SRAM, bits=bits)
+        assert t.ifm.dram_read == 2 * 4 * 4 * 2
+        assert t.weight.dram_read == 2 * 2 * 2 * 2 * 3
+        assert t.ofm.dram_write == 2 * 3 * 3 * 3
+
     def test_16bit_doubles_traffic(self):
         p = GemmParams("c", ih=10, iw=10, ic=4, wh=3, ww=3, oc=20)
         t8 = _profile(p, MEM_NONE, bits=8)

@@ -131,6 +131,31 @@ class TestEntryPointContracts:
         with pytest.raises(ValueError, match=r"ArrayConfig\.rows"):
             simulate_layer(layer, array, EDGE.memory)
 
+        # The engine derives the latency law, label and SRAM macro once
+        # per config.  A config corrupted after its first simulation, when
+        # those constants exist, still fails the entry contract.
+        corruptions = [
+            ("array", "ebt", 9, "ArrayConfig.ebt: must be in [2, 8], got 9"),
+            (
+                "memory",
+                "sram_banks",
+                12,
+                "MemoryConfig.sram_banks: must be a power of two, got 12",
+            ),
+            ("layer", "oc", 0, "GemmParams.oc: must be positive, got 0"),
+        ]
+        for target, field, value, message in corruptions:
+            configs = {
+                "layer": GemmParams("c", ih=6, iw=6, ic=4, wh=3, ww=3, oc=8),
+                "array": ArrayConfig(12, 14, ComputeScheme.USYSTOLIC_RATE, ebt=6),
+                "memory": MemoryConfig(sram_bytes_per_variable=64 * 1024),
+            }
+            simulate_layer(*configs.values())
+            object.__setattr__(configs[target], field, value)
+            with pytest.raises(ValueError) as excinfo:
+                simulate_layer(*configs.values())
+            assert str(excinfo.value) == message
+
 
 BP = ComputeScheme.BINARY_PARALLEL
 GEMM_DIMS = ("ih", "iw", "ic", "wh", "ww", "oc", "stride")
@@ -227,6 +252,14 @@ CONTRACT_MESSAGES = [
         "PoolConfig.instances: must be >= 1, got 0",
         id="PoolConfig.instances",
     ),
+    *(
+        pytest.param(
+            lambda field=field: _pool(**{field: 2.5}),
+            f"PoolConfig.{field}: must be an int, got 2.5",
+            id=f"PoolConfig.{field}-int",
+        )
+        for field in ("instances", "min_instances", "max_instances")
+    ),
     pytest.param(
         lambda: _pool(min_instances=3, max_instances=2),
         "PoolConfig.min_instances: needs 1 <= min_instances <= max_instances, "
@@ -253,6 +286,55 @@ CONTRACT_MESSAGES = [
         lambda: _pool(power_cap_w=-1.0),
         "PoolConfig.power_cap_w: must be positive, got -1.0",
         id="PoolConfig.power_cap_w",
+    ),
+    pytest.param(
+        lambda: _pool(scheme="UR"),
+        "PoolConfig.scheme: must be a ComputeScheme, got 'UR'",
+        id="PoolConfig.scheme",
+    ),
+    pytest.param(
+        lambda: _pool(bits=8.0),
+        "PoolConfig.bits: must be an int, got 8.0",
+        id="PoolConfig.bits-int",
+    ),
+    pytest.param(
+        lambda: _pool(bits=1),
+        "PoolConfig.bits: rejected by the BP latency law: bits must be >= 2, "
+        "got 1",
+        id="PoolConfig.bits-law",
+    ),
+    pytest.param(
+        lambda: _pool(scheme=ComputeScheme.USYSTOLIC_RATE, ebt=5.5),
+        "PoolConfig.ebt: must be an int, got 5.5",
+        id="PoolConfig.ebt-int",
+    ),
+    pytest.param(
+        lambda: _pool(scheme=ComputeScheme.USYSTOLIC_RATE, ebt=9),
+        "PoolConfig.ebt: rejected by the UR latency law: ebt must be in "
+        "[2, 8], got 9",
+        id="PoolConfig.ebt-law",
+    ),
+    pytest.param(
+        lambda: _pool(max_batch=0),
+        "PoolConfig.max_batch: must be positive, got 0",
+        id="PoolConfig.max_batch",
+    ),
+    pytest.param(
+        lambda: _pool(queue_capacity=0),
+        "PoolConfig.queue_capacity: must be positive, got 0",
+        id="PoolConfig.queue_capacity",
+    ),
+    pytest.param(
+        lambda: _pool(policy="nope"),
+        "PoolConfig.policy: must be one of ('static', 'dynamic', 'continuous'), "
+        "got 'nope'",
+        id="PoolConfig.policy",
+    ),
+    pytest.param(
+        lambda: _pool(queue_discipline="lifo"),
+        "PoolConfig.queue_discipline: must be one of ('fifo', 'deadline'), "
+        "got 'lifo'",
+        id="PoolConfig.queue_discipline",
     ),
     pytest.param(
         lambda: _array(rows=0),

@@ -1,11 +1,12 @@
 """Deterministic work counts: configuration work paid once, not per call.
 
 A served batch is priced once per ``(batch, warm)`` pair however often it
-is dispatched, one layer simulation builds its SRAM macro once, the
+is dispatched, a memory config builds its SRAM macro once and an array
+config derives its MAC latency once however many layers run on them, the
 bit-true engines make one fold-kernel call per layer (``execute`` and
 the wave stepper) or one product plane per fold (the cycle stepper), the
 cycle stepper clocks a layer's folds together, and a scalar ``HubMac``
-builds its number sequences once.  Counting the calls pins all five on
+builds its number sequences once.  Counting the calls pins all six on
 any machine, independent of wall time.
 """
 
@@ -20,7 +21,8 @@ from repro.core.config import ArrayConfig
 from repro.gemm.params import GemmParams
 from repro.gemm.tiling import tile_gemm
 from repro.memory import hierarchy
-from repro.schemes import ComputeScheme
+from repro.memory.hierarchy import MemoryConfig
+from repro.schemes import ComputeScheme, SchemeSpec
 from repro.serve.arrivals import poisson_arrivals
 from repro.serve.batching import make_batcher
 from repro.serve.costs import NetworkCostModel
@@ -83,14 +85,32 @@ def test_serve_prices_each_distinct_batch_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "memory,macros", [(EDGE.memory, 1), (EDGE.memory.without_sram(), 0)]
+    "memory,macros",
+    # Fresh configs: a shared preset may already hold its macro.
+    [
+        (MemoryConfig(sram_bytes_per_variable=64 * 1024), 1),
+        (MemoryConfig(sram_bytes_per_variable=None), 0),
+    ],
 )
 def test_one_layer_builds_one_sram_macro(monkeypatch, memory, macros):
+    # The macro is derived once per config, so three layers build one.
     array = EDGE.array(ComputeScheme.USYSTOLIC_RATE, ebt=6)
     built = []
     _counting(monkeypatch, hierarchy, "sram_model", built)
-    simulate_layer(LAYERS[2], array, memory)
+    for layer in LAYERS:
+        simulate_layer(layer, array, memory)
     assert len(built) == macros
+
+
+def test_one_array_config_derives_its_latency_once(monkeypatch):
+    # Each call's entry check evaluates the latency law; the MAC cycle
+    # count the schedule and the label read is derived once per config.
+    array = ArrayConfig(12, 14, ComputeScheme.USYSTOLIC_RATE, ebt=6)
+    evaluated = []
+    _counting(monkeypatch, SchemeSpec, "mac_cycles", evaluated)
+    for layer in LAYERS:
+        simulate_layer(layer, array, EDGE.memory)
+    assert len(evaluated) == len(LAYERS) + 1
 
 
 def _kernel_calls(monkeypatch):
