@@ -28,6 +28,7 @@ from ..serve.costs import NetworkCostModel, platform_cost_model
 from ..serve.executor import ServeExecutor
 from ..serve.queueing import QUEUE_DISCIPLINES, make_queue
 from ..serve.residency import ResidencyTracker
+from ..workloads.mlperf import WORKLOADS
 from ..workloads.presets import PLATFORMS, Platform
 
 __all__ = [
@@ -157,6 +158,12 @@ class PoolConfig:
                 "PoolConfig",
                 "policy",
                 f"must be one of {tuple(BATCH_POLICIES)}, got {self.policy!r}",
+            )
+        if self.workload not in WORKLOADS:
+            fail(
+                "PoolConfig",
+                "workload",
+                f"must be one of {tuple(WORKLOADS)}, got {self.workload!r}",
             )
         if self.queue_discipline not in QUEUE_DISCIPLINES:
             fail(

@@ -46,10 +46,7 @@ class BatchPolicy:
         head = queue.oldest()
         if head is None:
             return None, 0
-        count = sum(
-            1 for r in queue.peek_all() if r.workload == head.workload
-        )
-        return head.workload, count
+        return head.workload, queue.count(head.workload)
 
     def next_batch(
         self, queue: BoundedQueue, now_s: float, draining: bool

@@ -25,7 +25,7 @@ from ..contracts import non_negative_float, positive_float
 from ..eval.report import format_table
 from ..schemes import ComputeScheme
 from ..system.battery import Battery
-from ..workloads.mlperf import mlperf_suite
+from ..workloads.mlperf import WORKLOADS
 from ..workloads.presets import PLATFORMS
 from .arrivals import poisson_arrivals, uniform_arrivals
 from .batching import BATCH_POLICIES, make_batcher
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workload",
         required=True,
-        choices=sorted(mlperf_suite()),
+        choices=sorted(WORKLOADS),
         help="the network every request asks for",
     )
     parser.add_argument(

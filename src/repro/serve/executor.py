@@ -87,8 +87,8 @@ class ServeExecutor:
 
         The single-server clock over the same hooks a fleet steps: at
         each event time a due completion, one :meth:`offer` per arrival,
-        then one :meth:`advance`; the stream's end drains, then
-        :meth:`close` ends the run.
+        then one :meth:`advance`, draining from the last arrival on;
+        :meth:`close` ends the run when no event is left.
         """
         for request in arrivals:
             self._check_workload(request)
@@ -103,12 +103,10 @@ class ServeExecutor:
             event_s = min(next_arrival_s, self.next_event_s(now_s))
 
             if event_s == math.inf:
-                # No arrivals, no service, no wake.  Anything still queued
-                # can only leave via a draining flush.
-                if self.queue.depth and not self._halted:
-                    self.advance(now_s, metrics, draining=True)
-                    if self._in_service:
-                        continue
+                # No arrivals, no service, no wake.  Every advance since
+                # the last arrival drained, so whatever is still queued
+                # (a halted server's, or what a policy will not flush) is
+                # for close to drop.
                 break
 
             now_s = max(now_s, event_s)
@@ -292,12 +290,9 @@ class ServeExecutor:
     def _complete(self, now_s: float, metrics: ServeMetrics) -> None:
         if not self._in_service:
             return
-        batch_size = len(self._in_service)
-        energy_share_j = self._service_energy_j / batch_size
-        for request in self._in_service:
-            metrics.observe_complete(
-                request, self._service_done_s, batch_size, energy_share_j
-            )
+        metrics.observe_complete(
+            self._in_service, self._service_done_s, self._service_energy_j
+        )
         self._in_service = []
         self._service_done_s = math.inf
         self._service_energy_j = 0.0

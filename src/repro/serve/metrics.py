@@ -5,7 +5,8 @@ rejections, drops, dispatches, completions — and maintains, online:
 
 - the **in-system population** and its time integral (whose ratio to the
   makespan is the time-average L that Little's law ties to λW);
-- per-request :class:`~repro.serve.requests.RequestRecord` ledger rows;
+- per-request :class:`~repro.serve.requests.RequestRecord` ledger rows,
+  a finished batch's rows appended in one call;
 - server busy time and dispatched-batch accounting.
 
 :func:`record_summary` derives the headline numbers from request
@@ -174,26 +175,33 @@ class ServeMetrics:
         self.busy_s += service_s
 
     def observe_complete(
-        self, request: Request, now_s: float, batch_size: int, energy_j: float
+        self, batch: list[Request], now_s: float, energy_j: float
     ) -> None:
-        """A request finished service."""
+        """A batch finished service at ``now_s``.
+
+        Its requests share the batch's ``energy_j`` equally; the whole
+        batch is one event, so the clock advances once for it.
+        """
         self._advance(now_s)
-        self.completed += 1
-        self._in_system -= 1
-        latency_s = now_s - request.arrival_s
-        slo_met = request.deadline_s is None or now_s <= request.deadline_s
-        self.records.append(
-            RequestRecord(
-                req_id=request.req_id,
-                workload=request.workload,
-                status=RequestStatus.COMPLETED,
-                arrival_s=request.arrival_s,
-                finish_s=now_s,
-                latency_s=latency_s,
-                batch_size=batch_size,
-                energy_j=energy_j,
-                slo_met=slo_met,
-            )
+        batch_size = len(batch)
+        energy_share_j = energy_j / batch_size
+        self.completed += batch_size
+        self._in_system -= batch_size
+        self.records.extend(
+            [
+                RequestRecord(
+                    request.req_id,
+                    request.workload,
+                    RequestStatus.COMPLETED,
+                    request.arrival_s,
+                    now_s,
+                    now_s - request.arrival_s,
+                    batch_size,
+                    energy_share_j,
+                    request.deadline_s is None or now_s <= request.deadline_s,
+                )
+                for request in batch
+            ]
         )
 
     def finalize(self, now_s: float) -> None:

@@ -20,6 +20,7 @@ dropped + in flight) is asserted by the metrics collector at every event.
 from __future__ import annotations
 
 import bisect
+import collections
 import math
 
 from .requests import Request
@@ -37,8 +38,12 @@ class BoundedQueue:
     """A bounded request queue with admission and deadline expiry.
 
     Subclasses define the service order via :meth:`_sort_key`; everything
-    else — capacity, expiry — is shared.  Admission and rejection counts
-    live in :class:`~repro.serve.metrics.ServeMetrics`.
+    else — capacity, expiry — is shared.  The queue keeps its own
+    summary: the requests queued per network and the earliest queued
+    deadline, updated by :meth:`push`, :meth:`expire` and :meth:`take`,
+    so :meth:`count` and :meth:`next_deadline_s` read a field and
+    :meth:`expire` scans only when a deadline has passed.  Admission and
+    rejection counts live in :class:`~repro.serve.metrics.ServeMetrics`.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -46,9 +51,10 @@ class BoundedQueue:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._items: list[Request] = []
-        #: queued requests carrying a deadline; lets :meth:`expire` skip
-        #: the scan entirely on deadline-free streams (the common case).
-        self._deadline_count = 0
+        #: network -> requests of it queued now.
+        self._counts: dict[str, int] = collections.defaultdict(int)
+        #: earliest deadline among the queued requests, ``math.inf`` if none.
+        self._next_deadline_s = math.inf
 
     @staticmethod
     def _sort_key(request: Request) -> tuple:
@@ -59,6 +65,10 @@ class BoundedQueue:
         """Requests currently waiting."""
         return len(self._items)
 
+    def count(self, workload: str) -> int:
+        """Requests of network ``workload`` currently waiting."""
+        return self._counts.get(workload, 0)
+
     def push(self, request: Request) -> bool:
         """Admit ``request``; ``False`` means rejected (queue full)."""
         if len(self._items) >= self.capacity:
@@ -67,37 +77,47 @@ class BoundedQueue:
         # unique and a binary insertion lands exactly where the full
         # re-sort used to put it — same order, O(log n) search.
         bisect.insort(self._items, request, key=self._sort_key)
-        if request.deadline_s is not None:
-            self._deadline_count += 1
+        self._counts[request.workload] += 1
+        deadline_s = request.deadline_s
+        if deadline_s is not None and deadline_s < self._next_deadline_s:
+            self._next_deadline_s = deadline_s
         return True
 
     def oldest(self) -> Request | None:
         """The request that would be served next, or ``None`` if empty."""
         return self._items[0] if self._items else None
 
-    def peek_all(self) -> tuple[Request, ...]:
-        """The waiting requests in service order (no removal)."""
-        return tuple(self._items)
-
     def next_deadline_s(self) -> float:
         """Earliest deadline among the waiting requests (``math.inf`` if none)."""
-        if not self._deadline_count:
-            return math.inf
-        return min(r.deadline_s for r in self._items if r.deadline_s is not None)
+        return self._next_deadline_s
+
+    def _removed(self, gone: list[Request]) -> None:
+        """Update the counts and the earliest deadline after ``gone`` left."""
+        counts = self._counts
+        next_deadline_s = self._next_deadline_s
+        stale = False
+        for request in gone:
+            counts[request.workload] -= 1
+            stale = stale or request.deadline_s == next_deadline_s
+        if stale:
+            deadlines = [
+                r.deadline_s for r in self._items if r.deadline_s is not None
+            ]
+            self._next_deadline_s = min(deadlines) if deadlines else math.inf
 
     def expire(self, now_s: float) -> list[Request]:
         """Remove and return every request whose deadline has passed."""
-        if not self._deadline_count:
+        if not self._next_deadline_s < now_s:
             return []
         expired = [
             r
             for r in self._items
             if r.deadline_s is not None and r.deadline_s < now_s
         ]
-        if expired:
-            gone = {r.req_id for r in expired}
-            self._items = [r for r in self._items if r.req_id not in gone]
-            self._deadline_count -= len(expired)
+        self._items = [
+            r for r in self._items if r.deadline_s is None or r.deadline_s >= now_s
+        ]
+        self._removed(expired)
         return expired
 
     def take(self, max_count: int, workload: str | None = None) -> list[Request]:
@@ -120,9 +140,7 @@ class BoundedQueue:
             else:
                 rest.append(request)
         self._items = rest
-        self._deadline_count -= sum(
-            1 for r in taken if r.deadline_s is not None
-        )
+        self._removed(taken)
         return taken
 
 

@@ -6,14 +6,20 @@ implies.  A :class:`RequestRecord` is the request's final fate as the
 metrics ledger stores it — admitted or rejected, completed or dropped,
 and at what latency and energy share.
 
-Everything here is a frozen dataclass with a deterministic JSON form, so
-two runs with the same seed produce byte-identical ledgers.
+A request is a frozen dataclass, checked when built; a record is an
+immutable ``NamedTuple`` row, built once per request on the serving hot
+path.  Both have a deterministic JSON form, so two runs with the same
+seed produce byte-identical ledgers.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import math
+from typing import NamedTuple
+
+from ..contracts import fail
 
 __all__ = ["Request", "RequestStatus", "RequestRecord"]
 
@@ -44,24 +50,36 @@ class Request:
     def validate(self) -> "Request":
         """Contract check: raise ``ValueError`` on any impossible field."""
         if self.req_id < 0:
-            raise ValueError(f"Request.req_id must be >= 0, got {self.req_id}")
+            fail("Request", "req_id", f"must be >= 0, got {self.req_id}")
         if not self.workload:
-            raise ValueError("Request.workload must be a non-empty name")
-        if self.arrival_s < 0:
-            raise ValueError(
-                f"Request.arrival_s must be >= 0, got {self.arrival_s}"
+            fail("Request", "workload", "must be a non-empty name")
+        # One comparison chain per field: NaN fails every comparison, so
+        # it is rejected with the infinities and the negatives.
+        if not 0 <= self.arrival_s < math.inf:
+            fail(
+                "Request",
+                "arrival_s",
+                f"must be finite and >= 0, got {self.arrival_s}",
             )
-        if self.deadline_s is not None and self.deadline_s < self.arrival_s:
-            raise ValueError(
-                f"Request.deadline_s {self.deadline_s} precedes arrival "
-                f"{self.arrival_s}"
+        if self.deadline_s is not None and not (
+            self.arrival_s <= self.deadline_s < math.inf
+        ):
+            fail(
+                "Request",
+                "deadline_s",
+                f"must be finite and >= arrival_s {self.arrival_s}, "
+                f"got {self.deadline_s}",
             )
         return self
 
 
-@dataclasses.dataclass(frozen=True)
-class RequestRecord:
-    """The ledger entry of one finished (or refused) request."""
+class RequestRecord(NamedTuple):
+    """The ledger entry of one finished (or refused) request.
+
+    An immutable row, cheap to build once per request.  Its ``repr``
+    spells every field as ``name=value`` in declaration order; the
+    benchmark's serve digest hashes those bytes.
+    """
 
     req_id: int
     workload: str
@@ -75,6 +93,6 @@ class RequestRecord:
 
     def to_json(self) -> dict:
         """JSON-able field dict, the status by its value."""
-        data = dataclasses.asdict(self)
+        data = self._asdict()
         data["status"] = self.status.value
         return data

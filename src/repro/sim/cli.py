@@ -20,7 +20,7 @@ from pathlib import Path
 from ..core.config import ArrayConfig
 from ..eval.report import format_table
 from ..schemes import ComputeScheme
-from ..workloads.mlperf import mlperf_suite
+from ..workloads.mlperf import WORKLOADS, workload_layers
 from ..workloads.presets import PLATFORMS, Platform
 from ..workloads.topology_io import load_topology
 from .engine import simulate_network
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--workload",
-        choices=sorted(mlperf_suite()),
+        choices=sorted(WORKLOADS),
         help="a built-in workload",
     )
     source.add_argument(
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_layers(args: argparse.Namespace):
     if args.topology is not None:
         return load_topology(args.topology)
-    return mlperf_suite()[args.workload]
+    return workload_layers(args.workload)
 
 
 def _layer_rows(results: list[LayerResult]) -> list[list[str]]:

@@ -19,6 +19,8 @@ ordering.  DESIGN.md records this substitution.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..gemm.params import GemmParams
 from .alexnet import alexnet_layers
 
@@ -30,6 +32,7 @@ __all__ = [
     "sentimental_seqcnn_layers",
     "sentimental_seqlstm_layers",
     "transformer_layers",
+    "WORKLOADS",
     "mlperf_suite",
     "workload_layers",
 ]
@@ -208,29 +211,29 @@ def transformer_layers(
     return layers
 
 
+#: Every named workload's layer-list function, in the suite's order: the
+#: names the CLIs and pool specs accept.
+WORKLOADS: dict[str, Callable[[], list[GemmParams]]] = {
+    "alphagozero": alphagozero_layers,
+    "alexnet": alexnet_layers,
+    "googlenet": googlenet_layers,
+    "resnet50": resnet50_layers,
+    "ncf": ncf_layers,
+    "sentimental_seqCNN": sentimental_seqcnn_layers,
+    "sentimental_seqLSTM": sentimental_seqlstm_layers,
+    "transformer": transformer_layers,
+}
+
+
 def mlperf_suite() -> dict[str, list[GemmParams]]:
     """The full eight-model suite, keyed by model name."""
-    return {
-        "alphagozero": alphagozero_layers(),
-        "alexnet": alexnet_layers(),
-        "googlenet": googlenet_layers(),
-        "resnet50": resnet50_layers(),
-        "ncf": ncf_layers(),
-        "sentimental_seqCNN": sentimental_seqcnn_layers(),
-        "sentimental_seqLSTM": sentimental_seqlstm_layers(),
-        "transformer": transformer_layers(),
-    }
+    return {name: build() for name, build in WORKLOADS.items()}
 
 
 def workload_layers(workload: str) -> list[GemmParams]:
-    """GEMM layer list of a named workload (AlexNet or an MLPerf entry)."""
-    if workload == "alexnet":
-        # Fast path: building the whole suite (AlexNet is a member too)
-        # costs about 40x more than AlexNet alone.
-        return alexnet_layers()
-    suite = mlperf_suite()
-    if workload not in suite:
+    """GEMM layer list of one named workload in :data:`WORKLOADS`."""
+    if workload not in WORKLOADS:
         raise ValueError(
-            f"unknown workload {workload!r}; pick from {sorted(suite)}"
+            f"unknown workload {workload!r}; pick from {sorted(WORKLOADS)}"
         )
-    return suite[workload]
+    return WORKLOADS[workload]()

@@ -15,7 +15,7 @@ def _metrics(req_ids=(), base_s=0.0, finalize_s=1.0):
         request = Request(req_id=req_id, workload="net", arrival_s=t)
         metrics.observe_admit(request, t)
         metrics.observe_dispatch(1, service_s=0.01, now_s=t)
-        metrics.observe_complete(request, t + 0.01, batch_size=1, energy_j=0.2)
+        metrics.observe_complete([request], t + 0.01, energy_j=0.2)
     metrics.finalize(finalize_s)
     return metrics
 

@@ -68,7 +68,8 @@ def test_policies_never_mix_workloads():
     q.push(Request(req_id=2, workload="a", arrival_s=0.2))
     batch = ContinuousBatcher(max_batch=8).next_batch(q, 1.0, draining=False)
     assert {r.workload for r in batch} == {"a"}
-    assert [r.req_id for r in q.peek_all()] == [1]
+    assert (q.count("a"), q.count("b")) == (0, 1)
+    assert [r.req_id for r in q.take(q.depth)] == [1]
 
 
 def test_make_batcher_and_validation():

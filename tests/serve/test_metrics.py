@@ -3,7 +3,7 @@
 import pytest
 
 from repro.serve.metrics import ServeMetrics, percentile
-from repro.serve.requests import Request
+from repro.serve.requests import Request, RequestRecord, RequestStatus
 
 
 def _req(i, t, deadline=None):
@@ -27,8 +27,9 @@ def test_summary_from_a_small_event_history():
     m.observe_admit(_req(1, 0.5, deadline=1.5), 0.5)
     m.observe_reject(_req(2, 0.6), 0.6)
     m.observe_dispatch(2, 1.0, 1.0)
-    m.observe_complete(_req(0, 0.0, deadline=1.0), 2.0, 2, 0.5)
-    m.observe_complete(_req(1, 0.5, deadline=1.5), 2.0, 2, 0.5)
+    m.observe_complete(
+        [_req(0, 0.0, deadline=1.0), _req(1, 0.5, deadline=1.5)], 2.0, 1.0
+    )
     m.finalize(2.0)
     s = m.summary()
     assert s["arrivals"] == 3.0
@@ -91,7 +92,50 @@ def test_finalize_clamps_to_the_last_event():
     m = ServeMetrics()
     m.observe_admit(_req(0, 0.0), 0.0)
     m.observe_dispatch(1, 1.0, 0.0)
-    m.observe_complete(_req(0, 0.0), 2.0, 1, 0.1)
+    m.observe_complete([_req(0, 0.0)], 2.0, 0.1)
     m.finalize(2.0)
     m.finalize(1.0)  # a fleet closing instance windows at an earlier tick
     assert m.makespan_s == 2.0
+
+
+def test_record_repr_is_pinned():
+    """The benchmark's ``serve`` digest hashes record reprs byte for byte."""
+    record = RequestRecord(
+        req_id=7,
+        workload="alexnet",
+        status=RequestStatus.COMPLETED,
+        arrival_s=0.1,
+        finish_s=0.1 + 0.2,
+        latency_s=0.2,
+        batch_size=3,
+        energy_j=1.5e-3,
+        slo_met=True,
+    )
+    assert repr(record) == (
+        "RequestRecord(req_id=7, workload='alexnet', "
+        "status=<RequestStatus.COMPLETED: 'completed'>, arrival_s=0.1, "
+        "finish_s=0.30000000000000004, latency_s=0.2, batch_size=3, "
+        "energy_j=0.0015, slo_met=True)"
+    )
+    assert list(record.to_json()) == list(RequestRecord._fields)
+    assert record.to_json()["status"] == "completed"
+
+
+def test_a_batch_completes_in_one_event():
+    m = ServeMetrics(slo_s=1.0)
+    batch = [_req(0, 0.0, deadline=1.0), _req(1, 0.5, deadline=3.0)]
+    for request in batch:
+        m.observe_admit(request, request.arrival_s)
+    m.observe_dispatch(2, 1.5, 0.5)
+    m.observe_complete(batch, 2.0, 0.3)
+    m.assert_conserved(queued=0, in_service=0)
+    assert m.completed == 2
+    assert [(r.req_id, r.finish_s, r.batch_size) for r in m.records] == [
+        (0, 2.0, 2),
+        (1, 2.0, 2),
+    ]
+    assert [r.latency_s for r in m.records] == [2.0, 1.5]
+    assert [r.slo_met for r in m.records] == [False, True]
+    assert [r.energy_j for r in m.records] == [0.15, 0.15]
+    # One in system over [0, 0.5), two over [0.5, 2.0): integral = 3.5.
+    assert m.depth_integral == 3.5

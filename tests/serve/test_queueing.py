@@ -1,10 +1,22 @@
-"""Bounded queues: admission, ordering, expiry, workload-filtered take."""
+"""Bounded queues: admission, ordering, expiry, workload-filtered take.
 
+The service order is read through :meth:`BoundedQueue.take`, the one
+call that removes requests in that order.
+"""
+
+import copy
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.serve.queueing import DeadlineQueue, FifoQueue, make_queue
+from repro.serve.queueing import (
+    QUEUE_DISCIPLINES,
+    DeadlineQueue,
+    FifoQueue,
+    make_queue,
+)
 from repro.serve.requests import Request
 
 
@@ -17,8 +29,8 @@ def test_fifo_orders_by_arrival_then_id():
     q.push(_req(2, 1.0))
     q.push(_req(1, 0.5))
     q.push(_req(3, 1.0))
-    assert [r.req_id for r in q.peek_all()] == [1, 2, 3]
     assert q.oldest().req_id == 1
+    assert [r.req_id for r in q.take(q.depth)] == [1, 2, 3]
 
 
 def test_bounded_admission_rejects_at_capacity():
@@ -27,7 +39,7 @@ def test_bounded_admission_rejects_at_capacity():
     assert q.push(_req(1, 0.1))
     assert not q.push(_req(2, 0.2))
     assert q.depth == 2
-    assert [r.req_id for r in q.peek_all()] == [0, 1]
+    assert [r.req_id for r in q.take(q.depth)] == [0, 1]
 
 
 def test_deadline_queue_serves_most_urgent_first():
@@ -35,7 +47,7 @@ def test_deadline_queue_serves_most_urgent_first():
     q.push(_req(0, 0.0, deadline=5.0))
     q.push(_req(1, 0.1, deadline=1.0))
     q.push(_req(2, 0.2))  # no deadline: last
-    assert [r.req_id for r in q.peek_all()] == [1, 0, 2]
+    assert [r.req_id for r in q.take(q.depth)] == [1, 0, 2]
 
 
 def test_expire_removes_only_past_deadlines():
@@ -70,7 +82,8 @@ def test_take_filters_by_workload_preserving_positions():
     q.push(_req(3, 0.3, workload="a"))
     taken = q.take(2, workload="a")
     assert [r.req_id for r in taken] == [0, 2]
-    assert [r.req_id for r in q.peek_all()] == [1, 3]
+    assert (q.count("a"), q.count("b")) == (1, 1)
+    assert [r.req_id for r in q.take(q.depth)] == [1, 3]
 
 
 def test_make_queue_and_validation():
@@ -89,23 +102,25 @@ def test_expire_fast_path_without_deadlines():
     for i in range(4):
         q.push(_req(i, 0.1 * i))
     # No queued request carries a deadline: expire must be a no-op.
-    assert q._deadline_count == 0
+    assert q.next_deadline_s() == math.inf
     assert q.expire(100.0) == []
     assert q.depth == 4
 
 
-def test_deadline_count_tracks_push_expire_take():
+def test_counts_and_earliest_deadline_track_push_expire_take():
     q = DeadlineQueue(capacity=8)
     q.push(_req(0, 0.0, deadline=1.0))
-    q.push(_req(1, 0.0))
+    q.push(_req(1, 0.0, workload="other"))
     q.push(_req(2, 0.0, deadline=5.0))
-    assert q._deadline_count == 2
+    assert (q.count("net"), q.count("other"), q.count("none")) == (2, 1, 0)
+    assert q.next_deadline_s() == 1.0
     expired = q.expire(2.0)
     assert [r.req_id for r in expired] == [0]
-    assert q._deadline_count == 1
+    assert (q.count("net"), q.next_deadline_s()) == (1, 5.0)
     taken = q.take(q.depth)
     assert {r.req_id for r in taken} == {1, 2}
-    assert q._deadline_count == 0
+    assert (q.count("net"), q.count("other")) == (0, 0)
+    assert q.next_deadline_s() == math.inf
 
 
 def test_insort_keeps_equal_urgency_in_id_order():
@@ -113,4 +128,96 @@ def test_insort_keeps_equal_urgency_in_id_order():
     q.push(_req(5, 0.0, deadline=1.0))
     q.push(_req(1, 0.0, deadline=1.0))
     q.push(_req(3, 0.0, deadline=1.0))
-    assert [r.req_id for r in q.peek_all()] == [1, 3, 5]
+    assert [r.req_id for r in q.take(q.depth)] == [1, 3, 5]
+
+
+#: The service order each discipline promises, written out independently
+#: of the queue's own sort keys.
+_MODEL_ORDER = {
+    "fifo": lambda r: (r.arrival_s, r.req_id),
+    "deadline": lambda r: (
+        math.inf if r.deadline_s is None else r.deadline_s,
+        r.arrival_s,
+        r.req_id,
+    ),
+}
+_NETWORKS = ("a", "b")
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"),
+            st.sampled_from(_NETWORKS),
+            st.integers(0, 8),
+            st.none() | st.integers(0, 6),
+        ),
+        st.tuples(st.just("expire"), st.integers(0, 16)),
+        st.tuples(
+            st.just("take"),
+            st.integers(1, 4),
+            st.none() | st.sampled_from(_NETWORKS),
+        ),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    discipline=st.sampled_from(sorted(QUEUE_DISCIPLINES)),
+    capacity=st.integers(1, 6),
+    ops=_OPS,
+)
+# A deadline equal to the expiry instant stays queued beside one that
+# has passed.
+@example(
+    discipline="fifo",
+    capacity=4,
+    ops=[("push", "a", 0, 1), ("push", "b", 0, 2), ("expire", 2)],
+)
+def test_queue_matches_a_sorted_list_model(discipline, capacity, ops):
+    """Random push/expire/take against a plain sorted list.
+
+    Times sit on a half-unit grid, so arrivals, deadlines and expiry
+    instants tie often.  After every step the queue's depth, per-network
+    counts, head, earliest deadline and full service order must equal
+    the model's.
+    """
+    queue = make_queue(discipline, capacity)
+    order = _MODEL_ORDER[discipline]
+    model: list[Request] = []
+    for req_id, op in enumerate(ops):
+        if op[0] == "push":
+            _, network, arrival, wait = op
+            request = _req(
+                req_id,
+                arrival / 2,
+                workload=network,
+                deadline=None if wait is None else (arrival + wait) / 2,
+            )
+            admitted = len(model) < capacity
+            assert queue.push(request) is admitted
+            if admitted:
+                model = sorted(model + [request], key=order)
+        elif op[0] == "expire":
+            now_s = op[1] / 2
+            gone = [
+                r for r in model if r.deadline_s is not None and r.deadline_s < now_s
+            ]
+            assert queue.expire(now_s) == gone
+            model = [r for r in model if r not in gone]
+        else:
+            _, max_count, network = op
+            taken = [r for r in model if network is None or r.workload == network]
+            taken = taken[:max_count]
+            assert queue.take(max_count, network) == taken
+            model = [r for r in model if r not in taken]
+        assert queue.depth == len(model)
+        for network in _NETWORKS:
+            assert queue.count(network) == sum(r.workload == network for r in model)
+        assert queue.oldest() == (model[0] if model else None)
+        assert queue.next_deadline_s() == min(
+            (r.deadline_s for r in model if r.deadline_s is not None),
+            default=math.inf,
+        )
+        if model:
+            assert copy.deepcopy(queue).take(len(model)) == model

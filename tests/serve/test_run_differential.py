@@ -8,7 +8,10 @@ batching policy, queue discipline and capacity, SLO, power cap, battery,
 weight residency and one- or two-workload streams, the two must write
 byte-identical ledgers and throttle the same batches.  The draws reach
 rejections, deadline expiries, throttled batches, battery halts, warm
-weight hits and stranded queues.
+weight hits and stranded queues.  Besides the built-in policies they
+draw a test-local one that never dispatches while draining, so a stream
+that ends with requests queued is held to the reference's draining
+flush, which ``run`` does not have.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.schemes import ComputeScheme
 from repro.serve.arrivals import poisson_arrivals
-from repro.serve.batching import make_batcher
+from repro.serve.batching import StaticBatcher, make_batcher
 from repro.serve.costs import platform_cost_model
 from repro.serve.executor import ServeExecutor
 from repro.serve.queueing import make_queue
@@ -64,6 +67,39 @@ def _stream(workloads: int, rate: float, seed: int, slo_s: float | None) -> list
     return stream
 
 
+class _RefusesToDrain:
+    """Full batches only, and nothing once the stream has ended.
+
+    ``run`` has no draining flush of its own: a request this policy
+    leaves queued after the last arrival is dropped by ``close``.  The
+    reference loop still tries a draining dispatch first.  It wraps the
+    static policy instead of subclassing ``BatchPolicy``, whose
+    subclasses the benchmark tracer patches.
+    """
+
+    def __init__(self, max_batch: int) -> None:
+        self._full_batches = StaticBatcher(max_batch)
+
+    def next_batch(self, queue, now_s, draining):
+        if draining:
+            return []
+        return self._full_batches.next_batch(queue, now_s, draining)
+
+    def next_wake_s(self, queue, now_s):
+        return None
+
+
+_POLICIES = ("static", "dynamic", "continuous", "refuses-to-drain")
+
+
+def _batcher(case: dict):
+    if case["policy"] == "refuses-to-drain":
+        return _RefusesToDrain(case["max_batch"])
+    return make_batcher(
+        case["policy"], case["max_batch"], max_wait_s=case["max_wait_s"]
+    )
+
+
 @st.composite
 def _cases(draw):
     scheme = draw(st.sampled_from(sorted(_SCHEMES)))
@@ -73,7 +109,7 @@ def _cases(draw):
         workloads=draw(st.sampled_from((1, 2))),
         rate=draw(st.floats(20.0, 3000.0)),
         seed=draw(st.integers(0, 2**16)),
-        policy=draw(st.sampled_from(("static", "dynamic", "continuous"))),
+        policy=draw(st.sampled_from(_POLICIES)),
         max_batch=draw(st.integers(1, 8)),
         max_wait_s=draw(st.sampled_from((0.0, 1e-3, 5e-3))),
         queue=draw(st.sampled_from(("fifo", "deadline"))),
@@ -101,9 +137,7 @@ def _executor(case: dict) -> ServeExecutor:
     return ServeExecutor(
         models=models,
         queue=make_queue(case["queue"], case["capacity"]),
-        batcher=make_batcher(
-            case["policy"], case["max_batch"], max_wait_s=case["max_wait_s"]
-        ),
+        batcher=_batcher(case),
         slo_s=case["slo_s"],
         power_cap_w=case["power_cap_w"],
         battery=(
@@ -154,9 +188,21 @@ _STRANDED = dict(
 )
 
 
+#: Full batches of both networks leave; each network's partial batch is
+#: still queued when the stream ends, and ``close`` drops it.
+_REFUSED = {
+    **_STRANDED,
+    "policy": "refuses-to-drain",
+    "rate": 400.0,
+    "capacity": 32,
+    "battery_j": None,
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_cases())
 @example(case=_STRANDED)
+@example(case=_REFUSED)
 def test_run_matches_the_reference_loop(case):
     stream = _stream(case["workloads"], case["rate"], case["seed"], case["slo_s"])
     loop = _executor(case)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.memory.dram import DDR3_1GB
 from repro.memory.hierarchy import MemoryConfig
 from repro.nn.quant import QuantMode, QuantSpec
 from repro.schemes import ComputeScheme
+from repro.serve.requests import Request
 
 
 class TestHelpers:
@@ -176,6 +178,10 @@ def _memory(**fields):
 
 def _pool(**fields):
     return PoolConfig(**{"name": "p", "scheme": BP, **fields})
+
+
+def _request(**fields):
+    return Request(**{"req_id": 0, "workload": "net", "arrival_s": 1.0, **fields})
 
 
 def _dram(**fields):
@@ -335,6 +341,40 @@ CONTRACT_MESSAGES = [
         "PoolConfig.queue_discipline: must be one of ('fifo', 'deadline'), "
         "got 'lifo'",
         id="PoolConfig.queue_discipline",
+    ),
+    pytest.param(
+        lambda: _pool(workload="nope"),
+        "PoolConfig.workload: must be one of ('alphagozero', 'alexnet', "
+        "'googlenet', 'resnet50', 'ncf', 'sentimental_seqCNN', "
+        "'sentimental_seqLSTM', 'transformer'), got 'nope'",
+        id="PoolConfig.workload",
+    ),
+    pytest.param(
+        lambda: _request(req_id=-1),
+        "Request.req_id: must be >= 0, got -1",
+        id="Request.req_id",
+    ),
+    pytest.param(
+        lambda: _request(workload=""),
+        "Request.workload: must be a non-empty name",
+        id="Request.workload",
+    ),
+    *(
+        pytest.param(
+            lambda arrival_s=arrival_s: _request(arrival_s=arrival_s),
+            f"Request.arrival_s: must be finite and >= 0, got {arrival_s}",
+            id=f"Request.arrival_s-{arrival_s}",
+        )
+        for arrival_s in (-0.5, math.nan, math.inf)
+    ),
+    *(
+        pytest.param(
+            lambda deadline_s=deadline_s: _request(deadline_s=deadline_s),
+            f"Request.deadline_s: must be finite and >= arrival_s 1.0, "
+            f"got {deadline_s}",
+            id=f"Request.deadline_s-{deadline_s}",
+        )
+        for deadline_s in (0.5, math.nan, math.inf)
     ),
     pytest.param(
         lambda: _array(rows=0),
