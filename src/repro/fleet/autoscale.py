@@ -97,11 +97,10 @@ def plan_scaling(
     Pure function of its arguments — the determinism contract.
     """
     actions: list[ScaleAction] = []
-    fleet_power_w = sum(
-        _pool_power_w(instances, now_s) for instances in pools.values()
-    )
-    over_cap = (
-        config.power_cap_w is not None and fleet_power_w > config.power_cap_w
+    # Power is read only under a cap: nothing else depends on it.
+    over_cap = config.power_cap_w is not None and (
+        sum(_pool_power_w(instances, now_s) for instances in pools.values())
+        > config.power_cap_w
     )
     for pool_name in sorted(pools):
         instances = pools[pool_name]

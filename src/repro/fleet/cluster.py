@@ -11,9 +11,8 @@ call at an instant.  Each iteration finds the earliest pending event
 among
 
 1. per-instance internal events (batch completions, batching-window
-   wakes), read from a heap of each instance's
-   :meth:`~repro.fleet.instance.Instance.next_event_s` — processed first,
-   so routers observe post-completion queue depths;
+   wakes), read from a heap of each executor's next event — processed
+   first, so routers observe post-completion queue depths;
 2. the next request arrival — routed by the configured load balancer
    and offered to exactly one instance;
 3. the next autoscaler control tick — processed last, so scaling reacts
@@ -27,17 +26,21 @@ stream)``: two same-seed runs produce byte-identical
 At each event the loop advances only the instances whose advance can
 change something:
 
-- instances that are *due*
-  (:meth:`~repro.fleet.instance.Instance.due_s` at or before the event):
-  a completion or wake, a queued deadline now in the past, or a batching
-  wake that passed without a dispatch;
-- instances just offered a request;
+- instances that are *due* (the due time from
+  :meth:`~repro.serve.executor.ServeExecutor.event_and_due_s` at or
+  before the event): a completion or wake, a queued deadline now in the
+  past, or a batching wake that passed without a dispatch;
+- instances just offered a request while their array was idle;
 - instances the autoscaler spawned or drained;
 - every live instance once, at the moment the arrival stream runs out,
   because from then on every partial batch may flush.
 
-Advancing any other instance would change nothing (``advance`` is
-idempotent at a fixed instant), and advances of different instances
+An offer to a busy array (:meth:`~repro.serve.executor.ServeExecutor.busy`)
+changes only its queue, so an advance there would change nothing: the
+instance gets one ``assert_conserved`` check instead, and its planned
+due time is lowered only when the offered deadline now expires first.
+Advancing any other instance would change nothing either (``advance``
+is idempotent at a fixed instant), and advances of different instances
 commute, since each touches only its own executor and ledger.  The live
 and routable lists are cached and rebuilt only on spawn, drain, stop or
 halt.  So the ledger is byte-identical to advancing every live instance
@@ -46,10 +49,10 @@ reference.
 
 Once the arrival stream is exhausted the fleet drains: every advance
 passes ``draining=True`` so partial batches flush, and the loop ends
-when no instance holds work.  Instances draining for the *autoscaler*
-stop themselves the moment their backlog empties, closing their run
-then; everything still running at the end is closed at the global end
-time.
+when no instance event is left; whatever a policy still holds then is
+dropped by the close.  Instances draining for the *autoscaler* stop
+themselves the moment their backlog empties, closing their run then;
+everything still running at the end is closed at the global end time.
 """
 
 from __future__ import annotations
@@ -120,7 +123,9 @@ class _Agenda:
 
     def __init__(self) -> None:
         self._events: list[tuple[float, int, Instance]] = []
-        self._dues: list[tuple[float, int, Instance]] = []
+        #: (due time, push order, instance), stale entries included: when
+        #: its first time is in the future, nothing is due.
+        self.dues: list[tuple[float, int, Instance]] = []
         #: live instance -> [planned next event, planned due time]
         self._planned: dict[Instance, list[float]] = {}
         self._order = itertools.count()
@@ -141,17 +146,32 @@ class _Agenda:
             planned = self._planned.get(inst)
             if planned is None:
                 planned = self._planned[inst] = [math.inf, math.inf]
-            event_s = inst.next_event_s(now_s)
+            event_s, due_s = inst.executor.event_and_due_s(now_s)
             if event_s != planned[0]:
                 planned[0] = event_s
                 if event_s < math.inf:
                     heapq.heappush(self._events, (event_s, next(self._order), inst))
-            due_s = inst.due_s(now_s)
             if due_s != planned[1]:
                 planned[1] = due_s
                 if due_s < math.inf:
-                    heapq.heappush(self._dues, (due_s, next(self._order), inst))
+                    heapq.heappush(self.dues, (due_s, next(self._order), inst))
         return changed
+
+    def lower_due(self, inst: Instance) -> None:
+        """Re-plan a busy instance that was just offered a request.
+
+        The offer changed only its queue: its next event is still the
+        completion, and its due time falls only when the new request's
+        deadline is now the earliest queued one and expires before the
+        planned due.
+        """
+        deadline_s = inst.executor.queue.next_deadline_s()
+        planned = self._planned[inst]
+        if deadline_s < planned[1]:
+            expiry_s = math.nextafter(deadline_s, math.inf)
+            if expiry_s < planned[1]:
+                planned[1] = expiry_s
+                heapq.heappush(self.dues, (expiry_s, next(self._order), inst))
 
     def next_event_s(self) -> float:
         """The earliest planned instance event, ``math.inf`` if none."""
@@ -166,7 +186,7 @@ class _Agenda:
 
     def pop_due(self, now_s: float) -> list[Instance]:
         """Every instance due at or before ``now_s``, each once."""
-        dues = self._dues
+        dues = self.dues
         due = []
         while dues and dues[0][0] <= now_s:
             due_s, _, inst = heapq.heappop(dues)
@@ -286,6 +306,7 @@ class FleetSimulator:
         autoscale = self.config.autoscale
         next_tick_s = autoscale.interval_s if autoscale is not None else math.inf
         agenda = _Agenda()
+        route = self.router.route
         live, routable = self._live(), self._routable()
         draining = i >= total
 
@@ -300,28 +321,24 @@ class FleetSimulator:
                 event_s = min(event_s, next_tick_s)
 
             if event_s == math.inf:
-                # Nothing is scheduled, yet a policy may still hold work
-                # that only a draining flush releases.
-                backlog = sum(inst.backlog for inst in live)
-                if backlog:
-                    for inst in live:
-                        inst.advance(now_s, draining=True)
-                    if agenda.replan(live, now_s):
-                        live, routable = self._live(), self._routable()
-                    if sum(inst.backlog for inst in live) < backlog or any(
-                        inst.executor.in_service_count for inst in live
-                    ):
-                        continue
+                # Nothing is scheduled.  Every advance since the last
+                # arrival drained, so whatever is still queued (a halted
+                # server's, or what a policy will not flush) is for the
+                # close to drop.
                 break
 
             now_s = max(now_s, event_s)
             # 1. due instances: completions, expiries, window wakes.
-            due = agenda.pop_due(now_s)
-            for inst in due:
-                inst.advance(now_s, draining=draining)
-            if agenda.replan(due, now_s):
-                live, routable = self._live(), self._routable()
-            # 2. arrivals: route each request at its own timestamp.
+            dues = agenda.dues
+            if dues and dues[0][0] <= now_s:
+                due = agenda.pop_due(now_s)
+                for inst in due:
+                    inst.advance(now_s, draining=draining)
+                if agenda.replan(due, now_s):
+                    live, routable = self._live(), self._routable()
+            # 2. arrivals: route each request at its own timestamp.  An
+            # offer to a busy array changes only its queue, so the
+            # instance is checked, not advanced (see ServeExecutor.busy).
             offered: list[Instance] = []
             while i < total and pending[i].arrival_s <= now_s:
                 request = pending[i]
@@ -331,18 +348,25 @@ class FleetSimulator:
                         f"no routable instance for request {request.req_id}; "
                         "pools must keep min_instances >= 1 active"
                     )
-                target = self.router.route(request, routable, now_s)
+                target = route(request, routable, now_s)
                 target.offer(request, now_s)
-                if target not in offered:
+                executor = target.executor
+                if executor.busy(now_s):
+                    target.metrics.assert_conserved(
+                        executor.queue.depth, executor.in_service_count
+                    )
+                    agenda.lower_due(target)
+                elif target not in offered:
                     offered.append(target)
             if not draining and i >= total:
                 # The stream just ran out: every partial batch may flush.
                 draining = True
                 offered = live
-            for inst in offered:
-                inst.advance(now_s, draining=draining)
-            if agenda.replan(offered, now_s):
-                live, routable = self._live(), self._routable()
+            if offered:
+                for inst in offered:
+                    inst.advance(now_s, draining=draining)
+                if agenda.replan(offered, now_s):
+                    live, routable = self._live(), self._routable()
             # 3. control tick.
             if autoscale is not None and now_s >= next_tick_s:
                 scaled = self._apply_scaling(now_s)

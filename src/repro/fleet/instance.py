@@ -31,7 +31,6 @@ simulation, no executor reads.
 from __future__ import annotations
 
 import enum
-import math
 
 from ..serve.costs import NetworkCostModel
 from ..serve.executor import ServeExecutor
@@ -96,18 +95,6 @@ class Instance:
                 self._energy_j += record.energy_j
         self._scanned_records = len(records)
         return self._energy_j
-
-    def next_event_s(self, now_s: float) -> float:
-        """Earliest internal event (completion / batch wake), else ``inf``."""
-        if self.state is InstanceState.STOPPED:
-            return math.inf
-        return self.executor.next_event_s(now_s)
-
-    def due_s(self, now_s: float) -> float:
-        """Earliest time :meth:`advance` could change anything, else ``inf``."""
-        if self.state is InstanceState.STOPPED:
-            return math.inf
-        return self.executor.due_s(now_s)
 
     def offer(self, request: Request, now_s: float) -> None:
         """Accept one routed request at ``now_s``."""

@@ -26,6 +26,8 @@ Four policies span the classic design space:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..serve.requests import Request
@@ -147,47 +149,51 @@ class SloEnergyRouter(Router):
                 service_s = inst.service_estimate_s
                 energy_j = inst.energy_estimate_j
         leads.append(lead)
+        # One loop makes both picks: the cheapest deadline-feasible lead
+        # by (energy, backlog, key), and the earliest finish by
+        # (finish, key), needed only while nothing is feasible.  Leads
+        # come in canonical order, so a tie on the other keys keeps the
+        # earlier lead.
         deadline_s = request.deadline_s
-        if deadline_s is not None:
-            feasible = [
-                inst
-                for inst in leads
-                if now_s + (inst.backlog + 1) * inst.service_estimate_s
-                <= deadline_s
-            ]
-            if feasible:
-                return min(
-                    feasible,
-                    key=lambda inst: (
-                        inst.energy_estimate_j,
-                        inst.backlog,
-                        inst.key,
-                    ),
-                )
-        candidates = []
+        cheapest = earliest = None
+        earliest_s = math.inf
         for lead in leads:
             service_s = lead.service_estimate_s
-            if (
-                now_s + (lead.backlog + 2) * service_s
-                == now_s + (lead.backlog + 1) * service_s
-            ):
+            backlog = lead.backlog
+            finish_s = now_s + (backlog + 1) * service_s
+            if deadline_s is not None and finish_s <= deadline_s:
+                energy_j = lead.energy_estimate_j
+                if (
+                    cheapest is None
+                    or energy_j < cheapest.energy_estimate_j
+                    or (
+                        energy_j == cheapest.energy_estimate_j
+                        and backlog < cheapest.backlog
+                    )
+                ):
+                    cheapest = lead
+            elif cheapest is not None:
+                continue
+            elif now_s + (backlog + 2) * service_s == finish_s:
                 # Finishes absorb a whole service time: a busier member
-                # with a lower key may tie the lead's finish.
-                candidates.extend(
-                    inst
-                    for inst in instances
-                    if inst.service_estimate_s == service_s
-                    and inst.energy_estimate_j == lead.energy_estimate_j
-                )
-            else:
-                candidates.append(lead)
-        return min(
-            candidates,
-            key=lambda inst: (
-                now_s + (inst.backlog + 1) * inst.service_estimate_s,
-                inst.key,
-            ),
-        )
+                # with a lower key may tie the lead's finish, so every
+                # instance with the lead's estimates is scored.
+                energy_j = lead.energy_estimate_j
+                for inst in instances:
+                    if (
+                        inst.service_estimate_s == service_s
+                        and inst.energy_estimate_j == energy_j
+                    ):
+                        finish_s = now_s + (inst.backlog + 1) * service_s
+                        if earliest is None or finish_s < earliest_s or (
+                            finish_s == earliest_s and inst.key < earliest.key
+                        ):
+                            earliest, earliest_s = inst, finish_s
+            elif earliest is None or finish_s < earliest_s or (
+                finish_s == earliest_s and lead.key < earliest.key
+            ):
+                earliest, earliest_s = lead, finish_s
+        return cheapest if cheapest is not None else earliest
 
 
 #: Registered router names, the CLI/eval choice set.

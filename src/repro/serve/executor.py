@@ -88,10 +88,9 @@ class ServeExecutor:
         The single-server clock over the same hooks a fleet steps: at
         each event time a due completion, one :meth:`offer` per arrival,
         then one :meth:`advance`, draining from the last arrival on;
-        :meth:`close` ends the run when no event is left.
+        :meth:`close` ends the run when no event is left.  Each request's
+        workload is checked once, by :meth:`offer`.
         """
-        for request in arrivals:
-            self._check_workload(request)
         pending = sorted(arrivals, key=lambda r: (r.arrival_s, r.req_id))
         total = len(pending)
         metrics = ServeMetrics(slo_s=self.slo_s)
@@ -201,6 +200,17 @@ class ServeExecutor:
         """Queued plus in-service requests (the load balancer's signal)."""
         return self.queue.depth + len(self._in_service)
 
+    def busy(self, now_s: float) -> bool:
+        """True while a batch in service completes after ``now_s``.
+
+        An :meth:`advance` at ``now_s`` right after an :meth:`offer` at
+        ``now_s`` then changes nothing: the completion is not due, the
+        offer already expired what ``now_s`` expires, a server with a
+        batch in service is never halted, and the busy array dispatches
+        nothing.
+        """
+        return now_s < self._service_done_s < math.inf
+
     def next_event_s(self, now_s: float) -> float:
         """Earliest internal event after ``now_s``: completion or wake.
 
@@ -215,28 +225,31 @@ class ServeExecutor:
                 return wake_s
         return math.inf
 
-    def due_s(self, now_s: float) -> float:
-        """Earliest time an :meth:`advance` could change this executor.
+    def event_and_due_s(self, now_s: float) -> tuple[float, float]:
+        """:meth:`next_event_s` and the due time, from one policy read.
 
-        The earliest of :meth:`next_event_s`; the instant after the
-        earliest queued deadline (:meth:`advance` expires only deadlines
-        strictly before its clock); and ``now_s`` itself while the idle
-        array holds work whose batching wake has already passed without
-        a dispatch — the policy's window test can disagree with its own
-        wake, so any later event may dispatch.  Apart from a routed
-        arrival or a draining flush, advancing before this time changes
-        nothing.
+        The due time is the earliest time an :meth:`advance` could change
+        this executor: the earliest of the next event; the instant after
+        the earliest queued deadline (:meth:`advance` expires only
+        deadlines strictly before its clock); and ``now_s`` itself while
+        the idle array holds work whose batching wake has already passed
+        without a dispatch — the policy's window test can disagree with
+        its own wake, so any later event may dispatch.  Apart from a
+        routed arrival or a draining flush, advancing before the due time
+        changes nothing.
         """
         expiry_s = math.nextafter(self.queue.next_deadline_s(), math.inf)
         if self._in_service:
-            return min(self._service_done_s, expiry_s)
+            return self._service_done_s, min(self._service_done_s, expiry_s)
         if self.queue.depth:
             if self._halted:
-                return now_s
+                return math.inf, now_s
             wake_s = self.batcher.next_wake_s(self.queue, now_s)
             if wake_s is not None:
-                return min(max(wake_s, now_s), expiry_s)
-        return expiry_s
+                if wake_s > now_s:
+                    return wake_s, min(wake_s, expiry_s)
+                return math.inf, min(now_s, expiry_s)
+        return math.inf, expiry_s
 
     def offer(
         self, request: Request, now_s: float, metrics: ServeMetrics

@@ -89,7 +89,7 @@ def naive_fleet_oracle(
             pending[i].arrival_s if i < len(pending) else math.inf
         )
         next_instance_s = min(
-            (inst.next_event_s(now_s) for inst in live),
+            (inst.executor.next_event_s(now_s) for inst in live),
             default=math.inf,
         )
         candidates = [next_arrival_s, next_instance_s]

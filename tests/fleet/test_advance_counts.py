@@ -1,12 +1,15 @@
 """Deterministic work counts: how often the fleet loop advances an executor.
 
 The event-driven loop advances an instance only when something is due
-there, when it was just offered a request, when the autoscaler spawned
-or drained it, and once when the arrival stream runs out: about one
-``ServeExecutor.advance`` call per routed request plus one per batch.
-The naive loop advanced every live instance at every event, which on
-autoscaled flash crowds is dozens of calls per request.  Counting the
-calls pins that on any machine, independent of wall time.
+there, when it was just offered a request while its array was idle,
+when the autoscaler spawned or drained it, and once when the arrival
+stream runs out.  An offer to a busy array is checked with one
+``assert_conserved`` call instead of an advance.  On an autoscaled flash
+crowd, where most offers find the array busy, that is about one
+``ServeExecutor.advance`` call per two requests; the naive loop made
+dozens per request.  Counting the calls pins that on any machine,
+independent of wall time, and so does counting the conservation checks:
+at least one per request.
 """
 
 from __future__ import annotations
@@ -15,23 +18,35 @@ import pytest
 
 from repro import fleet
 from repro.serve.executor import ServeExecutor
+from repro.serve.metrics import ServeMetrics
 
 
-@pytest.fixture
-def advances(monkeypatch):
-    """A one-element list holding the number of ``advance`` calls."""
+def _counting(monkeypatch, cls, name):
+    """A one-element list holding the number of ``cls.name`` calls."""
     count = [0]
-    original = ServeExecutor.advance
+    original = getattr(cls, name)
 
     def counting(self, *args, **kwargs):
         count[0] += 1
         original(self, *args, **kwargs)
 
-    monkeypatch.setattr(ServeExecutor, "advance", counting)
+    monkeypatch.setattr(cls, name, counting)
     return count
 
 
-def test_autoscaled_flash_crowd_advances_under_three_times_per_request(advances):
+@pytest.fixture
+def advances(monkeypatch):
+    return _counting(monkeypatch, ServeExecutor, "advance")
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    return _counting(monkeypatch, ServeMetrics, "assert_conserved")
+
+
+def test_autoscaled_flash_crowd_advances_less_than_once_per_request(
+    advances, checks
+):
     presets = fleet.pool_presets()
     config = fleet.FleetConfig(
         pools=tuple(
@@ -55,4 +70,5 @@ def test_autoscaled_flash_crowd_advances_under_three_times_per_request(advances)
     )
     ledger = fleet.run_fleet(config, arrivals, shards=2)
     assert ledger.summary()["instances"] > config.total_instances  # it scaled
-    assert advances[0] < 3 * len(arrivals)
+    assert advances[0] < len(arrivals)
+    assert checks[0] >= len(arrivals)

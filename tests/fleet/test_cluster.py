@@ -7,8 +7,11 @@ import pytest
 from repro.fleet.autoscale import AutoscaleConfig
 from repro.fleet.cluster import FleetConfig, FleetSimulator, simulate_fleet
 from repro.fleet.pools import pool_presets
+from repro.fleet.sharding import run_fleet
 from repro.serve.arrivals import piecewise_poisson_arrivals
-from repro.serve.requests import RequestStatus
+from repro.serve.requests import Request, RequestStatus
+
+from ..serve.test_run_differential import _RefusesToDrain
 
 
 def _config(pools=("binary-edge",), size=2, **kwargs):
@@ -137,3 +140,32 @@ def test_expired_requests_are_dropped_not_served():
         ledger.summary()["slo_attainment"] == 0.0
     )
     assert len(records) == len(arrivals)
+
+
+def test_an_unknown_workload_last_in_the_stream_raises():
+    arrivals = _trace()
+    last = arrivals[-1]
+    late = Request(last.req_id + 1, "resnet50", arrival_s=last.arrival_s + 0.01)
+    with pytest.raises(
+        ValueError,
+        match=f"request {late.req_id} wants workload 'resnet50' but no cost model",
+    ):
+        run_fleet(_config(), arrivals + [late])
+
+
+def test_a_policy_that_refuses_to_drain_leaves_its_queue_to_the_close():
+    sim = FleetSimulator(_config(size=2, slo_s=None))
+    for inst in sim.instances:
+        inst.executor.batcher = _RefusesToDrain(4)
+    arrivals = _trace(rate=40.0, horizon_s=0.4, slo_s=None)
+    ledger = sim.run(arrivals)
+    s = ledger.summary()
+    # No deadlines and no cap: only the close drops, at the end of the run.
+    dropped = [
+        r for r in ledger.merged_records() if r.status is RequestStatus.DROPPED
+    ]
+    assert dropped, "the stream must strand a partial batch"
+    assert {r.finish_s for r in dropped} == {ledger.makespan_s}
+    assert s["completed"] + s["dropped"] == s["arrivals"] == len(arrivals)
+    for entry in ledger.instances:
+        entry.metrics.assert_conserved(0, 0)

@@ -31,7 +31,7 @@ def test_fresh_instance_is_routable_and_idle():
     assert inst.routable
     assert inst.backlog == 0
     assert inst.key == ("binary-edge", 0)
-    assert inst.next_event_s(0.0) == math.inf
+    assert inst.executor.next_event_s(0.0) == math.inf
     assert inst.service_estimate_s > 0
     assert inst.energy_estimate_j > 0
 
@@ -41,11 +41,11 @@ def test_offer_then_advance_completes_the_request():
     inst.offer(_request(0, 0.0), 0.0)
     inst.advance(0.0)
     # Dynamic batching holds a lone request until its wait window ends.
-    wake_s = inst.next_event_s(0.0)
+    wake_s = inst.executor.next_event_s(0.0)
     assert 0.0 < wake_s < math.inf
     inst.advance(wake_s)
     assert inst.executor.in_service_count == 1
-    done_s = inst.next_event_s(wake_s)
+    done_s = inst.executor.next_event_s(wake_s)
     assert wake_s < done_s < math.inf
     inst.advance(done_s)
     assert inst.backlog == 0
@@ -63,13 +63,13 @@ def test_drain_serves_its_backlog_then_stops():
     assert not inst.routable
     with pytest.raises(RuntimeError, match="router"):
         inst.offer(_request(1, 0.0), 0.0)
-    done_s = inst.next_event_s(0.0)
+    done_s = inst.executor.next_event_s(0.0)
     inst.advance(done_s)
     assert inst.state is InstanceState.STOPPED
     assert inst.stopped_s == done_s
     assert inst.metrics.completed == 1
     # A stopped instance is inert: no events, no backlog, no-op advance.
-    assert inst.next_event_s(done_s) == math.inf
+    assert inst.executor.next_event_s(done_s) == math.inf
     assert inst.backlog == 0
     inst.advance(done_s + 1.0)
 

@@ -8,12 +8,16 @@ routes ``slo-energy`` cells by scoring every instance.  For every
 router, batching policy, queue discipline and autoscaler setting, on one
 and two shards, the two must write byte-identical ledgers.  The short
 flash crowd overloads the fleet, so the grid reaches rejections,
-deadline expiries, spawns, drains and power-cap sheds.  Two planted
-mutations must break the match: dropping the idle-wake-passed case from
-``ServeExecutor.due_s``, and an ``Instance.advance`` that leaves the
-recorded backlog stale.  Under the second, every autoscaled run must
-still return: the drain phase ticks the autoscaler only while an
-instance event is pending, never on a backlog alone.
+deadline expiries, spawns, drains and power-cap sheds.  The grid runs
+again on the same crowd with mixed deadlines (none, shorter than any
+batch's service time, long), where an offer to a busy instance can
+bring its due time forward.  Three planted mutations must break the
+match: dropping the idle-wake-passed case from
+``ServeExecutor.event_and_due_s``, a busy offer that never lowers the
+planned due, and an ``Instance.advance`` that leaves the recorded
+backlog stale.  Under the last, every autoscaled run must still return:
+the drain phase ticks the autoscaler only while an instance event is
+pending, never on a backlog alone.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import signal
 
 import pytest
 
+from repro.fleet import cluster
 from repro.fleet.autoscale import AutoscaleConfig
 from repro.fleet.cluster import FleetConfig
 from repro.fleet.instance import Instance, InstanceState
@@ -36,6 +41,7 @@ from repro.fleet.routing import ROUTER_NAMES
 from repro.fleet.sharding import run_fleet, shard_requests, split_fleet
 from repro.fleet.traces import flash_crowd_arrivals
 from repro.serve.executor import ServeExecutor
+from repro.serve.requests import Request
 
 from .naive_loop import naive_fleet_oracle
 
@@ -102,27 +108,54 @@ def _arrivals():
 
 
 @functools.lru_cache(maxsize=None)
-def _oracle_text(case: tuple) -> str:
+def _mixed_arrivals():
+    """The same crowd, a third each with no deadline, a 1-5 ms deadline
+    (shorter than any batch's service time) and a 50 ms one."""
+    mixed = []
+    for request in _arrivals():
+        kind = request.req_id % 3
+        if kind == 0:
+            deadline_s = None
+        elif kind == 1:
+            deadline_s = request.arrival_s + 1e-3 * (1 + request.req_id % 5)
+        else:
+            deadline_s = request.arrival_s + 0.05
+        mixed.append(
+            Request(
+                req_id=request.req_id,
+                workload=request.workload,
+                arrival_s=request.arrival_s,
+                deadline_s=deadline_s,
+            )
+        )
+    return mixed
+
+
+_STREAMS = {"slo": _arrivals, "mixed": _mixed_arrivals}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_text(case: tuple, stream: str = "slo") -> str:
     router, policy, queue, scaling, shards = case
     config = _config(router, policy, queue, scaling)
-    cells = zip(split_fleet(config, shards), shard_requests(_arrivals(), shards))
+    arrivals = _STREAMS[stream]()
+    cells = zip(split_fleet(config, shards), shard_requests(arrivals, shards))
     return FleetLedger.merge(
         [
-            naive_fleet_oracle(cell, stream, shard=shard)
-            for shard, (cell, stream) in enumerate(cells)
+            naive_fleet_oracle(cell, requests, shard=shard)
+            for shard, (cell, requests) in enumerate(cells)
         ]
     ).ledger_text()
 
 
-def _loop_text(case: tuple) -> str:
+def _loop_text(case: tuple, stream: str = "slo") -> str:
     router, policy, queue, scaling, shards = case
     config = _config(router, policy, queue, scaling)
-    return run_fleet(config, _arrivals(), shards=shards).ledger_text()
+    return run_fleet(config, _STREAMS[stream](), shards=shards).ledger_text()
 
 
-@pytest.mark.parametrize("case", GRID, ids=lambda case: "-".join(map(str, case)))
-def test_event_driven_loop_matches_the_naive_oracle(case):
-    loop, oracle = _loop_text(case), _oracle_text(case)
+def _assert_match(case: tuple, stream: str) -> None:
+    loop, oracle = _loop_text(case, stream), _oracle_text(case, stream)
     if loop != oracle:
         # Report the first differing stretch: pytest's own diff of two
         # ~100 kB strings takes minutes.
@@ -134,22 +167,47 @@ def test_event_driven_loop_matches_the_naive_oracle(case):
         )
 
 
-_REAL_DUE_S = ServeExecutor.due_s
+@pytest.mark.parametrize("case", GRID, ids=lambda case: "-".join(map(str, case)))
+def test_event_driven_loop_matches_the_naive_oracle(case):
+    _assert_match(case, "slo")
+
+
+@pytest.mark.parametrize("case", GRID, ids=lambda case: "-".join(map(str, case)))
+def test_mixed_deadlines_match_the_naive_oracle(case):
+    _assert_match(case, "mixed")
+
+
+_REAL_EVENT_AND_DUE_S = ServeExecutor.event_and_due_s
 
 
 def _without_idle_wake_case(self, now_s):
     """The planted bug: a batching wake that passed is never due again."""
-    due_s = _REAL_DUE_S(self, now_s)
+    event_s, due_s = _REAL_EVENT_AND_DUE_S(self, now_s)
     if due_s == now_s and not self.in_service_count and not self.halted:
-        return math.nextafter(self.queue.next_deadline_s(), math.inf)
-    return due_s
+        return event_s, math.nextafter(self.queue.next_deadline_s(), math.inf)
+    return event_s, due_s
 
 
 def test_dropping_the_idle_wake_case_breaks_the_match(monkeypatch):
-    monkeypatch.setattr(ServeExecutor, "due_s", _without_idle_wake_case)
+    monkeypatch.setattr(
+        ServeExecutor, "event_and_due_s", _without_idle_wake_case
+    )
     dynamic = [case for case in GRID if case[1] == "dynamic"]
     differ = [case for case in dynamic if _loop_text(case) != _oracle_text(case)]
     assert differ, "dropping the idle-wake-passed case must change a ledger"
+
+
+def test_a_busy_offer_that_never_lowers_the_due_breaks_the_match(monkeypatch):
+    # The planted bug: a short deadline offered to a busy instance is
+    # expired only at its next completion or offer, not at the first
+    # event after it passes.
+    monkeypatch.setattr(cluster._Agenda, "lower_due", lambda self, inst: None)
+    same = [
+        case
+        for case in GRID
+        if _loop_text(case, "mixed") == _oracle_text(case, "mixed")
+    ]
+    assert not same, f"a due that never falls must change every ledger: {same}"
 
 
 _REAL_ADVANCE = Instance.advance

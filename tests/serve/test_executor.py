@@ -146,26 +146,35 @@ def test_due_time_covers_a_missed_wake_and_queued_deadlines():
     server.offer(Request(0, "net", arrival_s=0.7), 0.7, metrics)
     server.advance(0.7, metrics)
     wake_s = server.next_event_s(0.7)
-    assert server.due_s(0.7) == wake_s
+    assert server.event_and_due_s(0.7) == (wake_s, wake_s)
     # 0.7 + 0.1 rounds down, so at its own wake the window test
     # (wake - 0.7 >= 0.1) fails: the wake passes without a dispatch and
     # the executor stays due at every later event.
     server.advance(wake_s, metrics)
     assert server.in_service_count == 0
     assert server.next_event_s(wake_s) == math.inf
-    assert server.due_s(wake_s) == wake_s
+    assert server.event_and_due_s(wake_s) == (math.inf, wake_s)
+    assert not server.busy(wake_s)
     later_s = math.nextafter(wake_s, math.inf)
     server.advance(later_s, metrics)
     assert server.in_service_count == 1
     # Busy: due at completion, or just after a queued deadline if sooner
     # (expiry drops only deadlines strictly in the past).
     server.offer(Request(1, "net", arrival_s=0.81, deadline_s=0.85), 0.81, metrics)
-    assert server.due_s(0.81) == math.nextafter(0.85, math.inf)
+    assert server.busy(0.81)
+    assert server.event_and_due_s(0.81) == (
+        later_s + 0.1,
+        math.nextafter(0.85, math.inf),
+    )
     server.advance(0.85, metrics)
     assert metrics.dropped == 0
-    server.advance(server.due_s(0.85), metrics)
+    server.advance(server.event_and_due_s(0.85)[1], metrics)
     assert metrics.dropped == 1
-    assert server.due_s(0.86) == server.next_event_s(0.86) == later_s + 0.1
+    assert server.event_and_due_s(0.86) == (later_s + 0.1, later_s + 0.1)
+    assert server.next_event_s(0.86) == later_s + 0.1
+    # At its completion instant the array is no longer busy: the advance
+    # there completes the batch.
+    assert not server.busy(later_s + 0.1)
 
 
 def test_residency_warms_repeat_batches():
@@ -192,6 +201,27 @@ def test_unknown_workload_is_rejected_up_front():
     arrivals = uniform_arrivals("other", rate_per_s=10, horizon_s=0.1)
     with pytest.raises(ValueError):
         _executor().run(arrivals)
+
+
+def test_each_workload_is_checked_once_and_a_late_unknown_one_raises(
+    monkeypatch,
+):
+    checks = []
+    real_check = ServeExecutor._check_workload
+
+    def counting(self, request):
+        checks.append(request.req_id)
+        real_check(self, request)
+
+    monkeypatch.setattr(ServeExecutor, "_check_workload", counting)
+    arrivals = uniform_arrivals("net", rate_per_s=20, horizon_s=0.5)
+    _executor().run(arrivals)
+    assert sorted(checks) == [r.req_id for r in arrivals]
+    late = Request(len(arrivals), "other", arrival_s=0.6)
+    with pytest.raises(
+        ValueError, match=f"request {late.req_id} wants workload 'other'"
+    ):
+        _executor().run(arrivals + [late])
 
 
 @settings(max_examples=20, deadline=None)

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.serve.batching import BatchPolicy
+
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 
@@ -54,15 +56,40 @@ def _defined_under_src(fn) -> bool:
     return _under_src(sys.modules.get(getattr(fn, "__module__", None) or ""))
 
 
-def _subclasses(cls: type) -> list[type]:
-    """``cls`` and every subclass, the classes the tracer patches."""
+def _repro_subclasses(cls: type) -> list[type]:
+    """``cls`` and every subclass defined under ``src/repro``.
+
+    Those are the classes the tracer patches in the benchmark, which
+    imports only ``repro``.  A subclass some other module defines (a
+    test-local policy, say) exists only once that module is imported,
+    so it is skipped with everything below it.
+    """
     found, pending = [], [cls]
     while pending:
         klass = pending.pop()
-        if klass not in found:
+        if klass not in found and _under_src(sys.modules.get(klass.__module__)):
             found.append(klass)
             pending.extend(klass.__subclasses__())
     return found
+
+
+class _TestLocalPolicy(BatchPolicy):
+    """A subclass of a traced class defined outside ``src/repro``."""
+
+    def next_batch(self, queue, now_s, draining):
+        return []
+
+    def only_here(self):
+        return None
+
+
+def test_a_test_local_subclass_is_not_walked():
+    # It overrides a traced method, which still resolves ...
+    assert ("repro.serve.batching", "BatchPolicy.next_batch") in TARGETS
+    test_tracer_target_resolves("repro.serve.batching", "BatchPolicy.next_batch")
+    # ... and it does not own a target for repro.
+    with pytest.raises(AssertionError, match="neither BatchPolicy"):
+        test_tracer_target_resolves("repro.serve.batching", "BatchPolicy.only_here")
 
 
 @pytest.mark.parametrize(
@@ -79,7 +106,7 @@ def test_tracer_target_resolves(module_name, attr):
         return
     cls = getattr(module, cls_name, None)
     assert isinstance(cls, type), f"{module_name}.{cls_name} is not a class"
-    owners = [klass for klass in _subclasses(cls) if name in vars(klass)]
+    owners = [klass for klass in _repro_subclasses(cls) if name in vars(klass)]
     assert owners, f"neither {cls_name} nor a subclass defines {name}"
     for klass in owners:
         raw = vars(klass)[name]
