@@ -19,7 +19,6 @@ from ..serve.batching import make_batcher
 from ..serve.costs import platform_cost_model
 from ..serve.executor import ServeExecutor
 from ..serve.queueing import make_queue
-from ..serve.residency import ResidencyTracker
 from ..workloads.presets import EDGE, Platform
 from .report import format_table
 
@@ -99,7 +98,7 @@ def run_serving_experiment(
                 queue=make_queue("fifo", 256),
                 batcher=make_batcher("dynamic", max_batch, max_wait_s=max_wait_s),
                 slo_s=slo_s,
-                residency=ResidencyTracker(model.weight_buffer_bytes),
+                residency=True,
             )
             points.append(
                 ServingPoint(

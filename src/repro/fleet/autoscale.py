@@ -6,7 +6,7 @@ pool's mean backlog per active instance:
 
 - **scale up** — backlog per instance above ``high_watermark`` and the
   pool below ``max_instances``: spawn one instance (cold: a fresh queue
-  and residency tracker, so its first batches pay the weight fill);
+  and no weights loaded, so its first batch pays the weight fill);
 - **scale down** — backlog per instance below ``low_watermark`` and the
   pool above ``min_instances``: drain the *youngest* active instance
   (highest id — last hired, first retired, which keeps long-lived

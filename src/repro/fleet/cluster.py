@@ -98,6 +98,15 @@ class FleetConfig:
                 "pools",
                 f"pool names must be unique, got {names}",
             )
+        # Any router may send any request to any pool, and an instance
+        # serves only its pool's network.
+        workloads = sorted({pool.workload for pool in self.pools})
+        if len(workloads) > 1:
+            fail(
+                "FleetConfig",
+                "pools",
+                f"must all serve one workload, got {workloads}",
+            )
         if not (self.slo_s is None or self.slo_s > 0):
             fail(
                 "FleetConfig",
@@ -225,7 +234,6 @@ class FleetSimulator:
             executor=build_executor(
                 pool, self.models[pool_name], slo_s=self.config.slo_s
             ),
-            model=self.models[pool_name],
             spawned_s=now_s,
         )
         self._next_id[pool_name] += 1

@@ -23,16 +23,15 @@ executor's queue or in-flight batch, and each records the result in
 :attr:`Instance.backlog`: routers, the autoscaler and the event loop
 read a plain int, never the executor.
 Per-request service/energy estimates — used by the SLO/energy-aware
-router — are computed once from the pool's shared cost model at
-construction, so a route is one pass over recorded numbers: no
-simulation, no executor reads.
+router — are computed once from the executor's cost model (the pool's
+shared one) at construction, so a route is one pass over recorded
+numbers: no simulation, no executor reads.
 """
 
 from __future__ import annotations
 
 import enum
 
-from ..serve.costs import NetworkCostModel
 from ..serve.executor import ServeExecutor
 from ..serve.metrics import ServeMetrics
 from ..serve.requests import Request, RequestStatus
@@ -56,7 +55,6 @@ class Instance:
         pool: str,
         instance_id: int,
         executor: ServeExecutor,
-        model: NetworkCostModel,
         spawned_s: float = 0.0,
     ) -> None:
         self.pool = pool
@@ -69,7 +67,7 @@ class Instance:
         #: queued plus in-service requests (the JSQ signal), recorded by
         #: every call that changes them; 0 once stopped.
         self.backlog = executor.backlog
-        cost = model.batch_cost(1)
+        cost = executor.model.batch_cost(1)
         #: cost of one unbatched request, the router's scoring inputs.
         self.service_estimate_s = cost.runtime_s
         self.energy_estimate_j = cost.energy_j

@@ -13,8 +13,8 @@ asks which *mix* of pools, at which size, meets a p99 SLO per watt.
 and :func:`build_executor` turn one into the :mod:`repro.serve` objects
 a fleet instance wraps.  All instances of a pool share one
 :class:`~repro.serve.costs.NetworkCostModel` (it is a read-only memo
-over frozen configs), while each instance gets its own queue, batcher
-and residency tracker.
+over frozen configs), while each instance gets its own queue and
+batcher and keeps its own weights warm.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from ..serve.batching import BATCH_POLICIES, make_batcher
 from ..serve.costs import NetworkCostModel, platform_cost_model
 from ..serve.executor import ServeExecutor
 from ..serve.queueing import QUEUE_DISCIPLINES, make_queue
-from ..serve.residency import ResidencyTracker
 from ..workloads.mlperf import WORKLOADS
 from ..workloads.presets import PLATFORMS, Platform
 
@@ -57,7 +56,6 @@ class PoolConfig:
     policy: str = "dynamic"
     max_batch: int = 8
     max_wait_s: float = 5e-3
-    power_cap_w: float | None = None
 
     def __post_init__(self) -> None:
         self.validate()
@@ -127,12 +125,6 @@ class PoolConfig:
                 "act_frac",
                 f"needs a value-dependent scheme and a value in [0, 1], got "
                 f"scheme={self.scheme.value} act_frac={self.act_frac}",
-            )
-        if not (self.power_cap_w is None or self.power_cap_w > 0):
-            fail(
-                "PoolConfig",
-                "power_cap_w",
-                f"must be positive, got {self.power_cap_w}",
             )
         # The pool's array must exist: its widths pass the latency law
         # make_pe and ArrayConfig apply, so an impossible one fails here,
@@ -253,6 +245,5 @@ def build_executor(
             config.policy, config.max_batch, max_wait_s=config.max_wait_s
         ),
         slo_s=slo_s,
-        power_cap_w=config.power_cap_w,
-        residency=ResidencyTracker(model.weight_buffer_bytes),
+        residency=True,
     )

@@ -27,6 +27,9 @@ __all__ = [
     "flash_crowd_arrivals",
 ]
 
+#: How finely :func:`diurnal_arrivals` staircases its sinusoid.
+BUCKETS_PER_PERIOD = 24
+
 
 def diurnal_arrivals(
     workload: str,
@@ -36,15 +39,12 @@ def diurnal_arrivals(
     horizon_s: float,
     seed: int,
     slo_s: float | None = None,
-    start_id: int = 0,
-    buckets_per_period: int = 24,
 ) -> list[Request]:
     """A sinusoidal day/night profile, piecewise-constant per bucket.
 
     Rate swings from ``base`` (trough) to ``peak`` (crest) over each
     ``period_s`` — the profile every diurnal serving fleet autoscales
-    around.  ``buckets_per_period`` controls how finely the sinusoid is
-    staircased.
+    around, staircased into :data:`BUCKETS_PER_PERIOD` buckets a period.
     """
     require_finite(
         "diurnal_arrivals",
@@ -64,25 +64,19 @@ def diurnal_arrivals(
             f"period_s and horizon_s must be positive, got "
             f"{period_s} and {horizon_s}"
         )
-    if buckets_per_period < 2:
-        raise ValueError(
-            f"buckets_per_period must be >= 2, got {buckets_per_period}"
-        )
-    bucket_s = period_s / buckets_per_period
+    bucket_s = period_s / BUCKETS_PER_PERIOD
     segments: list[tuple[float, float]] = []
     elapsed_s = 0.0
     bucket = 0
     while elapsed_s < horizon_s:
         duration_s = min(bucket_s, horizon_s - elapsed_s)
-        phase = 2.0 * math.pi * (bucket % buckets_per_period) / buckets_per_period
+        phase = 2.0 * math.pi * (bucket % BUCKETS_PER_PERIOD) / BUCKETS_PER_PERIOD
         swing = 0.5 * (1.0 - math.cos(phase))  # 0 at trough, 1 at crest
         rate = base_rate_per_s + (peak_rate_per_s - base_rate_per_s) * swing
         segments.append((duration_s, rate))
         elapsed_s += duration_s
         bucket += 1
-    return piecewise_poisson_arrivals(
-        workload, segments, seed, slo_s=slo_s, start_id=start_id
-    )
+    return piecewise_poisson_arrivals(workload, segments, seed, slo_s=slo_s)
 
 
 def flash_crowd_arrivals(
@@ -94,7 +88,6 @@ def flash_crowd_arrivals(
     horizon_s: float,
     seed: int,
     slo_s: float | None = None,
-    start_id: int = 0,
 ) -> list[Request]:
     """Base load with one rectangular spike — the autoscaler stress test."""
     require_finite(
@@ -122,6 +115,4 @@ def flash_crowd_arrivals(
     tail_s = horizon_s - spike_start_s - spike_duration_s
     if tail_s > 0:
         segments.append((tail_s, base_rate_per_s))
-    return piecewise_poisson_arrivals(
-        workload, segments, seed, slo_s=slo_s, start_id=start_id
-    )
+    return piecewise_poisson_arrivals(workload, segments, seed, slo_s=slo_s)

@@ -11,8 +11,8 @@ A deterministic discrete-event simulator drives seeded arrival streams
 closed-form batched network cost (:mod:`~repro.serve.costs`, priced
 once per batch size) — modelling power caps as
 throttling, batteries as a hard energy budget, and SRAM weight residency
-(:mod:`~repro.serve.residency`) across back-to-back and interleaved
-networks.  :mod:`~repro.serve.metrics` folds the event stream into
+across back-to-back batches of the one network each executor serves.
+:mod:`~repro.serve.metrics` folds the event stream into
 latency tails, goodput, SLO attainment and energy per request, with
 byte-identical JSON ledgers for equal seeds.
 
@@ -34,7 +34,6 @@ from .executor import ServeExecutor
 from .metrics import ServeMetrics, percentile
 from .queueing import BoundedQueue, DeadlineQueue, FifoQueue, make_queue
 from .requests import Request, RequestRecord, RequestStatus
-from .residency import ResidencyTracker
 
 __all__ = [
     "piecewise_poisson_arrivals",
@@ -57,5 +56,4 @@ __all__ = [
     "Request",
     "RequestRecord",
     "RequestStatus",
-    "ResidencyTracker",
 ]

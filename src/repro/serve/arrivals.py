@@ -42,14 +42,11 @@ def _check_stream(
 
 
 def _with_deadlines(
-    workload: str,
-    times_s: list[float],
-    slo_s: float | None,
-    start_id: int,
+    workload: str, times_s: list[float], slo_s: float | None
 ) -> list[Request]:
     return [
         Request(
-            req_id=start_id + i,
+            req_id=i,
             workload=workload,
             arrival_s=t,
             deadline_s=None if slo_s is None else t + slo_s,
@@ -63,7 +60,6 @@ def piecewise_poisson_arrivals(
     segments: list[tuple[float, float]],
     seed: int,
     slo_s: float | None = None,
-    start_id: int = 0,
 ) -> list[Request]:
     """Poisson arrivals over consecutive ``(duration_s, rate_per_s)`` segments.
 
@@ -97,7 +93,7 @@ def piecewise_poisson_arrivals(
                     break
                 times.append(now_s)
         segment_start_s = segment_end_s
-    return _with_deadlines(workload, times, slo_s, start_id)
+    return _with_deadlines(workload, times, slo_s)
 
 
 def poisson_arrivals(
@@ -106,7 +102,6 @@ def poisson_arrivals(
     horizon_s: float,
     seed: int,
     slo_s: float | None = None,
-    start_id: int = 0,
 ) -> list[Request]:
     """A seeded Poisson request stream over ``[0, horizon_s)``.
 
@@ -116,7 +111,7 @@ def poisson_arrivals(
     """
     _check_stream("poisson_arrivals", rate_per_s, horizon_s, slo_s)
     return piecewise_poisson_arrivals(
-        workload, [(horizon_s, rate_per_s)], seed, slo_s=slo_s, start_id=start_id
+        workload, [(horizon_s, rate_per_s)], seed, slo_s=slo_s
     )
 
 
@@ -125,11 +120,10 @@ def uniform_arrivals(
     rate_per_s: float,
     horizon_s: float,
     slo_s: float | None = None,
-    start_id: int = 0,
 ) -> list[Request]:
     """A perfectly paced stream: one request every ``1 / rate_per_s``."""
     _check_stream("uniform_arrivals", rate_per_s, horizon_s, slo_s)
     gap_s = 1.0 / rate_per_s
     count = int(horizon_s * rate_per_s)
     times = [i * gap_s for i in range(count) if i * gap_s < horizon_s]
-    return _with_deadlines(workload, times, slo_s, start_id)
+    return _with_deadlines(workload, times, slo_s)

@@ -13,9 +13,9 @@ The three policies span that trade:
 - :class:`ContinuousBatcher` — dispatch whatever is queued the moment the
   array frees (minimum wait, opportunistic batch sizes).
 
-A policy never mixes workloads in one batch: the next batch's network is
-whatever the queue would serve first, and only that network's requests
-fold together.
+An executor serves one network, so every queued request folds into the
+same GEMM: a batch is the first requests in service order, and a policy
+reads only the queue depth and its head's wait.
 """
 
 from __future__ import annotations
@@ -40,13 +40,6 @@ class BatchPolicy:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.max_batch = max_batch
-
-    def _available(self, queue: BoundedQueue) -> tuple[str | None, int]:
-        """(next batch's workload, how many of its requests are queued)."""
-        head = queue.oldest()
-        if head is None:
-            return None, 0
-        return head.workload, queue.count(head.workload)
 
     def next_batch(
         self, queue: BoundedQueue, now_s: float, draining: bool
@@ -73,11 +66,9 @@ class StaticBatcher(BatchPolicy):
     def next_batch(
         self, queue: BoundedQueue, now_s: float, draining: bool
     ) -> list[Request]:
-        workload, count = self._available(queue)
-        if workload is None:
-            return []
-        if count >= self.max_batch or (draining and count > 0):
-            return queue.take(self.max_batch, workload)
+        depth = queue.depth
+        if depth >= self.max_batch or (draining and depth > 0):
+            return queue.take(self.max_batch)
         return []
 
 
@@ -93,13 +84,12 @@ class DynamicBatcher(BatchPolicy):
     def next_batch(
         self, queue: BoundedQueue, now_s: float, draining: bool
     ) -> list[Request]:
-        workload, count = self._available(queue)
-        if workload is None:
-            return []
         head = queue.oldest()
+        if head is None:
+            return []
         window_expired = now_s - head.arrival_s >= self.max_wait_s
-        if count >= self.max_batch or window_expired or draining:
-            return queue.take(self.max_batch, workload)
+        if queue.depth >= self.max_batch or window_expired or draining:
+            return queue.take(self.max_batch)
         return []
 
     def next_wake_s(self, queue: BoundedQueue, now_s: float) -> float | None:
@@ -115,10 +105,9 @@ class ContinuousBatcher(BatchPolicy):
     def next_batch(
         self, queue: BoundedQueue, now_s: float, draining: bool
     ) -> list[Request]:
-        workload, _ = self._available(queue)
-        if workload is None:
+        if not queue.depth:
             return []
-        return queue.take(self.max_batch, workload)
+        return queue.take(self.max_batch)
 
 
 #: Every policy :func:`make_batcher` builds, by the name the CLIs and pool

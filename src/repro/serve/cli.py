@@ -33,7 +33,6 @@ from .costs import NetworkCostModel, platform_cost_model
 from .executor import ServeExecutor
 from .metrics import ServeMetrics
 from .queueing import QUEUE_DISCIPLINES, make_queue
-from .residency import ResidencyTracker
 
 __all__ = ["main", "build_parser", "serve_one"]
 
@@ -164,9 +163,6 @@ def serve_one(
     model: NetworkCostModel, args: argparse.Namespace, arrivals: list
 ) -> ServeMetrics:
     """Run the request stream against one scheme's cost model."""
-    residency = (
-        None if args.no_residency else ResidencyTracker(model.weight_buffer_bytes)
-    )
     executor = ServeExecutor(
         models={args.workload: model},
         queue=make_queue(args.queue, args.queue_capacity),
@@ -180,7 +176,7 @@ def serve_one(
             if args.battery_j is not None
             else None
         ),
-        residency=residency,
+        residency=not args.no_residency,
     )
     return executor.run(arrivals)
 

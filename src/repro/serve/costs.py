@@ -8,8 +8,9 @@ in-process table, so a serving run that dispatches thousands of batches
 sums the network once per distinct batch size.
 
 The serve CLI, the serving eval and the fleet's pools build every model
-with :func:`platform_cost_model` and size their weight-residency
-trackers by :attr:`NetworkCostModel.weight_buffer_bytes`.
+with :func:`platform_cost_model`; an executor with weight residency on
+keeps the weights warm when they fit
+:attr:`NetworkCostModel.weight_buffer_bytes`.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class NetworkCostModel:
         self.array = array
         self.memory = memory
         self.tech = tech
-        #: Total weight working set (the residency tracker's admit size).
+        #: Total weight working set, warm only if it fits the buffer.
         self.weight_footprint_bytes = sum(
             layer.weight_bytes(array.bits) for layer in self.layers
         )
@@ -76,8 +77,8 @@ class NetworkCostModel:
 
     @property
     def weight_buffer_bytes(self) -> int:
-        """A weight-residency tracker's capacity: the per-variable SRAM,
-        0 without SRAM (every execution cold, like the traffic model)."""
+        """The SRAM that keeps weights between batches: the per-variable
+        SRAM, 0 without SRAM (every execution cold, like the traffic model)."""
         return self.memory.sram_bytes_per_variable or 0
 
     def layer_result(

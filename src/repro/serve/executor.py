@@ -31,11 +31,12 @@ Platform power is modelled two ways:
   draw fails the server halts, in-flight and queued requests drop, and
   later arrivals are rejected.
 
-Weight residency is delegated to
-:class:`~repro.serve.residency.ResidencyTracker`: a batch whose network's
-weights are already resident runs with ``warm_weights=True`` and skips
-the DRAM weight fill, so interleaving two networks pays fills per switch
-while a single-network stream pays once.
+An executor serves one network, the one its cost model prices, as the
+paper's array keeps one network's weights in place.  With weight
+residency on, the first dispatch loads those weights; when they fit the
+SRAM (:attr:`~repro.serve.costs.NetworkCostModel.weight_buffer_bytes`)
+every later batch runs with ``warm_weights=True`` and skips the DRAM
+weight fill.
 """
 
 from __future__ import annotations
@@ -47,13 +48,15 @@ from .costs import NetworkCostModel
 from .metrics import ServeMetrics
 from .queueing import BoundedQueue
 from .requests import Request
-from .residency import ResidencyTracker
 
 __all__ = ["ServeExecutor"]
 
 
 class ServeExecutor:
-    """Event-driven serving loop over one array and one request queue."""
+    """Event-driven serving loop over one array and one request queue.
+
+    ``models`` maps the one network this array serves to its cost model.
+    """
 
     def __init__(
         self,
@@ -63,19 +66,27 @@ class ServeExecutor:
         slo_s: float | None = None,
         power_cap_w: float | None = None,
         battery: object | None = None,
-        residency: ResidencyTracker | None = None,
+        residency: bool = False,
     ) -> None:
-        if not models:
-            raise ValueError("need at least one workload cost model")
+        if len(models) != 1:
+            raise ValueError(
+                f"ServeExecutor serves one network: models needs exactly one "
+                f"entry, got {sorted(models)}"
+            )
         if power_cap_w is not None and not power_cap_w > 0:
             raise ValueError(f"power_cap_w must be positive, got {power_cap_w}")
-        self.models = dict(models)
+        [(self.workload, model)] = models.items()
+        self.model = model
         self.queue = queue
         self.batcher = batcher
         self.slo_s = slo_s
         self.power_cap_w = power_cap_w
         self.battery = battery
-        self.residency = residency
+        #: whether the weights one dispatch loads stay for the next.
+        self._keeps_weights = (
+            residency and model.weight_footprint_bytes <= model.weight_buffer_bytes
+        )
+        self._warm = False
         self.throttled_batches = 0
         self._in_service: list[Request] = []
         self._service_done_s = math.inf
@@ -143,11 +154,11 @@ class ServeExecutor:
     # event handlers
     # ------------------------------------------------------------------
     def _check_workload(self, request: Request) -> None:
-        if request.workload not in self.models:
+        if request.workload != self.workload:
             raise ValueError(
                 f"request {request.req_id} wants workload "
                 f"{request.workload!r} but no cost model is registered "
-                f"(have {sorted(self.models)})"
+                f"(have [{self.workload!r}])"
             )
 
     def _dispatch(
@@ -157,13 +168,8 @@ class ServeExecutor:
         batch = self.batcher.next_batch(self.queue, now_s, draining)
         if not batch:
             return
-        model = self.models[batch[0].workload]
-        warm = (
-            self.residency.admit(model.name, model.weight_footprint_bytes)
-            if self.residency is not None
-            else False
-        )
-        cost = model.batch_cost(len(batch), warm_weights=warm)
+        cost = self.model.batch_cost(len(batch), warm_weights=self._warm)
+        self._warm = self._keeps_weights
         service_s = cost.runtime_s
         if self.power_cap_w is not None and cost.power_w > self.power_cap_w:
             # Throttle: same energy, stretched over the capped power level.

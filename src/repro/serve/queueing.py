@@ -20,7 +20,6 @@ dropped + in flight) is asserted by the metrics collector at every event.
 from __future__ import annotations
 
 import bisect
-import collections
 import math
 
 from .requests import Request
@@ -38,10 +37,9 @@ class BoundedQueue:
     """A bounded request queue with admission and deadline expiry.
 
     Subclasses define the service order via :meth:`_sort_key`; everything
-    else — capacity, expiry — is shared.  The queue keeps its own
-    summary: the requests queued per network and the earliest queued
-    deadline, updated by :meth:`push`, :meth:`expire` and :meth:`take`,
-    so :meth:`count` and :meth:`next_deadline_s` read a field and
+    else — capacity, expiry — is shared.  The queue keeps its earliest
+    queued deadline, updated by :meth:`push`, :meth:`expire` and
+    :meth:`take`, so :meth:`next_deadline_s` reads a field and
     :meth:`expire` scans only when a deadline has passed.  Admission and
     rejection counts live in :class:`~repro.serve.metrics.ServeMetrics`.
     """
@@ -51,8 +49,6 @@ class BoundedQueue:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._items: list[Request] = []
-        #: network -> requests of it queued now.
-        self._counts: dict[str, int] = collections.defaultdict(int)
         #: earliest deadline among the queued requests, ``math.inf`` if none.
         self._next_deadline_s = math.inf
 
@@ -65,10 +61,6 @@ class BoundedQueue:
         """Requests currently waiting."""
         return len(self._items)
 
-    def count(self, workload: str) -> int:
-        """Requests of network ``workload`` currently waiting."""
-        return self._counts.get(workload, 0)
-
     def push(self, request: Request) -> bool:
         """Admit ``request``; ``False`` means rejected (queue full)."""
         if len(self._items) >= self.capacity:
@@ -77,7 +69,6 @@ class BoundedQueue:
         # unique and a binary insertion lands exactly where the full
         # re-sort used to put it — same order, O(log n) search.
         bisect.insort(self._items, request, key=self._sort_key)
-        self._counts[request.workload] += 1
         deadline_s = request.deadline_s
         if deadline_s is not None and deadline_s < self._next_deadline_s:
             self._next_deadline_s = deadline_s
@@ -92,18 +83,15 @@ class BoundedQueue:
         return self._next_deadline_s
 
     def _removed(self, gone: list[Request]) -> None:
-        """Update the counts and the earliest deadline after ``gone`` left."""
-        counts = self._counts
+        """Rescan for the earliest deadline if ``gone`` took it."""
         next_deadline_s = self._next_deadline_s
-        stale = False
         for request in gone:
-            counts[request.workload] -= 1
-            stale = stale or request.deadline_s == next_deadline_s
-        if stale:
-            deadlines = [
-                r.deadline_s for r in self._items if r.deadline_s is not None
-            ]
-            self._next_deadline_s = min(deadlines) if deadlines else math.inf
+            if request.deadline_s == next_deadline_s:
+                deadlines = [
+                    r.deadline_s for r in self._items if r.deadline_s is not None
+                ]
+                self._next_deadline_s = min(deadlines) if deadlines else math.inf
+                return
 
     def expire(self, now_s: float) -> list[Request]:
         """Remove and return every request whose deadline has passed."""
@@ -120,26 +108,12 @@ class BoundedQueue:
         self._removed(expired)
         return expired
 
-    def take(self, max_count: int, workload: str | None = None) -> list[Request]:
-        """Remove up to ``max_count`` requests (optionally one workload only).
-
-        Requests leave in service order; with a ``workload`` filter,
-        non-matching requests keep their positions — the batch folds one
-        network's requests into the GEMM ``N`` dimension, it cannot mix
-        networks in one weight preload.
-        """
+    def take(self, max_count: int) -> list[Request]:
+        """Remove and return the first ``max_count`` requests in service order."""
         if max_count < 1:
             raise ValueError(f"max_count must be >= 1, got {max_count}")
-        taken: list[Request] = []
-        rest: list[Request] = []
-        for request in self._items:
-            if len(taken) < max_count and (
-                workload is None or request.workload == workload
-            ):
-                taken.append(request)
-            else:
-                rest.append(request)
-        self._items = rest
+        taken = self._items[:max_count]
+        del self._items[:max_count]
         self._removed(taken)
         return taken
 

@@ -75,8 +75,8 @@ def simulate_layer_batched(
     the closed-form fold algebra (:func:`repro.sim.dataflow.schedule_layer`)
     and only the activation streams scale with the batch — the weight
     stream is shared.  ``warm_weights`` additionally skips the weight DRAM
-    fill when a residency tracker says the working set is still in SRAM
-    (see :mod:`repro.serve.residency`).
+    fill when the working set is still in SRAM from the previous batch
+    (a :class:`~repro.serve.executor.ServeExecutor` with residency on).
     """
     # Entry contract (repro.contracts): reject impossible configs loudly even
     # when they were built via dataclasses.replace or deserialization paths.

@@ -113,7 +113,7 @@ def profile_traffic_batched(
     batch's footprint, since all B activation sets must be live at once.
 
     ``warm_weights=True`` models a weight working set already resident in
-    the SRAM from the previous execution (see ``repro.serve.residency``):
+    the SRAM from the previous execution (see ``repro.serve.executor``):
     the weight DRAM fill and its SRAM fill-write are skipped; the array
     still reads the weights out of SRAM.  Without an SRAM there is
     nowhere for weights to stay resident, so the flag is a no-op.

@@ -20,8 +20,7 @@ from ..core.config import ArrayConfig
 from ..gemm.params import GemmParams
 from ..memory.hierarchy import MemoryConfig
 from ..schemes import ComputeScheme
-from ..serve.residency import ResidencyTracker
-from ..sim.engine import simulate_layer_batched, simulate_network
+from ..sim.engine import simulate_network
 from .battery import Battery
 
 __all__ = ["AdaptiveEbtController", "StreamOutcome", "simulate_inference_stream"]
@@ -73,25 +72,10 @@ class StreamOutcome:
 
 
 def _job_cost(
-    layers: list[GemmParams],
-    array: ArrayConfig,
-    memory: MemoryConfig,
-    warm_weights: bool = False,
+    layers: list[GemmParams], array: ArrayConfig, memory: MemoryConfig
 ) -> tuple[float, float]:
-    """(on-chip energy J, runtime s) of one inference.
-
-    ``warm_weights`` prices the back-to-back re-run: the weights are
-    already resident in SRAM, so the DRAM fill (and its SRAM write) is
-    skipped — the cold path charges it, and charging it on *every* job of
-    a same-network stream would double-count the fill.
-    """
-    if warm_weights:
-        results = [
-            simulate_layer_batched(layer, array, memory, warm_weights=True)
-            for layer in layers
-        ]
-    else:
-        results = simulate_network(layers, array, memory)
+    """(on-chip energy J, runtime s) of one inference."""
+    results = simulate_network(layers, array, memory)
     return (
         sum(r.energy.on_chip for r in results),
         sum(r.runtime_s for r in results),
@@ -108,28 +92,19 @@ def simulate_inference_stream(
     controller: AdaptiveEbtController | None = None,
     fixed_ebt: int | None = None,
     max_jobs: int = 10_000,
-    residency: ResidencyTracker | None = None,
-    network: str = "stream",
 ) -> StreamOutcome:
     """Serve inferences until the battery dies (or ``max_jobs``).
 
     Exactly one of ``controller`` / ``fixed_ebt`` selects the policy.
     Per-EBT costs are simulated once and cached; the stream then drains
     the battery job by job.
-
-    With a ``residency`` tracker, the first job pays the cold weight fill
-    and every back-to-back repeat whose working set stayed resident runs
-    warm (the fill is not re-charged); another workload sharing the
-    tracker under ``network`` keys evicts it, so interleaved streams pay
-    the fill again per switch.
     """
     if (controller is None) == (fixed_ebt is None):
         raise ValueError("pass exactly one of controller / fixed_ebt")
-    cost_cache: dict[tuple[int, bool], tuple[float, float]] = {}
-    weight_footprint_bytes = sum(layer.weight_bytes(bits) for layer in layers)
+    cost_cache: dict[int, tuple[float, float]] = {}
 
-    def cost(ebt: int, warm: bool) -> tuple[float, float]:
-        if (ebt, warm) not in cost_cache:
+    def cost(ebt: int) -> tuple[float, float]:
+        if ebt not in cost_cache:
             array = ArrayConfig(
                 rows=rows,
                 cols=cols,
@@ -137,10 +112,8 @@ def simulate_inference_stream(
                 bits=bits,
                 ebt=ebt,
             )
-            cost_cache[(ebt, warm)] = _job_cost(
-                layers, array, memory, warm_weights=warm
-            )
-        return cost_cache[(ebt, warm)]
+            cost_cache[ebt] = _job_cost(layers, array, memory)
+        return cost_cache[ebt]
 
     completed = 0
     runtime = 0.0
@@ -151,12 +124,7 @@ def simulate_inference_stream(
             if fixed_ebt is not None
             else controller.ebt_for(battery.state_of_charge)
         )
-        warm = (
-            residency.admit(network, weight_footprint_bytes)
-            if residency is not None
-            else False
-        )
-        energy, seconds = cost(ebt, warm)
+        energy, seconds = cost(ebt)
         if not battery.draw(energy, elapsed_s=seconds):
             break
         completed += 1

@@ -12,13 +12,11 @@ sublinearly for binary designs whose aggregate demand saturates the links.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
 
 from ..core.config import ArrayConfig
 from ..gemm.params import GemmParams
 from ..hw.gates import TECH_32NM
 from ..memory.hierarchy import MemoryConfig
-from ..serve.residency import ResidencyTracker
 from ..sim.engine import simulate_layer
 from ..workloads.presets import Platform
 
@@ -50,34 +48,15 @@ class TiledSystem:
         if self.instances < 1:
             raise ValueError("need at least one instance")
 
-    def run(
-        self,
-        layers: list[GemmParams],
-        residency: Sequence[ResidencyTracker] | None = None,
-        network: str = "net",
-    ) -> "ScalingPoint":
+    def run(self, layers: list[GemmParams]) -> "ScalingPoint":
         """Dispatch layers round-robin and compute system throughput.
 
         Each instance computes its share in parallel; the shared fabric
         and DRAM serve the *aggregate* traffic.  System runtime is the
         maximum of (slowest instance's compute, aggregate-traffic service
         time) — the same overlap model as the single-array engine.
-
-        ``residency`` (one tracker per instance, carried across calls)
-        models each instance's SRAM weight buffer: a repeat ``run`` of the
-        same ``network`` whose per-instance weight share stayed resident
-        skips that share's DRAM fill instead of double-counting it, while
-        alternating two networks over the same trackers evicts and pays
-        the fill on every switch.
         """
-        if residency is not None and len(residency) != self.instances:
-            raise ValueError(
-                f"need one residency tracker per instance: got "
-                f"{len(residency)} for {self.instances} instances"
-            )
         per_instance: list[float] = [0.0] * self.instances
-        weight_dram: list[int] = [0] * self.instances
-        footprint: list[int] = [0] * self.instances
         total_bytes = 0
         total_macs = 0
         for i, layer in enumerate(layers):
@@ -89,14 +68,6 @@ class TiledSystem:
             per_instance[idx] += local
             total_bytes += result.traffic.dram_total
             total_macs += layer.macs
-            weight_dram[idx] += result.traffic.weight.dram_read
-            footprint[idx] += layer.weight_bytes(self.array.bits)
-        if residency is not None and self.memory.has_sram:
-            for idx in range(self.instances):
-                if footprint[idx] and residency[idx].admit(
-                    f"{network}/{idx}", footprint[idx]
-                ):
-                    total_bytes -= weight_dram[idx]
         compute_s = max(per_instance)
         fabric_s = total_bytes / self.interconnect.bandwidth_bytes_per_s
         dram_s = total_bytes / self.memory.dram.effective_bandwidth_bytes_per_s
@@ -119,7 +90,7 @@ class ScalingPoint:
     runtime_s: float
     throughput_gops: float
     fabric_bound: bool
-    #: Aggregate DRAM traffic after any warm-residency discount.
+    #: Aggregate DRAM traffic of all instances.
     dram_bytes: int = 0
 
 

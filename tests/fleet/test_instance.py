@@ -11,12 +11,10 @@ from repro.serve.requests import Request
 
 def _instance(slo_s=None, spawned_s=0.0):
     pool = pool_presets()["binary-edge"]
-    model = build_cost_model(pool)
     return Instance(
         pool="binary-edge",
         instance_id=0,
-        executor=build_executor(pool, model, slo_s=slo_s),
-        model=model,
+        executor=build_executor(pool, build_cost_model(pool), slo_s=slo_s),
         spawned_s=spawned_s,
     )
 

@@ -80,7 +80,6 @@ def test_zoo_presets_carry_their_knobs():
         ("min_instances", 9),  # > max_instances (8)
         ("instances", 100),  # > max_instances
         ("max_wait_s", -1.0),
-        ("power_cap_w", 0.0),
     ],
 )
 def test_impossible_pool_configs_raise(field, value):
@@ -128,7 +127,7 @@ def test_build_executor_registers_the_workload():
     model = build_cost_model(pool)
     executor = build_executor(pool, model, slo_s=0.5)
     assert executor.slo_s == 0.5
-    assert pool.workload in executor.models
+    assert (executor.workload, executor.model) == (pool.workload, model)
     # A fresh executor is idle and routable-shaped.
     assert executor.backlog == 0
     assert not executor.halted

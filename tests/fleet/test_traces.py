@@ -16,10 +16,8 @@ def test_piecewise_is_seeded_and_sorted():
     assert times == sorted(times)
     assert all(0.0 < t < 1.0 for t in times)
     assert all(r.deadline_s == pytest.approx(r.arrival_s + 0.1) for r in a)
-    # ids are consecutive from start_id.
+    # ids are consecutive from 0.
     assert [r.req_id for r in a] == list(range(len(a)))
-    shifted = piecewise_poisson_arrivals("net", segments, seed=3, start_id=100)
-    assert shifted[0].req_id == 100
 
 
 def test_piecewise_rate_shapes_the_stream():
@@ -58,8 +56,6 @@ def test_diurnal_swings_between_base_and_peak():
     assert crest > 2 * trough
     with pytest.raises(ValueError, match="peak"):
         diurnal_arrivals("net", 10.0, 5.0, 1.0, 1.0, seed=0)
-    with pytest.raises(ValueError, match="buckets"):
-        diurnal_arrivals("net", 1.0, 2.0, 1.0, 1.0, seed=0, buckets_per_period=1)
     with pytest.raises(ValueError, match="positive"):
         diurnal_arrivals("net", 1.0, 2.0, 0.0, 1.0, seed=0)
 

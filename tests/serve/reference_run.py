@@ -30,11 +30,11 @@ def _admit(
 def reference_run(executor: ServeExecutor, arrivals: list[Request]) -> ServeMetrics:
     """Serve ``arrivals`` on ``executor`` to exhaustion, the old way."""
     for request in arrivals:
-        if request.workload not in executor.models:
+        if request.workload != executor.workload:
             raise ValueError(
                 f"request {request.req_id} wants workload "
                 f"{request.workload!r} but no cost model is registered "
-                f"(have {sorted(executor.models)})"
+                f"(have [{executor.workload!r}])"
             )
     queue = executor.queue
     pending = sorted(arrivals, key=lambda r: (r.arrival_s, r.req_id))

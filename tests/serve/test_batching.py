@@ -12,10 +12,10 @@ from repro.serve.queueing import FifoQueue
 from repro.serve.requests import Request
 
 
-def _queue(*arrivals, workload="net"):
+def _queue(*arrivals):
     q = FifoQueue(capacity=64)
     for i, t in enumerate(arrivals):
-        q.push(Request(req_id=i, workload=workload, arrival_s=t))
+        q.push(Request(req_id=i, workload="net", arrival_s=t))
     return q
 
 
@@ -59,17 +59,6 @@ def test_continuous_takes_whatever_is_queued():
     assert policy.next_batch(_queue(), 0.0, draining=False) == []
     q = _queue(0.0, 0.1, 0.2)
     assert len(policy.next_batch(q, 0.2, draining=False)) == 3
-
-
-def test_policies_never_mix_workloads():
-    q = FifoQueue(capacity=8)
-    q.push(Request(req_id=0, workload="a", arrival_s=0.0))
-    q.push(Request(req_id=1, workload="b", arrival_s=0.1))
-    q.push(Request(req_id=2, workload="a", arrival_s=0.2))
-    batch = ContinuousBatcher(max_batch=8).next_batch(q, 1.0, draining=False)
-    assert {r.workload for r in batch} == {"a"}
-    assert (q.count("a"), q.count("b")) == (0, 1)
-    assert [r.req_id for r in q.take(q.depth)] == [1]
 
 
 def test_make_batcher_and_validation():

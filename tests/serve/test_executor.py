@@ -26,6 +26,7 @@ class StubModel:
 
     name = "net"
     weight_footprint_bytes = 1000
+    weight_buffer_bytes = 4096
 
     def __init__(self, runtime_s=0.1, energy_j=0.2, warm_discount_j=0.0):
         self.runtime_s = runtime_s
@@ -178,23 +179,54 @@ def test_due_time_covers_a_missed_wake_and_queued_deadlines():
 
 
 def test_residency_warms_repeat_batches():
-    from repro.serve.residency import ResidencyTracker
-
     arrivals = uniform_arrivals("net", rate_per_s=10, horizon_s=0.35)
-    tracker = ResidencyTracker(capacity_bytes=4096)
     metrics = _executor(
         model=StubModel(energy_j=0.2, warm_discount_j=0.1),
         batcher=make_batcher("static", 1),
-        residency=tracker,
+        residency=True,
     ).run(arrivals)
     energies = [r.energy_j for r in metrics.records]
+    assert len(energies) == 3
     assert energies[0] == pytest.approx(0.2)  # cold fill
     assert all(e == pytest.approx(0.1) for e in energies[1:])  # warm
-    assert tracker.counters() == {
-        "warm_hits": 2,
-        "cold_fills": 1,
-        "evictions": 0,
-    }
+
+
+@pytest.mark.parametrize("residency", [False, True])
+def test_weights_larger_than_the_buffer_run_cold(residency):
+    # Too big to stay in the SRAM: every batch pays the fill, as it does
+    # with residency off.
+    model = StubModel(energy_j=0.2, warm_discount_j=0.1)
+    model.weight_buffer_bytes = model.weight_footprint_bytes - 1
+    arrivals = uniform_arrivals("net", rate_per_s=10, horizon_s=0.35)
+    metrics = _executor(
+        model=model, batcher=make_batcher("static", 1), residency=residency
+    ).run(arrivals)
+    assert [r.energy_j for r in metrics.records] == [pytest.approx(0.2)] * 3
+
+
+def test_residency_extends_battery_life():
+    # 0.45 J pays for two cold batches (0.2 J each), or one cold and two
+    # warm ones (0.1 J each).
+    arrivals = uniform_arrivals("net", rate_per_s=10, horizon_s=0.5)
+
+    def completed(residency):
+        return _executor(
+            model=StubModel(energy_j=0.2, warm_discount_j=0.1),
+            batcher=make_batcher("static", 1),
+            battery=Battery(capacity_j=0.45),
+            residency=residency,
+        ).run(arrivals).completed
+
+    assert (completed(False), completed(True)) == (2, 3)
+
+
+@pytest.mark.parametrize("networks", [(), ("net", "other")], ids=["none", "two"])
+def test_an_executor_serves_exactly_one_network(networks):
+    with pytest.raises(
+        ValueError,
+        match=r"^ServeExecutor serves one network: models needs exactly one entry",
+    ):
+        _executor(models={name: StubModel() for name in networks})
 
 
 def test_unknown_workload_is_rejected_up_front():

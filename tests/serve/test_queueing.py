@@ -1,4 +1,4 @@
-"""Bounded queues: admission, ordering, expiry, workload-filtered take.
+"""Bounded queues: admission, ordering, expiry, take in service order.
 
 The service order is read through :meth:`BoundedQueue.take`, the one
 call that removes requests in that order.
@@ -20,8 +20,8 @@ from repro.serve.queueing import (
 from repro.serve.requests import Request
 
 
-def _req(i, t, workload="net", deadline=None):
-    return Request(req_id=i, workload=workload, arrival_s=t, deadline_s=deadline)
+def _req(i, t, deadline=None):
+    return Request(req_id=i, workload="net", arrival_s=t, deadline_s=deadline)
 
 
 def test_fifo_orders_by_arrival_then_id():
@@ -74,18 +74,6 @@ def test_next_deadline_is_the_earliest_queued_deadline():
     assert q.next_deadline_s() == math.inf
 
 
-def test_take_filters_by_workload_preserving_positions():
-    q = FifoQueue(capacity=10)
-    q.push(_req(0, 0.0, workload="a"))
-    q.push(_req(1, 0.1, workload="b"))
-    q.push(_req(2, 0.2, workload="a"))
-    q.push(_req(3, 0.3, workload="a"))
-    taken = q.take(2, workload="a")
-    assert [r.req_id for r in taken] == [0, 2]
-    assert (q.count("a"), q.count("b")) == (1, 1)
-    assert [r.req_id for r in q.take(q.depth)] == [1, 3]
-
-
 def test_make_queue_and_validation():
     assert isinstance(make_queue("fifo", 4), FifoQueue)
     assert isinstance(make_queue("deadline", 4), DeadlineQueue)
@@ -110,17 +98,25 @@ def test_expire_fast_path_without_deadlines():
 def test_counts_and_earliest_deadline_track_push_expire_take():
     q = DeadlineQueue(capacity=8)
     q.push(_req(0, 0.0, deadline=1.0))
-    q.push(_req(1, 0.0, workload="other"))
+    q.push(_req(1, 0.0))
     q.push(_req(2, 0.0, deadline=5.0))
-    assert (q.count("net"), q.count("other"), q.count("none")) == (2, 1, 0)
-    assert q.next_deadline_s() == 1.0
+    assert (q.depth, q.next_deadline_s()) == (3, 1.0)
     expired = q.expire(2.0)
     assert [r.req_id for r in expired] == [0]
-    assert (q.count("net"), q.next_deadline_s()) == (1, 5.0)
+    assert (q.depth, q.next_deadline_s()) == (2, 5.0)
     taken = q.take(q.depth)
-    assert {r.req_id for r in taken} == {1, 2}
-    assert (q.count("net"), q.count("other")) == (0, 0)
-    assert q.next_deadline_s() == math.inf
+    assert [r.req_id for r in taken] == [2, 1]
+    assert (q.depth, q.next_deadline_s()) == (0, math.inf)
+
+
+def test_take_returns_the_first_requests_in_service_order():
+    q = DeadlineQueue(capacity=8)
+    for i, deadline in enumerate((4.0, None, 1.0, 3.0)):
+        q.push(_req(i, 0.1 * i, deadline=deadline))
+    assert [r.req_id for r in q.take(2)] == [2, 3]
+    assert q.next_deadline_s() == 4.0
+    assert [r.req_id for r in q.take(5)] == [0, 1]
+    assert q.depth == 0
 
 
 def test_insort_keeps_equal_urgency_in_id_order():
@@ -141,21 +137,15 @@ _MODEL_ORDER = {
         r.req_id,
     ),
 }
-_NETWORKS = ("a", "b")
 _OPS = st.lists(
     st.one_of(
         st.tuples(
             st.just("push"),
-            st.sampled_from(_NETWORKS),
             st.integers(0, 8),
             st.none() | st.integers(0, 6),
         ),
         st.tuples(st.just("expire"), st.integers(0, 16)),
-        st.tuples(
-            st.just("take"),
-            st.integers(1, 4),
-            st.none() | st.sampled_from(_NETWORKS),
-        ),
+        st.tuples(st.just("take"), st.integers(1, 4)),
     ),
     max_size=40,
 )
@@ -172,26 +162,24 @@ _OPS = st.lists(
 @example(
     discipline="fifo",
     capacity=4,
-    ops=[("push", "a", 0, 1), ("push", "b", 0, 2), ("expire", 2)],
+    ops=[("push", 0, 1), ("push", 0, 2), ("expire", 2)],
 )
 def test_queue_matches_a_sorted_list_model(discipline, capacity, ops):
     """Random push/expire/take against a plain sorted list.
 
     Times sit on a half-unit grid, so arrivals, deadlines and expiry
-    instants tie often.  After every step the queue's depth, per-network
-    counts, head, earliest deadline and full service order must equal
-    the model's.
+    instants tie often.  After every step the queue's depth, head,
+    earliest deadline and full service order must equal the model's.
     """
     queue = make_queue(discipline, capacity)
     order = _MODEL_ORDER[discipline]
     model: list[Request] = []
     for req_id, op in enumerate(ops):
         if op[0] == "push":
-            _, network, arrival, wait = op
+            _, arrival, wait = op
             request = _req(
                 req_id,
                 arrival / 2,
-                workload=network,
                 deadline=None if wait is None else (arrival + wait) / 2,
             )
             admitted = len(model) < capacity
@@ -206,14 +194,11 @@ def test_queue_matches_a_sorted_list_model(discipline, capacity, ops):
             assert queue.expire(now_s) == gone
             model = [r for r in model if r not in gone]
         else:
-            _, max_count, network = op
-            taken = [r for r in model if network is None or r.workload == network]
-            taken = taken[:max_count]
-            assert queue.take(max_count, network) == taken
-            model = [r for r in model if r not in taken]
+            _, max_count = op
+            taken = model[:max_count]
+            assert queue.take(max_count) == taken
+            model = model[max_count:]
         assert queue.depth == len(model)
-        for network in _NETWORKS:
-            assert queue.count(network) == sum(r.workload == network for r in model)
         assert queue.oldest() == (model[0] if model else None)
         assert queue.next_deadline_s() == min(
             (r.deadline_s for r in model if r.deadline_s is not None),

@@ -1,52 +1,26 @@
-"""Residency tracker: warm hits, cold fills, evictions, oversized sets."""
+"""Weight residency on the real serving cost model: cold, then warm."""
 
-import pytest
-
-from repro.serve.residency import ResidencyTracker
+from repro.schemes import ComputeScheme as CS
+from repro.serve.arrivals import uniform_arrivals
+from repro.serve.batching import make_batcher
+from repro.serve.costs import platform_cost_model
+from repro.serve.executor import ServeExecutor
+from repro.serve.queueing import make_queue
+from repro.workloads.presets import CLOUD
 
 
 def test_first_admit_is_cold_then_warm():
-    tracker = ResidencyTracker(capacity_bytes=1000)
-    assert not tracker.admit("a", 600)
-    assert tracker.admit("a", 600)
-    assert tracker.admit("a", 600)
-    assert tracker.counters() == {
-        "warm_hits": 2,
-        "cold_fills": 1,
-        "evictions": 0,
-    }
-
-
-def test_interleaving_two_networks_pays_per_switch():
-    tracker = ResidencyTracker(capacity_bytes=1000)
-    for _ in range(3):
-        assert not tracker.admit("a", 600)
-        assert not tracker.admit("b", 500)
-    assert tracker.counters()["cold_fills"] == 6
-    assert tracker.counters()["evictions"] == 5
-    assert tracker.counters()["warm_hits"] == 0
-
-
-def test_oversized_working_set_streams_past_the_buffer():
-    tracker = ResidencyTracker(capacity_bytes=1000)
-    assert not tracker.admit("a", 600)
-    # Too big to ever be resident — and it must not evict 'a' either.
-    assert not tracker.admit("big", 5000)
-    assert not tracker.admit("big", 5000)
-    assert tracker.admit("a", 600)
-    assert tracker.resident == "a"
-
-
-def test_flush_forgets_the_resident():
-    tracker = ResidencyTracker(capacity_bytes=1000)
-    tracker.admit("a", 600)
-    tracker.flush()
-    assert tracker.resident is None
-    assert not tracker.admit("a", 600)
-
-
-def test_validation():
-    with pytest.raises(ValueError):
-        ResidencyTracker(capacity_bytes=-1)
-    with pytest.raises(ValueError):
-        ResidencyTracker(capacity_bytes=10).admit("a", -5)
+    # NCF's weights fit the cloud BP SRAM: the first dispatch loads them
+    # and every later one reuses them.
+    model = platform_cost_model(CLOUD, CS.BINARY_PARALLEL, "ncf")
+    assert model.weight_footprint_bytes <= model.weight_buffer_bytes
+    metrics = ServeExecutor(
+        models={"ncf": model},
+        queue=make_queue("fifo", 8),
+        batcher=make_batcher("static", 1),
+        residency=True,
+    ).run(uniform_arrivals("ncf", rate_per_s=10, horizon_s=0.3))
+    cold = model.batch_cost(1).energy_j
+    warm = model.batch_cost(1, warm_weights=True).energy_j
+    assert warm < cold
+    assert [r.energy_j for r in metrics.records] == [cold, warm, warm]

@@ -5,13 +5,13 @@ per instant, ``close`` at the end), the same hooks a fleet steps;
 :func:`~tests.serve.reference_run.reference_run` is the loop that did
 its own expiry, admission, halt drop and close.  Over arrival rate,
 batching policy, queue discipline and capacity, SLO, power cap, battery,
-weight residency and one- or two-workload streams, the two must write
+weight residency and the served network, the two must write
 byte-identical ledgers and throttle the same batches.  The draws reach
 rejections, deadline expiries, throttled batches, battery halts, warm
-weight hits and stranded queues.  Besides the built-in policies they
-draw a test-local one that never dispatches while draining, so a stream
-that ends with requests queued is held to the reference's draining
-flush, which ``run`` does not have.
+weight hits (NCF on the binary array) and stranded queues.  Besides the
+built-in policies they draw a test-local one that never dispatches
+while draining, so a stream that ends with requests queued is held to
+the reference's draining flush, which ``run`` does not have.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ from repro.serve.batching import StaticBatcher, make_batcher
 from repro.serve.costs import platform_cost_model
 from repro.serve.executor import ServeExecutor
 from repro.serve.queueing import make_queue
-from repro.serve.residency import ResidencyTracker
 from repro.system.battery import Battery
 from repro.workloads.presets import CLOUD
 
 from .reference_run import reference_run
 
 #: AlexNet's weights overflow the binary array's SRAM, NCF's fit, and the
-#: unary array has none; a tracker with room for both sees every switch.
+#: unary array has none: only NCF on BP runs warm batches.
 _WORKLOADS = ("alexnet", "ncf")
 _SCHEMES = {
     "BP": (ComputeScheme.BINARY_PARALLEL, None),
@@ -51,20 +50,10 @@ def _model(scheme: str, workload: str):
     return platform_cost_model(CLOUD, code, workload, ebt=ebt)
 
 
-def _stream(workloads: int, rate: float, seed: int, slo_s: float | None) -> list:
-    stream = poisson_arrivals(
-        _WORKLOADS[0], rate_per_s=rate, horizon_s=0.1, seed=seed, slo_s=slo_s
+def _stream(workload: str, rate: float, seed: int, slo_s: float | None) -> list:
+    return poisson_arrivals(
+        workload, rate_per_s=rate, horizon_s=0.1, seed=seed, slo_s=slo_s
     )
-    if workloads == 2:
-        stream += poisson_arrivals(
-            _WORKLOADS[1],
-            rate_per_s=rate,
-            horizon_s=0.1,
-            seed=seed + 1,
-            slo_s=slo_s,
-            start_id=len(stream),
-        )
-    return stream
 
 
 class _RefusesToDrain:
@@ -103,10 +92,11 @@ def _batcher(case: dict):
 @st.composite
 def _cases(draw):
     scheme = draw(st.sampled_from(sorted(_SCHEMES)))
-    head = _model(scheme, _WORKLOADS[0]).batch_cost(1)
+    workload = draw(st.sampled_from(_WORKLOADS))
+    head = _model(scheme, workload).batch_cost(1)
     return dict(
         scheme=scheme,
-        workloads=draw(st.sampled_from((1, 2))),
+        workload=workload,
         rate=draw(st.floats(20.0, 3000.0)),
         seed=draw(st.integers(0, 2**16)),
         policy=draw(st.sampled_from(_POLICIES)),
@@ -123,19 +113,14 @@ def _cases(draw):
         battery_j=draw(
             st.none() | st.floats(2.0, 200.0).map(lambda k: k * head.energy_j)
         ),
-        # Off, the platform's SRAM, or room for every network's weights.
-        residency=draw(st.sampled_from((None, "sram", "all"))),
+        residency=draw(st.booleans()),
     )
 
 
 def _executor(case: dict) -> ServeExecutor:
-    models = {
-        workload: _model(case["scheme"], workload)
-        for workload in _WORKLOADS[: case["workloads"]]
-    }
-    head = models[_WORKLOADS[0]]
+    workload = case["workload"]
     return ServeExecutor(
-        models=models,
+        models={workload: _model(case["scheme"], workload)},
         queue=make_queue(case["queue"], case["capacity"]),
         batcher=_batcher(case),
         slo_s=case["slo_s"],
@@ -145,13 +130,7 @@ def _executor(case: dict) -> ServeExecutor:
             if case["battery_j"] is not None
             else None
         ),
-        residency=(
-            None
-            if case["residency"] is None
-            else ResidencyTracker(
-                head.weight_buffer_bytes if case["residency"] == "sram" else 1 << 30
-            )
-        ),
+        residency=case["residency"],
     )
 
 
@@ -167,13 +146,13 @@ def _assert_same_text(got: str, want: str) -> None:
         )
 
 
-#: A full static-batching queue that holds too few of its head network
-#: for a batch: it rejects until the stream ends, the draining flush
-#: empties the battery, and the other network's requests are stranded
-#: for the close to drop.
-_STRANDED = dict(
-    scheme="UR",
-    workloads=2,
+#: NCF on the binary array with residency on: full static batches run
+#: warm after the first, the 12-deep queue rejects most of the stream,
+#: and the battery dies with requests queued (253 requests: 48 served in
+#: 6 batches, 197 rejected, 8 dropped at the halt).
+_WARM_HALT = dict(
+    scheme="BP",
+    workload="ncf",
     rate=2500.0,
     seed=389,
     policy="static",
@@ -184,14 +163,14 @@ _STRANDED = dict(
     slo_s=None,
     power_cap_w=None,
     battery_j=0.01,
-    residency="all",
+    residency=True,
 )
 
 
-#: Full batches of both networks leave; each network's partial batch is
-#: still queued when the stream ends, and ``close`` drops it.
+#: Full batches leave; the partial batch is still queued when the stream
+#: ends, and ``close`` drops it (35 requests: 32 served, 3 stranded).
 _REFUSED = {
-    **_STRANDED,
+    **_WARM_HALT,
     "policy": "refuses-to-drain",
     "rate": 400.0,
     "capacity": 32,
@@ -201,10 +180,10 @@ _REFUSED = {
 
 @settings(max_examples=150, deadline=None)
 @given(case=_cases())
-@example(case=_STRANDED)
+@example(case=_WARM_HALT)
 @example(case=_REFUSED)
 def test_run_matches_the_reference_loop(case):
-    stream = _stream(case["workloads"], case["rate"], case["seed"], case["slo_s"])
+    stream = _stream(case["workload"], case["rate"], case["seed"], case["slo_s"])
     loop = _executor(case)
     reference = _executor(case)
     got = loop.run(stream).ledger_text()

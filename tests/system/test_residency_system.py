@@ -1,153 +1,71 @@
-"""Warm-weight residency in the system models (controller + tiled)."""
+"""Warm-weight residency of whole inference jobs on the system presets.
+
+The battery-powered stream of :mod:`repro.system.controller` charges
+every job cold.  A stream that keeps its weights resident is a
+:class:`~repro.serve.executor.ServeExecutor` with ``residency=True``,
+whose warm jobs the serving cost model prices.
+"""
 
 import pytest
 
-from repro.schemes import ComputeScheme as CS
 from repro.core.config import ArrayConfig
-from repro.serve.residency import ResidencyTracker
+from repro.schemes import ComputeScheme as CS
+from repro.serve.arrivals import uniform_arrivals
+from repro.serve.batching import make_batcher
+from repro.serve.costs import NetworkCostModel
+from repro.serve.executor import ServeExecutor
+from repro.serve.queueing import make_queue
 from repro.system.battery import Battery
-from repro.system.controller import _job_cost, simulate_inference_stream
-from repro.system.tiled import Interconnect, TiledSystem
+from repro.system.controller import _job_cost
 from repro.workloads.alexnet import alexnet_layers
-from repro.workloads.presets import EDGE
+from repro.workloads.presets import CLOUD, EDGE
 
 LAYERS = alexnet_layers()[2:5]
 
 
-def _memory():
-    return EDGE.memory_for(CS.BINARY_PARALLEL)
+def _array(platform=EDGE):
+    return ArrayConfig(
+        rows=platform.rows, cols=platform.cols, scheme=CS.BINARY_PARALLEL, bits=8
+    )
 
 
-def _array():
-    return ArrayConfig(rows=EDGE.rows, cols=EDGE.cols, scheme=CS.BINARY_PARALLEL, bits=8)
+def _model(memory, platform=EDGE):
+    return NetworkCostModel("conv3-5", LAYERS, _array(platform), memory)
 
 
 class TestWarmJobCost:
     def test_warm_job_is_cheaper_never_slower(self):
-        cold_energy, cold_runtime = _job_cost(LAYERS, _array(), _memory())
-        warm_energy, warm_runtime = _job_cost(
-            LAYERS, _array(), _memory(), warm_weights=True
+        memory = EDGE.memory_for(CS.BINARY_PARALLEL)
+        model = _model(memory)
+        cold = model.batch_cost(1)
+        warm = model.batch_cost(1, warm_weights=True)
+        # The cold job takes as long as one job of the battery stream.
+        assert cold.runtime_s == pytest.approx(
+            _job_cost(LAYERS, _array(), memory)[1]
         )
-        assert warm_energy < cold_energy
-        assert warm_runtime <= cold_runtime
+        assert warm.energy_j < cold.energy_j
+        assert warm.runtime_s <= cold.runtime_s
 
     def test_warm_equals_cold_without_sram(self):
-        memory = EDGE.memory.without_sram()
-        assert _job_cost(LAYERS, _array(), memory) == _job_cost(
-            LAYERS, _array(), memory, warm_weights=True
-        )
+        model = _model(EDGE.memory.without_sram())
+        assert model.weight_buffer_bytes == 0
+        assert model.batch_cost(1, warm_weights=True) == model.batch_cost(1)
 
 
 class TestStreamResidency:
-    def _stream(self, residency=None, battery=None):
-        return simulate_inference_stream(
-            LAYERS,
-            battery or Battery(capacity_j=200.0),
-            EDGE.memory,
-            EDGE.rows,
-            EDGE.cols,
-            fixed_ebt=6,
-            max_jobs=4,
-            residency=residency,
-        )
-
     def test_resident_stream_runs_all_but_first_job_warm(self):
-        tracker = ResidencyTracker(capacity_bytes=1 << 30)
-        self._stream(residency=tracker)
-        assert tracker.counters() == {
-            "warm_hits": 3,
-            "cold_fills": 1,
-            "evictions": 0,
-        }
-
-    def test_residency_extends_battery_life(self):
-        # Budget exactly between 4 warm-ish and 4 cold jobs.
-        cold_energy, _ = _job_cost(
-            LAYERS,
-            ArrayConfig(
-                rows=EDGE.rows,
-                cols=EDGE.cols,
-                scheme=CS.USYSTOLIC_RATE,
-                bits=8,
-                ebt=6,
-            ),
-            EDGE.memory,
-        )
-        budget = Battery(capacity_j=cold_energy * 3.5)
-        cold = self._stream(battery=budget)
-        warm = self._stream(
-            residency=ResidencyTracker(capacity_bytes=1 << 30),
-            battery=Battery(capacity_j=cold_energy * 3.5),
-        )
-        assert warm.jobs_completed >= cold.jobs_completed
-        assert warm.total_runtime_s <= cold.total_runtime_s
-
-    def test_interleaved_networks_pay_the_fill_per_switch(self):
-        tracker = ResidencyTracker(capacity_bytes=1 << 30)
-        for name in ("a", "b", "a", "b"):
-            simulate_inference_stream(
-                LAYERS,
-                Battery(capacity_j=200.0),
-                EDGE.memory,
-                EDGE.rows,
-                EDGE.cols,
-                fixed_ebt=6,
-                max_jobs=1,
-                residency=tracker,
-                network=name,
-            )
-        counters = tracker.counters()
-        assert counters["cold_fills"] == 4  # every switch refills
-        assert counters["warm_hits"] == 0
-        assert counters["evictions"] == 3
-
-
-class TestTiledResidency:
-    def _system(self, instances=2):
-        memory = _memory()
-        return TiledSystem(
-            array=_array(),
-            memory=memory,
-            instances=instances,
-            interconnect=Interconnect(
-                bandwidth_bytes_per_s=(
-                    memory.dram.effective_bandwidth_bytes_per_s
-                )
-            ),
-        )
-
-    def test_repeat_run_discounts_weight_traffic(self):
-        system = self._system()
-        trackers = [
-            ResidencyTracker(capacity_bytes=1 << 30)
-            for _ in range(system.instances)
-        ]
-        first = system.run(LAYERS, residency=trackers)
-        second = system.run(LAYERS, residency=trackers)
-        assert first.dram_bytes == system.run(LAYERS).dram_bytes  # cold == no tracker
-        assert second.dram_bytes < first.dram_bytes
-        assert second.runtime_s <= first.runtime_s
-
-    def test_no_discount_without_sram(self):
-        memory = EDGE.memory.without_sram()
-        system = TiledSystem(
-            array=_array(),
-            memory=memory,
-            instances=2,
-            interconnect=Interconnect(
-                bandwidth_bytes_per_s=(
-                    memory.dram.effective_bandwidth_bytes_per_s
-                )
-            ),
-        )
-        trackers = [ResidencyTracker(capacity_bytes=1 << 30) for _ in range(2)]
-        system.run(LAYERS, residency=trackers)
-        second = system.run(LAYERS, residency=trackers)
-        assert second.dram_bytes == system.run(LAYERS).dram_bytes
-
-    def test_tracker_count_must_match_instances(self):
-        system = self._system(instances=2)
-        with pytest.raises(ValueError):
-            system.run(
-                LAYERS, residency=[ResidencyTracker(capacity_bytes=1 << 30)]
-            )
+        # The three layers' 3.1 MB of weights fit the cloud BP SRAM.
+        model = _model(CLOUD.memory_for(CS.BINARY_PARALLEL), CLOUD)
+        assert model.weight_footprint_bytes <= model.weight_buffer_bytes
+        battery = Battery(capacity_j=200.0)
+        metrics = ServeExecutor(
+            models={model.name: model},
+            queue=make_queue("fifo", 8),
+            batcher=make_batcher("static", 1),
+            battery=battery,
+            residency=True,
+        ).run(uniform_arrivals(model.name, rate_per_s=10, horizon_s=0.4))
+        cold = model.batch_cost(1).energy_j
+        warm = model.batch_cost(1, warm_weights=True).energy_j
+        assert [r.energy_j for r in metrics.records] == [cold, warm, warm, warm]
+        assert battery.remaining_j == pytest.approx(200.0 - cold - 3 * warm)

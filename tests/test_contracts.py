@@ -239,6 +239,11 @@ CONTRACT_MESSAGES = [
         id="FleetConfig.pools-unique",
     ),
     pytest.param(
+        lambda: FleetConfig(pools=(_pool(), _pool(name="q", workload="ncf"))),
+        "FleetConfig.pools: must all serve one workload, got ['alexnet', 'ncf']",
+        id="FleetConfig.pools-one-workload",
+    ),
+    pytest.param(
         lambda: FleetConfig(pools=(_pool(),), slo_s=0.0),
         "FleetConfig.slo_s: must be positive, got 0.0",
         id="FleetConfig.slo_s",
@@ -287,11 +292,6 @@ CONTRACT_MESSAGES = [
         "PoolConfig.act_frac: needs a value-dependent scheme and a value in "
         "[0, 1], got scheme=BP act_frac=0.5",
         id="PoolConfig.act_frac",
-    ),
-    pytest.param(
-        lambda: _pool(power_cap_w=-1.0),
-        "PoolConfig.power_cap_w: must be positive, got -1.0",
-        id="PoolConfig.power_cap_w",
     ),
     pytest.param(
         lambda: _pool(scheme="UR"),

@@ -25,17 +25,16 @@ from repro.memory.hierarchy import MemoryConfig
 from repro.schemes import ComputeScheme, SchemeSpec
 from repro.serve.arrivals import poisson_arrivals
 from repro.serve.batching import make_batcher
-from repro.serve.costs import NetworkCostModel
+from repro.serve.costs import NetworkCostModel, platform_cost_model
 from repro.serve.executor import ServeExecutor
 from repro.serve.queueing import make_queue
-from repro.serve.residency import ResidencyTracker
 from repro.sim import arraysim
 from repro.sim.arraysim import simulate_array
 from repro.sim.engine import simulate_layer
 from repro.unary import rng
 from repro.unary.bitstream import Coding
 from repro.unary.mac import HubMac
-from repro.workloads.presets import EDGE
+from repro.workloads.presets import CLOUD, EDGE
 
 LAYERS = [
     GemmParams.matmul("a", rows=1, inner=64, cols=32),
@@ -59,29 +58,25 @@ def test_serve_prices_each_distinct_batch_once(monkeypatch):
     lookups, dispatches = [], []
     _counting(monkeypatch, NetworkCostModel, "layer_result", lookups)
     _counting(monkeypatch, NetworkCostModel, "batch_cost", dispatches)
-    model = NetworkCostModel(
-        "net",
-        LAYERS,
-        EDGE.array(ComputeScheme.BINARY_PARALLEL),
-        EDGE.memory,
-    )
+    # NCF's weights fit the cloud binary array's SRAM, so every dispatch
+    # after the first is warm.
+    model = platform_cost_model(CLOUD, ComputeScheme.BINARY_PARALLEL, "ncf")
     cost = model.batch_cost(4)
     rate = 3 * 4 / cost.runtime_s  # past capacity: batches of every size
     server = ServeExecutor(
-        models={"net": model},
+        models={"ncf": model},
         queue=make_queue("fifo", 64),
         batcher=make_batcher("dynamic", 4, max_wait_s=cost.runtime_s),
-        # Holds the weights, so every dispatch after the first is warm.
-        residency=ResidencyTracker(model.weight_footprint_bytes),
+        residency=True,
     )
-    server.run(poisson_arrivals("net", rate, 60 / rate, seed=0))
+    server.run(poisson_arrivals("ncf", rate, 60 / rate, seed=0))
 
     priced = {
         (args[1], kwargs.get("warm_weights", False)) for args, kwargs in dispatches
     }
     assert {warm for _, warm in priced} == {False, True}
     assert len(dispatches) > 2 * len(priced)
-    assert len(lookups) == len(LAYERS) * len(priced)
+    assert len(lookups) == len(model.layers) * len(priced)
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,9 @@ serve and fleet loops to reference loops, but both sides share
 moves both ledgers alike.  This test pins the sha256 of
 ``ledger_text()`` for a set of serving cells instead.  The serve cells
 cover every batching policy, both queue disciplines, rejections, deadline
-expiries, a throttled batch, a battery halt and a two-network stream;
-each cell also checks that it still reaches the path it is there for.
+expiries, a throttled batch, a battery halt and warm weights (NCF, whose
+weights fit the cloud binary array's SRAM); each cell also checks that it
+still reaches the path it is there for.
 The fleet cells replay CI's fleet-smoke trace and a cloud flash crowd.
 
 A change that is meant to move serving bytes regenerates the fixture::
@@ -33,7 +34,6 @@ from repro.serve.batching import make_batcher
 from repro.serve.costs import platform_cost_model
 from repro.serve.executor import ServeExecutor
 from repro.serve.queueing import make_queue
-from repro.serve.residency import ResidencyTracker
 from repro.system.battery import Battery
 from repro.workloads.presets import PLATFORMS
 
@@ -49,7 +49,7 @@ _SCHEMES = {
 _SERVE_DEFAULTS = dict(
     scheme="BP",
     platform="cloud",
-    workloads=("alexnet",),
+    workload="alexnet",
     rate=40.0,
     horizon_s=0.5,
     seed=0,
@@ -86,14 +86,8 @@ SERVE_CELLS = {
         queue="deadline", capacity=8, slo_s=0.5, power_cap_w=0.2,
         battery_j=0.05, reaches=("rejected", "throttled", "halted"),
     ),
-    "two-network": dict(
-        scheme="UR", workloads=("alexnet", "ncf"), rate=320.0,
-        queue="deadline", capacity=64, slo_s=0.02, reaches=("mixed", "dropped"),
-    ),
-    "two-network-static": dict(
-        workloads=("alexnet", "ncf"), rate=400.0, policy="static",
-        max_batch=4, residency=False, reaches=("mixed",),
-    ),
+    # CI serve-smoke's NCF run: AlexNet's weights fit no SRAM, NCF's do.
+    "ncf-warm": dict(workload="ncf", rate=2000.0, slo_s=0.05, reaches=("warm",)),
 }
 
 #: Fleet cells: ``repro.fleet`` command lines, replayed through the CLI's
@@ -120,25 +114,18 @@ def _model(platform: str, scheme: str, workload: str):
     return platform_cost_model(PLATFORMS[platform], code, workload, ebt=ebt)
 
 
-def _serve_cell(name: str) -> tuple[ServeExecutor, object]:
-    cell = {**_SERVE_DEFAULTS, **SERVE_CELLS[name]}
-    stream = []
-    for index, workload in enumerate(cell["workloads"]):
-        stream += poisson_arrivals(
-            workload,
-            rate_per_s=cell["rate"],
-            horizon_s=cell["horizon_s"],
-            seed=cell["seed"] + index,
-            slo_s=cell["slo_s"],
-            start_id=len(stream),
-        )
-    models = {
-        workload: _model(cell["platform"], cell["scheme"], workload)
-        for workload in cell["workloads"]
-    }
-    head = models[cell["workloads"][0]]
+def _serve_cell(name: str, **override) -> tuple[ServeExecutor, object]:
+    cell = {**_SERVE_DEFAULTS, **SERVE_CELLS[name], **override}
+    workload = cell["workload"]
+    stream = poisson_arrivals(
+        workload,
+        rate_per_s=cell["rate"],
+        horizon_s=cell["horizon_s"],
+        seed=cell["seed"],
+        slo_s=cell["slo_s"],
+    )
     executor = ServeExecutor(
-        models=models,
+        models={workload: _model(cell["platform"], cell["scheme"], workload)},
         queue=make_queue(cell["queue"], cell["capacity"]),
         batcher=make_batcher(
             cell["policy"], cell["max_batch"], max_wait_s=cell["max_wait_s"]
@@ -148,11 +135,13 @@ def _serve_cell(name: str) -> tuple[ServeExecutor, object]:
         battery=(
             None if cell["battery_j"] is None else Battery(capacity_j=cell["battery_j"])
         ),
-        residency=(
-            ResidencyTracker(head.weight_buffer_bytes) if cell["residency"] else None
-        ),
+        residency=cell["residency"],
     )
     return executor, executor.run(stream)
+
+
+def _energy_j(metrics) -> float:
+    return sum(r.energy_j for r in metrics.records)
 
 
 def _fleet_ledger(name: str):
@@ -191,14 +180,16 @@ def test_fixture_names_every_cell(pinned):
 def test_serve_ledger_bytes_are_pinned(name, pinned):
     executor, metrics = _serve_cell(name)
     reached = {
-        "rejected": metrics.rejected > 0,
-        "dropped": metrics.dropped > 0,
-        "throttled": executor.throttled_batches > 0,
-        "halted": executor.halted,
-        "mixed": len({r.workload for r in metrics.records}) > 1,
+        "rejected": lambda: metrics.rejected > 0,
+        "dropped": lambda: metrics.dropped > 0,
+        "throttled": lambda: executor.throttled_batches > 0,
+        "halted": lambda: executor.halted,
+        # Less energy than the same stream served with every batch cold.
+        "warm": lambda: _energy_j(metrics)
+        < _energy_j(_serve_cell(name, residency=False)[1]),
     }
     for path in SERVE_CELLS[name].get("reaches", ()):
-        assert reached[path], f"cell {name} no longer reaches {path}"
+        assert reached[path](), f"cell {name} no longer reaches {path}"
     assert _digest(metrics.ledger_text()) == pinned["serve"][name]
 
 
