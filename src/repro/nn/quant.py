@@ -17,7 +17,8 @@ one weight-stationary fold of the array's own bit-true kernel,
 closed form ``count(a, b) = #{k < a : S_k < b}`` (the number of the first
 ``a`` Sobol values below ``b``), held in int8 or int16 and covering up to
 11 magnitude bits, so every EBT of Figure 9 (6..12) is one row-table
-gather per reduction row, summed in an int32 accumulator.
+gather per reduction row, summed in the narrowest accumulator (int16 or
+int32) that holds its chunk's bound.
 Rate and temporal coding draw the same Sobol values (the
 enable-conditioned RNG sees the same index sequence), so they produce the
 same counts, matching the paper's note that their accuracies coincide.

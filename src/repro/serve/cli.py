@@ -276,6 +276,7 @@ def main(argv: list[str] | None = None) -> int:
                 "schemes": [s.value for s in schemes],
                 "bits": args.bits,
                 "ebt": args.ebt,
+                "act_frac": args.act_frac,
                 "rate_per_s": args.rate,
                 "horizon_s": args.horizon_s,
                 "arrivals": args.arrivals,

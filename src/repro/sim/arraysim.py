@@ -247,60 +247,100 @@ class _FoldGroup:
     planes, with ``valid`` masking the padding so a padded PE never
     launches.  The folds share one relative clock ``t``, so the planes
     hold relative cycles; fold ``g`` is at absolute cycle ``base_g + t``.
+    Every plane is stored flat, so one index addresses a PE of any fold:
+    PE ``p = (g * R + r) * C + c`` holds vector ``v``'s product at
+    ``count_base[p] + v * R * C`` of ``counts`` and lands it in column sum
+    ``col_base[p] + v * C`` of the ``(G, V, C)`` column planes.  A padded
+    column sum awaits no MACs, so ``pending`` sums to each fold's MACs
+    still to retire.
     """
 
-    counts: np.ndarray  # (G, V, R, C) product planes, zero-padded
-    valid: np.ndarray  # (G, R, C) PE inside its fold's tile
-    skew: np.ndarray  # (R, C) launch lag behind PE(0, 0)
+    counts: np.ndarray  # (G * V * R * C,) product planes, zero-padded
+    valid: np.ndarray  # (G, R * C) PE inside its fold's tile
+    skew: np.ndarray  # (R * C,) launch lag behind PE(0, 0)
     mac: int
-    working: np.ndarray  # (G, R, C) vector held, -1 before the first
-    remaining: np.ndarray  # (G, R, C) MAC cycles left
-    launch0: np.ndarray  # (G, R, C) relative launch cycle of vector 0
-    pending: np.ndarray  # (G, V, C) MACs each column sum awaits
-    psum_cols: np.ndarray  # (G, V, C) column sums, in the counts' type
-    finish: np.ndarray  # (G, V, C) relative completion cycle
-    busy: np.ndarray  # (G, R, C) cycles each PE was occupied
-    done: np.ndarray  # (G,) MACs retired
+    nvec: int
+    cols: int
+    count_base: np.ndarray  # (G * R * C,) counts index of a PE's vector 0
+    col_base: np.ndarray  # (G * R * C,) column-plane index of vector 0's sum
+    working: np.ndarray  # (G * R * C,) vector held, -1 before the first
+    remaining: np.ndarray  # (G * R * C,) MAC cycles left
+    launch0: np.ndarray  # (G * R * C,) relative launch cycle of vector 0
+    pending: np.ndarray  # (G * V * C,) MACs each column sum awaits
+    psum_cols: np.ndarray  # (G * V * C,) column sums, in the counts' type
+    finish: np.ndarray  # (G * V * C,) relative completion cycle
+    busy: np.ndarray  # (G * R * C,) cycles each PE was occupied
 
 
-def _clock(group: _FoldGroup, t: int) -> None:
+def _fold_group(
+    counts: np.ndarray, tiles: list[Tile], mac: int, geometry: DataflowGeometry
+) -> _FoldGroup:
+    """Fresh register planes for the stacked ``(G, V, R, C)`` products."""
+    nfolds, nvec, rows, cols = counts.shape
+    fold_rows = np.array([tile.rows for tile in tiles], dtype=np.int64)
+    fold_cols = np.array([tile.cols for tile in tiles], dtype=np.int64)
+    pes = nfolds * rows * cols
+    fold_of, rc = np.divmod(np.arange(pes, dtype=np.int64), rows * cols)
+    valid = (np.arange(rows)[:, None] < fold_rows[:, None, None]) & (
+        np.arange(cols) < fold_cols[:, None, None]
+    )
+    awaits = np.where(np.arange(cols) < fold_cols[:, None], fold_rows[:, None], 0)
+    return _FoldGroup(
+        counts=counts.reshape(-1),
+        valid=valid.reshape(nfolds, rows * cols),
+        skew=_skew(geometry, rows, cols).reshape(-1),
+        mac=mac,
+        nvec=nvec,
+        cols=cols,
+        count_base=fold_of * (nvec * rows * cols) + rc,
+        col_base=fold_of * (nvec * cols) + rc % cols,
+        working=np.full(pes, -1, dtype=np.int64),
+        remaining=np.zeros(pes, dtype=np.int64),
+        launch0=np.zeros(pes, dtype=np.int64),
+        pending=np.repeat(awaits[:, None, :], nvec, axis=1).reshape(-1),
+        psum_cols=np.zeros(nfolds * nvec * cols, dtype=counts.dtype),
+        finish=np.zeros(nfolds * nvec * cols, dtype=np.int64),
+        busy=np.zeros(pes, dtype=np.int64),
+    )
+
+
+def _clock(group: _FoldGroup, t: int) -> int:
     """Advance every fold of ``group`` one clock: relative cycle ``t``.
 
     A launch mask admits due vectors, every occupied PE burns one cycle,
     and PEs whose MAC retires land their product into the column psum —
-    whole-plane numpy operations over the whole group.  DiP's skew-free
-    array retires several rows into one column sum in the same cycle,
-    so landings accumulate through ``np.add.at``.
+    whole-plane numpy operations over the whole group.  Which PEs are due
+    depends only on the clock and the skew, so the due mask is taken on
+    the ``(R, C)`` plane before it meets each fold's ``valid`` and idle
+    PEs.  DiP's skew-free array retires several rows into one column sum
+    in the same cycle, so landings accumulate through ``np.add.at``.
+    Returns how many MACs retired.
     """
+    plane = len(group.skew)  # R * C
     vnext, lag = np.divmod(t - group.skew, group.mac)
-    can = (
-        (lag == 0)
-        & (vnext >= 0)
-        & (vnext < group.counts.shape[1])
-        & group.valid
-        & (group.remaining == 0)
-    )
-    g_idx, r_idx, c_idx = np.nonzero(can)
-    if len(g_idx):
-        entering = vnext[r_idx, c_idx]
-        if (group.working[g_idx, r_idx, c_idx] >= entering).any():
+    due = (lag == 0) & (vnext >= 0) & (vnext < group.nvec)
+    idle = group.remaining == 0
+    pe = np.flatnonzero(idle.reshape(group.valid.shape) & group.valid & due)
+    if len(pe):
+        entering = vnext[pe % plane]
+        if (group.working[pe] >= entering).any():
             raise RuntimeError("PE re-entered an old vector")
-        group.working[g_idx, r_idx, c_idx] = entering
-        group.remaining[g_idx, r_idx, c_idx] = group.mac
-        first = entering == 0
-        group.launch0[g_idx[first], r_idx[first], c_idx[first]] = t
+        group.working[pe] = entering
+        group.remaining[pe] = group.mac
+        group.launch0[pe[entering == 0]] = t
     active = group.remaining > 0
     group.busy += active
     group.remaining -= active
-    g_idx, r_idx, c_idx = np.nonzero(active & (group.remaining == 0))
-    if len(g_idx):
-        v_idx = group.working[g_idx, r_idx, c_idx]
-        at = (g_idx, v_idx, c_idx)
-        np.add.at(group.psum_cols, at, group.counts[g_idx, v_idx, r_idx, c_idx])
+    active &= group.remaining == 0
+    pe = np.flatnonzero(active)
+    if len(pe):
+        v_idx = group.working[pe]
+        at = group.col_base[pe] + v_idx * group.cols
+        products = group.counts[group.count_base[pe] + v_idx * plane]
+        np.add.at(group.psum_cols, at, products)
         np.add.at(group.pending, at, -1)
-        closed = group.pending[at] == 0
-        group.finish[g_idx[closed], v_idx[closed], c_idx[closed]] = t + 1
-        group.done += np.bincount(g_idx, minlength=len(group.done))
+        group.finish[at[group.pending[at] == 0]] = t + 1
+    return len(pe)
 
 
 def _step_fold_group(
@@ -323,55 +363,49 @@ def _step_fold_group(
     raises what stepping the folds one after another would: the
     :class:`CycleLimitError` of the lowest-index fold that trips, at its
     first cycle past ``max_cycles`` with its own MACs still pending.
-    Later folds start later, so they trip earlier in relative time.
+    Later folds start later, so they trip earlier in relative time; no
+    fold can trip before the latest-starting one does, so until that
+    clock the group runs until its last MAC retires, and only from it on
+    is each fold's budget checked.
     """
     nfolds, nvec, rows, cols = counts.shape
-    fold_rows = np.array([tile.rows for tile in tiles], dtype=np.int64)
-    fold_cols = np.array([tile.cols for tile in tiles], dtype=np.int64)
-    plane = (nfolds, rows, cols)
-    group = _FoldGroup(
-        counts=counts,
-        valid=(np.arange(rows)[:, None] < fold_rows[:, None, None])
-        & (np.arange(cols) < fold_cols[:, None, None]),
-        skew=_skew(geometry, rows, cols),
-        mac=mac,
-        working=np.full(plane, -1, dtype=np.int64),
-        remaining=np.zeros(plane, dtype=np.int64),
-        launch0=np.zeros(plane, dtype=np.int64),
-        pending=np.repeat(fold_rows, nvec * cols).reshape(nfolds, nvec, cols),
-        psum_cols=np.zeros((nfolds, nvec, cols), dtype=counts.dtype),
-        finish=np.zeros((nfolds, nvec, cols), dtype=np.int64),
-        busy=np.zeros(plane, dtype=np.int64),
-        done=np.zeros(nfolds, dtype=np.int64),
-    )
-    total = fold_rows * fold_cols * nvec
+    group = _fold_group(counts, tiles, mac, geometry)
+    left = sum(tile.rows * tile.cols for tile in tiles) * nvec
     start = np.array(bases, dtype=np.int64)
+    trip_from = max_cycles - max(bases) + 1
     trips: dict[int, tuple[int, int]] = {}
     running = np.ones(nfolds, dtype=bool)
     t = 0
     while True:
-        over = running & (start + t > max_cycles)
-        for g in np.flatnonzero(over).tolist():
-            trips[g] = (bases[g] + t, int(total[g] - group.done[g]))
-        running &= ~over
-        if not running.any():
+        if t >= trip_from:
+            waiting = group.pending.reshape(nfolds, -1).sum(axis=1)
+            running &= waiting > 0
+            over = running & (start + t > max_cycles)
+            for g in np.flatnonzero(over).tolist():
+                trips[g] = (bases[g] + t, int(waiting[g]))
+            running &= ~over
+            if not running.any():
+                break
+        elif not left:
             break
-        _clock(group, t)
-        running &= group.done < total
+        left -= _clock(group, t)
         t += 1
     if trips:
         cycle, pending = trips[min(trips)]
         raise CycleLimitError(cycle, pending, max_cycles)
+    psum_cols = group.psum_cols.reshape(nfolds, nvec, cols)
+    finishes = group.finish.reshape(nfolds, nvec, cols)
+    launch0 = group.launch0.reshape(nfolds, rows, cols)
+    busy = group.busy.reshape(nfolds, -1).sum(axis=1)
     runs = []
     for g, tile in enumerate(tiles):
-        finish = group.finish[g, :, : tile.cols] + bases[g]
+        finish = finishes[g, :, : tile.cols] + bases[g]
         runs.append(
             _FoldRun(
-                psums=group.psum_cols[g, :, : tile.cols].astype(np.float64)
-                * scales[g],
+                psums=psum_cols[g, :, : tile.cols].astype(np.float64) * scales[g],
                 finish=finish,
-                launch0=group.launch0[g, : tile.rows, : tile.cols] + bases[g],
-                busy=int(group.busy[g].sum()),
+                launch0=launch0[g, : tile.rows, : tile.cols] + bases[g],
+                busy=int(busy[g]),
                 last_mac_finish=int(finish.max()),
             )
         )

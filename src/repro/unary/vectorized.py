@@ -24,12 +24,15 @@ in place, so both kernels first gather *row tables* from them, one chunk
 of rows and columns at a time: for every row ``k``, the signed product
 count of every column for every signed IFM code.  Indexed by a vector's
 IFM code, a row table gives that row's C products as one contiguous
-C-row, with no sign plane and no multiply.  :func:`hub_product_counts`
+C-row, with no sign plane and no multiply.  Operands become codes by one
+lookup in a per-(bits, EBT) int16 code table indexed by the operand value
+(negative values wrap to the table's top half).  :func:`hub_product_counts`
 gathers ``(V, k, C)`` blocks of the per-PE plane and widens them into the
 int64 plane it returns.  :func:`hub_mac_tile` never builds that plane: it
-adds each row's ``(V, C)`` gather into an int32 accumulator, exact within
-one chunk of rows, and adds the accumulator into its int64 output, so no
-sum is ever taken in the narrow type.  Still exact integers times one
+adds each row's ``(V, C)`` gather into an accumulator of the narrowest
+type that holds its chunk's bound, ``rows * (2**mag_bits - 1)`` (int16
+up to 32767, int32 above), and adds the accumulator into its int64
+output, so no sum can overflow.  Still exact integers times one
 power-of-two scale, hence byte-identical.
 """
 
@@ -37,7 +40,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from functools import partial
 
 import numpy as np
 
@@ -53,7 +57,7 @@ _SEQ_CACHE_MAX = 16
 _SEQ_CACHE_LOCAL = threading.local()
 
 
-def _seq_cache() -> "OrderedDict[tuple[str, int], np.ndarray]":
+def _seq_cache() -> "OrderedDict[tuple, np.ndarray]":
     # Thread-local so concurrent hub_mac_row calls never share (or race
     # on) a dict; bounded so a bits/coding sweep can't grow it unchecked.
     cache = getattr(_SEQ_CACHE_LOCAL, "cache", None)
@@ -62,19 +66,21 @@ def _seq_cache() -> "OrderedDict[tuple[str, int], np.ndarray]":
     return cache
 
 
-def _sequence(kind: str, bits: int) -> np.ndarray:
+def _cached(key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+    """``build()``, kept in the thread-local LRU cache under ``key``."""
     cache = _seq_cache()
-    key = (kind, bits)
     if key in cache:
         cache.move_to_end(key)
-    else:
-        if kind == "sobol":
-            cache[key] = SobolSequence(bits).values(1 << bits)
-        else:
-            cache[key] = CounterSequence(bits).values(1 << bits)
-        while len(cache) > _SEQ_CACHE_MAX:
-            cache.popitem(last=False)
-    return cache[key]
+        return cache[key]
+    value = cache[key] = build()
+    while len(cache) > _SEQ_CACHE_MAX:
+        cache.popitem(last=False)
+    return value
+
+
+def _sequence(kind: str, bits: int) -> np.ndarray:
+    sequence = SobolSequence if kind == "sobol" else CounterSequence
+    return _cached((kind, bits), lambda: sequence(bits).values(1 << bits))
 
 
 def hub_mac_row(
@@ -129,6 +135,11 @@ def hub_mac_row(
 #: and :func:`hub_product_counts` fall back to the row path.
 _TABLE_MAX_MAG_BITS = 11
 
+#: Widest operand the code tables cover: one int16 code per operand
+#: value, ``2**bits`` entries (128 KiB at 16 bits).  Wider operands are
+#: coded arithmetically.
+_CODE_TABLE_MAX_BITS = 16
+
 #: Target elements per temporary (row table, gather block, accumulator,
 #: row-path block), bounding peak memory; the plane
 #: :func:`hub_product_counts` returns is not bounded.
@@ -162,22 +173,60 @@ def _signed_table(mag_bits: int) -> np.ndarray:
     count table's narrow type.  Built once per ``mag_bits`` and
     LRU-cached.
     """
-    cache = _seq_cache()
-    key = ("signed", mag_bits)
-    if key in cache:
-        cache.move_to_end(key)
-        return cache[key]
-    table = _count_table(mag_bits)
-    signed = np.block([[table, -table], [-table, table]])
-    cache[key] = signed
-    while len(cache) > _SEQ_CACHE_MAX:
-        cache.popitem(last=False)
-    return signed
+
+    def build() -> np.ndarray:
+        table = _count_table(mag_bits)
+        return np.block([[table, -table], [-table, table]])
+
+    return _cached(("signed", mag_bits), build)
 
 
-def _signed_codes(values: np.ndarray, shift: int, mag_bits: int) -> np.ndarray:
-    """Sign-magnitude codes ``magnitude + 2**mag_bits * sign`` of operands."""
-    return (np.abs(values) >> shift) + np.where(values < 0, 1 << mag_bits, 0)
+def _arithmetic_codes(values: np.ndarray, bits: int, ebt: int) -> np.ndarray:
+    """int16 codes ``(|value| >> (bits - ebt)) + 2**(ebt-1) * sign``."""
+    codes = np.abs(values) >> (bits - ebt)
+    codes += np.where(values < 0, 1 << (ebt - 1), 0)
+    return codes.astype(np.int16)
+
+
+def _code_table(bits: int, ebt: int) -> np.ndarray:
+    """``codes[value]``: the int16 code of every ``bits``-bit operand.
+
+    Indexed by the operand value itself, a negative one wrapping to
+    ``2**bits + value``, so coding an operand array is one gather.  The
+    entry at ``2**(bits-1)``, the unrepresentable ``-2**(bits-1)``, is
+    never read.  Built once per ``(bits, ebt)`` and LRU-cached.
+    """
+
+    def build() -> np.ndarray:
+        values = np.arange(1 << bits, dtype=np.int64)
+        values[1 << (bits - 1) :] -= 1 << bits
+        values[1 << (bits - 1)] = 0
+        return _arithmetic_codes(values, bits, ebt)
+
+    return _cached(("codes", bits, ebt), build)
+
+
+def _signed_codes(values: np.ndarray, bits: int, ebt: int) -> np.ndarray:
+    """Sign-magnitude codes ``magnitude + 2**(ebt-1) * sign`` of checked
+    operands: C-contiguous int16 in ``values``' shape.
+
+    One gather from :func:`_code_table` up to ``_CODE_TABLE_MAX_BITS``;
+    wider operands are coded arithmetically.  A gather keeps its index's
+    memory order, so a transposed operand is coded a block of leading
+    rows at a time, each block within ``_TILE_CHUNK_ELEMS`` elements.
+    Widen the codes (``.astype(np.intp)``) before any index arithmetic:
+    under numpy's legacy value-based casting an int16 times an
+    ``np.intp`` stays int16.
+    """
+    if bits > _CODE_TABLE_MAX_BITS:
+        code = partial(_arithmetic_codes, bits=bits, ebt=ebt)
+    else:
+        code = _code_table(bits, ebt).__getitem__
+    codes = np.empty(values.shape, dtype=np.int16)
+    step = max(1, _TILE_CHUNK_ELEMS // max(1, values[:1].size))
+    for r0 in range(0, len(values), step):
+        codes[r0 : r0 + step] = code(values[r0 : r0 + step])
+    return codes
 
 
 def _check_fold(
@@ -235,12 +284,14 @@ def _row_tables(
     ``_TILE_CHUNK_ELEMS // side``), then as many rows as keep its table
     within ``_TILE_CHUNK_ELEMS`` elements (a whole 256x256 UT row table
     would be 16 Mi entries).  So a K-chunk holds at most
-    ``max(1, _TILE_CHUNK_ELEMS // side)`` rows.
+    ``max(1, _TILE_CHUNK_ELEMS // side)`` rows.  A negative IFM code's
+    products are its magnitude's, negated, so only the table's top half
+    is gathered, element by element; the bottom half is one negation.
     """
-    mag_bits = ebt - 1
-    signed = _signed_table(mag_bits)
+    signed = _signed_table(ebt - 1)
     side = signed.shape[0]
-    wcode = _signed_codes(w_tile, bits - ebt, mag_bits)  # (K, C)
+    half = side // 2
+    wcode = _signed_codes(w_tile, bits, ebt)  # (K, C)
     n_k, n_c = wcode.shape
     c_step = max(1, min(n_c, _TILE_CHUNK_ELEMS // side))
     k_step = max(1, _TILE_CHUNK_ELEMS // (side * c_step))
@@ -248,7 +299,10 @@ def _row_tables(
         cs = slice(c0, min(c0 + c_step, n_c))
         for k0 in range(0, n_k, k_step):
             ks = slice(k0, min(k0 + k_step, n_k))
-            rows = signed.take(wcode[ks, cs], axis=1)  # (side, k, c)
+            block = wcode[ks, cs]
+            rows = np.empty((side, *block.shape), dtype=signed.dtype)
+            signed[:half].take(block, axis=1, out=rows[:half])
+            np.negative(rows[:half], out=rows[half:])
             yield ks, cs, rows.reshape(-1, rows.shape[2])
 
 
@@ -295,7 +349,7 @@ def _count_blocks(
                     yield slice(vec, vec + 1), ks, cs, block
         return
 
-    xcode = _signed_codes(x_tile, bits - ebt, mag_bits)  # (V, K)
+    xcode = _signed_codes(x_tile, bits, ebt)  # (V, K)
     for ks, cs, rows in _row_tables(w_tile, bits, ebt):
         n_kb = ks.stop - ks.start
         n_cb = rows.shape[1]
@@ -303,7 +357,10 @@ def _count_blocks(
         v_step = max(1, _TILE_CHUNK_ELEMS // (n_kb * n_cb))
         for v0 in range(0, n_v, v_step):
             vs = slice(v0, v0 + v_step)
-            yield vs, ks, cs, rows.take(xcode[vs, ks] * n_kb + k_index, axis=0)
+            index = xcode[vs, ks].astype(np.intp)
+            index *= n_kb
+            index += k_index
+            yield vs, ks, cs, rows.take(index, axis=0)
 
 
 def hub_mac_tile(
@@ -322,32 +379,59 @@ def hub_mac_tile(
     summing counts first and scaling once reproduces the float
     accumulation byte for byte (``repro.verify`` diffs both against the
     scalar model).  On the table path each row's ``(V, C)`` gather is
-    added into an int32 accumulator per chunk of rows, and each
+    added into an accumulator per chunk of rows, int16 when the chunk's
+    bound fits and int32 otherwise (:func:`_accumulator_type`), and each
     accumulator into the int64 sums, so no ``(V, K, C)`` block is built.
     """
     w_tile, x_tile, ebt, scale = _check_fold(w_tile, x_tile, bits, ebt, coding)
-    n_v = x_tile.shape[0]
-    out = np.zeros((n_v, w_tile.shape[1]), dtype=np.int64)
+    out = np.zeros((x_tile.shape[0], w_tile.shape[1]), dtype=np.int64)
     if ebt - 1 > _TABLE_MAX_MAG_BITS:
         for vs, _, cs, counts in _count_blocks(w_tile, x_tile, bits, ebt, coding):
             out[vs, cs] += counts.sum(axis=1)
-        return out.astype(np.float64) * scale
+    else:
+        _table_sums(out, w_tile, x_tile, bits, ebt)
+    return out.astype(np.float64) * scale
+
+
+def _table_sums(
+    out: np.ndarray, w_tile: np.ndarray, x_tile: np.ndarray, bits: int, ebt: int
+) -> None:
+    """Add a checked fold's count sums into ``out`` through the row tables.
+
+    Each row's ``(V, C)`` gather goes into the chunk's narrow accumulator;
+    the codes, row tables and accumulators are freed on return, before
+    the caller's float64 copy of ``out``.
+    """
+    n_v = x_tile.shape[0]
     # (K, V): each reduction row's IFM codes are contiguous.
-    xcode = _signed_codes(x_tile, bits - ebt, ebt - 1).T.copy()
+    xcode = _signed_codes(x_tile.T, bits, ebt)
     for ks, cs, rows in _row_tables(w_tile, bits, ebt):
         n_kb = ks.stop - ks.start
+        acc_type = _accumulator_type(n_kb, ebt - 1)
         v_step = max(1, _TILE_CHUNK_ELEMS // rows.shape[1])
         for v0 in range(0, n_v, v_step):
             vs = slice(v0, min(v0 + v_step, n_v))
-            # int32 is exact: every count is below side / 2 and a K-chunk
-            # holds at most max(1, _TILE_CHUNK_ELEMS // side) rows, so the
-            # sum stays below max(side, _TILE_CHUNK_ELEMS) / 2, which is
-            # 2**19 at the default chunk size.
-            acc = np.zeros((vs.stop - v0, rows.shape[1]), dtype=np.int32)
+            acc = np.zeros((vs.stop - v0, rows.shape[1]), dtype=acc_type)
             for k in range(n_kb):
-                acc += rows.take(xcode[ks.start + k, vs] * n_kb + k, axis=0)
+                index = xcode[ks.start + k, vs].astype(np.intp)
+                index *= n_kb
+                index += k
+                acc += rows.take(index, axis=0)
             out[vs, cs] += acc
-    return out.astype(np.float64) * scale
+
+
+def _accumulator_type(rows: int, mag_bits: int) -> type[np.signedinteger]:
+    """The narrowest exact accumulator for a chunk of ``rows`` rows.
+
+    Every count is at most ``2**mag_bits - 1`` in magnitude, so the
+    chunk's sums are bounded by ``rows * (2**mag_bits - 1)``: int16 holds
+    that up to 32767 and int32 beyond.  A chunk of ``C`` columns holds at
+    most ``max(1, _TILE_CHUNK_ELEMS // (side * C))`` rows (see
+    :func:`_row_tables`), so the bound stays below
+    ``max(side, _TILE_CHUNK_ELEMS / C) / 2``: at the default chunk size
+    every fold of 16 or more columns sums in int16.
+    """
+    return np.int16 if rows * ((1 << mag_bits) - 1) <= 32767 else np.int32
 
 
 def hub_product_counts(

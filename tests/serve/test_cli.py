@@ -45,6 +45,21 @@ def test_same_seed_json_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_json_config_records_act_frac(tmp_path, capsys):
+    # tubGEMM's latency follows --act-frac, so two runs that differ only
+    # there must not write the same config.
+    configs = []
+    for act_frac in ("0.3", "0.7"):
+        out = tmp_path / f"tb-{act_frac}.json"
+        args = ["--workload", "alexnet", "--schemes", "TB", "--rate", "20"]
+        args += ["--horizon-s", "0.5", "--seed", "0", "--act-frac", act_frac]
+        assert main(args + ["--json", str(out)]) == 0
+        configs.append(json.loads(out.read_text())["config"])
+    capsys.readouterr()
+    assert [config["act_frac"] for config in configs] == [0.3, 0.7]
+    assert configs[0] != configs[1]
+
+
 def test_multi_scheme_comparison(tmp_path, capsys):
     args = FAST_ARGS[:-2] + ["--schemes", "BP,UR"]
     args += ["--ebt", "6", "--rate", "10", "--json", str(tmp_path / "m.json")]

@@ -19,7 +19,7 @@ import pytest
 
 from repro.unary import vectorized
 from repro.unary.bitstream import Coding
-from repro.unary.mac import HubMac
+from repro.unary.mac import HubMac, sign_magnitude
 from repro.unary.vectorized import (
     _SEQ_CACHE_MAX,
     _seq_cache,
@@ -27,6 +27,8 @@ from repro.unary.vectorized import (
     hub_mac_tile,
     hub_product_counts,
 )
+
+from ..nn.test_quant import _WIDTHS
 
 
 def _reference_row(ifm, weights, bits, ebt, coding):
@@ -362,13 +364,117 @@ def test_extreme_operands_sum_exactly_across_chunks(monkeypatch, sign):
         assert (np.abs(counts) == 2046).all()
 
 
+@pytest.mark.parametrize("bits", range(2, 13))
+def test_lookup_codes_are_the_arithmetic_codes(bits, monkeypatch):
+    # Every in-range operand, the most negative -(2**(bits-1) - 1) among
+    # them, at every EBT: each takes the table path at these widths.
+    top = (1 << (bits - 1)) - 1
+    values = np.arange(-top, top + 1)
+    for ebt in range(2, bits + 1):
+        expected = []
+        for value in values.tolist():
+            sign, magnitude = sign_magnitude(value, bits)
+            expected.append((magnitude >> (bits - ebt)) + (sign << (ebt - 1)))
+        codes = vectorized._signed_codes(values, bits, ebt)
+        assert codes.dtype == np.int16
+        assert codes.tolist() == expected
+        # A transposed operand comes back in C order, in its own shape.
+        grid = values[: len(values) // 2 * 2].reshape(2, -1)
+        transposed = vectorized._signed_codes(grid.T, bits, ebt)
+        assert transposed.flags.c_contiguous
+        assert transposed.tolist() == codes[: grid.size].reshape(2, -1).T.tolist()
+    # Wider than the code tables: coded arithmetically, the same codes.
+    monkeypatch.setattr(vectorized, "_CODE_TABLE_MAX_BITS", 1)
+    assert vectorized._signed_codes(values, bits, bits).tolist() == [
+        abs(value) + ((value < 0) << (bits - 1)) for value in values.tolist()
+    ]
+
+
+@pytest.mark.parametrize("bits,ebt", _WIDTHS)
+def test_accumulator_switches_exactly_at_the_int16_bound(monkeypatch, bits, ebt):
+    # One K-chunk of exactly 32767 // max_count rows sums in int16, and one
+    # row more in int32.  All-maximum operands of both signs give every
+    # product the table's largest count (max_count, or one less), so at
+    # EBT 2, 10, 11 and 12 the larger chunk's sum is past int16.  Both
+    # kernels must stay the scalar HubMac chain byte for byte on both
+    # sides of the switch.
+    mag_bits = ebt - 1
+    max_count = (1 << mag_bits) - 1
+    side = 2 << mag_bits
+    top = (1 << (bits - 1)) - 1
+    restore = 1 << (bits - 1)
+    mac = HubMac(bits, ebt=ebt)
+    # Column 0 holds +top weights, column 1 -top; vector 0 streams +top
+    # IFMs, vector 1 -top.
+    signs = (1, -1)
+    products = [
+        [mac.multiply(wsign * top, xsign * top).product * restore for wsign in signs]
+        for xsign in signs
+    ]
+    fit = 32767 // max_count
+    for rows, acc_type in ((fit, np.int16), (fit + 1, np.int32)):
+        assert vectorized._accumulator_type(rows, mag_bits) is acc_type
+        # Two columns of row tables: a chunk of exactly `rows` rows.
+        monkeypatch.setattr(vectorized, "_TILE_CHUNK_ELEMS", rows * side * 2)
+        w_tile = np.tile([top, -top], (rows, 1))
+        x_tile = np.tile([[top], [-top]], (1, rows))
+        chain = np.zeros((2, 2))
+        for v in range(2):
+            for c in range(2):
+                total = 0.0
+                for _ in range(rows):
+                    total += products[v][c]
+                chain[v, c] = total
+        tile = hub_mac_tile(w_tile, x_tile, bits, ebt=ebt)
+        assert tile.tobytes() == chain.tobytes()
+        counts, scale = hub_product_counts(w_tile, x_tile, bits, ebt=ebt)
+        for v in range(2):
+            for c in range(2):
+                assert (counts[v, :, c] * scale == products[v][c]).all()
+        assert (counts.sum(axis=1) * scale).tobytes() == chain.tobytes()
+
+
+def _temporaries(bits, ebt, v, k, c):
+    """Bytes ``hub_mac_tile`` holds at once on a ``(v, k) x (k, c)`` fold
+    at its peak, beside its int64 sums: the codes and the chunked
+    row-table loop's temporaries, or after the loop the float64 result."""
+    chunk = vectorized._TILE_CHUNK_ELEMS
+    mag_bits = ebt - 1
+    table = vectorized._signed_table(mag_bits).itemsize
+    side = 2 << mag_bits
+    c_step = max(1, min(c, chunk // side))
+    k_step = min(k, max(1, chunk // (side * c_step)))
+    v_step = min(v, max(1, chunk // c_step))
+    acc = np.dtype(vectorized._accumulator_type(k_step, mag_bits)).itemsize
+    loop = {
+        # One int16 code per operand element, and the block of IFM codes
+        # gathered in the transposed order before its C-order copy.
+        "codes": 2 * (v * k + k * c) + 2 * min(v * k, chunk),
+        # The chunk's row table, the next one built while it is held, and
+        # take's buffer for the next one's top half.
+        "row tables": 5 * side * k_step * c_step * table // 2,
+        "one row's gather": v_step * c_step * table,
+        "accumulator": v_step * c_step * acc,
+        "one row's gather index": v_step * np.dtype(np.intp).itemsize,
+    }
+    sums = result = 8 * v * c  # int64 sums, then their float64 copy
+    return sums + max(sum(loop.values()), result)
+
+
 def test_full_array_fold_stays_within_the_chunk_budget():
-    # A 256x256 fold.  Built whole, its row table alone would be 256 codes
-    # x 256 x 256 = 16 Mi entries for UT, and 4096 codes (256 Mi entries)
-    # at 16-bit EBT 12.
-    for bits, ebt, coding in ((8, None, Coding.TEMPORAL), (16, 12, Coding.RATE)):
-        w_tile, x_tile = _random_tiles(bits, v=4, k=256, c=256, seed=41)
-        # Build the cached signed table first; the guard is on the temporaries.
+    for bits, ebt, coding, (v, k, c) in (
+        # A 256x256 fold.  Built whole, its row table alone would be 256
+        # codes x 256 x 256 = 16 Mi entries for UT, and 4096 codes (256 Mi
+        # entries) at 16-bit EBT 12.
+        (8, 8, Coding.TEMPORAL, (4, 256, 256)),
+        (16, 12, Coding.RATE, (4, 256, 256)),
+        # Many vectors over a deep reduction, so the loop outweighs the
+        # result: the codes, the accumulator and each row's gather index
+        # grow with V, and the last two are chunked over it.
+        (8, 6, Coding.RATE, (8192, 1024, 16)),
+    ):
+        w_tile, x_tile = _random_tiles(bits, v=v, k=k, c=c, seed=41)
+        # Build the cached tables first; the guard is on the temporaries.
         hub_mac_tile(w_tile[:1, :1], x_tile[:, :1], bits, ebt=ebt, coding=coding)
         tracemalloc.start()
         try:
@@ -376,4 +482,5 @@ def test_full_array_fold_stays_within_the_chunk_budget():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 1024 * 1024
+        # numpy's own bookkeeping (index conversions, small views) on top.
+        assert peak <= _temporaries(bits, ebt, v, k, c) + (64 << 10), (bits, ebt)
