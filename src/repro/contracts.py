@@ -4,7 +4,7 @@ The static side of the config contract (``CFG001``-``CFG003``) demands a
 ``validate()`` on every ``*Config``/``*Params`` dataclass; this module is
 the runtime side — small predicates that raise ``ValueError`` with
 field-specific messages so a nonsensical configuration (0-row array,
-negative SRAM banks, non-power-of-two bitstream length) fails loudly at
+0-byte SRAM, non-power-of-two bitstream length) fails loudly at
 construction instead of silently corrupting a sweep.
 
 Every check runs on every call, but its message is built only when it
@@ -32,9 +32,7 @@ __all__ = [
     "fail",
     "require_int",
     "require_finite",
-    "require_positive",
     "require_positive_int",
-    "require_power_of_two",
     "require_in_range",
     "positive_float",
     "non_negative_float",
@@ -44,7 +42,7 @@ __all__ = [
 def is_power_of_two(value: int) -> bool:
     """True for 1, 2, 4, 8, ...; False for zero, negatives and non-ints.
 
-    A ``bool`` is not an int here: ``True`` is no bank count.
+    A ``bool`` is not an int here: ``True`` is no stream length.
     """
     return type(value) is int and value > 0 and (value & (value - 1)) == 0
 
@@ -71,26 +69,12 @@ def require_finite(owner: str, **fields: float) -> None:
             fail(owner, name, f"must be finite, got {value!r}")
 
 
-def require_positive(owner: str, **fields: float) -> None:
-    """Every named field must be strictly positive."""
-    for name, value in fields.items():
-        if not value > 0:
-            fail(owner, name, f"must be positive, got {value!r}")
-
-
 def require_positive_int(owner: str, **fields: int) -> None:
     """Every named field must be a plain ``int`` above zero."""
     for name, value in fields.items():
         if type(value) is not int or value <= 0:
             require_int(owner, name, value)
             fail(owner, name, f"must be positive, got {value!r}")
-
-
-def require_power_of_two(owner: str, **fields: int) -> None:
-    """Every named field must be a power of two."""
-    for name, value in fields.items():
-        if not is_power_of_two(value):
-            fail(owner, name, f"must be a power of two, got {value!r}")
 
 
 def require_in_range(

@@ -123,21 +123,7 @@ class ArrayConfig:
         """The scheme's dataflow geometry (skew lags), for ``repro.sim``."""
         return self.scheme.geometry
 
-    @property
-    def num_pes(self) -> int:
-        return self.rows * self.cols
-
-    @property
-    def effective_bits(self) -> int:
-        return self.ebt if self.ebt is not None else self.bits
-
     @functools.cached_property
     def label(self) -> str:
         """Short display label, e.g. ``UR-8b-32c``."""
         return f"{self.scheme.value}-{self.bits}b-{self.mac_cycles - 1}c"
-
-    def with_scheme(
-        self, scheme: ComputeScheme, ebt: int | None = None
-    ) -> "ArrayConfig":
-        """The same array shape/bitwidth under a different compute scheme."""
-        return dataclasses.replace(self, scheme=scheme, ebt=ebt)

@@ -43,10 +43,10 @@ class AreaResult:
         return self.array_area_mm2 + self.sram_area_mm2
 
 
-def run_area_experiment(platform: Platform, bits_list: tuple[int, ...] = (8, 16)) -> list[AreaResult]:
-    """All Figure 11 bars for one platform."""
+def run_area_experiment(platform: Platform) -> list[AreaResult]:
+    """All Figure 11 bars for one platform, at 8 and 16 bits."""
     results = []
-    for bits in bits_list:
+    for bits in (8, 16):
         # 16-bit designs double the SRAM to hold the same element count.
         sram_scale = bits / 8
         for scheme in _SCHEME_ORDER:
@@ -65,20 +65,20 @@ def run_area_experiment(platform: Platform, bits_list: tuple[int, ...] = (8, 16)
     return results
 
 
-def area_reductions(platform: Platform, bits: int = 8) -> dict[str, float]:
-    """Section V-C percentages for one platform.
+def area_reductions(platform: Platform) -> dict[str, float]:
+    """Section V-C percentages for one platform, at 8 bits.
 
     Keys: ``array_<scheme>`` = systolic-array-only reduction from BP;
     ``total_vs_bp`` / ``total_vs_bs`` = UR-without-SRAM vs binary+SRAM.
     """
-    bp = synthesize(ComputeScheme.BINARY_PARALLEL, platform.rows, platform.cols, bits)
+    bp = synthesize(ComputeScheme.BINARY_PARALLEL, platform.rows, platform.cols, 8)
     out: dict[str, float] = {}
     for scheme in _SCHEME_ORDER[1:]:
-        rep = synthesize(scheme, platform.rows, platform.cols, bits)
+        rep = synthesize(scheme, platform.rows, platform.cols, 8)
         out[f"array_{scheme.value}"] = 100.0 * (1.0 - rep.area_mm2 / bp.area_mm2)
     sram = platform.memory.total_sram_area_mm2()
-    ur = synthesize(ComputeScheme.USYSTOLIC_RATE, platform.rows, platform.cols, bits)
-    bs = synthesize(ComputeScheme.BINARY_SERIAL, platform.rows, platform.cols, bits)
+    ur = synthesize(ComputeScheme.USYSTOLIC_RATE, platform.rows, platform.cols, 8)
+    bs = synthesize(ComputeScheme.BINARY_SERIAL, platform.rows, platform.cols, 8)
     out["total_vs_bp"] = 100.0 * (1.0 - ur.area_mm2 / (bp.area_mm2 + sram))
     out["total_vs_bs"] = 100.0 * (1.0 - ur.area_mm2 / (bs.area_mm2 + sram))
     return out

@@ -45,15 +45,13 @@ class BandwidthResult:
 
 
 def run_bandwidth_experiment(
-    platform: Platform,
-    bits: int = 8,
-    include_binary_without_sram: bool = True,
+    platform: Platform, include_binary_without_sram: bool = True
 ) -> list[BandwidthResult]:
     """Figure 10 for one platform (paper focus + Section V-B text cases)."""
     layers = alexnet_layers()
     results = []
-    for name, scheme, ebt in scheme_sweep(bits):
-        array = platform.array(scheme, bits=bits, ebt=ebt)
+    for name, scheme, ebt in scheme_sweep():
+        array = platform.array(scheme, ebt=ebt)
         memory = platform.memory_for(scheme)
         results.append(
             BandwidthResult(
@@ -69,7 +67,7 @@ def run_bandwidth_experiment(
             ("Binary Parallel (no SRAM)", ComputeScheme.BINARY_PARALLEL),
             ("Binary Serial (no SRAM)", ComputeScheme.BINARY_SERIAL),
         ]:
-            array = platform.array(scheme, bits=bits)
+            array = platform.array(scheme)
             results.append(
                 BandwidthResult(
                     design=name,

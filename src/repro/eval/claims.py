@@ -59,8 +59,9 @@ class ClaimResult:
     passed: bool
 
 
-def _umul_error(sequence: type[NumberSequence], bits: int = 7) -> float:
-    """Mean |count - exact| of the uMUL, in LSB, over an operand grid."""
+def _umul_error(sequence: type[NumberSequence]) -> float:
+    """Mean |count - exact| of the 7-bit uMUL, in LSB, over an operand grid."""
+    bits = 7
     full = 1 << bits
     grid = range(8, full, 24)
     errors = [
@@ -108,7 +109,6 @@ def _tiled_speedup(array) -> tuple[float, bool]:
     Edge platform without SRAM, AlexNet Conv1-3 repeated eight times.
     """
     one, many = scaling_curve(
-        EDGE,
         array,
         EDGE.memory.without_sram(),
         alexnet_layers()[:3] * 8,
@@ -420,9 +420,7 @@ def run_claims(accuracy: list[AccuracyResult] | None = None) -> list[ClaimResult
         f"{mlperf_eei:.1f}x vs {alexnet_eei:.1f}x",
         mlperf_eei < alexnet_eei,
     )
-    sweep = sram_sizing_sweep(
-        alexnet_layers(), EDGE.array(CS.USYSTOLIC_RATE, ebt=6), EDGE.memory
-    )
+    sweep = sram_sizing_sweep(alexnet_layers(), EDGE.array(CS.USYSTOLIC_RATE, ebt=6))
     best = min(sweep, key=lambda p: p.total_energy_j)
     check(
         "V-G",

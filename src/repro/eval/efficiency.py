@@ -48,18 +48,18 @@ class EfficiencyResult:
 
 
 def _simulate_all(
-    layers: list[GemmParams], platform: Platform, bits: int
+    layers: list[GemmParams], platform: Platform
 ) -> dict[str, list[LayerResult]]:
     out = {}
-    for name, scheme, ebt in scheme_sweep(bits):
-        array = platform.array(scheme, bits=bits, ebt=ebt)
+    for name, scheme, ebt in scheme_sweep():
+        array = platform.array(scheme, ebt=ebt)
         memory = platform.memory_for(scheme)
         out[name] = simulate_network(layers, array, memory)
     return out
 
 
 def run_efficiency_experiment(
-    platform: Platform, workload: str = "alexnet", bits: int = 8
+    platform: Platform, workload: str = "alexnet"
 ) -> EfficiencyResult:
     """One Figure 14 panel (a/b for AlexNet, c/d for MLPerf)."""
     if workload == "alexnet":
@@ -68,7 +68,7 @@ def run_efficiency_experiment(
         layers = [l for ls in mlperf_suite().values() for l in ls]
     else:
         raise ValueError(f"unknown workload {workload!r}")
-    sims = _simulate_all(layers, platform, bits)
+    sims = _simulate_all(layers, platform)
     eei: dict[str, dict[str, float]] = {}
     pei: dict[str, dict[str, float]] = {}
     eei_max: dict[str, dict[str, float]] = {}

@@ -26,6 +26,9 @@ __all__ = [
     "format_figure13",
 ]
 
+#: The uSystolic designs every reduction compares with both binary baselines.
+_UNARY_DESIGNS = ("Unary-32c", "Unary-64c", "Unary-128c")
+
 
 @dataclasses.dataclass(frozen=True)
 class EnergyResult:
@@ -44,12 +47,12 @@ class EnergyResult:
         return [r.energy.total for r in self.layers]
 
 
-def run_energy_experiment(platform: Platform, bits: int = 8) -> list[EnergyResult]:
+def run_energy_experiment(platform: Platform) -> list[EnergyResult]:
     """Simulate AlexNet under every scheme and collect the energy ledgers."""
     layers = alexnet_layers()
     results = []
-    for name, scheme, ebt in scheme_sweep(bits):
-        array = platform.array(scheme, bits=bits, ebt=ebt)
+    for name, scheme, ebt in scheme_sweep():
+        array = platform.array(scheme, ebt=ebt)
         memory = platform.memory_for(scheme)
         results.append(
             EnergyResult(
@@ -85,9 +88,7 @@ def _find(results: list[EnergyResult], design: str) -> EnergyResult:
 
 
 def energy_reductions(
-    results: list[EnergyResult],
-    candidates: tuple[str, ...] = ("Unary-32c", "Unary-64c", "Unary-128c"),
-    total: bool = False,
+    results: list[EnergyResult], total: bool = False
 ) -> dict[str, dict[str, dict[str, float]]]:
     """V-E: on-chip (or total) energy reductions vs both binary baselines."""
     out: dict[str, dict[str, dict[str, float]]] = {}
@@ -95,7 +96,7 @@ def energy_reductions(
         base = _find(results, baseline)
         base_vals = base.total_j if total else base.on_chip_j
         out[baseline] = {}
-        for cand in candidates:
+        for cand in _UNARY_DESIGNS:
             vals = (
                 _find(results, cand).total_j
                 if total
@@ -106,9 +107,7 @@ def energy_reductions(
 
 
 def power_reductions(
-    results: list[EnergyResult],
-    candidates: tuple[str, ...] = ("Unary-32c", "Unary-64c", "Unary-128c"),
-    total: bool = False,
+    results: list[EnergyResult], total: bool = False
 ) -> dict[str, dict[str, dict[str, float]]]:
     """V-F: on-chip (or total, DRAM-inclusive) power reductions.
 
@@ -123,7 +122,7 @@ def power_reductions(
             for r in _find(results, baseline).layers
         ]
         out[baseline] = {}
-        for cand in candidates:
+        for cand in _UNARY_DESIGNS:
             vals = [
                 r.total_power_w if total else r.on_chip_power_w
                 for r in _find(results, cand).layers
@@ -134,14 +133,13 @@ def power_reductions(
 
 def edp_improvements(
     results: list[EnergyResult],
-    candidates: tuple[str, ...] = ("Unary-32c", "Unary-64c", "Unary-128c"),
 ) -> dict[str, dict[str, dict[str, float]]]:
     """V-E: on-chip energy-delay-product improvement vs binary baselines."""
     out: dict[str, dict[str, dict[str, float]]] = {}
     for baseline in ("Binary Parallel", "Binary Serial"):
         base = [r.on_chip_edp for r in _find(results, baseline).layers]
         out[baseline] = {}
-        for cand in candidates:
+        for cand in _UNARY_DESIGNS:
             vals = [r.on_chip_edp for r in _find(results, cand).layers]
             out[baseline][cand] = reduction_stats(base, vals)
     return out

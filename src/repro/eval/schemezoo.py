@@ -71,9 +71,8 @@ def _measure(
     ebt: int | None,
     act_frac: float | None,
     sparsity: float | None,
-    bits: int,
 ) -> ZooPoint:
-    array = platform.array(scheme, bits=bits, ebt=ebt, act_frac=act_frac)
+    array = platform.array(scheme, ebt=ebt, act_frac=act_frac)
     results = simulate_network(layers, array, platform.memory_for(scheme))
     return ZooPoint(
         label=label,
@@ -88,12 +87,7 @@ def _measure(
     )
 
 
-def run_schemezoo_experiment(
-    platform: Platform = EDGE,
-    bits: int = 8,
-    layers=None,
-    sparsities: tuple[float, ...] = SPARSITY_LEVELS,
-) -> list[ZooPoint]:
+def run_schemezoo_experiment(platform: Platform = EDGE, layers=None) -> list[ZooPoint]:
     """Every zoo design, plus tubGEMM at each sparsity level.
 
     Returns the value-independent designs first, then the tubGEMM sweep
@@ -103,10 +97,10 @@ def run_schemezoo_experiment(
     if layers is None:
         layers = alexnet_layers()[:5]
     points = [
-        _measure(platform, layers, label, scheme, ebt, None, None, bits)
+        _measure(platform, layers, label, scheme, ebt, None, None)
         for label, scheme, ebt in zoo_designs()
     ]
-    for sparsity in sparsities:
+    for sparsity in SPARSITY_LEVELS:
         act_frac = act_frac_for_sparsity(sparsity)
         points.append(
             _measure(
@@ -117,7 +111,6 @@ def run_schemezoo_experiment(
                 None,
                 act_frac,
                 sparsity,
-                bits,
             )
         )
     return points

@@ -31,6 +31,9 @@ __all__ = [
 
 #: The default load points, req/s: uncongested / knee / overload (edge).
 DEFAULT_RATES = (10.0, 40.0, 200.0)
+#: Every design batches dynamically: up to 8 requests, waiting at most 5 ms.
+_MAX_BATCH = 8
+_MAX_WAIT_S = 5e-3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,10 +46,6 @@ class ServingPoint:
     rate_per_s: float
     summary: dict[str, float]
     act_frac: float | None = None
-
-    @property
-    def p99_latency_s(self) -> float:
-        return self.summary["p99_latency_s"]
 
     @property
     def energy_per_request_j(self) -> float:
@@ -72,18 +71,15 @@ def serving_designs() -> list[tuple[str, ComputeScheme, int | None, float | None
 def run_serving_experiment(
     platform: Platform = EDGE,
     rates: tuple[float, ...] = DEFAULT_RATES,
-    bits: int = 8,
     horizon_s: float = 1.0,
     seed: int = 0,
     slo_s: float = 0.5,
-    max_batch: int = 8,
-    max_wait_s: float = 5e-3,
 ) -> list[ServingPoint]:
     """The full (design x rate) serving grid, one stream per rate."""
     points = []
     for design, scheme, ebt, act_frac in serving_designs():
         model = platform_cost_model(
-            platform, scheme, "alexnet", bits=bits, ebt=ebt, act_frac=act_frac
+            platform, scheme, "alexnet", ebt=ebt, act_frac=act_frac
         )
         for rate in rates:
             arrivals = poisson_arrivals(
@@ -96,7 +92,7 @@ def run_serving_experiment(
             executor = ServeExecutor(
                 models={"alexnet": model},
                 queue=make_queue("fifo", 256),
-                batcher=make_batcher("dynamic", max_batch, max_wait_s=max_wait_s),
+                batcher=make_batcher("dynamic", _MAX_BATCH, max_wait_s=_MAX_WAIT_S),
                 slo_s=slo_s,
                 residency=True,
             )

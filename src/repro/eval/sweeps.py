@@ -20,6 +20,9 @@ from ..sim.engine import simulate_network
 
 __all__ = ["SramSweepPoint", "sram_sizing_sweep"]
 
+#: Per-variable SRAM bytes swept: none, then 8 KB to twice the edge's 64 KB.
+_SIZES = (0, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10)
+
 
 @dataclasses.dataclass(frozen=True)
 class SramSweepPoint:
@@ -37,19 +40,12 @@ class SramSweepPoint:
 
 
 def sram_sizing_sweep(
-    layers: list[GemmParams],
-    array: ArrayConfig,
-    base_memory: MemoryConfig,
-    sizes: tuple[int, ...] = (0, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10),
+    layers: list[GemmParams], array: ArrayConfig
 ) -> list[SramSweepPoint]:
     """Total energy vs per-variable SRAM capacity for one workload."""
     points = []
-    for size in sizes:
-        memory = (
-            base_memory.without_sram()
-            if size == 0
-            else dataclasses.replace(base_memory, sram_bytes_per_variable=size)
-        )
+    for size in _SIZES:
+        memory = MemoryConfig(sram_bytes_per_variable=size or None)
         results = simulate_network(layers, array, memory)
         points.append(
             SramSweepPoint(

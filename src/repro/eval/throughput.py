@@ -38,12 +38,12 @@ class ThroughputResult:
         return sum(r.contention_overhead for r in convs) / len(convs)
 
 
-def run_throughput_experiment(platform: Platform, bits: int = 8) -> list[ThroughputResult]:
+def run_throughput_experiment(platform: Platform) -> list[ThroughputResult]:
     """Simulate AlexNet under every scheme and collect throughput results."""
     layers = alexnet_layers()
     results = []
-    for name, scheme, ebt in scheme_sweep(bits):
-        array = platform.array(scheme, bits=bits, ebt=ebt)
+    for name, scheme, ebt in scheme_sweep():
+        array = platform.array(scheme, ebt=ebt)
         memory = platform.memory_for(scheme)
         results.append(
             ThroughputResult(

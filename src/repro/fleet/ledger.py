@@ -105,16 +105,6 @@ class FleetLedger:
             raise ValueError("a request appears in more than one instance ledger")
         return records
 
-    def total_depth_integral(self) -> float:
-        """Fleet-wide time integral of the in-system population.
-
-        Summed in canonical instance order, so the float result is
-        deterministic; Little's law ties it to the summed sojourn times
-        of completed + dropped requests (the property suite checks this
-        exactly).
-        """
-        return sum(entry.metrics.depth_integral for entry in self.instances)
-
     def summary(self) -> dict[str, float]:
         """The fleet-level headline numbers, derived from raw records."""
         stats = record_summary(self.merged_records(), self.makespan_s)

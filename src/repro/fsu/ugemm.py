@@ -20,8 +20,6 @@ import dataclasses
 import numpy as np
 
 from ..gemm.params import GemmParams
-from ..hw import gates
-from ..hw.gates import TECH_32NM, TechNode
 from ..unary.add import mux_add
 from ..unary.bitstream import Bitstream, Coding, Polarity, quantize_bipolar
 from ..unary.mac import check_sign_magnitude
@@ -89,33 +87,25 @@ class FsuGemm:
 
 @dataclasses.dataclass(frozen=True)
 class FsuStorageReport:
-    """Weight-storage cost of a fully-parallel FSU instance."""
+    """Weight-storage cost of a fully-parallel 8-bit FSU instance."""
 
     weight_elems: int
-    bits: int
-    tech: TechNode
 
     @property
     def storage_bytes(self) -> int:
-        return self.weight_elems * self.bits // 8
+        """One byte of flip-flops per 8-bit weight."""
+        return self.weight_elems
 
     @property
     def storage_mb(self) -> float:
         return self.storage_bytes / 2**20
 
-    @property
-    def dff_area_mm2(self) -> float:
-        return self.tech.area_mm2(gates.dff(self.weight_elems * self.bits))
 
-
-def fsu_weight_storage(
-    layers: list[GemmParams], bits: int = 8, tech: TechNode = TECH_32NM
-) -> FsuStorageReport:
+def fsu_weight_storage(layers: list[GemmParams]) -> FsuStorageReport:
     """Flip-flop storage an FSU design needs to hold a model's weights.
 
     Footnote 2: AlexNet at 8 bits needs 61.1 MB of D flip-flops — "far
     beyond the 24 MB SRAM in the Google cloud TPU" — which is why FSU
     rate-coded designs are excluded from the paper's evaluation.
     """
-    elems = sum(l.weight_elems for l in layers)
-    return FsuStorageReport(weight_elems=elems, bits=bits, tech=tech)
+    return FsuStorageReport(weight_elems=sum(l.weight_elems for l in layers))

@@ -6,12 +6,12 @@ termination path (Section III-C) — the latter excluded from the Figure 11
 breakdown ("excluding the insignificant FIFOs and shifters") but included
 in the energy model.
 
-The gate-equivalent roll-up depends only on (scheme, rows, cols, bits), so
-it is computed once per array and shared by every layer simulated on it;
-the process node (``tech``) is not part of that key but a field of the
-instance.  Area and dynamic energy are priced at ``tech`` when read, and
-the leakage is worked out once per instance; another node is a copy,
-which works out its own.  The shared block map is read-only, so no caller
+Every figure is priced at the one 32 nm node,
+:data:`~repro.hw.gates.TECH_32NM`.  The gate-equivalent roll-up depends
+only on (scheme, rows, cols, bits), so it is computed once per array and
+shared by every layer simulated on it.
+Area and dynamic energy are priced when read, and the leakage is worked
+out once per instance.  The shared block map is read-only, so no caller
 can change what a later one reads.
 """
 
@@ -24,7 +24,7 @@ from typing import Mapping
 
 from ..schemes import ComputeScheme
 from . import gates
-from .gates import TECH_32NM, TechNode
+from .gates import TECH_32NM
 from .pe_cost import PePosition, pe_cost
 
 __all__ = ["ArrayCost", "array_cost", "wiring_factor"]
@@ -48,12 +48,10 @@ class ArrayCost:
     """Area/power model of an R x C systolic array.
 
     ``per_pe_ge`` is the array-average, activity-weighted gate count of one
-    PE: the gates that toggle per active PE-cycle.  Every figure is priced
-    at ``tech``, a field of the instance, so one instance can be shared by
-    every caller of the same array and node.  Area and dynamic energy are
+    PE: the gates that toggle per active PE-cycle.  One instance is shared
+    by every caller of the same array.  Area and dynamic energy are
     computed when read; the leakage, which every simulated layer reads, is
-    derived once per instance.  That is exact: another node is another
-    instance (``array_cost`` hands back a copy carrying it).
+    derived once per instance.
     """
 
     scheme: ComputeScheme
@@ -63,7 +61,6 @@ class ArrayCost:
     block_ge: Mapping[str, float]
     shifter_ge: float
     per_pe_ge: float
-    tech: TechNode
 
     @property
     def total_ge(self) -> float:
@@ -77,14 +74,14 @@ class ArrayCost:
     @property
     def area_mm2(self) -> float:
         """Post-layout array area excluding shifters/FIFOs (Figure 11)."""
-        return self.tech.area_mm2(self.total_ge) * self.wiring
+        return TECH_32NM.area_mm2(self.total_ge) * self.wiring
 
     def block_area_mm2(self, block: str) -> float:
-        return self.tech.area_mm2(self.block_ge[block]) * self.wiring
+        return TECH_32NM.area_mm2(self.block_ge[block]) * self.wiring
 
     @functools.cached_property
     def leakage_w(self) -> float:
-        return self.tech.leakage_w(self.total_ge + self.shifter_ge) * self.wiring
+        return TECH_32NM.leakage_w(self.total_ge + self.shifter_ge) * self.wiring
 
     def dynamic_energy_j(self, active_pe_cycles: float) -> float:
         """Dynamic energy for ``active_pe_cycles`` PE-cycles of work.
@@ -93,12 +90,12 @@ class ArrayCost:
         doing useful work that cycle (utilization-weighted), which the
         cycle simulator reports.
         """
-        return self.tech.dynamic_energy_j(self.per_pe_ge, 1.0, active_pe_cycles)
+        return TECH_32NM.dynamic_energy_j(self.per_pe_ge, active_pe_cycles)
 
 
 @functools.lru_cache(maxsize=1024)
 def _rollup(scheme: ComputeScheme, rows: int, cols: int, bits: int) -> ArrayCost:
-    """The PE-cost roll-up of one array, at the default node, computed once."""
+    """The PE-cost roll-up of one array, computed once."""
     left = pe_cost(scheme, bits, PePosition.LEFTMOST)
     inner = pe_cost(scheme, bits, PePosition.INNER)
     block_ge = {}
@@ -118,22 +115,11 @@ def _rollup(scheme: ComputeScheme, rows: int, cols: int, bits: int) -> ArrayCost
         block_ge=types.MappingProxyType(block_ge),
         shifter_ge=shifter_ge,
         per_pe_ge=per_pe_ge,
-        tech=TECH_32NM,
     )
 
 
-def array_cost(
-    scheme: ComputeScheme,
-    rows: int,
-    cols: int,
-    bits: int,
-    tech: TechNode = TECH_32NM,
-) -> ArrayCost:
+def array_cost(scheme: ComputeScheme, rows: int, cols: int, bits: int) -> ArrayCost:
     """Compose the PE costs of an ``rows x cols`` array of ``scheme``."""
     if rows < 1 or cols < 1:
         raise ValueError("array dimensions must be positive")
-    cost = _rollup(scheme, rows, cols, bits)
-    # The shared instance serves its own node as is; another node gets a
-    # copy carrying it, which prices area and energy at that node and
-    # works out its own leakage.
-    return cost if cost.tech is tech else dataclasses.replace(cost, tech=tech)
+    return _rollup(scheme, rows, cols, bits)

@@ -61,13 +61,11 @@ class TechNode:
 
     def __init__(
         self,
-        name: str,
         area_per_ge_um2: float,
         leakage_per_ge_w: float,
         energy_per_toggle_j: float,
         frequency_hz: float,
     ) -> None:
-        self.name = name
         self.area_per_ge_um2 = area_per_ge_um2
         self.leakage_per_ge_w = leakage_per_ge_w
         self.energy_per_toggle_j = energy_per_toggle_j
@@ -81,16 +79,15 @@ class TechNode:
         """Leakage power of ``ge`` gate equivalents in W."""
         return ge * self.leakage_per_ge_w
 
-    def dynamic_energy_j(self, ge: float, activity: float, cycles: float) -> float:
-        """Dynamic energy of ``ge`` gates toggling at ``activity`` per cycle."""
-        return ge * activity * cycles * self.energy_per_toggle_j
+    def dynamic_energy_j(self, ge: float, cycles: float) -> float:
+        """Dynamic energy of ``ge`` gates each toggling once per cycle."""
+        return ge * cycles * self.energy_per_toggle_j
 
 
 #: TSMC-32nm-class constants: ~0.6 um^2 per NAND2, ~2 nW leakage per gate
 #: (LP flavour), ~0.9 fJ per gate toggle at 0.9 V, arrays clocked at 400 MHz
 #: as in Section IV-C2.
 TECH_32NM = TechNode(
-    name="32nm",
     area_per_ge_um2=0.6,
     leakage_per_ge_w=2.0e-9,
     energy_per_toggle_j=0.9e-15,

@@ -11,8 +11,7 @@ from __future__ import annotations
 import dataclasses
 
 from ..schemes import ComputeScheme
-from .array_cost import ArrayCost, array_cost
-from .gates import TECH_32NM, TechNode
+from .array_cost import array_cost
 
 __all__ = ["SynthesisReport", "synthesize"]
 
@@ -28,30 +27,13 @@ class SynthesisReport:
     area_mm2: float
     block_area_mm2: dict[str, float]
     leakage_w: float
-    cost: ArrayCost
-
-    def format_row(self) -> str:
-        """One table row: scheme, shape, per-block and total area."""
-        blocks = " ".join(
-            f"{name.upper()}={area * 1e3:7.1f}"
-            for name, area in self.block_area_mm2.items()
-        )
-        return (
-            f"{self.scheme.value}-{self.bits}b {self.rows}x{self.cols}: "
-            f"{blocks} total={self.area_mm2 * 1e3:8.1f} (units: 1e-3 mm^2) "
-            f"leak={self.leakage_w * 1e3:.2f} mW"
-        )
 
 
 def synthesize(
-    scheme: ComputeScheme,
-    rows: int,
-    cols: int,
-    bits: int,
-    tech: TechNode = TECH_32NM,
+    scheme: ComputeScheme, rows: int, cols: int, bits: int
 ) -> SynthesisReport:
     """Produce a :class:`SynthesisReport` for one array configuration."""
-    cost = array_cost(scheme, rows, cols, bits, tech=tech)
+    cost = array_cost(scheme, rows, cols, bits)
     return SynthesisReport(
         scheme=scheme,
         rows=rows,
@@ -62,5 +44,4 @@ def synthesize(
             name: cost.block_area_mm2(name) for name in ("ireg", "wreg", "mul", "acc")
         },
         leakage_w=cost.leakage_w,
-        cost=cost,
     )

@@ -16,7 +16,13 @@ from __future__ import annotations
 import dataclasses
 import math
 
-__all__ = ["SramSpec", "sram_model"]
+__all__ = [
+    "SRAM_BANKS",
+    "SRAM_WORD_BYTES",
+    "SRAM_PEAK_BYTES_PER_CYCLE",
+    "SramSpec",
+    "sram_model",
+]
 
 # Density: MB of SRAM per mm^2 at 32 nm, including periphery overhead.
 _MB_PER_MM2 = 0.45
@@ -32,25 +38,21 @@ _BASE_BANK_KB = 64.0
 _WRITE_FACTOR = 1.15
 
 
+#: Every per-variable SRAM is split into 16 banks of 8-byte words
+#: (Section IV-C3), so it serves at most 128 bytes a cycle.
+SRAM_BANKS = 16
+SRAM_WORD_BYTES = 8
+SRAM_PEAK_BYTES_PER_CYCLE = SRAM_BANKS * SRAM_WORD_BYTES
+
+
 @dataclasses.dataclass(frozen=True)
 class SramSpec:
-    """One SRAM macro: capacity, banking and its CACTI-style costs."""
+    """One SRAM macro's CACTI-style costs."""
 
-    capacity_bytes: int
-    banks: int
-    word_bytes: int
     area_mm2: float
     leakage_w: float
     read_energy_per_byte_j: float
     write_energy_per_byte_j: float
-
-    @property
-    def capacity_mb(self) -> float:
-        return self.capacity_bytes / 2**20
-
-    def peak_bytes_per_cycle(self) -> int:
-        """Peak service rate: every bank delivers one word per cycle."""
-        return self.banks * self.word_bytes
 
     def access_energy_j(self, read_bytes: float, write_bytes: float) -> float:
         return (
@@ -59,26 +61,19 @@ class SramSpec:
         )
 
 
-def sram_model(
-    capacity_bytes: int, banks: int = 16, word_bytes: int = 8
-) -> SramSpec:
-    """Build an :class:`SramSpec` for ``capacity_bytes`` over ``banks`` banks.
+def sram_model(capacity_bytes: int) -> SramSpec:
+    """Build an :class:`SramSpec` for ``capacity_bytes`` over the 16 banks.
 
     The paper's configurations: the 192 KB Eyeriss-edge global buffer and
     the 24 MB TPU-cloud buffer, each split evenly across the three GEMM
-    variables with 16 banks per variable (Section IV-C3).
+    variables (Section IV-C3).
     """
     if capacity_bytes <= 0:
         raise ValueError("capacity must be positive")
-    if banks < 1 or word_bytes < 1:
-        raise ValueError("banks and word size must be positive")
     capacity_mb = capacity_bytes / 2**20
-    bank_kb = capacity_bytes / banks / 1024.0
+    bank_kb = capacity_bytes / SRAM_BANKS / 1024.0
     read_pj = _BASE_READ_PJ_PER_BYTE * math.sqrt(max(bank_kb, 1.0) / _BASE_BANK_KB)
     return SramSpec(
-        capacity_bytes=capacity_bytes,
-        banks=banks,
-        word_bytes=word_bytes,
         area_mm2=capacity_mb / _MB_PER_MM2,
         leakage_w=capacity_mb * _LEAKAGE_W_PER_MB,
         read_energy_per_byte_j=read_pj * 1e-12,

@@ -243,7 +243,3 @@ class Sequential(Layer):
             pairs.extend(layer.params_and_grads())
         return pairs
 
-    @property
-    def num_parameters(self) -> int:
-        return sum(p.size for p, _ in self.params_and_grads())
-

@@ -13,9 +13,7 @@ schedule formula in ``repro.sim`` is derived from them:
 - ``preload_cycles(rows, cols) = rows + col_lag * (cols - 1)`` — cycles
   to make the array resident before the first vector launches;
 - ``drain_cycles(rows, cols) = row_lag*(rows-1) + col_lag*(cols-1)`` —
-  bubble after the last launch until the last PE finishes;
-- ``ripple_tail(rows) = row_lag * (rows - 1)`` — the portion of the
-  drain owed to row skew alone (the partial-sum ripple).
+  bubble after the last launch until the last PE finishes.
 
 With ``row_lag = col_lag = 1`` these reproduce the classic skewed
 weight-stationary numbers byte-for-byte; with both lags zero they give
@@ -60,14 +58,6 @@ class DataflowGeometry:
     def drain_cycles(self, rows: int, cols: int) -> int:
         """Pipeline bubble after the last vector launch of a tile."""
         return self.row_lag * (rows - 1) + self.col_lag * (cols - 1)
-
-    def ripple_tail(self, rows: int) -> int:
-        """Drain owed to row skew alone: the partial-sum ripple."""
-        return self.row_lag * (rows - 1)
-
-    def skew_offset(self, row: int, col: int) -> int:
-        """Launch offset of PE ``(row, col)`` relative to PE ``(0, 0)``."""
-        return self.row_lag * row + self.col_lag * col
 
 
 #: The paper's skewed weight-stationary schedule (Section IV-B).

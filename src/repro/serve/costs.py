@@ -19,7 +19,6 @@ import dataclasses
 
 from ..core.config import ArrayConfig
 from ..gemm.params import GemmParams
-from ..hw.gates import TECH_32NM, TechNode
 from ..memory.hierarchy import MemoryConfig
 from ..schemes import ComputeScheme
 from ..sim.engine import simulate_layer_batched
@@ -60,7 +59,6 @@ class NetworkCostModel:
         layers: list[GemmParams],
         array: ArrayConfig,
         memory: MemoryConfig,
-        tech: TechNode = TECH_32NM,
     ) -> None:
         if not layers:
             raise ValueError(f"network {name!r} has no layers")
@@ -68,7 +66,6 @@ class NetworkCostModel:
         self.layers = tuple(layers)
         self.array = array
         self.memory = memory
-        self.tech = tech
         #: Total weight working set, warm only if it fits the buffer.
         self.weight_footprint_bytes = sum(
             layer.weight_bytes(array.bits) for layer in self.layers
@@ -90,7 +87,6 @@ class NetworkCostModel:
             self.array,
             self.memory,
             batch=batch,
-            tech=self.tech,
             warm_weights=warm_weights,
         )
 

@@ -25,11 +25,10 @@ Platform power is modelled two ways:
   (the run stretches to ``energy / cap``, energy unchanged) — the HUB
   temporal coding trade from the paper, where cheaper toggles buy longer
   cycles;
-- a duck-typed **battery** (anything with
-  ``draw(energy_j, elapsed_s) -> bool``, e.g.
-  :class:`repro.system.battery.Battery`) is debited per dispatch; when a
-  draw fails the server halts, in-flight and queued requests drop, and
-  later arrivals are rejected.
+- a duck-typed **battery** (anything with ``draw(energy_j) -> bool``,
+  e.g. :class:`repro.system.battery.Battery`) is debited each dispatch's
+  energy; when a draw fails the server halts, in-flight and queued
+  requests drop, and later arrivals are rejected.
 
 An executor serves one network, the one its cost model prices, as the
 paper's array keeps one network's weights in place.  With weight
@@ -175,9 +174,7 @@ class ServeExecutor:
             # Throttle: same energy, stretched over the capped power level.
             service_s = cost.energy_j / self.power_cap_w
             self.throttled_batches += 1
-        if self.battery is not None and not self.battery.draw(
-            cost.energy_j, service_s
-        ):
+        if self.battery is not None and not self.battery.draw(cost.energy_j):
             for request in batch:
                 metrics.observe_drop(request, now_s)
             self._halted = True

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.sim --workload alexnet --platform edge --scheme UR \
-        --ebt 6 [--no-sram] [--bits 8] [--csv out.csv]
+        --ebt 6 [--no-sram | --keep-sram] [--bits 8] [--csv out.csv]
     python -m repro.sim --topology my_model.csv --platform cloud --scheme BP
 
 Prints the per-layer table (runtime, bandwidth, energy, power) and the
@@ -66,12 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="mean activation magnitude fraction for value-dependent schemes "
         "(tubGEMM's expected-latency knob)",
     )
-    parser.add_argument(
+    # The two flags override the scheme's default in opposite directions,
+    # so the pair has no meaning and argparse rejects it.
+    sram = parser.add_mutually_exclusive_group()
+    sram.add_argument(
         "--no-sram",
         action="store_true",
         help="eliminate the on-chip SRAM (default for unary schemes)",
     )
-    parser.add_argument(
+    sram.add_argument(
         "--keep-sram",
         action="store_true",
         help="keep the SRAM even for unary schemes",

@@ -6,7 +6,8 @@ and returns a :class:`LayerResult`.  The runtime model is phase-analytic:
 - compute cycles come from the closed-form weight-stationary schedule
   (``dataflow``), which is exact for an unstalled array;
 - each memory level's minimum service time is its traffic divided by its
-  peak rate (per-variable SRAMs serve in parallel; DRAM is one channel);
+  peak rate (per-variable SRAMs serve in parallel at 128 B a cycle each;
+  DRAM is the one DDR3 channel, clocked against the 400 MHz array);
 - double buffering overlaps memory with compute, so the layer runtime is
   the *maximum* of the three times — when memory loses, the difference is
   the contention overhead Section V-D reports.
@@ -33,8 +34,10 @@ from ..core.config import ArrayConfig
 from ..gemm.params import GemmParams
 from ..gemm.tiling import tile_gemm
 from ..hw.array_cost import array_cost
-from ..hw.gates import TECH_32NM, TechNode
-from ..memory.hierarchy import VARIABLES, MemoryConfig
+from ..hw.gates import TECH_32NM
+from ..memory.cacti import SRAM_PEAK_BYTES_PER_CYCLE
+from ..memory.dram import DDR3_1GB
+from ..memory.hierarchy import MemoryConfig
 from .dataflow import schedule_layer
 from .results import EnergyLedger, LayerResult
 from .traffic import profile_traffic_batched
@@ -52,13 +55,10 @@ _DRAM_HIT_RATE_PSUM = 0.4
 
 
 def simulate_layer(
-    params: GemmParams,
-    array: ArrayConfig,
-    memory: MemoryConfig,
-    tech: TechNode = TECH_32NM,
+    params: GemmParams, array: ArrayConfig, memory: MemoryConfig
 ) -> LayerResult:
     """Simulate one GEMM layer: :func:`simulate_layer_batched` at ``batch=1``."""
-    return simulate_layer_batched(params, array, memory, tech=tech)
+    return simulate_layer_batched(params, array, memory)
 
 
 def simulate_layer_batched(
@@ -66,7 +66,6 @@ def simulate_layer_batched(
     array: ArrayConfig,
     memory: MemoryConfig,
     batch: int = 1,
-    tech: TechNode = TECH_32NM,
     warm_weights: bool = False,
 ) -> LayerResult:
     """Simulate ``batch`` requests of one layer folded into the N dimension.
@@ -102,8 +101,8 @@ def simulate_layer_batched(
     stream_bytes = ifm.dram_total + weight.dram_total
 
     # --- runtime with contention ---------------------------------------
-    dram = memory.dram
-    dram_rate = dram.effective_bandwidth_bytes_per_s / tech.frequency_hz
+    frequency_hz = TECH_32NM.frequency_hz
+    dram_rate = DDR3_1GB.effective_bandwidth_bytes_per_s / frequency_hz
     dram_cycles = (stream_bytes + psum_bytes) / dram_rate
     sram_cycles = 0.0
     sram = memory.sram()
@@ -112,24 +111,24 @@ def simulate_layer_batched(
         # variable's SRAM (they serve in parallel) sets the time.
         sram_cycles = max(
             ifm.sram_total, weight.sram_total, ofm.sram_total
-        ) / sram.peak_bytes_per_cycle()
+        ) / SRAM_PEAK_BYTES_PER_CYCLE
     total_cycles = max(float(sched.compute_cycles), dram_cycles, sram_cycles)
-    runtime_s = total_cycles / tech.frequency_hz
+    runtime_s = total_cycles / frequency_hz
 
     # --- energy ledger ---------------------------------------------------
-    cost = array_cost(array.scheme, array.rows, array.cols, array.bits, tech=tech)
+    cost = array_cost(array.scheme, array.rows, array.cols, array.bits)
     sram_dynamic = 0.0
-    sram_leakage_w = 0.0
     if sram is not None:
         sram_dynamic = sram.access_energy_j(traffic.sram_read, traffic.sram_write)
-        sram_leakage_w = len(VARIABLES) * sram.leakage_w
     energy = EnergyLedger(
         array_dynamic=cost.dynamic_energy_j(sched.active_pe_mac_cycles),
         array_leakage=cost.leakage_w * runtime_s,
         sram_dynamic=sram_dynamic,
-        sram_leakage=sram_leakage_w * runtime_s,
-        dram_dynamic=dram.access_energy_j(stream_bytes, hit_rate=_DRAM_HIT_RATE_STREAM)
-        + dram.access_energy_j(psum_bytes, hit_rate=_DRAM_HIT_RATE_PSUM),
+        sram_leakage=memory.total_sram_leakage_w() * runtime_s,
+        dram_dynamic=DDR3_1GB.access_energy_j(
+            stream_bytes, hit_rate=_DRAM_HIT_RATE_STREAM
+        )
+        + DDR3_1GB.access_energy_j(psum_bytes, hit_rate=_DRAM_HIT_RATE_PSUM),
     )
     return LayerResult(
         layer=params.name,
@@ -145,10 +144,7 @@ def simulate_layer_batched(
 
 
 def simulate_network(
-    layers: list[GemmParams],
-    array: ArrayConfig,
-    memory: MemoryConfig,
-    tech: TechNode = TECH_32NM,
+    layers: list[GemmParams], array: ArrayConfig, memory: MemoryConfig
 ) -> list[LayerResult]:
     """Simulate every layer of a network under one configuration."""
-    return [simulate_layer(layer, array, memory, tech=tech) for layer in layers]
+    return [simulate_layer(layer, array, memory) for layer in layers]

@@ -111,16 +111,16 @@ class LayerResult:
         """Energy-delay product over on-chip energy (Section V-E)."""
         return self.energy.on_chip * self.runtime_s
 
-    def energy_efficiency(self, on_chip: bool = True) -> float:
-        """Throughput per joule (G-MAC/s/J), the Figure 14 numerator."""
-        energy = self.energy.on_chip if on_chip else self.energy.total
+    def energy_efficiency(self) -> float:
+        """Throughput per on-chip joule (G-MAC/s/J), the Figure 14 numerator."""
+        energy = self.energy.on_chip
         if energy == 0:
             return 0.0
         return self.throughput_gops / energy
 
-    def power_efficiency(self, on_chip: bool = True) -> float:
-        """Throughput per watt (G-MAC/s/W)."""
-        power = self.on_chip_power_w if on_chip else self.total_power_w
+    def power_efficiency(self) -> float:
+        """Throughput per on-chip watt (G-MAC/s/W)."""
+        power = self.on_chip_power_w
         if power == 0:
             return 0.0
         return self.throughput_gops / power

@@ -3,8 +3,8 @@
 "If the power supply, e.g., battery in edge computing, is running out,
 early termination improves energy and power efficiency to prolong the
 system lifespan."  This module gives that sentence a measurable form: an
-energy reservoir drained by inference jobs, with state-of-charge
-thresholds the adaptive controller responds to.
+energy reservoir that each inference job draws its energy from, with
+state-of-charge thresholds the adaptive controller responds to.
 """
 
 from __future__ import annotations
@@ -18,19 +18,16 @@ __all__ = ["Battery"]
 class Battery:
     """An ideal energy reservoir with a state-of-charge readout.
 
-    ``capacity_j`` is the usable energy; ``idle_power_w`` drains even when
-    no inference runs (platform standby: DRAM refresh, regulators).
+    ``capacity_j`` is the usable energy; :meth:`draw` takes one job's
+    energy out of it.
     """
 
     capacity_j: float
-    idle_power_w: float = 0.0
-    _drawn_j: float = 0.0
+    _drawn_j: float = dataclasses.field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         if not self.capacity_j > 0:
             raise ValueError("battery capacity must be positive")
-        if self.idle_power_w < 0:
-            raise ValueError("idle power cannot be negative")
 
     @property
     def remaining_j(self) -> float:
@@ -45,17 +42,16 @@ class Battery:
     def depleted(self) -> bool:
         return self.remaining_j == 0.0
 
-    def draw(self, energy_j: float, elapsed_s: float = 0.0) -> bool:
-        """Consume job energy plus idle drain; returns False if depleted.
+    def draw(self, energy_j: float) -> bool:
+        """Consume one job's energy; returns False if depleted.
 
         A job that would overdraw the battery drains it to zero and
         reports failure (the job did not complete).
         """
-        if energy_j < 0 or elapsed_s < 0:
-            raise ValueError("energy and time must be non-negative")
-        demand = energy_j + self.idle_power_w * elapsed_s
-        if demand > self.remaining_j:
+        if energy_j < 0:
+            raise ValueError("energy must be non-negative")
+        if energy_j > self.remaining_j:
             self._drawn_j = self.capacity_j
             return False
-        self._drawn_j += demand
+        self._drawn_j += energy_j
         return True

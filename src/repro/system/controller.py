@@ -26,34 +26,23 @@ from .battery import Battery
 __all__ = ["AdaptiveEbtController", "StreamOutcome", "simulate_inference_stream"]
 
 
-@dataclasses.dataclass(frozen=True)
 class AdaptiveEbtController:
     """Map battery state-of-charge to an effective bitwidth.
 
-    ``steps`` is a descending list of (soc_threshold, ebt): the first
-    entry whose threshold is at or below the current state of charge
-    wins.  The default policy serves EBT 8 above 60%, EBT 7 above 30%,
-    and EBT 6 on reserve.
+    The policy serves EBT 8 above 60%, EBT 7 above 30%, and EBT 6 on
+    reserve: the first of its descending (soc_threshold, ebt) steps whose
+    threshold is at or below the current state of charge wins.
     """
 
-    steps: tuple[tuple[float, int], ...] = ((0.6, 8), (0.3, 7), (0.0, 6))
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ValueError("controller needs at least one step")
-        thresholds = [t for t, _ in self.steps]
-        if thresholds != sorted(thresholds, reverse=True):
-            raise ValueError("steps must be in descending threshold order")
-        if thresholds[-1] != 0.0:
-            raise ValueError("the last step must cover state of charge 0")
+    _STEPS = ((0.6, 8), (0.3, 7), (0.0, 6))
 
     def ebt_for(self, state_of_charge: float) -> int:
         if not 0.0 <= state_of_charge <= 1.0:
             raise ValueError("state of charge must be in [0, 1]")
-        for threshold, ebt in self.steps:
+        for threshold, ebt in self._STEPS:
             if state_of_charge >= threshold:
                 return ebt
-        return self.steps[-1][1]
+        return self._STEPS[-1][1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,7 +114,7 @@ def simulate_inference_stream(
             else controller.ebt_for(battery.state_of_charge)
         )
         energy, seconds = cost(ebt)
-        if not battery.draw(energy, elapsed_s=seconds):
+        if not battery.draw(energy):
             break
         completed += 1
         runtime += seconds

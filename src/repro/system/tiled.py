@@ -16,11 +16,14 @@ import dataclasses
 from ..core.config import ArrayConfig
 from ..gemm.params import GemmParams
 from ..hw.gates import TECH_32NM
+from ..memory.dram import DDR3_1GB
 from ..memory.hierarchy import MemoryConfig
 from ..sim.engine import simulate_layer
-from ..workloads.presets import Platform
 
 __all__ = ["Interconnect", "TiledSystem", "ScalingPoint", "scaling_curve"]
+
+#: Latency each instance adds to a dispatch across the fabric.
+_PER_HOP_LATENCY_S = 25e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -28,7 +31,6 @@ class Interconnect:
     """Shared fabric between instances and the memory channel."""
 
     bandwidth_bytes_per_s: float
-    per_hop_latency_s: float = 25e-9
 
     def __post_init__(self) -> None:
         if self.bandwidth_bytes_per_s <= 0:
@@ -70,9 +72,9 @@ class TiledSystem:
             total_macs += layer.macs
         compute_s = max(per_instance)
         fabric_s = total_bytes / self.interconnect.bandwidth_bytes_per_s
-        dram_s = total_bytes / self.memory.dram.effective_bandwidth_bytes_per_s
+        dram_s = total_bytes / DDR3_1GB.effective_bandwidth_bytes_per_s
         runtime = max(compute_s, fabric_s, dram_s)
-        runtime += self.interconnect.per_hop_latency_s * self.instances
+        runtime += _PER_HOP_LATENCY_S * self.instances
         return ScalingPoint(
             instances=self.instances,
             runtime_s=runtime,
@@ -95,22 +97,19 @@ class ScalingPoint:
 
 
 def scaling_curve(
-    platform: Platform,
     array: ArrayConfig,
     memory: MemoryConfig,
     layers: list[GemmParams],
     instance_counts: tuple[int, ...] = (1, 2, 4, 8, 16),
-    interconnect: Interconnect | None = None,
 ) -> list[ScalingPoint]:
     """Throughput vs instance count for one design.
 
-    The default interconnect matches the DRAM channel (the realistic
-    edge case: one memory port feeds the whole tile group).
+    The interconnect matches the DRAM channel (the realistic edge case:
+    one memory port feeds the whole tile group).
     """
-    if interconnect is None:
-        interconnect = Interconnect(
-            bandwidth_bytes_per_s=memory.dram.effective_bandwidth_bytes_per_s
-        )
+    interconnect = Interconnect(
+        bandwidth_bytes_per_s=DDR3_1GB.effective_bandwidth_bytes_per_s
+    )
     points = []
     for count in instance_counts:
         system = TiledSystem(

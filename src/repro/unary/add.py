@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitstream import Bitstream, Polarity
-from .rng import LfsrSequence, NumberSequence
+from .rng import LfsrSequence
 
 __all__ = ["mux_add"]
 
@@ -31,23 +31,18 @@ def _stack(streams: list[Bitstream]) -> np.ndarray:
 
 
 def mux_add(
-    streams: list[Bitstream],
-    select_sequence: NumberSequence | None = None,
-    polarity: Polarity = Polarity.BIPOLAR,
+    streams: list[Bitstream], polarity: Polarity = Polarity.BIPOLAR
 ) -> Bitstream:
     """Scaled addition: output value is ``mean(input values)``.
 
-    The default select sequence is an LFSR: its pseudo-random order is
+    The select sequence is an LFSR: its pseudo-random order is
     decorrelated from the Sobol/counter patterns of the input streams
     (a regular alternating select would lock onto periodic streams and
     bias the sample badly — the SCC hazard again, now at the adder).
     """
     bits = _stack(streams)
     k, length = bits.shape
-    if select_sequence is None:
-        sel_bits = max(3, (k - 1).bit_length())
-        select_sequence = LfsrSequence(sel_bits)
-    sel = select_sequence.values(length) % k
+    sel = LfsrSequence(max(3, (k - 1).bit_length())).values(length) % k
     out = bits[sel, np.arange(length)]
     return Bitstream(out.astype(np.uint8), polarity=polarity)
 

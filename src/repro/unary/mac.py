@@ -93,12 +93,11 @@ def mac_cycles(ebt: int) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class MacResult:
-    """One HUB multiply result before and after early-termination rescale."""
+    """One HUB multiply result after early-termination rescale."""
 
-    raw_count: int
-    """Signed accumulated bit count (the n-bit product)."""
     product: int
-    """``raw_count`` left-shifted back to N-bit scale."""
+    """Signed accumulated bit count (the n-bit product), left-shifted back
+    to N-bit scale."""
     cycles: int
     """Unary multiplication cycles spent (excludes the +1 accumulate)."""
 
@@ -184,7 +183,7 @@ class HubMac:
         # to n bits; scale from n-bit back to N-bit resolution (left shift
         # by N - n, Section III-C).
         product = signed_count << (self.bits - self.ebt)
-        return MacResult(raw_count=signed_count, product=product, cycles=result.cycles)
+        return MacResult(product=product, cycles=result.cycles)
 
     def mac(self, weight: int, ifm: int, partial_sum: int) -> int:
         """One full MAC: multiply then binary-accumulate the partial sum."""

@@ -138,9 +138,6 @@ def umul_bipolar(
     stationary: int,
     value_bits: int,
     coding: Coding = Coding.RATE,
-    cycles: int | None = None,
-    stream_sequence: NumberSequence | None = None,
-    weight_sequence: NumberSequence | None = None,
 ) -> UmulResult:
     """uGEMM-H's bipolar uMUL: XNOR with complementary C-BSG.
 
@@ -157,18 +154,11 @@ def umul_bipolar(
     full = 1 << value_bits
     if not 0 <= streaming <= full or not 0 <= stationary <= full:
         raise ValueError(f"numerators must be in [0, {full}]")
-    if cycles is None:
-        cycles = full
-    if not 1 <= cycles <= full:
-        raise ValueError(f"cycles must be in [1, {full}], got {cycles}")
-    ifm = stream_for_input(
-        streaming, value_bits, coding, length=cycles, sequence=stream_sequence
-    )
-    if weight_sequence is None:
-        weight_sequence = SobolSequence(value_bits, dim=0)
+    ifm = stream_for_input(streaming, value_bits, coding)
+    weight_sequence = SobolSequence(value_bits, dim=0)
     enable = ifm.bits
     w_on = _cbsg_bits(enable, stationary, weight_sequence)
     w_off = _cbsg_bits(1 - enable, stationary, weight_sequence)
     wbits = np.where(enable == 1, w_on, w_off).astype(np.uint8)
     out = (1 - (enable ^ wbits)).astype(np.uint8)
-    return UmulResult(Bitstream(out, polarity=Polarity.BIPOLAR), cycles)
+    return UmulResult(Bitstream(out, polarity=Polarity.BIPOLAR), full)

@@ -84,11 +84,9 @@ class NumberSequence(abc.ABC):
     def value_at(self, index: int) -> int:
         """Return the sequence element at ``index`` (wraps at the period)."""
 
-    def values(self, length: int, offset: int = 0) -> np.ndarray:
-        """Return ``length`` consecutive elements starting at ``offset``."""
-        return np.asarray(
-            [self.value_at(offset + k) for k in range(length)], dtype=np.int64
-        )
+    def values(self, length: int) -> np.ndarray:
+        """Return the first ``length`` elements."""
+        return np.asarray([self.value_at(k) for k in range(length)], dtype=np.int64)
 
 
 def _sobol_direction_vectors(dim: int, bits: int) -> np.ndarray:
@@ -158,15 +156,13 @@ class SobolSequence(NumberSequence):
 
     def __init__(self, bits: int, dim: int = 0) -> None:
         super().__init__(bits)
-        self.dim = dim
         self._table = sobol_sequence(bits, self.period, dim=dim)
 
     def value_at(self, index: int) -> int:
         return int(self._table[index % self.period])
 
-    def values(self, length: int, offset: int = 0) -> np.ndarray:
-        idx = (offset + np.arange(length)) % self.period
-        return self._table[idx]
+    def values(self, length: int) -> np.ndarray:
+        return self._table[np.arange(length) % self.period]
 
 
 class LfsrSequence(NumberSequence):
@@ -181,9 +177,8 @@ class LfsrSequence(NumberSequence):
     def value_at(self, index: int) -> int:
         return int(self._table[index % self.period])
 
-    def values(self, length: int, offset: int = 0) -> np.ndarray:
-        idx = (offset + np.arange(length)) % self.period
-        return self._table[idx]
+    def values(self, length: int) -> np.ndarray:
+        return self._table[np.arange(length) % self.period]
 
 
 class CounterSequence(NumberSequence):
@@ -192,5 +187,5 @@ class CounterSequence(NumberSequence):
     def value_at(self, index: int) -> int:
         return index % self.period
 
-    def values(self, length: int, offset: int = 0) -> np.ndarray:
-        return (offset + np.arange(length, dtype=np.int64)) % self.period
+    def values(self, length: int) -> np.ndarray:
+        return np.arange(length, dtype=np.int64) % self.period

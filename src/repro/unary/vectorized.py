@@ -287,6 +287,10 @@ def _row_tables(
     ``max(1, _TILE_CHUNK_ELEMS // side)`` rows.  A negative IFM code's
     products are its magnitude's, negated, so only the table's top half
     is gathered, element by element; the bottom half is one negation.
+
+    Every chunk's table is a view into one buffer, sized for the largest
+    chunk and refilled in place: a consumer must be done with a chunk's
+    ``rows`` (or have copied out of it) before it asks for the next.
     """
     signed = _signed_table(ebt - 1)
     side = signed.shape[0]
@@ -295,12 +299,13 @@ def _row_tables(
     n_k, n_c = wcode.shape
     c_step = max(1, min(n_c, _TILE_CHUNK_ELEMS // side))
     k_step = max(1, _TILE_CHUNK_ELEMS // (side * c_step))
+    buffer = np.empty(side * min(k_step, n_k) * c_step, dtype=signed.dtype)
     for c0 in range(0, n_c, c_step):
         cs = slice(c0, min(c0 + c_step, n_c))
         for k0 in range(0, n_k, k_step):
             ks = slice(k0, min(k0 + k_step, n_k))
             block = wcode[ks, cs]
-            rows = np.empty((side, *block.shape), dtype=signed.dtype)
+            rows = buffer[: side * block.size].reshape(side, *block.shape)
             signed[:half].take(block, axis=1, out=rows[:half])
             np.negative(rows[:half], out=rows[half:])
             yield ks, cs, rows.reshape(-1, rows.shape[2])

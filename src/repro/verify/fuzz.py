@@ -46,6 +46,8 @@ COUNTEREXAMPLE_SCHEMA = 1
 
 #: Fields the shrinker never touches (the case kind *is* the surface).
 _FROZEN_FIELDS = ("kind",)
+#: Passes the shrinker makes over the fields at most.
+_SHRINK_ROUNDS = 8
 
 #: Draw weights of the four surfaces: kernels are cheapest and the
 #: highest-value diff; functional and stepped-array cases are the most
@@ -246,9 +248,7 @@ def _field_candidates(case: VerifyCase, name: str, default: Any) -> Iterable[Any
 
 
 def shrink_case(
-    case: VerifyCase,
-    fails: Callable[[VerifyCase], bool] | None = None,
-    max_rounds: int = 8,
+    case: VerifyCase, fails: Callable[[VerifyCase], bool] | None = None
 ) -> VerifyCase:
     """Greedily minimise a failing case while it keeps failing.
 
@@ -259,7 +259,7 @@ def shrink_case(
     if fails is None:
         fails = lambda c: not run_case(c).ok  # noqa: E731 - default predicate
     defaults = {f.name: f.default for f in dataclasses.fields(VerifyCase)}
-    for _ in range(max_rounds):
+    for _ in range(_SHRINK_ROUNDS):
         changed = False
         for name, default in defaults.items():
             if name in _FROZEN_FIELDS:

@@ -71,8 +71,8 @@ CLOUD = Platform(
 PLATFORMS = types.MappingProxyType({EDGE.name: EDGE, CLOUD.name: CLOUD})
 
 
-def scheme_sweep(bits: int = 8) -> list[tuple[str, ComputeScheme, int | None]]:
-    """The candidate set of Figures 10, 12 and 13.
+def scheme_sweep() -> list[tuple[str, ComputeScheme, int | None]]:
+    """The 8-bit candidate set of Figures 10, 12 and 13.
 
     Binary parallel and serial, rate-coded uSystolic at 32/64/128
     multiplication cycles (EBT 6/7/8), and 256-cycle uGEMM-H.
@@ -82,6 +82,6 @@ def scheme_sweep(bits: int = 8) -> list[tuple[str, ComputeScheme, int | None]]:
         ("Binary Serial", ComputeScheme.BINARY_SERIAL, None),
         ("Unary-32c", ComputeScheme.USYSTOLIC_RATE, 6),
         ("Unary-64c", ComputeScheme.USYSTOLIC_RATE, 7),
-        ("Unary-128c", ComputeScheme.USYSTOLIC_RATE, bits),
-        ("uGEMM-H", ComputeScheme.UGEMM_RATE, bits),
+        ("Unary-128c", ComputeScheme.USYSTOLIC_RATE, 8),
+        ("uGEMM-H", ComputeScheme.UGEMM_RATE, 8),
     ]

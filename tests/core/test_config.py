@@ -52,19 +52,6 @@ class TestArrayConfig:
         cfg = ArrayConfig(12, 14, CS.USYSTOLIC_RATE, bits=8, ebt=6)
         assert cfg.mac_cycles == 33
 
-    def test_num_pes(self):
-        assert ArrayConfig(12, 14, CS.BINARY_PARALLEL).num_pes == 168
-
-    def test_effective_bits(self):
-        assert ArrayConfig(2, 2, CS.USYSTOLIC_RATE, bits=8).effective_bits == 8
-        assert ArrayConfig(2, 2, CS.USYSTOLIC_RATE, bits=8, ebt=6).effective_bits == 6
-
-    def test_with_scheme(self):
-        base = ArrayConfig(12, 14, CS.BINARY_PARALLEL, bits=8)
-        ur = base.with_scheme(CS.USYSTOLIC_RATE, ebt=6)
-        assert ur.rows == 12 and ur.cols == 14 and ur.bits == 8
-        assert ur.mac_cycles == 33
-
     def test_invalid_configs_rejected_eagerly(self):
         with pytest.raises(ValueError):
             ArrayConfig(0, 14, CS.BINARY_PARALLEL)

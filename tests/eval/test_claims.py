@@ -10,9 +10,7 @@ FAST_ROWS = 36
 
 
 def _panel(fp32: float, usystolic: dict[int, float]) -> AccuracyResult:
-    return AccuracyResult(
-        task="t", dataset=None, fp32_accuracy=fp32, sweep={"usystolic": usystolic}
-    )
+    return AccuracyResult(task="t", fp32_accuracy=fp32, sweep={"usystolic": usystolic})
 
 
 @pytest.fixture(scope="module")

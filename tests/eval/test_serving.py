@@ -48,6 +48,6 @@ def test_the_trade_shows_up_in_the_numbers():
     binary = by_design["Binary Parallel"]
     rate = by_design["HUB Rate-32c"]
     # The unary array is slower per request; that is the whole trade.
-    assert rate.p99_latency_s > binary.p99_latency_s
+    assert rate.summary["p99_latency_s"] > binary.summary["p99_latency_s"]
     assert binary.energy_per_request_j > 0
     assert rate.energy_per_request_j > 0

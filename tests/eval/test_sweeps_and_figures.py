@@ -14,12 +14,12 @@ class TestSramSweep:
     @pytest.fixture(scope="class")
     def ur_points(self):
         array = EDGE.array(CS.USYSTOLIC_RATE, ebt=6)
-        return sram_sizing_sweep(LAYERS, array, EDGE.memory)
+        return sram_sizing_sweep(LAYERS, array)
 
     @pytest.fixture(scope="class")
     def alexnet_points(self):
         array = EDGE.array(CS.USYSTOLIC_RATE, ebt=6)
-        return sram_sizing_sweep(alexnet_layers(), array, EDGE.memory)
+        return sram_sizing_sweep(alexnet_layers(), array)
 
     def test_covers_requested_sizes(self, ur_points):
         sizes = [p.sram_bytes_per_variable for p in ur_points]

@@ -107,10 +107,3 @@ def test_stopped_windows_bound_instance_time():
     assert ledger.summary()["instance_windows_s"] == pytest.approx(5.0)
 
 
-def test_total_depth_integral_sums_instances():
-    a = _entry(shard=0, req_ids=(0, 1))
-    b = _entry(shard=1, req_ids=(2,))
-    ledger = FleetLedger([a, b], makespan_s=1.0)
-    expected = a.metrics.depth_integral + b.metrics.depth_integral
-    assert ledger.total_depth_integral() == pytest.approx(expected)
-    assert expected > 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fsu.ugemm import FsuGemm, fsu_weight_storage
+from repro.hw.gates import TECH_32NM
 from repro.unary.add import mux_add
 from repro.unary.bitstream import Bitstream, Coding, Polarity
 from repro.unary.vectorized import hub_mac_row
@@ -126,20 +127,17 @@ class TestFsuStorage:
     def test_alexnet_footnote2(self):
         # "AlexNet impractically requires 61.1MB on-chip weight storage
         # (D Flip Flops) ... far beyond the 24MB SRAM in the cloud TPU."
-        rep = fsu_weight_storage(alexnet_layers(), bits=8)
+        rep = fsu_weight_storage(alexnet_layers())
         assert rep.storage_mb == pytest.approx(61.1 * 1e6 / 2**20, rel=0.03)
         assert rep.storage_bytes > 24 * 2**20  # exceeds the TPU's SRAM
 
     def test_dff_area_is_absurd(self):
         # Hundreds of mm^2 of flip-flops: the quantitative reason FSU
         # rate-coded designs are excluded from the evaluation.
-        rep = fsu_weight_storage(alexnet_layers(), bits=8)
-        assert rep.dff_area_mm2 > 100.0
+        from repro.fsu.cost import fsu_instance_cost
 
-    def test_scales_with_bits(self):
-        r8 = fsu_weight_storage(alexnet_layers(), bits=8)
-        r16 = fsu_weight_storage(alexnet_layers(), bits=16)
-        assert r16.storage_bytes == 2 * r8.storage_bytes
+        dff_ge = sum(fsu_instance_cost(l).weight_dff_ge for l in alexnet_layers())
+        assert TECH_32NM.area_mm2(dff_ge) > 100.0
 
 
 class TestFsuInstanceCost:
@@ -168,10 +166,3 @@ class TestFsuInstanceCost:
         assert cost.adder_tree_ge > 0
         assert cost.weight_dff_ge > 0
         assert cost.area_mm2 > 0
-
-    def test_invalid_bits(self):
-        from repro.fsu.cost import fsu_instance_cost
-        from repro.gemm.params import GemmParams
-
-        with pytest.raises(ValueError):
-            fsu_instance_cost(GemmParams.matmul("m", 1, 4, 4), bits=1)

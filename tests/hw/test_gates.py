@@ -52,8 +52,10 @@ class TestTechNode:
         assert TECH_32NM.leakage_w(1e6) == pytest.approx(2e-3)
 
     def test_dynamic_energy_scales_with_activity(self):
-        low = TECH_32NM.dynamic_energy_j(1000, 0.1, 100)
-        high = TECH_32NM.dynamic_energy_j(1000, 0.5, 100)
+        # The gate count passed in is activity-weighted: the gates that
+        # toggle per active cycle.
+        low = TECH_32NM.dynamic_energy_j(0.1 * 1000, 100)
+        high = TECH_32NM.dynamic_energy_j(0.5 * 1000, 100)
         assert high == pytest.approx(5 * low)
 
     def test_frequency(self):

@@ -169,9 +169,3 @@ class TestSynthesize:
         assert rep.leakage_w > 0
         assert set(rep.block_area_mm2) == {"ireg", "wreg", "mul", "acc"}
         assert sum(rep.block_area_mm2.values()) == pytest.approx(rep.area_mm2)
-
-    def test_format_row(self):
-        rep = synthesize(CS.BINARY_PARALLEL, 12, 14, 8)
-        row = rep.format_row()
-        assert "BP-8b" in row
-        assert "12x14" in row

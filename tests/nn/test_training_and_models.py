@@ -16,6 +16,7 @@ from repro.nn.quant import (
 from repro.nn.training import softmax_cross_entropy, train
 from repro.unary.bitstream import Coding
 from repro.unary.vectorized import hub_mac_row
+from .test_layers import num_parameters
 
 
 class TestDatasets:
@@ -64,8 +65,8 @@ class TestModels:
         # The stand-ins keep the small < medium-ish < large ordering in
         # spirit: mnist4 smallest head-to-head with alexnet_mini.
         shape = (12, 12, 3)
-        small = mnist4(shape, 10).num_parameters
-        large = alexnet_mini(shape, 20).num_parameters
+        small = num_parameters(mnist4(shape, 10))
+        large = num_parameters(alexnet_mini(shape, 20))
         assert large > small
 
     def test_resnet_has_residuals(self):

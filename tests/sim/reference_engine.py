@@ -26,8 +26,9 @@ from repro.core.config import ArrayConfig
 from repro.gemm.params import GemmParams
 from repro.gemm.tiling import Tiling, tile_gemm
 from repro.hw.array_cost import array_cost
-from repro.hw.gates import TECH_32NM, TechNode
-from repro.memory.cacti import sram_model
+from repro.hw.gates import TECH_32NM
+from repro.memory.cacti import SRAM_PEAK_BYTES_PER_CYCLE, sram_model
+from repro.memory.dram import DDR3_1GB
 from repro.memory.hierarchy import VARIABLES, MemoryConfig
 from repro.schemes import scheme_mac_cycles
 from repro.sim.dataflow import schedule_layer
@@ -53,16 +54,12 @@ def _label(array: ArrayConfig) -> str:
 def _sram(memory: MemoryConfig):
     if memory.sram_bytes_per_variable is None:
         return None
-    return sram_model(
-        memory.sram_bytes_per_variable,
-        banks=memory.sram_banks,
-        word_bytes=memory.sram_word_bytes,
-    )
+    return sram_model(memory.sram_bytes_per_variable)
 
 
 def _leakage_w(cost) -> float:
     return (
-        cost.tech.leakage_w(sum(cost.block_ge.values()) + cost.shifter_ge)
+        TECH_32NM.leakage_w(sum(cost.block_ge.values()) + cost.shifter_ge)
         * cost.wiring
     )
 
@@ -88,7 +85,6 @@ def reference_simulate_layer_batched(
     array: ArrayConfig,
     memory: MemoryConfig,
     batch: int = 1,
-    tech: TechNode = TECH_32NM,
     warm_weights: bool = False,
 ) -> LayerResult:
     """Simulate ``batch`` requests of one layer folded into the N dimension."""
@@ -111,20 +107,20 @@ def reference_simulate_layer_batched(
     )
 
     # --- runtime with contention ---------------------------------------
-    dram_rate = memory.dram.effective_bandwidth_bytes_per_s / tech.frequency_hz
+    dram_rate = DDR3_1GB.effective_bandwidth_bytes_per_s / TECH_32NM.frequency_hz
     dram_cycles = traffic.dram_total / dram_rate
     sram_cycles = 0.0
     sram = _sram(memory)
     if sram is not None:
-        rate = sram.peak_bytes_per_cycle()
+        rate = SRAM_PEAK_BYTES_PER_CYCLE
         sram_cycles = max(
             traffic.variable(name).sram_total / rate for name in VARIABLES
         )
     total_cycles = max(float(sched.compute_cycles), dram_cycles, sram_cycles)
-    runtime_s = total_cycles / tech.frequency_hz
+    runtime_s = total_cycles / TECH_32NM.frequency_hz
 
     # --- energy ledger ---------------------------------------------------
-    cost = array_cost(array.scheme, array.rows, array.cols, array.bits, tech=tech)
+    cost = array_cost(array.scheme, array.rows, array.cols, array.bits)
     array_dynamic = cost.dynamic_energy_j(sched.active_pe_mac_cycles)
     array_leakage = _leakage_w(cost) * runtime_s
     sram_dynamic = 0.0
@@ -135,9 +131,9 @@ def reference_simulate_layer_batched(
     sram_leakage = sram_leakage_w * runtime_s
     psum_bytes = traffic.ofm.dram_total
     stream_bytes = traffic.dram_total - psum_bytes
-    dram_dynamic = memory.dram.access_energy_j(
+    dram_dynamic = DDR3_1GB.access_energy_j(
         stream_bytes, hit_rate=_DRAM_HIT_RATE_STREAM
-    ) + memory.dram.access_energy_j(psum_bytes, hit_rate=_DRAM_HIT_RATE_PSUM)
+    ) + DDR3_1GB.access_energy_j(psum_bytes, hit_rate=_DRAM_HIT_RATE_PSUM)
     energy = EnergyLedger(
         array_dynamic=array_dynamic,
         array_leakage=array_leakage,

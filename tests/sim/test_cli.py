@@ -17,6 +17,12 @@ class TestParser:
                 ["--workload", "alexnet", "--topology", "x.csv"]
             )
 
+    def test_no_sram_and_keep_sram_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--workload", "alexnet", "--scheme", "BP", "--no-sram", "--keep-sram"])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_workload_choices_are_unique(self):
         (workload,) = [a for a in build_parser()._actions if a.dest == "workload"]
         assert "alexnet" in workload.choices

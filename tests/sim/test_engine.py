@@ -159,7 +159,6 @@ class TestEfficiency:
         r = simulate_layer(CONV, EDGE.array(CS.BINARY_PARALLEL), EDGE.memory)
         assert r.energy_efficiency() > 0
         assert r.power_efficiency() > 0
-        assert r.energy_efficiency(on_chip=False) < r.energy_efficiency()
 
     def test_usystolic_power_efficiency_wins(self):
         bp = simulate_layer(CONV, EDGE.array(CS.BINARY_PARALLEL), EDGE.memory)

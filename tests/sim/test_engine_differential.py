@@ -6,9 +6,9 @@ on ``MemoryConfig``, the leakage on ``ArrayCost``) and each layer
 quantity once per call.  :mod:`tests.sim.reference_engine` keeps the engine and
 traffic profile that re-derived all of it on every call.  Over every
 scheme, both platforms with and without SRAM, three batch sizes, cold
-and warm weights, every MLPerf layer and a second process node, plus a
-hypothesis sample of random layers, array shapes and SRAM sizes, the two
-must write byte-identical ``LayerResult.to_json()`` documents.
+and warm weights and every MLPerf layer, plus a hypothesis sample of
+random layers, array shapes and SRAM sizes, the two must write
+byte-identical ``LayerResult.to_json()`` documents.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import ArrayConfig
 from repro.gemm.params import GemmParams
-from repro.hw.gates import TechNode
 from repro.memory.hierarchy import MemoryConfig
 from repro.schemes import ComputeScheme
 from repro.sim.engine import simulate_layer_batched
@@ -32,7 +31,6 @@ from .reference_engine import reference_simulate_layer_batched
 
 GEMM_DIMS = ("ih", "iw", "ic", "wh", "ww", "oc", "stride")
 LAYERS = [layer for layers in mlperf_suite().values() for layer in layers]
-OTHER_NODE = TechNode("other", 1.2, 4.0e-9, 2.3e-15, 200e6)
 #: The knob each scheme takes: EBT 6 on the early-terminable rate
 #: schemes, half magnitude on tubGEMM, the worst case elsewhere.
 KNOBS = {
@@ -71,17 +69,6 @@ def test_every_mlperf_layer_matches_the_reference(scheme):
                     _assert_same(
                         layer, array, memory, batch=batch, warm_weights=warm
                     )
-
-
-@pytest.mark.parametrize("scheme", list(ComputeScheme), ids=lambda s: s.value)
-def test_another_node_matches_the_reference(scheme):
-    # array_cost hands back a copy carrying the node, whose leakage is
-    # derived afresh; the default node's instance is shared.
-    for array, memory in _platform_configs(scheme):
-        for layer in LAYERS:
-            _assert_same(
-                layer, array, memory, batch=3, tech=OTHER_NODE, warm_weights=True
-            )
 
 
 #: An IFM of 64 KiB against 16 KiB of usable SRAM: the column folds

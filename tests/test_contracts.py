@@ -2,23 +2,16 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
 
-from repro.contracts import (
-    is_power_of_two,
-    require_in_range,
-    require_positive,
-    require_power_of_two,
-)
+from repro.contracts import is_power_of_two, require_in_range
 from repro.core.config import ArrayConfig
 from repro.fleet.autoscale import AutoscaleConfig
 from repro.fleet.cluster import FleetConfig
 from repro.fleet.pools import PoolConfig
 from repro.gemm.params import GemmParams
-from repro.memory.dram import DDR3_1GB
 from repro.memory.hierarchy import MemoryConfig
 from repro.nn.quant import QuantMode, QuantSpec
 from repro.schemes import ComputeScheme
@@ -28,13 +21,9 @@ from repro.serve.requests import Request
 class TestHelpers:
     def test_is_power_of_two(self):
         assert [n for n in range(-2, 9) if is_power_of_two(n)] == [1, 2, 4, 8]
-        assert not is_power_of_two(2.0)  # floats are not bank counts
+        assert not is_power_of_two(2.0)  # floats are not stream lengths
 
     def test_messages_name_owner_and_field(self):
-        with pytest.raises(ValueError, match=r"Thing\.banks: must be positive"):
-            require_positive("Thing", banks=0)
-        with pytest.raises(ValueError, match=r"Thing\.n: must be a power of two"):
-            require_power_of_two("Thing", n=12)
         with pytest.raises(ValueError, match=r"Thing\.r: must be in \[0.0, 1.0\]"):
             require_in_range("Thing", "r", 1.5, 0.0, 1.0)
 
@@ -98,14 +87,6 @@ class TestMemoryConfigValidate:
         ):
             MemoryConfig(sram_bytes_per_variable=0)
 
-    def test_negative_banks_rejected(self):
-        with pytest.raises(ValueError, match=r"MemoryConfig\.sram_banks"):
-            MemoryConfig(sram_bytes_per_variable=1024, sram_banks=-4)
-
-    def test_non_power_of_two_banks_rejected(self):
-        with pytest.raises(ValueError, match=r"MemoryConfig\.sram_banks"):
-            MemoryConfig(sram_bytes_per_variable=1024, sram_banks=12)
-
     def test_sram_elimination_still_valid(self):
         cfg = MemoryConfig(sram_bytes_per_variable=None)
         assert cfg.validate() is cfg
@@ -140,9 +121,9 @@ class TestEntryPointContracts:
             ("array", "ebt", 9, "ArrayConfig.ebt: must be in [2, 8], got 9"),
             (
                 "memory",
-                "sram_banks",
-                12,
-                "MemoryConfig.sram_banks: must be a power of two, got 12",
+                "sram_bytes_per_variable",
+                0,
+                "MemoryConfig.sram_bytes_per_variable: must be positive, got 0",
             ),
             ("layer", "oc", 0, "GemmParams.oc: must be positive, got 0"),
         ]
@@ -182,10 +163,6 @@ def _pool(**fields):
 
 def _request(**fields):
     return Request(**{"req_id": 0, "workload": "net", "arrival_s": 1.0, **fields})
-
-
-def _dram(**fields):
-    return _memory(dram=dataclasses.replace(DDR3_1GB, **fields))
 
 
 #: One failing construction per reachable contract check, with its exact
@@ -421,36 +398,6 @@ CONTRACT_MESSAGES = [
         "MemoryConfig.sram_bytes_per_variable: must be positive, got 0",
         id="MemoryConfig.sram_bytes_per_variable",
     ),
-    pytest.param(
-        lambda: _memory(sram_banks=12),
-        "MemoryConfig.sram_banks: must be a power of two, got 12",
-        id="MemoryConfig.sram_banks",
-    ),
-    pytest.param(
-        lambda: _memory(sram_word_bytes=6),
-        "MemoryConfig.sram_word_bytes: must be a power of two, got 6",
-        id="MemoryConfig.sram_word_bytes",
-    ),
-    pytest.param(
-        lambda: _memory(dram="DDR3"),
-        "MemoryConfig.dram: must be a DramSpec, got str",
-        id="MemoryConfig.dram",
-    ),
-    pytest.param(
-        lambda: _dram(peak_bandwidth_bytes_per_s=0.0),
-        "MemoryConfig.dram_peak_bandwidth_bytes_per_s: must be positive, got 0.0",
-        id="MemoryConfig.dram_peak_bandwidth_bytes_per_s",
-    ),
-    pytest.param(
-        lambda: _dram(efficiency=0.0),
-        "MemoryConfig.dram_efficiency: must be positive, got 0.0",
-        id="MemoryConfig.dram_efficiency-positive",
-    ),
-    pytest.param(
-        lambda: _dram(efficiency=1.5),
-        "MemoryConfig.dram_efficiency: must be in [0.0, 1.0], got 1.5",
-        id="MemoryConfig.dram_efficiency-range",
-    ),
 ]
 
 
@@ -491,14 +438,6 @@ NON_INT_SIZES = [
     (
         lambda: _memory(sram_bytes_per_variable=1024.5),
         "MemoryConfig.sram_bytes_per_variable: must be an int, got 1024.5",
-    ),
-    (
-        lambda: _memory(sram_banks=True),
-        "MemoryConfig.sram_banks: must be a power of two, got True",
-    ),
-    (
-        lambda: _memory(sram_word_bytes=8.0),
-        "MemoryConfig.sram_word_bytes: must be a power of two, got 8.0",
     ),
 ]
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import ArrayConfig
 from repro.gemm.params import GemmParams
+from repro.memory.dram import DDR3_1GB
 from repro.memory.hierarchy import MemoryConfig
 from repro.schemes import ComputeScheme as CS
 from repro.sim.engine import simulate_layer
@@ -62,7 +63,7 @@ def test_simulator_invariants(params, scheme_ebt, memory):
     # Bandwidth never exceeds what the DRAM channel can physically move.
     assert (
         r.dram_bandwidth_gbps
-        <= memory.dram.effective_bandwidth_bytes_per_s / 1e9 + 1e-9
+        <= DDR3_1GB.effective_bandwidth_bytes_per_s / 1e9 + 1e-9
     )
     # Energy ledger: all components non-negative, totals consistent.
     e = r.energy

@@ -450,9 +450,9 @@ def _temporaries(bits, ebt, v, k, c):
         # One int16 code per operand element, and the block of IFM codes
         # gathered in the transposed order before its C-order copy.
         "codes": 2 * (v * k + k * c) + 2 * min(v * k, chunk),
-        # The chunk's row table, the next one built while it is held, and
-        # take's buffer for the next one's top half.
-        "row tables": 5 * side * k_step * c_step * table // 2,
+        # The one row-table buffer every chunk is built in, and take's
+        # buffer for a chunk's top half.
+        "row tables": 3 * side * k_step * c_step * table // 2,
         "one row's gather": v_step * c_step * table,
         "accumulator": v_step * c_step * acc,
         "one row's gather index": v_step * np.dtype(np.intp).itemsize,
@@ -484,3 +484,21 @@ def test_full_array_fold_stays_within_the_chunk_budget():
             tracemalloc.stop()
         # numpy's own bookkeeping (index conversions, small views) on top.
         assert peak <= _temporaries(bits, ebt, v, k, c) + (64 << 10), (bits, ebt)
+
+
+def test_a_ut_fold_holds_one_row_table_at_a_time():
+    # 4x256x256 UT: each K-chunk's row table is 256 codes x 16 rows x 256
+    # columns of int8, 1 MiB.  That table, take's buffer for its top half
+    # and the int16 codes come to 1,708,032 bytes; a second table alive
+    # beside the first would add another MiB.
+    w_tile, x_tile = _random_tiles(8, v=4, k=256, c=256, seed=41)
+    hub_mac_tile(w_tile[:1, :1], x_tile[:, :1], 8, coding=Coding.TEMPORAL)
+    table = 256 * 16 * 256
+    codes = 2 * (4 * 256 + 256 * 256) + 2 * 4 * 256
+    tracemalloc.start()
+    try:
+        hub_mac_tile(w_tile, x_tile, 8, coding=Coding.TEMPORAL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= table + table // 2 + codes + (64 << 10)
