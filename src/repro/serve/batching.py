@@ -84,13 +84,15 @@ class DynamicBatcher(BatchPolicy):
     def next_batch(
         self, queue: BoundedQueue, now_s: float, draining: bool
     ) -> list[Request]:
-        head = queue.oldest()
-        if head is None:
+        depth = queue.depth
+        if not depth:
             return []
-        window_expired = now_s - head.arrival_s >= self.max_wait_s
-        if queue.depth >= self.max_batch or window_expired or draining:
-            return queue.take(self.max_batch)
-        return []
+        if depth < self.max_batch and not draining:
+            head = queue.oldest()
+            window_expired = now_s - head.arrival_s >= self.max_wait_s
+            if not window_expired:
+                return []
+        return queue.take(self.max_batch)
 
     def next_wake_s(self, queue: BoundedQueue, now_s: float) -> float | None:
         head = queue.oldest()

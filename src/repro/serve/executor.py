@@ -138,7 +138,9 @@ class ServeExecutor:
                 and i < total
                 and pending[i].arrival_s < self._service_done_s
             ):
-                now_s = max(now_s, pending[i].arrival_s)
+                arrival_s = pending[i].arrival_s
+                if arrival_s > now_s:
+                    now_s = arrival_s
                 while i < total and pending[i].arrival_s <= now_s:
                     self.offer(pending[i], now_s, metrics)
                     i += 1
@@ -261,11 +263,15 @@ class ServeExecutor:
 
         Deadline expiry runs first, so a full queue sheds dead requests
         before rejecting a live one; a halted server rejects everything.
+        The queue is asked to expire only once its earliest deadline has
+        passed, the test :meth:`BoundedQueue.expire` opens with.
         """
         self._check_workload(request)
-        for expired in self.queue.expire(now_s):
-            metrics.observe_drop(expired, now_s)
-        if self._halted or not self.queue.push(request):
+        queue = self.queue
+        if queue.next_deadline_s() < now_s:
+            for expired in queue.expire(now_s):
+                metrics.observe_drop(expired, now_s)
+        if self._halted or not queue.push(request):
             metrics.observe_reject(request, now_s)
             return
         metrics.observe_admit(request, now_s)
@@ -280,18 +286,24 @@ class ServeExecutor:
 
         Idempotent at a fixed instant, so a cluster loop may advance an
         instance, route arrivals into it, and advance it again within one
-        global event time without double-counting anything.
+        global event time without double-counting anything.  Expiry runs
+        only once the earliest queued deadline has passed, and the policy
+        is asked for a batch only when the idle array has work queued:
+        every policy returns no batch from an empty queue.
         """
         if self._service_done_s <= now_s:
             self._complete(now_s, metrics)
-        for expired in self.queue.expire(now_s):
-            metrics.observe_drop(expired, now_s)
-        if self._halted and self.queue.depth:
-            for request in self.queue.take(self.queue.depth):
-                metrics.observe_drop(request, now_s)
-        if not self._in_service and not self._halted:
+        queue = self.queue
+        if queue.next_deadline_s() < now_s:
+            for expired in queue.expire(now_s):
+                metrics.observe_drop(expired, now_s)
+        if self._halted:
+            if queue.depth:
+                for request in queue.take(queue.depth):
+                    metrics.observe_drop(request, now_s)
+        elif not self._in_service and queue.depth:
             self._dispatch(now_s, metrics, draining=draining)
-        metrics.assert_conserved(self.queue.depth, len(self._in_service))
+        metrics.assert_conserved(queue.depth, len(self._in_service))
 
     def close(self, now_s: float, metrics: ServeMetrics) -> None:
         """End the run at ``now_s``: drop what the queue still holds

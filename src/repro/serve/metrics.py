@@ -115,20 +115,33 @@ class ServeMetrics:
     # event ingestion (executor-facing)
     # ------------------------------------------------------------------
     def _advance(self, now_s: float) -> None:
-        if now_s < self._last_event_s:
-            raise ValueError(
-                f"events must be time-ordered: {now_s} < {self._last_event_s}"
-            )
-        self.depth_integral += self._in_system * (now_s - self._last_event_s)
+        last_s = self._last_event_s
+        if now_s < last_s:
+            raise ValueError(f"events must be time-ordered: {now_s} < {last_s}")
+        self.depth_integral += self._in_system * (now_s - last_s)
         self._last_event_s = now_s
-        self.makespan_s = max(self.makespan_s, now_s)
+        if now_s > self.makespan_s:
+            self.makespan_s = now_s
 
     def observe_admit(self, request: Request, now_s: float) -> None:
-        """A request entered the system (queue)."""
-        self._advance(now_s)
+        """A request entered the system (queue).
+
+        Runs once per admitted request, so it advances the clock in its
+        own body, exactly as :meth:`_advance` does.
+        """
+        last_s = self._last_event_s
+        if now_s < last_s:
+            raise ValueError(f"events must be time-ordered: {now_s} < {last_s}")
+        in_system = self._in_system
+        self.depth_integral += in_system * (now_s - last_s)
+        self._last_event_s = now_s
+        if now_s > self.makespan_s:
+            self.makespan_s = now_s
         self.admitted += 1
-        self._in_system += 1
-        self.peak_in_system = max(self.peak_in_system, self._in_system)
+        in_system += 1
+        self._in_system = in_system
+        if in_system > self.peak_in_system:
+            self.peak_in_system = in_system
 
     def observe_reject(self, request: Request, now_s: float) -> None:
         """A request was refused at admission (queue full)."""
@@ -205,15 +218,15 @@ class ServeMetrics:
         )
 
     def finalize(self, now_s: float) -> None:
-        """Close the observation window at ``max(now_s, last event time)``.
+        """Close the observation window at ``now_s``.
 
-        Clamping (instead of raising) makes finalization safe for idle
-        and already-stopped instances: a fleet closes every instance's
-        window at the global end time, and an instance whose own last
-        event is later — it was finalized when it stopped — keeps its
-        window rather than failing the time-order check.
+        The close is an event like any other: ``now_s`` before the last
+        event raises the same time-order ``ValueError``.  Each window is
+        closed once, at its executor's last instant: a single run at its
+        end, a fleet instance when it stops or, if still live, at the
+        fleet's end time, which is never before its own last event.
         """
-        self._advance(max(now_s, self._last_event_s))
+        self._advance(now_s)
 
     def assert_conserved(self, queued: int, in_service: int) -> None:
         """Raise unless admitted = completed + dropped + in flight."""

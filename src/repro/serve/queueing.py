@@ -37,11 +37,12 @@ class BoundedQueue:
     """A bounded request queue with admission and deadline expiry.
 
     Subclasses define the service order via :meth:`_sort_key`; everything
-    else — capacity, expiry — is shared.  The queue keeps its earliest
-    queued deadline, updated by :meth:`push`, :meth:`expire` and
-    :meth:`take`, so :meth:`next_deadline_s` reads a field and
-    :meth:`expire` scans only when a deadline has passed.  Admission and
-    rejection counts live in :class:`~repro.serve.metrics.ServeMetrics`.
+    else — capacity, expiry — is shared.  The queue keeps its depth and
+    its earliest queued deadline, written only by :meth:`push`,
+    :meth:`expire` and :meth:`take`, so :attr:`depth` and
+    :meth:`next_deadline_s` read fields and :meth:`expire` scans only
+    when a deadline has passed.  Admission and rejection counts live in
+    :class:`~repro.serve.metrics.ServeMetrics`.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -49,6 +50,8 @@ class BoundedQueue:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._items: list[Request] = []
+        #: requests currently waiting.
+        self.depth = 0
         #: earliest deadline among the queued requests, ``math.inf`` if none.
         self._next_deadline_s = math.inf
 
@@ -56,19 +59,21 @@ class BoundedQueue:
     def _sort_key(request: Request) -> tuple:
         raise NotImplementedError
 
-    @property
-    def depth(self) -> int:
-        """Requests currently waiting."""
-        return len(self._items)
-
     def push(self, request: Request) -> bool:
         """Admit ``request``; ``False`` means rejected (queue full)."""
-        if len(self._items) >= self.capacity:
+        if self.depth >= self.capacity:
             return False
         # Sort keys end in the unique req_id, so the sorted order is
-        # unique and a binary insertion lands exactly where the full
-        # re-sort used to put it — same order, O(log n) search.
-        bisect.insort(self._items, request, key=self._sort_key)
+        # unique: a request that sorts after the tail goes last, as every
+        # in-order arrival to a FIFO queue does, and any other lands by
+        # binary insertion exactly where a full re-sort would put it.
+        items = self._items
+        sort_key = self._sort_key
+        if not items or sort_key(items[-1]) < sort_key(request):
+            items.append(request)
+        else:
+            bisect.insort(items, request, key=sort_key)
+        self.depth += 1
         deadline_s = request.deadline_s
         if deadline_s is not None and deadline_s < self._next_deadline_s:
             self._next_deadline_s = deadline_s
@@ -105,6 +110,7 @@ class BoundedQueue:
         self._items = [
             r for r in self._items if r.deadline_s is None or r.deadline_s >= now_s
         ]
+        self.depth = len(self._items)
         self._removed(expired)
         return expired
 
@@ -114,6 +120,7 @@ class BoundedQueue:
             raise ValueError(f"max_count must be >= 1, got {max_count}")
         taken = self._items[:max_count]
         del self._items[:max_count]
+        self.depth -= len(taken)
         self._removed(taken)
         return taken
 

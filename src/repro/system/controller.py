@@ -31,10 +31,12 @@ class AdaptiveEbtController:
 
     The policy serves EBT 8 above 60%, EBT 7 above 30%, and EBT 6 on
     reserve: the first of its descending (soc_threshold, ebt) steps whose
-    threshold is at or below the current state of charge wins.
+    threshold is at or below the current state of charge wins, and a
+    charge below every step runs on reserve.
     """
 
-    _STEPS = ((0.6, 8), (0.3, 7), (0.0, 6))
+    _STEPS = ((0.6, 8), (0.3, 7))
+    _RESERVE_EBT = 6
 
     def ebt_for(self, state_of_charge: float) -> int:
         if not 0.0 <= state_of_charge <= 1.0:
@@ -42,7 +44,7 @@ class AdaptiveEbtController:
         for threshold, ebt in self._STEPS:
             if state_of_charge >= threshold:
                 return ebt
-        return self._STEPS[-1][1]
+        return self._RESERVE_EBT
 
 
 @dataclasses.dataclass(frozen=True)

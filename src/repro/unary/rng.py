@@ -84,9 +84,9 @@ class NumberSequence(abc.ABC):
     def value_at(self, index: int) -> int:
         """Return the sequence element at ``index`` (wraps at the period)."""
 
+    @abc.abstractmethod
     def values(self, length: int) -> np.ndarray:
-        """Return the first ``length`` elements."""
-        return np.asarray([self.value_at(k) for k in range(length)], dtype=np.int64)
+        """Return the first ``length`` elements as an int64 array."""
 
 
 def _sobol_direction_vectors(dim: int, bits: int) -> np.ndarray:

@@ -87,14 +87,15 @@ def test_zero_completed_window_summary_is_defined():
         assert percentile([], q) == 0.0
 
 
-def test_finalize_clamps_to_the_last_event():
-    """Closing an already-closed window must not violate time order."""
+def test_finalize_rejects_a_close_before_the_last_event():
+    """A window closed before its last event breaks time order and raises."""
     m = ServeMetrics()
     m.observe_admit(_req(0, 0.0), 0.0)
     m.observe_dispatch(1, 1.0, 0.0)
     m.observe_complete([_req(0, 0.0)], 2.0, 0.1)
+    with pytest.raises(ValueError, match="events must be time-ordered: 1.0 < 2.0"):
+        m.finalize(1.0)
     m.finalize(2.0)
-    m.finalize(1.0)  # a fleet closing instance windows at an earlier tick
     assert m.makespan_s == 2.0
 
 

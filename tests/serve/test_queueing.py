@@ -164,6 +164,27 @@ _OPS = st.lists(
     capacity=4,
     ops=[("push", 0, 1), ("push", 0, 2), ("expire", 2)],
 )
+# Expiry removes the tail, and the next push sorts between the new tail
+# and the request that left: it must land last, after the new tail.
+@example(
+    discipline="fifo",
+    capacity=4,
+    ops=[("push", 0, None), ("push", 4, 0), ("expire", 5), ("push", 2, None)],
+)
+# A deadline queue's tail expires only with every deadline before it, so
+# the new tail comes from the next push; the push after that sorts
+# between it and the expired tail.
+@example(
+    discipline="deadline",
+    capacity=4,
+    ops=[
+        ("push", 0, 2),
+        ("push", 0, 4),
+        ("expire", 5),
+        ("push", 0, 1),
+        ("push", 1, 2),
+    ],
+)
 def test_queue_matches_a_sorted_list_model(discipline, capacity, ops):
     """Random push/expire/take against a plain sorted list.
 

@@ -1,16 +1,21 @@
 """Deterministic work counts: configuration work paid once, not per call.
 
 A served batch is priced once per ``(batch, warm)`` pair however often it
-is dispatched, a memory config builds its SRAM macro once and an array
-config derives its MAC latency once however many layers run on them, the
-bit-true engines make one fold-kernel call per layer (``execute`` and
-the wave stepper) or one product plane per fold (the cycle stepper), the
-cycle stepper clocks a layer's folds together, and a scalar ``HubMac``
-builds its number sequences once.  Counting the calls pins all six on
-any machine, independent of wall time.
+is dispatched, and the serving hooks make no call that changes nothing:
+the queue is asked to expire only past a deadline, the policy is asked
+for a batch only from a non-empty queue, and an in-order push appends.
+A memory config builds its SRAM macro once and an array config derives
+its MAC latency once however many layers run on them, the bit-true
+engines make one fold-kernel call per layer (``execute`` and the wave
+stepper) or one product plane per fold (the cycle stepper), the cycle
+stepper clocks a layer's folds together, and a scalar ``HubMac`` builds
+its number sequences once.  Counting the calls pins them all on any
+machine, independent of wall time.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 import pytest
@@ -27,7 +32,8 @@ from repro.serve.arrivals import poisson_arrivals
 from repro.serve.batching import make_batcher
 from repro.serve.costs import NetworkCostModel, platform_cost_model
 from repro.serve.executor import ServeExecutor
-from repro.serve.queueing import make_queue
+from repro.serve.queueing import BoundedQueue, make_queue
+from repro.serve.requests import Request
 from repro.sim import arraysim
 from repro.sim.arraysim import simulate_array
 from repro.sim.engine import simulate_layer
@@ -77,6 +83,79 @@ def test_serve_prices_each_distinct_batch_once(monkeypatch):
     assert {warm for _, warm in priced} == {False, True}
     assert len(dispatches) > 2 * len(priced)
     assert len(lookups) == len(model.layers) * len(priced)
+
+
+def _overloaded_ncf(discipline: str, policy: str):
+    """A seeded one-SLO NCF stream at three times capacity, and its server.
+
+    The SLO is two batch-4 service times, so queued requests expire.
+    """
+    model = platform_cost_model(CLOUD, ComputeScheme.BINARY_PARALLEL, "ncf")
+    runtime_s = model.batch_cost(4).runtime_s
+    rate = 3 * 4 / runtime_s
+    server = ServeExecutor(
+        models={"ncf": model},
+        queue=make_queue(discipline, 16),
+        batcher=make_batcher(policy, 4, max_wait_s=runtime_s),
+        slo_s=2 * runtime_s,
+    )
+    stream = poisson_arrivals("ncf", rate, 200 / rate, seed=0, slo_s=2 * runtime_s)
+    return server, stream
+
+
+@pytest.mark.parametrize("discipline", ["fifo", "deadline"])
+def test_serve_expires_only_past_deadlines(monkeypatch, discipline):
+    # Every hook tests the earliest deadline before it asks the queue to
+    # expire, so each expire call the run makes removes something.
+    server, stream = _overloaded_ncf(discipline, "dynamic")
+    original = BoundedQueue.expire
+    calls = []
+
+    def expire(queue, now_s):
+        deadline_s = queue.next_deadline_s()
+        expired = original(queue, now_s)
+        calls.append((deadline_s, now_s, len(expired)))
+        return expired
+
+    monkeypatch.setattr(BoundedQueue, "expire", expire)
+    metrics = server.run(stream)
+    assert metrics.dropped > 0
+    assert calls
+    assert all(deadline_s < now_s and gone for deadline_s, now_s, gone in calls)
+    assert len(calls) < len(stream)
+
+
+@pytest.mark.parametrize("policy", ["static", "dynamic", "continuous"])
+def test_serve_never_asks_for_a_batch_from_an_empty_queue(monkeypatch, policy):
+    server, stream = _overloaded_ncf("fifo", policy)
+    depths = []
+    next_batch = server.batcher.next_batch
+
+    def counted(queue, now_s, draining):
+        depths.append(queue.depth)
+        return next_batch(queue, now_s, draining)
+
+    monkeypatch.setattr(server.batcher, "next_batch", counted)
+    metrics = server.run(stream)
+    assert len(depths) >= metrics.batches > 0
+    assert min(depths) > 0
+
+
+@pytest.mark.parametrize("discipline", ["fifo", "deadline"])
+def test_in_order_pushes_append(monkeypatch, discipline):
+    # Arrivals reach the queue in (arrival, req_id) order, and one SLO
+    # keeps deadlines in that order too: each push sorts after the tail.
+    server, stream = _overloaded_ncf(discipline, "dynamic")
+    inserted = []
+    _counting(monkeypatch, bisect, "insort", inserted)
+    metrics = server.run(stream)
+    assert metrics.admitted > 0
+    assert not inserted
+    # The seam sees the fallback: an earlier arrival sorts before the tail.
+    queue = make_queue(discipline, 4)
+    for req_id, arrival_s in enumerate((1.0, 0.5)):
+        queue.push(Request(req_id=req_id, workload="ncf", arrival_s=arrival_s))
+    assert len(inserted) == 1
 
 
 @pytest.mark.parametrize(
