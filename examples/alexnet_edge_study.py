@@ -3,33 +3,32 @@
 Reproduces the evaluation story of Sections V-B..V-G for 8-bit AlexNet on
 the Eyeriss-shaped edge platform: per-layer bandwidth, runtime, energy and
 power for every candidate design, then the network-level rollup and the
-headline efficiency improvements.
+headline efficiency improvements.  All three views read one design grid.
 
 Run:  python examples/alexnet_edge_study.py
 """
 
-from repro.eval.area import area_reductions
-from repro.eval.bandwidth import run_bandwidth_experiment
-from repro.eval.efficiency import run_efficiency_experiment
-from repro.eval.energy import energy_reductions, power_reductions, run_energy_experiment
+from repro.eval.efficiency import Grid, headline, simulate_designs
+from repro.eval.energy import energy_reductions, power_reductions
 from repro.eval.report import format_table
 from repro.sim.results import aggregate_results
+from repro.workloads.alexnet import alexnet_layers
 from repro.workloads.presets import EDGE
 
 
-def per_layer_story() -> None:
+def per_layer_story(grid: Grid) -> None:
     print("=== Per-layer view (Figures 10/13 condensed) ===")
-    designs = run_bandwidth_experiment(EDGE, include_binary_without_sram=False)
     headers = ["design", "DRAM max GB/s", "runtime ms", "on-chip mJ", "on-chip mW"]
     rows = []
-    for d in designs:
-        agg = aggregate_results(d.layers)
-        on_chip = sum(r.energy.on_chip for r in d.layers)
+    for design, layers in grid.items():
+        agg = aggregate_results(layers)
+        on_chip = sum(r.energy.on_chip for r in layers)
         power = on_chip / agg["runtime_s"]
+        has_sram = any(r.traffic.sram_total for r in layers)
         rows.append(
             [
-                d.design + ("" if d.has_sram else " (no SRAM)"),
-                f"{d.max_dram_gbps:.2f}",
+                design + ("" if has_sram else " (no SRAM)"),
+                f"{max(r.dram_bandwidth_gbps for r in layers):.2f}",
                 f"{agg['runtime_s'] * 1e3:.2f}",
                 f"{on_chip * 1e3:.3f}",
                 f"{power * 1e3:.2f}",
@@ -38,11 +37,10 @@ def per_layer_story() -> None:
     print(format_table(headers, rows))
 
 
-def network_rollup() -> None:
+def network_rollup(grid: Grid) -> None:
     print("\n=== Network-level reductions vs binary parallel (Section V-E/F) ===")
-    results = run_energy_experiment(EDGE)
-    e_reds = energy_reductions(results)["Binary Parallel"]
-    p_reds = power_reductions(results)["Binary Parallel"]
+    e_reds = energy_reductions(grid)["Binary Parallel"]
+    p_reds = power_reductions(grid)["Binary Parallel"]
     headers = ["design", "on-chip energy reduction", "on-chip power reduction"]
     rows = []
     for design in ("Unary-32c", "Unary-64c", "Unary-128c"):
@@ -57,25 +55,29 @@ def network_rollup() -> None:
     print(format_table(headers, rows))
 
 
-def headline() -> None:
+def print_headline(grid: Grid) -> None:
     print("\n=== Headline (abstract) ===")
-    areas = area_reductions(EDGE)
-    eff = run_efficiency_experiment(EDGE, "alexnet")
+    numbers = headline(EDGE, grid)
     print(
-        f"  systolic array area reduction:      {areas['array_UR']:.1f}% "
-        "(paper: 59.0%)"
+        f"  systolic array area reduction:      "
+        f"{numbers['array_area_reduction_pct']:.1f}% (paper: 59.0%)"
     )
     print(
-        f"  total on-chip area reduction:       {areas['total_vs_bp']:.1f}% "
-        "(paper: 91.3%)"
+        f"  total on-chip area reduction:       "
+        f"{numbers['total_area_reduction_pct']:.1f}% (paper: 91.3%)"
     )
-    best_eei = max(v for d in eff.eei_max.values() for v in d.values())
-    best_pei = max(v for d in eff.pei_max.values() for v in d.values())
-    print(f"  on-chip energy efficiency up to:    {best_eei:.1f}x (paper: 112.2x)")
-    print(f"  on-chip power efficiency up to:     {best_pei:.1f}x (paper: 44.8x)")
+    print(
+        f"  on-chip energy efficiency up to:    "
+        f"{numbers['energy_efficiency_up_to']:.1f}x (paper: 112.2x)"
+    )
+    print(
+        f"  on-chip power efficiency up to:     "
+        f"{numbers['power_efficiency_up_to']:.1f}x (paper: 44.8x)"
+    )
 
 
 if __name__ == "__main__":
-    per_layer_story()
-    network_rollup()
-    headline()
+    grid = simulate_designs(alexnet_layers(), EDGE)
+    per_layer_story(grid)
+    network_rollup(grid)
+    print_headline(grid)

@@ -8,21 +8,23 @@ from .accuracy import (
     run_accuracy_experiment,
 )
 from .area import AreaResult, area_reductions, format_figure11, run_area_experiment
-from .bandwidth import BandwidthResult, format_figure10, run_bandwidth_experiment
+from .bandwidth import format_figure10, simulate_without_sram
 from .efficiency import (
     EfficiencyResult,
+    Grid,
+    efficiency_panel,
+    efficiency_panels,
     format_figure14,
     headline,
-    run_efficiency_experiment,
+    simulate_designs,
+    simulate_mlperf,
 )
 from .energy import (
-    EnergyResult,
     edp_improvements,
     energy_reductions,
     format_figure13,
     power_reductions,
     reduction_stats,
-    run_energy_experiment,
 )
 from .capacity import (
     CapacityPoint,
@@ -46,11 +48,7 @@ from .serving import (
     serving_designs,
 )
 from .sweeps import SramSweepPoint, sram_sizing_sweep
-from .throughput import (
-    ThroughputResult,
-    format_figure12,
-    run_throughput_experiment,
-)
+from .throughput import format_figure12, mean_conv_contention
 
 __all__ = [
     "FIGURE9_TASKS",
@@ -62,20 +60,21 @@ __all__ = [
     "area_reductions",
     "format_figure11",
     "run_area_experiment",
-    "BandwidthResult",
     "format_figure10",
-    "run_bandwidth_experiment",
+    "simulate_without_sram",
     "EfficiencyResult",
+    "Grid",
+    "efficiency_panel",
+    "efficiency_panels",
     "format_figure14",
     "headline",
-    "run_efficiency_experiment",
-    "EnergyResult",
+    "simulate_designs",
+    "simulate_mlperf",
     "edp_improvements",
     "energy_reductions",
     "format_figure13",
     "power_reductions",
     "reduction_stats",
-    "run_energy_experiment",
     "format_series",
     "format_table",
     "table1",
@@ -97,7 +96,6 @@ __all__ = [
     "serving_designs",
     "SramSweepPoint",
     "sram_sizing_sweep",
-    "ThroughputResult",
     "format_figure12",
-    "run_throughput_experiment",
+    "mean_conv_contention",
 ]

@@ -1,101 +1,54 @@
 """Figure 10: layerwise SRAM and DRAM bandwidth for 8-bit AlexNet.
 
-Runs the six candidate designs (BP, BS, Unary-32/64/128c, uGEMM-H) on both
-platforms.  As in the paper's hardware focus, binary designs keep their
-SRAM and unary designs run without it; the with/without-SRAM binary
-numbers of the Section V-B text are also computed.
+The six candidate designs (BP, BS, Unary-32/64/128c, uGEMM-H) are the
+platform's AlexNet grid (:func:`~repro.eval.efficiency.simulate_designs`):
+binary designs keep their SRAM and unary designs run without it.  Figure
+10 adds the binary designs without SRAM, the Section V-B text's cases.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-from ..core.config import ArrayConfig
-from ..memory.hierarchy import MemoryConfig
+from ..gemm.params import GemmParams
 from ..schemes import ComputeScheme
 from ..sim.engine import simulate_network
-from ..sim.results import LayerResult
-from ..workloads.alexnet import alexnet_layers
-from ..workloads.presets import Platform, scheme_sweep
+from ..workloads.presets import Platform
+from .efficiency import Grid
 from .report import format_table
 
-__all__ = ["BandwidthResult", "run_bandwidth_experiment", "format_figure10"]
+__all__ = ["simulate_without_sram", "format_figure10"]
 
 
-@dataclasses.dataclass(frozen=True)
-class BandwidthResult:
-    """One design's layerwise bandwidths on one platform."""
-
-    design: str
-    platform: str
-    has_sram: bool
-    layers: list[LayerResult]
-
-    @property
-    def dram_gbps(self) -> list[float]:
-        return [r.dram_bandwidth_gbps for r in self.layers]
-
-    @property
-    def sram_gbps(self) -> list[float]:
-        return [r.sram_bandwidth_gbps for r in self.layers]
-
-    @property
-    def max_dram_gbps(self) -> float:
-        return max(self.dram_gbps)
-
-
-def run_bandwidth_experiment(
-    platform: Platform, include_binary_without_sram: bool = True
-) -> list[BandwidthResult]:
-    """Figure 10 for one platform (paper focus + Section V-B text cases)."""
-    layers = alexnet_layers()
-    results = []
-    for name, scheme, ebt in scheme_sweep():
-        array = platform.array(scheme, ebt=ebt)
-        memory = platform.memory_for(scheme)
-        results.append(
-            BandwidthResult(
-                design=name,
-                platform=platform.name,
-                has_sram=memory.has_sram,
-                layers=simulate_network(layers, array, memory),
-            )
-        )
-    if include_binary_without_sram:
-        bare = platform.memory.without_sram()
+def simulate_without_sram(layers: list[GemmParams], platform: Platform) -> Grid:
+    """Both binary designs over ``layers`` with the platform's SRAM eliminated."""
+    bare = platform.memory.without_sram()
+    return {
+        name: simulate_network(layers, platform.array(scheme), bare)
         for name, scheme in [
             ("Binary Parallel (no SRAM)", ComputeScheme.BINARY_PARALLEL),
             ("Binary Serial (no SRAM)", ComputeScheme.BINARY_SERIAL),
-        ]:
-            array = platform.array(scheme)
-            results.append(
-                BandwidthResult(
-                    design=name,
-                    platform=platform.name,
-                    has_sram=False,
-                    layers=simulate_network(layers, array, bare),
-                )
-            )
-    return results
+        ]
+    }
 
 
-def format_figure10(results: list[BandwidthResult]) -> str:
-    """Layer columns, DRAM (upper plane) and SRAM (lower plane) rows."""
-    if not results:
-        return ""
-    layer_names = [r.layer for r in results[0].layers]
+def format_figure10(grid: Grid, platform: str) -> str:
+    """Layer columns, DRAM (upper plane) and SRAM (lower plane) rows.
+
+    A design without SRAM moves no SRAM bytes and has no lower plane.
+    """
+    layer_names = [r.layer for r in next(iter(grid.values()))]
     headers = ["design", "plane"] + layer_names
     rows = []
-    for res in results:
+    for design, layers in grid.items():
         rows.append(
-            [res.design, "DRAM GB/s"] + [f"{b:.3f}" for b in res.dram_gbps]
+            [design, "DRAM GB/s"] + [f"{r.dram_bandwidth_gbps:.3f}" for r in layers]
         )
-        if res.has_sram:
+        if any(r.traffic.sram_total for r in layers):
             rows.append(
-                [res.design, "SRAM GB/s"] + [f"{b:.3f}" for b in res.sram_gbps]
+                [design, "SRAM GB/s"]
+                + [f"{r.sram_bandwidth_gbps:.3f}" for r in layers]
             )
     return format_table(
         headers,
         rows,
-        title=f"Figure 10 ({results[0].platform}): layerwise bandwidth, 8-bit AlexNet",
+        title=f"Figure 10 ({platform}): layerwise bandwidth, 8-bit AlexNet",
     )

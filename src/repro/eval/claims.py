@@ -2,10 +2,11 @@
 
 :func:`run_claims` executes one check per claim and returns a scorecard —
 the reproduction's self-audit.  Each claim carries its paper section, the
-paper's wording/value, the measured value, and a pass flag.  The Section
-V-A accuracy claims read the Figure 9 panels, which take CNN training, so
-they are checked only when those panels are passed in; everything else
-runs in seconds.
+paper's wording/value, the measured value, and a pass flag.  The rows on
+Figures 10-14 read the design grids those figures print, handed in rather
+than simulated again.  The Section V-A accuracy claims read the Figure 9
+panels, which take CNN training, so they are checked only when those
+panels are passed in; everything else runs in seconds.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from ..hw import gates
 from ..hw.array_cost import array_cost
 from ..hw.pe_cost import PePosition, pe_cost
 from ..schemes import ComputeScheme as CS
-from ..sim.engine import simulate_layer
 from ..system.tiled import scaling_curve
 from ..unary.bitstream import Coding, quantize_unipolar
 from ..unary.faults import binary_fault_error, unary_fault_error
@@ -31,14 +31,8 @@ from ..workloads.alexnet import alexnet_layers
 from ..workloads.presets import CLOUD, EDGE
 from .accuracy import AccuracyResult, gemm_error_ranking
 from .area import area_reductions
-from .bandwidth import run_bandwidth_experiment
-from .efficiency import run_efficiency_experiment
-from .energy import (
-    edp_improvements,
-    energy_reductions,
-    power_reductions,
-    run_energy_experiment,
-)
+from .efficiency import Grid, efficiency_panels
+from .energy import edp_improvements, energy_reductions, power_reductions
 from .report import format_table
 from .schemezoo import run_schemezoo_experiment
 from .sweeps import sram_sizing_sweep
@@ -123,18 +117,26 @@ def _mean_over_configs(table: dict[str, dict[str, dict[str, float]]]) -> float:
     return sum(means) / len(means)
 
 
-def run_claims(accuracy: list[AccuracyResult] | None = None) -> list[ClaimResult]:
+def run_claims(
+    grids: dict[tuple[str, str], Grid],
+    edge_without_sram: Grid,
+    accuracy: list[AccuracyResult] | None = None,
+) -> list[ClaimResult]:
     """Evaluate the scorecard; see module docstring.
 
-    ``accuracy`` is the three Figure 9 panels (easy, medium, hard), swept
-    over at least EBT 6 and 10; when given, the Section V-A rows run too.
+    ``grids`` are the design grids the figures print, keyed by
+    ``(platform, workload)`` for AlexNet and MLPerf on the edge and the
+    cloud; ``edge_without_sram`` is Figure 10's edge rows for the binary
+    designs without SRAM.  ``accuracy`` is the three Figure 9 panels
+    (easy, medium, hard), swept over at least EBT 6 and 10; when given,
+    the Section V-A rows run too.
     """
     results: list[ClaimResult] = []
 
     def check(section: str, claim: str, paper: str, measured: str, passed: bool):
         results.append(ClaimResult(section, claim, paper, f"{measured}", passed))
 
-    edge = {r.design: r.layers for r in run_bandwidth_experiment(EDGE)}
+    edge = grids[EDGE.name, "alexnet"]
     convs = slice(0, 5)
     ur_pe = pe_cost(CS.USYSTOLIC_RATE, 8, PePosition.LEFTMOST)
 
@@ -225,7 +227,9 @@ def run_claims(accuracy: list[AccuracyResult] | None = None) -> list[ClaimResult
         f"{ur128_conv_bw:.2f} GB/s",
         ur128_conv_bw < 0.5,
     )
-    bp_bw = max(r.dram_bandwidth_gbps for r in edge["Binary Parallel (no SRAM)"])
+    bp_bw = max(
+        r.dram_bandwidth_gbps for r in edge_without_sram["Binary Parallel (no SRAM)"]
+    )
     check(
         "V-B",
         "binary parallel without SRAM demands far more DRAM bandwidth",
@@ -284,10 +288,7 @@ def run_claims(accuracy: list[AccuracyResult] | None = None) -> list[ClaimResult
         f"{100 * edge_overhead:.1f}%",
         edge_overhead < 0.05,
     )
-    cloud_conv = alexnet_layers()[1]
-    cloud_bp = simulate_layer(
-        cloud_conv, CLOUD.array(CS.BINARY_PARALLEL), CLOUD.memory
-    )
+    cloud_bp = grids[CLOUD.name, "alexnet"]["Binary Parallel"][1]
     check(
         "V-D",
         "cloud binary parallel suffers heavy contention",
@@ -357,9 +358,8 @@ def run_claims(accuracy: list[AccuracyResult] | None = None) -> list[ClaimResult
         f"{ug_all / ur_all:.2f}x",
         ug_all > 1.5 * ur_all,
     )
-    energy = run_energy_experiment(EDGE)
-    edp_mean = _mean_over_configs(edp_improvements(energy))
-    energy_mean = _mean_over_configs(energy_reductions(energy))
+    edp_mean = _mean_over_configs(edp_improvements(edge))
+    energy_mean = _mean_over_configs(energy_reductions(edge))
     check(
         "V-E",
         "on-chip EDP gains fall far short of the energy gains (edge mean)",
@@ -380,7 +380,7 @@ def run_claims(accuracy: list[AccuracyResult] | None = None) -> list[ClaimResult
         f"{100 * power_red:.1f}% (Conv1, 32c)",
         power_red > 0.9,
     )
-    power_mean = _mean_over_configs(power_reductions(energy))
+    power_mean = _mean_over_configs(power_reductions(edge))
     check(
         "V-F",
         "on-chip power reduction, mean over layers and 32/64/128c (edge)",
@@ -390,11 +390,7 @@ def run_claims(accuracy: list[AccuracyResult] | None = None) -> list[ClaimResult
     )
 
     # --- V-G: efficiency (Figure 14) ---------------------------------------
-    panels = [
-        run_efficiency_experiment(platform, workload)
-        for workload in ("alexnet", "mlperf")
-        for platform in (EDGE, CLOUD)
-    ]
+    panels = efficiency_panels(grids)
     ordered = [
         p
         for p in panels

@@ -1,4 +1,10 @@
-"""Figure 14: on-chip energy- and power-efficiency improvements.
+"""The design grid, and Figure 14's on-chip efficiency improvements from it.
+
+Sections V-B to V-G read one set of runs: the six 8-bit candidates of
+:func:`~repro.workloads.presets.scheme_sweep` over a workload on a
+platform.  :func:`simulate_designs` runs that sweep once into a
+:data:`Grid`; Figures 10, 12, 13 and 14, the headline and the claims
+scorecard are all read off the AlexNet and MLPerf grids of both platforms.
 
 Efficiency follows the paper's definition ("dividing the throughput by the
 energy and power"): E.E. = throughput / on-chip energy, P.E. = throughput /
@@ -15,20 +21,53 @@ import dataclasses
 from ..gemm.params import GemmParams
 from ..sim.engine import simulate_network
 from ..sim.results import LayerResult
-from ..workloads.alexnet import alexnet_layers
 from ..workloads.mlperf import mlperf_suite
-from ..workloads.presets import Platform, scheme_sweep
+from ..workloads.presets import CLOUD, EDGE, Platform, scheme_sweep
+from .area import area_reductions
 from .report import format_table
 
 __all__ = [
+    "Grid",
+    "simulate_designs",
+    "simulate_mlperf",
     "EfficiencyResult",
-    "run_efficiency_experiment",
+    "efficiency_panel",
+    "efficiency_panels",
     "headline",
     "format_figure14",
 ]
 
+#: One design sweep: each candidate's per-layer results, in sweep order.
+Grid = dict[str, list[LayerResult]]
+
 _UNARY_DESIGNS = ("Unary-32c", "Unary-64c", "Unary-128c", "uGEMM-H")
 _BASELINES = ("Binary Parallel", "Binary Serial")
+
+
+def simulate_designs(layers: list[GemmParams], platform: Platform) -> Grid:
+    """Every 8-bit candidate over ``layers`` on ``platform``.
+
+    As in the paper's hardware focus, binary designs keep the platform's
+    SRAM and unary designs run without it.
+    """
+    grid = {}
+    for name, scheme, ebt in scheme_sweep():
+        array = platform.array(scheme, ebt=ebt)
+        grid[name] = simulate_network(layers, array, platform.memory_for(scheme))
+    return grid
+
+
+def simulate_mlperf(platform: Platform, alexnet: Grid) -> Grid:
+    """The MLPerf suite's grid on ``platform``, network by network.
+
+    AlexNet is one of the suite's networks: its rows are ``alexnet``,
+    the platform's AlexNet grid, so no layer is simulated twice.
+    """
+    parts = [
+        alexnet if name == "alexnet" else simulate_designs(layers, platform)
+        for name, layers in mlperf_suite().items()
+    ]
+    return {design: [r for part in parts for r in part[design]] for design in alexnet}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,40 +86,20 @@ class EfficiencyResult:
     """Section V-G's mean MAC utilization (drives the MLPerf dilution)."""
 
 
-def _simulate_all(
-    layers: list[GemmParams], platform: Platform
-) -> dict[str, list[LayerResult]]:
-    out = {}
-    for name, scheme, ebt in scheme_sweep():
-        array = platform.array(scheme, ebt=ebt)
-        memory = platform.memory_for(scheme)
-        out[name] = simulate_network(layers, array, memory)
-    return out
-
-
-def run_efficiency_experiment(
-    platform: Platform, workload: str = "alexnet"
-) -> EfficiencyResult:
-    """One Figure 14 panel (a/b for AlexNet, c/d for MLPerf)."""
-    if workload == "alexnet":
-        layers = alexnet_layers()
-    elif workload == "mlperf":
-        layers = [l for ls in mlperf_suite().values() for l in ls]
-    else:
-        raise ValueError(f"unknown workload {workload!r}")
-    sims = _simulate_all(layers, platform)
+def efficiency_panel(grid: Grid, platform: str, workload: str) -> EfficiencyResult:
+    """One Figure 14 panel (a/b for AlexNet, c/d for MLPerf) from its grid."""
     eei: dict[str, dict[str, float]] = {}
     pei: dict[str, dict[str, float]] = {}
     eei_max: dict[str, dict[str, float]] = {}
     pei_max: dict[str, dict[str, float]] = {}
     for baseline in _BASELINES:
-        base = sims[baseline]
+        base = grid[baseline]
         eei[baseline] = {}
         pei[baseline] = {}
         eei_max[baseline] = {}
         pei_max[baseline] = {}
         for design in _UNARY_DESIGNS:
-            cand = sims[design]
+            cand = grid[design]
             e_ratios = [
                 c.energy_efficiency() / b.energy_efficiency()
                 for c, b in zip(cand, base)
@@ -100,26 +119,32 @@ def run_efficiency_experiment(
             pei[baseline][design] = sum(p_ratios) / len(p_ratios)
             eei_max[baseline][design] = max(e_ratios)
             pei_max[baseline][design] = max(p_ratios)
-    if not layers:
-        raise ValueError(f"workload {workload!r} has no layers")
-    util = sum(r.utilization for r in sims["Binary Parallel"]) / len(layers)
+    binary = grid["Binary Parallel"]
     return EfficiencyResult(
         workload=workload,
-        platform=platform.name,
+        platform=platform,
         eei=eei,
         pei=pei,
         eei_max=eei_max,
         pei_max=pei_max,
-        utilization=util,
+        utilization=sum(r.utilization for r in binary) / len(binary),
     )
 
 
-def headline(platform: Platform) -> dict[str, float]:
-    """The abstract's numbers: best-case on-chip efficiency improvements
-    and the total-area reduction for 8-bit AlexNet on the edge."""
-    from .area import area_reductions
+def efficiency_panels(grids: dict[tuple[str, str], Grid]) -> list[EfficiencyResult]:
+    """Figure 14's four panels from the ``(platform, workload)`` grids:
+    AlexNet then MLPerf, each on the edge then the cloud."""
+    return [
+        efficiency_panel(grids[platform.name, workload], platform.name, workload)
+        for workload in ("alexnet", "mlperf")
+        for platform in (EDGE, CLOUD)
+    ]
 
-    res = run_efficiency_experiment(platform, "alexnet")
+
+def headline(platform: Platform, grid: Grid) -> dict[str, float]:
+    """The abstract's numbers from ``platform``'s AlexNet grid: best-case
+    on-chip efficiency improvements and the total-area reduction."""
+    res = efficiency_panel(grid, platform.name, "alexnet")
     best_eei = max(
         v for by_design in res.eei_max.values() for v in by_design.values()
     )

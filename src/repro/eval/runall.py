@@ -17,17 +17,25 @@ import sys
 import time
 from typing import Callable, TextIO
 
-from ..workloads.presets import CLOUD, EDGE
+from ..workloads.alexnet import alexnet_layers
+from ..workloads.presets import CLOUD, EDGE, Platform
 from .accuracy import AccuracyResult, format_figure9, run_accuracy_experiment
 from .area import format_figure11, run_area_experiment
-from .bandwidth import format_figure10, run_bandwidth_experiment
+from .bandwidth import format_figure10, simulate_without_sram
 from .claims import ClaimResult, format_scorecard, run_claims
-from .efficiency import format_figure14, headline, run_efficiency_experiment
-from .energy import format_figure13, run_energy_experiment
+from .efficiency import (
+    Grid,
+    efficiency_panels,
+    format_figure14,
+    headline,
+    simulate_designs,
+    simulate_mlperf,
+)
+from .energy import format_figure13
 from .report import format_series, table1
 from .schemezoo import format_schemezoo, run_schemezoo_experiment
 from .serving import format_serving, run_serving_experiment
-from .throughput import format_figure12, run_throughput_experiment
+from .throughput import format_figure12
 
 __all__ = ["run_all", "main"]
 
@@ -62,15 +70,19 @@ def run_all(
 ) -> list[ClaimResult]:
     """Regenerate Table I and Figures 9-14 plus the headline numbers.
 
-    Returns the scorecard rows.  The full run hands its Figure 9 panels to
-    the scorecard's accuracy rows; ``fast`` trains smaller networks, so it
-    checks no accuracy row.
+    Returns the scorecard rows.  Each ``(platform, workload)`` design grid
+    is simulated once, AlexNet's by Figure 10 and MLPerf's by Figure 14,
+    and every later figure, the headline and the scorecard read it.  The
+    full run hands its Figure 9 panels to the scorecard's accuracy rows;
+    ``fast`` trains smaller networks, so it checks no accuracy row.
     """
     ebts = [6, 8, 10] if fast else list(range(6, 13))
     train = 250 if fast else 500
     test = 60 if fast else 150
     accuracy: list[AccuracyResult] = []
     claims: list[ClaimResult] = []
+    grids: dict[tuple[str, str], Grid] = {}
+    without_sram: dict[str, Grid] = {}
 
     def figure9() -> str:
         accuracy.extend(
@@ -78,8 +90,23 @@ def run_all(
         )
         return format_figure9(accuracy, ebts)
 
+    def figure10(platform: Platform) -> str:
+        layers = alexnet_layers()
+        grid = grids[platform.name, "alexnet"] = simulate_designs(layers, platform)
+        bare = without_sram[platform.name] = simulate_without_sram(layers, platform)
+        return format_figure10({**grid, **bare}, platform.name)
+
+    def figure14() -> str:
+        for platform in (EDGE, CLOUD):
+            grids[platform.name, "mlperf"] = simulate_mlperf(
+                platform, grids[platform.name, "alexnet"]
+            )
+        return format_figure14(efficiency_panels(grids))
+
     def scorecard() -> str:
-        claims.extend(run_claims(None if fast else accuracy))
+        claims.extend(
+            run_claims(grids, without_sram[EDGE.name], None if fast else accuracy)
+        )
         return format_scorecard(claims)
 
     _timed(out, "Table I", table1, log=log)
@@ -88,7 +115,7 @@ def run_all(
         _timed(
             out,
             f"Figure 10 ({platform.name}): bandwidth",
-            lambda p=platform: format_figure10(run_bandwidth_experiment(p)),
+            lambda p=platform: figure10(p),
             log=log,
         )
     for platform in (EDGE, CLOUD):
@@ -102,29 +129,17 @@ def run_all(
         _timed(
             out,
             f"Figure 12 ({platform.name}): throughput",
-            lambda p=platform: format_figure12(run_throughput_experiment(p)),
+            lambda p=platform: format_figure12(grids[p.name, "alexnet"], p.name),
             log=log,
         )
     for platform in (EDGE, CLOUD):
         _timed(
             out,
             f"Figure 13 ({platform.name}): energy",
-            lambda p=platform: format_figure13(run_energy_experiment(p)),
+            lambda p=platform: format_figure13(grids[p.name, "alexnet"], p.name),
             log=log,
         )
-    _timed(
-        out,
-        "Figure 14: efficiency improvements",
-        lambda: format_figure14(
-            [
-                run_efficiency_experiment(EDGE, "alexnet"),
-                run_efficiency_experiment(CLOUD, "alexnet"),
-                run_efficiency_experiment(EDGE, "mlperf"),
-                run_efficiency_experiment(CLOUD, "mlperf"),
-            ]
-        ),
-        log=log,
-    )
+    _timed(out, "Figure 14: efficiency improvements", figure14, log=log)
     _timed(
         out,
         "Scheme zoo: tuGEMM / tubGEMM / DiP",
@@ -142,7 +157,11 @@ def run_all(
     _timed(
         out,
         "Headline",
-        lambda: format_series("edge headline", headline(EDGE), fmt="{:.1f}"),
+        lambda: format_series(
+            "edge headline",
+            headline(EDGE, grids[EDGE.name, "alexnet"]),
+            fmt="{:.1f}",
+        ),
         log=log,
     )
     _timed(out, "Reproduction scorecard", scorecard, log=log)

@@ -145,12 +145,3 @@ class GemmParams:
     def weight_bytes(self, bits: int) -> int:
         """Weight footprint in bytes at ``bits`` per element."""
         return self.weight_elems * ((bits + 7) // 8)
-
-    def describe(self) -> str:
-        """Human-readable one-liner for reports."""
-        kind = "Conv" if self.gemm_type is GemmType.CONVOLUTION else "MatMul"
-        return (
-            f"{self.name} [{kind}] IFM {self.ih}x{self.iw}x{self.ic} "
-            f"W {self.wh}x{self.ww}x{self.ic}x{self.oc} s{self.stride} "
-            f"-> OFM {self.oh}x{self.ow}x{self.oc} ({self.macs:,} MACs)"
-        )

@@ -39,7 +39,6 @@ class TrainResult:
 
     model: Sequential
     losses: list[float]
-    train_accuracy: float
     test_accuracy: float
 
 
@@ -72,7 +71,6 @@ def train(
     return TrainResult(
         model=model,
         losses=losses,
-        train_accuracy=evaluate_fp32(model, x, y),
         test_accuracy=evaluate_fp32(model, dataset.x_test, dataset.y_test),
     )
 

@@ -107,21 +107,20 @@ class ServeMetrics:
         self.busy_s = 0.0
         self.depth_integral = 0.0
         self.peak_in_system = 0
+        # The clock: events never run back, so the last event's time is
+        # also the window's length.
         self.makespan_s = 0.0
         self._in_system = 0
-        self._last_event_s = 0.0
 
     # ------------------------------------------------------------------
     # event ingestion (executor-facing)
     # ------------------------------------------------------------------
     def _advance(self, now_s: float) -> None:
-        last_s = self._last_event_s
+        last_s = self.makespan_s
         if now_s < last_s:
             raise ValueError(f"events must be time-ordered: {now_s} < {last_s}")
         self.depth_integral += self._in_system * (now_s - last_s)
-        self._last_event_s = now_s
-        if now_s > self.makespan_s:
-            self.makespan_s = now_s
+        self.makespan_s = now_s
 
     def observe_admit(self, request: Request, now_s: float) -> None:
         """A request entered the system (queue).
@@ -129,14 +128,12 @@ class ServeMetrics:
         Runs once per admitted request, so it advances the clock in its
         own body, exactly as :meth:`_advance` does.
         """
-        last_s = self._last_event_s
+        last_s = self.makespan_s
         if now_s < last_s:
             raise ValueError(f"events must be time-ordered: {now_s} < {last_s}")
         in_system = self._in_system
         self.depth_integral += in_system * (now_s - last_s)
-        self._last_event_s = now_s
-        if now_s > self.makespan_s:
-            self.makespan_s = now_s
+        self.makespan_s = now_s
         self.admitted += 1
         in_system += 1
         self._in_system = in_system

@@ -27,7 +27,7 @@ from .mac import (
     mac_cycles,
     sign_magnitude,
 )
-from .metrics import ErrorStats, error_stats, mae, rmse
+from .metrics import ErrorStats, error_stats
 from .multiply import UmulResult, stream_for_input, umul_bipolar, umul_unipolar
 from .vectorized import hub_mac_row, hub_mac_tile, hub_product_counts
 from .rng import (
@@ -57,8 +57,6 @@ __all__ = [
     "sign_magnitude",
     "ErrorStats",
     "error_stats",
-    "mae",
-    "rmse",
     "UmulResult",
     "stream_for_input",
     "umul_bipolar",

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["ErrorStats", "error_stats", "rmse", "mae"]
+__all__ = ["ErrorStats", "error_stats"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,12 +54,3 @@ def error_stats(estimate: np.ndarray, reference: np.ndarray) -> ErrorStats:
         count=int(err.size),
     )
 
-
-def rmse(estimate: np.ndarray, reference: np.ndarray) -> float:
-    """Root-mean-square error between two arrays."""
-    return error_stats(estimate, reference).rmse
-
-
-def mae(estimate: np.ndarray, reference: np.ndarray) -> float:
-    """Mean absolute error between two arrays."""
-    return error_stats(estimate, reference).mae

@@ -14,8 +14,8 @@ def _panel(fp32: float, usystolic: dict[int, float]) -> AccuracyResult:
 
 
 @pytest.fixture(scope="module")
-def fast_rows():
-    return run_claims()
+def fast_rows(grids, edge_without_sram):
+    return run_claims(grids, edge_without_sram)
 
 
 class TestScorecard:
@@ -48,7 +48,7 @@ class TestScorecard:
             assert r.paper
             assert r.measured
 
-    def test_figure9_panels_add_the_accuracy_rows(self):
+    def test_figure9_panels_add_the_accuracy_rows(self, grids, edge_without_sram):
         # Easy holds within 15 points at EBT 6; hard misses by more than
         # 10 points at EBT 10, so its row fails.
         panels = [
@@ -56,7 +56,7 @@ class TestScorecard:
             _panel(0.9, {6: 0.5, 10: 0.9}),
             _panel(0.6, {6: 0.3, 10: 0.49}),
         ]
-        results = run_claims(panels)
+        results = run_claims(grids, edge_without_sram, panels)
         assert len(results) == FAST_ROWS + 3
         accuracy_rows = results[FAST_ROWS:]
         assert [r.section for r in accuracy_rows] == ["V-A"] * 3

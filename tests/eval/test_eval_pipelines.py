@@ -14,23 +14,28 @@ from repro.eval.accuracy import (
     run_accuracy_experiment,
 )
 from repro.eval.area import area_reductions, format_figure11, run_area_experiment
-from repro.eval.bandwidth import format_figure10, run_bandwidth_experiment
-from repro.eval.efficiency import format_figure14, run_efficiency_experiment
+from repro.eval.bandwidth import format_figure10
+from repro.eval.efficiency import efficiency_panel, format_figure14
 from repro.eval.energy import (
     energy_reductions,
     format_figure13,
     power_reductions,
     reduction_stats,
-    run_energy_experiment,
 )
 from repro.eval.report import format_series, format_table, table1
-from repro.eval.throughput import format_figure12, run_throughput_experiment
+from repro.eval.throughput import format_figure12, mean_conv_contention
 from repro.workloads.presets import CLOUD, EDGE
 
 
-def _contention_pct(results):
+def _contention_pct(grid):
     """Section V-D: mean conv-layer runtime overhead per design, percent."""
-    return {r.design: 100.0 * r.mean_conv_contention for r in results}
+    return {
+        design: 100.0 * mean_conv_contention(layers) for design, layers in grid.items()
+    }
+
+
+def _max_dram_gbps(layers):
+    return max(r.dram_bandwidth_gbps for r in layers)
 
 
 class TestReport:
@@ -53,43 +58,40 @@ class TestReport:
 
 class TestBandwidthPipeline:
     @pytest.fixture(scope="class")
-    def edge(self):
-        return run_bandwidth_experiment(EDGE)
+    def edge(self, grids, edge_without_sram):
+        """Figure 10's edge table: the design grid plus the no-SRAM rows."""
+        return {**grids["edge", "alexnet"], **edge_without_sram}
 
     def test_all_designs_present(self, edge):
-        names = [r.design for r in edge]
-        assert "Binary Parallel" in names
-        assert "uGEMM-H" in names
-        assert "Binary Parallel (no SRAM)" in names
+        assert "Binary Parallel" in edge
+        assert "uGEMM-H" in edge
+        assert "Binary Parallel (no SRAM)" in edge
 
     def test_unary_bandwidth_below_binary_no_sram(self, edge):
-        by_name = {r.design: r for r in edge}
-        bp = by_name["Binary Parallel (no SRAM)"].max_dram_gbps
+        bp = _max_dram_gbps(edge["Binary Parallel (no SRAM)"])
         for design in ("Unary-32c", "Unary-64c", "Unary-128c", "uGEMM-H"):
-            assert by_name[design].max_dram_gbps < bp / 3
+            assert _max_dram_gbps(edge[design]) < bp / 3
 
     def test_paper_text_bands(self, edge):
         # Section V-B: conv DRAM bandwidth [0.11, 0.47] GB/s and FC
         # [0.46, 1.08] GB/s for rate-coded uSystolic without SRAM; allow a
         # modelling margin.
-        by_name = {r.design: r for r in edge}
-        u128 = by_name["Unary-128c"]
-        convs = u128.dram_gbps[:5]
-        fcs = u128.dram_gbps[5:]
-        assert max(convs) < 0.6
-        assert max(fcs) < 1.5
+        u128 = edge["Unary-128c"]
+        assert _max_dram_gbps(u128[:5]) < 0.6
+        assert _max_dram_gbps(u128[5:]) < 1.5
 
     def test_cycles_reduce_bandwidth_monotonically(self, edge):
-        by_name = {r.design: r for r in edge}
-        b32 = by_name["Unary-32c"].max_dram_gbps
-        b64 = by_name["Unary-64c"].max_dram_gbps
-        b128 = by_name["Unary-128c"].max_dram_gbps
+        b32 = _max_dram_gbps(edge["Unary-32c"])
+        b64 = _max_dram_gbps(edge["Unary-64c"])
+        b128 = _max_dram_gbps(edge["Unary-128c"])
         assert b32 > b64 > b128
 
     def test_format(self, edge):
-        out = format_figure10(edge)
+        out = format_figure10(edge, "edge")
         assert "Figure 10" in out
         assert "Conv1" in out and "FC8" in out
+        # Only the binary designs that keep their SRAM get an SRAM plane.
+        assert out.count("SRAM GB/s") == 2
 
 
 class TestAreaPipeline:
@@ -127,17 +129,16 @@ class TestAreaPipeline:
 
 class TestThroughputPipeline:
     @pytest.fixture(scope="class")
-    def edge(self):
-        return run_throughput_experiment(EDGE)
+    def edge(self, grids):
+        return grids["edge", "alexnet"]
 
     @pytest.fixture(scope="class")
-    def cloud(self):
-        return run_throughput_experiment(CLOUD)
+    def cloud(self, grids):
+        return grids["cloud", "alexnet"]
 
     def test_edge_throughput_ordering(self, edge):
         # More MAC cycles -> lower conv throughput on the edge.
-        by_name = {r.design: r for r in edge}
-        conv_thr = lambda d: by_name[d].throughput_gops[0]
+        conv_thr = lambda d: edge[d][0].throughput_gops
         assert conv_thr("Binary Parallel") > conv_thr("Binary Serial")
         assert conv_thr("Binary Serial") > conv_thr("Unary-32c")
         assert conv_thr("Unary-32c") > conv_thr("Unary-128c")
@@ -155,13 +156,13 @@ class TestThroughputPipeline:
         assert overheads["Unary-32c"] >= overheads["Unary-128c"]
 
     def test_format(self, edge):
-        assert "Figure 12" in format_figure12(edge)
+        assert "Figure 12" in format_figure12(edge, "edge")
 
 
 class TestEnergyPipeline:
     @pytest.fixture(scope="class")
-    def edge(self):
-        return run_energy_experiment(EDGE)
+    def edge(self, grids):
+        return grids["edge", "alexnet"]
 
     def test_on_chip_reduction_bands(self, edge):
         # Section V-E: mean on-chip reduction ~83.5% vs BP on the edge.
@@ -195,15 +196,15 @@ class TestEnergyPipeline:
         assert stats["mean"] == 70.0
 
     def test_format(self, edge):
-        out = format_figure13(edge)
+        out = format_figure13(edge, "edge")
         assert "Figure 13" in out
         assert "SRAM uJ" in out
 
 
 class TestEfficiencyPipeline:
     @pytest.fixture(scope="class")
-    def edge_alex(self):
-        return run_efficiency_experiment(EDGE, "alexnet")
+    def edge_alex(self, grids):
+        return efficiency_panel(grids["edge", "alexnet"], "edge", "alexnet")
 
     def test_early_termination_boosts_efficiency(self, edge_alex):
         # Figure 14: E.E.I and P.E.I increase as cycles shrink.
@@ -220,10 +221,10 @@ class TestEfficiencyPipeline:
         assert edge_alex.eei_max["Binary Parallel"]["Unary-32c"] > 30.0
         assert edge_alex.pei_max["Binary Parallel"]["Unary-32c"] > 30.0
 
-    def test_alexnet_utilization_high_on_edge(self, edge_alex):
+    def test_alexnet_utilization_high_on_edge(self, edge_alex, grids):
         # Section V-G: 97.1% for AlexNet vs 69.6% for MLPerf on the edge.
         alex = edge_alex.utilization
-        mlperf = run_efficiency_experiment(EDGE, "mlperf").utilization
+        mlperf = efficiency_panel(grids["edge", "mlperf"], "edge", "mlperf").utilization
         assert alex > 0.9
         assert mlperf < alex
 
@@ -272,12 +273,12 @@ from repro.eval.accuracy import FIGURE9_TASKS as FIGURE9_TASKS_NAMES  # noqa: E4
 
 
 class TestTotalPower:
-    def test_total_power_reduction_amortised(self):
+    def test_total_power_reduction_amortised(self, grids):
         # Section V-F: DRAM dynamic power amortises the colossal on-chip
         # reduction — total-power gains are far smaller than on-chip ones.
-        results = run_energy_experiment(EDGE)
-        on_chip = power_reductions(results)["Binary Parallel"]["Unary-32c"]
-        total = power_reductions(results, total=True)["Binary Parallel"][
+        edge = grids["edge", "alexnet"]
+        on_chip = power_reductions(edge)["Binary Parallel"]["Unary-32c"]
+        total = power_reductions(edge, total=True)["Binary Parallel"][
             "Unary-32c"
         ]
         assert total["mean"] < on_chip["mean"]

@@ -49,12 +49,6 @@ class TestGemmParams:
         with pytest.raises(ValueError):
             GemmParams("bad", ih=2, iw=2, ic=1, wh=3, ww=1, oc=1)
 
-    def test_describe_mentions_kind(self):
-        conv = GemmParams("c", ih=4, iw=4, ic=1, wh=2, ww=2, oc=2)
-        assert "Conv" in conv.describe()
-        mm = GemmParams.matmul("m", 2, 4, 2)
-        assert "MatMul" in mm.describe()
-
     def test_frozen(self):
         p = GemmParams.matmul("m", 2, 4, 2)
         with pytest.raises(Exception):

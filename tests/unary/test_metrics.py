@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.unary.metrics import error_stats, mae, rmse
+from repro.unary.metrics import error_stats
 
 
 class TestErrorStats:
@@ -56,8 +56,9 @@ class TestErrorStats:
     def test_helpers(self):
         est = np.array([1.0, 3.0])
         ref = np.array([0.0, 0.0])
-        assert mae(est, ref) == pytest.approx(2.0)
-        assert rmse(est, ref) == pytest.approx(np.sqrt(5.0))
+        stats = error_stats(est, ref)
+        assert stats.mae == pytest.approx(2.0)
+        assert stats.rmse == pytest.approx(np.sqrt(5.0))
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=32))
